@@ -16,6 +16,7 @@ from repro.dataset.schema import DataType
 from repro.dataset.table import Table
 from repro.patterns.generalize import PatternHistogram, generalize_string
 from repro.patterns.tokenizer import cached_tokenize
+from repro.perf import TABLE_ARTIFACTS
 
 
 @dataclass
@@ -267,6 +268,13 @@ def profile_table(table: Table, max_patterns: int = 25) -> TableProfile:
         for name in table.column_names()
     }
     return TableProfile(n_rows=table.n_rows, columns=columns)
+
+
+def cached_profile_table(table: Table) -> TableProfile:
+    """:func:`profile_table` shared through ``TABLE_ARTIFACTS`` until the
+    table is edited (keyed by ``Table.version``), so session profiling
+    and discovery profile one data version once."""
+    return TABLE_ARTIFACTS.get(table, ("profile",), lambda: profile_table(table))
 
 
 def profile_sharded(sharded, max_patterns: int = 25) -> TableProfile:

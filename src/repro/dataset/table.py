@@ -89,6 +89,14 @@ def _stringify(value: object) -> str:
     return str(value)
 
 
+def _all_str(column: object) -> bool:
+    """Whether a list/tuple column holds only exact ``str`` cells, which
+    :func:`_stringify` would return unchanged (checked at C speed, so
+    building a table from already-canonical columns skips the per-cell
+    normalization call)."""
+    return isinstance(column, (list, tuple)) and set(map(type, column)) <= {str}
+
+
 class Table:
     """An immutable-by-convention columnar table.
 
@@ -105,7 +113,8 @@ class Table:
                 f"schema has {len(schema)} attributes but {len(columns)} columns given"
             )
         normalized: List[List[str]] = [
-            [_stringify(v) for v in col] for col in columns
+            list(col) if _all_str(col) else [_stringify(v) for v in col]
+            for col in columns
         ]
         lengths = {len(col) for col in normalized}
         if len(lengths) > 1:

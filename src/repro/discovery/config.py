@@ -74,7 +74,7 @@ class DiscoveryConfig:
     store:
         Which :class:`~repro.sharding.store.ShardStore` backend sharded
         uploads stream into: ``"memory"`` (live tables), ``"spill"``
-        (CSV spill files + small LRU) or ``"object"`` (checksummed
+        (encoded spill files + small LRU) or ``"object"`` (checksummed
         objects behind a get/put/list client).  Recorded on the
         execution plan.  Ignored for monolithic runs.
     spill_dir:

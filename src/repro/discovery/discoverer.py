@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataset.profiling import TableProfile, profile_table
+from repro.dataset.profiling import TableProfile, cached_profile_table
 from repro.dataset.table import Table
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
@@ -137,7 +137,7 @@ class PfdDiscoverer:
         """
         started = time.perf_counter()
         with self.timers.stage("profile"):
-            profile = profile_table(table)
+            profile = cached_profile_table(table)
         if candidates is None:
             with self.timers.stage("candidates"):
                 candidates = candidate_dependencies(table, self.config, profile)

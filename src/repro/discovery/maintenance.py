@@ -65,7 +65,6 @@ from repro.discovery.discoverer import (
     PfdDiscoverer,
 )
 from repro.discovery.inverted_index import ColumnTokenization
-from repro.kernels.encoder import ColumnEncoding, encode_chunks
 from repro.kernels.runtime import kernels_enabled
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
 from repro.sharding.overlay import OverlayShardStore
@@ -421,8 +420,9 @@ class RuleMaintainer:
     def _remine_kernel(
         self, view: ShardedTable, candidate: CandidateDependency
     ) -> DependencyReport:
-        lhs_encoding = self._encoding(view, candidate.lhs)
-        rhs_encoding = self._encoding(view, candidate.rhs)
+        encodings = view.column_encodings((candidate.lhs, candidate.rhs))
+        lhs_encoding = encodings[candidate.lhs]
+        rhs_encoding = encodings[candidate.rhs]
         triples = None
         if self.config.discover_constant:
             triples = view.merged_artifact(
@@ -455,13 +455,3 @@ class RuleMaintainer:
                 tokenization=tokenization,
             )
         return report
-
-    def _encoding(self, view: ShardedTable, name: str) -> ColumnEncoding:
-        """One column's factorized encoding, streamed shard by shard
-        (cached on the view for the other candidates of this pass)."""
-        return view.merged_artifact(
-            ("column_encoding", name),
-            lambda: encode_chunks(
-                shard.column_ref(name) for _offset, shard in view.iter_shards()
-            ),
-        )

@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataset.profiling import TableProfile, profile_sharded, profile_table
+from repro.dataset.profiling import TableProfile, cached_profile_table
 from repro.dataset.table import Table
 from repro.detection.detector import ErrorDetector
 from repro.detection.violation import ViolationReport
@@ -201,10 +201,11 @@ class DataSource:
         """Profile the logical dataset.  Never-materialized sources
         stream shard-major through the column builders (one resident
         shard at a time); eager sources profile the table directly.  The
-        output is identical either way."""
+        output is identical either way, and cached per data version where
+        discovery finds it again."""
         if self._lazy:
-            return profile_sharded(self.sharded_view(0))
-        return profile_table(self._table)
+            return self.sharded_view(0).profile()
+        return cached_profile_table(self._table)
 
     def close(self) -> None:
         """Release the backing shard store (spill files, object roots).

@@ -16,6 +16,7 @@ scalar dict orders exactly.  Everything derived from the codes is lazy:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 from repro.kernels.runtime import HAVE_NUMPY, np
@@ -120,26 +121,57 @@ def encode_column(values: Sequence[str]) -> ColumnEncoding:
 
 
 def encode_chunks(chunks) -> ColumnEncoding:
-    """Factorize one logical column delivered as value chunks (e.g. one
-    chunk per resident shard), without concatenating them.
+    """Factorize one logical column delivered as value sequences (e.g.
+    one per resident shard), without concatenating them."""
+    if not HAVE_NUMPY:
+        raise RuntimeError("encode_chunks requires numpy; gate on kernels_enabled()")
+    factorizer = _Factorizer()
+    for values in chunks:
+        factorizer.add(values)
+    return factorizer.finish()
+
+
+def encode_shards(shards, names: Sequence[str]) -> Dict[str, ColumnEncoding]:
+    """Factorize several columns of one logical table in a single pass
+    over its shards (anything with ``column_ref``), so a disk-backed
+    store is read once per shard however many columns are encoded.
+    Each encoding equals :func:`encode_chunks` over that column's
+    chunks."""
+    if not HAVE_NUMPY:
+        raise RuntimeError("encode_shards requires numpy; gate on kernels_enabled()")
+    factorizers = {name: _Factorizer() for name in names}
+    for shard in shards:
+        for name, factorizer in factorizers.items():
+            factorizer.add(shard.column_ref(name))
+    return {name: factorizer.finish() for name, factorizer in factorizers.items()}
+
+
+class _Factorizer:
+    """First-appearance factorization of one column, fed chunk by chunk.
 
     Codes accumulate in a compact ``array('i')`` — on a large column the
     boxed-int list the obvious implementation builds would transiently
-    rival the encoded output itself.
+    rival the encoded output itself.  Per chunk, only the *distinct*
+    values go through Python code: ``dict.fromkeys`` lists them in
+    first-appearance order and the row codes are looked up at C speed.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("encode_chunks requires numpy; gate on kernels_enabled()")
-    from array import array
 
-    index: Dict[str, int] = {}
-    distinct: List[str] = []
-    codes = array("i")
-    append = codes.append
-    setdefault = index.setdefault
-    for values in chunks:
-        for value in values:
-            code = setdefault(value, len(distinct))
-            if code == len(distinct):
+    __slots__ = ("index", "distinct", "codes")
+
+    def __init__(self) -> None:
+        self.index: Dict[str, int] = {}
+        self.distinct: List[str] = []
+        self.codes = array("i")
+
+    def add(self, values) -> None:
+        index, distinct = self.index, self.distinct
+        for value in dict.fromkeys(values):
+            if value not in index:
+                index[value] = len(distinct)
                 distinct.append(value)
-            append(code)
-    return ColumnEncoding(distinct, np.frombuffer(codes, dtype=np.int32).copy())
+        self.codes.extend(map(index.__getitem__, values))
+
+    def finish(self) -> ColumnEncoding:
+        return ColumnEncoding(
+            self.distinct, np.frombuffer(self.codes, dtype=np.int32).copy()
+        )

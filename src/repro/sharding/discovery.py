@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataset.profiling import TableProfile, profile_sharded
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.decision import DecisionFunction
@@ -29,7 +28,6 @@ from repro.discovery.discoverer import (
     _mine_candidate_values,
 )
 from repro.discovery.inverted_index import ColumnTokenization
-from repro.kernels.encoder import ColumnEncoding, encode_chunks
 from repro.kernels.runtime import kernels_enabled
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
 from repro.pfd.pfd import PFD
@@ -70,7 +68,9 @@ class ShardedDiscoverer:
         started = time.perf_counter()
         timers = self.discoverer.timers
         with timers.stage("profile"):
-            profile = self._profile(sharded)
+            # the session's profiling step already built it for these
+            # shard versions; only a cold run profiles here
+            profile = sharded.profile()
         if candidates is None:
             with timers.stage("candidates"):
                 candidates = candidate_dependencies(sharded, self.config, profile)
@@ -88,13 +88,6 @@ class ShardedDiscoverer:
         )
 
     # -- merged statistics --------------------------------------------------------
-
-    def _profile(self, sharded: ShardedTable) -> TableProfile:
-        """Profile the logical table shard-major via the streaming
-        builders — one resident shard at a time, never a concatenated
-        column (identical to ``profile_table`` on the monolithic
-        table)."""
-        return profile_sharded(sharded)
 
     def _mine_merged(
         self, sharded: ShardedTable, candidates: Sequence[CandidateDependency]
@@ -140,34 +133,24 @@ class ShardedDiscoverer:
     ) -> List:
         """The columnar mining loop over merged columns.
 
-        Encodings and distinct-level triples are merged-table artifacts
-        (cached until a shard mutates); the loop body and the
+        Encodings (built shard-major, every needed column in one pass)
+        and distinct-level triples are merged-table artifacts (cached
+        until a shard mutates); the loop body and the
         scalar-fallback rule are shared with the monolithic kernel path,
         so sharded and monolithic runs stay byte-identical.
         """
         timers = self.discoverer.timers
-        encodings: Dict[str, ColumnEncoding] = {}
         triples: Dict[Tuple[str, str], list] = {}
         reports = []
-
-        def encoding_for(name: str) -> ColumnEncoding:
-            encoding = encodings.get(name)
-            if encoding is None:
-                # stream shard by shard: the concatenated column is never
-                # materialized on the kernel path
-                encoding = encodings[name] = sharded.merged_artifact(
-                    ("column_encoding", name),
-                    lambda: encode_chunks(
-                        shard.column_ref(name)
-                        for _offset, shard in sharded.iter_shards()
-                    ),
-                )
-            return encoding
-
+        with timers.stage("tokenize"):
+            # every column the candidates touch, in one pass over the shards
+            encodings = sharded.column_encodings(
+                [name for candidate in candidates for name in (candidate.lhs, candidate.rhs)]
+            )
         for candidate in candidates:
+            lhs_encoding = encodings[candidate.lhs]
+            rhs_encoding = encodings[candidate.rhs]
             with timers.stage("tokenize"):
-                lhs_encoding = encoding_for(candidate.lhs)
-                rhs_encoding = encoding_for(candidate.rhs)
                 candidate_triples = None
                 if self.config.discover_constant:
                     key = (candidate.lhs, candidate.lhs_mode)

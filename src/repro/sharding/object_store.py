@@ -1,9 +1,9 @@
 """An object-store-style :class:`~repro.sharding.store.ShardStore` backend.
 
-Shards are serialized to CSV *objects* addressed by string keys through a
-minimal get/put/list/delete client API — the shape of S3-alike blob
-stores.  Two clients ship today: :class:`LocalObjectClient` keeps objects
-as files under a local root, and
+Shards are encoded by :mod:`repro.sharding.codec` into *objects*
+addressed by string keys through a minimal get/put/list/delete client
+API — the shape of S3-alike blob stores.  Two clients ship today:
+:class:`LocalObjectClient` keeps objects as files under a local root, and
 :class:`~repro.sharding.remote.HttpObjectClient` speaks the same
 contract over HTTP (S3-compatible-style PUT/GET/DELETE plus Range
 reads).
@@ -26,16 +26,14 @@ medium needs that local spill files do not:
   releases the object root (and, for stores that own their remote
   namespace, the uploaded objects) even when called off an error path.
 
-Like :class:`~repro.sharding.store.SpillToDiskShardStore`, re-parsed
-cell strings are interned per store and a small LRU bounds how many
+Like :class:`~repro.sharding.store.SpillToDiskShardStore`, decoded
+distinct values are interned per store and a small LRU bounds how many
 shards stay resident.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import shutil
 import tempfile
 from collections import OrderedDict
@@ -46,6 +44,7 @@ from repro.dataset.table import Table
 from repro.errors import TableError
 from repro.perf.interning import InternPool
 from repro.perf.timers import StageTimers
+from repro.sharding.codec import SHARD_SUFFIX, decode_shard, encode_shard
 from repro.sharding.prefetch import PrefetchingFetcher
 from repro.sharding.remote import (
     FaultInjectingClient,
@@ -143,7 +142,7 @@ class LocalObjectClient:
 
 
 class ObjectShardStore(ShardStore):
-    """Shards as checksummed CSV objects behind an object client.
+    """Shards as checksummed encoded objects behind an object client.
 
     Parameters
     ----------
@@ -161,7 +160,7 @@ class ObjectShardStore(ShardStore):
     prefix:
         Key prefix for this dataset's shard objects.
     cache_shards:
-        How many recently read shards stay parsed in memory.
+        How many recently read shards stay decoded in memory.
     max_read_attempts:
         Shorthand for ``retry_policy=RetryPolicy(max_attempts=...)``;
         ignored when an explicit ``retry_policy`` is given.
@@ -237,39 +236,10 @@ class ObjectShardStore(ShardStore):
             else None
         )
 
-    # -- serialization -----------------------------------------------------------
+    # -- object keys ---------------------------------------------------------------
 
     def _key(self, index: int) -> str:
-        return f"{self.prefix}/shard_{index:06d}.csv"
-
-    @staticmethod
-    def _serialize(shard: Table) -> bytes:
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer)
-        for row in shard.iter_rows():
-            writer.writerow(row)
-        return buffer.getvalue().encode("utf-8")
-
-    def _parse(self, index: int, key: str, data: bytes, n_rows: int) -> Table:
-        width = len(self.schema)
-        columns: List[List[str]] = [[] for _ in range(width)]
-        intern = self._interned.intern
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-        for row in reader:
-            if len(row) != width:
-                raise TableError(
-                    f"object {key} line {reader.line_num} has "
-                    f"{len(row)} fields, expected {width} (corrupted?)"
-                )
-            for column, value in zip(columns, row):
-                column.append(intern(value))
-        shard = Table(self.schema, columns)
-        if shard.n_rows != n_rows:
-            raise TableError(
-                f"shard object {index} read back {shard.n_rows} rows, "
-                f"expected {n_rows} (object corrupted?)"
-            )
-        return shard
+        return f"{self.prefix}/shard_{index:06d}{SHARD_SUFFIX}"
 
     # -- the storage contract ----------------------------------------------------
 
@@ -280,7 +250,7 @@ class ObjectShardStore(ShardStore):
     def append(self, shard: Table) -> None:
         self._check_schema(shard)
         key = self._key(len(self._meta))
-        data = self._serialize(shard)
+        data = encode_shard(shard)
         digest = hashlib.sha256(data).hexdigest()
 
         def _count_put_retry(_exc: ObjectStoreError) -> None:
@@ -346,7 +316,9 @@ class ObjectShardStore(ShardStore):
         else:
             with self.timers.stage("fetch_wait"):
                 data = self._fetch_verified(index)
-        shard = self._parse(index, key, data, n_rows)
+        shard = decode_shard(
+            data, self.schema, n_rows, f"object {key}", intern=self._interned.intern
+        )
         self._loaded[index] = shard
         while len(self._loaded) > self._cache_shards:
             self._loaded.popitem(last=False)

@@ -10,10 +10,16 @@ by plain concatenation.
 
 Shard bytes live behind a pluggable
 :class:`~repro.sharding.store.ShardStore`: the default in-memory store
-keeps live ``Table`` objects, the spill-to-disk store re-parses shards
-from CSV on access with bounded resident memory, and the object store
-reads checksummed shard objects through an object client.  A plain
-shard list is wrapped into an in-memory store transparently.
+keeps live ``Table`` objects, the spill-to-disk store decodes shard
+files (:mod:`repro.sharding.codec`) on access with bounded resident
+memory, and the object store reads checksummed shard objects in the
+same format through an object client.  A plain shard list is wrapped
+into an in-memory store transparently.
+
+Everything a session op derives from all shards — the profile, column
+encodings, merged statistics — is a *merged artifact* cached here and
+keyed by the shard versions, so each op reads every shard at most once
+and a later op over unchanged shards reuses the result.
 
 Shards are immutable by contract: the sharded engines cache merged
 statistics keyed by the shards' mutation versions, and the interactive
@@ -28,8 +34,10 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple, Union
 
+from repro.dataset.profiling import TableProfile, profile_sharded
 from repro.dataset.table import Table
 from repro.errors import TableError
+from repro.kernels.encoder import ColumnEncoding, encode_shards
 from repro.sharding.store import InMemoryShardStore, ShardStore
 
 
@@ -191,6 +199,34 @@ class ShardedTable:
                 for value in shard.column_ref(name)
             ],
         )
+
+    def profile(self) -> TableProfile:
+        """The logical table's profile, streamed shard-major once and
+        cached until a shard version changes (session profiling and
+        discovery share it)."""
+        return self.merged_artifact(("profile",), lambda: profile_sharded(self))
+
+    def column_encodings(self, names: Sequence[str]) -> Dict[str, ColumnEncoding]:
+        """The factorized encodings of the named columns.
+
+        Each is cached under ``("column_encoding", name)`` until a shard
+        version changes; the ones not cached yet are built together in
+        one pass over the shards (:func:`~repro.kernels.encoder.encode_shards`).
+        """
+        encodings = {}
+        missing = []
+        for name in dict.fromkeys(names):
+            encoding = self.peek_merged_artifact(("column_encoding", name))
+            if encoding is None:
+                missing.append(name)
+            else:
+                encodings[name] = encoding
+        if missing:
+            built = encode_shards((shard for _offset, shard in self.iter_shards()), missing)
+            for name, encoding in built.items():
+                self.prime_merged_artifact(("column_encoding", name), encoding)
+            encodings.update(built)
+        return encodings
 
     def to_table(self) -> Table:
         """Materialize the logical table (cell refs are shared with the

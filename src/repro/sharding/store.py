@@ -11,12 +11,13 @@ Two implementations ship today:
 * :class:`InMemoryShardStore` — the original behaviour: live ``Table``
   objects in a list.  Mutation detection works through the shards' own
   version counters.
-* :class:`SpillToDiskShardStore` — shards are written to CSV files in a
-  spill directory as they are appended and re-parsed on access, with a
-  small LRU of recently loaded shards; resident memory is bounded by
-  the LRU size no matter how many shards the dataset has.  Shards are
-  immutable by contract (see :class:`ShardedTable`), which is what makes
-  the spill round-trip safe.
+* :class:`SpillToDiskShardStore` — shards are written to files in a
+  spill directory as they are appended (dictionary-encoded by
+  :mod:`repro.sharding.codec`) and decoded on access, with a small LRU
+  of recently loaded shards; resident memory is bounded by the LRU size
+  no matter how many shards the dataset has.  Shards are immutable by
+  contract (see :class:`ShardedTable`), which is what makes the spill
+  round-trip safe.
 
 Every store validates on :meth:`~ShardStore.append` that all shards
 share one schema, so a half-built store can never be sealed into an
@@ -25,7 +26,6 @@ inconsistent :class:`ShardedTable`.
 
 from __future__ import annotations
 
-import csv
 import tempfile
 from abc import ABC, abstractmethod
 from collections import OrderedDict
@@ -36,6 +36,7 @@ from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.errors import TableError
 from repro.perf.interning import InternPool
+from repro.sharding.codec import SHARD_SUFFIX, decode_shard, encode_shard
 
 
 class ShardStore(ABC):
@@ -127,7 +128,7 @@ class InMemoryShardStore(ShardStore):
 
 
 class SpillToDiskShardStore(ShardStore):
-    """Shards spilled to CSV files; resident memory bounded by a small LRU.
+    """Shards spilled to encoded files; resident memory bounded by a small LRU.
 
     Parameters
     ----------
@@ -136,7 +137,7 @@ class SpillToDiskShardStore(ShardStore):
         directory that is removed on :meth:`close` (or interpreter
         exit).
     cache_shards:
-        How many recently accessed shards stay parsed in memory.  ``1``
+        How many recently accessed shards stay decoded in memory.  ``1``
         (the default) is enough for the sharded engines, which walk the
         shards sequentially.
     """
@@ -155,7 +156,7 @@ class SpillToDiskShardStore(ShardStore):
         #: per-shard (path, row count, version-at-append)
         self._meta: List[Tuple[Path, int, int]] = []
         self._loaded: "OrderedDict[int, Table]" = OrderedDict()
-        #: re-parsed cell strings are interned per store, so the resident
+        #: decoded distinct values are interned per store, so the resident
         #: string footprint across shard loads is the *distinct* value
         #: set, not one fresh copy per load
         self._interned = InternPool()
@@ -166,11 +167,8 @@ class SpillToDiskShardStore(ShardStore):
 
     def append(self, shard: Table) -> None:
         self._check_schema(shard)
-        path = self.directory / f"shard_{len(self._meta):06d}.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            for row in shard.iter_rows():
-                writer.writerow(row)
+        path = self.directory / f"shard_{len(self._meta):06d}{SHARD_SUFFIX}"
+        path.write_bytes(encode_shard(shard))
         self._meta.append((path, shard.n_rows, shard.version))
 
     def shard_row_counts(self) -> List[int]:
@@ -182,27 +180,13 @@ class SpillToDiskShardStore(ShardStore):
             self._loaded.move_to_end(index)
             return cached
         path, n_rows, _version = self._meta[index]
-        width = len(self.schema)
-        columns: List[List[str]] = [[] for _ in range(width)]
-        intern = self._interned.intern
-        with path.open("r", newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            for row in reader:
-                if len(row) != width:
-                    # strict like the csvio readers: a ragged row is
-                    # corruption, never silently padded or truncated
-                    raise TableError(
-                        f"spill file {path.name} line {reader.line_num} has "
-                        f"{len(row)} fields, expected {width} (corrupted?)"
-                    )
-                for column, value in zip(columns, row):
-                    column.append(intern(value))
-        shard = Table(self.schema, columns)
-        if shard.n_rows != n_rows:
-            raise TableError(
-                f"spilled shard {index} read back {shard.n_rows} rows, "
-                f"expected {n_rows} (spill file corrupted?)"
-            )
+        shard = decode_shard(
+            path.read_bytes(),
+            self.schema,
+            n_rows,
+            f"spill file {path.name}",
+            intern=self._interned.intern,
+        )
         self._loaded[index] = shard
         while len(self._loaded) > self._cache_shards:
             self._loaded.popitem(last=False)

@@ -274,7 +274,7 @@ class TestStoreFlags:
         assert code == 0
         capsys.readouterr()
         # the run streamed through real spill files in the named dir
-        assert sorted(spill_dir.glob("shard_*.csv"))
+        assert sorted(spill_dir.glob("shard_*.shard"))
 
     def test_spill_store_profile_command(self, capsys):
         assert main(["profile", "--dataset", "paper_d2_zip", "--store", "spill"]) == 0

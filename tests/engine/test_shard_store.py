@@ -14,6 +14,7 @@ from repro.sharding import (
     SpillToDiskShardStore,
     make_shard_store,
 )
+from repro.sharding.codec import encode_shard
 
 
 def make_shard(values):
@@ -22,6 +23,8 @@ def make_shard(values):
 
 SHARD_A = [["10", "x"], ["20", "y"]]
 SHARD_B = [["30", "z"]]
+#: a well-formed shard with one column too many, for corruption tests
+WIDE_SHARD = Table.from_rows(["code", "label", "extra"], [["10", "x", "!"], ["20", "y", "!"]])
 
 
 @pytest.fixture(params=["memory", "disk", "object"])
@@ -85,14 +88,14 @@ class TestSpillToDisk:
         first = store.get(0)
         assert store.get(0) is first  # cached
         store.get(1)  # evicts shard 0 from the one-slot LRU
-        assert store.get(0) is not first  # re-parsed from disk
+        assert store.get(0) is not first  # decoded again from disk
         assert store.get(0).column("code") == first.column("code")
 
     def test_files_live_in_directory(self, tmp_path):
         directory = tmp_path / "spill"
         store = SpillToDiskShardStore(directory)
         store.append(make_shard(SHARD_A))
-        assert sorted(p.name for p in directory.iterdir()) == ["shard_000000.csv"]
+        assert sorted(p.name for p in directory.iterdir()) == ["shard_000000.shard"]
 
     def test_private_tempdir_removed_on_close(self):
         store = SpillToDiskShardStore()
@@ -108,12 +111,14 @@ class TestSpillToDisk:
         assert store.get(0).n_rows == 0
         assert store.shard_row_counts() == [0]
 
-    def test_corrupted_spill_file_rejected_with_line(self, tmp_path):
+    def test_corrupted_spill_file_rejected_with_file_name(self, tmp_path):
         store = SpillToDiskShardStore(tmp_path / "spill", cache_shards=1)
         store.append(make_shard(SHARD_A))
-        path = tmp_path / "spill" / "shard_000000.csv"
-        path.write_text("10,x\n20,y,EXTRA\n")
-        with pytest.raises(TableError, match="line 2 has 3 fields"):
+        path = tmp_path / "spill" / "shard_000000.shard"
+        path.write_bytes(encode_shard(WIDE_SHARD))
+        with pytest.raises(
+            TableError, match="spill file shard_000000.shard has 3 columns, expected 2"
+        ):
             store.get(0)
 
     def test_bad_cache_size_rejected(self, tmp_path):
@@ -121,12 +126,12 @@ class TestSpillToDisk:
             SpillToDiskShardStore(tmp_path, cache_shards=0)
 
     def test_corrupted_spill_row_count_mismatch(self, tmp_path):
-        # the other corruption branch: well-formed CSV, wrong row count
+        # the other corruption branch: a well-formed shard, wrong row count
         store = SpillToDiskShardStore(tmp_path / "spill", cache_shards=1)
         store.append(make_shard(SHARD_A))
-        path = tmp_path / "spill" / "shard_000000.csv"
-        path.write_text("10,x\n")
-        with pytest.raises(TableError, match="read back 1 rows, expected 2"):
+        path = tmp_path / "spill" / "shard_000000.shard"
+        path.write_bytes(encode_shard(make_shard([["10", "x"]])))
+        with pytest.raises(TableError, match="holds 1 rows, expected 2"):
             store.get(0)
 
     def test_lru_accounting_under_cross_shard_access(self, tmp_path):
@@ -192,8 +197,8 @@ class TestObjectStore:
         store.append(make_shard(SHARD_A))
         store.append(make_shard(SHARD_B))
         assert store.client.list("ds1/") == [
-            "ds1/shard_000000.csv",
-            "ds1/shard_000001.csv",
+            "ds1/shard_000000.shard",
+            "ds1/shard_000001.shard",
         ]
 
     def test_transient_read_failure_is_retried(self, tmp_path):
@@ -233,43 +238,47 @@ class TestObjectStore:
         store = ObjectShardStore(root=tmp_path / "objects")
         store.append(make_shard(SHARD_A))
         # flip bytes behind the store's back: same shape, wrong content
-        store.client.put("shards/shard_000000.csv", b"99,x\r\n20,y\r\n")
+        store.client.put(
+            "shards/shard_000000.shard", encode_shard(make_shard([["99", "x"], ["20", "y"]]))
+        )
         with pytest.raises(TableError, match="failed its checksum") as excinfo:
             store.get(0)
         # regression: the error must carry enough context to diagnose —
         # which object, how hard we tried, and both digests
         message = str(excinfo.value)
-        assert "shards/shard_000000.csv" in message
+        assert "shards/shard_000000.shard" in message
         assert "attempts" in message
         assert "expected sha256" in message and "got" in message
 
     def test_deleted_object_surfaces_client_error(self, tmp_path):
         store = ObjectShardStore(root=tmp_path / "objects")
         store.append(make_shard(SHARD_A))
-        store.client.delete("shards/shard_000000.csv")
+        store.client.delete("shards/shard_000000.shard")
         with pytest.raises(TableError, match="could not be read"):
             store.get(0)
 
-    def test_corrupted_object_ragged_line(self, tmp_path):
+    def test_corrupted_object_wrong_column_count(self, tmp_path):
         store = ObjectShardStore(root=tmp_path / "objects")
         store.append(make_shard(SHARD_A))
-        data = b"10,x\r\n20,y,EXTRA\r\n"
-        store.client.put("shards/shard_000000.csv", data)
+        data = encode_shard(WIDE_SHARD)
+        store.client.put("shards/shard_000000.shard", data)
         store._meta[0] = store._meta[0][:3] + (
             __import__("hashlib").sha256(data).hexdigest(),
         )
-        with pytest.raises(TableError, match="line 2 has 3 fields"):
+        with pytest.raises(
+            TableError, match="object shards/shard_000000.shard has 3 columns, expected 2"
+        ):
             store.get(0)
 
     def test_corrupted_object_row_count_mismatch(self, tmp_path):
         store = ObjectShardStore(root=tmp_path / "objects")
         store.append(make_shard(SHARD_A))
-        data = b"10,x\r\n"
-        store.client.put("shards/shard_000000.csv", data)
+        data = encode_shard(make_shard([["10", "x"]]))
+        store.client.put("shards/shard_000000.shard", data)
         store._meta[0] = store._meta[0][:3] + (
             __import__("hashlib").sha256(data).hexdigest(),
         )
-        with pytest.raises(TableError, match="read back 1 rows, expected 2"):
+        with pytest.raises(TableError, match="holds 1 rows, expected 2"):
             store.get(0)
 
     def test_lru_keeps_memory_bounded(self, tmp_path):
@@ -302,7 +311,7 @@ class TestObjectStore:
         store.append(make_shard(SHARD_A))
         store.close()
         # the caller owns the client; its objects are untouched
-        assert client.list() == ["shards/shard_000000.csv"]
+        assert client.list() == ["shards/shard_000000.shard"]
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(TableError, match="cache_shards"):

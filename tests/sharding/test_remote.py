@@ -141,11 +141,11 @@ class TestRetryPolicy:
 
 class TestHttpObjectClient:
     def test_put_get_delete_roundtrip(self, http_client):
-        http_client.put("ds/shard_000000.csv", b"10,x\r\n20,y\r\n")
-        assert http_client.get("ds/shard_000000.csv") == b"10,x\r\n20,y\r\n"
-        http_client.delete("ds/shard_000000.csv")
+        http_client.put("ds/shard_000000.shard", b"10,x\r\n20,y\r\n")
+        assert http_client.get("ds/shard_000000.shard") == b"10,x\r\n20,y\r\n"
+        http_client.delete("ds/shard_000000.shard")
         with pytest.raises(ObjectStoreError, match="HTTP 404"):
-            http_client.get("ds/shard_000000.csv")
+            http_client.get("ds/shard_000000.shard")
 
     def test_delete_of_absent_object_is_idempotent(self, http_client):
         http_client.delete("never/was.csv")  # no raise
@@ -376,7 +376,7 @@ class TestStoreRetriesAndErrors:
         with pytest.raises(ObjectStoreError) as excinfo:
             store.append(make_shard(SHARD_A))
         message = str(excinfo.value)
-        assert "shards/shard_000000.csv" in message
+        assert "shards/shard_000000.shard" in message
         assert "after 3 attempts" in message
         assert store.n_shards == 0  # the failed shard was not recorded
 
@@ -399,14 +399,14 @@ class TestStoreRetriesAndErrors:
         # from the message alone
         store = ObjectShardStore(root=tmp_path / "objects", retry_policy=FAST)
         store.append(make_shard(SHARD_A))
-        store.client.put("shards/shard_000000.csv", b"99,x\r\n20,y\r\n")
+        store.client.put("shards/shard_000000.shard", b"99,x\r\n20,y\r\n")
         with pytest.raises(ObjectStoreError) as excinfo:
             store.get(0)
         message = str(excinfo.value)
-        assert "shards/shard_000000.csv" in message
+        assert "shards/shard_000000.shard" in message
         assert "after 3 attempts" in message
         assert "expected sha256" in message and "got" in message
-        assert excinfo.value.key == "shards/shard_000000.csv"
+        assert excinfo.value.key == "shards/shard_000000.shard"
         assert excinfo.value.attempts == 3
         cause = excinfo.value.__cause__
         assert isinstance(cause, ObjectChecksumError)
@@ -439,7 +439,7 @@ class TestStoreRetriesAndErrors:
         ]
         store.append(make_shard(awkward))
         assert [list(row) for row in store.get(0).iter_rows()] == awkward
-        assert "roundtrip/shard_000000.csv" in server.objects
+        assert "roundtrip/shard_000000.shard" in server.objects
         store.close()
         # the store owns its remote namespace: close() deletes its objects
         assert not any(key.startswith("roundtrip/") for key in server.objects)
@@ -449,8 +449,8 @@ class TestStoreRetriesAndErrors:
         store = ObjectShardStore(client=client, prefix="kept", retry_policy=FAST)
         store.append(make_shard(SHARD_A))
         store.close()
-        assert "kept/shard_000000.csv" in server.objects
-        client.delete("kept/shard_000000.csv")
+        assert "kept/shard_000000.shard" in server.objects
+        client.delete("kept/shard_000000.shard")
 
     def test_close_deletes_objects_despite_a_flaky_client(self, server):
         # close-time deletes are idempotent, so transient faults heal

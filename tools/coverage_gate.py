@@ -45,10 +45,12 @@ FLOORS: Dict[str, float] = {
 }
 
 #: individual files gated on their own floor — the out-of-core session's
-#: edit-overlay, object-store and remote-client layers are small enough
-#: that a directory average would hide any one losing its tests entirely
+#: edit-overlay, shard-codec, object-store and remote-client layers are
+#: small enough that a directory average would hide any one losing its
+#: tests entirely
 FILE_FLOORS: Dict[str, float] = {
     "src/repro/sharding/overlay.py": 0.85,
+    "src/repro/sharding/codec.py": 0.85,
     "src/repro/sharding/object_store.py": 0.85,
     "src/repro/sharding/remote.py": 0.85,
     "src/repro/sharding/prefetch.py": 0.85,
