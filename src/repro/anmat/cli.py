@@ -23,7 +23,7 @@ from repro.anmat.session import AnmatSession
 from repro.dataset.csvio import read_csv, read_csv_sharded
 from repro.datagen.registry import build_dataset, dataset_names
 from repro.discovery.config import DiscoveryConfig
-from repro.engine import DEFAULT_SHARD_ROWS, REQUESTABLE_EXECUTORS
+from repro.engine import DEFAULT_SHARD_ROWS
 from repro.sharding import STORE_KINDS, ShardedTable, make_shard_store
 from repro.metrics.evaluation import evaluate_report
 
@@ -95,7 +95,6 @@ def _make_session(table, label: str, args: argparse.Namespace) -> AnmatSession:
         store=getattr(args, "store", "memory"),
         spill_dir=getattr(args, "spill_dir", None),
         object_url=getattr(args, "object_url", None),
-        pool=getattr(args, "pool", "persistent"),
         prefetch_depth=getattr(args, "prefetch_depth", 2),
         rule_maintenance=getattr(args, "rule_maintenance", "auto"),
     )
@@ -155,9 +154,10 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help=(
-            "fan embarrassingly parallel stages out over N worker "
-            "processes (candidate mining, per-rule detection, per-shard "
-            "extraction); results are identical to a serial run "
+            "fan per-shard work (statistic extraction and merges) out "
+            "over a pool of N worker processes; without --shard-rows a "
+            f"monolithic dataset is cut into shards of {DEFAULT_SHARD_ROWS} "
+            "rows; results are identical to a serial run "
             "(0 = serial, the default)"
         ),
     )
@@ -210,17 +210,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--pool",
-        default="persistent",
-        choices=("persistent", "per-call"),
-        help=(
-            "worker-pool lifecycle for --n-workers fan-out: 'persistent' "
-            "keeps one process pool warm across the session's runs (with "
-            "a shard-version-keyed result cache), 'per-call' builds and "
-            "tears down a fresh pool inside each run"
-        ),
-    )
-    parser.add_argument(
         "--prefetch-depth",
         type=int,
         default=2,
@@ -248,17 +237,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
-    """Engine routing flags shared by ``discover`` and ``detect``."""
-    parser.add_argument(
-        "--executor",
-        default="auto",
-        choices=list(REQUESTABLE_EXECUTORS),
-        help=(
-            "execution backend: 'auto' routes on --shard-rows/--n-workers "
-            "and the upload kind; 'serial', 'parallel' and 'sharded' force "
-            "a backend (results are identical across backends)"
-        ),
-    )
+    """The ``--explain-plan`` flag shared by ``discover`` and ``detect``."""
     parser.add_argument(
         "--explain-plan",
         action="store_true",
@@ -293,8 +272,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_discover(args: argparse.Namespace) -> int:
     table, _truth, label = _load_table(args)
     with _make_session(table, label, args) as session:
-        _explain_plans(args, lambda: session.plan_discovery(args.executor))
-        result = session.run_discovery(executor=args.executor)
+        _explain_plans(args, session.plan_discovery)
+        result = session.run_discovery()
     print(render_discovered_pfds(result))
     return 0
 
@@ -304,12 +283,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     with _make_session(table, label, args) as session:
         _explain_plans(
             args,
-            lambda: session.plan_discovery(args.executor),
-            lambda: session.plan_detection(strategy=args.strategy, executor=args.executor),
+            session.plan_discovery,
+            lambda: session.plan_detection(strategy=args.strategy),
         )
-        session.run_discovery(executor=args.executor)
+        session.run_discovery()
         session.confirm_all()
-        report = session.run_detection(strategy=args.strategy, executor=args.executor)
+        report = session.run_detection(strategy=args.strategy)
         print(render_violations(report, session.table))
     if args.score:
         if truth is None:

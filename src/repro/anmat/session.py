@@ -17,8 +17,9 @@ re-scanning the whole table — the session moves to ``EDITING`` and a
 Discovery and detection are executed through the pluggable execution
 engine (:mod:`repro.engine`): the session builds an
 :class:`~repro.engine.plan.ExecutionPlan` from its config and upload
-kind and hands it to the matching backend — serial, process-parallel,
-or sharded — so the session itself carries no routing branches.
+kind and hands it to the matching backend — serial, or sharded (the
+one route for ``n_workers`` fan-out, over the session's worker pool) —
+so the session itself carries no routing branches.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ class AnmatSession:
     #: the dataset as the engine sees it: eager monolithic table, or a
     #: never-materialized shard-store source
     _source: Optional[DataSource] = field(default=None, repr=False)
-    #: the session's persistent worker pool (``config.pool ==
-    #: "persistent"``): lazily created by the first plan that fans out,
-    #: reused across discovery/detection/recheck, closed with the session
+    #: the session's persistent worker pool: lazily created by the first
+    #: plan that fans out, reused across discovery/detection/recheck,
+    #: closed with the session
     _worker_pool: Optional[WorkerPool] = field(default=None, repr=False)
 
     # -- step 1: load ------------------------------------------------------------
@@ -233,28 +234,26 @@ class AnmatSession:
 
     # -- step 3: discover -------------------------------------------------------------
 
-    def plan_discovery(self, executor: str = "auto") -> ExecutionPlan:
+    def plan_discovery(self) -> ExecutionPlan:
         """The :class:`ExecutionPlan` a :meth:`run_discovery` would run."""
         self._require_table()
         return plan_discovery(
             self.table.n_rows,
             self.config,
-            executor=executor,
             sharded_upload=self._source.is_sharded_upload,
             upload_shard_rows=self._source.upload_shard_rows,
         )
 
-    def run_discovery(self, executor: str = "auto") -> DiscoveryResult:
+    def run_discovery(self) -> DiscoveryResult:
         """Extract PFDs from the dataset (the Figure 4 view).
 
         The run is resolved by the execution engine's planner —
-        ``config.shard_rows`` or a sharded upload route it through the
-        sharded backend, ``config.n_workers`` through the process
-        fan-out, and ``executor`` forces a specific backend — and
-        executed by the matching backend; results are identical across
-        backends.
+        ``config.shard_rows``, ``config.n_workers`` or a sharded upload
+        route it through the sharded backend, anything else runs the
+        serial engine — and executed by the matching backend; results
+        are identical across backends.
         """
-        plan = self.plan_discovery(executor)
+        plan = self.plan_discovery()
         if self.profile is None:
             self.run_profiling()
         self.discovery = build_executor(plan).run_discovery(
@@ -273,7 +272,7 @@ class AnmatSession:
             self.project.save_pfds(self.dataset_name, self.discovery.pfds)
         return self.discovery
 
-    def plan_recheck(self, executor: str = "auto") -> ExecutionPlan:
+    def plan_recheck(self) -> ExecutionPlan:
         """The :class:`ExecutionPlan` a :meth:`recheck` would run.
 
         A re-check plan resolves ``config.rule_maintenance`` into
@@ -286,14 +285,13 @@ class AnmatSession:
         return plan_discovery(
             self.table.n_rows,
             self.config,
-            executor=executor,
             sharded_upload=self._source.is_sharded_upload,
             upload_shard_rows=self._source.upload_shard_rows,
             recheck=True,
             maintainable=self._maintainer is not None and self._maintainer.seeded,
         )
 
-    def recheck(self, executor: str = "auto") -> DiscoveryResult:
+    def recheck(self) -> DiscoveryResult:
         """Bring the rule set up to date after an edit batch.
 
         The edit loop keeps the *violations* current per edit
@@ -322,7 +320,7 @@ class AnmatSession:
             raise ProjectError(
                 "no discovery run to re-check; call run_discovery() first"
             )
-        plan = self.plan_recheck(executor)
+        plan = self.plan_recheck()
         confirmed_keys = [_rule_key(pfd) for pfd in self.confirmed_pfds()]
         had_detection = bool(self._detection_rules)
         result: Optional[DiscoveryResult] = None
@@ -427,13 +425,11 @@ class AnmatSession:
 
     # -- step 5: detect -----------------------------------------------------------------
 
-    def plan_detection(
-        self, strategy: str = DetectionStrategy.AUTO, executor: str = "auto"
-    ) -> ExecutionPlan:
+    def plan_detection(self, strategy: str = DetectionStrategy.AUTO) -> ExecutionPlan:
         """The :class:`ExecutionPlan` a :meth:`run_detection` would run.
 
-        When an explicitly requested strategy forces a sharded dataset
-        back onto a monolithic backend, the planner records that
+        When an explicitly requested strategy forces a sharded run back
+        onto the serial backend, the planner records that
         decision on the plan and emits a
         :class:`~repro.engine.plan.PlanWarning`.
         """
@@ -442,7 +438,6 @@ class AnmatSession:
             self.table.n_rows,
             self.config,
             strategy=strategy,
-            executor=executor,
             sharded_upload=self._source.is_sharded_upload,
             upload_shard_rows=self._source.upload_shard_rows,
         )
@@ -451,7 +446,6 @@ class AnmatSession:
         self,
         strategy: str = DetectionStrategy.AUTO,
         pfds: Optional[Sequence[PFD]] = None,
-        executor: str = "auto",
     ) -> ViolationReport:
         """Run the confirmed PFDs over the data (the Figure 5 view).
 
@@ -468,7 +462,7 @@ class AnmatSession:
             raise ProjectError(
                 "no confirmed PFDs to run; call run_discovery() and confirm() first"
             )
-        plan = self.plan_detection(strategy=strategy, executor=executor)
+        plan = self.plan_detection(strategy=strategy)
         self.violations = build_executor(plan).run_detection(
             plan, self._source, rules, pool=self._pool_for(plan)
         )
@@ -574,11 +568,10 @@ class AnmatSession:
 
     def _pool_for(self, plan: ExecutionPlan) -> Optional[WorkerPool]:
         """The persistent worker pool serving this plan, or ``None`` for
-        serial plans and ``pool="per-call"`` (the executors then build
-        ephemeral pools themselves).  Created lazily on the first
-        fanning-out plan, reused until :meth:`close`; a changed
-        ``n_workers`` rebuilds it at the new width."""
-        if plan.n_workers <= 1 or plan.pool != "persistent":
+        plans without workers.  Created lazily on the first fanning-out
+        plan, reused until :meth:`close`; a changed ``n_workers``
+        rebuilds it at the new width."""
+        if plan.n_workers <= 1:
             return None
         if (
             self._worker_pool is not None

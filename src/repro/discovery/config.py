@@ -52,12 +52,13 @@ class DiscoveryConfig:
     n_workers:
         Opt-in parallelism, interpreted by the execution engine's
         planner (:mod:`repro.engine`).  ``0`` or ``1`` run serially;
-        ``>1`` routes runs to the parallel backend (or fans out the
-        sharded backend's per-shard extraction), which spreads the
-        embarrassingly parallel stages over ``concurrent.futures``
-        workers — candidate mining, per-rule detection, per-shard
-        statistic extraction.  Results are byte-identical to the serial
-        path.
+        ``>1`` routes runs to the sharded backend (a monolithic table is
+        cut into shards of the engine's default size), whose per-shard
+        statistic extraction and merges fan out over a
+        :class:`~repro.engine.worker_pool.WorkerPool` of this many
+        processes.  A session keeps that pool alive across
+        discovery/detection/recheck and closes it with the session.
+        Results are identical to the serial path.
     shard_rows:
         Opt-in sharded execution, interpreted by the engine's planner.
         ``0`` runs monolithically; ``>0`` routes discovery and detection
@@ -91,17 +92,6 @@ class DiscoveryConfig:
         retry-protected transfers).  The execution plan records which
         client kind serves the run.  Ignored unless ``store`` is
         ``"object"``.
-    pool:
-        Worker-pool lifecycle for the fan-out stages.  ``"persistent"``
-        (the default) keeps one process-backed
-        :class:`~repro.engine.worker_pool.WorkerPool` alive per session
-        — lazily started, reused across discovery/detection/recheck,
-        closed with the session — including a warm result cache keyed by
-        shard version so repeated runs over unchanged shards skip the
-        process round-trip.  ``"per-call"`` restores the old behavior of
-        building and tearing down an ephemeral pool inside every run.
-        Only meaningful when ``n_workers > 1``; recorded on the
-        execution plan.
     prefetch_depth:
         How many shard objects ahead the ``object`` store's reader
         fetches on a background thread pool, overlapping GET + checksum
@@ -141,7 +131,6 @@ class DiscoveryConfig:
     store: str = "memory"
     spill_dir: Optional[str] = None
     object_url: Optional[str] = None
-    pool: str = "persistent"
     prefetch_depth: int = 2
     rule_maintenance: str = "auto"
 
@@ -178,10 +167,6 @@ class DiscoveryConfig:
         ):
             raise DiscoveryError(
                 f"object_url must be an http(s):// URL, got {self.object_url!r}"
-            )
-        if self.pool not in ("persistent", "per-call"):
-            raise DiscoveryError(
-                f"pool must be 'persistent' or 'per-call', got {self.pool!r}"
             )
         if self.prefetch_depth < 0:
             raise DiscoveryError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dataset.profiling import TableProfile, cached_profile_table
 from repro.dataset.table import Table
@@ -98,11 +98,10 @@ class PfdDiscoverer:
     """Discovers PFDs directly from (dirty) data.
 
     The discoverer itself always mines serially; ``config.n_workers`` is
-    interpreted by the execution engine's planner, which routes runs to
-    the parallel backend and injects its fan-out through the ``mine``
-    hook of :meth:`discover_with_report`.  Callers who want parallelism
-    should go through :mod:`repro.engine` (or the session/CLI, which
-    already do).
+    interpreted by the execution engine's planner, which routes runs
+    with workers to the sharded backend and its per-shard fan-out.
+    Callers who want parallelism should go through :mod:`repro.engine`
+    (or the session/CLI, which already do).
     """
 
     def __init__(
@@ -125,16 +124,8 @@ class PfdDiscoverer:
         table: Table,
         relation: Optional[str] = None,
         candidates: Optional[Sequence[CandidateDependency]] = None,
-        mine: Optional[Callable] = None,
     ) -> DiscoveryResult:
-        """Run the full pipeline and return PFDs plus statistics.
-
-        ``mine`` swaps the candidate-mining stage: it receives
-        ``(table, candidates)`` and returns the per-candidate reports in
-        candidate order.  The default is the serial single-pass miner;
-        the execution engine's parallel backend injects its process
-        fan-out here (see ``repro.engine.executors``).
-        """
+        """Run the full pipeline and return PFDs plus statistics."""
         started = time.perf_counter()
         with self.timers.stage("profile"):
             profile = cached_profile_table(table)
@@ -143,7 +134,7 @@ class PfdDiscoverer:
                 candidates = candidate_dependencies(table, self.config, profile)
         candidates = list(candidates)
         with self.timers.stage("mine"):
-            reports = (mine or self._mine_serial)(table, candidates)
+            reports = self._mine_serial(table, candidates)
         with self.timers.stage("assemble"):
             pfds = self.assemble_pfds(candidates, reports, relation)
         elapsed = time.perf_counter() - started
@@ -426,8 +417,8 @@ def _mine_candidate_values(
 ) -> DependencyReport:
     """The Figure 2 loop body for one ``A → B`` over materialized columns.
 
-    Module-level so both the serial path and the worker processes of
-    ``n_workers > 1`` share one implementation.
+    Module-level so the monolithic, sharded and maintenance paths share
+    one implementation.
     """
     started = time.perf_counter()
     report = DependencyReport(candidate=candidate)
@@ -523,33 +514,3 @@ def _mine_candidate_encoded(
     report.accepted = constant_ok or variable_ok
     report.elapsed_seconds = time.perf_counter() - started
     return report
-
-
-def _mine_candidate_group(payload) -> List[DependencyReport]:
-    """Worker entry point for the engine's parallel mining fan-out
-    (``repro.engine.executors.mine_candidates_parallel``).
-
-    One payload = all candidates sharing one LHS column (and token
-    mode); the worker tokenizes that column once and mines each
-    candidate's RHS against it, mirroring the serial single-pass build.
-    """
-    group_candidates, lhs_values, rhs_columns, config, decision = payload
-    constant_miner = ConstantPfdMiner(config, decision)
-    variable_miner = VariablePfdMiner(config)
-    tokenization = None
-    if config.discover_constant:
-        tokenization = ColumnTokenization.extract(
-            lhs_values, group_candidates[0].lhs_mode, config.ngram_size
-        )
-    return [
-        _mine_candidate_values(
-            candidate,
-            lhs_values,
-            rhs_values,
-            config,
-            constant_miner,
-            variable_miner,
-            tokenization=tokenization,
-        )
-        for candidate, rhs_values in zip(group_candidates, rhs_columns)
-    ]

@@ -86,14 +86,6 @@ def _report_key(candidate: CandidateDependency) -> ReportKey:
     return (candidate.lhs, candidate.rhs, candidate.lhs_mode)
 
 
-def _base_of(view: ShardedTable) -> ShardedTable:
-    """The immutable base behind a (possibly overlay-sealed) view."""
-    store = view.store
-    if isinstance(store, OverlayShardStore):
-        return store.base
-    return view
-
-
 class RuleMaintainer:
     """Maintains a discovered rule set under overlay edit batches.
 
@@ -175,7 +167,7 @@ class RuleMaintainer:
             return None
         if view.column_names() != old_view.column_names():
             return None
-        if _base_of(view) is not _base_of(old_view):
+        if view.version_space != old_view.version_space:
             # different base shards (repartition, reload): the version
             # spaces are not comparable, no diff is possible
             return None

@@ -5,13 +5,13 @@ benchmarks — goes through the same two steps:
 
 1. :func:`plan_run` (or the :func:`plan_discovery` / :func:`plan_detection`
    wrappers) resolves the observable inputs (table size, ``shard_rows``,
-   ``n_workers``, requested strategy/executor, sharded-vs-monolithic
-   upload) into an :class:`ExecutionPlan`, recording every routing
-   decision it takes;
+   ``n_workers``, requested strategy, sharded-vs-monolithic upload)
+   into an :class:`ExecutionPlan`, recording every routing decision it
+   takes;
 2. :func:`build_executor` hands back the matching backend —
-   :class:`SerialExecutor`, :class:`ParallelExecutor`, or
-   :class:`ShardedExecutor` — and ``executor.run_discovery(plan, ...)``
-   / ``executor.run_detection(plan, ...)`` executes it.
+   :class:`SerialExecutor` or :class:`ShardedExecutor` — and
+   ``executor.run_discovery(plan, ...)`` /
+   ``executor.run_detection(plan, ...)`` executes it.
 
 The :class:`~repro.sharding.store.ShardStore` interface (re-exported
 here) is the storage seam of the sharded backend: shards can live in
@@ -22,17 +22,12 @@ memory or spill to disk without the engines noticing.  See
 from repro.engine.executors import (
     DataSource,
     Executor,
-    ParallelExecutor,
     SerialExecutor,
     ShardedExecutor,
     build_executor,
-    detect_all_parallel,
-    mine_candidates_parallel,
 )
 from repro.engine.plan import (
-    DEFAULT_PARALLEL_WORKERS,
     DEFAULT_SHARD_ROWS,
-    REQUESTABLE_EXECUTORS,
     ExecutionBackend,
     ExecutionPlan,
     PlanWarning,
@@ -40,7 +35,7 @@ from repro.engine.plan import (
     plan_discovery,
     plan_run,
 )
-from repro.engine.pool import make_shard_map, process_map, serial_map
+from repro.engine.pool import make_shard_map, serial_map
 from repro.engine.worker_pool import WorkerPool
 from repro.sharding.object_store import LocalObjectClient, ObjectShardStore
 from repro.sharding.overlay import ShardOverlay
@@ -59,7 +54,6 @@ from repro.sharding.store import (
 
 __all__ = [
     "DataSource",
-    "DEFAULT_PARALLEL_WORKERS",
     "DEFAULT_SHARD_ROWS",
     "ExecutionBackend",
     "ExecutionPlan",
@@ -70,9 +64,7 @@ __all__ = [
     "LocalObjectClient",
     "ObjectShardStore",
     "RetryPolicy",
-    "ParallelExecutor",
     "PlanWarning",
-    "REQUESTABLE_EXECUTORS",
     "STORE_KINDS",
     "SerialExecutor",
     "ShardOverlay",
@@ -82,12 +74,9 @@ __all__ = [
     "WorkerPool",
     "make_shard_store",
     "build_executor",
-    "detect_all_parallel",
     "make_shard_map",
-    "mine_candidates_parallel",
     "plan_detection",
     "plan_discovery",
     "plan_run",
-    "process_map",
     "serial_map",
 ]

@@ -1,21 +1,18 @@
 """Executor backends: *how* an :class:`ExecutionPlan` runs.
 
 Every discovery/detection run in the system goes ``plan →
-executor.run(plan)``.  The three concrete backends map one-to-one onto
+executor.run(plan)``.  The two concrete backends map one-to-one onto
 :class:`~repro.engine.plan.ExecutionBackend`:
 
 * :class:`SerialExecutor` — the monolithic engines
   (:class:`~repro.discovery.discoverer.PfdDiscoverer`,
   :class:`~repro.detection.detector.ErrorDetector`), fully in-process.
-* :class:`ParallelExecutor` — the same monolithic semantics with the
-  embarrassingly parallel stages fanned out over worker processes:
-  candidate mining is grouped by LHS column (each column crosses the
-  process boundary once), detection fans out per rule over projected
-  two-column payloads.  Results are byte-identical to the serial path.
 * :class:`ShardedExecutor` — the sharded engines over a
   :class:`~repro.sharding.sharded_table.ShardedTable` (whose shards may
   live in any :class:`~repro.sharding.store.ShardStore`), with the
-  per-shard extraction fanned out when the plan carries workers.
+  per-shard extraction fanned out over a
+  :class:`~repro.engine.worker_pool.WorkerPool` when the plan carries
+  workers — the system's one fan-out route.
 
 Executors are stateless; :func:`build_executor` hands back the backend a
 plan names.  The :class:`DataSource` wrapper owns the monolithic-table /
@@ -25,22 +22,17 @@ used to carry), so executors never branch on how the data arrived.
 
 from __future__ import annotations
 
-import pickle
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dataset.profiling import TableProfile, cached_profile_table
 from repro.dataset.table import Table
 from repro.detection.detector import ErrorDetector
 from repro.detection.violation import ViolationReport
-from repro.discovery.discoverer import (
-    DiscoveryResult,
-    PfdDiscoverer,
-    _mine_candidate_group,
-)
+from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
 from repro.engine.plan import ExecutionBackend, ExecutionPlan
-from repro.engine.pool import make_shard_map, process_map
+from repro.engine.pool import ShardMap, make_shard_map
 from repro.engine.worker_pool import WorkerPool
 from repro.errors import DetectionError
 from repro.pfd.pfd import PFD
@@ -67,9 +59,9 @@ class DataSource:
       :class:`~repro.sharding.overlay.ShardOverlay` over the immutable
       store — the session's row-addressable table and edit-loop target —
       and :meth:`sharded_view` seals the overlay back into shards for
-      the re-check path.  :attr:`table` still works (a forced
-      serial/parallel run *is* an eager materialization, recorded as
-      such on the plan) but nothing on the sharded path touches it.
+      the re-check path.  :attr:`table` still works (a serial run *is*
+      an eager materialization, recorded as such on the plan) but
+      nothing on the sharded path touches it.
     """
 
     def __init__(self, table: Table, sharded: Optional[ShardedTable] = None):
@@ -82,7 +74,7 @@ class DataSource:
         self._upload_sharded = sharded
         self._sharded_version = table.version if sharded is not None else None
         #: whether the dataset *arrived* sharded — a plan input; building
-        #: a view later (e.g. a forced sharded run) must not flip it
+        #: a view later (e.g. a run with workers) must not flip it
         self._is_upload = sharded is not None
         self._sharded_rows = (
             max(sharded.shard_row_counts()) if sharded is not None else 0
@@ -131,8 +123,8 @@ class DataSource:
     def table(self) -> Table:
         """The monolithic table.  For a never-materialized source this
         *builds* one from the overlay (cached per overlay version) — only
-        explicitly eager runs (forced serial/parallel backends) should
-        get here; the sharded path never does."""
+        eager runs (the serial backend) should get here; the sharded
+        path never does."""
         if not self._lazy:
             return self._table
         version = self._overlay.version
@@ -243,8 +235,8 @@ class Executor(ABC):
 
     The optional ``pool`` is a persistent
     :class:`~repro.engine.worker_pool.WorkerPool` the caller owns
-    (sessions keep one alive across runs); ``None`` keeps the
-    self-contained per-call fan-out.
+    (sessions keep one alive across runs); with ``None`` a run that
+    fans out builds its own pool and closes it before returning.
     """
 
     name: str
@@ -284,37 +276,6 @@ class SerialExecutor(Executor):
         return ErrorDetector(source.table).detect_all(rules, strategy=plan.strategy)
 
 
-class ParallelExecutor(Executor):
-    """Monolithic semantics with process fan-out of the parallel stages."""
-
-    name = ExecutionBackend.PARALLEL
-
-    def run_discovery(self, plan, source, relation=None, pool=None):
-        discoverer = PfdDiscoverer(plan.config)
-        return discoverer.discover_with_report(
-            source.table,
-            relation=relation,
-            mine=lambda table, candidates: mine_candidates_parallel(
-                discoverer,
-                table,
-                candidates,
-                plan.n_workers,
-                pool=pool,
-                decisions=plan.decisions,
-            ),
-        )
-
-    def run_detection(self, plan, source, rules, pool=None):
-        return detect_all_parallel(
-            source.table,
-            list(rules),
-            plan.strategy,
-            plan.n_workers,
-            pool=pool,
-            decisions=plan.decisions,
-        )
-
-
 class ShardedExecutor(Executor):
     """The sharded engines over merged per-shard statistics."""
 
@@ -322,30 +283,43 @@ class ShardedExecutor(Executor):
 
     def run_discovery(self, plan, source, relation=None, pool=None):
         sharded = source.sharded_view(plan.shard_rows)
-        try:
+        with _shard_map_for(plan, pool) as shard_map:
             return ShardedDiscoverer(
-                plan.config, shard_map=make_shard_map(plan.n_workers, pool=pool)
+                plan.config, shard_map=shard_map
             ).discover_with_report(sharded, relation=relation)
-        finally:
-            if pool is not None:
-                plan.decisions.extend(pool.take_decisions())
 
     def run_detection(self, plan, source, rules, pool=None):
         sharded = source.sharded_view(plan.shard_rows)
-        try:
+        with _shard_map_for(plan, pool) as shard_map:
             return ShardedDetector(
-                sharded,
-                shard_map=make_shard_map(plan.n_workers, pool=pool),
-                use_kernels=plan.use_kernels,
+                sharded, shard_map=shard_map, use_kernels=plan.use_kernels
             ).detect_all(rules)
-        finally:
-            if pool is not None:
-                plan.decisions.extend(pool.take_decisions())
+
+
+@contextmanager
+def _shard_map_for(
+    plan: ExecutionPlan, pool: Optional[WorkerPool]
+) -> Iterator[Optional[ShardMap]]:
+    """The shard map one sharded run fans out through: ``None`` for a
+    plan without workers, else a map over ``pool`` — or over a pool built for
+    this run and closed when it ends.  Pool degrade events land on the
+    plan either way."""
+    if plan.n_workers <= 1:
+        yield None
+        return
+    owned = pool is None
+    if owned:
+        pool = WorkerPool(plan.n_workers)
+    try:
+        yield make_shard_map(pool)
+    finally:
+        plan.decisions.extend(pool.take_decisions())
+        if owned:
+            pool.close()
 
 
 _EXECUTORS: Dict[str, Executor] = {
     ExecutionBackend.SERIAL: SerialExecutor(),
-    ExecutionBackend.PARALLEL: ParallelExecutor(),
     ExecutionBackend.SHARDED: ShardedExecutor(),
 }
 
@@ -357,127 +331,3 @@ def build_executor(plan: ExecutionPlan) -> Executor:
         return _EXECUTORS[plan.backend]
     except KeyError:
         raise DetectionError(f"plan names unknown backend {plan.backend!r}") from None
-
-
-# -- parallel discovery -----------------------------------------------------------
-
-
-def mine_candidates_parallel(
-    discoverer: PfdDiscoverer,
-    table: Table,
-    candidates: Sequence,
-    n_workers: int,
-    pool: Optional[WorkerPool] = None,
-    decisions: Optional[List[str]] = None,
-) -> List:
-    """Fan candidate mining out over ``concurrent.futures`` workers.
-
-    Work is sharded by (LHS column, token mode) so each LHS column
-    crosses the process boundary once and each worker builds its
-    single-pass tokenization once — the same sharing the serial path
-    gets.  Groups are independent (embarrassingly parallel) and the
-    reports are reassembled in candidate order, so output stays
-    byte-identical to the serial path.
-
-    Process workers are preferred — the caller's persistent ``pool``
-    when given, an ephemeral one otherwise (``process_map`` owns the
-    degrade semantics either way).  Thread workers are used when the
-    config or decision function cannot be pickled, which a process pool
-    cannot serve at all.  Genuine mining errors propagate either way.
-    """
-    config = discoverer.config
-    decision = discoverer.constant_miner.decision
-    if n_workers <= 1 or len(candidates) < 2:
-        return discoverer._mine_serial(table, candidates)
-    groups: Dict[Tuple[str, str], List[int]] = {}
-    for position, candidate in enumerate(candidates):
-        groups.setdefault((candidate.lhs, candidate.lhs_mode), []).append(position)
-    # Workers only read the columns, so payloads carry references: the
-    # process pool serializes them on submit, the thread pool shares
-    # them in-process — neither needs an up-front copy.
-    payloads = [
-        (
-            [candidates[i] for i in positions],
-            table.column_ref(lhs),
-            [table.column_ref(candidates[i].rhs) for i in positions],
-            config,
-            decision,
-        )
-        for (lhs, _mode), positions in groups.items()
-    ]
-    if len(payloads) < 2:
-        # one LHS column group: a pool of one buys nothing, skip it
-        return discoverer._mine_serial(table, candidates)
-    try:
-        pickle.dumps((config, decision))
-        picklable = True
-    except Exception:
-        picklable = False
-    if picklable:
-        group_reports = process_map(
-            _mine_candidate_group, payloads, n_workers, pool=pool, decisions=decisions
-        )
-    else:
-        max_workers = min(n_workers, len(payloads))
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            group_reports = list(executor.map(_mine_candidate_group, payloads))
-    reports: List = [None] * len(candidates)
-    for positions, group in zip(groups.values(), group_reports):
-        for position, report in zip(positions, group):
-            reports[position] = report
-    return reports
-
-
-# -- parallel detection ------------------------------------------------------------
-
-
-def detect_all_parallel(
-    table: Table,
-    rules: List[PFD],
-    strategy: str,
-    n_workers: int,
-    pool: Optional[WorkerPool] = None,
-    decisions: Optional[List[str]] = None,
-) -> ViolationReport:
-    """Detect every rule's violations with a per-rule process fan-out.
-
-    Each payload carries only the two columns the rule touches (as a
-    projected two-column table), so the table crosses the process
-    boundary per rule pair, not per worker times full width.  Row ids
-    are column positions, which the projection preserves, so the merged
-    report is identical to a serial ``detect_all`` — only ``elapsed``
-    differs.  Unpicklable rules or a broken pool degrade to the serial
-    in-process path; genuine detection errors propagate.
-    """
-    merged = ViolationReport(n_rows=table.n_rows, strategy=strategy)
-    if len(rules) < 2 or n_workers <= 1:
-        return ErrorDetector(table).detect_all(rules, strategy=strategy)
-    payloads = []
-    for pfd in rules:
-        attributes = [pfd.lhs_attribute]
-        if pfd.rhs_attribute not in attributes:
-            attributes.append(pfd.rhs_attribute)
-        columns = {name: table.column_ref(name) for name in attributes}
-        payloads.append((columns, table.n_rows, pfd, strategy))
-    try:
-        pickle.dumps(payloads)
-    except Exception:
-        return ErrorDetector(table).detect_all(rules, strategy=strategy)
-    partials = process_map(
-        _detect_rule_payload, payloads, n_workers, pool=pool, decisions=decisions
-    )
-    for partial in partials:
-        merged = merged.merged_with(partial)
-    merged.strategy = strategy
-    return merged
-
-
-def _detect_rule_payload(payload) -> ViolationReport:
-    """Worker entry point for the per-rule detection fan-out
-    (module-level so it is picklable by ``ProcessPoolExecutor``)."""
-    columns, n_rows, pfd, strategy = payload
-    names = list(columns)
-    projected = Table(names, [columns[name] for name in names])
-    report = ErrorDetector(projected).detect(pfd, strategy=strategy)
-    report.n_rows = n_rows
-    return report

@@ -1,20 +1,19 @@
 """Execution planning: *what* to run is decided once, in one place.
 
-Before this layer existed the repository had three hand-wired ways to
-run the same PFD workload — the monolithic engines, the ``n_workers``
-process fan-out, and the sharded path — with the routing decisions
-duplicated as ad-hoc branches in the session and the CLI.  The planner
-replaces all of them: every discovery/detection run first builds an
-:class:`ExecutionPlan` from the observable inputs (table size, requested
-executor, ``shard_rows``, ``n_workers``, detection strategy, whether the
-upload arrived sharded), and the matching
-:class:`~repro.engine.executors.Executor` backend then runs the plan.
+Every discovery/detection run first builds an :class:`ExecutionPlan`
+from the observable inputs (table size, ``shard_rows``, ``n_workers``,
+detection strategy, whether the upload arrived sharded), and the
+matching :class:`~repro.engine.executors.Executor` backend then runs the
+plan.  There are two backends: the monolithic ``serial`` engines and
+the ``sharded`` engines, which are also the one route for process
+fan-out — ``n_workers > 1`` spreads their per-shard work over a
+:class:`~repro.engine.worker_pool.WorkerPool`.
 
 The plan records every routing decision it takes as a human-readable
 line (``plan.decisions``), so ``--explain-plan`` and post-mortems can
 show *why* a backend was chosen.  Decisions that silently change what
 the user asked for — notably an explicit detection strategy forcing a
-sharded upload back onto the monolithic engine — additionally raise a
+sharded run back onto the monolithic engine — additionally raise a
 :class:`PlanWarning`.
 """
 
@@ -35,22 +34,14 @@ class ExecutionBackend:
     """String constants naming the executor backends."""
 
     SERIAL = "serial"
-    PARALLEL = "parallel"
     SHARDED = "sharded"
 
-    ALL = (SERIAL, PARALLEL, SHARDED)
+    ALL = (SERIAL, SHARDED)
 
 
-#: what callers may request: a concrete backend, or ``auto`` routing
-REQUESTABLE_EXECUTORS = ("auto", *ExecutionBackend.ALL)
-
-#: shard size used when the sharded backend is requested explicitly but
-#: nothing (config, upload) suggests one
+#: shard size used when a run goes sharded but nothing (config, upload)
+#: names one — a monolithic table fanned out over workers is cut here
 DEFAULT_SHARD_ROWS = 4096
-
-#: workers used when the parallel backend is requested explicitly but
-#: ``config.n_workers`` does not ask for any
-DEFAULT_PARALLEL_WORKERS = 2
 
 
 class PlanWarning(UserWarning):
@@ -72,11 +63,12 @@ class ExecutionPlan:
     #: detection strategy handed to the monolithic engine (``"auto"``
     #: for discovery plans and for the sharded backend)
     strategy: str = DetectionStrategy.AUTO
-    #: effective fan-out workers (``<= 1`` means fully serial stages)
+    #: effective per-shard fan-out workers (``<= 1`` means fully serial
+    #: stages; always ``0`` on the serial backend)
     n_workers: int = 0
-    #: effective shard size (``0`` for the monolithic backends)
+    #: effective shard size (``0`` for the serial backend)
     shard_rows: int = 0
-    #: estimated shard count (``0`` for the monolithic backends)
+    #: estimated shard count (``0`` for the serial backend)
     n_shards: int = 0
     n_rows: int = 0
     #: resolved kernel choice: ``"on"`` when the vectorized columnar
@@ -93,16 +85,10 @@ class ExecutionPlan:
     #: filesystem client, ``"http"`` for the remote client at
     #: ``config.object_url``, ``"none"`` for the other stores
     object_client: str = "none"
-    #: worker-pool lifecycle for the fan-out stages: ``"persistent"``
-    #: reuses the session's :class:`~repro.engine.worker_pool.WorkerPool`
-    #: across runs, ``"per-call"`` builds an ephemeral pool per run
-    pool: str = "persistent"
     #: how many shard objects ahead the ``object`` store's reader
     #: fetches on background threads (``0`` = sequential reads; only
     #: meaningful when ``store`` is ``"object"``)
     prefetch_depth: int = 0
-    #: the executor the caller asked for (``"auto"`` or a backend name)
-    requested_executor: str = "auto"
     #: how a re-check refreshes the rule set: ``"incremental"`` routes
     #: through the rule maintainer, ``"full"`` re-discovers from scratch,
     #: ``"none"`` for plans that are not re-checks
@@ -124,14 +110,13 @@ class ExecutionPlan:
             if self.rule_maintenance != "none"
             else ""
         )
-        pool = f" pool={self.pool}" if self.n_workers > 1 else ""
         prefetch = (
             f" prefetch_depth={self.prefetch_depth}" if self.prefetch_depth > 0 else ""
         )
         lines = [
             f"execution plan ({self.kind}): backend={self.backend} "
             f"{shape} workers={self.n_workers} rows={self.n_rows} "
-            f"kernels={self.use_kernels}{pool}{prefetch}{maintenance}"
+            f"kernels={self.use_kernels}{prefetch}{maintenance}"
         ]
         lines.extend(f"  - {decision}" for decision in self.decisions)
         return "\n".join(lines)
@@ -143,7 +128,6 @@ def plan_run(
     config: Optional[DiscoveryConfig] = None,
     *,
     strategy: str = DetectionStrategy.AUTO,
-    executor: str = "auto",
     sharded_upload: bool = False,
     upload_shard_rows: int = 0,
     recheck: bool = False,
@@ -162,9 +146,7 @@ def plan_run(
         and ``n_workers``).
     strategy:
         Detection only — the requested monolithic strategy; anything
-        other than ``auto`` pins the run to a monolithic backend.
-    executor:
-        ``auto`` routes on the inputs; a backend name forces it.
+        other than ``auto`` pins the run to the serial backend.
     sharded_upload:
         Whether the dataset arrived as a :class:`ShardedTable` (e.g.
         streamed chunk-wise from CSV).
@@ -181,84 +163,49 @@ def plan_run(
     """
     if kind not in ("discovery", "detection"):
         raise ValueError(f"unknown plan kind {kind!r}")
-    if executor not in REQUESTABLE_EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {REQUESTABLE_EXECUTORS}"
-        )
     if kind == "detection" and strategy not in DetectionStrategy.ALL:
         raise DetectionError(
             f"unknown strategy {strategy!r}; expected one of {DetectionStrategy.ALL}"
         )
     config = config or DiscoveryConfig()
     decisions: List[str] = []
-    wants_sharded = config.shard_rows > 0 or sharded_upload
 
     # -- backend selection ---------------------------------------------------
-    if executor == ExecutionBackend.SERIAL:
-        backend = ExecutionBackend.SERIAL
-        if wants_sharded:
-            decisions.append(
-                "serial executor requested explicitly: the sharded "
-                "upload/shard_rows request is stitched and run monolithically"
-            )
-    elif executor == ExecutionBackend.PARALLEL:
-        backend = ExecutionBackend.PARALLEL
-        if wants_sharded:
-            decisions.append(
-                "parallel executor requested explicitly: running the "
-                "monolithic engine with process fan-out instead of shards"
-            )
-    elif executor == ExecutionBackend.SHARDED:
+    n_workers = config.n_workers
+    if sharded_upload and config.shard_rows <= 0:
         backend = ExecutionBackend.SHARDED
-    elif wants_sharded:
+        decisions.append("sharded upload detected")
+    elif config.shard_rows > 0:
         backend = ExecutionBackend.SHARDED
         decisions.append(
-            "sharded upload detected"
-            if sharded_upload and config.shard_rows <= 0
-            else f"config.shard_rows={config.shard_rows} requests sharded execution"
+            f"config.shard_rows={config.shard_rows} requests sharded execution"
         )
-    elif config.n_workers > 1:
-        backend = ExecutionBackend.PARALLEL
+    elif n_workers > 1:
+        backend = ExecutionBackend.SHARDED
         decisions.append(
-            f"config.n_workers={config.n_workers} requests process fan-out"
+            f"config.n_workers={n_workers} requests process fan-out, which "
+            "runs per shard on the sharded backend"
         )
     else:
         backend = ExecutionBackend.SERIAL
 
-    # -- an explicit strategy pins detection to a monolithic engine ----------
+    # -- an explicit strategy pins detection to the monolithic engine --------
     if (
         kind == "detection"
         and strategy != DetectionStrategy.AUTO
         and backend == ExecutionBackend.SHARDED
     ):
-        backend = (
-            ExecutionBackend.PARALLEL
-            if config.n_workers > 1
-            else ExecutionBackend.SERIAL
-        )
+        backend = ExecutionBackend.SERIAL
         reason = (
             f"explicitly requested strategy {strategy!r} runs the monolithic "
-            f"{backend} backend; shard parallelism is skipped (the sharded "
+            "serial backend; shard parallelism is skipped (the sharded "
             "backend has its own distinct-value strategy)"
         )
+        if n_workers > 1:
+            reason += f"; config.n_workers={n_workers} is ignored"
         decisions.append(reason)
         warnings.warn(reason, PlanWarning, stacklevel=2)
-
-    # -- effective workers ---------------------------------------------------
-    n_workers = config.n_workers
-    if executor == ExecutionBackend.PARALLEL and n_workers <= 1:
-        n_workers = DEFAULT_PARALLEL_WORKERS
-        decisions.append(
-            "parallel executor requested without config.n_workers; "
-            f"defaulting to {n_workers} workers"
-        )
-    if backend == ExecutionBackend.SERIAL and n_workers > 1:
-        # only reachable via an explicit serial request — say so rather
-        # than letting describe() print workers that will never run
-        decisions.append(
-            f"serial backend runs fully in-process; "
-            f"config.n_workers={n_workers} is ignored"
-        )
+    if backend == ExecutionBackend.SERIAL:
         n_workers = 0
 
     # -- kernel resolution ---------------------------------------------------
@@ -290,8 +237,8 @@ def plan_run(
         else:
             shard_rows = DEFAULT_SHARD_ROWS
             decisions.append(
-                "sharded executor requested without a shard size; "
-                f"defaulting to shard_rows={shard_rows}"
+                f"the monolithic table is cut into shards of {shard_rows} "
+                "rows (the default shard_rows) for the worker fan-out"
             )
         shard_rows = max(1, shard_rows)
         n_shards = max(1, math.ceil(n_rows / shard_rows)) if n_rows else 1
@@ -329,17 +276,14 @@ def plan_run(
         )
 
     # -- pipelined execution -------------------------------------------------
-    # Pool lifecycle only matters when a fan-out will actually run;
-    # prefetch only matters when shard bytes leave the process (the
-    # object store), so both decisions are recorded exactly then.
-    pool = config.pool
+    # The pool only matters when a fan-out will actually run; prefetch
+    # only matters when shard bytes leave the process (the object store),
+    # so both decisions are recorded exactly then.
     if n_workers > 1:
         decisions.append(
-            "worker pool is persistent: processes stay warm across "
-            "discovery/detection/recheck and close with the session"
-            if pool == "persistent"
-            else "worker pool is per-call: a fresh process pool is built "
-            "and torn down inside each run"
+            f"per-shard work fans out over a WorkerPool of {n_workers} "
+            "processes (a session keeps it warm across discovery/detection/"
+            "recheck and closes it with the session)"
         )
     prefetch_depth = 0
     if config.store == "object" and backend == ExecutionBackend.SHARDED:
@@ -402,9 +346,7 @@ def plan_run(
         materialization=materialization,
         store=config.store,
         object_client=object_client,
-        pool=pool,
         prefetch_depth=prefetch_depth,
-        requested_executor=executor,
         rule_maintenance=rule_maintenance,
         decisions=decisions,
     )
@@ -414,7 +356,6 @@ def plan_discovery(
     n_rows: int,
     config: Optional[DiscoveryConfig] = None,
     *,
-    executor: str = "auto",
     sharded_upload: bool = False,
     upload_shard_rows: int = 0,
     recheck: bool = False,
@@ -425,7 +366,6 @@ def plan_discovery(
         "discovery",
         n_rows,
         config,
-        executor=executor,
         sharded_upload=sharded_upload,
         upload_shard_rows=upload_shard_rows,
         recheck=recheck,
@@ -438,7 +378,6 @@ def plan_detection(
     config: Optional[DiscoveryConfig] = None,
     *,
     strategy: str = DetectionStrategy.AUTO,
-    executor: str = "auto",
     sharded_upload: bool = False,
     upload_shard_rows: int = 0,
 ) -> ExecutionPlan:
@@ -448,7 +387,6 @@ def plan_detection(
         n_rows,
         config,
         strategy=strategy,
-        executor=executor,
         sharded_upload=sharded_upload,
         upload_shard_rows=upload_shard_rows,
     )

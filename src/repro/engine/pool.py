@@ -1,29 +1,21 @@
-"""Process fan-out primitives shared by the executor backends.
+"""The shard map: how the sharded engines fan per-shard work out.
 
-All fan-out routes through :class:`~repro.engine.worker_pool.WorkerPool`.
-Callers either pass a persistent pool (sessions keep one alive across
-discovery/detection/recheck and close it with the session) or pass
-``pool=None`` for a self-contained map that builds an ephemeral pool and
-tears it down before returning.  Either way the degrade semantics live
-in one place: a pool that cannot start or breaks mid-map re-runs only
-the unfinished payloads serially and surfaces the event as a
-``PlanWarning``-visible decision.
-
-Backends hand a picklable worker function and a payload list to
-:func:`process_map`, or obtain a bound *shard map* via
-:func:`make_shard_map` to inject into the sharded engines.  (One fan-out
-stays bespoke: ``executors.mine_candidates_parallel`` additionally
-degrades to *thread* workers when the discovery config or decision
-function cannot be pickled, which ``process_map`` deliberately does not
-model.)
+All fan-out routes through a :class:`~repro.engine.worker_pool.WorkerPool`
+— the session's persistent pool (alive across discovery/detection/recheck,
+closed with the session) or one the
+:class:`~repro.engine.executors.ShardedExecutor` builds for the length of
+a run.  The degrade semantics live in the pool: one that cannot start or
+breaks mid-map re-runs only the unfinished payloads serially and
+surfaces the event as a ``PlanWarning``-visible decision.
 
 The ``n_workers`` knob is interpreted only inside ``repro.engine``:
-``<= 1`` means fully serial, anything larger caps the worker count.
+``<= 1`` means fully serial (no shard map at all), anything larger is
+the pool's width.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 from repro.engine.worker_pool import WorkerPool
 
@@ -31,10 +23,9 @@ Payload = TypeVar("Payload")
 Result = TypeVar("Result")
 
 #: signature of the map hook the sharded engines accept: ``fn`` applied
-#: to every payload, results in payload order.  Maps built over a
-#: persistent pool additionally carry ``supports_keys = True`` and accept
-#: ``keys=``/``payload_for=`` for warm-cached mapping.
-ShardMap = Callable[[Callable[[Payload], Result], Sequence[Payload]], List[Result]]
+#: to every payload, results in payload order; ``keys=``/``payload_for=``
+#: select the pool's warm-cached mapping instead of eager payloads.
+ShardMap = Callable[..., List[Result]]
 
 
 def serial_map(fn: Callable[[Payload], Result], payloads: Sequence[Payload]) -> List[Result]:
@@ -42,68 +33,24 @@ def serial_map(fn: Callable[[Payload], Result], payloads: Sequence[Payload]) -> 
     return [fn(payload) for payload in payloads]
 
 
-def process_map(
-    fn: Callable[[Payload], Result],
-    payloads: Sequence[Payload],
-    n_workers: int,
-    pool: Optional[WorkerPool] = None,
-    decisions: Optional[List[str]] = None,
-) -> List[Result]:
-    """Apply ``fn`` to every payload on worker processes.
+def make_shard_map(pool: WorkerPool) -> ShardMap:
+    """A shard map over ``pool``, injected into the sharded engines.
 
-    Results come back in payload order.  A persistent ``pool`` is used
-    as-is (and left running); with ``pool=None`` an ephemeral
-    :class:`WorkerPool` is built and closed around the map.  Runs
-    serially when the worker count or payload count makes a pool
-    pointless.  A pool that breaks mid-map re-runs **only the payloads
-    without results** serially; the degrade is appended to ``decisions``
-    (when given) and warned as a ``PlanWarning``.  Genuine worker errors
-    propagate.
+    Called with payloads, it is :meth:`WorkerPool.map`.  Called with
+    ``keys=`` (shard-version cache keys) and ``payload_for=`` (a lazy
+    payload builder), it is :meth:`WorkerPool.map_cached`: repeated runs
+    over unchanged shards skip the shard load and the process
+    round-trip.
     """
-    payloads = list(payloads)
-    if pool is not None:
-        try:
-            return pool.map(fn, payloads)
-        finally:
-            if decisions is not None:
-                decisions.extend(pool.take_decisions())
-    ephemeral = WorkerPool(min(n_workers, len(payloads)))
-    try:
-        return ephemeral.map(fn, payloads)
-    finally:
-        if decisions is not None:
-            decisions.extend(ephemeral.take_decisions())
-        ephemeral.close()
-
-
-def make_shard_map(
-    n_workers: int, pool: Optional[WorkerPool] = None
-) -> Optional[ShardMap]:
-    """A shard map bound to ``n_workers``, or ``None`` for serial.
-
-    The sharded engines treat ``None`` as "stay in-process" (which also
-    lets them share per-value caches across shards); a non-``None`` map
-    is applied to their per-shard extraction payloads.  When a
-    persistent ``pool`` backs the map it advertises ``supports_keys``:
-    the engines may then pass ``keys=`` (shard-version cache keys) and
-    ``payload_for=`` (lazy payload builder) so repeated runs over
-    unchanged shards skip the shard load and the process round-trip.
-    """
-    if n_workers <= 1:
-        return None
 
     def pooled(
         fn: Callable[[Payload], Result],
-        payloads: Optional[Sequence[Payload]] = None,
+        payloads=None,
         keys=None,
         payload_for=None,
     ) -> List[Result]:
-        if pool is not None and keys is not None:
+        if keys is not None:
             return pool.map_cached(fn, keys, payload_for=payload_for, payloads=payloads)
-        if payloads is None:
-            payloads = [payload_for(index) for index in range(len(keys))]
-        return process_map(fn, payloads, n_workers, pool=pool)
+        return pool.map(fn, payloads)
 
-    pooled.supports_keys = pool is not None
-    pooled.pool_backed = pool is not None
     return pooled

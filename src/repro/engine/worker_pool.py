@@ -1,11 +1,10 @@
 """A persistent, process-backed worker pool with a warm result cache.
 
-Before this module existed, every fan-out in the system paid the full
-pool lifecycle per call: ``process_map`` built a fresh
-``ProcessPoolExecutor``, forked workers, pickled every payload, and tore
-the pool down again — once per discovery run, once per detection run,
-once per re-check.  A :class:`WorkerPool` amortizes all of that across a
-session:
+Every process fan-out in the system — the sharded engines' per-shard
+extraction and tree merges — runs on a :class:`WorkerPool`.  A session
+keeps one for its whole life; a direct executor call without one gets a
+pool for the length of that run.  Across a session the pool amortizes
+the fork, payload pickling and teardown a per-run pool pays each time:
 
 * **lazy start** — no process is forked until the first map that
   actually needs one (``n_workers >= 2`` and at least two payloads);

@@ -88,7 +88,7 @@ class ShardedDetector:
         self.sharded = sharded
         self.memo = MATCH_MEMO if memo is None else memo
         #: how to apply the per-shard extraction: ``None`` stays
-        #: in-process; anything else is a map hook, e.g.
+        #: in-process; anything else is
         #: :func:`repro.engine.pool.make_shard_map`'s pooled fan-out
         self._shard_map = shard_map
         #: resolved once: whether the vectorized kernels build the
@@ -187,54 +187,36 @@ class ShardedDetector:
     def _merge_pair_groups(self, lhs: str, rhs: str) -> MergedPairGroups:
         with self.timers.stage("pair_groups"):
             if self._shard_map is not None and self.sharded.n_shards > 1:
-                if getattr(self._shard_map, "supports_keys", False):
-                    # warm-cacheable fan-out: keyed by shard version, so
-                    # repeated runs over unchanged shards skip the shard
-                    # load and the process round-trip; payloads are
-                    # built lazily, only for cache misses
-                    sharded = self.sharded
-                    versions = sharded.versions()
-                    keys = [
-                        ("shard_pair_groups", index, versions[index], lhs, rhs,
-                         sharded.offset_of(index), self.use_kernels)
-                        for index in range(sharded.n_shards)
-                    ]
-                    shard_groups = self._shard_map(
-                        _extract_shard,
-                        keys=keys,
-                        payload_for=lambda index: (
-                            sharded.store.get(index).column_ref(lhs),
-                            sharded.store.get(index).column_ref(rhs),
-                            sharded.offset_of(index),
-                            self.use_kernels,
-                        ),
-                    )
-                else:
-                    payloads = [
-                        (
-                            shard.column_ref(lhs),
-                            shard.column_ref(rhs),
-                            offset,
-                            self.use_kernels,
-                        )
-                        for offset, shard in self.sharded.iter_shards()
-                    ]
-                    shard_groups = self._shard_map(_extract_shard, payloads)
+                # warm-cacheable fan-out: keyed by shard version, so
+                # repeated runs over unchanged shards skip the shard load
+                # and the process round-trip; payloads are built lazily,
+                # only for cache misses
+                sharded = self.sharded
+                versions = sharded.versions()
+                keys = [
+                    ("shard_pair_groups", sharded.version_space, index,
+                     versions[index], lhs, rhs, sharded.offset_of(index),
+                     self.use_kernels)
+                    for index in range(sharded.n_shards)
+                ]
+                shard_groups = self._shard_map(
+                    _extract_shard,
+                    keys=keys,
+                    payload_for=lambda index: (
+                        sharded.store.get(index).column_ref(lhs),
+                        sharded.store.get(index).column_ref(rhs),
+                        sharded.offset_of(index),
+                        self.use_kernels,
+                    ),
+                )
             else:
                 shard_groups = [
                     self._shard_pair_groups(shard, offset, lhs, rhs)
                     for offset, shard in self.sharded.iter_shards()
                 ]
         with self.timers.stage("merge"):
-            # fan the pairwise tree levels out only over a persistent
-            # pool; spinning ephemeral pools per level would cost more
-            # than the merges
-            merge_map = (
-                self._shard_map
-                if getattr(self._shard_map, "pool_backed", False)
-                and len(shard_groups) > 2
-                else None
-            )
+            # the pairwise tree levels fan out over the same pool
+            merge_map = self._shard_map if len(shard_groups) > 2 else None
             return tree_merge_pair_groups(shard_groups, merge_map=merge_map)
 
     def _shard_pair_groups(

@@ -50,8 +50,8 @@ class ShardedDiscoverer:
         self.config = self.discoverer.config
         #: how to apply the per-shard extraction: ``None`` stays
         #: in-process (sharing one distinct-value cache across shards),
-        #: anything else is a map hook, e.g.
-        #: :func:`repro.engine.pool.make_shard_map`'s pooled fan-out
+        #: anything else is :func:`repro.engine.pool.make_shard_map`'s
+        #: pooled fan-out
         self._shard_map = shard_map
 
     def discover(self, sharded: ShardedTable, relation: Optional[str] = None) -> List[PFD]:
@@ -230,31 +230,25 @@ class ShardedDiscoverer:
         timers = self.discoverer.timers
         ngram_size = self.config.ngram_size
         if self._shard_map is not None and sharded.n_shards > 1:
-            if getattr(self._shard_map, "supports_keys", False):
-                # warm-cacheable fan-out: keyed by shard version, so a
-                # repeated run over unchanged shards skips the shard
-                # load and the process round-trip (payloads build lazily,
-                # only for cache misses)
-                versions = sharded.versions()
-                keys = [
-                    ("shard_tokens", index, versions[index], column, mode, ngram_size)
-                    for index in range(sharded.n_shards)
-                ]
-                shard_rows = self._shard_map(
-                    _extract_shard_tokens,
-                    keys=keys,
-                    payload_for=lambda index: (
-                        sharded.store.get(index).column_ref(column),
-                        mode,
-                        ngram_size,
-                    ),
-                )
-            else:
-                payloads = [
-                    (shard.column_ref(column), mode, ngram_size)
-                    for _offset, shard in sharded.iter_shards()
-                ]
-                shard_rows = self._shard_map(_extract_shard_tokens, payloads)
+            # warm-cacheable fan-out: keyed by shard version, so a
+            # repeated run over unchanged shards skips the shard load and
+            # the process round-trip (payloads build lazily, only for
+            # cache misses)
+            versions = sharded.versions()
+            keys = [
+                ("shard_tokens", sharded.version_space, index, versions[index],
+                 column, mode, ngram_size)
+                for index in range(sharded.n_shards)
+            ]
+            shard_rows = self._shard_map(
+                _extract_shard_tokens,
+                keys=keys,
+                payload_for=lambda index: (
+                    sharded.store.get(index).column_ref(column),
+                    mode,
+                    ngram_size,
+                ),
+            )
         else:
             # One distinct-value cache across shards: a value recurring in
             # many shards is tokenized once, like the monolithic pass.

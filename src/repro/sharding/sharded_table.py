@@ -32,6 +32,7 @@ caches are invalidated, but no partial update is attempted.
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.dataset.profiling import TableProfile, profile_sharded
@@ -39,6 +40,10 @@ from repro.dataset.table import Table
 from repro.errors import TableError
 from repro.kernels.encoder import ColumnEncoding, encode_shards
 from repro.sharding.store import InMemoryShardStore, ShardStore
+
+#: hands every newly built table its own version space (see
+#: :attr:`ShardedTable.version_space`)
+_VERSION_SPACES = itertools.count()
 
 
 class ShardedTable:
@@ -61,6 +66,7 @@ class ShardedTable:
         self._n_rows = total
         #: merged-artifact cache: key → (shard versions at build time, artifact)
         self._merged_cache: Dict[Hashable, Tuple[Tuple[int, ...], object]] = {}
+        self._version_space = next(_VERSION_SPACES)
 
     # -- constructors --------------------------------------------------------
 
@@ -240,6 +246,19 @@ class ShardedTable:
         """The shards' mutation counters — the staleness key for every
         merged artifact."""
         return self._store.versions()
+
+    @property
+    def version_space(self) -> int:
+        """A process-unique token for the space :meth:`versions` live in.
+
+        Shard versions restart at 0 in every newly cut table, so the
+        versions of two tables compare only when their tokens match: an
+        overlay seal shares its base's space, any other table has its
+        own.  Caches that outlive one table (the worker pool's warm
+        cache) carry the token in their keys, and the rule maintainer
+        diffs two views only when their tokens match."""
+        base = getattr(self._store, "base", None)
+        return self._version_space if base is None else base.version_space
 
     def dirty_shards(self, baseline_versions: Sequence[int]) -> List[int]:
         """Shard indexes whose version differs from a baseline snapshot.

@@ -6,6 +6,7 @@ from repro.anmat.cli import EXIT_CLEAN, EXIT_VIOLATIONS_FOUND, build_parser, mai
 from repro.errors import CsvFormatError
 from repro.dataset.csvio import write_csv
 from repro.datagen import build_dataset
+from repro.engine import DEFAULT_SHARD_ROWS
 
 
 class TestParser:
@@ -375,37 +376,43 @@ class TestObjectUrlFlag:
         assert "store=object[local]" in capsys.readouterr().out
 
 
-class TestExecutorFlags:
-    """--executor / --n-workers / --explain-plan on discover and detect."""
+class TestExecutionFlags:
+    """--n-workers / --explain-plan on discover and detect; the removed
+    --executor and --pool overrides are usage errors."""
 
-    def test_executor_flag_parses_on_both_subcommands(self):
+    def test_n_workers_parses_and_removed_flags_are_rejected(self):
         for command in ("discover", "detect"):
-            args = build_parser().parse_args([command, "--executor", "sharded"])
-            assert args.executor == "sharded"
             args = build_parser().parse_args([command, "--n-workers", "2"])
             assert args.n_workers == 2
-        with pytest.raises(SystemExit):  # argparse usage error, exit 2
-            build_parser().parse_args(["detect", "--executor", "remote"])
+            for flag, value in (("--executor", "sharded"), ("--pool", "per-call")):
+                with pytest.raises(SystemExit):  # argparse usage error, exit 2
+                    build_parser().parse_args([command, flag, value])
 
-    def test_forced_executors_report_identically(self, capsys):
+    def test_routes_report_identically(self, capsys):
         outputs = {}
-        for executor in ("serial", "parallel", "sharded"):
+        routes = {
+            "serial": [],
+            "workers": ["--n-workers", "2"],
+            "sharded": ["--shard-rows", "2"],
+        }
+        for label, flags in routes.items():
             code = main(
                 [
                     "detect",
                     "--dataset", "paper_d2_zip",
                     "--min-coverage", "0.4",
                     "--allowed-violations", "0.3",
-                    "--executor", executor,
+                    *flags,
                 ]
             )
             assert code == EXIT_VIOLATIONS_FOUND
-            outputs[executor] = capsys.readouterr().out
+            outputs[label] = capsys.readouterr().out
         # same violations; only the strategy label differs on sharded
-        assert outputs["parallel"] == outputs["serial"]
-        assert outputs["sharded"].splitlines()[0] == (
-            outputs["serial"].splitlines()[0].replace("auto", "sharded")
-        )
+        for label in ("workers", "sharded"):
+            assert outputs[label].splitlines()[0] == (
+                outputs["serial"].splitlines()[0].replace("auto", "sharded")
+            )
+            assert outputs[label].splitlines()[1:] == outputs["serial"].splitlines()[1:]
 
     def test_explain_plan_prints_before_running(self, capsys):
         code = main(
@@ -440,17 +447,20 @@ class TestExecutorFlags:
         assert "execution plan (discovery): backend=serial" in out
 
     def test_n_workers_detect_matches_serial(self, capsys):
-        baseline = main(
-            ["detect", "--dataset", "phone_state", "--min-coverage", "0.5"]
-        )
-        serial_out = capsys.readouterr().out
-        code = main(
-            [
-                "detect",
-                "--dataset", "phone_state",
-                "--min-coverage", "0.5",
-                "--n-workers", "2",
-            ]
-        )
+        def detect(*flags):
+            code = main(
+                ["detect", "--dataset", "phone_state", "--min-coverage", "0.5", *flags]
+            )
+            return code, capsys.readouterr().out
+
+        baseline, serial_out = detect()
+        code, workers_out = detect("--n-workers", "2")
         assert code == baseline == EXIT_VIOLATIONS_FOUND
-        assert capsys.readouterr().out == serial_out
+        # workers run sharded at the default shard size: the same count
+        # as serial under the sharded label, and the same report (same
+        # violation order) as an explicit --shard-rows run
+        assert workers_out.splitlines()[0] == serial_out.splitlines()[0].replace(
+            "strategy=auto)", "strategy=sharded)"
+        )
+        _code, sharded_out = detect("--shard-rows", str(DEFAULT_SHARD_ROWS))
+        assert workers_out == sharded_out

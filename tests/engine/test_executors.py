@@ -1,13 +1,15 @@
 """Differential tests: executor choice must not change results.
 
 The PR-4 generator matrix runs through the engine API under every
-backend — serial, parallel, and sharded (in-memory *and* spill-to-disk
-shard store) — and each backend must produce the identical rule set and
-canonically equal violations.  This is the engine's contract: the
+route — serial, sharded (in-memory *and* spill-to-disk shard store),
+and worker fan-out over a monolithic or a sharded dataset — and each
+must produce the identical rule set and canonically equal violations.  This is the engine's contract: the
 planner may route a run anywhere without changing its meaning.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.discovery import DiscoveryConfig
 from repro.engine import (
     DataSource,
     ExecutionBackend,
+    PlanWarning,
     SpillToDiskShardStore,
     build_executor,
     plan_detection,
@@ -37,12 +40,12 @@ SEEDS = [3, 58]
 
 BASE = dict(min_coverage=0.4, allowed_violation_ratio=0.2)
 
-#: requested-executor → config that routes there (workers kept at 2 so
-#: the process pools stay cheap; the pool degrades to serial in
-#: fork-less sandboxes, which exercises the same code path)
+#: route label → config that routes there (workers kept at 2 so the
+#: process pools stay cheap; the pool degrades to serial in fork-less
+#: sandboxes, which exercises the same code path)
 EXECUTOR_CONFIGS = {
     "serial": DiscoveryConfig(**BASE),
-    "parallel": DiscoveryConfig(**BASE, n_workers=2),
+    "parallel": DiscoveryConfig(**BASE, n_workers=2),  # monolithic + workers
     "sharded": DiscoveryConfig(**BASE, shard_rows=13),
     "sharded-workers": DiscoveryConfig(**BASE, shard_rows=13, n_workers=2),
 }
@@ -54,17 +57,17 @@ def dirty_table(name, n_rows, specs, seed):
     return dirty
 
 
-def run_engine(table, config, executor="auto", source=None):
+def run_engine(table, config, source=None):
     """One full discover→detect round through the engine API."""
     source = source or DataSource(table)
     d_plan = plan_discovery(
-        table.n_rows, config, executor=executor,
+        table.n_rows, config,
         sharded_upload=source.is_sharded_upload,
         upload_shard_rows=source.upload_shard_rows,
     )
     discovery = build_executor(d_plan).run_discovery(d_plan, source)
     v_plan = plan_detection(
-        table.n_rows, config, executor=executor,
+        table.n_rows, config,
         sharded_upload=source.is_sharded_upload,
         upload_shard_rows=source.upload_shard_rows,
     )
@@ -84,7 +87,9 @@ class TestExecutorInvariance:
         }
         _, _, rules, violations = results["serial"]
         assert results["serial"][0].backend == ExecutionBackend.SERIAL
-        assert results["parallel"][0].backend == ExecutionBackend.PARALLEL
+        # n_workers on a monolithic table fans out on the sharded backend
+        assert results["parallel"][0].backend == ExecutionBackend.SHARDED
+        assert results["parallel"][0].n_workers == 2
         assert results["sharded"][0].backend == ExecutionBackend.SHARDED
         for label, (d_plan, _v_plan, got_rules, got_violations) in results.items():
             assert got_rules == rules, f"rule set diverged under {label}"
@@ -104,51 +109,62 @@ class TestExecutorInvariance:
         assert got_rules == rules
         assert got_violations == violations
 
-    def test_forced_executor_matches_auto(self, name, n_rows, specs, seed):
-        """--executor style forcing: every requested backend agrees."""
+    def test_upload_kinds_agree(self, name, n_rows, specs, seed):
+        """A monolithic load and a never-materialized sharded upload,
+        with and without workers, give the same rules and violations."""
         table = dirty_table(name, n_rows, specs, seed)
         base = DiscoveryConfig(**BASE)
         _, _, rules, violations = run_engine(table, base)
-        for requested in ("serial", "parallel", "sharded"):
+        for config in (base, base.with_overrides(n_workers=2)):
+            source = DataSource.from_sharded(ShardedTable.from_table(table, 13))
             d_plan, _v, got_rules, got_violations = run_engine(
-                table, base, executor=requested
+                table, config, source=source
             )
-            assert d_plan.backend == requested
-            assert got_rules == rules, f"rule set diverged under --executor {requested}"
+            assert d_plan.backend == ExecutionBackend.SHARDED
+            assert d_plan.materialization == "never"
+            assert got_rules == rules, f"rule set diverged at {config.n_workers} workers"
             assert got_violations == violations, (
-                f"violations diverged under --executor {requested}"
+                f"violations diverged at {config.n_workers} workers"
             )
 
 
-class TestParallelDetection:
-    """The per-rule detection fan-out keeps monolithic semantics."""
+class TestExplicitStrategyWithWorkers:
+    """An explicit strategy pins detection to the serial engine, even
+    when workers would otherwise route the run sharded."""
 
     @pytest.mark.parametrize(
         "strategy",
         [DetectionStrategy.SCAN, DetectionStrategy.INDEX, DetectionStrategy.BRUTEFORCE],
     )
-    def test_strategies_survive_fanout(self, strategy):
+    def test_strategies_pin_serial(self, strategy):
         from repro.detection import ErrorDetector
         from repro.discovery import PfdDiscoverer
-        from repro.engine import detect_all_parallel
 
         table = dirty_table("zip_city_state", 90, [], 7)
-        pfds = PfdDiscoverer(DiscoveryConfig(**BASE)).discover(table)
+        config = DiscoveryConfig(**BASE, n_workers=2)
+        pfds = PfdDiscoverer(config).discover(table)
         assert pfds
+        with pytest.warns(PlanWarning, match="n_workers=2 is ignored"):
+            plan = plan_detection(table.n_rows, config, strategy=strategy)
+        assert plan.backend == ExecutionBackend.SERIAL
+        assert plan.n_workers == 0
+        report = build_executor(plan).run_detection(plan, DataSource(table), pfds)
         serial = ErrorDetector(table).detect_all(pfds, strategy=strategy)
-        parallel = detect_all_parallel(table, list(pfds), strategy, n_workers=2)
-        assert parallel.canonical_violations() == serial.canonical_violations()
-        assert parallel.strategy == strategy
-        assert parallel.n_rows == serial.n_rows
+        assert report.canonical_violations() == serial.canonical_violations()
+        assert report.strategy == strategy
+        assert report.n_rows == serial.n_rows
 
-    def test_single_rule_runs_inline(self):
-        from repro.discovery import PfdDiscoverer
-        from repro.engine import detect_all_parallel
-
-        table = dirty_table("zip_city_state", 60, [], 3)
-        pfds = PfdDiscoverer(DiscoveryConfig(**BASE)).discover(table)[:1]
-        report = detect_all_parallel(table, pfds, DetectionStrategy.AUTO, n_workers=4)
-        assert report.strategy == DetectionStrategy.AUTO
+    def test_direct_run_with_workers_leaves_no_child_processes(self):
+        # no caller pool: the executor builds one for the run and closes it
+        table = dirty_table("zip_city_state", 90, [], 7)
+        config = DiscoveryConfig(**BASE, shard_rows=13, n_workers=2)
+        _, _, serial_rules, serial_violations = run_engine(table, DiscoveryConfig(**BASE))
+        _, v_plan, rules, violations = run_engine(table, config)
+        assert v_plan.backend == ExecutionBackend.SHARDED
+        assert v_plan.n_workers == 2
+        assert rules == serial_rules
+        assert violations == serial_violations
+        assert multiprocessing.active_children() == []
 
 
 class TestDataSource:
@@ -169,7 +185,7 @@ class TestDataSource:
         table = dirty_table("zip_city_state", 60, [], 3)
         source = DataSource(table)
         assert not source.is_sharded_upload
-        source.sharded_view(10)  # e.g. executor="sharded" for one run
+        source.sharded_view(10)  # e.g. one run with shard_rows set
         assert not source.is_sharded_upload
         assert source.upload_shard_rows == 0
         plan = plan_detection(

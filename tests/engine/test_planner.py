@@ -1,8 +1,8 @@
 """Planner unit tests: the full routing matrix.
 
-Every combination of (shard_rows, n_workers, strategy, upload kind,
-requested executor) must resolve to a deterministic backend, with the
-decisions recorded on the plan and the silent-override case warning.
+Every combination of (shard_rows, n_workers, strategy, upload kind)
+must resolve to a deterministic backend, with the decisions recorded on
+the plan and the silent-override case warning.
 """
 
 import warnings
@@ -12,7 +12,6 @@ import pytest
 from repro.detection import DetectionStrategy
 from repro.discovery import DiscoveryConfig
 from repro.engine import (
-    DEFAULT_PARALLEL_WORKERS,
     DEFAULT_SHARD_ROWS,
     ExecutionBackend,
     PlanWarning,
@@ -28,7 +27,7 @@ def config(shard_rows=0, n_workers=0):
 
 
 class TestAutoRouting:
-    """executor='auto': the planner routes on config and upload kind."""
+    """The planner routes on config and upload kind."""
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
     def test_default_is_serial(self, kind):
@@ -42,10 +41,18 @@ class TestAutoRouting:
         assert plan.use_kernels in ("on", "off")
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
-    def test_n_workers_routes_parallel(self, kind):
+    def test_n_workers_routes_sharded(self, kind):
         plan = plan_run(kind, 100, config(n_workers=4))
-        assert plan.backend == ExecutionBackend.PARALLEL
+        assert plan.backend == ExecutionBackend.SHARDED
         assert plan.n_workers == 4
+        assert plan.shard_rows == DEFAULT_SHARD_ROWS
+        assert plan.n_shards == 1
+        assert any("config.n_workers=4" in d for d in plan.decisions)
+
+    def test_one_worker_stays_serial(self):
+        plan = plan_run("discovery", 100, config(n_workers=1))
+        assert plan.backend == ExecutionBackend.SERIAL
+        assert plan.n_workers == 0
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
     def test_shard_rows_routes_sharded(self, kind):
@@ -98,13 +105,23 @@ class TestExplicitStrategyPinsMonolithic:
             )
         assert plan.backend == ExecutionBackend.SERIAL
 
-    def test_explicit_strategy_with_workers_falls_back_to_parallel(self):
-        with pytest.warns(PlanWarning):
+    def test_explicit_strategy_with_workers_pins_serial(self):
+        with pytest.warns(PlanWarning, match="n_workers=2 is ignored"):
             plan = plan_detection(
                 100, config(shard_rows=10, n_workers=2), strategy="index"
             )
-        assert plan.backend == ExecutionBackend.PARALLEL
+        assert plan.backend == ExecutionBackend.SERIAL
         assert plan.strategy == "index"
+        assert plan.n_workers == 0
+
+    def test_explicit_strategy_on_monolithic_workers_pins_serial(self):
+        # n_workers alone routes sharded, so the explicit strategy still
+        # pins the run back to serial — and says the workers go unused
+        with pytest.warns(PlanWarning, match="is ignored"):
+            plan = plan_detection(100, config(n_workers=4), strategy="scan")
+        assert plan.backend == ExecutionBackend.SERIAL
+        assert plan.n_workers == 0
+        assert not any("WorkerPool" in d for d in plan.decisions)
 
     def test_auto_strategy_does_not_warn(self):
         with warnings.catch_warnings():
@@ -124,54 +141,32 @@ class TestExplicitStrategyPinsMonolithic:
         assert plan.strategy == DetectionStrategy.AUTO
 
 
-class TestExplicitExecutors:
-    """executor != 'auto' forces the backend (with decisions recorded)."""
+class TestWorkerFanOut:
+    """``n_workers > 1`` fans out per shard on the sharded backend."""
 
-    def test_serial_overrides_sharding_request(self):
-        plan = plan_run("discovery", 100, config(shard_rows=10), executor="serial")
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert any("serial executor requested" in d for d in plan.decisions)
-
-    def test_parallel_overrides_sharding_request(self):
-        plan = plan_run("discovery", 100, config(shard_rows=10), executor="parallel")
-        assert plan.backend == ExecutionBackend.PARALLEL
-
-    def test_parallel_defaults_workers(self):
-        plan = plan_run("discovery", 100, config(), executor="parallel")
-        assert plan.n_workers == DEFAULT_PARALLEL_WORKERS
-        assert any("defaulting" in d for d in plan.decisions)
-
-    def test_parallel_keeps_configured_workers(self):
-        plan = plan_run("discovery", 100, config(n_workers=8), executor="parallel")
-        assert plan.n_workers == 8
-
-    def test_serial_zeroes_ignored_workers(self):
-        # the plan must describe what actually runs: the serial backend
-        # never uses workers, so the knob is zeroed with a decision
-        plan = plan_run("discovery", 100, config(n_workers=4), executor="serial")
-        assert plan.n_workers == 0
-        assert any("is ignored" in d for d in plan.decisions)
-
-    def test_sharded_defaults_shard_rows(self):
-        plan = plan_run("discovery", 100, config(), executor="sharded")
+    def test_monolithic_table_is_cut_at_the_default_shard_size(self):
+        plan = plan_run("discovery", 3 * DEFAULT_SHARD_ROWS, config(n_workers=2))
         assert plan.backend == ExecutionBackend.SHARDED
         assert plan.shard_rows == DEFAULT_SHARD_ROWS
-        assert plan.n_shards == 1
+        assert plan.n_shards == 3
+        assert any("cut into shards" in d for d in plan.decisions)
 
-    def test_sharded_uses_upload_partition(self):
+    def test_workers_keep_the_upload_partition(self):
         plan = plan_run(
-            "discovery", 100, config(), executor="sharded",
+            "discovery", 100, config(n_workers=2),
             sharded_upload=True, upload_shard_rows=25,
         )
         assert plan.shard_rows == 25
+        assert not any("cut into shards" in d for d in plan.decisions)
 
-    def test_sharded_executor_with_explicit_strategy_still_falls_back(self):
-        with pytest.warns(PlanWarning):
-            plan = plan_detection(
-                100, config(), strategy="bruteforce", executor="sharded"
-            )
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.strategy == "bruteforce"
+    def test_workers_record_the_worker_pool(self):
+        plan = plan_run("detection", 100, config(shard_rows=10, n_workers=3))
+        assert any("WorkerPool of 3 processes" in d for d in plan.decisions)
+        assert "workers=3" in plan.describe()
+
+    def test_no_pool_decision_without_workers(self):
+        plan = plan_run("detection", 100, config(shard_rows=10))
+        assert not any("WorkerPool" in d for d in plan.decisions)
 
 
 class TestValidationAndShape:
@@ -179,9 +174,9 @@ class TestValidationAndShape:
         with pytest.raises(ValueError, match="unknown plan kind"):
             plan_run("profile", 10, config())
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            plan_run("discovery", 10, config(), executor="remote")
+    def test_executor_override_is_gone(self):
+        with pytest.raises(TypeError, match="executor"):
+            plan_run("discovery", 10, config(), executor="serial")
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DetectionError, match="unknown strategy"):
@@ -292,7 +287,8 @@ class TestObjectClientRouting:
     def test_monolithic_backend_has_no_object_client(self):
         # the url is only consulted when shards actually exist
         cfg = DiscoveryConfig(store="object", object_url="http://127.0.0.1:8080")
-        plan = plan_run("discovery", 100, cfg, executor="serial")
+        plan = plan_run("discovery", 100, cfg)
+        assert plan.backend == ExecutionBackend.SERIAL
         assert plan.object_client == "none"
 
     def test_config_validates_the_url(self):

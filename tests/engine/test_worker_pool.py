@@ -21,7 +21,7 @@ import pytest
 from repro.anmat.session import AnmatSession
 from repro.datagen import build_dataset
 from repro.discovery.config import DiscoveryConfig
-from repro.engine import PlanWarning, WorkerPool, process_map
+from repro.engine import PlanWarning, WorkerPool
 from repro.engine import worker_pool as worker_pool_module
 
 
@@ -73,10 +73,16 @@ def test_worker_exception_propagates():
 def test_pool_reuses_the_same_worker_processes():
     with WorkerPool(2) as pool:
         first = set(pool.map(_pid_of, list(range(8))))
-        second = set(pool.map(_pid_of, list(range(8))))
         assert pool.started
-        assert first == second, "a new map should reuse the warm processes"
-        assert os.getpid() not in first
+        # the pool's real process set, not the PIDs one map happened to
+        # be scheduled on (a map may run entirely on one warm worker)
+        workers = set(pool._executor._processes)
+        second = set(pool.map(_pid_of, list(range(8))))
+        assert set(pool._executor._processes) == workers, (
+            "a new map should reuse the warm processes"
+        )
+        assert first <= workers and second <= workers
+        assert os.getpid() not in workers
 
 
 # -- lifecycle -------------------------------------------------------------------
@@ -164,15 +170,32 @@ def test_broken_pool_reruns_only_unfinished_payloads(monkeypatch):
     assert pool.broken
 
 
-def test_process_map_records_degrade_as_plan_decision(monkeypatch):
+def test_degrade_is_drained_as_plan_decision(monkeypatch):
     monkeypatch.setattr(
         worker_pool_module, "ProcessPoolExecutor", _UnavailableExecutor
     )
-    decisions = []
+    pool = WorkerPool(2)
     with pytest.warns(PlanWarning):
-        results = process_map(_square, [1, 2, 3], n_workers=2, decisions=decisions)
+        results = pool.map(_square, [1, 2, 3])
     assert results == [1, 4, 9]
+    decisions = pool.take_decisions()
     assert any("serially in-process" in line for line in decisions)
+    assert pool.take_decisions() == []
+
+
+def test_run_scoped_pool_degrade_lands_on_the_plan(monkeypatch):
+    # no caller pool: the executor builds one for the run, and its
+    # degrade events still reach the plan
+    from repro.engine import DataSource, build_executor, plan_discovery
+
+    monkeypatch.setattr(
+        worker_pool_module, "ProcessPoolExecutor", _UnavailableExecutor
+    )
+    dataset = build_dataset("zip_city_state", n_rows=90, seed=11)
+    plan = plan_discovery(dataset.table.n_rows, _session_config())
+    with pytest.warns(PlanWarning, match="could not start"):
+        build_executor(plan).run_discovery(plan, DataSource(dataset.table))
+    assert any("serially in-process" in line for line in plan.decisions)
 
 
 # -- warm cache ------------------------------------------------------------------
@@ -286,13 +309,36 @@ def test_session_second_discovery_hits_the_warm_cache():
         ]
 
 
-def test_per_call_pool_config_keeps_session_pool_free():
+def test_session_without_workers_starts_no_pool():
     dataset = build_dataset("zip_city_state", n_rows=90, seed=11)
-    config = _session_config().with_overrides(pool="per-call")
-    with AnmatSession(dataset_name="per-call", config=config) as session:
+    config = _session_config().with_overrides(n_workers=0)
+    with AnmatSession(dataset_name="no-workers", config=config) as session:
         session.load_table(dataset.table)
         session.run_discovery()
         assert session._worker_pool is None
+    # the pool lifecycle is no longer a config option
+    with pytest.raises(TypeError, match="pool"):
+        DiscoveryConfig(pool="per-call")
+
+
+def test_recut_after_edit_misses_the_warm_cache():
+    # an edited monolithic table is re-cut into fresh shards whose
+    # versions restart at 0; their statistics must not hit the cache
+    # entries of the previous cut
+    from repro.detection import ErrorDetector
+
+    dataset = build_dataset("zip_city_state", n_rows=90, seed=11)
+    table = dataset.table.copy()
+    with AnmatSession(dataset_name="recut", config=_session_config()) as session:
+        session.load_table(table)
+        session.run_discovery()
+        session.confirm_all()
+        session.run_detection()
+        table.set_cell(0, "city", "Mutated")
+        table.set_cell(50, "state", "ZZ")
+        report = session.run_detection()
+        expected = ErrorDetector(table).detect_all(session.confirmed_pfds())
+    assert report.canonical_violations() == expected.canonical_violations()
 
 
 def test_no_leaked_processes_after_session_context_exit():
@@ -316,9 +362,8 @@ def test_plan_records_pool_and_prefetch_decisions():
     with AnmatSession(dataset_name="decisions", config=config) as session:
         session.load_table(dataset.table)
         plan = session.plan_discovery()
-    assert plan.pool == "persistent"
     assert plan.prefetch_depth == 3
-    assert any("persistent" in line for line in plan.decisions)
+    assert any("WorkerPool of 2 processes" in line for line in plan.decisions)
     assert any("prefetch_depth=3" in line for line in plan.decisions)
-    assert "pool=persistent" in plan.describe()
+    assert "workers=2" in plan.describe()
     assert "prefetch_depth=3" in plan.describe()

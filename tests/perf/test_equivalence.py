@@ -3,7 +3,7 @@
 The perf subsystem is pure acceleration — these tests prove that the
 shared compiled-pattern caches, the MatchMemo, the per-table artifact
 cache, the single-pass columnar inverted-index build, and the
-``n_workers > 1`` fan-out all produce results identical to the uncached
+``n_workers > 1`` per-shard fan-out all produce results identical to the uncached
 serial implementation, on the zip → city/state and employee datasets.
 """
 
@@ -105,7 +105,8 @@ class TestDiscoveryEquivalence:
         serial = canonical_discovery(PfdDiscoverer().discover_with_report(table))
         config = DiscoveryConfig(n_workers=2)
         plan = plan_discovery(table.n_rows, config)
-        assert plan.backend == "parallel"
+        # workers on a monolithic table fan out on the sharded backend
+        assert plan.backend == "sharded"
         parallel = canonical_discovery(
             build_executor(plan).run_discovery(plan, DataSource(table))
         )

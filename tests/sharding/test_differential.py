@@ -127,7 +127,7 @@ class TestDifferential:
     def test_detection_equal_with_worker_fanout(self, name, n_rows, specs, seed):
         """The pooled shard-map path (process pool, or its serial
         fallback) must not change the merged statistics."""
-        from repro.engine import make_shard_map
+        from repro.engine import WorkerPool, make_shard_map
 
         table = dirty_table(name, n_rows, specs, seed)
         pfds = PfdDiscoverer(CONFIG).discover(table)
@@ -136,11 +136,12 @@ class TestDifferential:
         sharded = ShardedTable.from_table(table, max(1, table.n_rows // 3))
         serial = ShardedDetector(sharded).detect_all(pfds).canonical_violations()
         fanned = ShardedTable.from_table(table, max(1, table.n_rows // 3))
-        parallel = (
-            ShardedDetector(fanned, shard_map=make_shard_map(2))
-            .detect_all(pfds)
-            .canonical_violations()
-        )
+        with WorkerPool(2) as pool:
+            parallel = (
+                ShardedDetector(fanned, shard_map=make_shard_map(pool))
+                .detect_all(pfds)
+                .canonical_violations()
+            )
         assert parallel == serial
 
 

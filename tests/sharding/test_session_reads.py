@@ -125,12 +125,12 @@ def test_monolithic_profile_is_reused_until_the_table_changes(small_zip_city_sta
     session = AnmatSession(dataset_name="mono")
     session.load_table(table)
     profile = session.run_profiling()
-    result = session.run_discovery(executor="serial")
+    result = session.run_discovery()
     assert result.profile is profile
 
     table.set_cell(0, "state", "ZZ")
     fresh = session.run_profiling()
     assert fresh is not profile
     assert fresh == profile_table(table)
-    assert session.run_discovery(executor="serial").profile is fresh
+    assert session.run_discovery().profile is fresh
 

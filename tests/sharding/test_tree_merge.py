@@ -156,8 +156,7 @@ def test_tree_merge_through_pool_backed_shard_map():
     partials = shard_partials(rng, 9)
     expected = groups_as_plain(merge_pair_groups(partials))
     with WorkerPool(2) as pool:
-        shard_map = make_shard_map(2, pool=pool)
-        assert getattr(shard_map, "pool_backed", False)
+        shard_map = make_shard_map(pool)
         observed = tree_merge_pair_groups(partials, merge_map=shard_map)
         assert groups_as_plain(observed) == expected
         # level-0 partials survive a process fan-out untouched too
