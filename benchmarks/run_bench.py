@@ -37,7 +37,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.constrained import constrained_prefix  # noqa: E402
 from repro.datagen import generate_phone_state, generate_zip_city_state  # noqa: E402
 from repro.detection import DetectionStrategy, ErrorDetector, IncrementalDetector  # noqa: E402
-from repro.discovery import DiscoveryConfig, PfdDiscoverer  # noqa: E402
+from repro.discovery import DiscoveryConfig, MajorityDecision, PfdDiscoverer  # noqa: E402
 from repro.engine import DataSource, build_executor, plan_detection  # noqa: E402
 from repro.patterns import parse_pattern  # noqa: E402
 from repro.perf.timers import StageTimers  # noqa: E402
@@ -150,21 +150,27 @@ def _bench_edit_loop(n_rows: int = 8000, k: int = 40):
     return incremental_run, 5, full_run
 
 
+class _ReferenceMajority(MajorityDecision):
+    """``MajorityDecision`` under another type: the kernel fallback rule
+    sends every candidate through the scalar loop body."""
+
+
 def _bench_sharded_discovery(n_rows: int = 64000, shard_rows: int = 8000):
     """Sharded discovery at out-of-core scale: vectorized kernels vs the
     same-tree scalar reference.
 
     A paired bench: the recorded baseline runs the identical sharded
-    pipeline with ``use_kernels="off"`` over the same sharded table, so
-    the persisted speedup isolates the columnar kernel layer (the two
-    paths produce identical rule sets — the differential suite proves
-    it).  Both sides run warm; their merged artifacts use disjoint cache
-    keys, so neither primes the other.
+    pipeline with a decision function the kernels do not reproduce, so
+    every candidate takes the scalar loop body and the persisted speedup
+    isolates the columnar mining kernels (the two routes produce
+    identical rule sets — the differential suite proves it).  Both sides
+    run warm; each discovery drops its merged mining inputs when it
+    finishes, so neither primes the other.
     """
     table = generate_zip_city_state(n_rows=n_rows, seed=23).table
     sharded = ShardedTable.from_table(table, shard_rows)
-    kernel = ShardedDiscoverer(DiscoveryConfig(use_kernels="on"))
-    scalar = ShardedDiscoverer(DiscoveryConfig(use_kernels="off"))
+    kernel = ShardedDiscoverer(DiscoveryConfig())
+    scalar = ShardedDiscoverer(DiscoveryConfig(), decision=_ReferenceMajority())
 
     def run() -> object:
         return kernel.discover(sharded)
@@ -713,7 +719,7 @@ def main(argv: List[str] | None = None) -> int:
                 "rule_maintenance_edit_loop_*), whose baseline is their "
                 "same-tree reference workload (full re-detection / monolithic "
                 "single-worker detection / serial-executor detection through "
-                "the engine / scalar kernels-off sharded discovery / full "
+                "the engine / scalar-reference-route sharded discovery / full "
                 "re-discovery per edit batch); 'memory' "
                 "records tracemalloc peaks of the out-of-core session vs the "
                 "materialized-table footprint (a bytes ratio, not a speedup); "

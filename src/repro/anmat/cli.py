@@ -91,7 +91,6 @@ def _make_session(table, label: str, args: argparse.Namespace) -> AnmatSession:
         allowed_violation_ratio=args.allowed_violations,
         shard_rows=getattr(args, "shard_rows", 0),
         n_workers=getattr(args, "n_workers", 0),
-        use_kernels=getattr(args, "use_kernels", "auto"),
         store=getattr(args, "store", "memory"),
         spill_dir=getattr(args, "spill_dir", None),
         object_url=getattr(args, "object_url", None),
@@ -154,7 +153,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help=(
-            "fan per-shard work (statistic extraction and merges) out "
+            "fan per-shard detection work (pair groups and merges) out "
             "over a pool of N worker processes; without --shard-rows a "
             f"monolithic dataset is cut into shards of {DEFAULT_SHARD_ROWS} "
             "rows; results are identical to a serial run "
@@ -195,18 +194,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
             "retry/backoff; the default (no URL) keeps objects on the "
             "local filesystem; the execution plan records which client "
             "serves the run"
-        ),
-    )
-    parser.add_argument(
-        "--use-kernels",
-        default="auto",
-        choices=("auto", "on", "off"),
-        help=(
-            "vectorized columnar kernels for the discovery/detection hot "
-            "paths: 'auto' uses them exactly when numpy is importable, "
-            "'on' requests them (degrading to the scalar path without "
-            "numpy), 'off' forces the scalar path; results are identical "
-            "either way"
         ),
     )
     parser.add_argument(

@@ -18,8 +18,8 @@ Discovery and detection are executed through the pluggable execution
 engine (:mod:`repro.engine`): the session builds an
 :class:`~repro.engine.plan.ExecutionPlan` from its config and upload
 kind and hands it to the matching backend — serial, or sharded (the
-one route for ``n_workers`` fan-out, over the session's worker pool) —
-so the session itself carries no routing branches.
+one route for ``n_workers``; its detection fans out over the session's
+worker pool) — so the session itself carries no routing branches.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class AnmatSession:
     #: never-materialized shard-store source
     _source: Optional[DataSource] = field(default=None, repr=False)
     #: the session's persistent worker pool: lazily created by the first
-    #: plan that fans out, reused across discovery/detection/recheck,
-    #: closed with the session
+    #: detection plan that fans out, reused by every later detection
+    #: (including the one a recheck runs), closed with the session
     _worker_pool: Optional[WorkerPool] = field(default=None, repr=False)
 
     # -- step 1: load ------------------------------------------------------------
@@ -257,7 +257,7 @@ class AnmatSession:
         if self.profile is None:
             self.run_profiling()
         self.discovery = build_executor(plan).run_discovery(
-            plan, self._source, relation=self.dataset_name, pool=self._pool_for(plan)
+            plan, self._source, relation=self.dataset_name
         )
         self.last_plan = plan
         self._seed_maintainer(plan, self.discovery)
@@ -340,10 +340,7 @@ class AnmatSession:
                 warnings.warn(reason, PlanWarning, stacklevel=2)
         if result is None:
             result = build_executor(plan).run_discovery(
-                plan,
-                self._source,
-                relation=self.dataset_name,
-                pool=self._pool_for(plan),
+                plan, self._source, relation=self.dataset_name
             )
             self._seed_maintainer(plan, result)
         self.discovery = result

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
 from repro.kernels.match import batch_matching_values
-from repro.kernels.runtime import kernels_enabled
 from repro.patterns.pattern import Pattern
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 
@@ -100,14 +99,14 @@ class PatternColumnIndex:
     ) -> List[str]:
         """Distinct values matching the pattern (memoized verdicts).
 
-        Plain patterns run through the vectorized batch matcher when the
-        kernels are enabled (identical verdicts, same memo tables);
-        constrained patterns always use the scalar matcher.
+        Plain patterns run through the vectorized batch matcher
+        (identical verdicts, same memo tables); constrained patterns use
+        the scalar matcher.
         """
         memo = MATCH_MEMO if memo is None else memo
         candidates = self._candidate_values(pattern)
         self.last_candidates_tested = len(candidates)
-        if isinstance(pattern, Pattern) and kernels_enabled():
+        if isinstance(pattern, Pattern):
             return batch_matching_values(pattern, candidates, memo=memo)
         matches = memo.matcher(pattern)
         return [value for value in candidates if matches(value)]

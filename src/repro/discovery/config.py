@@ -54,24 +54,16 @@ class DiscoveryConfig:
         planner (:mod:`repro.engine`).  ``0`` or ``1`` run serially;
         ``>1`` routes runs to the sharded backend (a monolithic table is
         cut into shards of the engine's default size), whose per-shard
-        statistic extraction and merges fan out over a
+        detection statistics and their merges fan out over a
         :class:`~repro.engine.worker_pool.WorkerPool` of this many
-        processes.  A session keeps that pool alive across
-        discovery/detection/recheck and closes it with the session.
-        Results are identical to the serial path.
+        processes.  A session keeps that pool alive across detection
+        runs and closes it with the session.  Results are identical to
+        the serial path.
     shard_rows:
         Opt-in sharded execution, interpreted by the engine's planner.
         ``0`` runs monolithically; ``>0`` routes discovery and detection
         to the sharded backend over shards of this many rows (identical
         rule sets, canonically equal violations).
-    use_kernels:
-        Whether the vectorized columnar kernels
-        (:mod:`repro.kernels`) run the discovery/detection hot paths.
-        ``"auto"`` (the default) uses them exactly when numpy is
-        importable; ``"on"`` requests them (degrading to the scalar path
-        when numpy is absent — results are identical either way);
-        ``"off"`` forces the scalar path.  The execution plan records
-        the resolved choice.
     store:
         Which :class:`~repro.sharding.store.ShardStore` backend sharded
         uploads stream into: ``"memory"`` (live tables), ``"spill"``
@@ -127,7 +119,6 @@ class DiscoveryConfig:
     max_constrained_token_position: int = 3
     n_workers: int = 0
     shard_rows: int = 0
-    use_kernels: str = "auto"
     store: str = "memory"
     spill_dir: Optional[str] = None
     object_url: Optional[str] = None
@@ -154,10 +145,6 @@ class DiscoveryConfig:
             raise DiscoveryError(f"ngram_size must be >= 1, got {self.ngram_size}")
         if self.max_tableau_rows < 1:
             raise DiscoveryError(f"max_tableau_rows must be >= 1, got {self.max_tableau_rows}")
-        if self.use_kernels not in ("auto", "on", "off"):
-            raise DiscoveryError(
-                f"use_kernels must be 'auto', 'on' or 'off', got {self.use_kernels!r}"
-            )
         if self.store not in ("memory", "spill", "object"):
             raise DiscoveryError(
                 f"store must be 'memory', 'spill' or 'object', got {self.store!r}"

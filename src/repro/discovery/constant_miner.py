@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.decision import DecisionFunction, MajorityDecision, PatternTupleCandidate
 from repro.discovery.inverted_index import ColumnTokenization, InvertedList
-from repro.kernels.runtime import HAVE_NUMPY, np
+from repro.kernels.runtime import np
 from repro.perf.timers import StageTimers, stage_or_null
 
 
@@ -23,15 +23,10 @@ def _rows_bitmask(rows) -> int:
     """Pack a sequence of row ids into an int bitmask (bit i = row i)."""
     if not len(rows):
         return 0
-    if HAVE_NUMPY:
-        ids = np.asarray(rows)
-        bits = np.zeros(int(ids.max()) + 1, dtype=bool)
-        bits[ids] = True
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    mask = 0
-    for row in rows:
-        mask |= 1 << row
-    return mask
+    ids = np.asarray(rows)
+    bits = np.zeros(int(ids.max()) + 1, dtype=bool)
+    bits[ids] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 class ConstantPfdMiner:

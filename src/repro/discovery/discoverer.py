@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.dataset.profiling import TableProfile, cached_profile_table
 from repro.dataset.table import Table
@@ -26,10 +26,9 @@ from repro.discovery.decision import (
 from repro.discovery.inverted_index import ColumnTokenization
 from repro.discovery.variable_miner import VariableCandidate, VariablePfdMiner
 from repro.kernels.encoder import ColumnEncoding, encode_column
-from repro.kernels.runtime import kernels_enabled
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
 from repro.perf import TABLE_ARTIFACTS
-from repro.perf.timers import StageTimers, stage_or_null
+from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
 
@@ -134,7 +133,11 @@ class PfdDiscoverer:
                 candidates = candidate_dependencies(table, self.config, profile)
         candidates = list(candidates)
         with self.timers.stage("mine"):
-            reports = self._mine_serial(table, candidates)
+            reports = self.mine_candidates(
+                candidates,
+                lambda names: _table_encodings(table, names),
+                lambda key, build: TABLE_ARTIFACTS.get(table, key, build),
+            )
         with self.timers.stage("assemble"):
             pfds = self.assemble_pfds(candidates, reports, relation)
         elapsed = time.perf_counter() - started
@@ -177,182 +180,145 @@ class PfdDiscoverer:
                     )
         return pfds
 
-    # -- per-candidate mining ---------------------------------------------------
+    # -- the Figure 2 loop ------------------------------------------------------
 
-    def _mine_serial(
-        self, table: Table, candidates: Sequence[CandidateDependency]
+    def mine_candidates(
+        self,
+        candidates: Sequence[CandidateDependency],
+        encode: Callable[[Sequence[str]], Dict[str, ColumnEncoding]],
+        cached: Callable[[Hashable, Callable[[], object]], object],
     ) -> List[DependencyReport]:
-        """Mine candidates in order, tokenizing each LHS column exactly once.
+        """Mine candidates in order over encoded columns.
 
-        The single-pass columnar build: candidates are grouped by their
-        (LHS column, token mode) pair and every group shares one
-        :class:`ColumnTokenization`, so a table with many RHS columns no
-        longer re-tokenizes the LHS per candidate.
+        The one mining loop of the monolithic, sharded and maintenance
+        paths; the caller's artifact cache supplies the inputs.
+        ``encode(names)`` returns the named columns' encodings, and
+        ``cached(key, build)`` holds each (LHS, mode) pair's
+        distinct-level token triples (``TABLE_ARTIFACTS`` for a table,
+        ``merged_artifact`` for a sharded table), so every LHS is
+        tokenized once per distinct value however many candidates share
+        it.
+
+        The kernel loop body runs every candidate whose miners it
+        reproduces.  Customized decision functions or miners run the
+        scalar body instead, fed from the same encodings, so results
+        never depend on which body ran.
         """
-        if kernels_enabled(self.config.use_kernels):
-            return self._mine_serial_kernel(table, candidates)
-        tokenizations: Dict[Tuple[str, str], ColumnTokenization] = {}
-        reports: List[DependencyReport] = []
-        for candidate in candidates:
-            tokenization = None
-            if self.config.discover_constant:
-                key = (candidate.lhs, candidate.lhs_mode)
-                tokenization = tokenizations.get(key)
-                if tokenization is None:
-                    with self.timers.stage("tokenize"):
-                        tokenization = tokenizations[key] = ColumnTokenization.extract(
-                            table.column_ref(candidate.lhs),
-                            candidate.lhs_mode,
-                            self.config.ngram_size,
-                        )
-            reports.append(
-                _mine_candidate_values(
-                    candidate,
-                    table.column_ref(candidate.lhs),
-                    table.column_ref(candidate.rhs),
-                    self.config,
-                    self.constant_miner,
-                    self.variable_miner,
-                    tokenization=tokenization,
-                    timers=self.timers,
-                )
+        with self.timers.stage("tokenize"):
+            encodings = encode(
+                [name for candidate in candidates for name in (candidate.lhs, candidate.rhs)]
             )
-        return reports
-
-    def _mine_serial_kernel(
-        self, table: Table, candidates: Sequence[CandidateDependency]
-    ) -> List[DependencyReport]:
-        """The columnar mining loop: encode each column once, tokenize
-        each (LHS, mode) pair once over *distinct* values, then run the
-        :mod:`repro.kernels` loop body per candidate.
-
-        Candidates whose miners were customized beyond what the kernels
-        reproduce fall back to the scalar loop body — reusing the
-        distinct-level tokenization — so results never depend on which
-        path ran.
-        """
-        encodings: Dict[str, ColumnEncoding] = {}
+        ngram_size = self.config.ngram_size
         triples: Dict[Tuple[str, str], list] = {}
         reports: List[DependencyReport] = []
-
-        def encoding_for(name: str) -> ColumnEncoding:
-            encoding = encodings.get(name)
-            if encoding is None:
-                encoding = encodings[name] = TABLE_ARTIFACTS.get(
-                    table,
-                    ("column_encoding", name),
-                    lambda: encode_column(table.column_ref(name)),
-                )
-            return encoding
-
         for candidate in candidates:
-            with self.timers.stage("tokenize"):
-                lhs_encoding = encoding_for(candidate.lhs)
-                rhs_encoding = encoding_for(candidate.rhs)
-                candidate_triples = None
-                if self.config.discover_constant:
-                    key = (candidate.lhs, candidate.lhs_mode)
-                    candidate_triples = triples.get(key)
-                    if candidate_triples is None:
-                        candidate_triples = triples[key] = TABLE_ARTIFACTS.get(
-                            table,
-                            (
-                                "kernel_triples",
-                                candidate.lhs,
-                                candidate.lhs_mode,
-                                self.config.ngram_size,
-                            ),
-                            lambda: batch_tokenize(
-                                lhs_encoding,
-                                candidate.lhs_mode,
-                                self.config.ngram_size,
-                            ),
+            lhs = encodings[candidate.lhs]
+            rhs = encodings[candidate.rhs]
+            mode = candidate.lhs_mode
+            candidate_triples = None
+            if self.config.discover_constant:
+                candidate_triples = triples.get((candidate.lhs, mode))
+                if candidate_triples is None:
+                    with self.timers.stage("tokenize"):
+                        candidate_triples = triples[(candidate.lhs, mode)] = cached(
+                            ("kernel_triples", candidate.lhs, mode, ngram_size),
+                            lambda: batch_tokenize(lhs, mode, ngram_size),
                         )
-            report = _mine_candidate_encoded(
-                candidate,
-                lhs_encoding,
-                rhs_encoding,
-                candidate_triples,
-                self.config,
-                self.constant_miner,
-                self.variable_miner,
-                timers=self.timers,
-            )
+            report = self._mine_encoded(candidate, lhs, rhs, candidate_triples)
             if report is None:
                 tokenization = None
                 if self.config.discover_constant:
                     tokenization = tokenization_from_encoding(
-                        lhs_encoding,
-                        candidate.lhs_mode,
-                        self.config.ngram_size,
-                        candidate_triples,
+                        lhs, mode, ngram_size, candidate_triples
                     )
-                report = _mine_candidate_values(
-                    candidate,
-                    table.column_ref(candidate.lhs),
-                    table.column_ref(candidate.rhs),
-                    self.config,
-                    self.constant_miner,
-                    self.variable_miner,
-                    tokenization=tokenization,
-                    timers=self.timers,
+                report = self._mine_values(
+                    candidate, _decoded(lhs), _decoded(rhs), tokenization
                 )
             reports.append(report)
         return reports
 
-    # -- per-candidate re-mining ------------------------------------------------
-
-    def remine_candidate(
+    def _mine_values(
         self,
         candidate: CandidateDependency,
         lhs_values: Sequence[str],
         rhs_values: Sequence[str],
-        tokenization: Optional[ColumnTokenization] = None,
+        tokenization: Optional[ColumnTokenization],
     ) -> DependencyReport:
-        """Mine a single candidate over materialized columns.
+        """The scalar Figure 2 loop body for one ``A → B`` over
+        materialized columns: the route of customized decision functions
+        and miners."""
+        started = time.perf_counter()
+        report = DependencyReport(candidate=candidate)
+        if self.config.discover_constant:
+            report.constant_candidates = self.constant_miner.mine(
+                lhs_values,
+                rhs_values,
+                candidate.lhs_mode,
+                tokenization=tokenization,
+                timers=self.timers,
+            )
+            report.coverage = self.constant_miner.coverage(
+                report.constant_candidates, lhs_values
+            )
+        if self.config.discover_variable:
+            with self.timers.stage("mine_variable"):
+                report.variable_candidates = self.variable_miner.mine(
+                    lhs_values, rhs_values, candidate.lhs_mode
+                )
+        return self._decide(report, started)
 
-        The per-candidate entry point of the rule maintainer
-        (:mod:`repro.discovery.maintenance`): a candidate's report is a
-        pure function of its two column value sequences, so re-running
-        just the candidates whose columns changed — through the very
-        loop body the batch paths use — reproduces a full re-discovery's
-        reports exactly.
-        """
-        return _mine_candidate_values(
-            candidate,
-            lhs_values,
-            rhs_values,
-            self.config,
-            self.constant_miner,
-            self.variable_miner,
-            tokenization=tokenization,
-            timers=self.timers,
-        )
-
-    def remine_candidate_encoded(
+    def _mine_encoded(
         self,
         candidate: CandidateDependency,
-        lhs_encoding: ColumnEncoding,
-        rhs_encoding: ColumnEncoding,
-        triples_by_code=None,
+        lhs: ColumnEncoding,
+        rhs: ColumnEncoding,
+        triples_by_code,
     ) -> Optional[DependencyReport]:
-        """Mine a single candidate over encoded columns (kernel path).
-
-        Returns ``None`` when the miners were customized beyond what the
-        kernels reproduce — the caller then falls back to
-        :meth:`remine_candidate`, the same fallback rule the batch kernel
-        paths apply.
-        """
-        return _mine_candidate_encoded(
-            candidate,
-            lhs_encoding,
-            rhs_encoding,
-            triples_by_code,
-            self.config,
-            self.constant_miner,
-            self.variable_miner,
-            timers=self.timers,
+        """The kernel Figure 2 loop body, or ``None`` when the miners
+        were customized beyond what the kernels reproduce (the caller
+        then runs :meth:`_mine_values`)."""
+        # local import: repro.kernels.mine imports the miner modules, which
+        # this package's __init__ loads before the discoverer — importing it
+        # at module top would be circular when kernels are imported first
+        from repro.kernels.mine import (
+            coverage_kernel,
+            mine_constant_kernel,
+            mine_variable_kernel,
         )
+
+        custom_decision = type(self.constant_miner.decision) is not MajorityDecision
+        custom_variable = type(self.variable_miner) is not VariablePfdMiner
+        if (self.config.discover_constant and custom_decision) or (
+            self.config.discover_variable and custom_variable
+        ):
+            return None
+        started = time.perf_counter()
+        report = DependencyReport(candidate=candidate)
+        if self.config.discover_constant:
+            report.constant_candidates = mine_constant_kernel(
+                lhs, rhs, triples_by_code, self.config, self.constant_miner,
+                timers=self.timers,
+            )
+            report.coverage = coverage_kernel(report.constant_candidates, lhs)
+        if self.config.discover_variable:
+            report.variable_candidates = mine_variable_kernel(
+                lhs, rhs, candidate.lhs_mode, self.config, self.variable_miner,
+                timers=self.timers,
+            )
+        return self._decide(report, started)
+
+    def _decide(self, report: DependencyReport, started: float) -> DependencyReport:
+        """Apply γ: below-threshold constant tableaux are dropped (Figure 2
+        line 13); a candidate is accepted with either family left."""
+        constant_ok = (
+            bool(report.constant_candidates)
+            and report.coverage >= self.config.min_coverage
+        )
+        if not constant_ok:
+            report.constant_candidates = []
+        report.accepted = constant_ok or bool(report.variable_candidates)
+        report.elapsed_seconds = time.perf_counter() - started
+        return report
 
     # -- PFD construction ----------------------------------------------------------
 
@@ -405,112 +371,19 @@ def _embedded(candidate: CandidateDependency):
     return EmbeddedFD.between(candidate.lhs, candidate.rhs)
 
 
-def _mine_candidate_values(
-    candidate: CandidateDependency,
-    lhs_values: Sequence[str],
-    rhs_values: Sequence[str],
-    config: DiscoveryConfig,
-    constant_miner: ConstantPfdMiner,
-    variable_miner: VariablePfdMiner,
-    tokenization: Optional[ColumnTokenization] = None,
-    timers: Optional[StageTimers] = None,
-) -> DependencyReport:
-    """The Figure 2 loop body for one ``A → B`` over materialized columns.
-
-    Module-level so the monolithic, sharded and maintenance paths share
-    one implementation.
-    """
-    started = time.perf_counter()
-    report = DependencyReport(candidate=candidate)
-    if config.discover_constant:
-        report.constant_candidates = constant_miner.mine(
-            lhs_values,
-            rhs_values,
-            candidate.lhs_mode,
-            tokenization=tokenization,
-            timers=timers,
-        )
-        report.coverage = constant_miner.coverage(
-            report.constant_candidates, lhs_values
-        )
-    if config.discover_variable:
-        with stage_or_null(timers, "mine_variable"):
-            report.variable_candidates = variable_miner.mine(
-                lhs_values, rhs_values, candidate.lhs_mode
-            )
-    constant_ok = (
-        bool(report.constant_candidates)
-        and report.coverage >= config.min_coverage
-    )
-    variable_ok = bool(report.variable_candidates)
-    if not constant_ok:
-        # below-threshold constant tableaux are dropped (Figure 2 line 13)
-        report.constant_candidates = []
-    report.accepted = constant_ok or variable_ok
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
+def _decoded(encoding: ColumnEncoding) -> List[str]:
+    """An encoded column's values in row order."""
+    return list(map(encoding.distinct.__getitem__, encoding.codes.tolist()))
 
 
-def _mine_candidate_encoded(
-    candidate: CandidateDependency,
-    lhs_encoding: ColumnEncoding,
-    rhs_encoding: ColumnEncoding,
-    triples_by_code,
-    config: DiscoveryConfig,
-    constant_miner: ConstantPfdMiner,
-    variable_miner: VariablePfdMiner,
-    timers: Optional[StageTimers] = None,
-) -> Optional[DependencyReport]:
-    """The Figure 2 loop body over *encoded* columns, or ``None`` when
-    the miners were customized beyond what the kernels reproduce (the
-    caller then runs :func:`_mine_candidate_values`)."""
-    # local import: repro.kernels.mine imports the miner modules, which
-    # this package's __init__ loads before the discoverer — importing it
-    # at module top would be circular when kernels are imported first
-    from repro.kernels.mine import (
-        coverage_kernel,
-        mine_constant_kernel,
-        mine_variable_kernel,
-    )
-
-    if config.discover_constant and type(constant_miner.decision) is not MajorityDecision:
-        return None
-    if config.discover_variable and type(variable_miner) is not VariablePfdMiner:
-        return None
-    started = time.perf_counter()
-    report = DependencyReport(candidate=candidate)
-    if config.discover_constant:
-        selected = mine_constant_kernel(
-            lhs_encoding,
-            rhs_encoding,
-            triples_by_code,
-            config,
-            constant_miner,
-            timers=timers,
+def _table_encodings(table: Table, names: Sequence[str]) -> Dict[str, ColumnEncoding]:
+    """The encodings of a table's named columns, cached in
+    ``TABLE_ARTIFACTS`` until the table changes."""
+    return {
+        name: TABLE_ARTIFACTS.get(
+            table,
+            ("column_encoding", name),
+            lambda name=name: encode_column(table.column_ref(name)),
         )
-        if selected is None:
-            return None
-        report.constant_candidates = selected
-        report.coverage = coverage_kernel(selected, lhs_encoding)
-    if config.discover_variable:
-        variable = mine_variable_kernel(
-            lhs_encoding,
-            rhs_encoding,
-            candidate.lhs_mode,
-            config,
-            variable_miner,
-            timers=timers,
-        )
-        if variable is None:
-            return None
-        report.variable_candidates = variable
-    constant_ok = (
-        bool(report.constant_candidates)
-        and report.coverage >= config.min_coverage
-    )
-    variable_ok = bool(report.variable_candidates)
-    if not constant_ok:
-        report.constant_candidates = []
-    report.accepted = constant_ok or variable_ok
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
+        for name in dict.fromkeys(names)
+    }

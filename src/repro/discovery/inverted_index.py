@@ -136,18 +136,10 @@ class ColumnTokenization:
         mode: str,
         ngram_size: int = 3,
         pool: Optional[InternPool] = None,
-        value_cache: Optional[Dict[str, Tuple[Tuple[str, int, str], ...]]] = None,
     ) -> "ColumnTokenization":
-        """Tokenize a whole column once (memoized per distinct value).
-
-        ``value_cache`` optionally supplies (and accumulates) the
-        per-distinct-value triples across *multiple* extractions — the
-        sharded discovery path shares one cache per (column, mode) so a
-        value appearing in many shards is tokenized once, matching the
-        single-extraction cost of the monolithic path.
-        """
+        """Tokenize a whole column once (memoized per distinct value)."""
         pool = InternPool() if pool is None else pool
-        by_value = value_cache if value_cache is not None else {}
+        by_value: Dict[str, Tuple[Tuple[str, int, str], ...]] = {}
         row_tokens: List[Tuple[Tuple[str, int, str], ...]] = []
         for value in values:
             if value == "":

@@ -26,19 +26,18 @@ overlay, maintains the rule set instead of recomputing it:
    deterministic :func:`~repro.discovery.candidates.candidate_dependencies`
    full discovery runs.
 5. **Mining** runs only for candidates touching a changed column (or
-   new to the candidate set), through the existing per-candidate loop
-   bodies — kernel and scalar paths both.  A candidate's report is a
-   pure function of its two column value sequences, so clean candidates
-   reuse their baseline report and the assembled rule set is *identical*
-   to a full re-discovery (the differential gate in
-   ``tests/discovery/test_maintenance.py`` asserts this).
+   new to the candidate set), through the mining loop full discovery
+   runs (:meth:`~repro.discovery.discoverer.PfdDiscoverer.mine_candidates`).
+   A candidate's report is a pure function of its two column value
+   sequences, so clean candidates reuse their baseline report and the
+   assembled rule set is *identical* to a full re-discovery (the
+   differential gate in ``tests/discovery/test_maintenance.py`` asserts
+   this).
 
 The delta-shard statistics of :mod:`repro.sharding.stats` carry the
-maintained state forward: stored LHS tokenizations are updated with
-:func:`~repro.sharding.stats.splice_tokenization` (retract the dirty
-shard's rows, splice in the replacement), and the merged pair groups a
-previous detection run left on the old view are moved to the new view
-via :func:`~repro.sharding.stats.unmerge_pair_groups` /
+maintained state forward: the merged pair groups a previous detection
+run left on the old view are moved to the new view via
+:func:`~repro.sharding.stats.unmerge_pair_groups` /
 :func:`~repro.sharding.stats.merge_into_pair_groups` —
 ``merged = base − old_delta + new_delta`` — so the re-detection that
 follows a re-check skips the cross-shard merge as well.
@@ -64,16 +63,12 @@ from repro.discovery.discoverer import (
     DiscoveryResult,
     PfdDiscoverer,
 )
-from repro.discovery.inverted_index import ColumnTokenization
-from repro.kernels.runtime import kernels_enabled
-from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
+from repro.sharding.discovery import MINING_ARTIFACTS
 from repro.sharding.overlay import OverlayShardStore
 from repro.sharding.sharded_table import ShardedTable
 from repro.sharding.stats import (
     extract_pair_groups,
     merge_into_pair_groups,
-    merge_tokenizations,
-    splice_tokenization,
     unmerge_pair_groups,
 )
 
@@ -101,8 +96,8 @@ class RuleMaintainer:
         config: Optional[DiscoveryConfig] = None,
         decision: Optional[DecisionFunction] = None,
     ):
-        #: supplies the miners, the per-candidate loop bodies, and the
-        #: assemble stage — the same pipeline full discovery runs
+        #: supplies the mining loop and the assemble stage — the same
+        #: pipeline full discovery runs
         self.discoverer = PfdDiscoverer(config, decision)
         self.config = self.discoverer.config
         self.timers = self.discoverer.timers
@@ -112,8 +107,6 @@ class RuleMaintainer:
         self._n_rows = 0
         self._reports: Dict[ReportKey, DependencyReport] = {}
         self._profiles: Dict[str, object] = {}
-        #: maintained merged LHS tokenizations, (column, mode) → statistic
-        self._tokenizations: Dict[Tuple[str, str], ColumnTokenization] = {}
 
     @property
     def seeded(self) -> bool:
@@ -123,9 +116,7 @@ class RuleMaintainer:
     def seed(self, view: ShardedTable, result: DiscoveryResult) -> None:
         """Adopt a sharded discovery run over ``view`` as the baseline.
 
-        Cheap — stores references and the shard-version snapshot; the
-        maintained tokenizations are built lazily at the first
-        :meth:`maintain` that needs them.
+        Cheap — stores references and the shard-version snapshot.
         """
         self._view = view
         self._versions = view.versions()
@@ -135,7 +126,6 @@ class RuleMaintainer:
             _report_key(report.candidate): report for report in result.reports
         }
         self._profiles = dict(result.profile.columns)
-        self._tokenizations = {}
 
     def reset(self) -> None:
         """Drop the baseline (e.g. when the dataset is replaced)."""
@@ -144,7 +134,6 @@ class RuleMaintainer:
         self._row_counts = []
         self._reports = {}
         self._profiles = {}
-        self._tokenizations = {}
 
     # -- the maintenance pass ---------------------------------------------------
 
@@ -180,8 +169,6 @@ class RuleMaintainer:
         dirty = view.dirty_shards(self._versions)
         changed_in_shard, changed_columns = self._diff_columns(view, dirty)
 
-        with self.timers.stage("tokenize"):
-            self._splice_tokenizations(view, dirty, changed_in_shard)
         with self.timers.stage("pair_groups"):
             self._carry_pair_groups(view, dirty, changed_in_shard)
 
@@ -191,29 +178,28 @@ class RuleMaintainer:
             candidates = candidate_dependencies(view, self.config, profile)
 
         with self.timers.stage("mine"):
-            reports: List[DependencyReport] = []
-            for candidate in candidates:
-                baseline = self._reports.get(_report_key(candidate))
-                if (
-                    baseline is not None
-                    and candidate.lhs not in changed_columns
-                    and candidate.rhs not in changed_columns
-                ):
-                    # clean candidate: same value sequences, same report
-                    reports.append(baseline)
-                else:
-                    reports.append(self._remine(view, candidate))
+            # clean candidate: same value sequences, same report
+            baselines = [
+                None
+                if candidate.lhs in changed_columns or candidate.rhs in changed_columns
+                else self._reports.get(_report_key(candidate))
+                for candidate in candidates
+            ]
+            remined = iter(
+                self.discoverer.mine_candidates(
+                    [c for c, baseline in zip(candidates, baselines) if baseline is None],
+                    view.column_encodings,
+                    view.merged_artifact,
+                )
+            )
+            reports: List[DependencyReport] = [
+                next(remined) if baseline is None else baseline
+                for baseline in baselines
+            ]
+            # same memory hygiene as the sharded discoverer
+            view.drop_merged_artifacts(*MINING_ARTIFACTS)
         with self.timers.stage("assemble"):
             pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
-
-        # same memory hygiene as the sharded discoverer: the O(n) mining
-        # merges must not be carried past discovery
-        view.drop_merged_artifacts(
-            "column_concat",
-            "column_encoding",
-            "kernel_triples",
-            "merged_tokenization",
-        )
 
         # advance the baseline to the maintained state
         self._view = view
@@ -268,56 +254,6 @@ class RuleMaintainer:
 
     # -- maintained statistics --------------------------------------------------
 
-    def _splice_tokenizations(
-        self,
-        view: ShardedTable,
-        dirty: Sequence[int],
-        changed_in_shard: Dict[int, Set[str]],
-    ) -> None:
-        """``merged = base − old_delta + new_delta`` for every stored LHS
-        tokenization whose column changed: the dirty shard's row range is
-        retracted and the re-extracted shard rows are spliced in."""
-        for (column, mode), tokenization in self._tokenizations.items():
-            for index in dirty:
-                if column not in changed_in_shard[index]:
-                    continue
-                replacement = ColumnTokenization.extract(
-                    view.store.get(index).column_ref(column),
-                    mode,
-                    self.config.ngram_size,
-                ).row_tokens
-                splice_tokenization(
-                    tokenization,
-                    view.offset_of(index),
-                    self._row_counts[index],
-                    replacement,
-                )
-
-    def _maintained_tokenization(
-        self, view: ShardedTable, column: str, mode: str
-    ) -> ColumnTokenization:
-        """The merged LHS tokenization for one column, built shard-wise
-        on first use and kept current by :meth:`_splice_tokenizations`
-        on every later maintain."""
-        key = (column, mode)
-        tokenization = self._tokenizations.get(key)
-        if tokenization is None:
-            value_cache: Dict[str, tuple] = {}
-            shard_rows = [
-                ColumnTokenization.extract(
-                    shard.column_ref(column),
-                    mode,
-                    self.config.ngram_size,
-                    value_cache=value_cache,
-                ).row_tokens
-                for _offset, shard in view.iter_shards()
-            ]
-            tokenization = merge_tokenizations(
-                mode, self.config.ngram_size, shard_rows
-            )
-            self._tokenizations[key] = tokenization
-        return tokenization
-
     def _carry_pair_groups(
         self,
         view: ShardedTable,
@@ -370,7 +306,7 @@ class RuleMaintainer:
         # must not keep serving them
         old_view.drop_merged_artifacts("merged_pair_groups")
 
-    # -- per-candidate re-mining ------------------------------------------------
+    # -- maintained profile -----------------------------------------------------
 
     def _maintained_profile(
         self, view: ShardedTable, changed_columns: Set[str]
@@ -388,62 +324,3 @@ class RuleMaintainer:
             else:
                 columns[name] = self._profiles[name]
         return TableProfile(n_rows=view.n_rows, columns=columns)
-
-    def _remine(
-        self, view: ShardedTable, candidate: CandidateDependency
-    ) -> DependencyReport:
-        """Re-mine one dirty candidate through the existing loop bodies
-        (kernel path when enabled, with the batch paths' scalar
-        fallback)."""
-        if kernels_enabled(self.config.use_kernels):
-            return self._remine_kernel(view, candidate)
-        tokenization = None
-        if self.config.discover_constant:
-            tokenization = self._maintained_tokenization(
-                view, candidate.lhs, candidate.lhs_mode
-            )
-        return self.discoverer.remine_candidate(
-            candidate,
-            view.column_concat(candidate.lhs),
-            view.column_concat(candidate.rhs),
-            tokenization=tokenization,
-        )
-
-    def _remine_kernel(
-        self, view: ShardedTable, candidate: CandidateDependency
-    ) -> DependencyReport:
-        encodings = view.column_encodings((candidate.lhs, candidate.rhs))
-        lhs_encoding = encodings[candidate.lhs]
-        rhs_encoding = encodings[candidate.rhs]
-        triples = None
-        if self.config.discover_constant:
-            triples = view.merged_artifact(
-                (
-                    "kernel_triples",
-                    candidate.lhs,
-                    candidate.lhs_mode,
-                    self.config.ngram_size,
-                ),
-                lambda: batch_tokenize(
-                    lhs_encoding, candidate.lhs_mode, self.config.ngram_size
-                ),
-            )
-        report = self.discoverer.remine_candidate_encoded(
-            candidate, lhs_encoding, rhs_encoding, triples
-        )
-        if report is None:
-            tokenization = None
-            if self.config.discover_constant:
-                tokenization = tokenization_from_encoding(
-                    lhs_encoding,
-                    candidate.lhs_mode,
-                    self.config.ngram_size,
-                    triples,
-                )
-            report = self.discoverer.remine_candidate(
-                candidate,
-                view.column_concat(candidate.lhs),
-                view.column_concat(candidate.rhs),
-                tokenization=tokenization,
-            )
-        return report

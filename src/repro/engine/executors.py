@@ -9,8 +9,8 @@ executor.run(plan)``.  The two concrete backends map one-to-one onto
   :class:`~repro.detection.detector.ErrorDetector`), fully in-process.
 * :class:`ShardedExecutor` — the sharded engines over a
   :class:`~repro.sharding.sharded_table.ShardedTable` (whose shards may
-  live in any :class:`~repro.sharding.store.ShardStore`), with the
-  per-shard extraction fanned out over a
+  live in any :class:`~repro.sharding.store.ShardStore`), with
+  detection's per-shard extraction fanned out over a
   :class:`~repro.engine.worker_pool.WorkerPool` when the plan carries
   workers — the system's one fan-out route.
 
@@ -233,10 +233,12 @@ def _repartition_streaming(overlay: ShardOverlay, shard_rows: int) -> ShardedTab
 class Executor(ABC):
     """A backend that can run discovery/detection plans.
 
-    The optional ``pool`` is a persistent
+    Detection's optional ``pool`` is a persistent
     :class:`~repro.engine.worker_pool.WorkerPool` the caller owns
     (sessions keep one alive across runs); with ``None`` a run that
     fans out builds its own pool and closes it before returning.
+    Discovery maps nothing over a pool: it mines merged column
+    encodings in-process.
     """
 
     name: str
@@ -247,7 +249,6 @@ class Executor(ABC):
         plan: ExecutionPlan,
         source: DataSource,
         relation: Optional[str] = None,
-        pool: Optional[WorkerPool] = None,
     ) -> DiscoveryResult:
         """Run a discovery plan over the source."""
 
@@ -267,7 +268,7 @@ class SerialExecutor(Executor):
 
     name = ExecutionBackend.SERIAL
 
-    def run_discovery(self, plan, source, relation=None, pool=None):
+    def run_discovery(self, plan, source, relation=None):
         return PfdDiscoverer(plan.config).discover_with_report(
             source.table, relation=relation
         )
@@ -281,19 +282,15 @@ class ShardedExecutor(Executor):
 
     name = ExecutionBackend.SHARDED
 
-    def run_discovery(self, plan, source, relation=None, pool=None):
-        sharded = source.sharded_view(plan.shard_rows)
-        with _shard_map_for(plan, pool) as shard_map:
-            return ShardedDiscoverer(
-                plan.config, shard_map=shard_map
-            ).discover_with_report(sharded, relation=relation)
+    def run_discovery(self, plan, source, relation=None):
+        return ShardedDiscoverer(plan.config).discover_with_report(
+            source.sharded_view(plan.shard_rows), relation=relation
+        )
 
     def run_detection(self, plan, source, rules, pool=None):
         sharded = source.sharded_view(plan.shard_rows)
         with _shard_map_for(plan, pool) as shard_map:
-            return ShardedDetector(
-                sharded, shard_map=shard_map, use_kernels=plan.use_kernels
-            ).detect_all(rules)
+            return ShardedDetector(sharded, shard_map=shard_map).detect_all(rules)
 
 
 @contextmanager

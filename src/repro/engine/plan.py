@@ -6,7 +6,7 @@ detection strategy, whether the upload arrived sharded), and the
 matching :class:`~repro.engine.executors.Executor` backend then runs the
 plan.  There are two backends: the monolithic ``serial`` engines and
 the ``sharded`` engines, which are also the one route for process
-fan-out — ``n_workers > 1`` spreads their per-shard work over a
+fan-out — ``n_workers > 1`` spreads their per-shard detection work over a
 :class:`~repro.engine.worker_pool.WorkerPool`.
 
 The plan records every routing decision it takes as a human-readable
@@ -27,7 +27,6 @@ from typing import List, Optional
 from repro.detection.detector import DetectionStrategy
 from repro.discovery.config import DiscoveryConfig
 from repro.errors import DetectionError
-from repro.kernels.runtime import HAVE_NUMPY, kernels_enabled
 
 
 class ExecutionBackend:
@@ -71,9 +70,6 @@ class ExecutionPlan:
     #: estimated shard count (``0`` for the serial backend)
     n_shards: int = 0
     n_rows: int = 0
-    #: resolved kernel choice: ``"on"`` when the vectorized columnar
-    #: kernels run the hot paths, ``"off"`` for the scalar paths
-    use_kernels: str = "off"
     #: resolved materialization mode: ``"never"`` when a sharded upload
     #: runs end to end on its shard store, ``"eager"`` when a monolithic
     #: table is (or already was) built for the run
@@ -115,8 +111,8 @@ class ExecutionPlan:
         )
         lines = [
             f"execution plan ({self.kind}): backend={self.backend} "
-            f"{shape} workers={self.n_workers} rows={self.n_rows} "
-            f"kernels={self.use_kernels}{prefetch}{maintenance}"
+            f"{shape} workers={self.n_workers} rows={self.n_rows}"
+            f"{prefetch}{maintenance}"
         ]
         lines.extend(f"  - {decision}" for decision in self.decisions)
         return "\n".join(lines)
@@ -208,21 +204,6 @@ def plan_run(
     if backend == ExecutionBackend.SERIAL:
         n_workers = 0
 
-    # -- kernel resolution ---------------------------------------------------
-    use_kernels = "on" if kernels_enabled(config.use_kernels) else "off"
-    if config.use_kernels == "auto":
-        decisions.append(
-            f"use_kernels=auto resolves to {use_kernels} "
-            f"(numpy {'available' if HAVE_NUMPY else 'unavailable'})"
-        )
-    elif config.use_kernels == "on" and not HAVE_NUMPY:
-        reason = (
-            "use_kernels='on' requested but numpy is unavailable; "
-            "running the equivalent scalar path"
-        )
-        decisions.append(reason)
-        warnings.warn(reason, PlanWarning, stacklevel=2)
-
     # -- effective shard size ------------------------------------------------
     shard_rows = 0
     n_shards = 0
@@ -276,14 +257,15 @@ def plan_run(
         )
 
     # -- pipelined execution -------------------------------------------------
-    # The pool only matters when a fan-out will actually run; prefetch
-    # only matters when shard bytes leave the process (the object store),
-    # so both decisions are recorded exactly then.
-    if n_workers > 1:
+    # The pool only matters when a fan-out will actually run — only
+    # detection maps per-shard work over it; prefetch only matters when
+    # shard bytes leave the process (the object store), so both decisions
+    # are recorded exactly then.
+    if kind == "detection" and n_workers > 1:
         decisions.append(
-            f"per-shard work fans out over a WorkerPool of {n_workers} "
-            "processes (a session keeps it warm across discovery/detection/"
-            "recheck and closes it with the session)"
+            f"per-shard pair groups fan out over a WorkerPool of {n_workers} "
+            "processes (a session keeps it warm across detection runs and "
+            "closes it with the session)"
         )
     prefetch_depth = 0
     if config.store == "object" and backend == ExecutionBackend.SHARDED:
@@ -342,7 +324,6 @@ def plan_run(
         shard_rows=shard_rows,
         n_shards=n_shards,
         n_rows=n_rows,
-        use_kernels=use_kernels,
         materialization=materialization,
         store=config.store,
         object_client=object_client,

@@ -23,12 +23,7 @@ row by row.  The kernels in this package run the same computation at the
 Every kernel is an *equivalence-preserving* replacement: given the same
 inputs it returns byte-identical Python structures (same dict insertion
 orders, same floats, same tie-breaks) as the scalar code it shadows.
-``tests/kernels`` asserts this on randomized columns, and the PR-4/PR-5
-differential harnesses remain the end-to-end oracle.  When numpy is
-absent the :mod:`repro.kernels.runtime` gate reports the kernels as
-unavailable and every caller stays on the scalar path.
+The kernels are the only mining route; the scalar loop body runs only
+for customized decision functions or miners, which is also how
+``tests/kernels`` reaches it as the reference to compare against.
 """
-
-from repro.kernels.runtime import HAVE_NUMPY, forced_kernel_mode, kernels_enabled
-
-__all__ = ["HAVE_NUMPY", "forced_kernel_mode", "kernels_enabled"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence
 
-from repro.kernels.runtime import HAVE_NUMPY, np
+from repro.kernels.runtime import np
 from repro.patterns.alphabet import CharClass, classify_char
 
 #: one bit per leaf class of the generalization tree (``\A`` = all bits)
@@ -115,16 +115,12 @@ class ColumnEncoding:
 
 def encode_column(values: Sequence[str]) -> ColumnEncoding:
     """Factorize one column (codes in first-appearance order)."""
-    if not HAVE_NUMPY:
-        raise RuntimeError("encode_column requires numpy; gate on kernels_enabled()")
     return encode_chunks((values,))
 
 
 def encode_chunks(chunks) -> ColumnEncoding:
     """Factorize one logical column delivered as value sequences (e.g.
     one per resident shard), without concatenating them."""
-    if not HAVE_NUMPY:
-        raise RuntimeError("encode_chunks requires numpy; gate on kernels_enabled()")
     factorizer = _Factorizer()
     for values in chunks:
         factorizer.add(values)
@@ -137,8 +133,6 @@ def encode_shards(shards, names: Sequence[str]) -> Dict[str, ColumnEncoding]:
     store is read once per shard however many columns are encoded.
     Each encoding equals :func:`encode_chunks` over that column's
     chunks."""
-    if not HAVE_NUMPY:
-        raise RuntimeError("encode_shards requires numpy; gate on kernels_enabled()")
     factorizers = {name: _Factorizer() for name in names}
     for shard in shards:
         for name, factorizer in factorizers.items():

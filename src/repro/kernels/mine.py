@@ -17,10 +17,10 @@ arrays:
   ``(lhs_code, rhs_code)`` counts once (one ``np.unique``) and evaluates
   every prefix length / token position against those counts.
 
-Each kernel bails out with ``None`` when the caller customized the
-pluggable pieces (a non-default decision function or miner subclass) —
-the discoverer then falls back to the scalar loop body for that
-candidate, so extensions keep working unchanged.
+The kernels reproduce the default pluggable pieces only: the
+discoverer runs the scalar loop body instead for a candidate whose
+decision function or variable miner was customized, so extensions keep
+working unchanged.
 """
 
 from __future__ import annotations
@@ -63,13 +63,9 @@ def mine_constant_kernel(
     config: DiscoveryConfig,
     miner: ConstantPfdMiner,
     timers: Optional[StageTimers] = None,
-) -> Optional[List[PatternTupleCandidate]]:
-    """``miner.mine(...)`` over encoded columns, or ``None`` when the
-    miner's decision function is customized beyond what this kernel
-    reproduces (the caller then runs the scalar loop body)."""
-    if type(miner.decision) is not MajorityDecision:
-        return None
-
+) -> List[PatternTupleCandidate]:
+    """``miner.mine(...)`` over encoded columns, for a miner whose
+    decision function is exactly :class:`MajorityDecision`."""
     # Entry map: (token, position) → codes carrying it.  Iterating codes
     # in first-appearance order reproduces the scalar inverted list's
     # key insertion order (the first row containing a key is always the
@@ -193,11 +189,9 @@ def mine_variable_kernel(
     config: DiscoveryConfig,
     miner: VariablePfdMiner,
     timers: Optional[StageTimers] = None,
-) -> Optional[List[VariableCandidate]]:
-    """``miner.mine(...)`` over encoded columns, or ``None`` for miner
-    subclasses (the caller then runs the scalar path)."""
-    if type(miner) is not VariablePfdMiner:
-        return None
+) -> List[VariableCandidate]:
+    """``miner.mine(...)`` over encoded columns, for a miner that is
+    exactly :class:`VariablePfdMiner`."""
     with _stage(timers, "mine_variable"):
         pair_mask = (lhs.lengths()[lhs.codes] > 0) & (rhs.lengths()[rhs.codes] > 0)
         n_pairs = int(pair_mask.sum())

@@ -1,74 +1,9 @@
-"""Kernel availability and mode resolution.
+"""The kernels' one numpy import.
 
-numpy is an *optional* accelerator: the import is attempted exactly once
-here, and everything else in the package asks :func:`kernels_enabled`
-instead of importing numpy itself.  Callers resolve a three-state mode:
-
-* ``"off"`` — never use kernels, even with numpy installed;
-* ``"on"``  — use kernels; degrades to the scalar path (rather than
-  failing) when numpy is genuinely absent, because results are
-  identical either way — the execution plan records the downgrade;
-* ``"auto"`` — defer to the process default mode (``"auto"`` unless a
-  test pinned it with :func:`forced_kernel_mode`), which ultimately
-  means "use kernels exactly when numpy is importable".
-
-``None`` also means "the process default".  The distinction matters for
-tests: a config left at ``use_kernels="auto"`` follows
-:func:`forced_kernel_mode`, while an explicit ``"on"``/``"off"`` wins
-over it.
+numpy is a hard requirement: the columnar kernels are the only mining
+route, and every module that needs numpy imports ``np`` from here.
 """
 
-from __future__ import annotations
+import numpy as np
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-try:  # pragma: no cover - exercised via tests/kernels/test_fallback.py
-    import numpy as np
-except Exception:  # pragma: no cover - numpy genuinely absent
-    np = None  # type: ignore[assignment]
-
-#: Whether the numpy-backed kernels can run in this process.
-HAVE_NUMPY = np is not None
-
-#: The accepted values of ``DiscoveryConfig.use_kernels``.
-KERNEL_MODES = ("auto", "on", "off")
-
-_default_mode = "auto"
-
-
-def default_kernel_mode() -> str:
-    """The process-wide mode used when a caller passes ``None``."""
-    return _default_mode
-
-
-def kernels_enabled(mode: Optional[str] = None) -> bool:
-    """Resolve a kernel mode to "should this call use the numpy path"."""
-    if mode is not None and mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}"
-        )
-    if mode is None or mode == "auto":
-        mode = _default_mode
-    if mode == "off":
-        return False
-    # "on" and "auto" both require numpy; "on" without numpy degrades to
-    # the (equivalent) scalar path instead of erroring.
-    return HAVE_NUMPY
-
-
-@contextmanager
-def forced_kernel_mode(mode: str) -> Iterator[None]:
-    """Pin the process default mode (equivalence tests toggle this to
-    drive the same code through both paths)."""
-    global _default_mode
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}"
-        )
-    previous = _default_mode
-    _default_mode = mode
-    try:
-        yield
-    finally:
-        _default_mode = previous
+__all__ = ["np"]

@@ -135,11 +135,8 @@ class MatchMemo:
         table = store.get(pattern)
         if table is None:
             if len(store) >= self.max_patterns:
-                # FIFO eviction of the oldest pattern's verdicts.  The
-                # default shields concurrent evictors (the thread-pool
-                # mining fallback shares this memo): losing the race just
-                # means the other thread already evicted the key.
-                store.pop(next(iter(store)), None)
+                # FIFO eviction of the oldest pattern's verdicts
+                del store[next(iter(store))]
             table = store[pattern] = {}
         return table
 

@@ -31,10 +31,7 @@ from repro.sharding.stats import (
     extract_pair_groups,
     merge_into_pair_groups,
     merge_pair_groups,
-    merge_tokenizations,
-    splice_tokenization,
     tree_merge_pair_groups,
-    tree_merge_tokenizations,
     unmerge_pair_groups,
 )
 from repro.sharding.store import (
@@ -70,9 +67,6 @@ __all__ = [
     "merge_pair_groups",
     "merge_into_pair_groups",
     "unmerge_pair_groups",
-    "merge_tokenizations",
-    "splice_tokenization",
     "tree_merge_pair_groups",
-    "tree_merge_tokenizations",
     "make_shard_store",
 ]

@@ -47,7 +47,7 @@ from repro.detection.rules import (
     make_rule_evaluator,
 )
 from repro.detection.violation import ViolationReport
-from repro.kernels.runtime import HAVE_NUMPY, kernels_enabled
+from repro.kernels.groupby import pair_groups_kernel
 from repro.perf import TABLE_ARTIFACTS
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
@@ -56,7 +56,6 @@ from repro.sharding.sharded_table import ShardedTable
 from repro.sharding.stats import (
     MergedPairGroups,
     PairGroups,
-    extract_pair_groups,
     merge_into_pair_groups,
     tree_merge_pair_groups,
 )
@@ -83,7 +82,6 @@ class ShardedDetector:
         sharded: ShardedTable,
         memo: Optional[MatchMemo] = None,
         shard_map: Optional[Callable] = None,
-        use_kernels: Optional[str] = None,
     ):
         self.sharded = sharded
         self.memo = MATCH_MEMO if memo is None else memo
@@ -91,10 +89,6 @@ class ShardedDetector:
         #: in-process; anything else is
         #: :func:`repro.engine.pool.make_shard_map`'s pooled fan-out
         self._shard_map = shard_map
-        #: resolved once: whether the vectorized kernels build the
-        #: per-shard statistics and answer pattern lookups (``None``
-        #: defers to the process-wide default mode)
-        self.use_kernels = kernels_enabled(use_kernels)
         #: wall-clock accumulated per detection stage across runs
         self.timers = StageTimers()
 
@@ -195,8 +189,7 @@ class ShardedDetector:
                 versions = sharded.versions()
                 keys = [
                     ("shard_pair_groups", sharded.version_space, index,
-                     versions[index], lhs, rhs, sharded.offset_of(index),
-                     self.use_kernels)
+                     versions[index], lhs, rhs, sharded.offset_of(index))
                     for index in range(sharded.n_shards)
                 ]
                 shard_groups = self._shard_map(
@@ -206,7 +199,6 @@ class ShardedDetector:
                         sharded.store.get(index).column_ref(lhs),
                         sharded.store.get(index).column_ref(rhs),
                         sharded.offset_of(index),
-                        self.use_kernels,
                     ),
                 )
             else:
@@ -222,19 +214,12 @@ class ShardedDetector:
     def _shard_pair_groups(
         self, shard, offset: int, lhs: str, rhs: str
     ) -> PairGroups:
-        """One shard's statistic, cached per (shard version, pair, offset).
-
-        The kernel and scalar builders share the cache key because they
-        produce identical maps (same keys, same orders, same row lists).
-        """
+        """One shard's statistic, cached per (shard version, pair, offset)."""
         return TABLE_ARTIFACTS.get(
             shard,
             ("shard_pair_groups", lhs, rhs, offset),
-            lambda: _build_pair_groups(
-                shard.column_ref(lhs),
-                shard.column_ref(rhs),
-                offset,
-                self.use_kernels,
+            lambda: pair_groups_kernel(
+                shard.column_ref(lhs), shard.column_ref(rhs), offset
             ),
         )
 
@@ -244,11 +229,7 @@ class ShardedDetector:
         self, report: ViolationReport, evaluator: ConstantRuleEvaluator
     ) -> None:
         merged = self.pair_groups(evaluator.lhs, evaluator.rhs)
-        matching = merged.matching_values(
-            evaluator.lhs_cell,
-            self.memo,
-            use_kernels="on" if self.use_kernels else "off",
-        )
+        matching = merged.matching_values(evaluator.lhs_cell, self.memo)
         report.comparisons += merged.last_candidates_tested
         report.extend(
             evaluator.emit_value_groups(
@@ -310,20 +291,7 @@ class ShardedDetector:
         return blocks
 
 
-def _build_pair_groups(
-    lhs_values, rhs_values, offset: int, use_kernels: bool
-) -> PairGroups:
-    """One shard's pair groups via the requested builder (the kernel
-    builder is byte-identical to the scalar extractor)."""
-    if use_kernels and HAVE_NUMPY:
-        from repro.kernels.groupby import pair_groups_kernel
-
-        return pair_groups_kernel(lhs_values, rhs_values, offset)
-    return extract_pair_groups(lhs_values, rhs_values, offset)
-
-
 def _extract_shard(payload) -> PairGroups:
     """Worker entry point for the shard fan-out (module-level so it is
     picklable by ``ProcessPoolExecutor``)."""
-    lhs_values, rhs_values, offset, use_kernels = payload
-    return _build_pair_groups(lhs_values, rhs_values, offset, use_kernels)
+    return pair_groups_kernel(*payload)

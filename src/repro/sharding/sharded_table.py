@@ -284,8 +284,8 @@ class ShardedTable:
     def merged_artifact(self, key: Hashable, build) -> object:
         """A cached cross-shard artifact, rebuilt when any shard mutated.
 
-        Merged statistics (concatenated columns, merged pair groups,
-        merged tokenizations) are pure functions of the shard contents;
+        Merged statistics (concatenated columns, column encodings, merged
+        pair groups) are pure functions of the shard contents;
         caching them here lets repeated discovery/detection runs over the
         same sharded table skip the merge entirely.
         """
@@ -331,7 +331,7 @@ class ShardedTable:
 
         Purely a memory release — artifacts are rebuilt on demand.  The
         out-of-core session path drops the O(n) discovery merges
-        (concatenated columns, encodings, triples) once mining finishes
+        (encodings, token triples) once mining finishes
         so they are not carried through detection and the edit loop.
         """
         if not prefixes:

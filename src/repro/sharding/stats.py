@@ -3,35 +3,27 @@
 The sharded engines never ship whole shards between pipeline stages;
 they extract small, *mergeable* statistics per shard and reduce them:
 
-* **pair groups** — for one ``(LHS, RHS)`` attribute pair, the nested map
-  ``LHS value → RHS value → [global row ids]``.  This is the sufficient
-  statistic of batch detection: constant rules need the rows per
-  (matching LHS value, observed RHS value), and variable rules derive
-  their cross-shard ``≡_Q`` blocks by projecting each distinct LHS value
-  once.  Merging is nested dict union with list concatenation; because
-  shards are reduced in row order, each ``(LHS value, RHS value)`` row
-  list stays ascending.
+The statistic is the **pair groups** of one ``(LHS, RHS)`` attribute
+pair: the nested map ``LHS value → RHS value → [global row ids]``.  It
+is the sufficient statistic of batch detection: constant rules need the
+rows per (matching LHS value, observed RHS value), and variable rules
+derive their cross-shard ``≡_Q`` blocks by projecting each distinct LHS
+value once.  Merging is nested dict union with list concatenation;
+because shards are reduced in row order, each ``(LHS value, RHS
+value)`` row list stays ascending.
 
-* **shard tokenizations** — one shard's
-  :class:`~repro.discovery.inverted_index.ColumnTokenization` rows.
-  Merging is plain concatenation: global tuple ids are shard offset +
-  local row, which is exactly the position the concatenated list puts
-  them at, so the merged tokenization is byte-for-byte the monolithic
-  single-pass extraction.
-
-Both statistics are built from dicts of strings plus compact
+Pair groups are built from dicts of strings plus compact
 ``array('i')`` row-id sequences (see :mod:`repro.dataset.rowids`), so
 they cross process boundaries cheaply when the shard fan-out runs on
 ``concurrent.futures`` workers — and stay small enough to hold for a
 whole out-of-core run without approaching the materialized table's
 footprint.
 
-Both statistics are also **invertible**: because one shard's global row
-ids form a contiguous range, a shard's contribution occupies a
-contiguous slice of every merged row list (and a contiguous row range of
-the merged tokenization).  :func:`unmerge_pair_groups` /
-:func:`merge_into_pair_groups` and :func:`splice_tokenization` exploit
-that to retract one shard's statistic and insert a replacement —
+They are also **invertible**: because one shard's global row ids form a
+contiguous range, a shard's contribution occupies a contiguous slice of
+every merged row list.  :func:`unmerge_pair_groups` /
+:func:`merge_into_pair_groups` exploit that to retract one shard's
+statistic and insert a replacement —
 ``merged = base − old_delta + new_delta`` — which is what lets the rule
 maintainer (:mod:`repro.discovery.maintenance`) treat an edit batch from
 the shard overlay as a *delta shard* instead of re-merging everything.
@@ -40,14 +32,12 @@ the shard overlay as a *delta shard* instead of re-merging everything.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
 from repro.dataset.rowids import RowIds, row_ids
 from repro.detection.index import narrow_candidates_by_prefix
-from repro.discovery.inverted_index import ColumnTokenization
 from repro.kernels.match import batch_matching_values
-from repro.kernels.runtime import kernels_enabled
 from repro.patterns.pattern import Pattern
 from repro.perf.memo import MatchMemo
 from repro.pfd.tableau import Wildcard
@@ -163,25 +153,6 @@ def merge_into_pair_groups(
         merged.sorted_values = sorted(groups)
 
 
-def splice_tokenization(
-    merged: ColumnTokenization,
-    start_row: int,
-    old_rows: int,
-    new_row_tokens: Sequence[Tuple[Tuple[str, int, str], ...]],
-) -> ColumnTokenization:
-    """Replace one shard's row range of a merged tokenization, in place.
-
-    The tokenization analogue of unmerge + merge_into: rows
-    ``[start_row, start_row + old_rows)`` — one shard's contribution,
-    which concatenation placed exactly there — are retracted and the
-    replacement shard's rows are spliced in.  Rows are tokenized
-    independently, so the result equals re-extracting the whole column
-    with the new shard contents.  Returns ``merged`` for chaining.
-    """
-    merged.row_tokens[start_row : start_row + old_rows] = list(new_row_tokens)
-    return merged
-
-
 class MergedPairGroups:
     """The cross-shard pair groups of one attribute pair, plus the sorted
     distinct-LHS-value array that answers pattern lookups."""
@@ -198,26 +169,21 @@ class MergedPairGroups:
     def n_distinct(self) -> int:
         return len(self.sorted_values)
 
-    def matching_values(
-        self,
-        lhs_cell,
-        memo: MatchMemo,
-        use_kernels: Optional[str] = None,
-    ) -> List[str]:
+    def matching_values(self, lhs_cell, memo: MatchMemo) -> List[str]:
         """Distinct LHS values satisfying a rule's LHS cell.
 
         Patterns are narrowed by literal prefix and memo-tested once per
         distinct value (the same verdict store the monolithic index
         uses); a plain-string cell is a dictionary hit; a wildcard cell
-        matches everything (as ``cell_matches`` defines).  When the
-        vectorized kernels are enabled, plain patterns run through the
-        batch matcher (identical verdicts, same memo tables).
+        matches everything (as ``cell_matches`` defines).  Plain
+        patterns run through the batch matcher (identical verdicts, same
+        memo tables).
         """
-        if isinstance(lhs_cell, Pattern) and kernels_enabled(use_kernels):
+        if isinstance(lhs_cell, Pattern):
             candidates = narrow_candidates_by_prefix(self.sorted_values, lhs_cell)
             self.last_candidates_tested = len(candidates)
             return batch_matching_values(lhs_cell, candidates, memo=memo)
-        if isinstance(lhs_cell, (Pattern, ConstrainedPattern)):
+        if isinstance(lhs_cell, ConstrainedPattern):
             candidates = narrow_candidates_by_prefix(self.sorted_values, lhs_cell)
             self.last_candidates_tested = len(candidates)
             matches = memo.matcher(lhs_cell)
@@ -227,19 +193,6 @@ class MergedPairGroups:
             return list(self.sorted_values)
         self.last_candidates_tested = 1
         return [lhs_cell] if lhs_cell in self.groups else []
-
-
-def merge_tokenizations(
-    mode: str,
-    ngram_size: int,
-    shard_row_tokens: Sequence[Sequence[Tuple[Tuple[str, int, str], ...]]],
-) -> ColumnTokenization:
-    """Concatenate per-shard tokenization rows into the monolithic
-    single-pass tokenization of the whole column."""
-    row_tokens: List[Tuple[Tuple[str, int, str], ...]] = []
-    for shard_rows in shard_row_tokens:
-        row_tokens.extend(shard_rows)
-    return ColumnTokenization(mode, ngram_size, row_tokens)
 
 
 # -- tree reduction ----------------------------------------------------------------
@@ -291,15 +244,6 @@ def _merge_adjacent_pair_groups(payload) -> PairGroups:
     return merged
 
 
-def _merge_adjacent_token_rows(payload) -> List[Tuple[Tuple[str, int, str], ...]]:
-    """Concatenate two adjacent tokenization partials (tree analogue of
-    the :func:`merge_tokenizations` fold step)."""
-    left, right, owns_left = payload
-    merged = left if owns_left else list(left)
-    merged.extend(right)
-    return merged
-
-
 def _tree_reduce(partials: List, merge_adjacent, merge_map) -> Tuple[object, bool]:
     """Reduce partials pairwise until one remains.  Returns ``(result,
     owned)`` — ``owned`` is ``False`` only for a single-partial input,
@@ -339,20 +283,3 @@ def tree_merge_pair_groups(
             for lhs_value, by_rhs in result.items()
         }
     return MergedPairGroups(result)
-
-
-def tree_merge_tokenizations(
-    mode: str,
-    ngram_size: int,
-    shard_row_tokens: Sequence[Sequence[Tuple[Tuple[str, int, str], ...]]],
-    merge_map=None,
-) -> ColumnTokenization:
-    """Tree-reduce per-shard tokenization rows, value-equal to
-    :func:`merge_tokenizations` (concatenation of adjacent ranges is
-    associative; shard order is preserved at every level)."""
-    partials = list(shard_row_tokens)
-    if not partials:
-        return ColumnTokenization(mode, ngram_size, [])
-    result, owned = _tree_reduce(partials, _merge_adjacent_token_rows, merge_map)
-    rows = result if owned else list(result)
-    return ColumnTokenization(mode, ngram_size, rows)

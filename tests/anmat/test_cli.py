@@ -388,6 +388,13 @@ class TestExecutionFlags:
                 with pytest.raises(SystemExit):  # argparse usage error, exit 2
                     build_parser().parse_args([command, flag, value])
 
+    def test_use_kernels_flag_is_rejected(self):
+        # the kernels are the only mining route; there is no knob left
+        for command in ("discover", "detect"):
+            for value in ("auto", "on", "off"):
+                with pytest.raises(SystemExit):  # argparse usage error, exit 2
+                    build_parser().parse_args([command, "--use-kernels", value])
+
     def test_routes_report_identically(self, capsys):
         outputs = {}
         routes = {

@@ -3,12 +3,14 @@
 The contract of :class:`repro.discovery.maintenance.RuleMaintainer` is
 absolute: after any cell-edit batch, the maintained rule set — names,
 tableaux, and per-candidate accept/coverage decisions — must be
-*identical* to a full monolithic re-discovery over the edited table.
-The gate runs randomized edit sequences over every PR-4 generator, on
-every shard-store backend, through the kernel and scalar mining paths
-both (4 generators x 3 stores x 2 kernel modes x 3 seeds x 3 batches =
-216 maintained re-checks).  Each case is fully determined by its test
-id, so a failure replays with ``pytest -k <test id>``.
+*identical* to a full monolithic re-discovery over the edited table
+through the scalar reference route (:class:`ReferenceMajority`).  The
+gate runs randomized edit sequences over every PR-4 generator, on every
+shard-store backend (4 generators x 3 stores x 3 seeds x 3 batches =
+108 maintained re-checks).  Each case is fully determined by its test
+id, so a failure replays with ``pytest -k <test id>``.  A direct
+:class:`RuleMaintainer` sequence with the reference decision keeps the
+scalar fallback inside maintenance covered too.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ import random
 import warnings
 
 import pytest
+from reference_decision import ReferenceMajority
 
 from repro.anmat.session import AnmatSession, SessionState
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
+from repro.discovery.maintenance import RuleMaintainer
 from repro.engine import PlanWarning
-from repro.sharding import ShardedTable, make_shard_store
+from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay, make_shard_store
 
 #: the PR-4 generator sweep (same shapes as tests/sharding/test_differential.py)
 GENERATORS = [
@@ -35,7 +39,6 @@ GENERATORS = [
 
 SEEDS = [3, 11, 58]
 STORES = ["memory", "spill", "object"]
-KERNEL_MODES = ["on", "off"]
 SHARD_ROWS = 16
 BATCHES_PER_SEED = 3
 EDITS_PER_BATCH = 6
@@ -47,31 +50,29 @@ def dirty_table(name, n_rows, specs, seed):
     return dirty
 
 
-def make_config(store, kernels):
+def make_config(store):
     return DiscoveryConfig(
         min_coverage=0.4,
         allowed_violation_ratio=0.2,
         shard_rows=SHARD_ROWS,
         store=store,
-        use_kernels=kernels,
     )
 
 
-def make_session(name, n_rows, specs, seed, store, kernels):
+def make_session(name, n_rows, specs, seed, store):
     table = dirty_table(name, n_rows, specs, seed)
     sharded = ShardedTable.from_table(
         table, SHARD_ROWS, store=make_shard_store(store)
     )
-    session = AnmatSession(dataset_name=name, config=make_config(store, kernels))
+    session = AnmatSession(dataset_name=name, config=make_config(store))
     session.load_table(sharded)
     return session
 
 
-def apply_random_batch(session, rng):
+def apply_random_batch(overlay, rng):
     """A realistic interactive batch: mostly value swaps between rows,
     plus one revert-style write (same value back) to exercise the
     edited-columns superset."""
-    overlay = session.table
     names = overlay.column_names()
     for _ in range(EDITS_PER_BATCH):
         row = rng.randrange(overlay.n_rows)
@@ -92,25 +93,31 @@ def decisions_of(result):
     return [(r.lhs, r.rhs, r.accepted, r.coverage) for r in result.reports]
 
 
-@pytest.mark.parametrize("kernels", KERNEL_MODES)
+def reference_rediscovery(config, table, relation=None):
+    """Full re-discovery through the scalar reference route."""
+    return PfdDiscoverer(config, ReferenceMajority()).discover_with_report(
+        table, relation=relation
+    )
+
+
 @pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("name,n_rows,specs", GENERATORS, ids=lambda v: str(v))
 class TestMaintenanceDifferential:
     def test_maintained_rules_identical_to_full_rediscovery(
-        self, name, n_rows, specs, store, kernels
+        self, name, n_rows, specs, store
     ):
         for seed in SEEDS:
-            session = make_session(name, n_rows, specs, seed, store, kernels)
+            session = make_session(name, n_rows, specs, seed, store)
             try:
                 session.run_discovery()
                 assert session.last_plan.backend == "sharded"
                 rng = random.Random(seed * 1000 + 7)
                 for _batch in range(BATCHES_PER_SEED):
-                    apply_random_batch(session, rng)
+                    apply_random_batch(session.table, rng)
                     result = session.recheck()
                     assert session.last_plan.rule_maintenance == "incremental"
-                    full = PfdDiscoverer(session.config).discover_with_report(
-                        session.table.materialize(), relation=name
+                    full = reference_rediscovery(
+                        session.config, session.table.materialize(), relation=name
                     )
                     assert rules_of(result) == rules_of(full), (
                         f"maintained rules diverged (seed={seed})"
@@ -122,6 +129,33 @@ class TestMaintenanceDifferential:
                 session.close()
 
 
+@pytest.mark.parametrize("name,n_rows,specs", GENERATORS, ids=lambda v: str(v))
+def test_reference_maintainer_sequence(name, n_rows, specs):
+    """A maintainer whose decision function the kernels do not
+    reproduce re-mines every stale candidate through the scalar loop
+    body, and still matches full re-discovery on both routes."""
+    config = make_config("memory")
+    table = dirty_table(name, n_rows, specs, 11)
+    view = ShardedTable.from_table(table, SHARD_ROWS)
+    maintainer = RuleMaintainer(config, ReferenceMajority())
+    maintainer.seed(
+        view, ShardedDiscoverer(config, ReferenceMajority()).discover_with_report(view)
+    )
+    overlay = ShardOverlay(view)
+    rng = random.Random(11)
+    for _batch in range(BATCHES_PER_SEED):
+        apply_random_batch(overlay, rng)
+        result = maintainer.maintain(overlay.as_sharded())
+        assert result is not None, "a cell-edit batch must be maintainable"
+        edited = overlay.materialize()
+        for full in (
+            reference_rediscovery(config, edited),
+            PfdDiscoverer(config).discover_with_report(edited),
+        ):
+            assert rules_of(result) == rules_of(full)
+            assert decisions_of(result) == decisions_of(full)
+
+
 @pytest.mark.parametrize(
     "name,n_rows,specs", GENERATORS[:1], ids=lambda v: str(v)
 )
@@ -130,7 +164,7 @@ class TestMaintenanceFallbacks:
     re-discovery — with the fallback recorded on the plan."""
 
     def test_append_falls_back_to_full(self, name, n_rows, specs):
-        session = make_session(name, n_rows, specs, 3, "memory", "off")
+        session = make_session(name, n_rows, specs, 3, "memory")
         try:
             session.run_discovery()
             template = session.table.row(0)
@@ -163,7 +197,7 @@ class TestMaintenanceFallbacks:
             session.close()
 
     def test_delete_falls_back_to_full(self, name, n_rows, specs):
-        session = make_session(name, n_rows, specs, 3, "memory", "off")
+        session = make_session(name, n_rows, specs, 3, "memory")
         try:
             session.run_discovery()
             session.table.delete_row(5)
@@ -211,7 +245,7 @@ class TestMaintenanceFallbacks:
     def test_rule_maintenance_full_requested(self, name, n_rows, specs):
         """``rule_maintenance='full'`` re-discovers even with a seeded
         sharded baseline."""
-        session = make_session(name, n_rows, specs, 3, "memory", "off")
+        session = make_session(name, n_rows, specs, 3, "memory")
         session.config = session.config.with_overrides(rule_maintenance="full")
         try:
             session.run_discovery()
@@ -228,7 +262,7 @@ class TestMaintenanceFallbacks:
     def test_recheck_without_discovery_raises(self, name, n_rows, specs):
         from repro.errors import ProjectError
 
-        session = make_session(name, n_rows, specs, 3, "memory", "off")
+        session = make_session(name, n_rows, specs, 3, "memory")
         try:
             with pytest.raises(ProjectError):
                 session.recheck()
@@ -245,7 +279,7 @@ class TestMaintainedDetection:
     def test_recheck_after_edit_loop_redetects_identically(self):
         from repro.detection import ErrorDetector
 
-        session = make_session(*GENERATORS[0], 3, "memory", "off")
+        session = make_session(*GENERATORS[0], 3, "memory")
         try:
             session.run_discovery()
             session.confirm_all()
@@ -275,7 +309,7 @@ class TestMaintainedDetection:
             session.close()
 
     def test_unconfirmed_recheck_returns_to_discovered(self):
-        session = make_session(*GENERATORS[0], 3, "memory", "off")
+        session = make_session(*GENERATORS[0], 3, "memory")
         try:
             session.run_discovery()
             session.table.set_cell(0, session.table.column_names()[0], "X0")

@@ -35,10 +35,7 @@ class TestAutoRouting:
         assert plan.backend == ExecutionBackend.SERIAL
         assert plan.shard_rows == 0
         assert plan.n_shards == 0
-        # the only default decision is the kernel-mode resolution
-        routing = [d for d in plan.decisions if not d.startswith("use_kernels")]
-        assert routing == []
-        assert plan.use_kernels in ("on", "off")
+        assert plan.decisions == []
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
     def test_n_workers_routes_sharded(self, kind):
@@ -166,6 +163,13 @@ class TestWorkerFanOut:
 
     def test_no_pool_decision_without_workers(self):
         plan = plan_run("detection", 100, config(shard_rows=10))
+        assert not any("WorkerPool" in d for d in plan.decisions)
+
+    def test_discovery_maps_nothing_over_the_pool(self):
+        # discovery mines merged column encodings in-process; only
+        # detection plans record the pool fan-out
+        plan = plan_run("discovery", 100, config(shard_rows=10, n_workers=3))
+        assert plan.backend == ExecutionBackend.SHARDED
         assert not any("WorkerPool" in d for d in plan.decisions)
 
 

@@ -1,8 +1,9 @@
 """Lifecycle, degrade, and warm-cache behavior of the persistent
 :class:`~repro.engine.worker_pool.WorkerPool`.
 
-The pool is the session's process fan-out: lazily started, reused across
-discovery → detect → recheck, closed with the session.  These tests pin
+The pool is the session's process fan-out: lazily started by the first
+detection that fans out, reused by every later detection (including the
+one a recheck runs), closed with the session.  These tests pin
 the contract: reuse (same pool object, same worker processes), idempotent
 close, genuine worker exceptions propagating, fork-unavailable and
 broken-pool degrades that re-run *only* unfinished payloads and surface
@@ -186,15 +187,17 @@ def test_degrade_is_drained_as_plan_decision(monkeypatch):
 def test_run_scoped_pool_degrade_lands_on_the_plan(monkeypatch):
     # no caller pool: the executor builds one for the run, and its
     # degrade events still reach the plan
-    from repro.engine import DataSource, build_executor, plan_discovery
+    from repro.discovery import PfdDiscoverer
+    from repro.engine import DataSource, build_executor, plan_detection
 
     monkeypatch.setattr(
         worker_pool_module, "ProcessPoolExecutor", _UnavailableExecutor
     )
     dataset = build_dataset("zip_city_state", n_rows=90, seed=11)
-    plan = plan_discovery(dataset.table.n_rows, _session_config())
+    rules = PfdDiscoverer(_session_config()).discover(dataset.table)
+    plan = plan_detection(dataset.table.n_rows, _session_config())
     with pytest.warns(PlanWarning, match="could not start"):
-        build_executor(plan).run_discovery(plan, DataSource(dataset.table))
+        build_executor(plan).run_detection(plan, DataSource(dataset.table), rules)
     assert any("serially in-process" in line for line in plan.decisions)
 
 
@@ -265,48 +268,55 @@ def test_clear_warm_cache_forgets_everything():
 
 
 def _session_config():
-    # kernels off: the vectorized mining path streams shards in-process,
-    # so the scalar path is the one that exercises the pooled fan-out
     return DiscoveryConfig(
         min_coverage=0.4,
         allowed_violation_ratio=0.2,
         shard_rows=13,
         n_workers=2,
-        use_kernels="off",
     )
 
 
-def test_session_reuses_one_pool_across_discovery_detect_recheck():
+def test_session_pool_maps_at_detection_and_serves_recheck():
     dataset = build_dataset("zip_city_state", n_rows=90, seed=11)
     with AnmatSession(dataset_name="pool-reuse", config=_session_config()) as session:
         session.load_table(dataset.table)
         session.run_discovery()
-        pool = session._worker_pool
-        assert pool is not None and not pool.closed
-        maps_after_discovery = pool.maps_run
-        assert maps_after_discovery > 0
+        # discovery mines merged encodings in-process: no pool yet
+        assert session._worker_pool is None
         session.confirm_all()
         session.run_detection()
-        assert session._worker_pool is pool, "detection must reuse the pool"
-        assert pool.maps_run > maps_after_discovery
+        pool = session._worker_pool
+        assert pool is not None and not pool.closed
+        maps_after_detection = pool.maps_run
+        assert maps_after_detection > 0, "detection must map over the pool"
         session.edit_cell(0, "city", "")
-        session.recheck()
-        assert session._worker_pool is pool, "recheck must reuse the pool"
+        with pytest.warns(PlanWarning):  # the edited table is re-cut: full re-discovery
+            session.recheck()
+        assert session._worker_pool is pool, "recheck's detection must reuse the pool"
+        assert pool.maps_run > maps_after_detection
     assert pool.closed
 
 
-def test_session_second_discovery_hits_the_warm_cache():
+def test_session_redetection_after_edit_hits_the_warm_cache():
+    from repro.detection import ErrorDetector
+    from repro.sharding import ShardedTable
+
     dataset = build_dataset("zip_city_state", n_rows=90, seed=11)
     with AnmatSession(dataset_name="warm", config=_session_config()) as session:
-        session.load_table(dataset.table)
-        first = session.run_discovery()
+        session.load_table(ShardedTable.from_table(dataset.table, 13))
+        session.run_discovery()
+        session.confirm_all()
+        session.run_detection()
         pool = session._worker_pool
         assert pool.warm_hits == 0
-        second = session.run_discovery()
+        # the sealed view after an edit keeps untouched shards' versions
+        session.edit_cell(0, "city", "Mutated")
+        report = session.run_detection()
         assert pool.warm_hits > 0, "unchanged shards should hit the warm cache"
-        assert [p.describe() for p in first.pfds] == [
-            p.describe() for p in second.pfds
-        ]
+        expected = ErrorDetector(session.table.materialize()).detect_all(
+            session.confirmed_pfds()
+        )
+    assert report.canonical_violations() == expected.canonical_violations()
 
 
 def test_session_without_workers_starts_no_pool():
@@ -346,6 +356,8 @@ def test_no_leaked_processes_after_session_context_exit():
     with AnmatSession(dataset_name="leak", config=_session_config()) as session:
         session.load_table(dataset.table)
         session.run_discovery()
+        session.confirm_all()
+        session.run_detection()
         pool = session._worker_pool
         processes = (
             list(pool._executor._processes.values()) if pool.started else []
@@ -361,9 +373,11 @@ def test_plan_records_pool_and_prefetch_decisions():
     dataset = build_dataset("zip_city_state", n_rows=40, seed=5)
     with AnmatSession(dataset_name="decisions", config=config) as session:
         session.load_table(dataset.table)
-        plan = session.plan_discovery()
+        plan = session.plan_detection()
+        discovery_plan = session.plan_discovery()
     assert plan.prefetch_depth == 3
     assert any("WorkerPool of 2 processes" in line for line in plan.decisions)
+    assert not any("WorkerPool" in line for line in discovery_plan.decisions)
     assert any("prefetch_depth=3" in line for line in plan.decisions)
     assert "workers=2" in plan.describe()
     assert "prefetch_depth=3" in plan.describe()

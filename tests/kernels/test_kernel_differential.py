@@ -1,24 +1,25 @@
-"""Differential tests: the kernel path vs. the scalar path, end to end.
+"""Differential tests: the kernel route vs. the scalar reference, end to end.
 
 The sharding differential suite (``tests/sharding/test_differential.py``)
 is the oracle for monolithic-vs-sharded identity; this suite sweeps the
-*kernel* axis through the same machinery: for each randomized dirty
-table, monolithic and sharded discovery and detection must produce the
-identical rule set and canonically equal violations with kernels forced
-off, forced on, and left on ``auto`` — configs stay at ``"auto"`` so
-:func:`forced_kernel_mode` drives the whole stack through one mode at a
-time, exactly as a numpy-less or numpy-full process would run it.
+*mining route* axis through the same machinery: for each randomized
+dirty table, monolithic and sharded discovery through the default
+(kernel) route and through the scalar reference route
+(:class:`ReferenceMajority`, which the kernel fallback rule sends
+through the scalar loop body) must produce the identical rule set and
+per-candidate decisions, and detection of either rule set must produce
+canonically equal violations on every detection path.
 """
 
 from __future__ import annotations
 
 import pytest
+from reference_decision import ReferenceMajority
 
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.detection import DetectionStrategy, ErrorDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
-from repro.kernels.runtime import forced_kernel_mode
 from repro.perf import clear_caches
 from repro.sharding import ShardedDetector, ShardedDiscoverer, ShardedTable
 
@@ -31,7 +32,7 @@ GENERATORS = [
 
 SEEDS = [3, 58]
 
-MODES = ("off", "on", "auto")
+ROUTES = ("kernel", "reference")
 
 CONFIG = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
 
@@ -42,56 +43,61 @@ def dirty_table(name: str, n_rows: int, specs, seed: int):
     return dirty
 
 
+def decision_for(route: str):
+    """The decision function that selects a mining route."""
+    return ReferenceMajority() if route == "reference" else None
+
+
+def fingerprint(result):
+    return (
+        [p.describe() for p in result.pfds],
+        [(r.lhs, r.rhs, r.accepted, r.coverage) for r in result.reports],
+    )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name,n_rows,specs", GENERATORS, ids=lambda v: str(v))
 class TestKernelDifferential:
-    def test_discovery_identical_across_modes(self, name, n_rows, specs, seed):
+    def test_discovery_identical_across_routes(self, name, n_rows, specs, seed):
         table = dirty_table(name, n_rows, specs, seed)
         results = {}
-        for mode in MODES:
-            with forced_kernel_mode(mode):
-                clear_caches()
-                mono = PfdDiscoverer(CONFIG).discover_with_report(table)
-                sharded = ShardedDiscoverer(CONFIG).discover_with_report(
-                    ShardedTable.from_table(table, 7)
-                )
-            assert [p.describe() for p in mono.pfds] == [
-                p.describe() for p in sharded.pfds
-            ], f"mono/sharded rule sets diverged with kernels {mode}"
-            results[mode] = (
-                [p.describe() for p in mono.pfds],
-                [(r.lhs, r.rhs, r.accepted, r.coverage) for r in mono.reports],
+        for route in ROUTES:
+            clear_caches()
+            mono = PfdDiscoverer(CONFIG, decision_for(route)).discover_with_report(table)
+            sharded = ShardedDiscoverer(
+                CONFIG, decision_for(route)
+            ).discover_with_report(ShardedTable.from_table(table, 7))
+            assert fingerprint(mono) == fingerprint(sharded), (
+                f"mono/sharded rule sets diverged on the {route} route"
             )
-        assert results["on"] == results["off"], "kernel rule set diverged"
-        assert results["auto"] == results["off"]
+            results[route] = fingerprint(mono)
+        assert results["kernel"] == results["reference"], "kernel rule set diverged"
 
-    def test_detection_canonically_equal_across_modes(self, name, n_rows, specs, seed):
+    def test_detection_canonically_equal_across_routes(self, name, n_rows, specs, seed):
         table = dirty_table(name, n_rows, specs, seed)
-        pfds = PfdDiscoverer(CONFIG).discover(table)
-        if not pfds:
-            pytest.skip("generator/seed pair discovered no rules")
         violations = {}
-        for mode in MODES:
-            with forced_kernel_mode(mode):
-                clear_caches()
-                detector = ErrorDetector(table)
-                per_strategy = {
-                    strategy: detector.detect_all(
-                        pfds, strategy=strategy
-                    ).canonical_violations()
-                    for strategy in (DetectionStrategy.SCAN, DetectionStrategy.INDEX)
-                }
-                sharded = (
-                    ShardedDetector(ShardedTable.from_table(table, 7))
-                    .detect_all(pfds)
-                    .canonical_violations()
-                )
+        for route in ROUTES:
+            clear_caches()
+            pfds = PfdDiscoverer(CONFIG, decision_for(route)).discover(table)
+            if not pfds:
+                pytest.skip("generator/seed pair discovered no rules")
+            detector = ErrorDetector(table)
+            per_strategy = {
+                strategy: detector.detect_all(
+                    pfds, strategy=strategy
+                ).canonical_violations()
+                for strategy in (DetectionStrategy.SCAN, DetectionStrategy.INDEX)
+            }
+            sharded = (
+                ShardedDetector(ShardedTable.from_table(table, 7))
+                .detect_all(pfds)
+                .canonical_violations()
+            )
             assert per_strategy[DetectionStrategy.INDEX] == per_strategy[
                 DetectionStrategy.SCAN
-            ], f"index/scan diverged with kernels {mode}"
+            ], f"index/scan diverged on the {route} route's rules"
             assert sharded == per_strategy[DetectionStrategy.SCAN], (
-                f"sharded detection diverged with kernels {mode}"
+                f"sharded detection diverged on the {route} route's rules"
             )
-            violations[mode] = sharded
-        assert violations["on"] == violations["off"], "kernel violations diverged"
-        assert violations["auto"] == violations["off"]
+            violations[route] = sharded
+        assert violations["kernel"] == violations["reference"], "kernel violations diverged"

@@ -3,10 +3,10 @@
 The kernels' contract is *byte identity*, not approximation: the same
 tokenization triples, the same match verdicts, the same pair-group maps
 (including every key order), and — end to end — the same discovered
-rule sets and per-candidate reports whether the kernels are on, off, or
-resolved by ``auto``.  Columns mix unicode, empty strings, quotes,
-embedded newlines, and code-like values so every token mode and every
-prefilter branch is exercised.
+rule sets and per-candidate reports from the default (kernel) route and
+the scalar reference route (:class:`ReferenceMajority`).  Columns mix
+unicode, empty strings, quotes, embedded newlines, and code-like values
+so every token mode and every prefilter branch is exercised.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from reference_decision import ReferenceMajority
 
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
@@ -27,8 +28,6 @@ from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
 from repro.patterns import parse_pattern
 from repro.perf import clear_caches
 from repro.sharding.stats import extract_pair_groups
-
-pytest.importorskip("numpy")
 
 #: pieces the randomized columns are assembled from — deliberately ugly
 PIECES = [
@@ -133,22 +132,19 @@ def _report_fingerprint(result):
 )
 @pytest.mark.parametrize("seed", [3, 58])
 class TestDiscoveryEquivalence:
-    def test_kernels_on_off_auto_identical(self, name, n_rows, specs, seed):
+    def test_kernel_route_matches_reference(self, name, n_rows, specs, seed):
         dataset = build_dataset(name, n_rows=n_rows, seed=seed)
         dirty, _cells = ErrorInjector(seed=seed + 1).corrupt(dataset.table, specs)
         config = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
         results = {}
-        for mode in ("off", "on", "auto"):
+        for route, decision in (("kernel", None), ("reference", ReferenceMajority())):
             clear_caches()
-            result = PfdDiscoverer(
-                config.with_overrides(use_kernels=mode)
-            ).discover_with_report(dirty)
-            results[mode] = (
+            result = PfdDiscoverer(config, decision).discover_with_report(dirty)
+            results[route] = (
                 [p.describe() for p in result.pfds],
                 _report_fingerprint(result),
             )
-        assert results["on"] == results["off"]
-        assert results["auto"] == results["off"]
+        assert results["kernel"] == results["reference"]
 
 
 class TestUglyTableDiscovery:
@@ -161,12 +157,10 @@ class TestUglyTableDiscovery:
         )
         config = DiscoveryConfig(min_coverage=0.2, allowed_violation_ratio=0.3)
         clear_caches()
-        off = PfdDiscoverer(
-            config.with_overrides(use_kernels="off")
-        ).discover_with_report(table)
+        reference = PfdDiscoverer(config, ReferenceMajority()).discover_with_report(table)
         clear_caches()
-        on = PfdDiscoverer(
-            config.with_overrides(use_kernels="on")
-        ).discover_with_report(table)
-        assert [p.describe() for p in on.pfds] == [p.describe() for p in off.pfds]
-        assert _report_fingerprint(on) == _report_fingerprint(off)
+        kernel = PfdDiscoverer(config).discover_with_report(table)
+        assert [p.describe() for p in kernel.pfds] == [
+            p.describe() for p in reference.pfds
+        ]
+        assert _report_fingerprint(kernel) == _report_fingerprint(reference)

@@ -1,158 +1,90 @@
-"""Graceful degradation when numpy is unavailable or kernels are off.
+"""The per-candidate fallback to the scalar loop body.
 
-The kernels are an optional accelerator: ``use_kernels="on"`` without
-numpy must degrade to the scalar path (the plan records the downgrade
-and warns), ``"auto"`` must resolve against actual availability, and a
-process where numpy cannot even be imported must still import
-``repro.kernels`` and run discovery end to end.
+The kernels are the only mining route, except where they cannot
+reproduce the miners: a customized decision function or variable miner
+sends each candidate through the scalar Figure 2 loop body, fed from the
+same column encodings.  These tests pin which body runs, and that the
+fallback changes nothing in the results.
 """
 
 from __future__ import annotations
 
-import importlib
-import sys
-import warnings
-
 import pytest
+from reference_decision import ReferenceMajority
 
 from repro.datagen import build_dataset
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
-from repro.engine.plan import PlanWarning, plan_run
-from repro.errors import DiscoveryError
-from repro.kernels import runtime
-from repro.kernels.runtime import (
-    default_kernel_mode,
-    forced_kernel_mode,
-    kernels_enabled,
-)
+from repro.discovery.variable_miner import VariablePfdMiner
+from repro.kernels import mine
 from repro.perf import clear_caches
-from repro.sharding import ShardedDetector, ShardedTable
+from repro.sharding import ShardedDiscoverer, ShardedTable
+
+CONFIG = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
 
 
-class TestModeResolution:
-    def test_off_is_always_off(self):
-        assert kernels_enabled("off") is False
-
-    def test_on_and_auto_track_numpy(self):
-        assert kernels_enabled("on") is runtime.HAVE_NUMPY
-        assert kernels_enabled("auto") is runtime.HAVE_NUMPY
-        assert kernels_enabled(None) is kernels_enabled(default_kernel_mode())
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            kernels_enabled("fast")
-        with pytest.raises(ValueError):
-            with forced_kernel_mode("fast"):
-                pass  # pragma: no cover
-
-    def test_forced_mode_pins_auto_but_not_explicit(self):
-        with forced_kernel_mode("off"):
-            assert kernels_enabled("auto") is False
-            assert kernels_enabled(None) is False
-            # explicit requests win over the pinned default
-            assert kernels_enabled("on") is runtime.HAVE_NUMPY
-            assert kernels_enabled("off") is False
-        assert default_kernel_mode() == "auto"
-
-    def test_config_rejects_bad_mode(self):
-        with pytest.raises(DiscoveryError):
-            DiscoveryConfig(use_kernels="fast")
+class _LoggedVariableMiner(VariablePfdMiner):
+    """A customized miner: the variable kernel does not reproduce it."""
 
 
-class TestNumpyAbsent:
-    """Simulate a numpy-less process by flipping the runtime flag (every
-    kernel call site resolves through :func:`kernels_enabled` at call
-    time, so this is exactly the switch a real absence would flip)."""
-
-    def test_on_degrades_to_scalar(self, monkeypatch):
-        monkeypatch.setattr(runtime, "HAVE_NUMPY", False)
-        assert kernels_enabled("on") is False
-        assert kernels_enabled("auto") is False
-
-    def test_discovery_still_runs_identically(self, monkeypatch):
-        table = build_dataset("zip_city_state", n_rows=60, seed=4).table
-        config = DiscoveryConfig(
-            min_coverage=0.4, allowed_violation_ratio=0.2, use_kernels="off"
-        )
-        clear_caches()
-        expected = [
-            p.describe()
-            for p in PfdDiscoverer(config).discover_with_report(table).pfds
-        ]
-        monkeypatch.setattr(runtime, "HAVE_NUMPY", False)
-        clear_caches()
-        degraded = PfdDiscoverer(
-            config.with_overrides(use_kernels="on")
-        ).discover_with_report(table)
-        assert [p.describe() for p in degraded.pfds] == expected
-
-    def test_plan_records_downgrade_and_warns(self, monkeypatch):
-        monkeypatch.setattr(runtime, "HAVE_NUMPY", False)
-        monkeypatch.setattr("repro.engine.plan.HAVE_NUMPY", False)
-        with pytest.warns(PlanWarning, match="numpy is unavailable"):
-            plan = plan_run("discovery", 100, DiscoveryConfig(use_kernels="on"))
-        assert plan.use_kernels == "off"
-        assert any("scalar path" in d for d in plan.decisions)
-
-    def test_plan_auto_resolution_is_recorded(self):
-        plan = plan_run("discovery", 100, DiscoveryConfig())
-        resolved = "on" if runtime.HAVE_NUMPY else "off"
-        assert plan.use_kernels == resolved
-        assert any(
-            d.startswith("use_kernels=auto resolves to") for d in plan.decisions
-        )
-        assert f"kernels={resolved}" in plan.describe()
+@pytest.fixture
+def table():
+    return build_dataset("zip_city_state", n_rows=60, seed=4).table
 
 
-class TestImportTimeFallback:
-    def test_runtime_imports_without_numpy(self, monkeypatch):
-        """Reload the runtime with numpy blocked: the import must
-        degrade, not fail, and mode resolution must report kernels
-        unavailable."""
-        monkeypatch.delitem(sys.modules, "numpy", raising=False)
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        try:
-            importlib.reload(runtime)
-            assert runtime.HAVE_NUMPY is False
-            assert runtime.np is None
-            assert runtime.kernels_enabled("on") is False
-            assert runtime.kernels_enabled("auto") is False
-            assert runtime.kernels_enabled("off") is False
-        finally:
-            monkeypatch.undo()
-            importlib.reload(runtime)
-        assert runtime.HAVE_NUMPY is (sys.modules.get("numpy") is not None)
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts calls of each mining kernel (the loop imports them per call)."""
+    calls = {"constant": 0, "variable": 0}
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        mine, "mine_constant_kernel", counted("constant", mine.mine_constant_kernel)
+    )
+    monkeypatch.setattr(
+        mine, "mine_variable_kernel", counted("variable", mine.mine_variable_kernel)
+    )
+    return calls
 
 
-class TestShardedDetectorKnob:
-    def test_detector_modes_agree(self):
-        dataset = build_dataset("zip_city_state", n_rows=60, seed=9)
-        config = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
-        pfds = PfdDiscoverer(config).discover(dataset.table)
-        assert pfds, "fixture dataset should yield rules"
-        reports = {}
-        for mode in ("off", "on", "auto"):
-            clear_caches()
-            sharded = ShardedTable.from_table(dataset.table, 7)
-            detector = ShardedDetector(sharded, use_kernels=mode)
-            reports[mode] = detector.detect_all(pfds).canonical_violations()
-        assert reports["on"] == reports["off"]
-        assert reports["auto"] == reports["off"]
-
-    def test_detector_rejects_bad_mode(self):
-        sharded = ShardedTable.from_table(
-            build_dataset("zip_city_state", n_rows=20, seed=1).table, 5
-        )
-        with pytest.raises(ValueError):
-            ShardedDetector(sharded, use_kernels="fast")
+def test_default_route_runs_the_kernels(table, kernel_calls):
+    result = PfdDiscoverer(CONFIG).discover_with_report(table)
+    assert kernel_calls["constant"] == len(result.reports) > 0
+    assert kernel_calls["variable"] == len(result.reports)
 
 
-def test_no_warning_when_auto_without_numpy(monkeypatch):
-    """``auto`` silently resolves; only an explicit unfulfillable ``on``
-    warns."""
-    monkeypatch.setattr(runtime, "HAVE_NUMPY", False)
-    monkeypatch.setattr("repro.engine.plan.HAVE_NUMPY", False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PlanWarning)
-        plan = plan_run("discovery", 100, DiscoveryConfig(use_kernels="auto"))
-    assert plan.use_kernels == "off"
+@pytest.mark.parametrize("build", [PfdDiscoverer, ShardedDiscoverer], ids=["mono", "sharded"])
+def test_customized_decision_runs_the_scalar_body(table, kernel_calls, build):
+    discoverer = build(CONFIG, ReferenceMajority())
+    source = table if build is PfdDiscoverer else ShardedTable.from_table(table, 9)
+    result = discoverer.discover_with_report(source)
+    assert result.reports
+    assert kernel_calls == {"constant": 0, "variable": 0}
+
+
+def test_customized_variable_miner_falls_back_identically(table, kernel_calls):
+    clear_caches()
+    expected = PfdDiscoverer(CONFIG).discover_with_report(table)
+    kernel_calls.update(constant=0, variable=0)
+    discoverer = PfdDiscoverer(CONFIG)
+    discoverer.variable_miner = _LoggedVariableMiner(CONFIG)
+    clear_caches()
+    result = discoverer.discover_with_report(table)
+    assert kernel_calls == {"constant": 0, "variable": 0}
+    assert [p.describe() for p in result.pfds] == [p.describe() for p in expected.pfds]
+    assert [(r.lhs, r.rhs, r.accepted, r.coverage) for r in result.reports] == [
+        (r.lhs, r.rhs, r.accepted, r.coverage) for r in expected.reports
+    ]
+
+
+def test_variable_only_config_keeps_the_kernel_with_a_custom_decision(table, kernel_calls):
+    """The decision function only matters when constant PFDs are mined."""
+    config = CONFIG.with_overrides(discover_constant=False)
+    PfdDiscoverer(config, ReferenceMajority()).discover_with_report(table)
+    assert kernel_calls["constant"] == 0
+    assert kernel_calls["variable"] > 0

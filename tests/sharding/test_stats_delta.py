@@ -5,8 +5,7 @@ groups (:func:`unmerge_pair_groups`) and merging a replacement back
 (:func:`merge_into_pair_groups`) must leave the statistic equal to a
 from-scratch merge over the replacement shards — for any shard, in any
 order, including delta shards that are empty or that remove every row of
-a distinct value.  Same for :func:`splice_tokenization` on merged
-tokenizations.
+a distinct value.
 """
 
 from __future__ import annotations
@@ -15,14 +14,11 @@ import random
 
 import pytest
 
-from repro.discovery.inverted_index import ColumnTokenization
 from repro.sharding import (
     MergedPairGroups,
     extract_pair_groups,
     merge_into_pair_groups,
     merge_pair_groups,
-    merge_tokenizations,
-    splice_tokenization,
     unmerge_pair_groups,
 )
 
@@ -167,42 +163,3 @@ class TestPairGroupRoundTrips:
         for by_rhs in merged.groups.values():
             for rows in by_rhs.values():
                 assert list(rows) == sorted(set(rows))
-
-
-class TestTokenizationSplice:
-    @pytest.mark.parametrize("mode", ["token", "prefix"])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_splice_equals_full_reextraction(self, mode, seed):
-        rng = random.Random(seed)
-        sizes = [5, 3, 8]
-        shards = [
-            [f"v{rng.randrange(6)} w{rng.randrange(3)}" for _ in range(size)]
-            for size in sizes
-        ]
-        merged = merge_tokenizations(
-            mode,
-            3,
-            [ColumnTokenization.extract(s, mode, 3).row_tokens for s in shards],
-        )
-        # replace the middle shard's values
-        replacement = [f"q{rng.randrange(4)}" for _ in range(sizes[1])]
-        new_rows = ColumnTokenization.extract(replacement, mode, 3).row_tokens
-        result = splice_tokenization(merged, sizes[0], sizes[1], new_rows)
-        assert result is merged  # in place, returned for chaining
-        flat = shards[0] + replacement + shards[2]
-        expected = ColumnTokenization.extract(flat, mode, 3)
-        assert merged.row_tokens == expected.row_tokens
-        assert merged.mode == expected.mode
-        assert merged.ngram_size == expected.ngram_size
-
-    def test_splice_empty_shard(self):
-        """A zero-row shard splices to a no-op."""
-        values = ["a b", "c d"]
-        merged = merge_tokenizations(
-            "token",
-            3,
-            [ColumnTokenization.extract(values, "token", 3).row_tokens, []],
-        )
-        before = list(merged.row_tokens)
-        splice_tokenization(merged, 2, 0, [])
-        assert merged.row_tokens == before

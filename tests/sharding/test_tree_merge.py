@@ -1,8 +1,8 @@
-"""Randomized equivalence of the tree reductions and the left folds.
+"""Randomized equivalence of the tree reduction and the left fold.
 
-The sharded engines replaced their driver-side left folds
-(:func:`merge_pair_groups`, :func:`merge_tokenizations`) with pairwise
-tree reductions that can fan each level out across the worker pool.
+The sharded detector replaced its driver-side left fold
+(:func:`merge_pair_groups`) with a pairwise tree reduction that can fan
+each level out across the worker pool.
 Correctness rests on one invariant: merging *adjacent* partials keeps
 row lists ascending at every level, so the tree result is value-equal
 to the fold for any shard count.  These tests prove that over random
@@ -22,11 +22,8 @@ from repro.engine.worker_pool import WorkerPool
 from repro.sharding.stats import (
     extract_pair_groups,
     merge_pair_groups,
-    merge_tokenizations,
     tree_merge_pair_groups,
-    tree_merge_tokenizations,
 )
-from repro.discovery.inverted_index import ColumnTokenization
 
 SHARD_COUNTS = [0, 1, 2, 3, 5, 8, 13]
 
@@ -64,14 +61,6 @@ def shard_partials(rng, n_shards, n_rows=60):
     ]
 
 
-def token_partials(rng, n_shards, n_rows=40):
-    values = random_column(rng, n_rows, ["alpha", "beta", "gamma", ""])
-    return [
-        ColumnTokenization.extract(values[start:stop], "token", 3).row_tokens
-        for start, stop in random_sharding(rng, n_rows, n_shards)
-    ]
-
-
 @pytest.mark.parametrize("n_shards", [c for c in SHARD_COUNTS if c > 0])
 @pytest.mark.parametrize("seed", [0, 7, 42])
 def test_tree_merge_pair_groups_equals_fold(n_shards, seed):
@@ -85,19 +74,8 @@ def test_tree_merge_pair_groups_equals_fold(n_shards, seed):
             assert list(rows) == sorted(rows)
 
 
-@pytest.mark.parametrize("n_shards", [c for c in SHARD_COUNTS if c > 0])
-@pytest.mark.parametrize("seed", [0, 7, 42])
-def test_tree_merge_tokenizations_equals_fold(n_shards, seed):
-    partials = token_partials(random.Random(seed), n_shards)
-    fold = merge_tokenizations("token", 3, partials)
-    tree = tree_merge_tokenizations("token", 3, partials)
-    assert tree.row_tokens == fold.row_tokens
-    assert tree.mode == fold.mode and tree.ngram_size == fold.ngram_size
-
-
 def test_empty_input_merges_to_empty():
     assert groups_as_plain(tree_merge_pair_groups([])) == {}
-    assert tree_merge_tokenizations("token", 3, []).row_tokens == []
 
 
 def test_single_shard_result_does_not_alias_the_input():
@@ -107,11 +85,6 @@ def test_single_shard_result_does_not_alias_the_input():
     some_rhs = next(iter(tree.groups[some_lhs]))
     tree.groups[some_lhs][some_rhs].append(10_000)
     assert 10_000 not in partials[0][some_lhs][some_rhs]
-
-    rows = token_partials(random.Random(1), 1)
-    tokenization = tree_merge_tokenizations("token", 3, rows)
-    tokenization.row_tokens.append(("sentinel",))
-    assert rows[0][-1] != ("sentinel",)
 
 
 @pytest.mark.parametrize("n_shards", [2, 5, 8])
@@ -130,11 +103,6 @@ def test_level0_partials_are_never_mutated(n_shards):
     ]
     assert observed == snapshots
 
-    token_rows = token_partials(random.Random(3), n_shards)
-    token_snapshots = [list(rows) for rows in token_rows]
-    tree_merge_tokenizations("token", 3, token_rows)
-    assert [list(rows) for rows in token_rows] == token_snapshots
-
 
 @pytest.mark.parametrize("n_shards", [2, 3, 7, 10])
 def test_tree_merge_through_serial_merge_map(n_shards):
@@ -143,12 +111,6 @@ def test_tree_merge_through_serial_merge_map(n_shards):
     expected = groups_as_plain(merge_pair_groups(partials))
     observed = tree_merge_pair_groups(partials, merge_map=serial_map)
     assert groups_as_plain(observed) == expected
-
-    token_rows = token_partials(rng, n_shards)
-    assert (
-        tree_merge_tokenizations("token", 3, token_rows, merge_map=serial_map).row_tokens
-        == merge_tokenizations("token", 3, token_rows).row_tokens
-    )
 
 
 def test_tree_merge_through_pool_backed_shard_map():
