@@ -6,9 +6,11 @@ tableaux, and per-candidate accept/coverage decisions — must be
 *identical* to a full monolithic re-discovery over the edited table
 through the scalar reference route (:class:`ReferenceMajority`).  The
 gate runs randomized edit sequences over every PR-4 generator, on every
-shard-store backend (4 generators x 3 stores x 3 seeds x 3 batches =
-108 maintained re-checks).  Each case is fully determined by its test
-id, so a failure replays with ``pytest -k <test id>``.  A direct
+shard-store backend, with the session mining through the kernels
+(``on``) and through the scalar loop body (``off``) (4 generators x
+3 stores x 2 routes x 3 seeds x 3 batches = 216 maintained re-checks).
+Each case is fully determined by its test id, so a failure replays with
+``pytest -k <test id>``.  A direct
 :class:`RuleMaintainer` sequence with the reference decision keeps the
 scalar fallback inside maintenance covered too.
 """
@@ -19,7 +21,7 @@ import random
 import warnings
 
 import pytest
-from reference_decision import ReferenceMajority
+from reference_decision import ReferenceMajority, route_everything_scalar
 
 from repro.anmat.session import AnmatSession, SessionState
 from repro.datagen import build_dataset
@@ -39,6 +41,7 @@ GENERATORS = [
 
 SEEDS = [3, 11, 58]
 STORES = ["memory", "spill", "object"]
+KERNEL_MODES = ["on", "off"]
 SHARD_ROWS = 16
 BATCHES_PER_SEED = 3
 EDITS_PER_BATCH = 6
@@ -100,12 +103,15 @@ def reference_rediscovery(config, table, relation=None):
     )
 
 
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("name,n_rows,specs", GENERATORS, ids=lambda v: str(v))
 class TestMaintenanceDifferential:
     def test_maintained_rules_identical_to_full_rediscovery(
-        self, name, n_rows, specs, store
+        self, name, n_rows, specs, store, kernels, monkeypatch
     ):
+        if kernels == "off":
+            route_everything_scalar(monkeypatch)
         for seed in SEEDS:
             session = make_session(name, n_rows, specs, seed, store)
             try:

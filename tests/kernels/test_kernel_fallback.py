@@ -52,29 +52,42 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_default_route_runs_the_kernels(table, kernel_calls):
-    result = PfdDiscoverer(CONFIG).discover_with_report(table)
+def source_for(build, table):
+    """The input each discoverer mines: the table, or 9-row shards of it."""
+    return table if build is PfdDiscoverer else ShardedTable.from_table(table, 9)
+
+
+ROUTES = pytest.mark.parametrize(
+    "build", [PfdDiscoverer, ShardedDiscoverer], ids=["mono", "sharded"]
+)
+
+
+@ROUTES
+def test_default_route_runs_the_kernels(table, kernel_calls, build):
+    result = build(CONFIG).discover_with_report(source_for(build, table))
     assert kernel_calls["constant"] == len(result.reports) > 0
     assert kernel_calls["variable"] == len(result.reports)
 
 
-@pytest.mark.parametrize("build", [PfdDiscoverer, ShardedDiscoverer], ids=["mono", "sharded"])
+@ROUTES
 def test_customized_decision_runs_the_scalar_body(table, kernel_calls, build):
     discoverer = build(CONFIG, ReferenceMajority())
-    source = table if build is PfdDiscoverer else ShardedTable.from_table(table, 9)
-    result = discoverer.discover_with_report(source)
+    result = discoverer.discover_with_report(source_for(build, table))
     assert result.reports
     assert kernel_calls == {"constant": 0, "variable": 0}
 
 
-def test_customized_variable_miner_falls_back_identically(table, kernel_calls):
+@ROUTES
+def test_customized_variable_miner_falls_back_identically(table, kernel_calls, build):
     clear_caches()
-    expected = PfdDiscoverer(CONFIG).discover_with_report(table)
+    expected = build(CONFIG).discover_with_report(source_for(build, table))
     kernel_calls.update(constant=0, variable=0)
-    discoverer = PfdDiscoverer(CONFIG)
-    discoverer.variable_miner = _LoggedVariableMiner(CONFIG)
+    discoverer = build(CONFIG)
+    # the sharded discoverer mines through its monolithic driver
+    driver = discoverer if build is PfdDiscoverer else discoverer.discoverer
+    driver.variable_miner = _LoggedVariableMiner(CONFIG)
     clear_caches()
-    result = discoverer.discover_with_report(table)
+    result = discoverer.discover_with_report(source_for(build, table))
     assert kernel_calls == {"constant": 0, "variable": 0}
     assert [p.describe() for p in result.pfds] == [p.describe() for p in expected.pfds]
     assert [(r.lhs, r.rhs, r.accepted, r.coverage) for r in result.reports] == [
