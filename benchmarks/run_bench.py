@@ -213,13 +213,13 @@ def _bench_rule_maintenance_edit_loop(
     """The rule-maintenance edit loop: a batch of ``k`` cell edits, then
     the rule set brought back up to date via ``AnmatSession.recheck()``.
 
-    A paired bench: the measured side runs with
-    ``rule_maintenance="auto"`` — the seeded :class:`RuleMaintainer`
-    re-mines only the candidates whose statistics changed, from the
-    delta shards the edit batch dirtied — while the recorded baseline
-    runs the *identical* edit stream with ``rule_maintenance="full"``,
-    re-discovering the 64k-row table from scratch every batch (the
-    pre-PR edit-loop behaviour).  The differential suite proves the two
+    A paired bench: the measured side re-checks — the seeded
+    :class:`RuleMaintainer` re-mines only the candidates whose
+    statistics changed, from the delta shards the edit batch dirtied —
+    while the recorded baseline runs the *identical* edit stream and
+    then ``AnmatSession.run_discovery()``, re-discovering the 64k-row
+    table from scratch every batch (the edit loop without
+    maintenance).  The differential suite proves the two
     produce identical rules, so the persisted speedup isolates the
     maintenance layer.  Each invocation writes fresh values from a
     monotone counter, so no round's edits are no-ops against the
@@ -260,13 +260,13 @@ def _bench_rule_maintenance_edit_loop(
     )
     column = "grade"
 
-    def make_runner(rule_maintenance: str) -> Callable[[], object]:
+    def make_runner(
+        refresh: Callable[[AnmatSession], object]
+    ) -> Callable[[], object]:
         sharded = ShardedTable.from_table(table, shard_rows)
         session = AnmatSession(
             dataset_name="bench-rule-maintenance",
-            config=DiscoveryConfig(
-                shard_rows=shard_rows, rule_maintenance=rule_maintenance
-            ),
+            config=DiscoveryConfig(shard_rows=shard_rows),
         )
         session.load_table(sharded)
         session.run_discovery()
@@ -279,13 +279,13 @@ def _bench_rule_maintenance_edit_loop(
                 row = (step * 131) % (2 * shard_rows)
                 donor = (step * 499 + 1) % n_rows
                 session.table.set_cell(row, column, table.cell(donor, column))
-            return session.recheck()
+            return refresh(session)
 
         run.session = session  # keeps the maintainer (and its timers) alive
         return run
 
-    run = make_runner("auto")
-    baseline_run = make_runner("full")
+    run = make_runner(AnmatSession.recheck)
+    baseline_run = make_runner(AnmatSession.run_discovery)
     run.stage_timers = run.session._maintainer.timers
     return run, 3, baseline_run
 

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.anmat.report import render_discovered_pfds, render_profile, render_violations
 from repro.anmat.session import AnmatSession
-from repro.dataset.csvio import read_csv, read_csv_sharded
+from repro.dataset.csvio import read_csv
 from repro.datagen.registry import build_dataset, dataset_names
 from repro.discovery.config import DiscoveryConfig
 from repro.engine import DEFAULT_SHARD_ROWS
@@ -34,79 +34,55 @@ EXIT_CLEAN = 0
 EXIT_VIOLATIONS_FOUND = 3
 
 
-def _load_table(args: argparse.Namespace):
-    """Return (table, ground_truth_or_None, label) from CLI arguments.
+def _open_session(args: argparse.Namespace):
+    """Return (session, ground_truth_or_None) with the dataset loaded.
 
-    With ``--shard-rows`` a CSV upload is streamed through the chunked
-    reader straight into shards — the whole document is never parsed in
-    one piece — and discovery/detection run shard-wise.  ``--store``
-    picks where those shards live (in memory, spilled to disk, or in a
-    local object store); a non-memory store without ``--shard-rows``
-    implies the default shard size, since out-of-core storage only
-    helps when the upload is sharded.
+    With ``--shard-rows`` a CSV upload streams through
+    :meth:`AnmatSession.upload_csv` chunk-wise straight into shards —
+    the whole document is never parsed in one piece — and
+    discovery/detection run shard-wise.  ``--store`` picks where those
+    shards live (in memory, spilled to disk, or in an object store); a
+    non-memory store without ``--shard-rows`` implies the default shard
+    size, since out-of-core storage only helps when the upload is
+    sharded.  Built-in datasets are generated in memory and re-sharded
+    into a non-memory store.
     """
-    shard_rows = getattr(args, "shard_rows", 0)
-    store_kind = getattr(args, "store", "memory")
-    spill_dir = getattr(args, "spill_dir", None)
-    object_url = getattr(args, "object_url", None)
-    if store_kind != "memory" and shard_rows <= 0:
-        shard_rows = DEFAULT_SHARD_ROWS
-    if args.csv:
-        if shard_rows > 0:
-            store = make_shard_store(
-                store_kind,
-                spill_dir,
-                object_url=object_url,
-                prefetch_depth=getattr(args, "prefetch_depth", 0),
-            )
-            try:
-                sharded = read_csv_sharded(Path(args.csv), shard_rows, store=store)
-            except BaseException:
-                store.close()  # don't leak the store root on a bad CSV
-                raise
-            return sharded, None, Path(args.csv).stem
-        return read_csv(Path(args.csv)), None, Path(args.csv).stem
-    dataset = build_dataset(args.dataset)
-    if store_kind != "memory":
-        # built-in datasets are generated in memory; re-shard them into
-        # the requested store so the session still runs out of core
-        store = make_shard_store(
-            store_kind,
-            spill_dir,
-            object_url=object_url,
-            prefetch_depth=getattr(args, "prefetch_depth", 0),
-        )
-        try:
-            sharded = ShardedTable.from_table(dataset.table, shard_rows, store=store)
-        except BaseException:
-            store.close()
-            raise
-        return sharded, dataset.error_cells, dataset.name
-    return dataset.table, dataset.error_cells, dataset.name
-
-
-def _make_session(table, label: str, args: argparse.Namespace) -> AnmatSession:
     config = DiscoveryConfig(
         min_coverage=args.min_coverage,
         allowed_violation_ratio=args.allowed_violations,
-        shard_rows=getattr(args, "shard_rows", 0),
-        n_workers=getattr(args, "n_workers", 0),
-        store=getattr(args, "store", "memory"),
-        spill_dir=getattr(args, "spill_dir", None),
-        object_url=getattr(args, "object_url", None),
-        prefetch_depth=getattr(args, "prefetch_depth", 2),
-        rule_maintenance=getattr(args, "rule_maintenance", "auto"),
+        shard_rows=args.shard_rows,
+        n_workers=args.n_workers,
+        store=args.store,
+        spill_dir=args.spill_dir,
+        object_url=args.object_url,
     )
-    session = AnmatSession(dataset_name=label, config=config)
+    if args.csv:
+        session = AnmatSession(dataset_name=Path(args.csv).stem, config=config)
+        if args.shard_rows > 0 or args.store != "memory":
+            session.upload_csv(args.csv)
+        else:
+            session.load_table(read_csv(Path(args.csv)))
+        return session, None
+    dataset = build_dataset(args.dataset)
+    table = dataset.table
+    if args.store != "memory":
+        store = make_shard_store(args.store, args.spill_dir, object_url=args.object_url)
+        try:
+            table = ShardedTable.from_table(
+                table, args.shard_rows or DEFAULT_SHARD_ROWS, store=store
+            )
+        except BaseException:
+            store.close()
+            raise
+    session = AnmatSession(dataset_name=dataset.name, config=config)
     session.load_table(table)
-    return session
+    return session, dataset.error_cells
 
 
 def _explain_plans(args: argparse.Namespace, *build_plans) -> None:
     """Print the chosen execution plan(s) when ``--explain-plan`` is set.
 
-    Takes plan *builders* so nothing is planned (and no ``PlanWarning``
-    is emitted twice) when the flag is off.
+    Takes plan *builders* so nothing is planned when the flag is off.
     """
     if not getattr(args, "explain_plan", False):
         return
@@ -196,31 +172,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
             "serves the run"
         ),
     )
-    parser.add_argument(
-        "--prefetch-depth",
-        type=int,
-        default=2,
-        metavar="K",
-        help=(
-            "how many shard objects ahead the --store object reader "
-            "fetches on background threads (GET + checksum verification "
-            "overlap compute; retry backoff stays off the critical "
-            "path); 0 reads sequentially"
-        ),
-    )
-    parser.add_argument(
-        "--rule-maintenance",
-        default="auto",
-        choices=("auto", "incremental", "full"),
-        help=(
-            "how a re-check after edits refreshes the rule set: 'auto' "
-            "maintains it incrementally when a sharded discovery baseline "
-            "exists (falling back to full re-discovery otherwise), "
-            "'incremental' requests maintenance (warning when it cannot "
-            "run), 'full' always re-discovers; maintained and fully "
-            "re-discovered rule sets are identical"
-        ),
-    )
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
@@ -249,16 +200,16 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    table, _truth, label = _load_table(args)
-    with _make_session(table, label, args) as session:
+    session, _truth = _open_session(args)
+    with session:
         profile = session.run_profiling()
     print(render_profile(profile))
     return 0
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
-    table, _truth, label = _load_table(args)
-    with _make_session(table, label, args) as session:
+    session, _truth = _open_session(args)
+    with session:
         _explain_plans(args, session.plan_discovery)
         result = session.run_discovery()
     print(render_discovered_pfds(result))
@@ -266,16 +217,12 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    table, truth, label = _load_table(args)
-    with _make_session(table, label, args) as session:
-        _explain_plans(
-            args,
-            session.plan_discovery,
-            lambda: session.plan_detection(strategy=args.strategy),
-        )
+    session, truth = _open_session(args)
+    with session:
+        _explain_plans(args, session.plan_discovery, session.plan_detection)
         session.run_discovery()
         session.confirm_all()
-        report = session.run_detection(strategy=args.strategy)
+        report = session.run_detection()
         print(render_violations(report, session.table))
     if args.score:
         if truth is None:
@@ -327,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_arguments(detect)
     _add_execution_arguments(detect)
-    detect.add_argument(
-        "--strategy",
-        default="auto",
-        choices=["auto", "scan", "index", "bruteforce"],
-        help="detection strategy",
-    )
     detect.add_argument(
         "--score",
         action="store_true",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -35,7 +34,6 @@ from repro.anmat.project import Project
 from repro.dataset.csvio import iter_csv_chunks
 from repro.dataset.profiling import TableProfile
 from repro.dataset.table import Table
-from repro.detection.detector import DetectionStrategy
 from repro.detection.incremental import IncrementalDetector
 from repro.detection.repair import RepairSuggestion, suggest_repairs
 from repro.detection.violation import ViolationReport
@@ -47,7 +45,6 @@ from repro.engine import (
     DataSource,
     ExecutionBackend,
     ExecutionPlan,
-    PlanWarning,
     build_executor,
     plan_detection,
     plan_discovery,
@@ -99,14 +96,13 @@ class AnmatSession:
     #: the plan of the most recent discovery/detection run (``--explain-plan``
     #: and tests introspect it)
     last_plan: Optional[ExecutionPlan] = field(default=None, repr=False)
-    #: the rules and strategy of the last run_detection, driving the edit loop
+    #: the rules of the last run_detection, driving the edit loop
     _detection_rules: List[PFD] = field(default_factory=list, repr=False)
-    _detection_strategy: str = field(default=DetectionStrategy.AUTO, repr=False)
     _incremental: Optional[IncrementalDetector] = field(default=None, repr=False)
     #: maintains the rule set across :meth:`recheck` calls — seeded by
     #: every sharded discovery run, dropped with the dataset
     _maintainer: Optional[RuleMaintainer] = field(default=None, repr=False)
-    #: the dataset as the engine sees it: eager monolithic table, or a
+    #: the dataset as the engine sees it: a monolithic table, or a
     #: never-materialized shard-store source
     _source: Optional[DataSource] = field(default=None, repr=False)
     #: the session's persistent worker pool: lazily created by the first
@@ -191,7 +187,6 @@ class AnmatSession:
                 self.config.store,
                 self.config.spill_dir,
                 object_url=self.config.object_url,
-                prefetch_depth=self.config.prefetch_depth,
             )
         try:
             sharded = ShardedTable.from_chunks(
@@ -275,11 +270,9 @@ class AnmatSession:
     def plan_recheck(self) -> ExecutionPlan:
         """The :class:`ExecutionPlan` a :meth:`recheck` would run.
 
-        A re-check plan resolves ``config.rule_maintenance`` into
-        ``plan.rule_maintenance`` — ``incremental`` when a sharded
-        discovery baseline is seeded, ``full`` otherwise (with a
-        :class:`~repro.engine.plan.PlanWarning` when ``incremental`` was
-        requested explicitly but cannot run).
+        A re-check plan records ``plan.rule_maintenance``:
+        ``incremental`` when a sharded discovery baseline is seeded,
+        ``full`` otherwise.
         """
         self._require_table()
         return plan_discovery(
@@ -301,8 +294,9 @@ class AnmatSession:
         :class:`~repro.discovery.maintenance.RuleMaintainer` re-mines
         only the candidates whose columns the edit batch changed; a
         structural change (appended/deleted rows) or a monolithic run
-        falls back to full re-discovery.  Either way the resulting rule
-        set is identical to discovering from scratch.
+        falls back to full re-discovery (recorded on the plan's
+        decisions).  Either way the resulting rule set is identical to
+        discovering from scratch.
 
         The plan inherits the upload's shard size exactly like the
         discovery plan does, so a re-check never silently re-shards a
@@ -330,14 +324,12 @@ class AnmatSession:
                 relation=self.dataset_name,
             )
             if result is None:
-                reason = (
+                plan.rule_maintenance = "full"
+                plan.decisions.append(
                     "the edit batch changed the dataset structurally (or the "
                     "rule baseline no longer aligns); falling back to full "
                     "re-discovery"
                 )
-                plan.rule_maintenance = "full"
-                plan.decisions.append(reason)
-                warnings.warn(reason, PlanWarning, stacklevel=2)
         if result is None:
             result = build_executor(plan).run_discovery(
                 plan, self._source, relation=self.dataset_name
@@ -357,7 +349,7 @@ class AnmatSession:
                 self.dataset_name, result.pfds, self.confirmed_names
             )
         if had_detection and self.confirmed_names:
-            self.run_detection(strategy=self._detection_strategy)
+            self.run_detection()
         else:
             self.violations = None
             self.state = SessionState.DISCOVERED
@@ -422,36 +414,24 @@ class AnmatSession:
 
     # -- step 5: detect -----------------------------------------------------------------
 
-    def plan_detection(self, strategy: str = DetectionStrategy.AUTO) -> ExecutionPlan:
-        """The :class:`ExecutionPlan` a :meth:`run_detection` would run.
-
-        When an explicitly requested strategy forces a sharded run back
-        onto the serial backend, the planner records that
-        decision on the plan and emits a
-        :class:`~repro.engine.plan.PlanWarning`.
-        """
+    def plan_detection(self) -> ExecutionPlan:
+        """The :class:`ExecutionPlan` a :meth:`run_detection` would run."""
         self._require_table()
         return plan_detection(
             self.table.n_rows,
             self.config,
-            strategy=strategy,
             sharded_upload=self._source.is_sharded_upload,
             upload_shard_rows=self._source.upload_shard_rows,
         )
 
-    def run_detection(
-        self,
-        strategy: str = DetectionStrategy.AUTO,
-        pfds: Optional[Sequence[PFD]] = None,
-    ) -> ViolationReport:
-        """Run the confirmed PFDs over the data (the Figure 5 view).
+    def run_detection(self, pfds: Optional[Sequence[PFD]] = None) -> ViolationReport:
+        """Run the confirmed PFDs (or ``pfds``) over the data (the
+        Figure 5 view).
 
-        The engine's planner resolves the run: a sharded dataset with
-        the default ``auto`` strategy goes shard-parallel (canonically
-        equal violations); an explicitly requested strategy always runs
-        the monolithic engine it names (the planner records why and
-        warns).  The edit loop maintains violations monolithically
-        either way.
+        The engine's planner resolves the run: a sharded dataset goes
+        shard-parallel (canonically equal violations), a monolithic one
+        runs the serial engine.  The edit loop maintains violations
+        monolithically either way.
         """
         self._require_table()
         rules = list(pfds) if pfds is not None else self.confirmed_pfds()
@@ -459,15 +439,12 @@ class AnmatSession:
             raise ProjectError(
                 "no confirmed PFDs to run; call run_discovery() and confirm() first"
             )
-        plan = self.plan_detection(strategy=strategy)
+        plan = self.plan_detection()
         self.violations = build_executor(plan).run_detection(
             plan, self._source, rules, pool=self._pool_for(plan)
         )
         self.last_plan = plan
         self._detection_rules = rules
-        # the edit loop's incremental detector understands the monolithic
-        # strategies only; ``auto`` is the right re-check for a sharded run
-        self._detection_strategy = strategy
         self._incremental = None  # a fresh full run supersedes any edit loop
         self.state = SessionState.DETECTED
         self._save_results()
@@ -501,9 +478,7 @@ class AnmatSession:
                 "no detection run to maintain; call run_detection() before editing"
             )
         if self._incremental is None:
-            self._incremental = IncrementalDetector(
-                self.table, self._detection_rules, strategy=self._detection_strategy
-            )
+            self._incremental = IncrementalDetector(self.table, self._detection_rules)
         self._incremental.set_cell(row, attribute, value)
         self.violations = self._incremental.report()
         self.state = SessionState.EDITING

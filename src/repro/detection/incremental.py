@@ -51,7 +51,6 @@ from repro.detection.rules import (
     make_rule_evaluator,
 )
 from repro.detection.violation import ViolationReport
-from repro.errors import DetectionError
 from repro.patterns.pattern import Pattern
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
@@ -69,21 +68,19 @@ class IncrementalDetector:
     covers the gap.
     """
 
+    #: the label its reports carry — the same answer as every batch
+    #: strategy (see the module's correctness contract)
+    strategy = DetectionStrategy.AUTO
+
     def __init__(
         self,
         table: Table,
         pfds: Iterable[PFD],
-        strategy: str = DetectionStrategy.AUTO,
         memo: Optional[MatchMemo] = None,
         timers: Optional[StageTimers] = None,
     ):
-        if strategy not in DetectionStrategy.ALL:
-            raise DetectionError(
-                f"unknown strategy {strategy!r}; expected one of {DetectionStrategy.ALL}"
-            )
         self.table = table
         self.pfds = list(pfds)
-        self.strategy = strategy
         self.memo = MATCH_MEMO if memo is None else memo
         #: wall-clock accumulated per maintenance stage across the edit
         #: loop's lifetime (``seed`` — full state builds, ``reevaluate`` —

@@ -10,7 +10,7 @@ defaults chosen to reproduce the paper's demo scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import DiscoveryError
@@ -68,7 +68,9 @@ class DiscoveryConfig:
         Which :class:`~repro.sharding.store.ShardStore` backend sharded
         uploads stream into: ``"memory"`` (live tables), ``"spill"``
         (encoded spill files + small LRU) or ``"object"`` (checksummed
-        objects behind a get/put/list client).  Recorded on the
+        objects behind a get/put/list client, whose reader fetches
+        :data:`~repro.sharding.object_store.DEFAULT_PREFETCH_DEPTH`
+        shards ahead on background threads).  Recorded on the
         execution plan.  Ignored for monolithic runs.
     spill_dir:
         Root directory for the ``spill``/``object`` stores.  ``None``
@@ -84,25 +86,12 @@ class DiscoveryConfig:
         retry-protected transfers).  The execution plan records which
         client kind serves the run.  Ignored unless ``store`` is
         ``"object"``.
-    prefetch_depth:
-        How many shard objects ahead the ``object`` store's reader
-        fetches on a background thread pool, overlapping GET + checksum
-        verification of shards N+1..N+k with compute on shard N (retry
-        backoff sleeps happen inside the fetch threads, off the critical
-        path).  ``0`` disables prefetching (fully sequential reads).
-        Ignored unless ``store`` is ``"object"``; recorded on the
-        execution plan.
-    rule_maintenance:
-        How a session re-check after edits refreshes the rule set.
-        ``"auto"`` (the default) maintains the rules incrementally
-        through :class:`~repro.discovery.maintenance.RuleMaintainer`
-        when a sharded baseline is seeded and the change is
-        non-structural, falling back to full re-discovery otherwise;
-        ``"incremental"`` requests maintenance (with a
-        :class:`~repro.engine.plan.PlanWarning` when it cannot run);
-        ``"full"`` always re-discovers from scratch.  The execution
-        plan records the resolved choice.  Maintained and fully
-        re-discovered rule sets are identical.
+
+    How a session re-check refreshes the rule set is not configurable:
+    it maintains the rules incrementally when a sharded discovery
+    baseline is seeded and re-discovers from scratch otherwise (see
+    :meth:`~repro.anmat.session.AnmatSession.recheck`); both give the
+    identical rule set.
     """
 
     min_coverage: float = 0.6
@@ -122,8 +111,6 @@ class DiscoveryConfig:
     store: str = "memory"
     spill_dir: Optional[str] = None
     object_url: Optional[str] = None
-    prefetch_depth: int = 2
-    rule_maintenance: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_workers < 0:
@@ -154,15 +141,6 @@ class DiscoveryConfig:
         ):
             raise DiscoveryError(
                 f"object_url must be an http(s):// URL, got {self.object_url!r}"
-            )
-        if self.prefetch_depth < 0:
-            raise DiscoveryError(
-                f"prefetch_depth must be >= 0, got {self.prefetch_depth}"
-            )
-        if self.rule_maintenance not in ("auto", "incremental", "full"):
-            raise DiscoveryError(
-                "rule_maintenance must be 'auto', 'incremental' or 'full', got "
-                f"{self.rule_maintenance!r}"
             )
 
     @property

@@ -5,9 +5,8 @@ benchmarks — goes through the same two steps:
 
 1. :func:`plan_run` (or the :func:`plan_discovery` / :func:`plan_detection`
    wrappers) resolves the observable inputs (table size, ``shard_rows``,
-   ``n_workers``, requested strategy, sharded-vs-monolithic upload)
-   into an :class:`ExecutionPlan`, recording every routing decision it
-   takes;
+   ``n_workers``, sharded-vs-monolithic upload) into an
+   :class:`ExecutionPlan`, recording every routing decision it takes;
 2. :func:`build_executor` hands back the matching backend —
    :class:`SerialExecutor` or :class:`ShardedExecutor` — and
    ``executor.run_discovery(plan, ...)`` /

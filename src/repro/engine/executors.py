@@ -16,8 +16,8 @@ executor.run(plan)``.  The two concrete backends map one-to-one onto
 
 Executors are stateless; :func:`build_executor` hands back the backend a
 plan names.  The :class:`DataSource` wrapper owns the monolithic-table /
-sharded-view duality (including the rebuild-on-edit caching the session
-used to carry), so executors never branch on how the data arrived.
+sharded-view duality (including the rebuild-on-edit caching of the
+sharded view), so executors never branch on how the data arrived.
 """
 
 from __future__ import annotations
@@ -48,137 +48,87 @@ class DataSource:
 
     Two construction modes:
 
-    * ``DataSource(table, sharded=None)`` — **eager**: the logical
-      :class:`Table` exists (plus optionally the :class:`ShardedTable`
-      it arrived as).  :meth:`sharded_view` rebuilds the shards when the
-      monolithic table was edited since they were cut and otherwise
-      reuses them, preserving the merged-artifact caches.
+    * ``DataSource(table)`` — **monolithic**: the logical :class:`Table`
+      is both :attr:`table` and :attr:`view`.  :meth:`sharded_view` cuts
+      it into shards for a sharded run, rebuilding them only when the
+      table was edited since they were cut or the partition size
+      changed, so the merged-artifact caches survive between runs.
     * ``DataSource.from_sharded(sharded)`` — **never-materialized**: the
-      dataset exists only as its :class:`ShardedTable`; no monolithic
-      table is ever built on this path.  :attr:`view` is a mutable
+      dataset exists only as its :class:`ShardedTable`, and the source
+      has no :attr:`table`.  :attr:`view` is a mutable
       :class:`~repro.sharding.overlay.ShardOverlay` over the immutable
       store — the session's row-addressable table and edit-loop target —
       and :meth:`sharded_view` seals the overlay back into shards for
-      the re-check path.  :attr:`table` still works (a serial run *is*
-      an eager materialization, recorded as such on the plan) but
-      nothing on the sharded path touches it.
+      the re-check path.  The planner runs such a source on the sharded
+      backend only.
     """
 
-    def __init__(self, table: Table, sharded: Optional[ShardedTable] = None):
-        self._lazy = False
-        self._table = table
-        self._overlay: Optional[ShardOverlay] = None
-        self._sharded = sharded
-        #: the upload's ShardedTable as it arrived (kept so close() can
-        #: release its store even after a recut replaced the cached view)
-        self._upload_sharded = sharded
-        self._sharded_version = table.version if sharded is not None else None
-        #: whether the dataset *arrived* sharded — a plan input; building
-        #: a view later (e.g. a run with workers) must not flip it
-        self._is_upload = sharded is not None
-        self._sharded_rows = (
-            max(sharded.shard_row_counts()) if sharded is not None else 0
-        )
+    def __init__(self, table: Table):
+        #: the monolithic table (monolithic sources only)
+        self.table = table
+        #: the row-addressable logical dataset the session holds and
+        #: edits: the table itself, or a shard overlay
+        self.view = table
+        self._upload_sharded: Optional[ShardedTable] = None
+        self._sharded: Optional[ShardedTable] = None
+        self._sharded_version: Optional[int] = None
+        self._sharded_rows = 0
 
     @classmethod
     def from_sharded(cls, sharded: ShardedTable) -> "DataSource":
         """A never-materialized source: the dataset lives on its shard
         store, reads and edits go through a :class:`ShardOverlay`."""
         self = cls.__new__(cls)
-        self._lazy = True
-        self._table = None
-        self._overlay = ShardOverlay(sharded)
-        self._sharded = sharded
+        self.view = ShardOverlay(sharded)
         self._upload_sharded = sharded
-        self._sharded_version = None
-        self._is_upload = True
         self._sharded_rows = max(sharded.shard_row_counts())
         #: (overlay version, shard_rows) → sealed sharded view
         self._view_cache: Optional[Tuple[Tuple[int, int], ShardedTable]] = None
-        #: overlay version → materialized table (eager runs only)
-        self._materialized: Optional[Tuple[int, Table]] = None
         return self
-
-    @property
-    def materialization(self) -> str:
-        """``"never"`` for a lazily-materializing source, ``"eager"``
-        otherwise (matches the plan decision vocabulary)."""
-        return "never" if self._lazy else "eager"
-
-    @property
-    def view(self):
-        """The row-addressable logical dataset: the monolithic
-        :class:`Table` for eager sources, the mutable
-        :class:`ShardOverlay` for never-materialized ones.  This — not
-        :attr:`table` — is what sessions hold and edit."""
-        return self._overlay if self._lazy else self._table
-
-    @property
-    def editable(self):
-        """The mutation target for the edit loop (same object as
-        :attr:`view`; both speak the ``Table`` mutation protocol)."""
-        return self.view
-
-    @property
-    def table(self) -> Table:
-        """The monolithic table.  For a never-materialized source this
-        *builds* one from the overlay (cached per overlay version) — only
-        eager runs (the serial backend) should get here; the sharded
-        path never does."""
-        if not self._lazy:
-            return self._table
-        version = self._overlay.version
-        if self._materialized is None or self._materialized[0] != version:
-            self._materialized = (version, self._overlay.materialize())
-        return self._materialized[1]
 
     @property
     def is_sharded_upload(self) -> bool:
         """Whether the dataset arrived as shards (upload kind, not
         whether a sharded view happens to be cached)."""
-        return self._is_upload
+        return self._upload_sharded is not None
 
     @property
     def upload_shard_rows(self) -> int:
         """The upload partition's largest shard (``0`` for monolithic
         uploads)."""
-        return self._sharded_rows if self._is_upload else 0
+        return self._sharded_rows if self._upload_sharded is not None else 0
 
     def sharded_view(self, shard_rows: int) -> ShardedTable:
         """The sharded view of the current logical dataset at the
         requested shard size.
 
-        Eager sources keep the PR-5 semantics: the cached view is reused
-        until the monolithic table is edited or the partition size
-        changes, then recut with ``from_table``.  Never-materialized
-        sources go through the overlay instead: untouched overlays
-        return the base shards directly (merged caches intact), touched
-        overlays seal copy-on-read patched shards, and only an explicit
-        partition-size mismatch streams a repartition — still never a
-        monolithic table.
+        Monolithic sources reuse the cached view until the table is
+        edited or the partition size changes, then recut with
+        ``from_table``.  Never-materialized sources go through the
+        overlay instead: untouched overlays return the base shards
+        directly (merged caches intact), touched overlays seal
+        copy-on-read patched shards, and only an explicit partition-size
+        mismatch streams a repartition — still never a monolithic table.
         """
-        if self._lazy:
-            return self._lazy_sharded_view(shard_rows)
+        if self._upload_sharded is not None:
+            return self._overlay_sharded_view(shard_rows)
         if (
             self._sharded is not None
             and self._sharded_version == self.table.version
-            and (shard_rows <= 0 or shard_rows == self._sharded_rows)
+            and shard_rows == self._sharded_rows
         ):
             return self._sharded
-        if shard_rows <= 0 and self._sharded is not None:
-            # sharded upload without an explicit knob: keep its shard size
-            shard_rows = self._sharded_rows
         shard_rows = max(1, shard_rows)
         self._sharded = ShardedTable.from_table(self.table, shard_rows)
         self._sharded_version = self.table.version
         self._sharded_rows = shard_rows
         return self._sharded
 
-    def _lazy_sharded_view(self, shard_rows: int) -> ShardedTable:
-        overlay = self._overlay
+    def _overlay_sharded_view(self, shard_rows: int) -> ShardedTable:
+        overlay = self.view
         matches_upload = shard_rows <= 0 or shard_rows == self._sharded_rows
         if matches_upload and not overlay.is_touched:
-            return self._sharded
+            return self._upload_sharded
         key = (overlay.version, shard_rows if not matches_upload else 0)
         if self._view_cache is not None and self._view_cache[0] == key:
             return self._view_cache[1]
@@ -192,21 +142,19 @@ class DataSource:
     def profile(self) -> TableProfile:
         """Profile the logical dataset.  Never-materialized sources
         stream shard-major through the column builders (one resident
-        shard at a time); eager sources profile the table directly.  The
-        output is identical either way, and cached per data version where
-        discovery finds it again."""
-        if self._lazy:
+        shard at a time); monolithic sources profile the table directly.
+        The output is identical either way, and cached per data version
+        where discovery finds it again."""
+        if self._upload_sharded is not None:
             return self.sharded_view(0).profile()
-        return cached_profile_table(self._table)
+        return cached_profile_table(self.table)
 
     def close(self) -> None:
         """Release the backing shard store (spill files, object roots).
-        A no-op for purely in-memory sources."""
+        A no-op for monolithic sources."""
         if self._upload_sharded is not None:
             self._upload_sharded.store.close()
-        if self._lazy:
             self._view_cache = None
-            self._materialized = None
 
 
 def _repartition_streaming(overlay: ShardOverlay, shard_rows: int) -> ShardedTable:
@@ -274,7 +222,7 @@ class SerialExecutor(Executor):
         )
 
     def run_detection(self, plan, source, rules, pool=None):
-        return ErrorDetector(source.table).detect_all(rules, strategy=plan.strategy)
+        return ErrorDetector(source.table).detect_all(rules)
 
 
 class ShardedExecutor(Executor):

@@ -57,6 +57,7 @@ from repro.sharding.remote import (
 from repro.sharding.store import ShardStore
 
 __all__ = [
+    "DEFAULT_PREFETCH_DEPTH",
     "LocalObjectClient",
     "ObjectShardStore",
     "ObjectStoreError",
@@ -65,6 +66,11 @@ __all__ = [
     "HttpObjectClient",
     "RetryPolicy",
 ]
+
+#: how many shard objects ahead an :class:`ObjectShardStore` fetches by
+#: default — every session and CLI upload onto the object store reads
+#: through this pipeline
+DEFAULT_PREFETCH_DEPTH = 2
 
 
 class LocalObjectClient:
@@ -180,8 +186,9 @@ class ObjectShardStore(ShardStore):
     prefetch_depth:
         How many shard objects ahead of a read to fetch (GET + checksum
         verification, retries included) on background threads via
-        :class:`~repro.sharding.prefetch.PrefetchingFetcher`.  ``0``
-        (the default) reads sequentially on the caller's thread.
+        :class:`~repro.sharding.prefetch.PrefetchingFetcher`; defaults
+        to :data:`DEFAULT_PREFETCH_DEPTH`.  ``0`` reads sequentially on
+        the caller's thread.
     timers:
         :class:`~repro.perf.timers.StageTimers` receiving the
         ``fetch_wait``/``prefetch_hit`` stages; a private instance is
@@ -198,7 +205,7 @@ class ObjectShardStore(ShardStore):
         retry_policy: Optional[RetryPolicy] = None,
         owns_client: Optional[bool] = None,
         delete_objects_on_close: Optional[bool] = None,
-        prefetch_depth: int = 0,
+        prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
         timers: Optional[StageTimers] = None,
     ):
         super().__init__()

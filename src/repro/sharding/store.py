@@ -214,7 +214,6 @@ def make_shard_store(
     directory: Union[str, Path, None] = None,
     object_url: Optional[str] = None,
     retry_policy=None,
-    prefetch_depth: int = 0,
 ) -> ShardStore:
     """Build a shard store from its CLI/session-facing name.
 
@@ -226,8 +225,8 @@ def make_shard_store(
     the store then owns that remote namespace, so ``close()`` deletes
     its uploaded objects instead of leaking them on the server.
     ``retry_policy`` overrides the object store's default
-    :class:`~repro.sharding.remote.RetryPolicy`, and ``prefetch_depth``
-    (object kind only) enables its background fetch pipeline.
+    :class:`~repro.sharding.remote.RetryPolicy`; the object store reads
+    through its background fetch pipeline at the store's default depth.
     """
     if kind == "memory":
         return InMemoryShardStore()
@@ -243,11 +242,8 @@ def make_shard_store(
                 client=HttpObjectClient(object_url),
                 owns_client=True,
                 retry_policy=retry_policy,
-                prefetch_depth=prefetch_depth,
             )
-        return ObjectShardStore(
-            root=directory, retry_policy=retry_policy, prefetch_depth=prefetch_depth
-        )
+        return ObjectShardStore(root=directory, retry_policy=retry_policy)
     raise TableError(
         f"unknown shard store kind {kind!r} (expected one of {', '.join(STORE_KINDS)})"
     )

@@ -62,11 +62,6 @@ class TestCommands:
         assert "violations over" in out
         assert "precision=" in out
 
-    def test_detect_with_strategy(self, capsys):
-        code = main(["detect", "--dataset", "paper_d2_zip", "--min-coverage", "0.4",
-                     "--allowed-violations", "0.3", "--strategy", "scan"])
-        assert code in (EXIT_CLEAN, EXIT_VIOLATIONS_FOUND)
-
     def test_detect_exit_code_distinguishes_clean_data(self, tmp_path, capsys):
         dataset = build_dataset("zip_city_state", n_rows=200)
         clean_path = tmp_path / "clean.csv"
@@ -168,6 +163,22 @@ class TestShardRows:
         with pytest.raises(CsvFormatError, match="line 3"):
             main(["detect", "--csv", str(path), "--shard-rows", "1"])
 
+    def test_malformed_csv_upload_leaks_no_store_root(self, tmp_path, monkeypatch):
+        # the upload goes through AnmatSession.upload_csv, which closes
+        # the half-filled store before the parse error surfaces (the
+        # object store's prefetcher keeps it alive past the error, so
+        # garbage collection would not remove its root in time)
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        path = tmp_path / "ragged.csv"
+        path.write_text("zip,city\n90001,Los Angeles\n90002,Irvine\n90003\n")
+        with pytest.raises(CsvFormatError, match="line 4"):
+            main(["detect", "--csv", str(path), "--shard-rows", "1", "--store", "object"])
+        assert list(scratch.iterdir()) == [], "store root leaked after a bad CSV"
+
     def test_sharded_discover_matches_monolithic_rules(self, tmp_path, capsys):
         import re
 
@@ -183,22 +194,6 @@ class TestShardRows:
         monolithic = capsys.readouterr().out
         assert main(["discover", "--csv", str(path), "--shard-rows", "32"]) == 0
         assert strip_timing(capsys.readouterr().out) == strip_timing(monolithic)
-
-
-class TestRuleMaintenanceFlag:
-    """--rule-maintenance: how a re-check refreshes the rule set."""
-
-    def test_flag_parses_and_defaults_to_auto(self):
-        for command in ("profile", "discover", "detect"):
-            args = build_parser().parse_args([command])
-            assert args.rule_maintenance == "auto"
-            for choice in ("auto", "incremental", "full"):
-                args = build_parser().parse_args(
-                    [command, "--rule-maintenance", choice]
-                )
-                assert args.rule_maintenance == choice
-        with pytest.raises(SystemExit):  # argparse usage error, exit 2
-            build_parser().parse_args(["detect", "--rule-maintenance", "eager"])
 
 
 class TestStoreFlags:
@@ -302,9 +297,10 @@ class TestObjectUrlFlag:
         assert args.object_url == "http://127.0.0.1:80"
 
     def test_non_http_url_rejected(self):
-        from repro.sharding import ObjectStoreError
+        # the CLI builds its session config first, which validates the URL
+        from repro.errors import DiscoveryError
 
-        with pytest.raises(ObjectStoreError, match="http"):
+        with pytest.raises(DiscoveryError, match="http"):
             main(
                 [
                     "detect",
@@ -387,6 +383,16 @@ class TestExecutionFlags:
             for flag, value in (("--executor", "sharded"), ("--pool", "per-call")):
                 with pytest.raises(SystemExit):  # argparse usage error, exit 2
                     build_parser().parse_args([command, flag, value])
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--strategy", "scan"), ("--rule-maintenance", "full"), ("--prefetch-depth", "2")],
+    )
+    def test_removed_knob_flags_are_rejected(self, flag, value):
+        # one route per upload: none of these knobs exists
+        for command in ("profile", "discover", "detect"):
+            with pytest.raises(SystemExit):  # argparse usage error, exit 2
+                build_parser().parse_args([command, flag, value])
 
     def test_use_kernels_flag_is_rejected(self):
         # the kernels are the only mining route; there is no knob left

@@ -204,11 +204,11 @@ class TestEditLoop:
         # neither table was touched by the rejected edit
         assert old_table.cell(1, "city") == new_table.cell(1, "city")
 
-    def test_bruteforce_detection_supports_the_edit_loop(self, detected_session):
-        # bruteforce emission is unified with the blocking strategies, so
-        # its reports are incrementally maintainable like any other
+    def test_edit_loop_matches_the_bruteforce_baseline(self, detected_session):
+        # the edit loop's maintained report equals the paper's brute-force
+        # pair enumeration over the edited table
         session = detected_session
-        before = session.run_detection(strategy="bruteforce")
+        before = session.run_detection()
         after = session.edit_cell(0, "city", "X")
         assert session.state.value == "editing"
         full = ErrorDetector(session.table.copy()).detect_all(
@@ -280,24 +280,20 @@ class TestShardedSession:
         assert report.strategy == "sharded"
         assert report.canonical_violations() == mono.violations.canonical_violations()
 
-    def test_explicit_strategy_overrides_sharding_and_warns(self, small_zip_city_state):
-        from repro.engine import PlanWarning
-
+    def test_detection_takes_no_strategy(self, small_zip_city_state):
         session = AnmatSession(
-            dataset_name="explicit",
+            dataset_name="one-route",
             config=DiscoveryConfig(min_coverage=0.5, shard_rows=64),
         )
         session.load_table(small_zip_city_state.table.copy())
         session.run_discovery()
         session.confirm_all()
-        # regression: this fallback used to be silent — the planner must
-        # record it on the plan and warn so users know why shard
-        # parallelism was skipped
-        with pytest.warns(PlanWarning, match="shard parallelism is skipped"):
-            report = session.run_detection(strategy="scan")
-        assert report.strategy == "scan"
-        assert session.last_plan.backend == "serial"
-        assert any("skipped" in d for d in session.last_plan.decisions)
+        with pytest.raises(TypeError, match="strategy"):
+            session.run_detection(strategy="scan")
+        with pytest.raises(TypeError, match="strategy"):
+            session.plan_detection(strategy="scan")
+        assert session.run_detection().strategy == "sharded"
+        assert session.last_plan.backend == "sharded"
 
     def test_plans_are_exposed_and_recorded(self, small_zip_city_state):
         session = AnmatSession(
@@ -466,10 +462,9 @@ class TestNeverMaterializedSession:
         assert any("materialization=never" in d for d in plan.decisions)
         session.close()
 
-    def test_serial_backend_materializes_eagerly(self, small_zip_city_state):
-        # an explicit strategy pins a sharded upload's detection to the
-        # serial engine, which needs the monolithic table
-        from repro.engine import PlanWarning
+    def test_sharded_upload_plans_never_say_eager(self, small_zip_city_state):
+        # a sharded upload has one route — the sharded backend on its
+        # shard store — for every run, re-checks included
         from repro.sharding import ShardedTable
 
         mono = self._monolithic(small_zip_city_state)
@@ -477,18 +472,20 @@ class TestNeverMaterializedSession:
             dataset_name="d", config=DiscoveryConfig(min_coverage=0.5)
         )
         session.load_table(ShardedTable.from_table(small_zip_city_state.table, 50))
+        plans = [session.plan_discovery()]
         session.run_discovery()
-        assert [p.describe() for p in session.discovered_pfds()] == [
-            p.describe() for p in mono.discovered_pfds()
-        ]
         session.confirm_all()
-        with pytest.warns(PlanWarning, match="shard parallelism is skipped"):
-            plan = session.plan_detection(strategy="scan")
-        assert plan.backend == "serial"
-        assert plan.materialization == "eager"
-        with pytest.warns(PlanWarning):
-            report = session.run_detection(strategy="scan")
+        plans.append(session.plan_detection())
+        report = session.run_detection()
+        session.edit_cell(0, "city", "Oddville")
+        session.recheck()
+        plans.append(session.last_plan)
+        for plan in plans:
+            assert plan.backend == "sharded"
+            assert plan.materialization == "never"
+            assert "eager" not in plan.describe()
         assert report.canonical_violations() == mono.violations.canonical_violations()
+        assert not hasattr(session._source, "table")
         session.close()
 
 

@@ -20,7 +20,6 @@ from repro.dataset.table import CellEdit, RowAppend, RowDelete, Table
 from repro.detection import ErrorDetector, IncrementalDetector
 from repro.detection.detector import DetectionStrategy
 from repro.discovery import PfdDiscoverer
-from repro.errors import DetectionError
 from repro.pfd.pfd import PFD
 
 
@@ -204,26 +203,25 @@ class TestMutationAPI:
         assert table.deltas_since(0) is None
         assert_equivalent(incremental, pfds, "log exhausted")
 
-    def test_unknown_strategy_rejected(self, zip_setup):
+    def test_strategy_argument_is_gone(self, zip_setup):
+        # the maintained report is the answer of every batch strategy;
+        # there is nothing to choose
         table, pfds, _ = zip_setup
-        with pytest.raises(DetectionError):
-            IncrementalDetector(table, pfds, strategy="nope")
+        with pytest.raises(TypeError, match="strategy"):
+            IncrementalDetector(table, pfds, strategy=DetectionStrategy.SCAN)
 
-    def test_bruteforce_strategy_is_maintained_too(self, zip_setup):
+    def test_maintained_report_matches_the_bruteforce_baseline(self, zip_setup):
         # bruteforce emission goes through the same shared evaluators as
-        # blocking, so its reports can be incrementally maintained as well
-        table, pfds, _ = zip_setup
-        incremental = IncrementalDetector(
-            table, pfds, strategy=DetectionStrategy.BRUTEFORCE
-        )
+        # blocking, so the maintained report equals it before and after edits
+        table, pfds, incremental = zip_setup
         full = ErrorDetector(table.copy()).detect_all(
             pfds, strategy=DetectionStrategy.BRUTEFORCE
         )
         report = incremental.report()
-        assert report.strategy == DetectionStrategy.BRUTEFORCE
+        assert report.strategy == DetectionStrategy.AUTO
         assert report.canonical_violations() == full.canonical_violations()
         incremental.set_cell(0, "city", "Bruteville")
-        assert_equivalent(incremental, pfds, "bruteforce edit")
+        assert_all_strategies_equivalent(incremental, pfds, "bruteforce edit")
 
     def test_report_strategy_and_n_rows(self, zip_setup):
         table, pfds, incremental = zip_setup

@@ -167,33 +167,29 @@ def test_reference_maintainer_sequence(name, n_rows, specs):
 )
 class TestMaintenanceFallbacks:
     """Structural changes and unsharded runs fall back to full
-    re-discovery — with the fallback recorded on the plan."""
+    re-discovery — with the fallback recorded on the plan, not warned:
+    the user requested nothing the fallback could override."""
 
     def test_append_falls_back_to_full(self, name, n_rows, specs):
         session = make_session(name, n_rows, specs, 3, "memory")
         try:
             session.run_discovery()
-            template = session.table.row(0)
-            session.table.append_row(template)
+            session.table.append_row(session.table.row(0))
             with warnings.catch_warnings():
                 warnings.simplefilter("error", PlanWarning)
-                with pytest.raises(PlanWarning):
-                    session.recheck()
-            # warnings are advisory: the fallback itself succeeds
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PlanWarning)
-                session.table.append_row(template)
                 result = session.recheck()
             assert session.last_plan.rule_maintenance == "full"
+            assert any(
+                "falling back to full re-discovery" in d
+                for d in session.last_plan.decisions
+            )
             full = PfdDiscoverer(session.config).discover_with_report(
                 session.table.materialize(), relation=name
             )
             assert rules_of(result) == rules_of(full)
             # the fallback re-seeded: the next cell-edit batch maintains
             session.table.set_cell(1, session.table.column_names()[0], "X1")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", PlanWarning)
-                result = session.recheck()
+            result = session.recheck()
             assert session.last_plan.rule_maintenance == "incremental"
             full = PfdDiscoverer(session.config).discover_with_report(
                 session.table.materialize(), relation=name
@@ -207,9 +203,7 @@ class TestMaintenanceFallbacks:
         try:
             session.run_discovery()
             session.table.delete_row(5)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PlanWarning)
-                result = session.recheck()
+            result = session.recheck()
             assert session.last_plan.rule_maintenance == "full"
             full = PfdDiscoverer(session.config).discover_with_report(
                 session.table.materialize(), relation=name
@@ -219,9 +213,8 @@ class TestMaintenanceFallbacks:
             session.close()
 
     def test_monolithic_session_rechecks_full(self, name, n_rows, specs):
-        """An eager (unsharded) session has no shard versions to diff:
-        the plan records the full fallback without warning under
-        ``auto``, and warns when ``incremental`` was requested."""
+        """A monolithic (unsharded) session has no shard versions to
+        diff: the plan records the full fallback without warning."""
         table = dirty_table(name, n_rows, specs, 3)
         session = AnmatSession(
             dataset_name=name,
@@ -240,30 +233,28 @@ class TestMaintenanceFallbacks:
         )
         assert rules_of(result) == rules_of(full)
 
-        session.config = session.config.with_overrides(
-            rule_maintenance="incremental"
-        )
-        session.table.set_cell(1, table.column_names()[0], "X1")
-        with pytest.warns(PlanWarning):
-            session.recheck()
-        assert session.last_plan.rule_maintenance == "full"
-
-    def test_rule_maintenance_full_requested(self, name, n_rows, specs):
-        """``rule_maintenance='full'`` re-discovers even with a seeded
-        sharded baseline."""
-        session = make_session(name, n_rows, specs, 3, "memory")
-        session.config = session.config.with_overrides(rule_maintenance="full")
-        try:
+    def test_default_session_maintains_then_falls_back(self, name, n_rows, specs):
+        """With no config set at all, a sharded upload's re-check
+        maintains incrementally after a cell edit and falls back to full
+        re-discovery after a structural change."""
+        table = dirty_table(name, n_rows, specs, 3)
+        with AnmatSession(dataset_name=name) as session:
+            session.load_table(ShardedTable.from_table(table, SHARD_ROWS))
             session.run_discovery()
-            session.table.set_cell(0, session.table.column_names()[0], "X0")
+            session.table.set_cell(0, table.column_names()[1], "X0")
+            result = session.recheck()
+            assert session.last_plan.rule_maintenance == "incremental"
+            full = PfdDiscoverer(session.config).discover_with_report(
+                session.table.materialize(), relation=name
+            )
+            assert rules_of(result) == rules_of(full)
+            session.table.delete_row(2)
             result = session.recheck()
             assert session.last_plan.rule_maintenance == "full"
             full = PfdDiscoverer(session.config).discover_with_report(
                 session.table.materialize(), relation=name
             )
             assert rules_of(result) == rules_of(full)
-        finally:
-            session.close()
 
     def test_recheck_without_discovery_raises(self, name, n_rows, specs):
         from repro.errors import ProjectError

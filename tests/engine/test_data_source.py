@@ -1,6 +1,8 @@
-"""Unit tests for the :class:`DataSource` duality — eager monolithic
-sources vs the never-materialized shard-store sources of the out-of-core
+"""Unit tests for the :class:`DataSource` duality — monolithic sources
+vs the never-materialized shard-store sources of the out-of-core
 session path."""
+
+import pytest
 
 from repro.dataset import Table
 from repro.dataset.profiling import profile_table
@@ -26,22 +28,22 @@ def lazy_source(n_rows: int = 10, shard_rows: int = 4) -> DataSource:
 class TestLazySource:
     def test_from_sharded_is_never_materialized(self):
         source = lazy_source()
-        assert source.materialization == "never"
         assert isinstance(source.view, ShardOverlay)
-        assert source.editable is source.view
         assert source.is_sharded_upload
         assert source.upload_shard_rows == 4
 
-    def test_table_materializes_from_overlay_and_caches_per_version(self):
+    def test_from_sharded_has_no_monolithic_table(self):
+        # the planner never runs a sharded upload on the serial backend,
+        # so nothing can ask for (and silently build) a monolithic table
         source = lazy_source()
-        first = source.table
-        assert first.column("zip") == small_table().column("zip")
-        # same overlay version → the same materialized table object
-        assert source.table is first
+        assert not hasattr(source, "table")
         source.view.set_cell(0, "city", "edited")
-        rebuilt = source.table
-        assert rebuilt is not first
-        assert rebuilt.cell(0, "city") == "edited"
+        assert not hasattr(source, "table")
+
+    def test_sharded_keyword_is_gone(self):
+        sharded = ShardedTable.from_table(small_table(), 4)
+        with pytest.raises(TypeError, match="sharded"):
+            DataSource(small_table(), sharded=sharded)
 
     def test_untouched_overlay_returns_the_base_shards(self):
         sharded = ShardedTable.from_table(small_table(), 4)
@@ -62,7 +64,7 @@ class TestLazySource:
         source = lazy_source(n_rows=10, shard_rows=4)
         view = source.sharded_view(3)
         assert view.shard_row_counts() == [3, 3, 3, 1]
-        assert view.to_table().column("zip") == source.table.column("zip")
+        assert view.to_table().column("zip") == small_table().column("zip")
         # the recut view is cached per (version, shard_rows) too
         assert source.sharded_view(3) is view
 
@@ -72,11 +74,11 @@ class TestLazySource:
         source.view.delete_row(0)
         view = source.sharded_view(2)
         assert view.n_rows == 6
-        assert view.to_table().column("city") == source.table.column("city")
+        assert view.to_table().column("city") == source.view.materialize().column("city")
 
     def test_profile_streams_and_matches_the_materialized_profile(self):
         source = lazy_source()
-        assert source.profile() == profile_table(source.table)
+        assert source.profile() == profile_table(small_table())
 
     def test_close_releases_the_spill_store(self):
         store = SpillToDiskShardStore()
@@ -95,7 +97,7 @@ class TestEagerSource:
     def test_view_is_the_monolithic_table(self):
         table = small_table()
         source = DataSource(table)
-        assert source.materialization == "eager"
+        assert source.table is table
         assert source.view is table
         assert not source.is_sharded_upload
         assert source.upload_shard_rows == 0

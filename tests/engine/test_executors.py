@@ -20,7 +20,6 @@ from repro.discovery import DiscoveryConfig
 from repro.engine import (
     DataSource,
     ExecutionBackend,
-    PlanWarning,
     SpillToDiskShardStore,
     build_executor,
     plan_detection,
@@ -100,7 +99,7 @@ class TestExecutorInvariance:
         _, _, rules, violations = run_engine(table, EXECUTOR_CONFIGS["serial"])
         store = SpillToDiskShardStore(tmp_path / "spill")
         sharded = ShardedTable.from_table(table, 13, store=store)
-        source = DataSource(sharded.to_table(), sharded=sharded)
+        source = DataSource.from_sharded(sharded)
         d_plan, v_plan, got_rules, got_violations = run_engine(
             table, DiscoveryConfig(**BASE), source=source
         )
@@ -128,31 +127,30 @@ class TestExecutorInvariance:
             )
 
 
-class TestExplicitStrategyWithWorkers:
-    """An explicit strategy pins detection to the serial engine, even
-    when workers would otherwise route the run sharded."""
+class TestDetectionRoutes:
+    """Detection has one route per upload; the ``ErrorDetector``
+    strategies stay as the baselines every route must agree with."""
 
     @pytest.mark.parametrize(
         "strategy",
         [DetectionStrategy.SCAN, DetectionStrategy.INDEX, DetectionStrategy.BRUTEFORCE],
     )
-    def test_strategies_pin_serial(self, strategy):
+    def test_both_backends_agree_with_every_strategy_baseline(self, strategy):
         from repro.detection import ErrorDetector
         from repro.discovery import PfdDiscoverer
 
         table = dirty_table("zip_city_state", 90, [], 7)
-        config = DiscoveryConfig(**BASE, n_workers=2)
-        pfds = PfdDiscoverer(config).discover(table)
+        pfds = PfdDiscoverer(DiscoveryConfig(**BASE)).discover(table)
         assert pfds
-        with pytest.warns(PlanWarning, match="n_workers=2 is ignored"):
-            plan = plan_detection(table.n_rows, config, strategy=strategy)
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.n_workers == 0
-        report = build_executor(plan).run_detection(plan, DataSource(table), pfds)
-        serial = ErrorDetector(table).detect_all(pfds, strategy=strategy)
-        assert report.canonical_violations() == serial.canonical_violations()
-        assert report.strategy == strategy
-        assert report.n_rows == serial.n_rows
+        baseline = ErrorDetector(table).detect_all(pfds, strategy=strategy)
+        for config in (DiscoveryConfig(**BASE), DiscoveryConfig(**BASE, n_workers=2)):
+            plan = plan_detection(table.n_rows, config)
+            report = build_executor(plan).run_detection(plan, DataSource(table), pfds)
+            assert report.canonical_violations() == baseline.canonical_violations()
+            assert report.n_rows == baseline.n_rows
+            assert report.strategy == (
+                "auto" if plan.backend == ExecutionBackend.SERIAL else "sharded"
+            )
 
     def test_direct_run_with_workers_leaves_no_child_processes(self):
         # no caller pool: the executor builds one for the run and closes it
@@ -196,25 +194,25 @@ class TestDataSource:
         assert plan.backend == ExecutionBackend.SERIAL
 
     def test_view_recut_when_requested_size_differs(self):
-        # regression: config.shard_rows must win over a fresh cached
-        # upload partition, so the executed shards match the plan
+        # regression: config.shard_rows must win over the upload
+        # partition, so the executed shards match the plan
         table = dirty_table("zip_city_state", 60, [], 3)
         upload = ShardedTable.from_table(table, 25)
-        source = DataSource(upload.to_table(), sharded=upload)
+        source = DataSource.from_sharded(upload)
         view = source.sharded_view(10)
         assert view is not upload
         assert max(view.shard_row_counts()) == 10
         # and asking for the upload's own size reuses it (cache kept)
-        fresh = DataSource(upload.to_table(), sharded=upload)
-        assert fresh.sharded_view(25) is upload
+        assert source.sharded_view(25) is upload
 
     def test_upload_partition_kept_without_knob(self):
         table = dirty_table("zip_city_state", 60, [], 3)
         sharded = ShardedTable.from_table(table, 25)
-        source = DataSource(sharded.to_table(), sharded=sharded)
+        source = DataSource.from_sharded(sharded)
         assert source.is_sharded_upload
         assert source.upload_shard_rows == 25
-        # an edit forces a rebuild; without a knob the upload's size sticks
-        source.table.set_cell(0, table.column_names()[0], "X")
+        # an edit seals a patched view; without a knob the upload's size sticks
+        source.view.set_cell(0, table.column_names()[0], "X")
         rebuilt = source.sharded_view(0)
+        assert rebuilt is not sharded
         assert max(rebuilt.shard_row_counts()) == 25

@@ -1,15 +1,13 @@
 """Planner unit tests: the full routing matrix.
 
-Every combination of (shard_rows, n_workers, strategy, upload kind)
-must resolve to a deterministic backend, with the decisions recorded on
-the plan and the silent-override case warning.
+Every combination of (shard_rows, n_workers, upload kind) must resolve
+to a deterministic backend, with the decisions recorded on the plan.
 """
 
 import warnings
 
 import pytest
 
-from repro.detection import DetectionStrategy
 from repro.discovery import DiscoveryConfig
 from repro.engine import (
     DEFAULT_SHARD_ROWS,
@@ -19,7 +17,7 @@ from repro.engine import (
     plan_discovery,
     plan_run,
 )
-from repro.errors import DetectionError
+from repro.errors import DiscoveryError
 
 
 def config(shard_rows=0, n_workers=0):
@@ -78,64 +76,39 @@ class TestAutoRouting:
         assert plan.shard_rows == 40
 
 
-class TestExplicitStrategyPinsMonolithic:
-    """The recorded-and-warned fallback: an explicit detection strategy
-    on a sharded dataset skips shard parallelism (regression for the
-    silent `strategy == AUTO` special case in the old session)."""
+class TestShardedUploadsStaySharded:
+    """A sharded upload has one route: the sharded backend, end to end
+    on its shard store — no plan for it ever materializes the table."""
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [DetectionStrategy.SCAN, DetectionStrategy.INDEX, DetectionStrategy.BRUTEFORCE],
-    )
-    def test_explicit_strategy_on_sharded_config_warns(self, strategy):
-        with pytest.warns(PlanWarning, match="shard parallelism is skipped"):
-            plan = plan_detection(100, config(shard_rows=10), strategy=strategy)
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.strategy == strategy
-        assert any("skipped" in decision for decision in plan.decisions)
-
-    def test_explicit_strategy_on_sharded_upload_warns(self):
-        with pytest.warns(PlanWarning):
-            plan = plan_detection(
-                100, config(), strategy="scan", sharded_upload=True,
-                upload_shard_rows=25,
-            )
-        assert plan.backend == ExecutionBackend.SERIAL
-
-    def test_explicit_strategy_with_workers_pins_serial(self):
-        with pytest.warns(PlanWarning, match="n_workers=2 is ignored"):
-            plan = plan_detection(
-                100, config(shard_rows=10, n_workers=2), strategy="index"
-            )
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.strategy == "index"
-        assert plan.n_workers == 0
-
-    def test_explicit_strategy_on_monolithic_workers_pins_serial(self):
-        # n_workers alone routes sharded, so the explicit strategy still
-        # pins the run back to serial — and says the workers go unused
-        with pytest.warns(PlanWarning, match="is ignored"):
-            plan = plan_detection(100, config(n_workers=4), strategy="scan")
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.n_workers == 0
-        assert not any("WorkerPool" in d for d in plan.decisions)
-
-    def test_auto_strategy_does_not_warn(self):
+    @pytest.mark.parametrize("kind", ["discovery", "detection"])
+    @pytest.mark.parametrize("cfg", [config(), config(shard_rows=10), config(n_workers=2)])
+    def test_sharded_upload_never_plans_eager(self, kind, cfg):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plan = plan_detection(100, config(shard_rows=10))
+            warnings.simplefilter("error", PlanWarning)
+            plan = plan_run(kind, 100, cfg, sharded_upload=True, upload_shard_rows=25)
         assert plan.backend == ExecutionBackend.SHARDED
+        assert plan.materialization == "never"
+        assert not any("eager" in d for d in plan.decisions)
+        assert "eager" not in plan.describe()
 
-    def test_explicit_strategy_monolithic_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plan = plan_detection(100, config(), strategy="scan")
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.strategy == "scan"
+    def test_sharded_recheck_never_plans_eager(self):
+        plan = plan_discovery(
+            100, config(), sharded_upload=True, upload_shard_rows=25,
+            recheck=True, maintainable=False,
+        )
+        assert plan.backend == ExecutionBackend.SHARDED
+        assert plan.materialization == "never"
 
-    def test_discovery_ignores_strategy(self):
-        plan = plan_discovery(100, config(shard_rows=10))
-        assert plan.strategy == DetectionStrategy.AUTO
+    def test_monolithic_table_plans_eager(self):
+        assert plan_detection(100, config()).materialization == "eager"
+        assert plan_detection(100, config(shard_rows=10)).materialization == "eager"
+
+    def test_strategy_argument_is_gone(self):
+        with pytest.raises(TypeError, match="strategy"):
+            plan_run("detection", 10, config(), strategy="scan")
+        with pytest.raises(TypeError, match="strategy"):
+            plan_detection(10, config(), strategy="scan")
+        assert not hasattr(plan_detection(10, config()), "strategy")
 
 
 class TestWorkerFanOut:
@@ -182,10 +155,6 @@ class TestValidationAndShape:
         with pytest.raises(TypeError, match="executor"):
             plan_run("discovery", 10, config(), executor="serial")
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(DetectionError, match="unknown strategy"):
-            plan_detection(10, config(), strategy="quantum")
-
     def test_zero_row_table_plans_one_shard(self):
         plan = plan_run("discovery", 0, config(shard_rows=10))
         assert plan.n_shards == 1
@@ -198,15 +167,18 @@ class TestValidationAndShape:
         assert "execution plan (detection)" in text
         assert all(decision in text for decision in plan.decisions)
 
-    def test_describe_monolithic_mentions_strategy(self):
-        plan = plan_detection(100, config(), strategy="scan")
-        assert "strategy=scan" in plan.describe()
+    def test_describe_monolithic_names_only_the_backend(self):
+        text = plan_detection(100, config()).describe()
+        assert text.startswith(
+            "execution plan (detection): backend=serial workers=0 rows=100"
+        )
+        assert "shards=" not in text
 
 
 class TestRuleMaintenanceResolution:
-    """A re-check plan resolves ``config.rule_maintenance`` into the
-    plan's ``rule_maintenance`` field; ordinary discovery plans stay at
-    ``"none"``."""
+    """A re-check plan resolves the plan's ``rule_maintenance`` from the
+    backend and the seeded baseline alone; ordinary discovery plans stay
+    at ``"none"``.  Nothing is requested, so nothing warns."""
 
     def test_non_recheck_plans_record_none(self):
         assert plan_discovery(100, config()).rule_maintenance == "none"
@@ -223,44 +195,44 @@ class TestRuleMaintenanceResolution:
         assert any("maintains the rule set" in d for d in plan.decisions)
         assert "rule_maintenance=incremental" in plan.describe()
 
-    def test_unseeded_recheck_falls_back_quietly_under_auto(self):
+    def test_unseeded_recheck_falls_back_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", PlanWarning)
             plan = plan_discovery(
                 100, config(shard_rows=10), recheck=True, maintainable=False
             )
         assert plan.rule_maintenance == "full"
+        assert any("no maintainable rule baseline" in d for d in plan.decisions)
 
-    def test_monolithic_recheck_falls_back_quietly_under_auto(self):
+    def test_monolithic_recheck_falls_back_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", PlanWarning)
             plan = plan_discovery(100, config(), recheck=True, maintainable=True)
         assert plan.rule_maintenance == "full"
-
-    def test_requested_incremental_warns_when_it_cannot_run(self):
-        cfg = DiscoveryConfig(rule_maintenance="incremental")
-        with pytest.warns(PlanWarning, match="sharded backend"):
-            plan = plan_discovery(100, cfg, recheck=True, maintainable=True)
-        assert plan.rule_maintenance == "full"
-        cfg = DiscoveryConfig(shard_rows=10, rule_maintenance="incremental")
-        with pytest.warns(PlanWarning, match="baseline"):
-            plan = plan_discovery(100, cfg, recheck=True, maintainable=False)
-        assert plan.rule_maintenance == "full"
-
-    def test_requested_full_always_wins(self):
-        cfg = DiscoveryConfig(shard_rows=10, rule_maintenance="full")
-        plan = plan_discovery(100, cfg, recheck=True, maintainable=True)
-        assert plan.rule_maintenance == "full"
-        assert any("re-discovers" in d for d in plan.decisions)
+        assert any("needs the sharded backend" in d for d in plan.decisions)
 
     def test_describe_omits_none(self):
         assert "rule_maintenance" not in plan_discovery(100, config()).describe()
 
-    def test_config_validates_the_knob(self):
-        from repro.errors import DiscoveryError
 
-        with pytest.raises(DiscoveryError, match="rule_maintenance"):
-            DiscoveryConfig(rule_maintenance="sometimes")
+class TestRemovedKnobs:
+    """``rule_maintenance`` and ``prefetch_depth`` are no longer
+    settable: the config rejects them and the plan has no prefetch."""
+
+    @pytest.mark.parametrize(
+        "field,value", [("rule_maintenance", "full"), ("prefetch_depth", 2)]
+    )
+    def test_config_rejects_removed_field(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            DiscoveryConfig(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            DiscoveryConfig().with_overrides(**{field: value})
+
+    def test_plan_has_no_prefetch_depth(self):
+        cfg = DiscoveryConfig(shard_rows=10, store="object")
+        plan = plan_run("detection", 100, cfg)
+        assert not hasattr(plan, "prefetch_depth")
+        assert "prefetch" not in plan.describe()
 
 
 class TestObjectClientRouting:
@@ -296,7 +268,5 @@ class TestObjectClientRouting:
         assert plan.object_client == "none"
 
     def test_config_validates_the_url(self):
-        from repro.errors import DiscoveryError
-
         with pytest.raises(DiscoveryError, match="object_url"):
             DiscoveryConfig(store="object", object_url="ftp://host/x")

@@ -290,8 +290,10 @@ def test_session_pool_maps_at_detection_and_serves_recheck():
         maps_after_detection = pool.maps_run
         assert maps_after_detection > 0, "detection must map over the pool"
         session.edit_cell(0, "city", "")
-        with pytest.warns(PlanWarning):  # the edited table is re-cut: full re-discovery
-            session.recheck()
+        session.recheck()
+        # the edited table is re-cut: the fallback is recorded on the plan
+        assert session.last_plan.rule_maintenance == "full"
+        assert any("falling back" in d for d in session.last_plan.decisions)
         assert session._worker_pool is pool, "recheck's detection must reuse the pool"
         assert pool.maps_run > maps_after_detection
     assert pool.closed
@@ -366,18 +368,13 @@ def test_no_leaked_processes_after_session_context_exit():
     assert all(not process.is_alive() for process in processes)
 
 
-def test_plan_records_pool_and_prefetch_decisions():
-    config = DiscoveryConfig(
-        shard_rows=8, n_workers=2, store="object", prefetch_depth=3
-    )
+def test_plan_records_pool_decisions():
+    config = DiscoveryConfig(shard_rows=8, n_workers=2, store="object")
     dataset = build_dataset("zip_city_state", n_rows=40, seed=5)
     with AnmatSession(dataset_name="decisions", config=config) as session:
         session.load_table(dataset.table)
         plan = session.plan_detection()
         discovery_plan = session.plan_discovery()
-    assert plan.prefetch_depth == 3
     assert any("WorkerPool of 2 processes" in line for line in plan.decisions)
     assert not any("WorkerPool" in line for line in discovery_plan.decisions)
-    assert any("prefetch_depth=3" in line for line in plan.decisions)
     assert "workers=2" in plan.describe()
-    assert "prefetch_depth=3" in plan.describe()

@@ -188,6 +188,39 @@ def test_store_invalid_prefetch_depth_rejected(tmp_path):
         )
 
 
+def test_store_factory_and_session_upload_share_one_prefetch_default(tmp_path):
+    # one default depth for every object store: built directly, through
+    # the factory, or by a session upload from its config
+    from repro.anmat.session import AnmatSession
+    from repro.dataset.csvio import write_csv
+    from repro.discovery import DiscoveryConfig
+    from repro.sharding import make_shard_store
+    from repro.sharding.object_store import DEFAULT_PREFETCH_DEPTH
+
+    assert DEFAULT_PREFETCH_DEPTH == 2
+    path = tmp_path / "shards.csv"
+    rows = [[f"k{i}", f"v{i % 5}"] for i in range(12)]
+    write_csv(Table.from_rows(["key", "value"], rows), path)
+    stores = [
+        ObjectShardStore(root=tmp_path / "direct"),
+        make_shard_store("object", tmp_path / "factory"),
+    ]
+    session = AnmatSession(
+        dataset_name="prefetch",
+        config=DiscoveryConfig(store="object", spill_dir=str(tmp_path / "session")),
+    )
+    session.upload_csv(path, shard_rows=4)
+    stores.append(session._source.sharded_view(0).store)
+    try:
+        for store in stores:
+            assert isinstance(store._prefetcher, PrefetchingFetcher)
+            assert store._prefetcher.depth == DEFAULT_PREFETCH_DEPTH
+    finally:
+        session.close()
+        for store in stores[:2]:
+            store.close()
+
+
 def test_prefetching_store_reads_identical_shards(tmp_path):
     shards = make_shards(6)
     plain = filled_store(tmp_path, "plain", 0, shards)

@@ -16,7 +16,6 @@ from repro.dataset.csvio import write_csv
 from repro.dataset.profiling import profile_table
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.discoverer import PfdDiscoverer
-from repro.engine import PlanWarning
 from repro.sharding import sharded_table as sharded_table_module
 from repro.sharding import store as store_module
 
@@ -106,9 +105,9 @@ def test_recheck_after_edits_reprofiles_the_edited_data(spill_session):
     for row in range(session.table.n_rows):
         session.edit_cell(row, "state", "ZZ")
     session.table.append_row(["99999", "Nowhere", "ZZ"])
-    with pytest.warns(PlanWarning, match="falling back to full re-discovery"):
-        result = session.recheck()
+    result = session.recheck()
     assert session.last_plan.rule_maintenance == "full"
+    assert any("falling back" in d for d in session.last_plan.decisions)
 
     edited = session.table.materialize()
     assert result.profile == profile_table(edited)
