@@ -16,8 +16,8 @@ implements the full system described in the paper:
 * :mod:`repro.detection` — error detection with constant and variable
   PFDs, pattern indexes, and blocking.
 * :mod:`repro.sharding` — sharded, out-of-core discovery and detection
-  over mergeable per-shard statistics, canonically equal to a
-  monolithic run.
+  over table-wide column encodings, canonically equal to a monolithic
+  run.
 * :mod:`repro.baselines` — FD/CFD discovery and detection plus a
   pattern-outlier detector, used for comparison experiments.
 * :mod:`repro.anmat` — the end-to-end ANMAT workflow (project store,

@@ -51,7 +51,6 @@ def _open_session(args: argparse.Namespace):
         min_coverage=args.min_coverage,
         allowed_violation_ratio=args.allowed_violations,
         shard_rows=args.shard_rows,
-        n_workers=args.n_workers,
         store=args.store,
         spill_dir=args.spill_dir,
         object_url=args.object_url,
@@ -124,19 +123,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--n-workers",
-        type=_positive_int,
-        default=0,
-        metavar="N",
-        help=(
-            "fan per-shard detection work (pair groups and merges) out "
-            "over a pool of N worker processes; without --shard-rows a "
-            f"monolithic dataset is cut into shards of {DEFAULT_SHARD_ROWS} "
-            "rows; results are identical to a serial run "
-            "(0 = serial, the default)"
-        ),
-    )
-    parser.add_argument(
         "--store",
         default="memory",
         choices=list(STORE_KINDS),
@@ -179,13 +165,12 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--explain-plan",
         action="store_true",
-        help="print the chosen execution plan (backend, shard count, workers) before running",
+        help="print the chosen execution plan (backend, shard count) before running",
     )
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for ``--shard-rows``/``--n-workers``: a non-negative
-    integer."""
+    """argparse type for ``--shard-rows``: a non-negative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")

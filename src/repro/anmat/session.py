@@ -17,9 +17,8 @@ re-scanning the whole table — the session moves to ``EDITING`` and a
 Discovery and detection are executed through the pluggable execution
 engine (:mod:`repro.engine`): the session builds an
 :class:`~repro.engine.plan.ExecutionPlan` from its config and upload
-kind and hands it to the matching backend — serial, or sharded (the
-one route for ``n_workers``; its detection fans out over the session's
-worker pool) — so the session itself carries no routing branches.
+kind and hands it to the matching backend — serial or sharded — so the
+session itself carries no routing branches.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.engine import (
     plan_detection,
     plan_discovery,
 )
-from repro.engine.worker_pool import WorkerPool
 from repro.errors import ProjectError
 from repro.pfd.pfd import PFD
 from repro.sharding.sharded_table import ShardedTable
@@ -105,10 +103,6 @@ class AnmatSession:
     #: the dataset as the engine sees it: a monolithic table, or a
     #: never-materialized shard-store source
     _source: Optional[DataSource] = field(default=None, repr=False)
-    #: the session's persistent worker pool: lazily created by the first
-    #: detection plan that fans out, reused by every later detection
-    #: (including the one a recheck runs), closed with the session
-    _worker_pool: Optional[WorkerPool] = field(default=None, repr=False)
 
     # -- step 1: load ------------------------------------------------------------
 
@@ -131,10 +125,6 @@ class AnmatSession:
         """
         if self._source is not None:
             self._source.close()
-        if self._worker_pool is not None:
-            # a new dataset restarts shard indexes and versions from
-            # scratch; stale warm-cache entries must not hit for it
-            self._worker_pool.clear_warm_cache()
         if isinstance(table, ShardedTable):
             self._source = DataSource.from_sharded(table)
         else:
@@ -243,10 +233,10 @@ class AnmatSession:
         """Extract PFDs from the dataset (the Figure 4 view).
 
         The run is resolved by the execution engine's planner —
-        ``config.shard_rows``, ``config.n_workers`` or a sharded upload
-        route it through the sharded backend, anything else runs the
-        serial engine — and executed by the matching backend; results
-        are identical across backends.
+        ``config.shard_rows`` or a sharded upload route it through the
+        sharded backend, anything else runs the serial engine — and
+        executed by the matching backend; results are identical across
+        backends.
         """
         plan = self.plan_discovery()
         if self.profile is None:
@@ -440,9 +430,7 @@ class AnmatSession:
                 "no confirmed PFDs to run; call run_discovery() and confirm() first"
             )
         plan = self.plan_detection()
-        self.violations = build_executor(plan).run_detection(
-            plan, self._source, rules, pool=self._pool_for(plan)
-        )
+        self.violations = build_executor(plan).run_detection(plan, self._source, rules)
         self.last_plan = plan
         self._detection_rules = rules
         self._incremental = None  # a fresh full run supersedes any edit loop
@@ -499,9 +487,6 @@ class AnmatSession:
         Idempotent, and also invoked when the session is used as a
         context manager.
         """
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
         if self._source is not None:
             self._source.close()
             self._source = None
@@ -537,23 +522,6 @@ class AnmatSession:
             raise ProjectError(
                 f"session {self.dataset_name!r} has no table; call load_table() first"
             )
-
-    def _pool_for(self, plan: ExecutionPlan) -> Optional[WorkerPool]:
-        """The persistent worker pool serving this plan, or ``None`` for
-        plans without workers.  Created lazily on the first fanning-out
-        plan, reused until :meth:`close`; a changed ``n_workers``
-        rebuilds it at the new width."""
-        if plan.n_workers <= 1:
-            return None
-        if (
-            self._worker_pool is not None
-            and self._worker_pool.n_workers != plan.n_workers
-        ):
-            self._worker_pool.close()
-            self._worker_pool = None
-        if self._worker_pool is None:
-            self._worker_pool = WorkerPool(plan.n_workers)
-        return self._worker_pool
 
     def _save_results(self) -> None:
         if self.project is None or self.violations is None:

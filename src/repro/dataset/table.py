@@ -108,20 +108,25 @@ class Table:
     def __init__(self, schema: Union[Schema, Sequence[str]], columns: Sequence[Sequence[object]]):
         if not isinstance(schema, Schema):
             schema = Schema.of(schema)
+        self._adopt(
+            schema,
+            [
+                list(col) if _all_str(col) else [_stringify(v) for v in col]
+                for col in columns
+            ],
+        )
+
+    def _adopt(self, schema: Schema, columns: List[List[str]]) -> None:
         if len(columns) != len(schema):
             raise TableError(
                 f"schema has {len(schema)} attributes but {len(columns)} columns given"
             )
-        normalized: List[List[str]] = [
-            list(col) if _all_str(col) else [_stringify(v) for v in col]
-            for col in columns
-        ]
-        lengths = {len(col) for col in normalized}
+        lengths = {len(col) for col in columns}
         if len(lengths) > 1:
             raise TableError(f"columns have inconsistent lengths: {sorted(lengths)}")
         self._schema = schema
-        self._columns = normalized
-        self._n_rows = normalized[0].__len__() if normalized else 0
+        self._columns = columns
+        self._n_rows = columns[0].__len__() if columns else 0
         # Mutation counter: bumped by every in-place mutation so per-table
         # derived artifacts (see repro.perf.table_cache) can detect
         # staleness.  The delta log records *what* changed between two
@@ -132,6 +137,15 @@ class Table:
         self._log_floor = 0
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_str_columns(cls, schema: Schema, columns: List[List[str]]) -> "Table":
+        """Adopt freshly built column lists of exact ``str`` cells as they
+        are: no copy and no per-cell check (decoders that build the lists
+        themselves use this; the table owns them afterwards)."""
+        table = cls.__new__(cls)
+        table._adopt(schema, columns)
+        return table
 
     @classmethod
     def from_rows(

@@ -300,10 +300,11 @@ class VariableRuleEvaluator:
         groups.
 
         The semantic core shared by :meth:`block_violations_for` (which
-        splits an in-order row list) and the sharded engine (which merges
-        per-shard groups whose concatenated row lists are not globally
-        sorted — hence the witness is ``min()`` of the majority group,
-        which equals "first row" whenever the lists are ascending).
+        splits an in-order row list) and the sharded engine (which pours
+        the row lists of several LHS values into one block, so a group's
+        rows are not globally sorted — hence the witness is ``min()`` of
+        the majority group, which equals "first row" whenever the lists
+        are ascending).
         """
         if len(groups) < 2:
             return []

@@ -50,15 +50,12 @@ class DiscoveryConfig:
     max_candidate_columns:
         Safety valve for very wide tables.
     n_workers:
-        Opt-in parallelism, interpreted by the execution engine's
-        planner (:mod:`repro.engine`).  ``0`` or ``1`` run serially;
-        ``>1`` routes runs to the sharded backend (a monolithic table is
-        cut into shards of the engine's default size), whose per-shard
-        detection statistics and their merges fan out over a
-        :class:`~repro.engine.worker_pool.WorkerPool` of this many
-        processes.  A session keeps that pool alive across detection
-        runs and closes it with the session.  Results are identical to
-        the serial path.
+        Inert: accepted, validated (``>= 0``) and otherwise ignored.
+        Every run executes in-process — discovery and detection share
+        one set of column encodings and no stage fans out.  The field
+        remains only because the session benchmark
+        (``bench/session_child.py``) still passes it, and goes when that
+        benchmark stops doing so.
     shard_rows:
         Opt-in sharded execution, interpreted by the engine's planner.
         ``0`` runs monolithically; ``>0`` routes discovery and detection

@@ -94,14 +94,7 @@ class DiscoveryResult:
 
 
 class PfdDiscoverer:
-    """Discovers PFDs directly from (dirty) data.
-
-    The discoverer itself always mines serially; ``config.n_workers`` is
-    interpreted by the execution engine's planner, which routes runs
-    with workers to the sharded backend and its per-shard fan-out.
-    Callers who want parallelism should go through :mod:`repro.engine`
-    (or the session/CLI, which already do).
-    """
+    """Discovers PFDs directly from (dirty) data."""
 
     def __init__(
         self,
@@ -158,8 +151,8 @@ class PfdDiscoverer:
         """Package accepted per-candidate reports into named PFD objects.
 
         Shared by the monolithic pipeline above and the sharded
-        discoverer (which mines the same reports from merged per-shard
-        statistics) so both produce identically named, identically
+        discoverer (which mines the same reports from shard-major column
+        encodings) so both produce identically named, identically
         ordered rule sets.
         """
         pfds: List[PFD] = []

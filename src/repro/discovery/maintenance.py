@@ -34,13 +34,12 @@ overlay, maintains the rule set instead of recomputing it:
    differential gate in ``tests/discovery/test_maintenance.py`` asserts
    this).
 
-The delta-shard statistics of :mod:`repro.sharding.stats` carry the
-maintained state forward: the merged pair groups a previous detection
-run left on the old view are moved to the new view via
-:func:`~repro.sharding.stats.unmerge_pair_groups` /
-:func:`~repro.sharding.stats.merge_into_pair_groups` —
-``merged = base − old_delta + new_delta`` — so the re-detection that
-follows a re-check skips the cross-shard merge as well.
+The table-wide column encodings carry the maintained state forward:
+the new view starts with the old view's encodings of every clean column
+(so re-mining encodes only the changed columns) and with the pair
+groups of rule pairs over clean columns; pairs touching a changed column
+are regrouped on demand from the new encodings by the detection run
+that follows a re-check.
 
 Structural changes (appends, deletes, repartitions) shift global row
 ids and change *every* column's value sequence, which would dirty every
@@ -63,14 +62,9 @@ from repro.discovery.discoverer import (
     DiscoveryResult,
     PfdDiscoverer,
 )
-from repro.sharding.discovery import MINING_ARTIFACTS
+from repro.sharding.discovery import drop_mining_artifacts
 from repro.sharding.overlay import OverlayShardStore
 from repro.sharding.sharded_table import ShardedTable
-from repro.sharding.stats import (
-    extract_pair_groups,
-    merge_into_pair_groups,
-    unmerge_pair_groups,
-)
 
 #: a report is keyed by what determines it: the attribute pair plus the
 #: LHS token mode (the mode can flip when the LHS profile changes)
@@ -167,10 +161,8 @@ class RuleMaintainer:
             return None
 
         dirty = view.dirty_shards(self._versions)
-        changed_in_shard, changed_columns = self._diff_columns(view, dirty)
-
-        with self.timers.stage("pair_groups"):
-            self._carry_pair_groups(view, dirty, changed_in_shard)
+        changed_columns = self._diff_columns(view, dirty)
+        self._carry_clean_artifacts(view, changed_columns)
 
         with self.timers.stage("profile"):
             profile = self._maintained_profile(view, changed_columns)
@@ -196,10 +188,10 @@ class RuleMaintainer:
                 next(remined) if baseline is None else baseline
                 for baseline in baselines
             ]
-            # same memory hygiene as the sharded discoverer
-            view.drop_merged_artifacts(*MINING_ARTIFACTS)
         with self.timers.stage("assemble"):
             pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
+        # same memory hygiene as the sharded discoverer
+        drop_mining_artifacts(view, pfds)
 
         # advance the baseline to the maintained state
         self._view = view
@@ -220,10 +212,8 @@ class RuleMaintainer:
 
     # -- change detection -------------------------------------------------------
 
-    def _diff_columns(
-        self, view: ShardedTable, dirty: Sequence[int]
-    ) -> Tuple[Dict[int, Set[str]], Set[str]]:
-        """Per dirty shard, the columns whose contents actually changed.
+    def _diff_columns(self, view: ShardedTable, dirty: Sequence[int]) -> Set[str]:
+        """The columns whose contents changed in some dirty shard.
 
         The overlay's edited-column sets prefilter the comparison (only
         columns with at least one edit can differ between seals); the
@@ -233,8 +223,7 @@ class RuleMaintainer:
         names = view.column_names()
         new_store = view.store
         old_view = self._view
-        changed_in_shard: Dict[int, Set[str]] = {}
-        changed_columns: Set[str] = set()
+        changed: Set[str] = set()
         for index in dirty:
             if isinstance(new_store, OverlayShardStore):
                 compare = [
@@ -244,67 +233,40 @@ class RuleMaintainer:
                 compare = names
             old_shard = old_view.store.get(index)
             new_shard = view.store.get(index)
-            changed: Set[str] = set()
             for name in compare:
-                if old_shard.column_ref(name) != new_shard.column_ref(name):
+                if name not in changed and (
+                    old_shard.column_ref(name) != new_shard.column_ref(name)
+                ):
                     changed.add(name)
-            changed_in_shard[index] = changed
-            changed_columns |= changed
-        return changed_in_shard, changed_columns
+        return changed
 
     # -- maintained statistics --------------------------------------------------
 
-    def _carry_pair_groups(
-        self,
-        view: ShardedTable,
-        dirty: Sequence[int],
-        changed_in_shard: Dict[int, Set[str]],
+    def _carry_clean_artifacts(
+        self, view: ShardedTable, changed_columns: Set[str]
     ) -> None:
-        """Move the old view's merged pair groups (built by the detection
-        run that followed the baseline discovery) onto the new view.
+        """Move the old view's encodings of clean columns, and the pair
+        groups of pairs over clean columns, onto the new view.
 
-        Pairs over clean columns are carried as-is; pairs touching a
-        changed column have each dirty shard's contribution unmerged
-        (extracted from the *old* shard — seals are snapshots, so it is
-        still readable) and the replacement shard's merged back in.  The
-        artifacts are primed into the new view's merged cache, so the
-        re-detection after a re-check skips the cross-shard merge.
+        A clean column's values are the same on both seals, so its
+        encoding — and any pair groups built only from clean encodings —
+        equal what the new view would build.  Primed before mining, they
+        leave the re-mine to encode only the changed columns, and the
+        re-detection to regroup only the pairs touching one.  The old
+        view releases both kinds: what moved now belongs to the new
+        view, and the rest describes a state no later op reads.
         """
         old_view = self._view
         if view is old_view:
             return  # nothing changed; the artifacts are already in place
-        for key in old_view.merged_artifact_keys("merged_pair_groups"):
-            merged = old_view.peek_merged_artifact(key)
-            if merged is None:
-                continue
-            _tag, lhs, rhs = key
-            for index in dirty:
-                changed = changed_in_shard[index]
-                if lhs not in changed and rhs not in changed:
-                    continue
-                offset = view.offset_of(index)
-                old_shard = old_view.store.get(index)
-                new_shard = view.store.get(index)
-                unmerge_pair_groups(
-                    merged,
-                    extract_pair_groups(
-                        old_shard.column_ref(lhs),
-                        old_shard.column_ref(rhs),
-                        offset,
-                    ),
-                )
-                merge_into_pair_groups(
-                    merged,
-                    extract_pair_groups(
-                        new_shard.column_ref(lhs),
-                        new_shard.column_ref(rhs),
-                        offset,
-                    ),
-                )
-            view.prime_merged_artifact(key, merged)
-        # the moved artifacts now reflect the *new* state; the old view
-        # must not keep serving them
-        old_view.drop_merged_artifacts("merged_pair_groups")
+        carried = ("column_encoding", "merged_pair_groups")
+        for prefix in carried:
+            for key in old_view.merged_artifact_keys(prefix):
+                # key[1:] names the artifact's columns
+                artifact = old_view.peek_merged_artifact(key)
+                if artifact is not None and changed_columns.isdisjoint(key[1:]):
+                    view.prime_merged_artifact(key, artifact)
+        old_view.drop_merged_artifacts(*carried)
 
     # -- maintained profile -----------------------------------------------------
 

@@ -5,7 +5,7 @@ benchmarks — goes through the same two steps:
 
 1. :func:`plan_run` (or the :func:`plan_discovery` / :func:`plan_detection`
    wrappers) resolves the observable inputs (table size, ``shard_rows``,
-   ``n_workers``, sharded-vs-monolithic upload) into an
+   sharded-vs-monolithic upload) into an
    :class:`ExecutionPlan`, recording every routing decision it takes;
 2. :func:`build_executor` hands back the matching backend —
    :class:`SerialExecutor` or :class:`ShardedExecutor` — and
@@ -29,13 +29,10 @@ from repro.engine.plan import (
     DEFAULT_SHARD_ROWS,
     ExecutionBackend,
     ExecutionPlan,
-    PlanWarning,
     plan_detection,
     plan_discovery,
     plan_run,
 )
-from repro.engine.pool import make_shard_map, serial_map
-from repro.engine.worker_pool import WorkerPool
 from repro.sharding.object_store import LocalObjectClient, ObjectShardStore
 from repro.sharding.overlay import ShardOverlay
 from repro.sharding.remote import (
@@ -63,19 +60,15 @@ __all__ = [
     "LocalObjectClient",
     "ObjectShardStore",
     "RetryPolicy",
-    "PlanWarning",
     "STORE_KINDS",
     "SerialExecutor",
     "ShardOverlay",
     "ShardStore",
     "ShardedExecutor",
     "SpillToDiskShardStore",
-    "WorkerPool",
     "make_shard_store",
     "build_executor",
-    "make_shard_map",
     "plan_detection",
     "plan_discovery",
     "plan_run",
-    "serial_map",
 ]

@@ -9,10 +9,8 @@ executor.run(plan)``.  The two concrete backends map one-to-one onto
   :class:`~repro.detection.detector.ErrorDetector`), fully in-process.
 * :class:`ShardedExecutor` — the sharded engines over a
   :class:`~repro.sharding.sharded_table.ShardedTable` (whose shards may
-  live in any :class:`~repro.sharding.store.ShardStore`), with
-  detection's per-shard extraction fanned out over a
-  :class:`~repro.engine.worker_pool.WorkerPool` when the plan carries
-  workers — the system's one fan-out route.
+  live in any :class:`~repro.sharding.store.ShardStore`), in-process:
+  discovery and detection share the table-wide column encodings.
 
 Executors are stateless; :func:`build_executor` hands back the backend a
 plan names.  The :class:`DataSource` wrapper owns the monolithic-table /
@@ -23,8 +21,7 @@ sharded view), so executors never branch on how the data arrived.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dataset.profiling import TableProfile, cached_profile_table
 from repro.dataset.table import Table
@@ -32,8 +29,6 @@ from repro.detection.detector import ErrorDetector
 from repro.detection.violation import ViolationReport
 from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
 from repro.engine.plan import ExecutionBackend, ExecutionPlan
-from repro.engine.pool import ShardMap, make_shard_map
-from repro.engine.worker_pool import WorkerPool
 from repro.errors import DetectionError
 from repro.pfd.pfd import PFD
 from repro.sharding.detection import ShardedDetector
@@ -179,15 +174,7 @@ def _repartition_streaming(overlay: ShardOverlay, shard_rows: int) -> ShardedTab
 
 
 class Executor(ABC):
-    """A backend that can run discovery/detection plans.
-
-    Detection's optional ``pool`` is a persistent
-    :class:`~repro.engine.worker_pool.WorkerPool` the caller owns
-    (sessions keep one alive across runs); with ``None`` a run that
-    fans out builds its own pool and closes it before returning.
-    Discovery maps nothing over a pool: it mines merged column
-    encodings in-process.
-    """
+    """A backend that can run discovery/detection plans."""
 
     name: str
 
@@ -206,7 +193,6 @@ class Executor(ABC):
         plan: ExecutionPlan,
         source: DataSource,
         rules: Sequence[PFD],
-        pool: Optional[WorkerPool] = None,
     ) -> ViolationReport:
         """Run a detection plan (the given rules) over the source."""
 
@@ -221,12 +207,12 @@ class SerialExecutor(Executor):
             source.table, relation=relation
         )
 
-    def run_detection(self, plan, source, rules, pool=None):
+    def run_detection(self, plan, source, rules):
         return ErrorDetector(source.table).detect_all(rules)
 
 
 class ShardedExecutor(Executor):
-    """The sharded engines over merged per-shard statistics."""
+    """The sharded engines over the table-wide column encodings."""
 
     name = ExecutionBackend.SHARDED
 
@@ -235,32 +221,8 @@ class ShardedExecutor(Executor):
             source.sharded_view(plan.shard_rows), relation=relation
         )
 
-    def run_detection(self, plan, source, rules, pool=None):
-        sharded = source.sharded_view(plan.shard_rows)
-        with _shard_map_for(plan, pool) as shard_map:
-            return ShardedDetector(sharded, shard_map=shard_map).detect_all(rules)
-
-
-@contextmanager
-def _shard_map_for(
-    plan: ExecutionPlan, pool: Optional[WorkerPool]
-) -> Iterator[Optional[ShardMap]]:
-    """The shard map one sharded run fans out through: ``None`` for a
-    plan without workers, else a map over ``pool`` — or over a pool built for
-    this run and closed when it ends.  Pool degrade events land on the
-    plan either way."""
-    if plan.n_workers <= 1:
-        yield None
-        return
-    owned = pool is None
-    if owned:
-        pool = WorkerPool(plan.n_workers)
-    try:
-        yield make_shard_map(pool)
-    finally:
-        plan.decisions.extend(pool.take_decisions())
-        if owned:
-            pool.close()
+    def run_detection(self, plan, source, rules):
+        return ShardedDetector(source.sharded_view(plan.shard_rows)).detect_all(rules)
 
 
 _EXECUTORS: Dict[str, Executor] = {

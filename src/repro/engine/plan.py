@@ -1,21 +1,17 @@
 """Execution planning: *what* to run is decided once, in one place.
 
 Every discovery/detection run first builds an :class:`ExecutionPlan`
-from the observable inputs (table size, ``shard_rows``, ``n_workers``,
-whether the upload arrived sharded), and the matching
+from the observable inputs (table size, ``shard_rows``, whether the
+upload arrived sharded), and the matching
 :class:`~repro.engine.executors.Executor` backend then runs the plan.
 There are two backends: the monolithic ``serial`` engines and the
-``sharded`` engines, which are also the one route for process fan-out —
-``n_workers > 1`` spreads their per-shard detection work over a
-:class:`~repro.engine.worker_pool.WorkerPool`.
+``sharded`` engines.
 
 The plan records every routing decision it takes as a human-readable
 line (``plan.decisions``), so ``--explain-plan`` and post-mortems can
 show *why* a backend was chosen.  A sharded upload always runs on the
 ``sharded`` backend, so nothing the planner decides overrides a user
-request; the one run-time override left — a
-:class:`~repro.engine.worker_pool.WorkerPool` degrading to serial — is
-recorded on the plan and raises a :class:`PlanWarning`.
+request.
 """
 
 from __future__ import annotations
@@ -36,14 +32,8 @@ class ExecutionBackend:
     ALL = (SERIAL, SHARDED)
 
 
-#: shard size used when a run goes sharded but nothing (config, upload)
-#: names one — a monolithic table fanned out over workers is cut here
+#: shard size used when nothing (caller, config, upload) names one
 DEFAULT_SHARD_ROWS = 4096
-
-
-class PlanWarning(UserWarning):
-    """A run silently fell short of its plan (a worker pool degraded to
-    serial execution)."""
 
 
 @dataclass
@@ -58,9 +48,6 @@ class ExecutionPlan:
     kind: str  #: ``"discovery"`` or ``"detection"``
     backend: str  #: one of :class:`ExecutionBackend`
     config: DiscoveryConfig
-    #: effective per-shard fan-out workers (``<= 1`` means fully serial
-    #: stages; always ``0`` on the serial backend)
-    n_workers: int = 0
     #: effective shard size (``0`` for the serial backend)
     shard_rows: int = 0
     #: estimated shard count (``0`` for the serial backend)
@@ -92,7 +79,7 @@ class ExecutionPlan:
             summary += f" shards={self.n_shards}x{self.shard_rows} store={self.store}"
             if self.object_client != "none":
                 summary += f"[{self.object_client}]"
-        summary += f" workers={self.n_workers} rows={self.n_rows}"
+        summary += f" rows={self.n_rows}"
         if self.rule_maintenance != "none":
             summary += f" rule_maintenance={self.rule_maintenance}"
         lines = [summary]
@@ -120,7 +107,7 @@ def plan_run(
         Size of the logical table.
     config:
         The session's :class:`DiscoveryConfig` (supplies ``shard_rows``
-        and ``n_workers``).
+        and the store).
     sharded_upload:
         Whether the dataset arrived as a :class:`ShardedTable` (e.g.
         streamed chunk-wise from CSV).
@@ -142,7 +129,6 @@ def plan_run(
     decisions: List[str] = []
 
     # -- backend selection ---------------------------------------------------
-    n_workers = config.n_workers
     if sharded_upload and config.shard_rows <= 0:
         backend = ExecutionBackend.SHARDED
         decisions.append("sharded upload detected")
@@ -151,15 +137,8 @@ def plan_run(
         decisions.append(
             f"config.shard_rows={config.shard_rows} requests sharded execution"
         )
-    elif n_workers > 1:
-        backend = ExecutionBackend.SHARDED
-        decisions.append(
-            f"config.n_workers={n_workers} requests process fan-out, which "
-            "runs per shard on the sharded backend"
-        )
     else:
         backend = ExecutionBackend.SERIAL
-        n_workers = 0
 
     # -- effective shard size ------------------------------------------------
     shard_rows = 0
@@ -173,12 +152,8 @@ def plan_run(
                 f"keeping the upload's shard size of {shard_rows} rows"
             )
         else:
+            # a zero-row upload has no shard size of its own
             shard_rows = DEFAULT_SHARD_ROWS
-            decisions.append(
-                f"the monolithic table is cut into shards of {shard_rows} "
-                "rows (the default shard_rows) for the worker fan-out"
-            )
-        shard_rows = max(1, shard_rows)
         n_shards = max(1, math.ceil(n_rows / shard_rows)) if n_rows else 1
 
     # -- materialization -----------------------------------------------------
@@ -203,17 +178,6 @@ def plan_run(
             f"shard objects go through the remote HTTP client at {config.object_url}"
             if config.object_url
             else "shard objects stay on the local filesystem client"
-        )
-
-    # -- worker fan-out ------------------------------------------------------
-    # The pool only matters when a fan-out will actually run — only
-    # detection maps per-shard work over it — so the decision is recorded
-    # exactly then.
-    if kind == "detection" and n_workers > 1:
-        decisions.append(
-            f"per-shard pair groups fan out over a WorkerPool of {n_workers} "
-            "processes (a session keeps it warm across detection runs and "
-            "closes it with the session)"
         )
 
     # -- rule maintenance ----------------------------------------------------
@@ -244,7 +208,6 @@ def plan_run(
         kind=kind,
         backend=backend,
         config=config,
-        n_workers=n_workers,
         shard_rows=shard_rows,
         n_shards=n_shards,
         n_rows=n_rows,

@@ -15,8 +15,8 @@ row by row.  The kernels in this package run the same computation at the
 * :mod:`repro.kernels.match` — one-pass batch pattern matching with a
   sound length / literal-prefix / char-class-signature prefilter,
   sharing verdict tables with :class:`repro.perf.memo.MatchMemo`;
-* :mod:`repro.kernels.groupby` — argsort-based pair-group builder for
-  :mod:`repro.sharding.stats`;
+* :mod:`repro.kernels.groupby` — argsort-based pair-group builder over
+  two column encodings (:mod:`repro.sharding.stats`);
 * :mod:`repro.kernels.mine` — the Figure 2 loop body (constant decision
   function, greedy selection, variable blocking) over encoded columns.
 

@@ -90,6 +90,11 @@ class ColumnEncoding:
             ) if len(self.distinct) else []
         return rows
 
+    def release_derived(self) -> None:
+        """Forget the lazy per-code arrays (each rebuilds on its next
+        use); the distinct values and codes stay."""
+        self._rows_by_code = self._counts = self._lengths = self._signatures = None
+
     def lengths(self):
         """int32 array: ``len(distinct[code])`` per code."""
         lengths = self._lengths

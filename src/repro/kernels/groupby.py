@@ -1,9 +1,11 @@
 """Vectorized pair-group builder.
 
 Reproduces :func:`repro.sharding.stats.extract_pair_groups` — the nested
-``LHS value → RHS value → [global row ids]`` map — from one argsort over
-combined ``(lhs_code << 32) | rhs_code`` keys instead of a per-row
-dict-of-dict loop.
+``LHS value → RHS value → [row ids]`` map — from two column encodings
+with one argsort over combined ``(lhs_code << 32) | rhs_code`` keys
+instead of a per-row dict-of-dict loop.  Discovery already built those
+encodings, so detection groups a rule pair without touching the data
+again.
 
 Ordering is part of the contract (the scalar map's insertion orders flow
 into violation emission):
@@ -19,58 +21,43 @@ into violation emission):
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.dataset.rowids import row_ids_from_numpy
-from repro.kernels.encoder import encode_column
+from repro.kernels.encoder import ColumnEncoding
 from repro.kernels.runtime import np
 from repro.sharding.stats import PairGroups
 
 
-def pair_groups_kernel(
-    lhs_values: Sequence[str],
-    rhs_values: Sequence[str],
-    offset: int,
-) -> PairGroups:
-    """One shard's pair groups, byte-identical to the scalar extractor."""
-    n = len(lhs_values)
+def pair_groups_kernel(lhs: ColumnEncoding, rhs: ColumnEncoding) -> PairGroups:
+    """The pair groups of two encoded columns of one table, rows being
+    the encodings' row positions; byte-identical to the scalar extractor
+    over the decoded columns."""
+    n = lhs.n_rows
     groups: PairGroups = {}
     if n == 0:
         return groups
-    lhs = encode_column(lhs_values)
-    rhs = encode_column(rhs_values)
     combined = (lhs.codes.astype(np.int64) << 32) | rhs.codes.astype(np.int64)
-    order = np.argsort(combined, kind="stable")
+    order = np.argsort(combined, kind="stable").astype(np.int32)
     ordered = combined[order]
-    if offset:
-        order = order + offset
-    order = order.astype(np.int32, copy=False)
-    # group boundaries: positions where the combined key changes
-    boundaries = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    starts = [0, *boundaries.tolist(), n]
+    # one entry per (LHS, RHS) group: where its rows start and stop in
+    # ``order`` (``order[starts]`` is each group's first row)
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    stops = np.r_[starts[1:], n]
+    keys = ordered[starts]
+    lhs_codes = keys >> 32
+    # walk the groups by LHS code, then by first row within it
+    walk = np.lexsort((order[starts], lhs_codes))
     lhs_distinct = lhs.distinct
     rhs_distinct = rhs.distinct
     current_code = -1
-    subgroups = []  # (first_row, rhs_value, rows) of the current LHS code
-
-    def flush() -> None:
-        if not subgroups:
-            return
-        subgroups.sort(key=lambda item: item[0])
-        groups[lhs_distinct[current_code]] = {
-            rhs_value: rows for _first, rhs_value, rows in subgroups
-        }
-        subgroups.clear()
-
-    for i in range(len(starts) - 1):
-        start, stop = starts[i], starts[i + 1]
-        key = int(ordered[start])
-        lhs_code = key >> 32
-        rhs_code = key & 0xFFFFFFFF
-        rows = row_ids_from_numpy(order[start:stop])
+    by_rhs: dict = {}
+    for lhs_code, rhs_code, start, stop in zip(
+        lhs_codes[walk].tolist(),
+        (keys[walk] & 0xFFFFFFFF).tolist(),
+        starts[walk].tolist(),
+        stops[walk].tolist(),
+    ):
         if lhs_code != current_code:
-            flush()
             current_code = lhs_code
-        subgroups.append((rows[0], rhs_distinct[rhs_code], rows))
-    flush()
+            by_rhs = groups[lhs_distinct[lhs_code]] = {}
+        by_rhs[rhs_distinct[rhs_code]] = row_ids_from_numpy(order[start:stop])
     return groups

@@ -1,12 +1,13 @@
 """Sharded, out-of-core discovery and detection.
 
 The sharding subsystem partitions a dataset into row shards
-(:class:`ShardedTable`), extracts mergeable per-shard sufficient
-statistics (:mod:`repro.sharding.stats`), and runs discovery
+(:class:`ShardedTable`), factorizes the columns it needs in one
+shard-major pass into table-wide encodings, and runs discovery
 (:class:`ShardedDiscoverer`) and detection (:class:`ShardedDetector`)
-over the merged statistics — producing rule sets and violations
-canonically equal to a monolithic run while keeping every per-shard
-stage bounded by the shard size and fan-out-ready for worker processes.
+over those encodings and the pair groups built from them
+(:mod:`repro.sharding.stats`) — producing rule sets and violations
+canonically equal to a monolithic run while reading each shard at most
+once per session op.
 """
 
 from repro.sharding.detection import SHARDED_STRATEGY, ShardedDetector
@@ -26,14 +27,7 @@ from repro.sharding.remote import (
 from repro.sharding.overlay import OverlayShardStore, ShardOverlay
 from repro.sharding.prefetch import PrefetchingFetcher
 from repro.sharding.sharded_table import ShardedTable
-from repro.sharding.stats import (
-    MergedPairGroups,
-    extract_pair_groups,
-    merge_into_pair_groups,
-    merge_pair_groups,
-    tree_merge_pair_groups,
-    unmerge_pair_groups,
-)
+from repro.sharding.stats import MergedPairGroups, extract_pair_groups
 from repro.sharding.store import (
     STORE_KINDS,
     InMemoryShardStore,
@@ -64,9 +58,5 @@ __all__ = [
     "MergedPairGroups",
     "PrefetchingFetcher",
     "extract_pair_groups",
-    "merge_pair_groups",
-    "merge_into_pair_groups",
-    "unmerge_pair_groups",
-    "tree_merge_pair_groups",
     "make_shard_store",
 ]

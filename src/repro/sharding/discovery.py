@@ -25,8 +25,22 @@ from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
 from repro.pfd.pfd import PFD
 from repro.sharding.sharded_table import ShardedTable
 
-#: merged artifacts that exist only to feed the miners
-MINING_ARTIFACTS = ("column_encoding", "kernel_triples")
+
+def drop_mining_artifacts(sharded: ShardedTable, pfds: Sequence[PFD]) -> None:
+    """Release the O(n) mining inputs detection does not read: every
+    token-triple set, the encodings of columns no PFD uses, and the
+    per-code arrays the miners derived from the rest.  The rule
+    columns' codes stay: detection groups each rule pair from them."""
+    rule_columns = [
+        ("column_encoding", name)
+        for pfd in pfds
+        for name in (pfd.lhs_attribute, pfd.rhs_attribute)
+    ]
+    sharded.drop_merged_artifacts("column_encoding", "kernel_triples", keep=rule_columns)
+    for key in rule_columns:
+        encoding = sharded.peek_merged_artifact(key)
+        if encoding is not None:
+            encoding.release_derived()
 
 
 class ShardedDiscoverer:
@@ -68,11 +82,11 @@ class ShardedDiscoverer:
             reports = self.discoverer.mine_candidates(
                 candidates, sharded.column_encodings, sharded.merged_artifact
             )
-            # a bounded-memory session must not carry the O(n) mining
-            # inputs past discovery (they rebuild on demand)
-            sharded.drop_merged_artifacts(*MINING_ARTIFACTS)
         with timers.stage("assemble"):
             pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
+        # a bounded-memory session carries past discovery only what
+        # detection reads (the rest rebuilds on demand)
+        drop_mining_artifacts(sharded, pfds)
         return DiscoveryResult(
             pfds=pfds,
             reports=reports,

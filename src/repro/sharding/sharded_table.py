@@ -5,8 +5,8 @@ engine: an ordered sequence of per-shard
 :class:`~repro.dataset.table.Table` objects whose vertical concatenation
 is the logical dataset.  Row identity is global — shard ``i`` owns the
 half-open global row range ``[offsets[i], offsets[i] + shards[i].n_rows)``
-— so per-shard derived statistics can carry *global* row ids and merge
-by plain concatenation.
+— so a column encoded shard by shard in shard order numbers its rows
+exactly like the flat column.
 
 Shard bytes live behind a pluggable
 :class:`~repro.sharding.store.ShardStore`: the default in-memory store
@@ -254,9 +254,8 @@ class ShardedTable:
         Shard versions restart at 0 in every newly cut table, so the
         versions of two tables compare only when their tokens match: an
         overlay seal shares its base's space, any other table has its
-        own.  Caches that outlive one table (the worker pool's warm
-        cache) carry the token in their keys, and the rule maintainer
-        diffs two views only when their tokens match."""
+        own.  The rule maintainer diffs two views only when their tokens
+        match."""
         base = getattr(self._store, "base", None)
         return self._version_space if base is None else base.version_space
 
@@ -317,31 +316,31 @@ class ShardedTable:
         """Install a merged artifact computed elsewhere, keyed to the
         current shard versions.
 
-        The rule maintainer uses this to carry incrementally maintained
-        statistics (e.g. unmerged/re-merged pair groups) onto a freshly
-        sealed view, so the detection run that follows a re-check skips
-        the cross-shard merge.  The caller guarantees the artifact equals
-        what :meth:`merged_artifact`'s build would produce.
+        The rule maintainer uses this to carry the encodings of clean
+        columns and the pair groups over them onto a freshly sealed view,
+        so the re-check re-encodes only changed columns.  The caller
+        guarantees the artifact equals what :meth:`merged_artifact`'s
+        build would produce.
         """
         self._merged_cache[key] = (self.versions(), artifact)
 
-    def drop_merged_artifacts(self, *prefixes: str) -> int:
+    def drop_merged_artifacts(self, *prefixes: str, keep: Iterable[Hashable] = ()) -> int:
         """Evict cached merged artifacts by key prefix (all of them when
-        no prefix is given) and return how many were dropped.
+        no prefix is given), except the keys in ``keep``, and return how
+        many were dropped.
 
         Purely a memory release — artifacts are rebuilt on demand.  The
-        out-of-core session path drops the O(n) discovery merges
-        (encodings, token triples) once mining finishes
-        so they are not carried through detection and the edit loop.
+        session path drops the O(n) discovery artifacts that detection
+        does not read (token triples, encodings of non-rule columns)
+        once mining finishes, so they are not carried through detection
+        and the edit loop.
         """
-        if not prefixes:
-            dropped = len(self._merged_cache)
-            self._merged_cache.clear()
-            return dropped
+        keep = set(keep)
         doomed = [
             key
             for key in self._merged_cache
-            if isinstance(key, tuple) and key and key[0] in prefixes
+            if key not in keep
+            and (not prefixes or (isinstance(key, tuple) and key and key[0] in prefixes))
         ]
         for key in doomed:
             del self._merged_cache[key]

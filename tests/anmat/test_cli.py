@@ -6,7 +6,6 @@ from repro.anmat.cli import EXIT_CLEAN, EXIT_VIOLATIONS_FOUND, build_parser, mai
 from repro.errors import CsvFormatError
 from repro.dataset.csvio import write_csv
 from repro.datagen import build_dataset
-from repro.engine import DEFAULT_SHARD_ROWS
 
 
 class TestParser:
@@ -373,20 +372,23 @@ class TestObjectUrlFlag:
 
 
 class TestExecutionFlags:
-    """--n-workers / --explain-plan on discover and detect; the removed
-    --executor and --pool overrides are usage errors."""
+    """--explain-plan on discover and detect; the removed --executor,
+    --pool and --n-workers overrides are usage errors."""
 
-    def test_n_workers_parses_and_removed_flags_are_rejected(self):
+    def test_executor_and_pool_flags_are_rejected(self):
         for command in ("discover", "detect"):
-            args = build_parser().parse_args([command, "--n-workers", "2"])
-            assert args.n_workers == 2
             for flag, value in (("--executor", "sharded"), ("--pool", "per-call")):
                 with pytest.raises(SystemExit):  # argparse usage error, exit 2
                     build_parser().parse_args([command, flag, value])
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--strategy", "scan"), ("--rule-maintenance", "full"), ("--prefetch-depth", "2")],
+        [
+            ("--strategy", "scan"),
+            ("--rule-maintenance", "full"),
+            ("--prefetch-depth", "2"),
+            ("--n-workers", "2"),
+        ],
     )
     def test_removed_knob_flags_are_rejected(self, flag, value):
         # one route per upload: none of these knobs exists
@@ -405,7 +407,6 @@ class TestExecutionFlags:
         outputs = {}
         routes = {
             "serial": [],
-            "workers": ["--n-workers", "2"],
             "sharded": ["--shard-rows", "2"],
         }
         for label, flags in routes.items():
@@ -421,11 +422,10 @@ class TestExecutionFlags:
             assert code == EXIT_VIOLATIONS_FOUND
             outputs[label] = capsys.readouterr().out
         # same violations; only the strategy label differs on sharded
-        for label in ("workers", "sharded"):
-            assert outputs[label].splitlines()[0] == (
-                outputs["serial"].splitlines()[0].replace("auto", "sharded")
-            )
-            assert outputs[label].splitlines()[1:] == outputs["serial"].splitlines()[1:]
+        assert outputs["sharded"].splitlines()[0] == (
+            outputs["serial"].splitlines()[0].replace("auto", "sharded")
+        )
+        assert outputs["sharded"].splitlines()[1:] == outputs["serial"].splitlines()[1:]
 
     def test_explain_plan_prints_before_running(self, capsys):
         code = main(
@@ -459,21 +459,3 @@ class TestExecutionFlags:
         out = capsys.readouterr().out
         assert "execution plan (discovery): backend=serial" in out
 
-    def test_n_workers_detect_matches_serial(self, capsys):
-        def detect(*flags):
-            code = main(
-                ["detect", "--dataset", "phone_state", "--min-coverage", "0.5", *flags]
-            )
-            return code, capsys.readouterr().out
-
-        baseline, serial_out = detect()
-        code, workers_out = detect("--n-workers", "2")
-        assert code == baseline == EXIT_VIOLATIONS_FOUND
-        # workers run sharded at the default shard size: the same count
-        # as serial under the sharded label, and the same report (same
-        # violation order) as an explicit --shard-rows run
-        assert workers_out.splitlines()[0] == serial_out.splitlines()[0].replace(
-            "strategy=auto)", "strategy=sharded)"
-        )
-        _code, sharded_out = detect("--shard-rows", str(DEFAULT_SHARD_ROWS))
-        assert workers_out == sharded_out

@@ -1,15 +1,12 @@
 """Tests for the AnmatSession workflow (upload → profile → discover →
 confirm → detect)."""
 
-import warnings
-
 import pytest
 
 from repro.anmat.project import ProjectStore
 from repro.anmat.session import AnmatSession, SessionState
 from repro.detection import ErrorDetector
 from repro.discovery.config import DiscoveryConfig
-from repro.engine import PlanWarning
 from repro.errors import ProjectError
 from repro.metrics.evaluation import evaluate_report
 
@@ -312,20 +309,19 @@ class TestShardedSession:
         assert session.last_plan.kind == "detection"
         assert session.last_plan.backend == "sharded"
 
-    def test_workers_route_a_monolithic_load_sharded(self, small_zip_city_state):
+    def test_n_workers_leaves_a_monolithic_load_serial(self, small_zip_city_state):
         mono = self._monolithic(small_zip_city_state)
         session = AnmatSession(
             dataset_name="d", config=DiscoveryConfig(min_coverage=0.5, n_workers=2)
         )
         session.load_table(small_zip_city_state.table.copy())
         session.run_discovery()
-        assert session.last_plan.backend == "sharded"
+        assert session.last_plan.backend == "serial"
         assert [p.describe() for p in session.discovered_pfds()] == [
             p.describe() for p in mono.discovered_pfds()
         ]
         session.confirm_all()
         report = session.run_detection()
-        assert report.strategy == "sharded"
         assert report.canonical_violations() == mono.violations.canonical_violations()
         session.close()
 
@@ -636,67 +632,21 @@ class TestRecheckShardSize:
         session.close()
 
 
-class TestMonolithicLoadWithWorkers:
-    """``load_table(Table)`` with ``n_workers=2``: the run goes sharded at
-    the default shard size, one session-wide ``WorkerPool`` serves every
-    op, and the results equal the serial session's."""
+def test_recut_after_edit_detects_the_edited_cells():
+    # an edited monolithic table is re-cut into fresh shards whose
+    # versions restart at 0; nothing cached for the previous cut may
+    # answer for them
+    from repro.datagen import build_dataset
 
-    def _workflow(self, n_workers, table):
-        session = AnmatSession(
-            dataset_name="workers",
-            config=DiscoveryConfig(min_coverage=0.5, n_workers=n_workers),
-        )
-        session.load_table(table.copy())
-        plan = session.plan_discovery()
-        discovered = [p.describe() for p in session.run_discovery().pfds]
+    table = build_dataset("zip_city_state", n_rows=90, seed=11).table.copy()
+    config = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2, shard_rows=13)
+    with AnmatSession(dataset_name="recut", config=config) as session:
+        session.load_table(table)
+        session.run_discovery()
         session.confirm_all()
-        detected = session.run_detection().canonical_violations()
-        session.edit_cell(5, "city", "Mutated")
-        with warnings.catch_warnings():
-            # an edited monolithic table is re-cut, so rule maintenance
-            # may fall back to full re-discovery (and say so)
-            warnings.simplefilter("ignore", PlanWarning)
-            rechecked = [p.describe() for p in session.recheck().pfds]
-        outcome = (discovered, detected, rechecked, session.violations.canonical_violations())
-        return session, plan, outcome
-
-    def test_one_pool_serves_discover_detect_recheck(self, monkeypatch):
-        import repro.anmat.session as session_module
-        import repro.engine.executors as executors_module
-        from repro.datagen import build_dataset
-        from repro.engine import DEFAULT_SHARD_ROWS, WorkerPool
-
-        created = []
-
-        class CountingPool(WorkerPool):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(session_module, "WorkerPool", CountingPool)
-        monkeypatch.setattr(executors_module, "WorkerPool", CountingPool)
-        # two shards at the default size, so the fan-out really runs
-        table = build_dataset(
-            "zip_city_state", n_rows=DEFAULT_SHARD_ROWS + 904, seed=5
-        ).table
-
-        serial, serial_plan, expected = self._workflow(0, table)
-        serial.close()
-        assert serial_plan.backend == "serial"
-        assert created == []
-
-        session, plan, outcome = self._workflow(2, table)
-        assert plan.backend == "sharded"
-        assert plan.n_workers == 2
-        assert plan.n_shards == 2
-        assert any("config.n_workers=2" in d for d in plan.decisions)
-        assert any("cut into shards" in d for d in plan.decisions)
-        assert len(created) == 1, "one pool must serve every session op"
-        pool = created[0]
-        assert session._worker_pool is pool
-        assert pool.started and not pool.closed
-        processes = list(pool._executor._processes.values())
-        session.close()
-        assert pool.closed
-        assert all(not process.is_alive() for process in processes)
-        assert outcome == expected
+        session.run_detection()
+        table.set_cell(0, "city", "Mutated")
+        table.set_cell(50, "state", "ZZ")
+        report = session.run_detection()
+        expected = ErrorDetector(table).detect_all(session.confirmed_pfds())
+    assert report.canonical_violations() == expected.canonical_violations()

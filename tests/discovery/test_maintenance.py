@@ -18,7 +18,6 @@ scalar fallback inside maintenance covered too.
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 from reference_decision import ReferenceMajority, route_everything_scalar
@@ -27,8 +26,8 @@ from repro.anmat.session import AnmatSession, SessionState
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
+from repro.detection import ErrorDetector
 from repro.discovery.maintenance import RuleMaintainer
-from repro.engine import PlanWarning
 from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay, make_shard_store
 
 #: the PR-4 generator sweep (same shapes as tests/sharding/test_differential.py)
@@ -175,9 +174,7 @@ class TestMaintenanceFallbacks:
         try:
             session.run_discovery()
             session.table.append_row(session.table.row(0))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", PlanWarning)
-                result = session.recheck()
+            result = session.recheck()
             assert session.last_plan.rule_maintenance == "full"
             assert any(
                 "falling back to full re-discovery" in d
@@ -224,10 +221,12 @@ class TestMaintenanceFallbacks:
         session.run_discovery()
         assert session._maintainer is None
         session.table.set_cell(0, table.column_names()[0], "X0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PlanWarning)
-            result = session.recheck()
+        result = session.recheck()
         assert session.last_plan.rule_maintenance == "full"
+        assert any(
+            "rule maintenance needs the sharded backend" in d
+            for d in session.last_plan.decisions
+        )
         full = PfdDiscoverer(session.config).discover_with_report(
             session.table, relation=name
         )
@@ -315,3 +314,176 @@ class TestMaintainedDetection:
             assert session.violations is None
         finally:
             session.close()
+
+
+@pytest.mark.parametrize("store", ["memory", "spill"])
+def test_recheck_carries_clean_encodings_and_pair_groups(store):
+    """A re-check hands the new view the old view's encodings of clean
+    columns and the pair groups over them (the same objects, so nothing
+    clean is re-encoded or regrouped), regroups pairs touching the
+    edited column from the new encodings, and leaves no pair groups on
+    the old view."""
+    session = make_session(*GENERATORS[0], 3, store)
+    try:
+        session.run_discovery()
+        session.confirm_all()
+        session.run_detection()
+        old_view = session._maintainer._view
+        pairs = {(p.lhs_attribute, p.rhs_attribute) for p in session.confirmed_pfds()}
+        edited = "city"
+        clean = {name for pair in pairs for name in pair} - {edited}
+        assert clean and any(edited in pair for pair in pairs)
+        old_encodings = {
+            name: old_view.peek_merged_artifact(("column_encoding", name))
+            for name in clean
+        }
+        old_groups = {
+            pair: old_view.peek_merged_artifact(("merged_pair_groups",) + pair)
+            for pair in pairs
+        }
+        rng = random.Random(5)
+        for _ in range(6):
+            row = rng.randrange(session.table.n_rows)
+            donor = rng.randrange(session.table.n_rows)
+            session.edit_cell(row, edited, session.table.cell(donor, edited))
+        session.recheck()
+        assert session.last_plan.rule_maintenance == "incremental"
+        view = session._maintainer._view
+        assert view is not old_view
+        for name, encoding in old_encodings.items():
+            assert encoding is not None
+            assert view.peek_merged_artifact(("column_encoding", name)) is encoding
+        rechecked = {(p.lhs_attribute, p.rhs_attribute) for p in session.confirmed_pfds()}
+        for lhs, rhs in rechecked:
+            merged = view.peek_merged_artifact(("merged_pair_groups", lhs, rhs))
+            assert merged is not None, (lhs, rhs)
+            if edited not in (lhs, rhs):
+                assert merged is old_groups[(lhs, rhs)]
+        assert_pair_groups_match_a_fresh_build(view, rechecked)
+        assert old_view.merged_artifact_keys("merged_pair_groups") == []
+    finally:
+        session.close()
+
+
+def assert_pair_groups_match_a_fresh_build(view, pairs):
+    """Each pair's merged pair groups on ``view`` equal the scalar
+    ``extract_pair_groups`` over the view's flat columns: same keys, outer
+    and inner key order, and ascending row lists."""
+    from repro.sharding import extract_pair_groups
+
+    for lhs, rhs in pairs:
+        merged = view.peek_merged_artifact(("merged_pair_groups", lhs, rhs))
+        assert merged is not None, (lhs, rhs)
+        fresh = extract_pair_groups(
+            view.column_concat(lhs), view.column_concat(rhs), 0
+        )
+        assert merged.groups == fresh
+        assert list(merged.groups) == list(fresh)
+        for value, by_rhs in fresh.items():
+            assert list(merged.groups[value]) == list(by_rhs)
+            for rows in merged.groups[value].values():
+                assert list(rows) == sorted(rows)
+        assert merged.sorted_values == sorted(fresh)
+
+
+def rule_pairs(session):
+    return {(p.lhs_attribute, p.rhs_attribute) for p in session.confirmed_pfds()}
+
+
+def recheck_and_compare(session, edited):
+    """Re-check, then hold the new view's pair groups against a fresh
+    build and the session's violations against a monolithic detection
+    over the edited table."""
+    session.recheck()
+    assert session.last_plan.rule_maintenance == "incremental"
+    pairs = rule_pairs(session)
+    assert any(edited & set(pair) for pair in pairs), "no pair was regrouped"
+    view = session._maintainer._view
+    assert_pair_groups_match_a_fresh_build(view, pairs)
+    expected = (
+        ErrorDetector(session.table.materialize())
+        .detect_all(session.confirmed_pfds())
+        .canonical_violations()
+    )
+    assert session.violations.canonical_violations() == expected
+    return view
+
+
+def detected_session(store, seed=3):
+    session = make_session(*GENERATORS[0], seed, store)
+    session.run_discovery()
+    session.confirm_all()
+    session.run_detection()
+    return session
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_recheck_regroups_edits_in_random_shard_order(seed):
+    """Two batches of edits to two columns, written in a random row
+    order that hops between shards: each re-check's pair groups equal a
+    fresh build over the edited view."""
+    session = detected_session("memory", seed)
+    try:
+        rng = random.Random(seed)
+        overlay = session.table
+        for _batch in range(2):
+            rows = rng.sample(range(overlay.n_rows), 10)
+            for row in rows:
+                column = rng.choice(["city", "state"])
+                donor = rng.randrange(overlay.n_rows)
+                session.edit_cell(row, column, overlay.cell(donor, column))
+            recheck_and_compare(session, {"city", "state"})
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("store", ["memory", "spill"])
+def test_recheck_after_an_edit_removes_a_distinct_value(store):
+    """Rewriting every row of one city to another city removes that
+    value from the regrouped pairs, as an outer key (city -> state) and
+    as an inner key (zip -> city)."""
+    session = detected_session(store)
+    try:
+        table = session.table.materialize()
+        cities = table.column("city")
+        counts = table.value_counts("city")
+        gone, kept = sorted(counts, key=lambda value: (counts[value], value))[:2]
+        for row, value in enumerate(cities):
+            if value == gone:
+                session.edit_cell(row, "city", kept)
+        view = recheck_and_compare(session, {"city"})
+        assert gone not in view.column_concat("city")
+        for lhs, rhs in rule_pairs(session):
+            groups = view.peek_merged_artifact(("merged_pair_groups", lhs, rhs)).groups
+            if lhs == "city":
+                assert gone not in groups
+            if rhs == "city":
+                assert all(gone not in by_rhs for by_rhs in groups.values())
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("store", ["memory", "spill"])
+def test_recheck_after_an_edit_replaces_every_rhs_of_a_group(store):
+    """Giving every row of the largest city one state that none of them
+    held leaves that city's (city -> state) group with the new state as
+    its only inner key, holding all the city's rows in order."""
+    session = detected_session(store)
+    try:
+        table = session.table.materialize()
+        rows_of = {}
+        for row, city in enumerate(table.column("city")):
+            rows_of.setdefault(city, []).append(row)
+        target = max(rows_of, key=lambda city: (len(rows_of[city]), city))
+        members = rows_of[target]
+        assert len(members) > 1
+        held = {table.cell(row, "state") for row in members}
+        state = min(set(table.column("state")) - held)
+        for row in members:
+            session.edit_cell(row, "state", state)
+        view = recheck_and_compare(session, {"state"})
+        groups = view.peek_merged_artifact(("merged_pair_groups", "city", "state")).groups
+        assert list(groups[target]) == [state]
+        assert list(groups[target][state]) == members
+    finally:
+        session.close()

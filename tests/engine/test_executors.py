@@ -1,15 +1,14 @@
 """Differential tests: executor choice must not change results.
 
 The PR-4 generator matrix runs through the engine API under every
-route — serial, sharded (in-memory *and* spill-to-disk shard store),
-and worker fan-out over a monolithic or a sharded dataset — and each
-must produce the identical rule set and canonically equal violations.  This is the engine's contract: the
-planner may route a run anywhere without changing its meaning.
+route — serial and sharded (in-memory *and* spill-to-disk shard store),
+with and without the inert ``n_workers`` — and each must produce the
+identical rule set and canonically equal violations.  This is the
+engine's contract: the planner may route a run anywhere without changing
+its meaning.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 
@@ -39,12 +38,11 @@ SEEDS = [3, 58]
 
 BASE = dict(min_coverage=0.4, allowed_violation_ratio=0.2)
 
-#: route label → config that routes there (workers kept at 2 so the
-#: process pools stay cheap; the pool degrades to serial in fork-less
-#: sandboxes, which exercises the same code path)
+#: route label → config that routes there (``n_workers`` is accepted
+#: and ignored, so the "workers" configs must route like their peers)
 EXECUTOR_CONFIGS = {
     "serial": DiscoveryConfig(**BASE),
-    "parallel": DiscoveryConfig(**BASE, n_workers=2),  # monolithic + workers
+    "workers": DiscoveryConfig(**BASE, n_workers=2),  # monolithic + workers
     "sharded": DiscoveryConfig(**BASE, shard_rows=13),
     "sharded-workers": DiscoveryConfig(**BASE, shard_rows=13, n_workers=2),
 }
@@ -86,9 +84,8 @@ class TestExecutorInvariance:
         }
         _, _, rules, violations = results["serial"]
         assert results["serial"][0].backend == ExecutionBackend.SERIAL
-        # n_workers on a monolithic table fans out on the sharded backend
-        assert results["parallel"][0].backend == ExecutionBackend.SHARDED
-        assert results["parallel"][0].n_workers == 2
+        # n_workers is inert: a monolithic table stays serial
+        assert results["workers"][0].backend == ExecutionBackend.SERIAL
         assert results["sharded"][0].backend == ExecutionBackend.SHARDED
         for label, (d_plan, _v_plan, got_rules, got_violations) in results.items():
             assert got_rules == rules, f"rule set diverged under {label}"
@@ -151,18 +148,6 @@ class TestDetectionRoutes:
             assert report.strategy == (
                 "auto" if plan.backend == ExecutionBackend.SERIAL else "sharded"
             )
-
-    def test_direct_run_with_workers_leaves_no_child_processes(self):
-        # no caller pool: the executor builds one for the run and closes it
-        table = dirty_table("zip_city_state", 90, [], 7)
-        config = DiscoveryConfig(**BASE, shard_rows=13, n_workers=2)
-        _, _, serial_rules, serial_violations = run_engine(table, DiscoveryConfig(**BASE))
-        _, v_plan, rules, violations = run_engine(table, config)
-        assert v_plan.backend == ExecutionBackend.SHARDED
-        assert v_plan.n_workers == 2
-        assert rules == serial_rules
-        assert violations == serial_violations
-        assert multiprocessing.active_children() == []
 
 
 class TestDataSource:

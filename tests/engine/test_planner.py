@@ -1,10 +1,9 @@
 """Planner unit tests: the full routing matrix.
 
-Every combination of (shard_rows, n_workers, upload kind) must resolve
-to a deterministic backend, with the decisions recorded on the plan.
+Every combination of (shard_rows, upload kind) must resolve to a
+deterministic backend, with the decisions recorded on the plan; the
+inert ``n_workers`` changes nothing.
 """
-
-import warnings
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.discovery import DiscoveryConfig
 from repro.engine import (
     DEFAULT_SHARD_ROWS,
     ExecutionBackend,
-    PlanWarning,
     plan_detection,
     plan_discovery,
     plan_run,
@@ -36,20 +34,6 @@ class TestAutoRouting:
         assert plan.decisions == []
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
-    def test_n_workers_routes_sharded(self, kind):
-        plan = plan_run(kind, 100, config(n_workers=4))
-        assert plan.backend == ExecutionBackend.SHARDED
-        assert plan.n_workers == 4
-        assert plan.shard_rows == DEFAULT_SHARD_ROWS
-        assert plan.n_shards == 1
-        assert any("config.n_workers=4" in d for d in plan.decisions)
-
-    def test_one_worker_stays_serial(self):
-        plan = plan_run("discovery", 100, config(n_workers=1))
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.n_workers == 0
-
-    @pytest.mark.parametrize("kind", ["discovery", "detection"])
     def test_shard_rows_routes_sharded(self, kind):
         plan = plan_run(kind, 100, config(shard_rows=30))
         assert plan.backend == ExecutionBackend.SHARDED
@@ -61,12 +45,6 @@ class TestAutoRouting:
         plan = plan_run(kind, 100, config(), sharded_upload=True, upload_shard_rows=25)
         assert plan.backend == ExecutionBackend.SHARDED
         assert plan.shard_rows == 25  # keeps the upload's partition
-
-    def test_shard_rows_beats_n_workers_and_keeps_fanout(self):
-        # both knobs: sharded backend, workers fan out the extraction
-        plan = plan_run("discovery", 100, config(shard_rows=10, n_workers=3))
-        assert plan.backend == ExecutionBackend.SHARDED
-        assert plan.n_workers == 3
 
     def test_config_shard_rows_beats_upload_partition(self):
         plan = plan_run(
@@ -83,9 +61,7 @@ class TestShardedUploadsStaySharded:
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
     @pytest.mark.parametrize("cfg", [config(), config(shard_rows=10), config(n_workers=2)])
     def test_sharded_upload_never_plans_eager(self, kind, cfg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PlanWarning)
-            plan = plan_run(kind, 100, cfg, sharded_upload=True, upload_shard_rows=25)
+        plan = plan_run(kind, 100, cfg, sharded_upload=True, upload_shard_rows=25)
         assert plan.backend == ExecutionBackend.SHARDED
         assert plan.materialization == "never"
         assert not any("eager" in d for d in plan.decisions)
@@ -111,39 +87,34 @@ class TestShardedUploadsStaySharded:
         assert not hasattr(plan_detection(10, config()), "strategy")
 
 
-class TestWorkerFanOut:
-    """``n_workers > 1`` fans out per shard on the sharded backend."""
+class TestInertWorkers:
+    """``n_workers`` is accepted and validated, then ignored: it neither
+    routes a run nor appears on the plan."""
 
-    def test_monolithic_table_is_cut_at_the_default_shard_size(self):
-        plan = plan_run("discovery", 3 * DEFAULT_SHARD_ROWS, config(n_workers=2))
-        assert plan.backend == ExecutionBackend.SHARDED
-        assert plan.shard_rows == DEFAULT_SHARD_ROWS
-        assert plan.n_shards == 3
-        assert any("cut into shards" in d for d in plan.decisions)
-
-    def test_workers_keep_the_upload_partition(self):
-        plan = plan_run(
-            "discovery", 100, config(n_workers=2),
-            sharded_upload=True, upload_shard_rows=25,
+    @pytest.mark.parametrize(
+        "shard_rows,sharded_upload", [(0, False), (10, False), (0, True), (10, True)]
+    )
+    def test_plans_equal_with_and_without_workers(self, shard_rows, sharded_upload):
+        upload = dict(
+            sharded_upload=sharded_upload, upload_shard_rows=25 if sharded_upload else 0
         )
-        assert plan.shard_rows == 25
-        assert not any("cut into shards" in d for d in plan.decisions)
+        for plan_for in (plan_discovery, plan_detection):
+            without = plan_for(3 * DEFAULT_SHARD_ROWS, config(shard_rows, 0), **upload)
+            with_workers = plan_for(3 * DEFAULT_SHARD_ROWS, config(shard_rows, 2), **upload)
+            assert with_workers.backend == without.backend
+            assert with_workers.shard_rows == without.shard_rows
+            assert with_workers.n_shards == without.n_shards
+            assert with_workers.decisions == without.decisions
+            assert with_workers.describe() == without.describe()
 
-    def test_workers_record_the_worker_pool(self):
-        plan = plan_run("detection", 100, config(shard_rows=10, n_workers=3))
-        assert any("WorkerPool of 3 processes" in d for d in plan.decisions)
-        assert "workers=3" in plan.describe()
+    def test_monolithic_table_with_workers_stays_serial(self):
+        plan = plan_run("detection", 100, config(n_workers=4))
+        assert plan.backend == ExecutionBackend.SERIAL
+        assert not any("worker" in d.lower() for d in plan.decisions)
 
-    def test_no_pool_decision_without_workers(self):
-        plan = plan_run("detection", 100, config(shard_rows=10))
-        assert not any("WorkerPool" in d for d in plan.decisions)
-
-    def test_discovery_maps_nothing_over_the_pool(self):
-        # discovery mines merged column encodings in-process; only
-        # detection plans record the pool fan-out
-        plan = plan_run("discovery", 100, config(shard_rows=10, n_workers=3))
-        assert plan.backend == ExecutionBackend.SHARDED
-        assert not any("WorkerPool" in d for d in plan.decisions)
+    def test_negative_workers_still_rejected(self):
+        with pytest.raises(DiscoveryError, match="n_workers"):
+            config(n_workers=-1)
 
 
 class TestValidationAndShape:
@@ -170,7 +141,7 @@ class TestValidationAndShape:
     def test_describe_monolithic_names_only_the_backend(self):
         text = plan_detection(100, config()).describe()
         assert text.startswith(
-            "execution plan (detection): backend=serial workers=0 rows=100"
+            "execution plan (detection): backend=serial rows=100"
         )
         assert "shards=" not in text
 
@@ -196,18 +167,14 @@ class TestRuleMaintenanceResolution:
         assert "rule_maintenance=incremental" in plan.describe()
 
     def test_unseeded_recheck_falls_back_quietly(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PlanWarning)
-            plan = plan_discovery(
-                100, config(shard_rows=10), recheck=True, maintainable=False
-            )
+        plan = plan_discovery(
+            100, config(shard_rows=10), recheck=True, maintainable=False
+        )
         assert plan.rule_maintenance == "full"
         assert any("no maintainable rule baseline" in d for d in plan.decisions)
 
     def test_monolithic_recheck_falls_back_quietly(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PlanWarning)
-            plan = plan_discovery(100, config(), recheck=True, maintainable=True)
+        plan = plan_discovery(100, config(), recheck=True, maintainable=True)
         assert plan.rule_maintenance == "full"
         assert any("needs the sharded backend" in d for d in plan.decisions)
 
@@ -217,7 +184,8 @@ class TestRuleMaintenanceResolution:
 
 class TestRemovedKnobs:
     """``rule_maintenance`` and ``prefetch_depth`` are no longer
-    settable: the config rejects them and the plan has no prefetch."""
+    settable: the config rejects them, and the plan has no prefetch
+    depth and no worker count."""
 
     @pytest.mark.parametrize(
         "field,value", [("rule_maintenance", "full"), ("prefetch_depth", 2)]
@@ -227,6 +195,17 @@ class TestRemovedKnobs:
             DiscoveryConfig(**{field: value})
         with pytest.raises(TypeError, match=field):
             DiscoveryConfig().with_overrides(**{field: value})
+
+    def test_plan_has_no_n_workers(self):
+        plan = plan_run("detection", 100, config(shard_rows=10, n_workers=2))
+        assert not hasattr(plan, "n_workers")
+        assert "workers" not in plan.describe()
+
+    def test_plan_warning_is_gone(self):
+        import repro.engine
+
+        assert not hasattr(repro.engine, "PlanWarning")
+        assert not hasattr(repro.engine, "WorkerPool")
 
     def test_plan_has_no_prefetch_depth(self):
         cfg = DiscoveryConfig(shard_rows=10, store="object")

@@ -128,11 +128,16 @@ class TestBatchMatcher:
         assert batch_matching_values(pattern, values) == ["99", "10", "07"]
 
 
+def grouped(lhs, rhs):
+    """The groupby kernel over two freshly encoded columns."""
+    return pair_groups_kernel(encode_column(lhs), encode_column(rhs))
+
+
 class TestPairGroupsKernel:
     def test_matches_scalar_extractor_exactly(self):
         lhs = ["b", "a", "a", "b", "c", "a"]
         rhs = ["x", "y", "x", "x", "z", "y"]
-        kernel = pair_groups_kernel(lhs, rhs, 0)
+        kernel = grouped(lhs, rhs)
         scalar = extract_pair_groups(lhs, rhs, 0)
         assert kernel == scalar
         assert list(kernel) == list(scalar)
@@ -145,15 +150,15 @@ class TestPairGroupsKernel:
         # breaks a global-code-order implementation
         lhs = ["b", "a", "a"]
         rhs = ["x", "y", "x"]
-        kernel = pair_groups_kernel(lhs, rhs, 0)
+        kernel = grouped(lhs, rhs)
         assert list(kernel["a"]) == ["y", "x"]
         assert kernel == extract_pair_groups(lhs, rhs, 0)
 
-    def test_offset_globalizes_rows(self):
+    def test_rows_are_encoding_positions(self):
         lhs = ["a", "a", "b"]
         rhs = ["x", "x", "y"]
-        kernel = pair_groups_kernel(lhs, rhs, 100)
-        assert kernel == {"a": {"x": row_ids([100, 101])}, "b": {"y": row_ids([102])}}
+        kernel = grouped(lhs, rhs)
+        assert kernel == {"a": {"x": row_ids([0, 1])}, "b": {"y": row_ids([2])}}
         # rows are compact arrays but still iterate as plain Python ints
         assert all(
             isinstance(row, int)
@@ -163,8 +168,8 @@ class TestPairGroupsKernel:
         )
 
     def test_empty_and_single_row(self):
-        assert pair_groups_kernel([], [], 0) == {}
-        assert pair_groups_kernel(["a"], ["x"], 5) == {"a": {"x": row_ids([5])}}
+        assert grouped([], []) == {}
+        assert grouped(["a"], ["x"]) == {"a": {"x": row_ids([0])}}
 
 
 class TestBatchTokenize:

@@ -1,10 +1,11 @@
-"""Equivalence: cached, memoized, and parallel paths == uncached serial.
+"""Equivalence: cached, memoized, and sharded paths == uncached serial.
 
 The perf subsystem is pure acceleration — these tests prove that the
 shared compiled-pattern caches, the MatchMemo, the per-table artifact
-cache, the single-pass columnar inverted-index build, and the
-``n_workers > 1`` per-shard fan-out all produce results identical to the uncached
-serial implementation, on the zip → city/state and employee datasets.
+cache, the single-pass columnar inverted-index build, and the sharded
+backend's shard-major encodings all produce results identical to the
+uncached serial implementation, on the zip → city/state and employee
+datasets.
 """
 
 from __future__ import annotations
@@ -98,19 +99,23 @@ class TestDiscoveryEquivalence:
         assert cold_caches == uncached
         assert warm_caches == uncached
 
-    def test_parallel_equals_serial(self, dataset, zip_table, employee_table):
-        from repro.engine import DataSource, build_executor, plan_discovery
+    def test_sharded_equals_serial(self, dataset, zip_table, employee_table):
+        from repro.engine import (
+            DEFAULT_SHARD_ROWS,
+            DataSource,
+            build_executor,
+            plan_discovery,
+        )
 
         table = self._table(dataset, zip_table, employee_table)
         serial = canonical_discovery(PfdDiscoverer().discover_with_report(table))
-        config = DiscoveryConfig(n_workers=2)
+        config = DiscoveryConfig(shard_rows=DEFAULT_SHARD_ROWS)
         plan = plan_discovery(table.n_rows, config)
-        # workers on a monolithic table fan out on the sharded backend
         assert plan.backend == "sharded"
-        parallel = canonical_discovery(
+        sharded = canonical_discovery(
             build_executor(plan).run_discovery(plan, DataSource(table))
         )
-        assert parallel == serial
+        assert sharded == serial
 
 
 @pytest.mark.parametrize("dataset", ["zip", "employee"])

@@ -124,25 +124,29 @@ class TestDifferential:
             ShardedDetector(sharded).detect(pfd).canonical_violations() == expected
         )
 
-    def test_detection_equal_with_worker_fanout(self, name, n_rows, specs, seed):
-        """The pooled shard-map path (process pool, or its serial
-        fallback) must not change the merged statistics."""
-        from repro.engine import WorkerPool, make_shard_map
-
+    def test_detection_equal_from_discovery_encodings(self, name, n_rows, specs, seed):
+        """Detection right after sharded discovery groups from the
+        encodings discovery kept (with their per-code arrays released)
+        and must agree with a cold detection that encodes the shards
+        itself, and with the monolithic scan."""
         table = dirty_table(name, n_rows, specs, seed)
-        pfds = PfdDiscoverer(CONFIG).discover(table)
-        if not pfds:
-            pytest.skip("generator/seed pair discovered no rules")
-        sharded = ShardedTable.from_table(table, max(1, table.n_rows // 3))
-        serial = ShardedDetector(sharded).detect_all(pfds).canonical_violations()
-        fanned = ShardedTable.from_table(table, max(1, table.n_rows // 3))
-        with WorkerPool(2) as pool:
-            parallel = (
-                ShardedDetector(fanned, shard_map=make_shard_map(pool))
-                .detect_all(pfds)
-                .canonical_violations()
-            )
-        assert parallel == serial
+        shard_rows = max(1, table.n_rows // 3)
+        warm = ShardedTable.from_table(table, shard_rows)
+        pfds = ShardedDiscoverer(CONFIG).discover(warm)
+        assert pfds, "every generator/seed pair discovers rules"
+        for pfd in pfds:
+            for column in (pfd.lhs_attribute, pfd.rhs_attribute):
+                assert warm.peek_merged_artifact(("column_encoding", column)) is not None
+        from_encodings = ShardedDetector(warm).detect_all(pfds).canonical_violations()
+        cold = ShardedTable.from_table(table, shard_rows)
+        assert cold.merged_artifact_keys("column_encoding") == []
+        assert ShardedDetector(cold).detect_all(pfds).canonical_violations() == (
+            from_encodings
+        )
+        monolithic = ErrorDetector(table).detect_all(
+            pfds, strategy=DetectionStrategy.SCAN
+        )
+        assert monolithic.canonical_violations() == from_encodings
 
 
 # -- bounded-memory differential: the out-of-core session ----------------------

@@ -2,13 +2,16 @@
 
 Sharded discovery mines over :meth:`ShardedTable.column_encodings`: one
 shard-major factorization per column, with its distinct-level token
-triples cached beside it as a merged artifact.  The mined rule set is
+triples cached beside it as a merged artifact, and sharded detection
+groups each rule pair from the same encodings.  The mined rule set is
 identical to a monolithic run only if the encoding, and the tokenization
-rebuilt from it, equal what one flat column gives — for any sharding
-(empty shards included) and after an edit batch re-seals a shard.  These
-tests pin that over random shardings, and pin the artifact lifecycle:
-each (LHS, mode) pair is tokenized once, and discovery drops its O(n)
-mining inputs when it finishes.
+rebuilt from it, equal what one flat column gives — and the detected
+violations only if the pair groups built from two encodings equal the
+scalar groups of the flat columns — for any sharding (empty shards
+included), on every store, and after an edit batch re-seals a shard.
+These tests pin that over random shardings, and pin the artifact
+lifecycle: each (LHS, mode) pair is tokenized once, and discovery drops
+the O(n) mining inputs detection does not read when it finishes.
 """
 
 from __future__ import annotations
@@ -23,11 +26,21 @@ from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.discovery.candidates import candidate_dependencies
 from repro.discovery.inverted_index import ColumnTokenization
 from repro.kernels.encoder import encode_column
+from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
-from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay, make_shard_store
-from repro.sharding.discovery import MINING_ARTIFACTS
+from repro.sharding import (
+    ShardedDiscoverer,
+    ShardedTable,
+    ShardOverlay,
+    extract_pair_groups,
+    make_shard_store,
+)
 
 NAME = "value"
+#: the second column: the values in reverse row order, so every pair
+#: groups differently from a plain self-join
+OTHER = "other"
+STORES = ["memory", "spill", "object"]
 MODES = ["token", "ngram", "prefix"]
 PIECES = ["alpha beta", "alpha", "beta-7", "gamma", "", "Gamma delta", "x1 y2 z3"]
 CONFIG = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
@@ -45,11 +58,43 @@ def random_sharding(rng, n_rows, n_shards):
     return bounds
 
 
-def sharded_column(values, bounds):
-    """A one-column sharded table cut at ``bounds``."""
+@pytest.fixture(params=STORES)
+def store(request):
+    """A factory for empty shard stores of one kind, closed at teardown."""
+    stores = []
+
+    def make():
+        stores.append(make_shard_store(request.param))
+        return stores[-1]
+
+    yield make
+    for opened in stores:
+        opened.close()
+
+
+def sharded_column(values, bounds, store):
+    """A two-column sharded table (``NAME`` holds ``values``, ``OTHER``
+    their reverse) cut at ``bounds``."""
+    others = values[::-1]
     return ShardedTable.from_chunks(
-        Table([NAME], [values[start:stop]]) for start, stop in bounds
+        (
+            Table([NAME, OTHER], [values[start:stop], others[start:stop]])
+            for start, stop in bounds
+        ),
+        store=store,
     )
+
+
+def assert_pair_groups_match_flat(sharded, values, others):
+    """The groupby kernel over the merged encodings equals the scalar
+    pair groups of the flat columns: keys, inner order and rows."""
+    encodings = sharded.column_encodings([NAME, OTHER])
+    kernel = pair_groups_kernel(encodings[NAME], encodings[OTHER])
+    scalar = extract_pair_groups(values, others, 0)
+    assert kernel == scalar
+    assert list(kernel) == list(scalar)
+    for value, by_rhs in scalar.items():
+        assert list(kernel[value]) == list(by_rhs), value
 
 
 def assert_matches_flat(encoding, values, modes=MODES):
@@ -67,20 +112,21 @@ def assert_matches_flat(encoding, values, modes=MODES):
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8, 13])
 @pytest.mark.parametrize("seed", [0, 7, 42])
-def test_shard_major_encoding_equals_flat_column(n_shards, seed):
+def test_shard_major_encoding_equals_flat_column(n_shards, seed, store):
     rng = random.Random(seed)
     values = [rng.choice(PIECES) for _ in range(40)]
-    sharded = sharded_column(values, random_sharding(rng, len(values), n_shards))
+    sharded = sharded_column(values, random_sharding(rng, len(values), n_shards), store())
     assert sharded.n_shards == n_shards
     assert_matches_flat(sharded.column_encodings([NAME])[NAME], values)
+    assert_pair_groups_match_flat(sharded, values, values[::-1])
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", [3, 11, 58])
-def test_edited_shard_reencodes_like_full_reextraction(mode, seed):
+def test_edited_shard_reencodes_like_full_reextraction(mode, seed, store):
     rng = random.Random(seed)
     values = [f"v{rng.randrange(6)} w{rng.randrange(3)}" for _ in range(16)]
-    base = sharded_column(values, [(0, 5), (5, 8), (8, 16)])
+    base = sharded_column(values, [(0, 5), (5, 8), (8, 16)], store())
     before = base.column_encodings([NAME])[NAME]
     overlay = ShardOverlay(base)
     edited = list(values)
@@ -90,33 +136,42 @@ def test_edited_shard_reencodes_like_full_reextraction(mode, seed):
     view = overlay.as_sharded()
     assert view.dirty_shards(base.versions()) == [1]
     assert_matches_flat(view.column_encodings([NAME])[NAME], edited, [mode])
+    assert_pair_groups_match_flat(view, edited, values[::-1])
     # the base keeps its own cached encoding of the unedited column
     assert base.column_encodings([NAME])[NAME] is before
     assert_matches_flat(before, values, [mode])
 
 
-def test_empty_shard_encodes_to_nothing():
+def test_empty_shard_encodes_to_nothing(store):
     values = ["a b", "c d"]
-    sharded = sharded_column(values, [(0, 2), (2, 2)])
+    sharded = sharded_column(values, [(0, 2), (2, 2)], store())
     encoding = sharded.column_encodings([NAME])[NAME]
     assert encoding.n_rows == 2
     assert_matches_flat(encoding, values)
+    assert_pair_groups_match_flat(sharded, values, values[::-1])
 
 
-@pytest.mark.parametrize("store", ["memory", "spill", "object"])
 def test_discovery_drops_its_mining_artifacts(store):
     table = build_dataset("zip_city_state", n_rows=60, seed=4).table
-    sharded = ShardedTable.from_table(table, 13, store=make_shard_store(store))
-    try:
-        result = ShardedDiscoverer(CONFIG).discover_with_report(sharded)
-        for prefix in MINING_ARTIFACTS:
-            assert sharded.merged_artifact_keys(prefix) == [], prefix
-        # the profile outlives discovery: detection and re-checks reuse it
-        assert sharded.peek_merged_artifact(("profile",)) is result.profile
-        expected = PfdDiscoverer(CONFIG).discover(table)
-        assert [p.describe() for p in result.pfds] == [p.describe() for p in expected]
-    finally:
-        sharded.store.close()
+    table = Table(
+        table.column_names() + ["serial"],
+        [table.column_ref(name) for name in table.column_names()]
+        + [[f"s{row}" for row in range(table.n_rows)]],
+    )
+    sharded = ShardedTable.from_table(table, 13, store=store())
+    result = ShardedDiscoverer(CONFIG).discover_with_report(sharded)
+    assert sharded.merged_artifact_keys("kernel_triples") == []
+    rule_columns = {
+        name for p in result.pfds for name in (p.lhs_attribute, p.rhs_attribute)
+    }
+    assert rule_columns and "serial" not in rule_columns
+    # the rule columns' encodings stay for detection; the rest are gone
+    kept = {key[1] for key in sharded.merged_artifact_keys("column_encoding")}
+    assert kept == rule_columns
+    # the profile outlives discovery: detection and re-checks reuse it
+    assert sharded.peek_merged_artifact(("profile",)) is result.profile
+    expected = PfdDiscoverer(CONFIG).discover(table)
+    assert [p.describe() for p in result.pfds] == [p.describe() for p in expected]
 
 
 def test_each_lhs_mode_is_tokenized_once():

@@ -1,9 +1,11 @@
 """Shard reads per session op on a disk-backed store, and profile reuse.
 
 A session op over a spill store pays for every shard it decodes, so the
-contract is: profiling, discovery and detection each decode every shard
-exactly once — discovery reuses the profiling step's profile and encodes
-all candidate columns in one pass — and the reused profile never
+contract is: profiling and discovery each decode every shard exactly
+once — discovery reuses the profiling step's profile and encodes all
+candidate columns in one pass — detection right after discovery decodes
+none (it groups rule pairs from the encodings discovery kept), a cold
+detection decodes every shard once, and the reused profile never
 outlives the data version it was built from.
 """
 
@@ -15,7 +17,9 @@ from repro.anmat.session import AnmatSession
 from repro.dataset.csvio import write_csv
 from repro.dataset.profiling import profile_table
 from repro.discovery.config import DiscoveryConfig
+from repro.detection import ErrorDetector
 from repro.discovery.discoverer import PfdDiscoverer
+from repro.sharding import ShardedDetector, ShardedTable, SpillToDiskShardStore
 from repro.sharding import sharded_table as sharded_table_module
 from repro.sharding import store as store_module
 
@@ -84,7 +88,27 @@ def test_each_session_op_decodes_every_shard_once(spill_session, decoded, sharde
     spill_session.confirm_all()
     decoded.clear()
     spill_session.run_detection()
-    assert decoded == every_shard
+    # the rule columns' encodings outlived discovery: no shard is read
+    assert decoded == []
+
+
+def test_cold_detection_decodes_every_shard_once(tmp_path, small_zip_city_state, decoded):
+    table = small_zip_city_state.table
+    pfds = PfdDiscoverer(DiscoveryConfig()).discover(table)
+    pairs = {(pfd.lhs_attribute, pfd.rhs_attribute) for pfd in pfds}
+    assert len(pairs) >= 2, "the guarantee is about several rule pairs"
+    store = SpillToDiskShardStore(tmp_path / "spill", cache_shards=1)
+    sharded = ShardedTable.from_table(table, SHARD_ROWS, store=store)
+    try:
+        decoded.clear()
+        report = ShardedDetector(sharded).detect_all(pfds)
+        assert decoded == [
+            f"spill file shard_{index:06d}.shard" for index in range(sharded.n_shards)
+        ]
+        expected = ErrorDetector(table).detect_all(pfds)
+        assert report.canonical_violations() == expected.canonical_violations()
+    finally:
+        store.close()
 
 
 def test_discovery_without_profiling_profiles_once(spill_session, decoded, sharded_profiles):

@@ -7,11 +7,7 @@ import pytest
 from repro.dataset import Table
 from repro.dataset.rowids import row_ids
 from repro.errors import TableError
-from repro.sharding import (
-    ShardedTable,
-    extract_pair_groups,
-    merge_pair_groups,
-)
+from repro.sharding import ShardedDetector, ShardedTable, extract_pair_groups
 
 
 def make_table(n_rows: int) -> Table:
@@ -91,15 +87,13 @@ class TestPairGroups:
             "b": {"y": row_ids([11])},
         }
 
-    def test_merge_concatenates_ascending(self):
-        first = extract_pair_groups(["a", "a"], ["x", "x"], offset=0)
-        second = extract_pair_groups(["a", "c"], ["x", "y"], offset=2)
-        merged = merge_pair_groups([first, second])
+    def test_pair_groups_span_shards_in_row_order(self):
+        sharded = ShardedTable.from_chunks(
+            [
+                Table(["code", "label"], [["a", "a"], ["x", "x"]]),
+                Table(["code", "label"], [["a", "c"], ["x", "y"]]),
+            ]
+        )
+        merged = ShardedDetector(sharded).pair_groups("code", "label")
         assert list(merged.groups["a"]["x"]) == [0, 1, 2]
         assert merged.sorted_values == ["a", "c"]
-
-    def test_merge_does_not_alias_shard_lists(self):
-        first = extract_pair_groups(["a"], ["x"], offset=0)
-        merged = merge_pair_groups([first])
-        merged.groups["a"]["x"].append(99)
-        assert list(first["a"]["x"]) == [0]

@@ -54,7 +54,6 @@ FILE_FLOORS: Dict[str, float] = {
     "src/repro/sharding/object_store.py": 0.85,
     "src/repro/sharding/remote.py": 0.85,
     "src/repro/sharding/prefetch.py": 0.85,
-    "src/repro/engine/worker_pool.py": 0.85,
 }
 
 #: the test selection exercising those directories; the 256k
