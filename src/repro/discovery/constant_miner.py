@@ -6,11 +6,19 @@ function turn entries into pattern-tuple candidates, then greedily keep
 the candidates that add coverage (so the tableau stays small and free of
 redundant, more-specific patterns — ``900\\D{2}`` suppresses ``9000\\D``
 when the latter covers no additional tuples).
+
+:meth:`ConstantPfdMiner.mine` is the eager form: it decides every entry
+and then selects.  The greedy selection itself is defined once, by
+:meth:`ConstantPfdMiner.selection_key` (the order candidates are
+considered in) and :meth:`ConstantPfdMiner.accepts` (the marginal
+coverage test).  :meth:`ConstantPfdMiner.select` and the lazy kernel
+walk of :func:`repro.kernels.mine.mine_constant_kernel`, which decides
+only the entries the selection could still keep, both call them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.decision import DecisionFunction, MajorityDecision, PatternTupleCandidate
@@ -76,18 +84,43 @@ class ConstantPfdMiner:
                     candidates.append(candidate)
             return self.select(candidates)
 
+    @staticmethod
+    def selection_key(support: int, agreement: float, pattern_text: str) -> Tuple:
+        """The greedy selection's order: most covering first, then most
+        agreeing, then the shorter (more general) pattern text.  Sorts
+        are stable, so equal keys keep the decision order.  With an
+        empty text it is the least key any pattern with that support
+        and agreement can have."""
+        return (-support, -agreement, len(pattern_text), pattern_text)
+
+    def accepts(self, n_new: int, already_covered: bool) -> bool:
+        """The marginal-coverage test of the greedy selection.
+
+        ``n_new`` counts the candidate's tuples not yet covered by a
+        kept candidate with the same RHS constant; ``already_covered``
+        says whether any such candidate was kept.  The answer only gets
+        stricter as ``n_new`` shrinks and once ``already_covered``
+        holds, which is what lets the kernel reject an entry from an
+        upper bound on its tuples.
+        """
+        if not n_new:
+            return False
+        # below the support floor, a more general kept pattern already
+        # explains the rest
+        return n_new >= self.config.min_support or not already_covered
+
     def select(self, candidates: List[PatternTupleCandidate]) -> List[PatternTupleCandidate]:
         """Greedy redundancy elimination.
 
-        Candidates are considered from most to least covering; a
-        candidate is kept only if it covers tuples not already covered by
-        a kept candidate with the same RHS constant.  Candidates with
-        different RHS constants never suppress each other (they are
-        different rules of the tableau).
+        Candidates are considered in :meth:`selection_key` order; a
+        candidate is kept when :meth:`accepts` passes on its tuples not
+        yet covered by a kept candidate with the same RHS constant.
+        Candidates with different RHS constants never suppress each
+        other (they are different rules of the tableau).
         """
         ordered = sorted(
             candidates,
-            key=lambda c: (-c.support, -c.agreement, len(c.pattern_text), c.pattern_text),
+            key=lambda c: self.selection_key(c.support, c.agreement, c.pattern_text),
         )
         kept: List[PatternTupleCandidate] = []
         # Coverage is tracked as one int bitmask per RHS constant (bit i =
@@ -99,12 +132,7 @@ class ConstantPfdMiner:
                 break
             already = covered_by_rhs.get(candidate.rhs_constant, 0)
             mask = _rows_bitmask(candidate.covered_tuple_ids)
-            new_bits = mask & ~already
-            if not new_bits:
-                continue
-            if new_bits.bit_count() < self.config.min_support and already:
-                # The marginal contribution is below the support floor;
-                # a more general kept pattern already explains the rest.
+            if not self.accepts((mask & ~already).bit_count(), bool(already)):
                 continue
             kept.append(candidate)
             covered_by_rhs[candidate.rhs_constant] = already | mask

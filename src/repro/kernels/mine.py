@@ -1,18 +1,23 @@
 """The Figure 2 loop body over encoded columns.
 
-These kernels reproduce the scalar miners *exactly* — same candidate
-dicts in the same insertion order, same tie-breaks, same floats — while
-doing all per-row work as numpy array operations over interned id
+These kernels reproduce the scalar miners' *output* exactly — the same
+selected candidates in the same order, same tie-breaks, same floats —
+while doing the per-row work as numpy array operations over interned id
 arrays:
 
 * the inverted list never materializes postings: each entry is the list
-  of distinct-value *codes* carrying its (token, position) key, and the
-  row ids, support and RHS distribution fall out of ``rows_by_code`` /
-  ``bincount``-style reductions;
-* the decision function's pattern synthesis and match re-check run over
-  the entry's *distinct* covered values (the scalar helpers are
-  duplicate- and order-insensitive, which the equivalence tests pin
-  down), with verdicts shared through the same ``MATCH_MEMO`` tables;
+  of distinct-value *codes* carrying its (token, position) key;
+* constant mining bounds every entry in one vectorized pass over the
+  distinct ``(lhs_code, rhs_code)`` pair counts (support, top RHS value,
+  agreement before the pattern re-check), then walks the entries as a
+  lazy greedy: only entries whose bound can still pass the selection's
+  marginal-coverage test are generalized and re-checked, so the
+  decision function runs on a small fraction of the entries the scalar
+  :meth:`ConstantPfdMiner.mine` decides;
+* the pattern synthesis and match re-check run over the entry's
+  *distinct* covered values (the scalar helpers are duplicate- and
+  order-insensitive, which the equivalence tests pin down), with
+  verdicts shared through the same ``MATCH_MEMO`` tables;
 * variable mining reduces the column pair to distinct
   ``(lhs_code, rhs_code)`` counts once (one ``np.unique``) and evaluates
   every prefix length / token position against those counts.
@@ -25,6 +30,8 @@ working unchanged.
 
 from __future__ import annotations
 
+import heapq
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constrained.constrained_pattern import constrained_prefix
@@ -34,7 +41,7 @@ from repro.discovery.constant_miner import ConstantPfdMiner
 from repro.discovery.decision import MajorityDecision, PatternTupleCandidate
 from repro.discovery.variable_miner import VariableCandidate, VariablePfdMiner
 from repro.kernels.encoder import ColumnEncoding
-from repro.kernels.match import batch_verdicts
+from repro.kernels.match import _VECTOR_THRESHOLD, batch_verdicts
 from repro.kernels.runtime import np
 from repro.kernels.tokenize import Triples
 from repro.patterns.generalize import generalize_strings, generalize_with_literal_prefix
@@ -53,7 +60,135 @@ def _merged_rows(rows_by_code: list, codes: Sequence[int]):
     return np.sort(np.concatenate([rows_by_code[code] for code in codes]))
 
 
+def _runs(sorted_keys):
+    """Start index of every run of equal values in a sorted array."""
+    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+
+
 # -- constant mining ---------------------------------------------------------------
+
+
+class _EntryBounds:
+    """The inverted-list entries of one candidate: every entry's
+    statistics before the pattern re-check, from one pass over the
+    distinct (LHS, RHS) pair counts, and :meth:`verify`, the re-check.
+
+    ``support``, ``top_code`` and ``top_count`` are what the scalar
+    decision function reads off an entry's postings (the top RHS value
+    is the max by (count, RHS string)); verification can only drop
+    codes, so ``support`` bounds the verified candidate's tuples.
+    """
+
+    def __init__(
+        self,
+        lhs: ColumnEncoding,
+        rhs: ColumnEncoding,
+        entry_codes: Dict[Tuple[str, int], List[int]],
+    ):
+        self.lhs = lhs
+        #: (token, position) per entry, in first-appearance order
+        self.keys = list(entry_codes)
+        self.code_lists = code_lists = list(entry_codes.values())
+        n_entries = len(code_lists)
+        sizes = np.fromiter(map(len, code_lists), dtype=np.int64, count=n_entries)
+        self.starts = np.zeros(n_entries + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.starts[1:])
+        #: every entry's codes, concatenated (entry e owns starts[e]:starts[e+1])
+        self.codes = np.fromiter(
+            chain.from_iterable(code_lists), dtype=np.int64, count=int(self.starts[-1])
+        )
+        counts = lhs.counts()
+        self.support = np.add.reduceat(counts[self.codes], self.starts[:-1])
+
+        # distinct (lhs, rhs) pairs with their row counts, sorted by LHS
+        # code then RHS code: the only pass over rows
+        self.pair_keys, self.pair_counts = np.unique(
+            (lhs.codes.astype(np.int64) << 32) | rhs.codes, return_counts=True
+        )
+        code_start = np.searchsorted(
+            self.pair_keys >> 32, np.arange(lhs.n_distinct + 1)
+        )
+        # expand every (entry, code) membership to the code's pairs
+        first = code_start[self.codes]
+        reps = code_start[self.codes + 1] - first
+        ends = np.cumsum(reps)
+        pair_index = np.arange(int(ends[-1])) + np.repeat(first - (ends - reps), reps)
+        member_entry = np.repeat(np.arange(n_entries), sizes)
+        n_rhs = rhs.n_distinct
+        combined = np.repeat(member_entry, reps) * n_rhs + (
+            self.pair_keys[pair_index] & _RHS_MASK
+        )
+        order = np.argsort(combined)
+        combined = combined[order]
+        runs = _runs(combined)
+        # (entry, rhs) → rows, sorted by entry then RHS code
+        entry_rhs = combined[runs]
+        rhs_counts = np.add.reduceat(self.pair_counts[pair_index][order], runs)
+        by_entry = entry_rhs // n_rhs
+        rhs_code = entry_rhs % n_rhs
+
+        groups = _runs(by_entry)  # one group per entry, in entry order
+        self.top_count = np.maximum.reduceat(rhs_counts, groups)
+        best = np.flatnonzero(rhs_counts == self.top_count[by_entry])
+        best_entry = by_entry[best]
+        best_rhs = rhs_code[best]
+        # count ties break towards the larger RHS string: rank the tied
+        # RHS values by text (distinct values never compare equal)
+        rank = np.zeros(n_rhs, dtype=np.int64)
+        tied = np.r_[best_entry[1:] == best_entry[:-1], False]
+        tied |= np.r_[False, tied[:-1]]
+        if tied.any():
+            texts = sorted(
+                np.unique(best_rhs[tied]).tolist(), key=rhs.distinct.__getitem__
+            )
+            rank[texts] = np.arange(1, len(texts) + 1)
+        order = np.lexsort((rank[best_rhs], best_entry))
+        last = np.r_[best_entry[order][1:] != best_entry[order][:-1], True]
+        self.top_code = best_rhs[order][last]
+
+    def entry_codes(self, entry: int):
+        return self.codes[self.starts[entry] : self.starts[entry + 1]]
+
+    def verify(self, entry: int, config: DiscoveryConfig):
+        """The decision function's pattern synthesis and re-check for
+        one entry: ``(pattern, matching codes, matching rows, agreeing
+        rows)``, or ``None`` when :class:`MajorityDecision` rejects it."""
+        token, position = self.keys[entry]
+        lhs = self.lhs
+        code_list = self.code_lists[entry]
+        covered_values = [lhs.distinct[code] for code in code_list]
+        if position == 0 and all(v.startswith(token) for v in covered_values):
+            pattern = generalize_with_literal_prefix(covered_values, len(token))
+        else:
+            pattern = MajorityDecision._contains_token_pattern(
+                token, position, covered_values
+            )
+        if pattern is None:
+            return None
+        codes = self.entry_codes(entry)
+        if len(code_list) >= _VECTOR_THRESHOLD:
+            verdicts = batch_verdicts(
+                pattern,
+                covered_values,
+                memo=MATCH_MEMO,
+                lengths=lhs.lengths()[codes],
+                signatures=lhs.signatures()[codes],
+            )
+        else:
+            verdicts = batch_verdicts(pattern, covered_values, memo=MATCH_MEMO)
+        if all(verdicts):
+            return pattern, codes, int(self.support[entry]), int(self.top_count[entry])
+        matched = codes[np.asarray(verdicts, dtype=bool)]
+        n_matching = int(lhs.counts()[matched].sum())
+        if n_matching < config.min_support:
+            return None
+        # rows of the matching codes whose RHS is the entry's top value
+        wanted = (matched << 32) | int(self.top_code[entry])
+        at = np.minimum(np.searchsorted(self.pair_keys, wanted), len(self.pair_keys) - 1)
+        n_agreeing = int(self.pair_counts[at][self.pair_keys[at] == wanted].sum())
+        if n_agreeing / n_matching < config.min_agreement:
+            return None
+        return pattern, matched, n_matching, n_agreeing
 
 
 def mine_constant_kernel(
@@ -65,7 +200,28 @@ def mine_constant_kernel(
     timers: Optional[StageTimers] = None,
 ) -> List[PatternTupleCandidate]:
     """``miner.mine(...)`` over encoded columns, for a miner whose
-    decision function is exactly :class:`MajorityDecision`."""
+    decision function is exactly :class:`MajorityDecision`.
+
+    A lazy greedy (Minoux's accelerated greedy) over the selection of
+    :meth:`ConstantPfdMiner.select`.  Every entry is bounded from its
+    unverified statistics, and the walk merges the entries, sorted by
+    bound, with a heap of verified candidates, so candidates leave the
+    heap in the eager selection's order:
+
+    * an entry's bound key, ``miner.selection_key(support, agreement,
+      "")``, is no larger than the key of the candidate it verifies to
+      (verification only drops rows, and an unchanged row set keeps the
+      agreement), so every entry is verified before any candidate that
+      could follow it — in particular all entries tied on (support,
+      agreement) are verified before the tie is broken by pattern text
+      and first appearance;
+    * covered sets only grow, so an entry whose unverified rows already
+      fail :meth:`ConstantPfdMiner.accepts` is dropped without being
+      generalized;
+    * the rest are generalized and re-checked (the ``generalize``
+      stage) and queued under their exact key; a candidate leaving the
+      heap meets the eager selection's own test.
+    """
     # Entry map: (token, position) → codes carrying it.  Iterating codes
     # in first-appearance order reproduces the scalar inverted list's
     # key insertion order (the first row containing a key is always the
@@ -81,89 +237,81 @@ def mine_constant_kernel(
                     entry.append(code)
 
     with _stage(timers, "mine_constant"):
-        rows_by_code = lhs.rows_by_code()
-        counts = lhs.counts()
-        lhs_distinct = lhs.distinct
-        lhs_lengths = lhs.lengths()
-        lhs_signatures = lhs.signatures()
-        rhs_codes = rhs.codes
-        rhs_distinct = rhs.distinct
-        min_support = config.min_support
-        min_agreement = config.min_agreement
-        candidates: List[PatternTupleCandidate] = []
+        if not entry_codes:
+            return []
+        bounds = _EntryBounds(lhs, rhs, entry_codes)
+        support = bounds.support
+        top_code = bounds.top_code
+        agreement = bounds.top_count / support
+        passing = np.flatnonzero(
+            (support >= config.min_support)
+            & (rhs.lengths()[top_code] > 0)
+            & (agreement >= config.min_agreement)
+        )
+        # stable: entries tied on the bound keep first-appearance order
+        walk = passing[np.lexsort((-agreement[passing], -support[passing]))]
+        bound_keys = [
+            miner.selection_key(s, a, "")
+            for s, a in zip(support[walk].tolist(), agreement[walk].tolist())
+        ]
+        walk = walk.tolist()
 
-        for (token, position), codes in entry_codes.items():
-            support = 0
-            for code in codes:
-                support += int(counts[code])
-            if support < min_support:
-                continue
-            rows = _merged_rows(rows_by_code, codes)
-            entry_rhs = rhs_codes[rows]
-            top_values, top_counts = np.unique(entry_rhs, return_counts=True)
-            best = 0
-            if len(top_values) > 1:
-                # the scalar tie-break: max by (count, RHS string)
-                for i in range(1, len(top_values)):
-                    if (top_counts[i], rhs_distinct[top_values[i]]) > (
-                        top_counts[best],
-                        rhs_distinct[top_values[best]],
-                    ):
-                        best = i
-            top_code = int(top_values[best])
-            top_count = int(top_counts[best])
-            top_value = rhs_distinct[top_code]
-            if top_value == "":
-                continue
-            if top_count / support < min_agreement:
-                continue
-            covered_values = [lhs_distinct[code] for code in codes]
-            if position == 0 and all(v.startswith(token) for v in covered_values):
-                pattern = generalize_with_literal_prefix(covered_values, len(token))
-            else:
-                pattern = MajorityDecision._contains_token_pattern(
-                    token, position, covered_values
-                )
-            if pattern is None:
-                continue
-            if len(codes) >= 64:
-                code_index = np.asarray(codes)
-                verdicts = batch_verdicts(
-                    pattern,
-                    covered_values,
-                    memo=MATCH_MEMO,
-                    lengths=lhs_lengths[code_index],
-                    signatures=lhs_signatures[code_index],
-                )
-            else:
-                verdicts = batch_verdicts(pattern, covered_values, memo=MATCH_MEMO)
-            if all(verdicts):
-                matching_rows = rows
-            else:
-                kept = [code for code, ok in zip(codes, verdicts) if ok]
-                if not kept:
+        counts = lhs.counts()
+        #: RHS code → which LHS codes kept candidates cover (a kept
+        #: candidate's rows are always whole codes)
+        covered: dict = {}
+
+        def accepts(codes, top: int) -> bool:
+            mask = covered.get(top)
+            if mask is None:
+                return miner.accepts(int(counts[codes].sum()), False)
+            return miner.accepts(int(counts[codes[~mask[codes]]].sum()), True)
+
+        heap: list = []
+        kept: List[PatternTupleCandidate] = []
+        next_bound = 0
+        while len(kept) < config.max_tableau_rows:
+            if next_bound < len(walk) and (
+                not heap or bound_keys[next_bound] <= heap[0][0]
+            ):
+                entry = walk[next_bound]
+                next_bound += 1
+                if not accepts(bounds.entry_codes(entry), int(top_code[entry])):
                     continue
-                matching_rows = _merged_rows(rows_by_code, kept)
-            n_matching = len(matching_rows)
-            if n_matching < min_support:
+                with _stage(timers, "generalize"):
+                    verified = bounds.verify(entry, config)
+                if verified is not None:
+                    pattern, _matched, n_matching, n_agreeing = verified
+                    key = miner.selection_key(
+                        n_matching, n_agreeing / n_matching, pattern.to_text()
+                    )
+                    heapq.heappush(heap, (key, entry, verified))
                 continue
-            agree_mask = rhs_codes[matching_rows] == top_code
-            n_agreeing = int(agree_mask.sum())
-            if n_agreeing / n_matching < min_agreement:
+            if not heap:
+                break
+            _key, entry, (pattern, matched, n_matching, n_agreeing) = heapq.heappop(heap)
+            top = int(top_code[entry])
+            if not accepts(matched, top):
                 continue
-            candidates.append(
+            if top not in covered:
+                covered[top] = np.zeros(lhs.n_distinct, dtype=bool)
+            covered[top][matched] = True
+            rows = _merged_rows(lhs.rows_by_code(), matched)
+            agree_mask = rhs.codes[rows] == top
+            token, position = bounds.keys[entry]
+            kept.append(
                 PatternTupleCandidate(
                     lhs_pattern=pattern,
-                    rhs_constant=top_value,
+                    rhs_constant=rhs.distinct[top],
                     support=n_matching,
                     agreement=n_agreeing / n_matching,
-                    covered_tuple_ids=row_ids_from_numpy(matching_rows),
-                    violating_tuple_ids=row_ids_from_numpy(matching_rows[~agree_mask]),
+                    covered_tuple_ids=row_ids_from_numpy(rows),
+                    violating_tuple_ids=row_ids_from_numpy(rows[~agree_mask]),
                     source_token=token,
                     source_position=position,
                 )
             )
-        return miner.select(candidates)
+        return kept
 
 
 def coverage_kernel(

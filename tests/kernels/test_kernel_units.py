@@ -4,7 +4,9 @@ Each kernel's ordering/tie-break contract is pinned here directly —
 encoder code assignment, batch-matcher soundness against the NFA,
 pair-group key orders (including the inner-order counterexample that
 distinguishes first-occurrence-within-group from global code order),
-and triple-exact batch tokenization.
+triple-exact batch tokenization, and the lazy constant-mining walk
+against the eager scalar miner on the cases real datasets rarely reach
+(re-queued entries, same-text ties, a one-row tableau).
 """
 
 from __future__ import annotations
@@ -12,9 +14,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference_decision import ReferenceMajority
 
+from repro.datagen import build_dataset
 from repro.dataset.rowids import row_ids
-from repro.discovery.inverted_index import ColumnTokenization
+from repro.discovery import DiscoveryConfig, PfdDiscoverer
+from repro.discovery.constant_miner import ConstantPfdMiner
+from repro.discovery.inverted_index import ColumnTokenization, InvertedList
 from repro.kernels.encoder import (
     ALL_CLASS_BITS,
     CLASS_BITS,
@@ -24,10 +31,12 @@ from repro.kernels.encoder import (
 )
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_matching_values, batch_verdicts, pattern_class_mask
+from repro.kernels.mine import mine_constant_kernel
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
 from repro.patterns import parse_pattern
 from repro.patterns.alphabet import CharClass
 from repro.perf.memo import MatchMemo
+from repro.perf.timers import StageTimers
 from repro.sharding.stats import extract_pair_groups
 
 np = pytest.importorskip("numpy")
@@ -193,3 +202,139 @@ class TestBatchTokenize:
         encoding = encode_column(["x"])
         with pytest.raises(ValueError):
             batch_tokenize(encoding, "chunk", 3)
+
+
+def _tableau(candidates):
+    return [
+        (
+            c.pattern_text,
+            c.rhs_constant,
+            c.support,
+            c.agreement,
+            list(c.covered_tuple_ids),
+            list(c.violating_tuple_ids),
+            c.source_token,
+            c.source_position,
+        )
+        for c in candidates
+    ]
+
+
+def mined_both_ways(lhs, rhs, mode="token", timers=None, **overrides):
+    """(kernel tableau, eager scalar reference tableau) of ``lhs → rhs``."""
+    config = DiscoveryConfig(**overrides)
+    encoding = encode_column(lhs)
+    kernel = mine_constant_kernel(
+        encoding,
+        encode_column(rhs),
+        batch_tokenize(encoding, mode, config.ngram_size),
+        config,
+        ConstantPfdMiner(config),
+        timers=timers,
+    )
+    reference = ConstantPfdMiner(config, ReferenceMajority()).mine(lhs, rhs, mode)
+    return _tableau(kernel), _tableau(reference)
+
+
+class TestLazyConstantMining:
+    def test_entry_losing_rows_in_verification_is_requeued(self):
+        # ("x", 0) covers six rows before verification, but its pattern
+        # x\A* rejects '"x" z': verified, it covers three and must sort
+        # after the four-row "k" candidate, not where its bound put it
+        lhs = ["x y"] * 3 + ['"x" z'] * 3 + ["w k"] * 4
+        kernel, reference = mined_both_ways(lhs, ["r"] * 10)
+        assert kernel == reference
+        assert [(row[0], row[2]) for row in kernel[:2]] == [("\\A*\\ k", 4), ("x\\A*", 3)]
+
+    def test_same_text_tie_keeps_first_appearance(self):
+        # ("x", 2) and ("x", 1) both verify to \A*\ x with equal support
+        # and agreement; ("x", 2) appears first, so it is kept first
+        lhs = ["p b x"] * 2 + ["p x"] * 2
+        rhs = ["r2"] * 2 + ["r1"] * 2
+        kernel, reference = mined_both_ways(lhs, rhs)
+        assert kernel == reference
+        assert [(row[0], row[1], row[7]) for row in kernel] == [
+            ("\\A*\\ x", "r2", 2),
+            ("\\A*\\ x", "r1", 1),
+        ]
+
+    def test_one_row_tableau(self):
+        lhs = ["p b x"] * 2 + ["p x"] * 2 + ["q"] * 3
+        rhs = ["r2"] * 2 + ["r1"] * 2 + ["r3"] * 3
+        kernel, reference = mined_both_ways(lhs, rhs, max_tableau_rows=1)
+        assert kernel == reference
+        assert len(kernel) == 1
+
+    def test_covered_entries_are_not_generalized(self):
+        timers = StageTimers()
+        lhs = [f"90{i % 10}1{i % 7}" for i in range(200)]
+        kernel, reference = mined_both_ways(
+            lhs, ["Beverly Hills"] * 200, mode="prefix", timers=timers
+        )
+        assert kernel == reference
+        # "9" and "90" tie on every row, so both are generalized; "9"
+        # wins on text and covers everything, and the 90 longer prefixes
+        # are dropped on their bounds
+        assert [row[0] for row in kernel] == ["9\\D{4}"]
+        assert timers.count("generalize") == 2
+
+    def test_generalizes_under_a_tenth_of_the_passing_entries(self):
+        table = build_dataset("zip_city_state", n_rows=4000, seed=23).table
+        discoverer = PfdDiscoverer()
+        result = discoverer.discover_with_report(table)
+        config = discoverer.config
+        passing = 0
+        for report in result.reports:
+            index = InvertedList.build(
+                table.column(report.lhs),
+                table.column(report.rhs),
+                report.candidate.lhs_mode,
+                config.ngram_size,
+            )
+            for entry in index.entries(min_support=config.min_support):
+                value, count = entry.top_rhs()
+                if value != "" and count / entry.support >= config.min_agreement:
+                    passing += 1
+        generalized = discoverer.timers.count("generalize")
+        assert 0 < generalized < passing / 10
+
+
+#: a tiny alphabet: many duplicate values, shared tokens and count ties;
+#: the bracketed and quoted tokens make verification drop rows
+_LHS_VALUES = st.sampled_from(
+    ["", "a", "b", "a b", "b a", "ab", "a a", '"a"', '"a" b', "a,b", "b (a)", "aab", "(b) a"]
+)
+_RHS_VALUES = st.sampled_from(["", "x", "y", "z"])
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    n_rows = draw(st.integers(min_value=1, max_value=24))
+    lhs = draw(st.lists(_LHS_VALUES, min_size=n_rows, max_size=n_rows))
+    rhs = draw(st.lists(_RHS_VALUES, min_size=n_rows, max_size=n_rows))
+    return lhs, rhs
+
+
+class TestLazyMiningProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pair=tie_heavy_pairs(),
+        mode=st.sampled_from(["token", "ngram", "prefix"]),
+        min_support=st.sampled_from([1, 2, 3]),
+        max_tableau_rows=st.sampled_from([1, 2, 64]),
+        allowed_violation_ratio=st.sampled_from([0.0, 0.34, 0.5]),
+    )
+    def test_kernel_equals_reference(
+        self, pair, mode, min_support, max_tableau_rows, allowed_violation_ratio
+    ):
+        lhs, rhs = pair
+        kernel, reference = mined_both_ways(
+            lhs,
+            rhs,
+            mode=mode,
+            ngram_size=2,
+            min_support=min_support,
+            max_tableau_rows=max_tableau_rows,
+            allowed_violation_ratio=allowed_violation_ratio,
+        )
+        assert kernel == reference
