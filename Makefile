@@ -25,8 +25,8 @@ test:
 
 # Validates the speedups recorded in BENCH_hotpath.json (runs no
 # benches); fails loudly when any has regressed below its floor (1.0x;
-# 2.0x for the sharded-detection, engine-parity and sharded-discovery
-# benches; 3.0x for the rule-maintenance edit loop) or when a required
+# 2.0x for the sharded-detection and sharded-discovery benches; 3.0x
+# for the rule-maintenance edit loop) or when a required
 # bench is missing.  Re-measure with `make bench` after perf-relevant
 # changes.
 perf-gate:

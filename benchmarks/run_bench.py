@@ -38,7 +38,6 @@ from repro.constrained import constrained_prefix  # noqa: E402
 from repro.datagen import generate_phone_state, generate_zip_city_state  # noqa: E402
 from repro.detection import DetectionStrategy, ErrorDetector, IncrementalDetector  # noqa: E402
 from repro.discovery import DiscoveryConfig, MajorityDecision, PfdDiscoverer  # noqa: E402
-from repro.engine import DataSource, build_executor, plan_detection  # noqa: E402
 from repro.patterns import parse_pattern  # noqa: E402
 from repro.perf.timers import StageTimers  # noqa: E402
 from repro.pfd import PFD  # noqa: E402
@@ -290,32 +289,6 @@ def _bench_rule_maintenance_edit_loop(
     return run, 3, baseline_run
 
 
-def _bench_engine_parity(n_rows: int = 64000, shard_rows: int = 8000):
-    """Detection through the engine API: sharded backend vs serial backend.
-
-    A paired bench like ``sharded_detection_64000``, but with both sides
-    going ``plan → executor.run(plan)`` — so the recorded speedup proves
-    the engine seam adds no overhead over the PR-4 direct-call numbers
-    (the --check floor matches ``sharded_detection_64000``'s 2.0x).
-    """
-    table = generate_zip_city_state(n_rows=n_rows, seed=23).table
-    pfds = PfdDiscoverer().discover(table)
-    assert pfds, "engine-parity setup discovered no PFDs"
-    sharded_config = DiscoveryConfig(shard_rows=shard_rows)
-    serial_config = DiscoveryConfig()
-    source = DataSource(table)
-    sharded_plan = plan_detection(table.n_rows, sharded_config)
-    serial_plan = plan_detection(table.n_rows, serial_config)
-
-    def run() -> object:
-        return build_executor(sharded_plan).run_detection(sharded_plan, source, pfds)
-
-    def baseline_run() -> object:
-        return build_executor(serial_plan).run_detection(serial_plan, source, pfds)
-
-    return run, 5, baseline_run
-
-
 def _memory_out_of_core(
     n_rows: int = 256_000, shard_rows: int = 16_000
 ) -> Dict[str, float]:
@@ -469,7 +442,6 @@ BENCHES: Dict[str, Callable[[], Tuple]] = {
     "rule_maintenance_edit_loop_64000": lambda: _bench_rule_maintenance_edit_loop(),
     "sharded_discovery_64000": lambda: _bench_sharded_discovery(),
     "sharded_detection_64000": lambda: _bench_sharded_detection(),
-    "engine_parity_64000": lambda: _bench_engine_parity(),
 }
 
 #: benches the --check gate requires to be present in "current" — a
@@ -477,18 +449,14 @@ BENCHES: Dict[str, Callable[[], Tuple]] = {
 REQUIRED_BENCHES = (
     "sharded_discovery_64000",
     "sharded_detection_64000",
-    "engine_parity_64000",
     "rule_maintenance_edit_loop_64000",
 )
 
 #: per-bench speedup floors stricter than the global 1.0 (the sharded
 #: detection engine's merge-time emission must stay >= 2x the monolithic
-#: single-worker path at 64k rows — with or without the engine seam in
-#: between, so the plan/executor layer is gated at no regression vs the
-#: PR-4 direct-call numbers)
+#: single-worker path at 64k rows)
 SPEEDUP_FLOORS = {
     "sharded_detection_64000": 2.0,
-    "engine_parity_64000": 2.0,
     # the vectorized kernel path must stay >= 2x its scalar reference
     "sharded_discovery_64000": 2.0,
     # maintaining the rule set from delta shards must stay >= 3x a full
@@ -715,11 +683,10 @@ def main(argv: List[str] | None = None) -> int:
                 "seconds are best-of-N wall clock; 'baseline' is the pre-PR "
                 "tree, 'current' the tree at measurement time -- except for "
                 "paired benches (incremental_edit_loop_*, sharded_detection_*, "
-                "engine_parity_*, sharded_discovery_*, "
-                "rule_maintenance_edit_loop_*), whose baseline is their "
-                "same-tree reference workload (full re-detection / monolithic "
-                "single-worker detection / serial-executor detection through "
-                "the engine / scalar-reference-route sharded discovery / full "
+                "sharded_discovery_*, rule_maintenance_edit_loop_*), whose "
+                "baseline is their same-tree reference workload (full "
+                "re-detection / monolithic single-worker detection / "
+                "scalar-reference-route sharded discovery / full "
                 "re-discovery per edit batch); 'memory' "
                 "records tracemalloc peaks of the out-of-core session vs the "
                 "materialized-table footprint (a bytes ratio, not a speedup); "

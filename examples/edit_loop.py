@@ -28,7 +28,7 @@ def main() -> None:
 
     # -- the usual upload → discover → confirm → detect workflow ---------
     session = AnmatSession(dataset_name="zips")
-    session.load_table(dataset.table.copy())
+    session.load_table(dataset.table)
     session.set_parameters(min_coverage=0.6, allowed_violation_ratio=0.05)
     session.run_discovery()
     session.confirm_all()
@@ -52,7 +52,9 @@ def main() -> None:
     assert session.state is SessionState.EDITING
 
     # -- trust, but verify: a full re-detection agrees --------------------
-    full = ErrorDetector(session.table.copy()).detect_all(session.confirmed_pfds())
+    full = ErrorDetector(session.table.materialize()).detect_all(
+        session.confirmed_pfds()
+    )
     assert (session.violations.canonical_violations()
             == full.canonical_violations())
     print("\nfull re-detection confirms the incrementally maintained report")

@@ -7,12 +7,12 @@ it back in bounded-memory chunks straight into a spill-to-disk
 shard copies live on disk behind a small LRU; the session never
 materializes a monolithic table — profiling, detection, and the edit
 loop all go through a ``ShardOverlay`` over the store), then
-runs discovery and detection through the session layer.  The session routes everything through the
-pluggable execution engine: the planner resolves each run into an
-``ExecutionPlan`` (printed below, like ``anmat --explain-plan``) and the
-sharded executor backend runs it.  A monolithic run verifies the
-engine's contract — identical rule sets, canonically equal violations
-(see docs/ARCHITECTURE.md).
+runs discovery and detection through the session layer.  Every session
+runs the sharded engines over the shards cut at load; the planner
+records each run as an ``ExecutionPlan`` (printed below, like
+``anmat --explain-plan``).  The monolithic library engines
+(``PfdDiscoverer`` + ``ErrorDetector``) verify the contract — identical
+rule sets, canonically equal violations (see docs/ARCHITECTURE.md).
 
 Run with::
 
@@ -25,6 +25,8 @@ from pathlib import Path
 from repro.anmat.session import AnmatSession
 from repro.datagen import generate_zip_city_state
 from repro.dataset.csvio import write_csv
+from repro.detection import ErrorDetector
+from repro.discovery import PfdDiscoverer
 from repro.discovery.config import DiscoveryConfig
 from repro.sharding import SpillToDiskShardStore
 
@@ -49,7 +51,7 @@ def main() -> None:
         print(f"streamed into {store.n_shards} shards of <= {SHARD_ROWS} rows, "
               f"spilled to {store.directory.name}/ (peak parse memory: one shard)")
 
-        # -- the engine plans, the sharded backend executes ----------------
+        # -- the engine plans, the sharded engines execute ----------------
         print()
         print(session.plan_discovery().describe())
         session.run_discovery()
@@ -60,18 +62,17 @@ def main() -> None:
               f"{len(report)} violations over {len(report.suspect_rows())} "
               f"suspect rows (strategy={report.strategy})")
 
-        # -- the contract: identical to a monolithic run ------------------
-        # (the sharded session's ``table`` is a ShardOverlay; materialize
-        # an eager copy only for this comparison run)
-        monolithic = AnmatSession(dataset_name="zips")
-        monolithic.load_table(session.table.materialize())
-        monolithic.run_discovery()
-        monolithic.confirm_all()
-        mono_report = monolithic.run_detection()
-        print(f"monolithic run planned as: backend={monolithic.last_plan.backend}")
+        # -- the contract: identical to the monolithic library engines ----
+        # (the session's ``table`` is a ShardOverlay; materialize an eager
+        # copy only for this comparison run)
+        table = session.table.materialize()
+        mono_pfds = PfdDiscoverer(session.config).discover(table, relation="zips")
+        mono_report = ErrorDetector(table).detect_all(mono_pfds)
+        print(f"monolithic reference: {len(mono_pfds)} PFDs, "
+              f"{len(mono_report)} violations (strategy={mono_report.strategy})")
 
         same_rules = [p.describe() for p in session.discovered_pfds()] == [
-            p.describe() for p in monolithic.discovered_pfds()
+            p.describe() for p in mono_pfds
         ]
         same_violations = (
             report.canonical_violations() == mono_report.canonical_violations()

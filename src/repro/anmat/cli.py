@@ -20,11 +20,10 @@ from typing import List, Optional
 
 from repro.anmat.report import render_discovered_pfds, render_profile, render_violations
 from repro.anmat.session import AnmatSession
-from repro.dataset.csvio import read_csv
 from repro.datagen.registry import build_dataset, dataset_names
 from repro.discovery.config import DiscoveryConfig
 from repro.engine import DEFAULT_SHARD_ROWS
-from repro.sharding import STORE_KINDS, ShardedTable, make_shard_store
+from repro.sharding import STORE_KINDS
 from repro.metrics.evaluation import evaluate_report
 
 #: ``detect`` exit codes, distinct so shell pipelines can gate on clean
@@ -37,15 +36,13 @@ EXIT_VIOLATIONS_FOUND = 3
 def _open_session(args: argparse.Namespace):
     """Return (session, ground_truth_or_None) with the dataset loaded.
 
-    With ``--shard-rows`` a CSV upload streams through
-    :meth:`AnmatSession.upload_csv` chunk-wise straight into shards —
-    the whole document is never parsed in one piece — and
-    discovery/detection run shard-wise.  ``--store`` picks where those
-    shards live (in memory, spilled to disk, or in an object store); a
-    non-memory store without ``--shard-rows`` implies the default shard
-    size, since out-of-core storage only helps when the upload is
-    sharded.  Built-in datasets are generated in memory and re-sharded
-    into a non-memory store.
+    A CSV upload streams through :meth:`AnmatSession.upload_csv`
+    chunk-wise straight into shards — the whole document is never
+    parsed in one piece.  Built-in datasets are generated in memory and
+    cut into shards by :meth:`AnmatSession.load_table`.  Either way the
+    shards hold ``--shard-rows`` rows (the engine default when unset)
+    and live on the ``--store`` backend (in memory, spilled to disk, or
+    in an object store).
     """
     config = DiscoveryConfig(
         min_coverage=args.min_coverage,
@@ -57,24 +54,11 @@ def _open_session(args: argparse.Namespace):
     )
     if args.csv:
         session = AnmatSession(dataset_name=Path(args.csv).stem, config=config)
-        if args.shard_rows > 0 or args.store != "memory":
-            session.upload_csv(args.csv)
-        else:
-            session.load_table(read_csv(Path(args.csv)))
+        session.upload_csv(args.csv)
         return session, None
     dataset = build_dataset(args.dataset)
-    table = dataset.table
-    if args.store != "memory":
-        store = make_shard_store(args.store, args.spill_dir, object_url=args.object_url)
-        try:
-            table = ShardedTable.from_table(
-                table, args.shard_rows or DEFAULT_SHARD_ROWS, store=store
-            )
-        except BaseException:
-            store.close()
-            raise
     session = AnmatSession(dataset_name=dataset.name, config=config)
-    session.load_table(table)
+    session.load_table(dataset.table)
     return session, dataset.error_cells
 
 
@@ -116,10 +100,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help=(
-            "run sharded: partition the dataset into shards of N rows "
-            "(CSV uploads are streamed chunk-wise) and route discovery "
-            "and detection through the sharding subsystem; results are "
-            "identical to a monolithic run (0 = monolithic, the default)"
+            "cut the dataset into shards of N rows once at load (CSV "
+            "uploads are streamed chunk-wise); results do not depend on "
+            f"the shard size (0 = the default of {DEFAULT_SHARD_ROWS})"
         ),
     )
     parser.add_argument(
@@ -130,9 +113,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
             "shard store backend for the upload: 'memory' keeps shards "
             "in process (the default), 'spill' spills sealed shards to "
             "disk and reloads them on demand, 'object' puts them in a "
-            "local object store with checksummed reads; a non-memory "
-            "store implies --shard-rows "
-            f"{DEFAULT_SHARD_ROWS} when none is given; results are "
+            "local object store with checksummed reads; results are "
             "identical across stores"
         ),
     )
@@ -165,7 +146,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--explain-plan",
         action="store_true",
-        help="print the chosen execution plan (backend, shard count) before running",
+        help="print the chosen execution plan (shard count, store) before running",
     )
 
 

@@ -14,11 +14,18 @@ violation report *in place* through an
 re-scanning the whole table — the session moves to ``EDITING`` and a
 :meth:`run_detection` (full re-check) returns it to ``DETECTED``.
 
-Discovery and detection are executed through the pluggable execution
-engine (:mod:`repro.engine`): the session builds an
-:class:`~repro.engine.plan.ExecutionPlan` from its config and upload
-kind and hands it to the matching backend — serial or sharded — so the
-session itself carries no routing branches.
+Every dataset runs on one engine.  :meth:`AnmatSession.load_table` cuts
+a :class:`Table` into shards once — ``config.shard_rows`` rows each (the
+engine default when unset), on the store ``config.store`` names — just
+as :meth:`AnmatSession.upload_csv` does with a CSV upload, and the cut is
+never redone.  From then on the dataset is a
+:class:`~repro.sharding.overlay.ShardOverlay` over its shards: profiling,
+:class:`~repro.sharding.discovery.ShardedDiscoverer`,
+:class:`~repro.sharding.detection.ShardedDetector` and the
+:class:`~repro.discovery.maintenance.RuleMaintainer` of :meth:`recheck`
+all read the overlay's sealed view, and the edit loop writes to the
+overlay.  Results do not depend on the shard size.  Each run records an
+:class:`~repro.engine.plan.ExecutionPlan` for ``--explain-plan``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.anmat.project import Project
 from repro.dataset.csvio import iter_csv_chunks
@@ -39,17 +46,12 @@ from repro.detection.violation import ViolationReport
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.discoverer import DiscoveryResult
 from repro.discovery.maintenance import RuleMaintainer
-from repro.engine import (
-    DEFAULT_SHARD_ROWS,
-    DataSource,
-    ExecutionBackend,
-    ExecutionPlan,
-    build_executor,
-    plan_detection,
-    plan_discovery,
-)
+from repro.engine import DEFAULT_SHARD_ROWS, ExecutionPlan, plan_run
 from repro.errors import ProjectError
 from repro.pfd.pfd import PFD
+from repro.sharding.detection import ShardedDetector
+from repro.sharding.discovery import ShardedDiscoverer
+from repro.sharding.overlay import ShardOverlay
 from repro.sharding.sharded_table import ShardedTable
 from repro.sharding.store import ShardStore, make_shard_store
 
@@ -79,11 +81,10 @@ class AnmatSession:
     """One dataset's journey through the ANMAT pipeline."""
 
     dataset_name: str
-    #: the row-addressable logical dataset: a :class:`Table` for
-    #: monolithic loads, a :class:`~repro.sharding.overlay.ShardOverlay`
-    #: for sharded uploads (same read/mutation interface; the shard
-    #: bytes stay on their store)
-    table: Optional[Table] = None
+    #: the row-addressable logical dataset: an overlay over the shards
+    #: the dataset was cut into at load (the :class:`Table` read and
+    #: mutation interface; the shard bytes stay on their store)
+    table: Optional[ShardOverlay] = None
     project: Optional[Project] = None
     config: DiscoveryConfig = field(default_factory=DiscoveryConfig)
     state: SessionState = SessionState.CREATED
@@ -98,24 +99,27 @@ class AnmatSession:
     _detection_rules: List[PFD] = field(default_factory=list, repr=False)
     _incremental: Optional[IncrementalDetector] = field(default=None, repr=False)
     #: maintains the rule set across :meth:`recheck` calls — seeded by
-    #: every sharded discovery run, dropped with the dataset
+    #: every discovery run, dropped with the dataset
     _maintainer: Optional[RuleMaintainer] = field(default=None, repr=False)
-    #: the dataset as the engine sees it: a monolithic table, or a
-    #: never-materialized shard-store source
-    _source: Optional[DataSource] = field(default=None, repr=False)
 
     # -- step 1: load ------------------------------------------------------------
 
     def load_table(self, table: Union["Table", "ShardedTable"]) -> "AnmatSession":
         """Attach ("upload") the dataset to the session.
 
-        A :class:`ShardedTable` (e.g. from the chunked CSV reader, or
-        built over a spill/object :class:`ShardStore`) is accepted too —
-        and is **never materialized**: the session's ``table`` becomes a
-        row-addressable :class:`~repro.sharding.overlay.ShardOverlay`
-        over the shard store, which profiling views, repairs, and the
-        edit loop all read and mutate through, while the shard bytes
-        stay wherever the store keeps them.
+        A :class:`Table` is cut into shards of ``config.shard_rows`` rows
+        (the engine default when unset) on the store ``config.store``
+        names, once; the session works on those shards from then on, so
+        later changes to the caller's table do not reach it — edit
+        through ``session.table`` or :meth:`edit_cell`.  A
+        :class:`ShardedTable` (e.g. from the chunked CSV reader, or built
+        over a spill/object :class:`ShardStore`) is adopted as it is cut.
+        Either way the dataset is **never materialized**: the session's
+        ``table`` is a row-addressable
+        :class:`~repro.sharding.overlay.ShardOverlay` over the shard
+        store, which profiling views, repairs, and the edit loop all read
+        and mutate through, while the shard bytes stay wherever the store
+        keeps them.
 
         Any edit loop over a previously loaded table is dropped — its
         detector would otherwise keep mutating the *old* table — and the
@@ -123,13 +127,15 @@ class AnmatSession:
         roots are released as soon as they are unreachable, not at
         interpreter exit).
         """
-        if self._source is not None:
-            self._source.close()
-        if isinstance(table, ShardedTable):
-            self._source = DataSource.from_sharded(table)
-        else:
-            self._source = DataSource(table)
-        self.table = self._source.view
+        if not isinstance(table, ShardedTable):
+            table = self._seal(
+                lambda store: ShardedTable.from_table(
+                    table, self.config.shard_rows or DEFAULT_SHARD_ROWS, store=store
+                )
+            )
+        if self.table is not None:
+            self.table.close()
+        self.table = ShardOverlay(table)
         self.violations = None
         self._detection_rules = []
         self._incremental = None
@@ -172,6 +178,22 @@ class AnmatSession:
         """
         if shard_rows <= 0:
             shard_rows = self.config.shard_rows or DEFAULT_SHARD_ROWS
+        return self.load_table(
+            self._seal(
+                lambda store: ShardedTable.from_chunks(
+                    iter_csv_chunks(path, shard_rows, **csv_kwargs), store=store
+                ),
+                store,
+            )
+        )
+
+    def _seal(
+        self,
+        fill: Callable[[ShardStore], ShardedTable],
+        store: Optional[ShardStore] = None,
+    ) -> ShardedTable:
+        """Cut an upload into ``store`` (default: the one ``config.store``
+        names) through ``fill``, closing the store if the cut fails."""
         if store is None:
             store = make_shard_store(
                 self.config.store,
@@ -179,15 +201,12 @@ class AnmatSession:
                 object_url=self.config.object_url,
             )
         try:
-            sharded = ShardedTable.from_chunks(
-                iter_csv_chunks(path, shard_rows, **csv_kwargs), store=store
-            )
+            return fill(store)
         except BaseException:
             # the half-filled store is unusable; release it now rather
             # than leaking its root until interpreter exit
             store.close()
             raise
-        return self.load_table(sharded)
 
     def set_parameters(
         self,
@@ -209,11 +228,12 @@ class AnmatSession:
     def run_profiling(self) -> TableProfile:
         """Profile every column (the Figure 3 view).
 
-        Sharded uploads are profiled shard-major through the streaming
-        column builders — one resident shard at a time, identical output
-        to profiling the materialized table."""
+        The shards are profiled shard-major through the streaming column
+        builders — one resident shard at a time, identical output to
+        profiling the materialized table — and the profile is cached on
+        the sealed view, where discovery finds it again."""
         self._require_table()
-        self.profile = self._source.profile()
+        self.profile = self.table.as_sharded().profile()
         self.state = SessionState.PROFILED
         return self.profile
 
@@ -221,31 +241,23 @@ class AnmatSession:
 
     def plan_discovery(self) -> ExecutionPlan:
         """The :class:`ExecutionPlan` a :meth:`run_discovery` would run."""
-        self._require_table()
-        return plan_discovery(
-            self.table.n_rows,
-            self.config,
-            sharded_upload=self._source.is_sharded_upload,
-            upload_shard_rows=self._source.upload_shard_rows,
-        )
+        return self._plan("discovery")
 
     def run_discovery(self) -> DiscoveryResult:
         """Extract PFDs from the dataset (the Figure 4 view).
 
-        The run is resolved by the execution engine's planner —
-        ``config.shard_rows`` or a sharded upload route it through the
-        sharded backend, anything else runs the serial engine — and
-        executed by the matching backend; results are identical across
-        backends.
+        The sharded discoverer mines the shards' table-wide column
+        encodings; the rules are identical to a monolithic
+        :class:`~repro.discovery.discoverer.PfdDiscoverer` run.  The run
+        seeds the rule maintainer that :meth:`recheck` uses.
         """
         plan = self.plan_discovery()
         if self.profile is None:
             self.run_profiling()
-        self.discovery = build_executor(plan).run_discovery(
-            plan, self._source, relation=self.dataset_name
-        )
+        view = self.table.as_sharded()
+        self.discovery = self._discover(view)
         self.last_plan = plan
-        self._seed_maintainer(plan, self.discovery)
+        self._maintainer = self._seeded_maintainer(view, self.discovery)
         # By default every discovered dependency is pending confirmation,
         # and any report/edit loop over the previous rule set is dropped.
         self.confirmed_names = []
@@ -261,15 +273,11 @@ class AnmatSession:
         """The :class:`ExecutionPlan` a :meth:`recheck` would run.
 
         A re-check plan records ``plan.rule_maintenance``:
-        ``incremental`` when a sharded discovery baseline is seeded,
-        ``full`` otherwise.
+        ``incremental`` when a discovery baseline is seeded, ``full``
+        otherwise.
         """
-        self._require_table()
-        return plan_discovery(
-            self.table.n_rows,
-            self.config,
-            sharded_upload=self._source.is_sharded_upload,
-            upload_shard_rows=self._source.upload_shard_rows,
+        return self._plan(
+            "discovery",
             recheck=True,
             maintainable=self._maintainer is not None and self._maintainer.seeded,
         )
@@ -280,17 +288,12 @@ class AnmatSession:
         The edit loop keeps the *violations* current per edit
         (:meth:`edit_cell`); this is its counterpart for the *rules*.
         The planner resolves how (``plan.rule_maintenance``): with a
-        seeded sharded baseline the
+        seeded baseline the
         :class:`~repro.discovery.maintenance.RuleMaintainer` re-mines
         only the candidates whose columns the edit batch changed; a
-        structural change (appended/deleted rows) or a monolithic run
-        falls back to full re-discovery (recorded on the plan's
-        decisions).  Either way the resulting rule set is identical to
-        discovering from scratch.
-
-        The plan inherits the upload's shard size exactly like the
-        discovery plan does, so a re-check never silently re-shards a
-        custom-sharded upload at the default size.
+        structural change (appended/deleted rows) falls back to full
+        re-discovery (recorded on the plan's decisions).  Either way the
+        resulting rule set is identical to discovering from scratch.
 
         Confirmations survive by rule content: dependencies whose
         tableau is unchanged stay confirmed (whatever their new number),
@@ -298,6 +301,12 @@ class AnmatSession:
         re-detected (session back to ``DETECTED``).  If no confirmation
         survives, violations are cleared and the session returns to
         ``DISCOVERED`` awaiting fresh confirmations.
+
+        Atomic: the new rules and violations are computed first and
+        committed together.  If any step raises, the session keeps its
+        pre-recheck rules, confirmations, violations, state and edit
+        loop; only the rule maintainer is dropped (it may have advanced
+        its baseline), so the next re-check re-discovers in full.
         """
         self._require_table()
         if self.discovery is None:
@@ -307,58 +316,60 @@ class AnmatSession:
         plan = self.plan_recheck()
         confirmed_keys = [_rule_key(pfd) for pfd in self.confirmed_pfds()]
         had_detection = bool(self._detection_rules)
-        result: Optional[DiscoveryResult] = None
-        if plan.rule_maintenance == "incremental":
-            result = self._maintainer.maintain(
-                self._source.sharded_view(plan.shard_rows),
-                relation=self.dataset_name,
-            )
+        maintainer = self._maintainer
+        try:
+            view = self.table.as_sharded()
+            result: Optional[DiscoveryResult] = None
+            if plan.rule_maintenance == "incremental":
+                result = maintainer.maintain(view, relation=self.dataset_name)
+                if result is None:
+                    plan.rule_maintenance = "full"
+                    plan.decisions.append(
+                        "the edit batch changed the dataset structurally (or the "
+                        "rule baseline no longer aligns); falling back to full "
+                        "re-discovery"
+                    )
             if result is None:
-                plan.rule_maintenance = "full"
-                plan.decisions.append(
-                    "the edit batch changed the dataset structurally (or the "
-                    "rule baseline no longer aligns); falling back to full "
-                    "re-discovery"
-                )
-        if result is None:
-            result = build_executor(plan).run_discovery(
-                plan, self._source, relation=self.dataset_name
+                result = self._discover(view)
+                maintainer = self._seeded_maintainer(view, result)
+            # re-confirm by content: a rule that survived the re-check stays
+            # confirmed under its new name
+            survivors = {_rule_key(pfd): pfd.name for pfd in result.pfds}
+            confirmed = [survivors[key] for key in confirmed_keys if key in survivors]
+            rules = (
+                [pfd for pfd in result.pfds if pfd.name in confirmed]
+                if had_detection
+                else []
             )
-            self._seed_maintainer(plan, result)
+            violations = ShardedDetector(view).detect_all(rules) if rules else None
+        except BaseException:
+            self._maintainer = None
+            raise
+        self._maintainer = maintainer
         self.discovery = result
+        self.confirmed_names = confirmed
+        self.violations = violations
+        self._detection_rules = rules
         self._incremental = None
-        self._detection_rules = []
-        # re-confirm by content: a rule that survived the re-check stays
-        # confirmed under its new name
-        survivors = {_rule_key(pfd): pfd.name for pfd in result.pfds}
-        self.confirmed_names = [
-            survivors[key] for key in confirmed_keys if key in survivors
-        ]
-        if self.project is not None:
-            self.project.save_pfds(
-                self.dataset_name, result.pfds, self.confirmed_names
-            )
-        if had_detection and self.confirmed_names:
-            self.run_detection()
-        else:
-            self.violations = None
-            self.state = SessionState.DISCOVERED
-        # the re-check plan (not the inner detection plan) is what
-        # --explain-plan and tests should see as the run that just happened
+        self.state = SessionState.DETECTED if rules else SessionState.DISCOVERED
         self.last_plan = plan
+        if self.project is not None:
+            self.project.save_pfds(self.dataset_name, result.pfds, confirmed)
+            self._save_results()
         return result
 
-    def _seed_maintainer(self, plan: ExecutionPlan, result: DiscoveryResult) -> None:
-        """Adopt a sharded discovery run as the rule-maintenance baseline
-        (monolithic runs have no shard versions to diff — drop any stale
-        baseline instead)."""
-        if plan.backend == ExecutionBackend.SHARDED:
-            self._maintainer = RuleMaintainer(self.config)
-            self._maintainer.seed(
-                self._source.sharded_view(plan.shard_rows), result
-            )
-        else:
-            self._maintainer = None
+    def _discover(self, view: ShardedTable) -> DiscoveryResult:
+        return ShardedDiscoverer(self.config).discover_with_report(
+            view, relation=self.dataset_name
+        )
+
+    def _seeded_maintainer(
+        self, view: ShardedTable, result: DiscoveryResult
+    ) -> RuleMaintainer:
+        """A rule maintainer whose baseline is ``result`` over ``view``."""
+        maintainer = RuleMaintainer(self.config)
+        maintainer.seed(view, result)
+        return maintainer
 
     def discovered_pfds(self) -> List[PFD]:
         if self.discovery is None:
@@ -406,22 +417,16 @@ class AnmatSession:
 
     def plan_detection(self) -> ExecutionPlan:
         """The :class:`ExecutionPlan` a :meth:`run_detection` would run."""
-        self._require_table()
-        return plan_detection(
-            self.table.n_rows,
-            self.config,
-            sharded_upload=self._source.is_sharded_upload,
-            upload_shard_rows=self._source.upload_shard_rows,
-        )
+        return self._plan("detection")
 
     def run_detection(self, pfds: Optional[Sequence[PFD]] = None) -> ViolationReport:
         """Run the confirmed PFDs (or ``pfds``) over the data (the
         Figure 5 view).
 
-        The engine's planner resolves the run: a sharded dataset goes
-        shard-parallel (canonically equal violations), a monolithic one
-        runs the serial engine.  The edit loop maintains violations
-        monolithically either way.
+        The sharded detector groups each rule pair from the column
+        encodings discovery kept; its violations are canonically equal
+        to an :class:`~repro.detection.detector.ErrorDetector` run over
+        the materialized table.
         """
         self._require_table()
         rules = list(pfds) if pfds is not None else self.confirmed_pfds()
@@ -430,7 +435,7 @@ class AnmatSession:
                 "no confirmed PFDs to run; call run_discovery() and confirm() first"
             )
         plan = self.plan_detection()
-        self.violations = build_executor(plan).run_detection(plan, self._source, rules)
+        self.violations = ShardedDetector(self.table.as_sharded()).detect_all(rules)
         self.last_plan = plan
         self._detection_rules = rules
         self._incremental = None  # a fresh full run supersedes any edit loop
@@ -487,9 +492,8 @@ class AnmatSession:
         Idempotent, and also invoked when the session is used as a
         context manager.
         """
-        if self._source is not None:
-            self._source.close()
-            self._source = None
+        if self.table is not None:
+            self.table.close()
         self.table = None
         self._incremental = None
         self._maintainer = None
@@ -516,6 +520,16 @@ class AnmatSession:
         }
 
     # -- helpers -----------------------------------------------------------------------
+
+    def _plan(self, kind: str, **kwargs) -> ExecutionPlan:
+        self._require_table()
+        return plan_run(
+            kind,
+            self.table.n_rows,
+            self.config,
+            shard_rows=max(self.table.base.shard_row_counts()),
+            **kwargs,
+        )
 
     def _require_table(self) -> None:
         if self.table is None:

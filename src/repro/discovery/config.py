@@ -57,18 +57,20 @@ class DiscoveryConfig:
         (``bench/session_child.py``) still passes it, and goes when that
         benchmark stops doing so.
     shard_rows:
-        Opt-in sharded execution, interpreted by the engine's planner.
-        ``0`` runs monolithically; ``>0`` routes discovery and detection
-        to the sharded backend over shards of this many rows (identical
-        rule sets, canonically equal violations).
+        Sizes the cut a session makes once, at load: a loaded
+        :class:`~repro.dataset.table.Table` or a CSV upload becomes
+        shards of this many rows (``0`` uses the engine default,
+        :data:`~repro.engine.plan.DEFAULT_SHARD_ROWS`).  Results do not
+        depend on it: rule sets are identical and violations canonically
+        equal at every shard size.
     store:
-        Which :class:`~repro.sharding.store.ShardStore` backend sharded
-        uploads stream into: ``"memory"`` (live tables), ``"spill"``
+        Which :class:`~repro.sharding.store.ShardStore` backend a
+        session's shards live on: ``"memory"`` (live tables), ``"spill"``
         (encoded spill files + small LRU) or ``"object"`` (checksummed
         objects behind a get/put/list client, whose reader fetches
         :data:`~repro.sharding.object_store.DEFAULT_PREFETCH_DEPTH`
         shards ahead on background threads).  Recorded on the
-        execution plan.  Ignored for monolithic runs.
+        execution plan.
     spill_dir:
         Root directory for the ``spill``/``object`` stores.  ``None``
         uses a private temporary directory removed when the session (or
@@ -85,8 +87,8 @@ class DiscoveryConfig:
         ``"object"``.
 
     How a session re-check refreshes the rule set is not configurable:
-    it maintains the rules incrementally when a sharded discovery
-    baseline is seeded and re-discovers from scratch otherwise (see
+    it maintains the rules incrementally when a discovery baseline is
+    seeded and re-discovers from scratch otherwise (see
     :meth:`~repro.anmat.session.AnmatSession.recheck`); both give the
     identical rule set.
     """

@@ -1,17 +1,13 @@
-"""Execution planning: *what* to run is decided once, in one place.
+"""Execution planning: what a session run will do, decided in one place.
 
-Every discovery/detection run first builds an :class:`ExecutionPlan`
-from the observable inputs (table size, ``shard_rows``, whether the
-upload arrived sharded), and the matching
-:class:`~repro.engine.executors.Executor` backend then runs the plan.
-There are two backends: the monolithic ``serial`` engines and the
-``sharded`` engines.
-
-The plan records every routing decision it takes as a human-readable
-line (``plan.decisions``), so ``--explain-plan`` and post-mortems can
-show *why* a backend was chosen.  A sharded upload always runs on the
-``sharded`` backend, so nothing the planner decides overrides a user
-request.
+Every dataset a session loads is cut into shards once, at load time, and
+every discovery/detection run goes through the sharded engines over that
+cut.  The plan records what is left to resolve from the observable
+inputs — the shard size and count, the store the shards live on, the
+client that serves an object store, and whether a re-check maintains the
+rule set incrementally — and writes every decision down as a
+human-readable line (``plan.decisions``), so ``--explain-plan`` and
+post-mortems can show *why*.
 """
 
 from __future__ import annotations
@@ -23,15 +19,6 @@ from typing import List, Optional
 from repro.discovery.config import DiscoveryConfig
 
 
-class ExecutionBackend:
-    """String constants naming the executor backends."""
-
-    SERIAL = "serial"
-    SHARDED = "sharded"
-
-    ALL = (SERIAL, SHARDED)
-
-
 #: shard size used when nothing (caller, config, upload) names one
 DEFAULT_SHARD_ROWS = 4096
 
@@ -41,23 +28,18 @@ class ExecutionPlan:
     """One resolved discovery or detection run.
 
     The plan is pure data plus the :class:`DiscoveryConfig` it was
-    planned from; executing it is the
-    :class:`~repro.engine.executors.Executor`'s job.
+    planned from; the session executes it.
     """
 
     kind: str  #: ``"discovery"`` or ``"detection"``
-    backend: str  #: one of :class:`ExecutionBackend`
     config: DiscoveryConfig
-    #: effective shard size (``0`` for the serial backend)
-    shard_rows: int = 0
-    #: estimated shard count (``0`` for the serial backend)
-    n_shards: int = 0
+    #: the shard size the dataset was cut at
+    shard_rows: int = DEFAULT_SHARD_ROWS
+    #: estimated shard count
+    n_shards: int = 1
     n_rows: int = 0
-    #: ``"never"`` for a sharded upload, which runs end to end on its
-    #: shard store; ``"eager"`` for a monolithic table
-    materialization: str = "eager"
-    #: the shard store backend the upload streams through (``"memory"``,
-    #: ``"spill"`` or ``"object"``; meaningful for sharded uploads)
+    #: the shard store backend the dataset lives on (``"memory"``,
+    #: ``"spill"`` or ``"object"``)
     store: str = "memory"
     #: which client serves the ``object`` store: ``"local"`` for the
     #: filesystem client, ``"http"`` for the remote client at
@@ -74,11 +56,12 @@ class ExecutionPlan:
     def describe(self) -> str:
         """The ``--explain-plan`` rendering: one summary line plus one
         indented line per recorded decision."""
-        summary = f"execution plan ({self.kind}): backend={self.backend}"
-        if self.backend == ExecutionBackend.SHARDED:
-            summary += f" shards={self.n_shards}x{self.shard_rows} store={self.store}"
-            if self.object_client != "none":
-                summary += f"[{self.object_client}]"
+        summary = (
+            f"execution plan ({self.kind}): "
+            f"shards={self.n_shards}x{self.shard_rows} store={self.store}"
+        )
+        if self.object_client != "none":
+            summary += f"[{self.object_client}]"
         summary += f" rows={self.n_rows}"
         if self.rule_maintenance != "none":
             summary += f" rule_maintenance={self.rule_maintenance}"
@@ -92,8 +75,7 @@ def plan_run(
     n_rows: int,
     config: Optional[DiscoveryConfig] = None,
     *,
-    sharded_upload: bool = False,
-    upload_shard_rows: int = 0,
+    shard_rows: int = 0,
     recheck: bool = False,
     maintainable: bool = False,
 ) -> ExecutionPlan:
@@ -106,14 +88,11 @@ def plan_run(
     n_rows:
         Size of the logical table.
     config:
-        The session's :class:`DiscoveryConfig` (supplies ``shard_rows``
-        and the store).
-    sharded_upload:
-        Whether the dataset arrived as a :class:`ShardedTable` (e.g.
-        streamed chunk-wise from CSV).
-    upload_shard_rows:
-        The upload's largest shard, used as the shard size when
-        ``config.shard_rows`` does not name one.
+        The session's :class:`DiscoveryConfig` (supplies the store and,
+        when ``shard_rows`` is not given, the shard size).
+    shard_rows:
+        The size the dataset was cut at (its largest shard); ``0`` falls
+        back to ``config.shard_rows``, then to :data:`DEFAULT_SHARD_ROWS`.
     recheck:
         Discovery only — whether this run refreshes an existing rule set
         after edits (``AnmatSession.recheck()``) rather than discovering
@@ -128,51 +107,22 @@ def plan_run(
     config = config or DiscoveryConfig()
     decisions: List[str] = []
 
-    # -- backend selection ---------------------------------------------------
-    if sharded_upload and config.shard_rows <= 0:
-        backend = ExecutionBackend.SHARDED
-        decisions.append("sharded upload detected")
-    elif config.shard_rows > 0:
-        backend = ExecutionBackend.SHARDED
-        decisions.append(
-            f"config.shard_rows={config.shard_rows} requests sharded execution"
-        )
-    else:
-        backend = ExecutionBackend.SERIAL
-
-    # -- effective shard size ------------------------------------------------
-    shard_rows = 0
-    n_shards = 0
-    if backend == ExecutionBackend.SHARDED:
-        if config.shard_rows > 0:
-            shard_rows = config.shard_rows
-        elif upload_shard_rows > 0:
-            shard_rows = upload_shard_rows
-            decisions.append(
-                f"keeping the upload's shard size of {shard_rows} rows"
-            )
-        else:
-            # a zero-row upload has no shard size of its own
-            shard_rows = DEFAULT_SHARD_ROWS
-        n_shards = max(1, math.ceil(n_rows / shard_rows)) if n_rows else 1
-
-    # -- materialization -----------------------------------------------------
-    # A sharded upload never builds a monolithic table: profiling,
-    # discovery, detection and the edit loop all read through the shard
-    # store (and the edit overlay).
-    materialization = "never" if sharded_upload else "eager"
-    if sharded_upload:
-        decisions.append(
-            "materialization=never: the sharded upload runs end to end "
-            f"on its {config.store} shard store"
-        )
+    # -- shard size ------------------------------------------------------------
+    # The cut is made once, at load: a run reads the shards it finds.
+    if shard_rows <= 0:
+        shard_rows = config.shard_rows or DEFAULT_SHARD_ROWS
+    n_shards = max(1, math.ceil(n_rows / shard_rows))
+    decisions.append(
+        f"the dataset was cut once at load into shards of {shard_rows} rows "
+        f"on the {config.store} store"
+    )
 
     # -- object store client -------------------------------------------------
     # Which client serves the shard objects is a real routing decision —
     # shard bytes either stay on the local filesystem or cross the
     # network to config.object_url — so the plan records it explicitly.
     object_client = "none"
-    if config.store == "object" and backend == ExecutionBackend.SHARDED:
+    if config.store == "object":
         object_client = "http" if config.object_url else "local"
         decisions.append(
             f"shard objects go through the remote HTTP client at {config.object_url}"
@@ -182,11 +132,9 @@ def plan_run(
 
     # -- rule maintenance ----------------------------------------------------
     # Only a re-check maintains; a first discovery has nothing to maintain.
-    # Incremental maintenance additionally needs the sharded backend (the
-    # maintainer diffs shard versions) and a seeded baseline.
     rule_maintenance = "none"
     if kind == "discovery" and recheck:
-        if backend == ExecutionBackend.SHARDED and maintainable:
+        if maintainable:
             rule_maintenance = "incremental"
             decisions.append(
                 "re-check maintains the rule set incrementally from the "
@@ -197,21 +145,16 @@ def plan_run(
             rule_maintenance = "full"
             decisions.append(
                 "no maintainable rule baseline for this re-check "
-                "(incremental maintenance needs a prior sharded discovery "
-                "run); re-discovering from scratch"
-                if backend == ExecutionBackend.SHARDED
-                else f"rule maintenance needs the sharded backend, not "
-                f"{backend}; re-discovering from scratch"
+                "(incremental maintenance needs a prior discovery run); "
+                "re-discovering from scratch"
             )
 
     return ExecutionPlan(
         kind=kind,
-        backend=backend,
         config=config,
         shard_rows=shard_rows,
         n_shards=n_shards,
         n_rows=n_rows,
-        materialization=materialization,
         store=config.store,
         object_client=object_client,
         rule_maintenance=rule_maintenance,
@@ -223,8 +166,7 @@ def plan_discovery(
     n_rows: int,
     config: Optional[DiscoveryConfig] = None,
     *,
-    sharded_upload: bool = False,
-    upload_shard_rows: int = 0,
+    shard_rows: int = 0,
     recheck: bool = False,
     maintainable: bool = False,
 ) -> ExecutionPlan:
@@ -233,8 +175,7 @@ def plan_discovery(
         "discovery",
         n_rows,
         config,
-        sharded_upload=sharded_upload,
-        upload_shard_rows=upload_shard_rows,
+        shard_rows=shard_rows,
         recheck=recheck,
         maintainable=maintainable,
     )
@@ -244,14 +185,7 @@ def plan_detection(
     n_rows: int,
     config: Optional[DiscoveryConfig] = None,
     *,
-    sharded_upload: bool = False,
-    upload_shard_rows: int = 0,
+    shard_rows: int = 0,
 ) -> ExecutionPlan:
     """Plan one detection run (see :func:`plan_run`)."""
-    return plan_run(
-        "detection",
-        n_rows,
-        config,
-        sharded_upload=sharded_upload,
-        upload_shard_rows=upload_shard_rows,
-    )
+    return plan_run("detection", n_rows, config, shard_rows=shard_rows)

@@ -19,11 +19,14 @@ the incremental detector and the per-table artifact cache
 (:data:`repro.perf.table_cache.TABLE_ARTIFACTS`) patch themselves
 forward over it without knowing it is not a plain table.
 
-For the planner's re-check path, :meth:`ShardOverlay.as_sharded` seals
-the current overlay state back into a :class:`ShardedTable` through
-:class:`OverlayShardStore`: shards untouched by the edit session pass
-through *by identity* (so their per-shard cached statistics are reused),
-and only touched shards are patched copy-on-read.
+Every session op reads the dataset through :meth:`ShardOverlay.as_sharded`,
+which seals the current overlay state back into a :class:`ShardedTable`
+through :class:`OverlayShardStore` — once per overlay version, so the
+merged artifacts of one seal (profile, column encodings) serve every op
+until the next edit.  Shards untouched by the edit session pass through
+*by identity* (so their per-shard cached statistics are reused), and
+only touched shards are patched copy-on-read.  :meth:`ShardOverlay.close`
+releases the base's shard store.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ class ShardOverlay:
         self._log_floor = 0
         #: column-index → (version at build, merged column values)
         self._column_cache: Dict[int, Tuple[int, List[str]]] = {}
+        #: (version at seal, sealed view) of the last :meth:`as_sharded`
+        self._seal: Optional[Tuple[int, ShardedTable]] = None
 
     # -- basic accessors -----------------------------------------------------
 
@@ -376,10 +381,22 @@ class ShardOverlay:
         seals taken before and after an edit batch disagree exactly on
         the shards the batch touched, which is what dirty-shard diffing
         (:meth:`ShardedTable.dirty_shards`) relies on.
+
+        The seal is cached per overlay version: until the next mutation
+        every call returns the same view, merged-artifact caches intact.
         """
         if not self.is_touched:
             return self._base
-        return ShardedTable(OverlayShardStore(self))
+        if self._seal is None or self._seal[0] != self._version:
+            self._seal = (self._version, ShardedTable(OverlayShardStore(self)))
+        return self._seal[1]
+
+    def close(self) -> None:
+        """Release the base's shard store (spill files, object roots).
+        Idempotent; the overlay is unusable afterwards."""
+        self._seal = None
+        self._column_cache.clear()
+        self._base.store.close()
 
 
 class OverlayShardStore(ShardStore):
@@ -539,6 +556,6 @@ class OverlayShardStore(ShardStore):
         return self._versions
 
     def close(self) -> None:
-        # The base store's lifetime belongs to whoever created it (the
-        # DataSource); a view never closes it.
+        # The base store's lifetime belongs to the overlay
+        # (ShardOverlay.close); a sealed view never closes it.
         self._patched.clear()

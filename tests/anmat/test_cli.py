@@ -234,9 +234,9 @@ class TestStoreFlags:
             assert code == EXIT_VIOLATIONS_FOUND
             assert capsys.readouterr().out == memory
 
-    def test_non_memory_store_implies_sharding(self, capsys):
-        # without --shard-rows, --store spill still runs sharded (an
-        # out-of-core store under a monolithic run would be pointless)
+    def test_store_without_shard_rows_cuts_at_the_default_size(self, capsys):
+        # without --shard-rows, --store spill cuts the dataset at the
+        # engine default and keeps the shards on the spill store
         code = main(
             [
                 "detect",
@@ -249,9 +249,8 @@ class TestStoreFlags:
         )
         assert code == EXIT_VIOLATIONS_FOUND
         out = capsys.readouterr().out
-        assert "backend=sharded" in out
-        assert "store=spill" in out
-        assert "materialization=never" in out
+        assert "shards=1x4 store=spill" in out
+        assert "cut once at load into shards of 4 rows on the spill store" in out
 
     def test_builtin_dataset_reshards_into_the_store(self, tmp_path, capsys):
         spill_dir = tmp_path / "spill"
@@ -403,11 +402,11 @@ class TestExecutionFlags:
                 with pytest.raises(SystemExit):  # argparse usage error, exit 2
                     build_parser().parse_args([command, "--use-kernels", value])
 
-    def test_routes_report_identically(self, capsys):
+    def test_shard_sizes_report_identically(self, capsys):
         outputs = {}
         routes = {
-            "serial": [],
-            "sharded": ["--shard-rows", "2"],
+            "default": [],
+            "two-row shards": ["--shard-rows", "2"],
         }
         for label, flags in routes.items():
             code = main(
@@ -421,11 +420,9 @@ class TestExecutionFlags:
             )
             assert code == EXIT_VIOLATIONS_FOUND
             outputs[label] = capsys.readouterr().out
-        # same violations; only the strategy label differs on sharded
-        assert outputs["sharded"].splitlines()[0] == (
-            outputs["serial"].splitlines()[0].replace("auto", "sharded")
-        )
-        assert outputs["sharded"].splitlines()[1:] == outputs["serial"].splitlines()[1:]
+        # one engine: the report does not depend on the shard size
+        assert "strategy=sharded" in outputs["default"].splitlines()[0]
+        assert outputs["two-row shards"] == outputs["default"]
 
     def test_explain_plan_prints_before_running(self, capsys):
         code = main(
@@ -440,8 +437,8 @@ class TestExecutionFlags:
         )
         assert code == EXIT_VIOLATIONS_FOUND
         out = capsys.readouterr().out
-        assert "execution plan (discovery): backend=sharded" in out
-        assert "execution plan (detection): backend=sharded" in out
+        assert "execution plan (discovery): shards=1x4 store=memory" in out
+        assert "execution plan (detection): shards=1x4 store=memory" in out
         # the plans print before any report output
         assert out.index("execution plan") < out.index("violations over")
 
@@ -457,5 +454,6 @@ class TestExecutionFlags:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "execution plan (discovery): backend=serial" in out
+        assert "execution plan (discovery): shards=1x4 store=memory rows=4" in out
+        assert "backend=" not in out
 

@@ -6,9 +6,12 @@ import pytest
 from repro.anmat.project import ProjectStore
 from repro.anmat.session import AnmatSession, SessionState
 from repro.detection import ErrorDetector
+from repro.discovery import PfdDiscoverer
 from repro.discovery.config import DiscoveryConfig
+from repro.discovery.maintenance import RuleMaintainer
 from repro.errors import ProjectError
 from repro.metrics.evaluation import evaluate_report
+from repro.sharding import ShardedDetector, ShardOverlay
 
 
 class TestWorkflowOrder:
@@ -146,7 +149,9 @@ class TestEditLoop:
         session = detected_session
         for suggestion in session.repair_suggestions()[:5]:
             session.apply_repair(suggestion)
-        full = ErrorDetector(session.table.copy()).detect_all(session.confirmed_pfds())
+        full = ErrorDetector(session.table.materialize()).detect_all(
+            session.confirmed_pfds()
+        )
         assert (
             session.violations.canonical_violations() == full.canonical_violations()
         )
@@ -193,13 +198,14 @@ class TestEditLoop:
         session = detected_session
         session.edit_cell(0, "city", "Oddville")
         old_table = session.table
-        new_table = old_table.copy()
+        new_table = old_table.materialize()
         session.load_table(new_table)
         assert session.violations is None
         with pytest.raises(ProjectError):
             session.edit_cell(1, "city", "Elsewhere")
         # neither table was touched by the rejected edit
         assert old_table.cell(1, "city") == new_table.cell(1, "city")
+        assert session.table.cell(1, "city") == new_table.cell(1, "city")
 
     def test_edit_loop_matches_the_bruteforce_baseline(self, detected_session):
         # the edit loop's maintained report equals the paper's brute-force
@@ -208,7 +214,7 @@ class TestEditLoop:
         before = session.run_detection()
         after = session.edit_cell(0, "city", "X")
         assert session.state.value == "editing"
-        full = ErrorDetector(session.table.copy()).detect_all(
+        full = ErrorDetector(session.table.materialize()).detect_all(
             session.confirmed_pfds(), strategy="bruteforce"
         )
         assert after.canonical_violations() == full.canonical_violations()
@@ -231,18 +237,27 @@ class TestProjectIntegration:
         assert project.load_results("d1")["n_violations"] == len(session.violations)
 
 
+class Reference:
+    """The monolithic library engines' answer for one dataset: the
+    :class:`PfdDiscoverer` rules, their :class:`ErrorDetector`
+    violations and the profile."""
+
+    def __init__(self, table, config, relation="d"):
+        self.discovery = PfdDiscoverer(config).discover_with_report(
+            table, relation=relation
+        )
+        self.profile = self.discovery.profile
+        self.violations = ErrorDetector(table).detect_all(self.discovery.pfds)
+
+    def discovered_pfds(self):
+        return list(self.discovery.pfds)
+
+
 class TestShardedSession:
-    """The config.shard_rows execution mode and sharded uploads."""
+    """config.shard_rows sizes the cut; sharded uploads keep theirs."""
 
     def _monolithic(self, dataset):
-        session = AnmatSession(
-            dataset_name="d", config=DiscoveryConfig(min_coverage=0.5)
-        )
-        session.load_table(dataset.table.copy())
-        session.run_discovery()
-        session.confirm_all()
-        session.run_detection()
-        return session
+        return Reference(dataset.table, DiscoveryConfig(min_coverage=0.5))
 
     def test_shard_rows_config_routes_through_sharded_engines(
         self, small_zip_city_state
@@ -290,7 +305,7 @@ class TestShardedSession:
         with pytest.raises(TypeError, match="strategy"):
             session.plan_detection(strategy="scan")
         assert session.run_detection().strategy == "sharded"
-        assert session.last_plan.backend == "sharded"
+        assert session.last_plan.kind == "detection"
 
     def test_plans_are_exposed_and_recorded(self, small_zip_city_state):
         session = AnmatSession(
@@ -299,24 +314,28 @@ class TestShardedSession:
         )
         session.load_table(small_zip_city_state.table.copy())
         plan = session.plan_discovery()
-        assert plan.backend == "sharded"
         assert plan.shard_rows == 64
+        assert plan.n_shards == 7  # ceil(400 / 64)
+        assert session.table.base.n_shards == 7
         session.run_discovery()
         assert session.last_plan.kind == "discovery"
-        assert session.last_plan.backend == "sharded"
+        assert session.last_plan.shard_rows == 64
         session.confirm_all()
         session.run_detection()
         assert session.last_plan.kind == "detection"
-        assert session.last_plan.backend == "sharded"
+        assert session.last_plan.n_shards == 7
 
-    def test_n_workers_leaves_a_monolithic_load_serial(self, small_zip_city_state):
+    def test_n_workers_changes_nothing_on_a_table_load(self, small_zip_city_state):
         mono = self._monolithic(small_zip_city_state)
         session = AnmatSession(
             dataset_name="d", config=DiscoveryConfig(min_coverage=0.5, n_workers=2)
         )
         session.load_table(small_zip_city_state.table.copy())
         session.run_discovery()
-        assert session.last_plan.backend == "serial"
+        without = AnmatSession(dataset_name="d", config=DiscoveryConfig(min_coverage=0.5))
+        without.load_table(small_zip_city_state.table)
+        assert session.last_plan.describe() == without.plan_discovery().describe()
+        without.close()
         assert [p.describe() for p in session.discovered_pfds()] == [
             p.describe() for p in mono.discovered_pfds()
         ]
@@ -340,7 +359,6 @@ class TestShardedSession:
         assert store.n_shards > 1  # the document was chunked into the store
         assert session.table.n_rows == small_zip_city_state.table.n_rows
         session.run_discovery()
-        assert session.last_plan.backend == "sharded"
         assert session.last_plan.shard_rows == 40
         session.confirm_all()
         report = session.run_detection()
@@ -374,7 +392,9 @@ class TestShardedSession:
         assert session.state is SessionState.EDITING
         # the next sharded re-check sees the edited table, not stale shards
         report = session.run_detection()
-        fresh = ErrorDetector(session.table).detect_all(session.confirmed_pfds())
+        fresh = ErrorDetector(session.table.materialize()).detect_all(
+            session.confirmed_pfds()
+        )
         assert report.canonical_violations() == fresh.canonical_violations()
 
 
@@ -384,28 +404,20 @@ class TestNeverMaterializedSession:
     table."""
 
     def _monolithic(self, dataset):
-        session = AnmatSession(
-            dataset_name="d", config=DiscoveryConfig(min_coverage=0.5)
-        )
-        session.load_table(dataset.table.copy())
-        session.run_profiling()
-        session.run_discovery()
-        session.confirm_all()
-        session.run_detection()
-        return session
+        return Reference(dataset.table, DiscoveryConfig(min_coverage=0.5))
 
     @pytest.fixture
-    def forbid_materialization(self, monkeypatch):
+    def forbid_materializing(self, monkeypatch):
         from repro.sharding import ShardedTable, ShardOverlay
 
         def boom(self, *args, **kwargs):  # pragma: no cover - only on regression
-            raise AssertionError("monolithic materialization on the session path")
+            raise AssertionError("a monolithic table was built on the session path")
 
         monkeypatch.setattr(ShardedTable, "to_table", boom)
         monkeypatch.setattr(ShardOverlay, "materialize", boom)
 
     def test_full_workflow_with_spill_store(
-        self, tmp_path, small_zip_city_state, forbid_materialization
+        self, tmp_path, small_zip_city_state, forbid_materializing
     ):
         from repro.sharding import ShardedTable, ShardOverlay, SpillToDiskShardStore
 
@@ -419,7 +431,7 @@ class TestNeverMaterializedSession:
         )
         session.load_table(sharded)
         assert isinstance(session.table, ShardOverlay)
-        assert session.plan_discovery().materialization == "never"
+        assert session.table.base is sharded
         # profile / discover / detect all equal the monolithic run
         assert session.run_profiling() == mono.profile
         session.run_discovery()
@@ -441,33 +453,38 @@ class TestNeverMaterializedSession:
         assert recheck.canonical_violations() == fresh.canonical_violations()
         session.close()
 
-    def test_detection_plan_records_store_and_materialization(
-        self, small_zip_city_state
+    def test_table_load_is_cut_onto_the_config_store(
+        self, tmp_path, small_zip_city_state, forbid_materializing
     ):
-        from repro.sharding import ShardedTable
+        from repro.sharding import SpillToDiskShardStore
 
         session = AnmatSession(
             dataset_name="planned",
-            config=DiscoveryConfig(min_coverage=0.5, store="spill"),
+            config=DiscoveryConfig(
+                min_coverage=0.5, store="spill", spill_dir=str(tmp_path / "spill")
+            ),
         )
-        session.load_table(ShardedTable.from_table(small_zip_city_state.table, 50))
+        session.load_table(small_zip_city_state.table)
+        assert isinstance(session.table, ShardOverlay)
+        store = session.table.base.store
+        assert isinstance(store, SpillToDiskShardStore)
+        assert sorted((tmp_path / "spill").glob("shard_*.shard"))
         plan = session.plan_detection()
-        assert plan.materialization == "never"
         assert plan.store == "spill"
         assert "store=spill" in plan.describe()
-        assert any("materialization=never" in d for d in plan.decisions)
+        assert any("on the spill store" in d for d in plan.decisions)
         session.close()
 
-    def test_sharded_upload_plans_never_say_eager(self, small_zip_city_state):
-        # a sharded upload has one route — the sharded backend on its
-        # shard store — for every run, re-checks included
-        from repro.sharding import ShardedTable
-
+    def test_every_plan_of_a_table_load_runs_on_its_shards(
+        self, small_zip_city_state, forbid_materializing
+    ):
+        # one route for every run of a Table load, re-checks included:
+        # the shards cut at load, with the rules maintained incrementally
         mono = self._monolithic(small_zip_city_state)
         session = AnmatSession(
-            dataset_name="d", config=DiscoveryConfig(min_coverage=0.5)
+            dataset_name="d", config=DiscoveryConfig(min_coverage=0.5, shard_rows=50)
         )
-        session.load_table(ShardedTable.from_table(small_zip_city_state.table, 50))
+        session.load_table(small_zip_city_state.table)
         plans = [session.plan_discovery()]
         session.run_discovery()
         session.confirm_all()
@@ -477,11 +494,10 @@ class TestNeverMaterializedSession:
         session.recheck()
         plans.append(session.last_plan)
         for plan in plans:
-            assert plan.backend == "sharded"
-            assert plan.materialization == "never"
-            assert "eager" not in plan.describe()
+            assert (plan.shard_rows, plan.n_shards) == (50, 8)
+            assert "backend" not in plan.describe()
+        assert plans[-1].rule_maintenance == "incremental"
         assert report.canonical_violations() == mono.violations.canonical_violations()
-        assert not hasattr(session._source, "table")
         session.close()
 
 
@@ -574,7 +590,7 @@ class TestSessionLifecycle:
             ),
         )
         session.upload_csv(path)
-        source_store = session._source._upload_sharded.store
+        source_store = session.table.base.store
         assert isinstance(source_store, SpillToDiskShardStore)
         assert source_store.directory == tmp_path / "spill"
         session.close()
@@ -613,10 +629,10 @@ class TestRecheckShardSize:
             "recheck re-sharded at a different size than the upload"
         )
         assert plan.n_shards == n_shards
-        assert any("shard size of 50 rows" in d for d in plan.decisions)
+        assert any("shards of 50 rows" in d for d in plan.decisions)
         # and because the partition matched, maintenance ran incrementally
         assert plan.rule_maintenance == "incremental"
-        assert session._source.sharded_view(plan.shard_rows).n_shards == n_shards
+        assert session.table.as_sharded().n_shards == n_shards
         session.close()
 
     def test_recheck_after_edit_loop_keeps_shard_size(self, small_zip_city_state):
@@ -632,21 +648,103 @@ class TestRecheckShardSize:
         session.close()
 
 
-def test_recut_after_edit_detects_the_edited_cells():
-    # an edited monolithic table is re-cut into fresh shards whose
-    # versions restart at 0; nothing cached for the previous cut may
-    # answer for them
+def test_detection_after_overlay_edits_sees_the_edited_cells():
+    # edits land in the overlay over the shards cut at load; the sealed
+    # view a later detection reads carries new shard versions, so nothing
+    # cached for the unedited shards may answer for them
     from repro.datagen import build_dataset
 
-    table = build_dataset("zip_city_state", n_rows=90, seed=11).table.copy()
+    table = build_dataset("zip_city_state", n_rows=90, seed=11).table
     config = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2, shard_rows=13)
     with AnmatSession(dataset_name="recut", config=config) as session:
         session.load_table(table)
         session.run_discovery()
         session.confirm_all()
         session.run_detection()
-        table.set_cell(0, "city", "Mutated")
-        table.set_cell(50, "state", "ZZ")
+        session.table.set_cell(0, "city", "Mutated")
+        session.table.set_cell(50, "state", "ZZ")
         report = session.run_detection()
-        expected = ErrorDetector(table).detect_all(session.confirmed_pfds())
+        edited = session.table.materialize()
+        expected = ErrorDetector(edited).detect_all(session.confirmed_pfds())
+    assert edited.cell(0, "city") == "Mutated"
     assert report.canonical_violations() == expected.canonical_violations()
+
+
+class TestAtomicRecheck:
+    """A re-check that raises midway leaves the session as it was."""
+
+    @pytest.fixture
+    def edited_session(self, small_zip_city_state):
+        session = AnmatSession(
+            dataset_name="atomic",
+            config=DiscoveryConfig(min_coverage=0.5, shard_rows=64),
+        )
+        session.load_table(small_zip_city_state.table)
+        session.run_discovery()
+        session.confirm_all()
+        session.run_detection()
+        session.apply_repair(session.repair_suggestions()[0])
+        assert session.plan_recheck().rule_maintenance == "incremental"
+        yield session
+        session.close()
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            (ShardedDetector, "detect_all"),
+            (RuleMaintainer, "maintain"),
+        ],
+        ids=["detection", "maintenance"],
+    )
+    def test_failed_recheck_keeps_the_pre_recheck_state(
+        self, edited_session, monkeypatch, target
+    ):
+        session = edited_session
+        before = (
+            session.discovery,
+            list(session.confirmed_names),
+            session.violations,
+            session.state,
+            session.last_plan,
+        )
+
+        def boom(self, *args, **kwargs):
+            raise RuntimeError("failed mid-recheck")
+
+        owner, name = target
+        monkeypatch.setattr(owner, name, boom)
+        with pytest.raises(RuntimeError, match="mid-recheck"):
+            session.recheck()
+        monkeypatch.undo()
+
+        assert session.discovery is before[0]
+        assert session.confirmed_names == before[1]
+        assert session.violations is before[2]
+        assert session.state is before[3] is SessionState.EDITING
+        assert session.last_plan is before[4]
+        # the maintainer may have advanced past the kept rules: dropped
+        assert session.plan_recheck().rule_maintenance == "full"
+
+        # the edit loop over the kept rules still works
+        report = session.edit_cell(1, "city", "Elsewhere")
+        expected = ErrorDetector(session.table.materialize()).detect_all(
+            session.confirmed_pfds()
+        )
+        assert report.canonical_violations() == expected.canonical_violations()
+
+        # and the next re-check equals a fresh discovery
+        result = session.recheck()
+        assert session.last_plan.rule_maintenance == "full"
+        edited = session.table.materialize()
+        fresh = PfdDiscoverer(session.config).discover_with_report(
+            edited, relation="atomic"
+        )
+        assert [p.describe() for p in result.pfds] == [p.describe() for p in fresh.pfds]
+        assert session.state is SessionState.DETECTED
+        expected = ErrorDetector(edited).detect_all(session.confirmed_pfds())
+        assert (
+            session.violations.canonical_violations()
+            == expected.canonical_violations()
+        )
+        # which re-seeded the maintainer
+        assert session.plan_recheck().rule_maintenance == "incremental"

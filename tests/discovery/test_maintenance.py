@@ -115,7 +115,7 @@ class TestMaintenanceDifferential:
             session = make_session(name, n_rows, specs, seed, store)
             try:
                 session.run_discovery()
-                assert session.last_plan.backend == "sharded"
+                assert session.last_plan.shard_rows == SHARD_ROWS
                 rng = random.Random(seed * 1000 + 7)
                 for _batch in range(BATCHES_PER_SEED):
                     apply_random_batch(session.table, rng)
@@ -165,9 +165,9 @@ def test_reference_maintainer_sequence(name, n_rows, specs):
     "name,n_rows,specs", GENERATORS[:1], ids=lambda v: str(v)
 )
 class TestMaintenanceFallbacks:
-    """Structural changes and unsharded runs fall back to full
-    re-discovery — with the fallback recorded on the plan, not warned:
-    the user requested nothing the fallback could override."""
+    """Structural changes fall back to full re-discovery — with the
+    fallback recorded on the plan, not warned: the user requested
+    nothing the fallback could override."""
 
     def test_append_falls_back_to_full(self, name, n_rows, specs):
         session = make_session(name, n_rows, specs, 3, "memory")
@@ -209,9 +209,9 @@ class TestMaintenanceFallbacks:
         finally:
             session.close()
 
-    def test_monolithic_session_rechecks_full(self, name, n_rows, specs):
-        """A monolithic (unsharded) session has no shard versions to
-        diff: the plan records the full fallback without warning."""
+    def test_table_load_rechecks_incrementally(self, name, n_rows, specs):
+        """A Table load is cut into shards at load like any upload, so
+        its re-check diffs shard versions and maintains the rules."""
         table = dirty_table(name, n_rows, specs, 3)
         session = AnmatSession(
             dataset_name=name,
@@ -219,18 +219,16 @@ class TestMaintenanceFallbacks:
         )
         session.load_table(table)
         session.run_discovery()
-        assert session._maintainer is None
+        assert session._maintainer.seeded
         session.table.set_cell(0, table.column_names()[0], "X0")
         result = session.recheck()
-        assert session.last_plan.rule_maintenance == "full"
-        assert any(
-            "rule maintenance needs the sharded backend" in d
-            for d in session.last_plan.decisions
-        )
-        full = PfdDiscoverer(session.config).discover_with_report(
-            session.table, relation=name
+        assert session.last_plan.rule_maintenance == "incremental"
+        full = reference_rediscovery(
+            session.config, session.table.materialize(), relation=name
         )
         assert rules_of(result) == rules_of(full)
+        assert decisions_of(result) == decisions_of(full)
+        session.close()
 
     def test_default_session_maintains_then_falls_back(self, name, n_rows, specs):
         """With no config set at all, a sharded upload's re-check

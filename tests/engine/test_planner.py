@@ -1,8 +1,6 @@
-"""Planner unit tests: the full routing matrix.
-
-Every combination of (shard_rows, upload kind) must resolve to a
-deterministic backend, with the decisions recorded on the plan; the
-inert ``n_workers`` changes nothing.
+"""Planner unit tests: shard size and count, store, object client and
+rule maintenance resolve deterministically, with the decisions recorded
+on the plan; the inert ``n_workers`` changes nothing.
 """
 
 import pytest
@@ -10,7 +8,6 @@ import pytest
 from repro.discovery import DiscoveryConfig
 from repro.engine import (
     DEFAULT_SHARD_ROWS,
-    ExecutionBackend,
     plan_detection,
     plan_discovery,
     plan_run,
@@ -22,62 +19,58 @@ def config(shard_rows=0, n_workers=0):
     return DiscoveryConfig(shard_rows=shard_rows, n_workers=n_workers)
 
 
-class TestAutoRouting:
-    """The planner routes on config and upload kind."""
+class TestShardSize:
+    """A plan reads the cut made at load: the dataset's own shard size,
+    else ``config.shard_rows``, else the engine default."""
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
-    def test_default_is_serial(self, kind):
-        plan = plan_run(kind, 100, config())
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.shard_rows == 0
-        assert plan.n_shards == 0
-        assert plan.decisions == []
+    def test_default_is_the_engine_default(self, kind):
+        plan = plan_run(kind, 10_000, config())
+        assert plan.shard_rows == DEFAULT_SHARD_ROWS
+        assert plan.n_shards == 3  # ceil(10000 / 4096)
+        assert plan.decisions == [
+            f"the dataset was cut once at load into shards of {DEFAULT_SHARD_ROWS} "
+            "rows on the memory store"
+        ]
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
-    def test_shard_rows_routes_sharded(self, kind):
+    def test_config_shard_rows_sizes_the_cut(self, kind):
         plan = plan_run(kind, 100, config(shard_rows=30))
-        assert plan.backend == ExecutionBackend.SHARDED
         assert plan.shard_rows == 30
         assert plan.n_shards == 4  # ceil(100 / 30)
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
-    def test_sharded_upload_routes_sharded(self, kind):
-        plan = plan_run(kind, 100, config(), sharded_upload=True, upload_shard_rows=25)
-        assert plan.backend == ExecutionBackend.SHARDED
-        assert plan.shard_rows == 25  # keeps the upload's partition
+    def test_the_datasets_cut_beats_the_config(self, kind):
+        # the cut is made once at load; a run never re-cuts
+        plan = plan_run(kind, 100, config(shard_rows=40), shard_rows=25)
+        assert plan.shard_rows == 25
+        assert plan.n_shards == 4
+        assert any("shards of 25 rows" in d for d in plan.decisions)
 
-    def test_config_shard_rows_beats_upload_partition(self):
-        plan = plan_run(
-            "discovery", 100, config(shard_rows=40), sharded_upload=True,
-            upload_shard_rows=25,
-        )
-        assert plan.shard_rows == 40
+    def test_upload_keyword_arguments_are_gone(self):
+        for keyword in ("sharded_upload", "upload_shard_rows"):
+            with pytest.raises(TypeError, match=keyword):
+                plan_run("discovery", 10, config(), **{keyword: 1})
 
+    def test_plan_fields_are_one_engines(self):
+        # no backend to choose and nothing to materialize: a plan holds
+        # the cut, the store, the object client and rule maintenance
+        import dataclasses
 
-class TestShardedUploadsStaySharded:
-    """A sharded upload has one route: the sharded backend, end to end
-    on its shard store — no plan for it ever materializes the table."""
+        from repro.engine import ExecutionPlan
 
-    @pytest.mark.parametrize("kind", ["discovery", "detection"])
-    @pytest.mark.parametrize("cfg", [config(), config(shard_rows=10), config(n_workers=2)])
-    def test_sharded_upload_never_plans_eager(self, kind, cfg):
-        plan = plan_run(kind, 100, cfg, sharded_upload=True, upload_shard_rows=25)
-        assert plan.backend == ExecutionBackend.SHARDED
-        assert plan.materialization == "never"
-        assert not any("eager" in d for d in plan.decisions)
-        assert "eager" not in plan.describe()
-
-    def test_sharded_recheck_never_plans_eager(self):
-        plan = plan_discovery(
-            100, config(), sharded_upload=True, upload_shard_rows=25,
-            recheck=True, maintainable=False,
-        )
-        assert plan.backend == ExecutionBackend.SHARDED
-        assert plan.materialization == "never"
-
-    def test_monolithic_table_plans_eager(self):
-        assert plan_detection(100, config()).materialization == "eager"
-        assert plan_detection(100, config(shard_rows=10)).materialization == "eager"
+        assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
+            "kind",
+            "config",
+            "shard_rows",
+            "n_shards",
+            "n_rows",
+            "store",
+            "object_client",
+            "rule_maintenance",
+            "decisions",
+        ]
+        assert "backend" not in plan_detection(100, config()).describe()
 
     def test_strategy_argument_is_gone(self):
         with pytest.raises(TypeError, match="strategy"):
@@ -89,27 +82,22 @@ class TestShardedUploadsStaySharded:
 
 class TestInertWorkers:
     """``n_workers`` is accepted and validated, then ignored: it neither
-    routes a run nor appears on the plan."""
+    changes a plan nor appears on it."""
 
-    @pytest.mark.parametrize(
-        "shard_rows,sharded_upload", [(0, False), (10, False), (0, True), (10, True)]
-    )
-    def test_plans_equal_with_and_without_workers(self, shard_rows, sharded_upload):
-        upload = dict(
-            sharded_upload=sharded_upload, upload_shard_rows=25 if sharded_upload else 0
-        )
+    @pytest.mark.parametrize("shard_rows,cut", [(0, 0), (10, 0), (0, 25), (10, 25)])
+    def test_plans_equal_with_and_without_workers(self, shard_rows, cut):
         for plan_for in (plan_discovery, plan_detection):
-            without = plan_for(3 * DEFAULT_SHARD_ROWS, config(shard_rows, 0), **upload)
-            with_workers = plan_for(3 * DEFAULT_SHARD_ROWS, config(shard_rows, 2), **upload)
-            assert with_workers.backend == without.backend
+            without = plan_for(3 * DEFAULT_SHARD_ROWS, config(shard_rows, 0), shard_rows=cut)
+            with_workers = plan_for(
+                3 * DEFAULT_SHARD_ROWS, config(shard_rows, 2), shard_rows=cut
+            )
             assert with_workers.shard_rows == without.shard_rows
             assert with_workers.n_shards == without.n_shards
             assert with_workers.decisions == without.decisions
             assert with_workers.describe() == without.describe()
 
-    def test_monolithic_table_with_workers_stays_serial(self):
+    def test_workers_leave_no_decision(self):
         plan = plan_run("detection", 100, config(n_workers=4))
-        assert plan.backend == ExecutionBackend.SERIAL
         assert not any("worker" in d.lower() for d in plan.decisions)
 
     def test_negative_workers_still_rejected(self):
@@ -130,26 +118,19 @@ class TestValidationAndShape:
         plan = plan_run("discovery", 0, config(shard_rows=10))
         assert plan.n_shards == 1
 
-    def test_describe_mentions_backend_and_decisions(self):
+    def test_describe_mentions_shards_store_and_decisions(self):
         plan = plan_detection(100, config(shard_rows=30))
         text = plan.describe()
-        assert "backend=sharded" in text
-        assert "shards=4x30" in text
-        assert "execution plan (detection)" in text
-        assert all(decision in text for decision in plan.decisions)
-
-    def test_describe_monolithic_names_only_the_backend(self):
-        text = plan_detection(100, config()).describe()
         assert text.startswith(
-            "execution plan (detection): backend=serial rows=100"
+            "execution plan (detection): shards=4x30 store=memory rows=100"
         )
-        assert "shards=" not in text
+        assert all(decision in text for decision in plan.decisions)
 
 
 class TestRuleMaintenanceResolution:
     """A re-check plan resolves the plan's ``rule_maintenance`` from the
-    backend and the seeded baseline alone; ordinary discovery plans stay
-    at ``"none"``.  Nothing is requested, so nothing warns."""
+    seeded baseline alone; ordinary discovery plans stay at ``"none"``.
+    Nothing is requested, so nothing warns."""
 
     def test_non_recheck_plans_record_none(self):
         assert plan_discovery(100, config()).rule_maintenance == "none"
@@ -173,10 +154,11 @@ class TestRuleMaintenanceResolution:
         assert plan.rule_maintenance == "full"
         assert any("no maintainable rule baseline" in d for d in plan.decisions)
 
-    def test_monolithic_recheck_falls_back_quietly(self):
+    def test_default_config_recheck_is_incremental(self):
+        # no shard_rows set: a Table load is still cut, so it maintains
         plan = plan_discovery(100, config(), recheck=True, maintainable=True)
-        assert plan.rule_maintenance == "full"
-        assert any("needs the sharded backend" in d for d in plan.decisions)
+        assert plan.rule_maintenance == "incremental"
+        assert not any("backend" in d for d in plan.decisions)
 
     def test_describe_omits_none(self):
         assert "rule_maintenance" not in plan_discovery(100, config()).describe()
@@ -239,12 +221,13 @@ class TestObjectClientRouting:
             assert plan.object_client == "none"
             assert "[" not in plan.describe().split("store=")[1].split()[0]
 
-    def test_monolithic_backend_has_no_object_client(self):
-        # the url is only consulted when shards actually exist
+    def test_default_shard_size_still_routes_the_object_client(self):
+        # every dataset is sharded, so the url is consulted without
+        # shard_rows too
         cfg = DiscoveryConfig(store="object", object_url="http://127.0.0.1:8080")
         plan = plan_run("discovery", 100, cfg)
-        assert plan.backend == ExecutionBackend.SERIAL
-        assert plan.object_client == "none"
+        assert plan.object_client == "http"
+        assert "shards=1x4096 store=object[http]" in plan.describe()
 
     def test_config_validates_the_url(self):
         with pytest.raises(DiscoveryError, match="object_url"):

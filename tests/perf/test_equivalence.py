@@ -100,20 +100,15 @@ class TestDiscoveryEquivalence:
         assert warm_caches == uncached
 
     def test_sharded_equals_serial(self, dataset, zip_table, employee_table):
-        from repro.engine import (
-            DEFAULT_SHARD_ROWS,
-            DataSource,
-            build_executor,
-            plan_discovery,
-        )
+        from repro.engine import DEFAULT_SHARD_ROWS
+        from repro.sharding import ShardedDiscoverer, ShardedTable
 
         table = self._table(dataset, zip_table, employee_table)
         serial = canonical_discovery(PfdDiscoverer().discover_with_report(table))
-        config = DiscoveryConfig(shard_rows=DEFAULT_SHARD_ROWS)
-        plan = plan_discovery(table.n_rows, config)
-        assert plan.backend == "sharded"
         sharded = canonical_discovery(
-            build_executor(plan).run_discovery(plan, DataSource(table))
+            ShardedDiscoverer(DiscoveryConfig()).discover_with_report(
+                ShardedTable.from_table(table, DEFAULT_SHARD_ROWS)
+            )
         )
         assert sharded == serial
 

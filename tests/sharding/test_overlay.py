@@ -240,6 +240,46 @@ class TestAsSharded:
         assert after[0] != before[0]
         assert after[1:] == before[1:]
 
+    def test_seal_is_cached_per_version(self, pair):
+        table, overlay = pair
+        overlay.set_cell(1, "label", "patched")
+        view = overlay.as_sharded()
+        assert view.cell(1, "label") == "patched"
+        # every op until the next edit reads the same seal (merged
+        # artifacts such as the profile survive between ops)
+        assert overlay.as_sharded() is view
+        assert view.profile() is overlay.as_sharded().profile()
+        overlay.set_cell(2, "label", "again")
+        assert overlay.as_sharded() is not view
+        # a no-op write bumps nothing, so the seal is kept
+        again = overlay.as_sharded()
+        overlay.set_cell(2, "label", "again")
+        assert overlay.as_sharded() is again
+
+    def test_sealed_profile_matches_the_materialized_profile(self, pair):
+        from repro.dataset.profiling import profile_table
+
+        table, overlay = pair
+        assert overlay.as_sharded().profile() == profile_table(table)
+        for target in (table, overlay):
+            target.set_cell(0, "code", "999")
+            target.append_row(["400", "tail"])
+        assert overlay.as_sharded().profile() == profile_table(table)
+
+    def test_close_releases_the_base_store(self):
+        from repro.sharding import SpillToDiskShardStore
+
+        table, _sharded = make_base()
+        store = SpillToDiskShardStore()
+        overlay = ShardOverlay(ShardedTable.from_table(table, 4, store=store))
+        overlay.set_cell(0, "code", "A")
+        overlay.as_sharded()
+        spill_dir = store.directory
+        assert spill_dir.exists()
+        overlay.close()
+        assert not spill_dir.exists()
+        overlay.close()  # idempotent
+
     def test_overlay_store_is_read_only(self, pair):
         _table, overlay = pair
         overlay.set_cell(0, "code", "A")

@@ -210,7 +210,7 @@ def test_store_factory_and_session_upload_share_one_prefetch_default(tmp_path):
         config=DiscoveryConfig(store="object", spill_dir=str(tmp_path / "session")),
     )
     session.upload_csv(path, shard_rows=4)
-    stores.append(session._source.sharded_view(0).store)
+    stores.append(session.table.base.store)
     try:
         for store in stores:
             assert isinstance(store._prefetcher, PrefetchingFetcher)

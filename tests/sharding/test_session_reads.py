@@ -69,7 +69,7 @@ def _rules(pfds):
 
 
 def test_each_session_op_decodes_every_shard_once(spill_session, decoded, sharded_profiles):
-    n_shards = spill_session._source.sharded_view(0).n_shards
+    n_shards = spill_session.table.as_sharded().n_shards
     assert n_shards == 10
     every_shard = [f"spill file shard_{index:06d}.shard" for index in range(n_shards)]
 
@@ -143,17 +143,23 @@ def test_recheck_after_edits_reprofiles_the_edited_data(spill_session):
     assert session.run_profiling() == result.profile
 
 
-def test_monolithic_profile_is_reused_until_the_table_changes(small_zip_city_state):
-    table = small_zip_city_state.table.copy()
+def test_table_load_profile_is_reused_until_the_table_changes(
+    small_zip_city_state, sharded_profiles
+):
+    table = small_zip_city_state.table
     session = AnmatSession(dataset_name="mono")
     session.load_table(table)
     profile = session.run_profiling()
     result = session.run_discovery()
     assert result.profile is profile
+    assert len(sharded_profiles) == 1  # profiled once, from the load's cut
 
-    table.set_cell(0, "state", "ZZ")
+    session.table.set_cell(0, "state", "ZZ")
     fresh = session.run_profiling()
     assert fresh is not profile
-    assert fresh == profile_table(table)
+    assert fresh == profile_table(session.table.materialize())
+    assert fresh != profile_table(table)  # the caller's table is not the session's
     assert session.run_discovery().profile is fresh
+    assert len(sharded_profiles) == 2
+    session.close()
 

@@ -1,13 +1,13 @@
 """Line-coverage gate for the discovery, detection, sharding, engine and
-kernel layers.
+kernel layers, and for the session that routes every upload.
 
-Runs the discovery + detection + sharding + engine + kernels test
-selection (including the rule-maintenance differential gate in
+Runs the discovery + detection + sharding + engine + kernels + anmat
+test selection (including the rule-maintenance differential gate in
 ``tests/discovery/test_maintenance.py``) under a coverage tracer and
 fails when the measured line coverage of ``src/repro/discovery/``,
 ``src/repro/detection/``, ``src/repro/sharding/``,
-``src/repro/engine/``, or ``src/repro/kernels/`` drops below the
-committed floor.  Built on the
+``src/repro/engine/``, ``src/repro/kernels/`` or
+``src/repro/anmat/session.py`` drops below the committed floor.  Built on the
 standard library's ``trace`` module so it needs no dependency (this
 environment ships without the third-party ``coverage`` package; the
 measurement contract is the same if a future environment swaps it in).
@@ -47,8 +47,10 @@ FLOORS: Dict[str, float] = {
 #: individual files gated on their own floor — the out-of-core session's
 #: edit-overlay, shard-codec, object-store and remote-client layers are
 #: small enough that a directory average would hide any one losing its
-#: tests entirely
+#: tests entirely; the session is where every upload is routed onto the
+#: sharded engines
 FILE_FLOORS: Dict[str, float] = {
+    "src/repro/anmat/session.py": 0.90,
     "src/repro/sharding/overlay.py": 0.85,
     "src/repro/sharding/codec.py": 0.85,
     "src/repro/sharding/object_store.py": 0.85,
@@ -71,6 +73,7 @@ TEST_ARGS = [
     "tests/sharding",
     "tests/engine",
     "tests/kernels",
+    "tests/anmat",
 ]
 
 
