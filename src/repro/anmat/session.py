@@ -455,9 +455,11 @@ class AnmatSession:
         """Fix one cell and update the violation report *in place*.
 
         The first edit after a detection run attaches an
-        :class:`IncrementalDetector` over the confirmed rules (reusing
-        the cached per-table artifacts of that run); subsequent edits
-        cost one delta application each instead of a full re-scan.  The
+        :class:`IncrementalDetector` over the confirmed rules, seeded
+        from the column encodings, pair groups and blocks that run left
+        on the sealed view, without reading a shard; each edit then re-checks
+        one row per constant rule and moves one row between RHS groups
+        per variable rule instead of re-scanning.  The
         session moves to ``EDITING``; :meth:`run_detection` performs a
         full re-check and returns it to ``DETECTED``.
 

@@ -11,7 +11,6 @@ or can be split by value, which is linear per block.
 
 from __future__ import annotations
 
-import bisect
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
@@ -51,50 +50,6 @@ def block_by_projection(
     if memo is not None:
         return block_by_key(rows, values, memo.projector(pattern))
     return block_by_key(rows, values, pattern.blocking_key)
-
-
-# -- partial updates -------------------------------------------------------------
-#
-# Blocks are plain ``key → sorted row list`` dicts, so maintaining them
-# under table deltas is dictionary surgery: the helpers below keep the
-# row lists sorted ascending (the invariant the violation emitter relies
-# on for deterministic witnesses) without re-projecting untouched rows.
-
-
-def add_row_to_blocks(
-    blocks: Dict[Hashable, List[int]], key: Optional[Hashable], row: int
-) -> None:
-    """Insert a row into its block (no-op when the key is None)."""
-    if key is None:
-        return
-    bisect.insort(blocks.setdefault(key, []), row)
-
-
-def remove_row_from_blocks(
-    blocks: Dict[Hashable, List[int]], key: Hashable, row: int
-) -> None:
-    """Remove a row from its block, dropping the block when it empties."""
-    rows = blocks.get(key)
-    at = bisect.bisect_left(rows, row) if rows is not None else 0
-    if rows is None or at == len(rows) or rows[at] != row:
-        raise ValueError(f"blocks out of sync: row {row} not in block {key!r}")
-    del rows[at]
-    if not rows:
-        del blocks[key]
-
-
-def renumber_blocks_after_delete(
-    blocks: Dict[Hashable, List[int]], deleted_row: int
-) -> None:
-    """Shift every row index behind a deleted row down by one.
-
-    Row lists are sorted ascending (the emitter invariant), so the rows
-    to decrement form a suffix located by binary search — blocks wholly
-    below the deleted row cost one ``bisect`` instead of a full rewrite.
-    """
-    for rows in blocks.values():
-        for i in range(bisect.bisect_right(rows, deleted_row), len(rows)):
-            rows[i] -= 1
 
 
 def split_block_by_rhs(

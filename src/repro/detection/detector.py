@@ -127,11 +127,11 @@ class ErrorDetector:
         self, pfds: Iterable[PFD], strategy: str = DetectionStrategy.AUTO
     ) -> ViolationReport:
         """Detect violations of every PFD and merge the reports."""
-        merged = ViolationReport(n_rows=self.table.n_rows, strategy=strategy)
-        for pfd in pfds:
-            merged = merged.merged_with(self.detect(pfd, strategy))
-        merged.strategy = strategy
-        return merged
+        return ViolationReport.merge(
+            [self.detect(pfd, strategy) for pfd in pfds],
+            n_rows=self.table.n_rows,
+            strategy=strategy,
+        )
 
     # -- constant rules -----------------------------------------------------------------
 

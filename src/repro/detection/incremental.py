@@ -1,71 +1,103 @@
 """Incremental violation maintenance under table updates.
 
 The ANMAT workflow is interactive: the user confirms rules, fixes cells,
-and re-checks.  Re-running :meth:`ErrorDetector.detect_all` after every
-single-cell repair re-scans the whole table even though the edit can
-only affect violations whose rule touches the edited value.  The
-:class:`IncrementalDetector` keeps per-rule violation state — the rows
-in scope of each constant rule, the ``≡_Q`` blocks of each variable rule
-— and maintains it under the structured deltas recorded by
-:meth:`Table.set_cell` / :meth:`Table.append_row` /
-:meth:`Table.delete_row`:
+and re-checks.  Re-running detection after every single-cell repair
+re-scans the whole table even though the edit can only affect
+violations whose rule touches the edited value.  The
+:class:`IncrementalDetector` keeps per-rule violation state on distinct
+values and maintains it under the structured deltas recorded by
+``set_cell`` / ``append_row`` / ``delete_row`` of a
+:class:`~repro.dataset.table.Table` or a
+:class:`~repro.sharding.overlay.ShardOverlay`.
 
-* a **cell edit** re-evaluates one row per constant rule over the edited
-  attribute, and moves one row between blocks (re-deriving only the two
-  affected blocks) per variable rule;
-* an **append** evaluates the new row against every rule;
-* a **delete** unposts the row, renumbers the indexes behind it, and
-  re-derives only the block the row left.
+**Attach.**  The state is seeded from the sharded view detection runs
+on — the overlay's cached seal (:meth:`ShardOverlay.as_sharded`), whose
+column encodings, pair groups and ``≡_Q`` blocks the detection run left
+behind, or a one-shard :class:`~repro.sharding.sharded_table.ShardedTable`
+cut from a plain table.  The rule columns' integer codes and distinct
+values are copied from the view's encodings; each constant rule takes
+one RHS verdict per ``(LHS value, RHS value)`` pair group; each variable
+rule copies the blocks into per-block RHS groups, majority, witness and
+minority violations.  The view's cached artifacts are never aliased or
+mutated: an untouched overlay's view *is* its base table.
 
-All violation *semantics* — and the state the hooks above maintain —
-live in the shared evaluators of :mod:`repro.detection.rules`; this
-module only owns delta replay and the shadow columns it reads from.
-Because batch detection emits through the very same evaluators, the two
-paths cannot drift apart.
+**Edit.**  A cell edit patches one code (a value the column has not
+held yet appends to the detector's own distinct list), re-checks the
+row for each constant rule over the column, and moves the row between
+two RHS groups for each variable rule — re-deriving the block's
+violations only when its majority or witness changes (see
+:mod:`repro.detection.rules`).  An append posts one row; a delete
+unposts it and renumbers the row ids behind it.  When the table's delta
+log no longer covers the gap, the state is re-seeded.
 
-Pattern verdicts and constrained projections are read through the shared
-:class:`~repro.perf.memo.MatchMemo` (one regex run per distinct value,
-ever) and the initial build shares the per-table
-:class:`~repro.perf.table_cache.TableArtifactCache` artifacts with the
-batch detector, so attaching an incremental detector right after a full
-detection run costs dictionary lookups, not regex work.
+**Report.**  Each evaluator caches its violations in row order and
+re-sorts only after a delta touched it; :meth:`IncrementalDetector.report`
+concatenates them in evaluator order, deduplicating only across
+evaluators that share ``(pfd_name, rule_index)``.
 
 Correctness contract: after any sequence of mutations,
 ``detector.report().canonical_violations()`` equals the canonical
 violations of a from-scratch ``ErrorDetector(table).detect_all(pfds)``
 on the final table — for *every* strategy, bruteforce included, since
-emission is unified — randomized equivalence tests enforce this.
+emission is unified — randomized and property-based equivalence tests
+enforce this.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.constrained.constrained_pattern import ConstrainedPattern
+from repro.dataset.rowids import RowIds, row_ids_from_numpy
 from repro.dataset.table import CellEdit, RowAppend, RowDelete, Table
-from repro.detection.detector import DetectionStrategy, ErrorDetector
+from repro.detection.detector import DetectionStrategy
 from repro.detection.rules import (
-    ConstantRuleEvaluator,
     RuleEvaluator,
     VariableRuleEvaluator,
     make_rule_evaluator,
 )
 from repro.detection.violation import ViolationReport
-from repro.patterns.pattern import Pattern
+from repro.kernels.encoder import ColumnEncoding
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
 
 
+class _CodedColumn:
+    """One rule column as the detector's own codes over its own distinct
+    values, copied from a column encoding and patched per delta."""
+
+    __slots__ = ("distinct", "codes", "_index")
+
+    def __init__(self, encoding: ColumnEncoding) -> None:
+        self.distinct: List[str] = list(encoding.distinct)
+        self.codes: RowIds = row_ids_from_numpy(encoding.codes)
+        #: value → code, built on the first write
+        self._index: Optional[Dict[str, int]] = None
+
+    def value(self, row: int) -> str:
+        return self.distinct[self.codes[row]]
+
+    def code_of(self, value: str) -> int:
+        index = self._index
+        if index is None:
+            index = self._index = {v: code for code, v in enumerate(self.distinct)}
+        code = index.get(value)
+        if code is None:
+            code = index[value] = len(self.distinct)
+            self.distinct.append(value)
+        return code
+
+
 class IncrementalDetector:
     """Maintains a :class:`ViolationReport` for a fixed rule set under
-    table mutations.
+    mutations of a :class:`Table` or a
+    :class:`~repro.sharding.overlay.ShardOverlay`.
 
     Either mutate through the detector (:meth:`set_cell`,
     :meth:`append_row`, :meth:`delete_row`) or mutate the table directly
     and call :meth:`refresh` — both replay the table's delta log; the
-    detector falls back to a full rebuild only when the log no longer
-    covers the gap.
+    detector re-seeds only when the log no longer covers the gap.
     """
 
     #: the label its reports carry — the same answer as every batch
@@ -74,7 +106,7 @@ class IncrementalDetector:
 
     def __init__(
         self,
-        table: Table,
+        table,
         pfds: Iterable[PFD],
         memo: Optional[MatchMemo] = None,
         timers: Optional[StageTimers] = None,
@@ -83,68 +115,62 @@ class IncrementalDetector:
         self.pfds = list(pfds)
         self.memo = MATCH_MEMO if memo is None else memo
         #: wall-clock accumulated per maintenance stage across the edit
-        #: loop's lifetime (``seed`` — full state builds, ``reevaluate`` —
-        #: constant-rule row re-evaluations, ``rederive_block`` —
-        #: variable-rule block re-derivations); the bench harness prints
-        #: the breakdown like the mining stage timers, and can pass a
-        #: shared instance to accumulate across detector rebuilds
+        #: loop's lifetime (``seed`` — full state builds, ``update`` —
+        #: delta replays); the bench harness prints the breakdown like
+        #: the mining stage timers, and can pass a shared instance to
+        #: accumulate across detector rebuilds
         self.timers = StageTimers() if timers is None else timers
         self._rules: List[RuleEvaluator] = []
-        # Shadow copies of every rule-referenced column, advanced in
-        # lockstep with each replayed delta.  Handlers read these, never
-        # the live table: when refresh() catches up on a *batch* of
-        # deltas, the live table is already at the final state, but a
-        # delta's row index refers to the numbering at mutation time.
-        self._shadow: Dict[str, List[str]] = {}
+        #: column → the evaluators reading it
+        self._readers: Dict[str, List[RuleEvaluator]] = {}
+        #: the ``(pfd_name, rule_index)`` identities held by more than one
+        #: evaluator (only their violations can coincide)
+        self._shared: set = set()
+        # The rule columns' codes, advanced in lockstep with each
+        # replayed delta.  Handlers read these, never the live table:
+        # when refresh() catches up on a *batch* of deltas, the live
+        # table is already at the final state, but a delta's row index
+        # refers to the numbering at mutation time.
+        self._columns: Dict[str, _CodedColumn] = {}
         self._synced_version = -1
         self._rebuild()
 
     # -- initial build ---------------------------------------------------------
 
     def _rebuild(self) -> None:
-        """Compute the full per-rule state from the current table."""
+        """Seed the full per-rule state from the table's sharded view."""
         with self.timers.stage("seed"):
             self._rebuild_timed()
 
     def _rebuild_timed(self) -> None:
+        # imported here: the sharded engine imports this package
+        from repro.sharding.detection import ShardedDetector
+        from repro.sharding.sharded_table import ShardedTable
+
+        table = self.table
+        if isinstance(table, Table):
+            view = ShardedTable.from_table(table, max(table.n_rows, 1))
+        else:
+            view = table.as_sharded()
+        detector = ShardedDetector(view, memo=self.memo)
+        names = [n for pfd in self.pfds for n in (pfd.lhs_attribute, pfd.rhs_attribute)]
+        encodings = view.column_encodings(names)
+        self._columns = {name: _CodedColumn(encodings[name]) for name in encodings}
         self._rules = []
-        self._shadow = {}
-        detector = ErrorDetector(self.table, memo=self.memo)
+        self._readers = {name: [] for name in self._columns}
         for pfd in self.pfds:
-            for attribute in (pfd.lhs_attribute, pfd.rhs_attribute):
-                if attribute not in self._shadow:
-                    self._shadow[attribute] = list(self.table.column_ref(attribute))
-        for pfd in self.pfds:
-            lhs_values = self._shadow[pfd.lhs_attribute]
-            rhs_values = self._shadow[pfd.rhs_attribute]
             for rule_index, rule in enumerate(pfd.tableau):
                 evaluator = make_rule_evaluator(pfd, rule_index, rule)
                 if isinstance(evaluator, VariableRuleEvaluator):
-                    evaluator.seed_full(self.memo, lhs_values, rhs_values)
+                    evaluator.seed_blocks(detector.blocks(evaluator))
                 else:
-                    evaluator.seed_full(
-                        self._initial_scope(detector, evaluator, lhs_values),
-                        rhs_values,
-                        self.memo,
-                    )
+                    evaluator.seed_value_groups(detector.value_groups(evaluator), self.memo)
                 self._rules.append(evaluator)
-        self._synced_version = self.table.version
-
-    def _initial_scope(
-        self,
-        detector: ErrorDetector,
-        evaluator: ConstantRuleEvaluator,
-        lhs_values: Sequence[str],
-    ) -> Iterable[int]:
-        """Rows matching a constant rule's LHS cell, via the shared
-        per-table column index so batch and incremental runs reuse one
-        artifact."""
-        cell = evaluator.lhs_cell
-        if isinstance(cell, (Pattern, ConstrainedPattern)):
-            return detector.column_index(evaluator.lhs).matching_rows(cell, self.memo)
-        if isinstance(cell, str):
-            return detector.column_index(evaluator.lhs).matching_constant(cell)
-        return range(len(lhs_values))  # wildcard LHS: every row is in scope
+                for name in dict.fromkeys((evaluator.lhs, evaluator.rhs)):
+                    self._readers[name].append(evaluator)
+        identities = Counter((ev.pfd_name, ev.rule_index) for ev in self._rules)
+        self._shared = {rule for rule, count in identities.items() if count > 1}
+        self._synced_version = table.version
 
     # -- mutation API ------------------------------------------------------------
 
@@ -173,75 +199,64 @@ class IncrementalDetector:
         if deltas is None:
             self._rebuild()
             return
-        for delta in deltas:
-            self._advance_shadow(delta)
-            if isinstance(delta, CellEdit):
-                self._apply_edit(delta)
-            elif isinstance(delta, RowAppend):
-                self._apply_append(delta)
-            elif isinstance(delta, RowDelete):
-                self._apply_delete(delta)
-            else:  # unknown delta kind — be safe, rebuild
-                self._rebuild()
-                return
+        with self.timers.stage("update"):
+            for delta in deltas:
+                if isinstance(delta, CellEdit):
+                    self._apply_edit(delta)
+                elif isinstance(delta, RowAppend):
+                    self._apply_append(delta)
+                elif isinstance(delta, RowDelete):
+                    self._apply_delete(delta)
+                else:  # unknown delta kind — be safe, re-seed
+                    self._rebuild()
+                    return
         self._synced_version = self.table.version
 
     # -- delta handlers ------------------------------------------------------------
 
-    def _advance_shadow(self, delta) -> None:
-        """Bring the shadow columns to the state right after ``delta``."""
-        schema = self.table.schema
-        if isinstance(delta, CellEdit):
-            column = self._shadow.get(delta.column)
-            if column is not None:
-                column[delta.row] = delta.new
-        elif isinstance(delta, RowAppend):
-            for attribute, column in self._shadow.items():
-                column.append(delta.values[schema.index_of(attribute)])
-        elif isinstance(delta, RowDelete):
-            for column in self._shadow.values():
-                del column[delta.row]
-
     def _apply_edit(self, delta: CellEdit) -> None:
-        for evaluator in self._rules:
-            if isinstance(evaluator, ConstantRuleEvaluator):
-                if delta.column in (evaluator.lhs, evaluator.rhs):
-                    with self.timers.stage("reevaluate"):
-                        evaluator.reevaluate_row(
-                            self.memo,
-                            delta.row,
-                            self._shadow[evaluator.lhs][delta.row],
-                            self._shadow[evaluator.rhs][delta.row],
-                        )
-            else:
-                rhs_values = self._shadow[evaluator.rhs]
-                if delta.column == evaluator.lhs:
-                    with self.timers.stage("rederive_block"):
-                        evaluator.move_row(
-                            self.memo, delta.row, delta.new, rhs_values
-                        )
-                elif delta.column == evaluator.rhs:
-                    with self.timers.stage("rederive_block"):
-                        evaluator.rhs_changed(delta.row, rhs_values)
+        column = self._columns.get(delta.column)
+        if column is None:
+            return
+        row = delta.row
+        old = column.value(row)
+        column.codes[row] = column.code_of(delta.new)
+        columns = self._columns
+        for evaluator in self._readers[delta.column]:
+            lhs = columns[evaluator.lhs].value(row)
+            rhs = columns[evaluator.rhs].value(row)
+            evaluator.update_row(
+                self.memo,
+                row,
+                old if evaluator.lhs == delta.column else lhs,
+                old if evaluator.rhs == delta.column else rhs,
+                lhs,
+                rhs,
+            )
 
     def _apply_append(self, delta: RowAppend) -> None:
         schema = self.table.schema
+        for name, column in self._columns.items():
+            column.codes.append(column.code_of(delta.values[schema.index_of(name)]))
         for evaluator in self._rules:
-            lhs_value = delta.values[schema.index_of(evaluator.lhs)]
-            rhs_value = delta.values[schema.index_of(evaluator.rhs)]
-            if isinstance(evaluator, ConstantRuleEvaluator):
-                evaluator.append_row(self.memo, delta.row, lhs_value, rhs_value)
-            else:
-                evaluator.append_row(
-                    self.memo, delta.row, lhs_value, self._shadow[evaluator.rhs]
-                )
+            evaluator.append_row(
+                self.memo,
+                delta.row,
+                self._columns[evaluator.lhs].value(delta.row),
+                self._columns[evaluator.rhs].value(delta.row),
+            )
 
     def _apply_delete(self, delta: RowDelete) -> None:
+        row = delta.row
         for evaluator in self._rules:
-            if isinstance(evaluator, ConstantRuleEvaluator):
-                evaluator.delete_row(delta.row)
-            else:
-                evaluator.delete_row(delta.row, self._shadow[evaluator.rhs])
+            evaluator.delete_row(
+                self.memo,
+                row,
+                self._columns[evaluator.lhs].value(row),
+                self._columns[evaluator.rhs].value(row),
+            )
+        for column in self._columns.values():
+            del column.codes[row]
 
     # -- output ---------------------------------------------------------------------
 
@@ -249,18 +264,25 @@ class IncrementalDetector:
         """The maintained report for the table's current contents.
 
         Refreshes first, so it is always safe to call after direct table
-        mutations.  Violations are deduplicated with the same identity
-        key as :meth:`ViolationReport.merged_with`; compare against a
-        batch run via :meth:`ViolationReport.canonical_violations`.
+        mutations.  Violations come in evaluator order, each evaluator's
+        rows ascending, deduplicated with the identity key of
+        :meth:`ViolationReport.merged_with`; compare against a batch run
+        via :meth:`ViolationReport.canonical_violations`.
         """
         self.refresh()
         report = ViolationReport(n_rows=self.table.n_rows, strategy=self.strategy)
         seen = set()
         for evaluator in self._rules:
-            for violation in evaluator.emit():
-                key = report.identity_key(violation)
-                if key in seen:
-                    continue
-                seen.add(key)
-                report.add(violation)
+            violations = evaluator.emit()
+            if (evaluator.pfd_name, evaluator.rule_index) in self._shared:
+                # evaluators sharing a rule identity may emit the same
+                # violation: keep the first
+                fresh = []
+                for violation in violations:
+                    key = report.identity_key(violation)
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(violation)
+                violations = fresh
+            report.extend(violations)
         return report

@@ -129,9 +129,8 @@ class PatternColumnIndex:
 
     # -- partial updates ----------------------------------------------------------
     #
-    # The incremental-maintenance path (repro.detection.incremental and the
-    # delta-aware artifact cache) patches a live index under table deltas
-    # instead of rebuilding it: an edit moves one row between two postings,
+    # The delta-aware artifact cache patches a live index under table
+    # deltas instead of rebuilding it: an edit moves one row between two postings,
     # an append adds one posting entry, a delete removes one and renumbers
     # the rows behind it.  Pattern verdicts are *not* stored here (they
     # live in the MatchMemo keyed by value), so no regex ever reruns.

@@ -3,9 +3,9 @@
 The paper's detection semantics (Section 3) come in two families —
 constant tableau rules checked row by row, and variable rules checked
 per ``≡_Q`` block with majority-witness selection — and every execution
-strategy (scan, index, bruteforce, incremental maintenance) must emit
-*identical* violations for the same table.  This module is the one place
-those semantics live:
+strategy (scan, index, bruteforce, sharded, incremental maintenance)
+must emit *identical* violations for the same table.  This module is the
+one place those semantics live:
 
 * :class:`ConstantRuleEvaluator` — LHS match / RHS satisfaction checks
   and per-row :class:`~repro.detection.violation.Violation` construction
@@ -14,26 +14,42 @@ those semantics live:
   majority tie-breaking, witness selection, and violation construction
   for one variable tableau rule.
 
-Each evaluator has two entry points.  ``emit_full`` serves batch
-detection: given the rows (or blocks) in scope it yields the rule's
-violations without retaining state.  The fine-grained hooks
-(``seed_full``, ``reevaluate_row``, ``move_row``, ``append_row``,
-``delete_row``, ``rederive_block``) serve incremental maintenance: the
-evaluator keeps per-rule state current under table deltas and ``emit()``
-returns the maintained violations.  Both paths share the same core
-(``block_violations_for`` / ``make_violation``), so batch and
-incremental runs cannot drift apart.
+Each evaluator has two entry points.  ``emit_full`` /
+``emit_value_groups`` / ``violations_for_groups`` serve batch detection:
+given the rows (or blocks) in scope they yield the rule's violations
+without retaining state.  The state hooks serve incremental
+maintenance, and work on distinct values rather than on rows:
+
+* a constant rule is seeded with one RHS verdict per ``(LHS value, RHS
+  value)`` group (:meth:`ConstantRuleEvaluator.seed_value_groups`) and
+  keeps ``row → violation``; an edit re-checks one row;
+* a variable rule is seeded from ``block key → RHS value → rows``
+  (:meth:`VariableRuleEvaluator.seed_blocks`) and keeps, per block, the
+  ascending row ids of each RHS group (a group's size is its count),
+  the majority value, the witness and the minority rows' violations.
+  An edit moves one row id between two groups; the block's violations
+  are re-derived only when its majority or its witness changes,
+  otherwise one row's violation is added or dropped.
+
+``update_row`` / ``append_row`` / ``delete_row`` take the row's LHS and
+RHS *values* (the caller decodes them from its own column codes), and
+``emit()`` returns the maintained violations in ascending row order,
+cached until the state changes.  Batch and incremental runs build their
+violations through the same core (``make_violation`` /
+``suspects``), so they cannot drift apart.
 
 Pattern verdicts and constrained projections are always read through a
 :class:`~repro.perf.memo.MatchMemo` (one regex run per distinct value),
-and the callers hand in rows/blocks resolved via the shared
-``TABLE_ARTIFACTS`` cache — the evaluators only own *semantics*, never
-candidate enumeration.
+and the callers hand in rows/blocks resolved via their own cached
+artifacts — the evaluators only own *semantics*, never candidate
+enumeration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import replace
+from operator import attrgetter
 from typing import (
     Dict,
     Hashable,
@@ -48,15 +64,11 @@ from typing import (
 )
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
-from repro.detection.blocking import (
-    add_row_to_blocks,
-    majority_value,
-    remove_row_from_blocks,
-    renumber_blocks_after_delete,
-    split_block_by_rhs,
-)
+from repro.dataset.rowids import RowIds, row_ids
+from repro.detection.blocking import majority_value, split_block_by_rhs
 from repro.detection.violation import Violation, ViolationKind, ViolationReport
 from repro.errors import DetectionError
+from repro.kernels.runtime import np
 from repro.patterns.pattern import Pattern
 from repro.perf.memo import MatchMemo
 from repro.pfd.pfd import PFD
@@ -93,6 +105,21 @@ def shift_violation_after_delete(violation: Violation, deleted_row: int) -> Viol
     )
 
 
+def _shifted_after_delete(
+    violations: Mapping[int, Violation], deleted_row: int
+) -> Dict[int, Violation]:
+    """A ``suspect row → violation`` map renumbered after a deletion;
+    violations wholly before the deleted row are kept as they are."""
+    return {
+        (row - 1 if row > deleted_row else row): (
+            shift_violation_after_delete(violation, deleted_row)
+            if max(violation.rows) > deleted_row
+            else violation
+        )
+        for row, violation in violations.items()
+    }
+
+
 def elect_expected_value(violations: Sequence[Violation]) -> Tuple[str, Violation, float]:
     """The expected value backed by the most violations over one cell.
 
@@ -111,18 +138,34 @@ def elect_expected_value(violations: Sequence[Violation]) -> Tuple[str, Violatio
     return winner, backer, votes[winner] / len(violations)
 
 
+def _sorted_row_ids(rows: Iterable[int]) -> RowIds:
+    """A fresh ascending row-id array holding ``rows`` (never an alias)."""
+    out = row_ids(rows)
+    if len(out) > 1:
+        np.frombuffer(out, dtype=np.int32).sort()
+    return out
+
+
+def _shift_down_from(rows: RowIds, start: int) -> None:
+    """Decrement ``rows[start:]`` by one in place."""
+    if start < len(rows):
+        view = np.frombuffer(rows, dtype=np.int32)
+        view[start:] -= 1
+
+
 class ConstantRuleEvaluator:
     """One constant tableau rule's violation semantics.
 
-    Stateless when driven through :meth:`emit_full`; stateful (a
-    ``row → Violation`` map) when driven through the incremental hooks.
+    Stateless when driven through :meth:`emit_full` /
+    :meth:`emit_value_groups`; stateful (a ``row → Violation`` map) when
+    driven through the incremental hooks.
     """
 
     kind = ViolationKind.CONSTANT
 
     __slots__ = (
         "lhs", "rhs", "lhs_cell", "rhs_cell", "expected",
-        "pfd_name", "rule_index", "rule_text", "violations",
+        "pfd_name", "rule_index", "rule_text", "violations", "_emitted",
     )
 
     def __init__(self, pfd: PFD, rule_index: int, rule) -> None:
@@ -136,6 +179,8 @@ class ConstantRuleEvaluator:
         self.rule_text = rule.render()
         #: row → its violation (only violating rows are stored)
         self.violations: Dict[int, Violation] = {}
+        #: :meth:`emit`'s cached answer (``None`` once the state changed)
+        self._emitted: Optional[List[Violation]] = None
 
     # -- semantic core ---------------------------------------------------------
 
@@ -214,57 +259,95 @@ class ConstantRuleEvaluator:
 
     # -- incremental state hooks -----------------------------------------------
 
-    def seed_full(
-        self, rows: Iterable[int], rhs_values: Sequence[str], memo: MatchMemo
+    def seed_value_groups(
+        self, value_groups: Iterable[Tuple[str, Sequence[int]]], memo: MatchMemo
     ) -> None:
-        """(Re)build the maintained state from the rule's in-scope rows."""
+        """(Re)build the maintained state from the in-scope rows grouped
+        by RHS value (:meth:`emit_value_groups`' input: one RHS verdict
+        per group)."""
         self.violations = {
             violation.rows[0]: violation
-            for violation in self.emit_full(rows, rhs_values, memo)
+            for violation in self.emit_value_groups(value_groups, memo)
         }
+        self._emitted = None
 
-    def reevaluate_row(
-        self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
+    def update_row(
+        self,
+        memo: MatchMemo,
+        row: int,
+        old_lhs: str,
+        old_rhs: str,
+        new_lhs: str,
+        new_rhs: str,
     ) -> None:
-        """Recompute one row's membership after its LHS or RHS changed."""
-        if self.lhs_matches(memo, lhs_value) and not self.rhs_satisfied(memo, rhs_value):
-            self.violations[row] = self.make_violation(row, rhs_value)
-        else:
-            self.violations.pop(row, None)
+        """Re-check one row after its LHS or RHS value changed."""
+        self.append_row(memo, row, new_lhs, new_rhs)
 
     def append_row(
         self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
     ) -> None:
-        """Evaluate a freshly appended row (same check as a re-evaluation)."""
-        self.reevaluate_row(memo, row, lhs_value, rhs_value)
+        """Check one row holding these values (a fresh or an edited row)."""
+        current = self.violations.get(row)
+        if self.lhs_matches(memo, lhs_value) and not self.rhs_satisfied(memo, rhs_value):
+            if current is not None and current.observed_value == rhs_value:
+                return
+            self.violations[row] = self.make_violation(row, rhs_value)
+        elif current is None:
+            return
+        else:
+            del self.violations[row]
+        self._emitted = None
 
-    def delete_row(self, row: int) -> None:
+    def delete_row(
+        self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
+    ) -> None:
+        """Drop a deleted row and renumber the rows behind it."""
         self.violations.pop(row, None)
-        self.violations = {
-            (r - 1 if r > row else r): (
-                shift_violation_after_delete(v, row) if r > row else v
-            )
-            for r, v in self.violations.items()
-        }
+        self.violations = _shifted_after_delete(self.violations, row)
+        self._emitted = None
 
-    def emit(self) -> Iterable[Violation]:
-        for row in sorted(self.violations):
-            yield self.violations[row]
+    def emit(self) -> List[Violation]:
+        """The maintained violations, rows ascending (a cached list the
+        caller must not mutate)."""
+        if self._emitted is None:
+            violations = self.violations
+            self._emitted = [violations[row] for row in sorted(violations)]
+        return self._emitted
+
+
+class _BlockState:
+    """One ``≡_Q`` block's maintained state."""
+
+    __slots__ = ("groups", "majority", "witness", "violations", "emitted")
+
+    def __init__(self, groups: Dict[str, RowIds]) -> None:
+        #: RHS value → the ascending ids of the block's rows holding it
+        #: (the group's size is its count)
+        self.groups = groups
+        #: the majority RHS value (ties broken lexicographically)
+        self.majority: str = ""
+        #: the first row of the majority group
+        self.witness = -1
+        #: minority row → its violation
+        self.violations: Dict[int, Violation] = {}
+        #: the violations in row order (``None`` once they changed)
+        self.emitted: Optional[List[Violation]] = None
 
 
 class VariableRuleEvaluator:
     """One variable tableau rule's violation semantics.
 
-    Stateless when driven through :meth:`emit_full` over derived blocks;
-    stateful (``≡_Q`` blocks plus per-block violations) when driven
-    through the incremental hooks.
+    Stateless when driven through :meth:`emit_full` /
+    :meth:`violations_for_groups` over derived blocks; stateful (per
+    block, RHS groups, majority, witness and the minority rows'
+    violations) when driven through the incremental hooks.
     """
 
     kind = ViolationKind.VARIABLE
 
     __slots__ = (
         "lhs", "rhs", "constrained", "pfd_name", "rule_index", "rule_text",
-        "blocks", "row_key", "block_violations",
+        "state", "_emitted",
     )
 
     def __init__(self, pfd: PFD, rule_index: int, rule) -> None:
@@ -274,12 +357,10 @@ class VariableRuleEvaluator:
         self.pfd_name = pfd.name or str(pfd.fd)
         self.rule_index = rule_index
         self.rule_text = rule.render()
-        #: projection key → ascending row list (the ``≡_Q`` block)
-        self.blocks: Dict[Hashable, List[int]] = {}
-        #: row → its block key (rows whose projection is None are absent)
-        self.row_key: Dict[int, Hashable] = {}
-        #: block key → that block's current violations
-        self.block_violations: Dict[Hashable, List[Violation]] = {}
+        #: projection key → that block's maintained state
+        self.state: Dict[Hashable, _BlockState] = {}
+        #: :meth:`emit`'s cached answer (``None`` once the state changed)
+        self._emitted: Optional[List[Violation]] = None
 
     # -- semantic core ---------------------------------------------------------
 
@@ -309,26 +390,33 @@ class VariableRuleEvaluator:
         if len(groups) < 2:
             return []
         majority = majority_value(groups)
-        witness = min(groups[majority])
-        violations: List[Violation] = []
+        return list(self.suspects(groups, majority, min(groups[majority])))
+
+    def suspects(
+        self, groups: Mapping[str, Sequence[int]], majority: str, witness: int
+    ) -> Iterator[Violation]:
+        """The violations of every row outside the majority group, in
+        group order then row order."""
         for value, value_rows in groups.items():
             if value == majority:
                 continue
             for row in value_rows:
-                violations.append(
-                    Violation(
-                        pfd_name=self.pfd_name,
-                        lhs_attribute=self.lhs,
-                        rhs_attribute=self.rhs,
-                        kind=ViolationKind.VARIABLE,
-                        rule_index=self.rule_index,
-                        rule_text=self.rule_text,
-                        rows=(witness, row),
-                        observed_value=value,
-                        expected_value=majority,
-                    )
-                )
-        return violations
+                yield self.make_violation(witness, row, value, majority)
+
+    def make_violation(
+        self, witness: int, row: int, observed: str, majority: str
+    ) -> Violation:
+        return Violation(
+            pfd_name=self.pfd_name,
+            lhs_attribute=self.lhs,
+            rhs_attribute=self.rhs,
+            kind=ViolationKind.VARIABLE,
+            rule_index=self.rule_index,
+            rule_text=self.rule_text,
+            rows=(witness, row),
+            observed_value=observed,
+            expected_value=majority,
+        )
 
     # -- batch entry point -----------------------------------------------------
 
@@ -357,104 +445,140 @@ class VariableRuleEvaluator:
 
     # -- incremental state hooks -----------------------------------------------
 
-    def seed_full(
-        self, memo: MatchMemo, lhs_values: Sequence[str], rhs_values: Sequence[str]
+    def seed_blocks(
+        self, blocks: Mapping[Hashable, Mapping[str, Sequence[int]]]
     ) -> None:
-        """(Re)build blocks, row keys, and violations from full columns."""
-        self.blocks = {}
-        self.row_key = {}
-        self.block_violations = {}
-        project = memo.projector(self.constrained)
-        for row, value in enumerate(lhs_values):
-            key = project(value)
-            if key is None:
-                continue
-            self.blocks.setdefault(key, []).append(row)
-            self.row_key[row] = key
-        for key, rows in self.blocks.items():
-            violations = self.block_violations_for(rows, rhs_values)
-            if violations:
-                self.block_violations[key] = violations
+        """(Re)build the maintained state from ``block key → RHS value →
+        rows`` (the sharded detector's blocks).  The row lists are
+        copied, never aliased."""
+        self.state = {}
+        for key, groups in blocks.items():
+            block = _BlockState(
+                {value: _sorted_row_ids(rows) for value, rows in groups.items()}
+            )
+            self.state[key] = block
+            self._rederive(block)
+        self._emitted = None
 
-    def rederive_block(self, key: Hashable, rhs_values: Sequence[str]) -> None:
-        """Recompute one block's violations through the shared core."""
-        self.block_violations.pop(key, None)
-        rows = self.blocks.get(key)
-        if rows is None:
-            return
-        violations = self.block_violations_for(rows, rhs_values)
-        if violations:
-            self.block_violations[key] = violations
-
-    def move_row(
+    def update_row(
         self,
         memo: MatchMemo,
         row: int,
-        new_lhs_value: str,
-        rhs_values: Sequence[str],
+        old_lhs: str,
+        old_rhs: str,
+        new_lhs: str,
+        new_rhs: str,
     ) -> None:
-        """Re-home a row whose LHS value changed; re-derive both blocks."""
-        old_key = self.row_key.get(row)
-        new_key = memo.project(self.constrained, new_lhs_value)
-        if old_key == new_key:
-            # Same block (the violation payload carries no LHS values),
-            # or still unmatched: nothing can have changed.
+        """Move one row whose LHS or RHS value changed to its new group."""
+        old_key = memo.project(self.constrained, old_lhs)
+        new_key = memo.project(self.constrained, new_lhs)
+        if old_key == new_key and old_rhs == new_rhs:
+            # same group (the violation payload carries no LHS values),
+            # or still unmatched: nothing can have changed
             return
         if old_key is not None:
-            remove_row_from_blocks(self.blocks, old_key, row)
-            self.rederive_block(old_key, rhs_values)
-        if new_key is None:
-            self.row_key.pop(row, None)
-        else:
-            add_row_to_blocks(self.blocks, new_key, row)
-            self.row_key[row] = new_key
-            self.rederive_block(new_key, rhs_values)
-
-    def rhs_changed(self, row: int, rhs_values: Sequence[str]) -> None:
-        key = self.row_key.get(row)
-        if key is not None:
-            self.rederive_block(key, rhs_values)
+            self._remove(old_key, old_rhs, row)
+        if new_key is not None:
+            self._insert(new_key, new_rhs, row)
 
     def append_row(
-        self,
-        memo: MatchMemo,
-        row: int,
-        lhs_value: str,
-        rhs_values: Sequence[str],
+        self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
     ) -> None:
+        """Post a freshly appended row."""
         key = memo.project(self.constrained, lhs_value)
-        if key is None:
+        if key is not None:
+            self._insert(key, rhs_value, row)
+
+    def delete_row(
+        self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
+    ) -> None:
+        """Unpost a deleted row and renumber every row behind it."""
+        key = memo.project(self.constrained, lhs_value)
+        if key is not None:
+            self._remove(key, rhs_value, row)
+        for block in self.state.values():
+            for rows in block.groups.values():
+                _shift_down_from(rows, bisect_right(rows, row))
+            if block.witness > row:
+                block.witness -= 1
+            if block.violations:
+                block.violations = _shifted_after_delete(block.violations, row)
+                block.emitted = None
+        self._emitted = None
+
+    def emit(self) -> List[Violation]:
+        """The maintained violations ordered by ``(witness, row)`` — the
+        blocks by witness, each block's rows ascending (a cached list
+        the caller must not mutate)."""
+        if self._emitted is None:
+            emitted: List[Violation] = []
+            violating = [block for block in self.state.values() if block.violations]
+            for block in sorted(violating, key=attrgetter("witness")):
+                if block.emitted is None:
+                    violations = block.violations
+                    block.emitted = [violations[row] for row in sorted(violations)]
+                emitted.extend(block.emitted)
+            self._emitted = emitted
+        return self._emitted
+
+    # -- block maintenance -------------------------------------------------------
+
+    def _rederive(self, block: _BlockState) -> None:
+        """Re-elect a block's majority and witness and rebuild its
+        violations through the shared core."""
+        groups = block.groups
+        block.majority = majority = majority_value(groups)
+        block.witness = witness = groups[majority][0]
+        block.violations = {
+            violation.rows[-1]: violation
+            for violation in self.suspects(groups, majority, witness)
+        }
+        block.emitted = None
+        self._emitted = None
+
+    def _insert(self, key: Hashable, value: str, row: int) -> None:
+        """Add a row (not yet in the block) to one RHS group."""
+        block = self.state.get(key)
+        if block is None:
+            block = self.state[key] = _BlockState({value: row_ids((row,))})
+            block.majority, block.witness = value, row
             return
-        add_row_to_blocks(self.blocks, key, row)
-        self.row_key[row] = key
-        self.rederive_block(key, rhs_values)
+        rows = block.groups.get(value)
+        if rows is None:
+            rows = block.groups[value] = row_ids()
+        insort(rows, row)
+        majority = block.majority
+        if value == majority:
+            if row < block.witness:
+                self._rederive(block)  # a new witness
+        elif (len(rows), value) > (len(block.groups[majority]), majority):
+            self._rederive(block)  # the majority flipped to this value
+        else:
+            block.violations[row] = self.make_violation(
+                block.witness, row, value, majority
+            )
+            block.emitted = self._emitted = None
 
-    def delete_row(self, row: int, rhs_values: Sequence[str]) -> None:
-        """Unpost a deleted row, renumber everything behind it, and
-        re-derive the block it left (``rhs_values`` are post-delete)."""
-        key = self.row_key.pop(row, None)
-        if key is not None:
-            remove_row_from_blocks(self.blocks, key, row)
-        renumber_blocks_after_delete(self.blocks, row)
-        self.row_key = {
-            (r - 1 if r > row else r): k for r, k in self.row_key.items()
-        }
-        # Untouched blocks only need their stored row references shifted;
-        # membership, majorities, and witnesses are unchanged for them.
-        self.block_violations = {
-            k: [shift_violation_after_delete(v, row) for v in violations]
-            for k, violations in self.block_violations.items()
-            if k != key
-        }
-        if key is not None:
-            self.rederive_block(key, rhs_values)
-
-    def emit(self) -> Iterable[Violation]:
-        collected: List[Violation] = []
-        for violations in self.block_violations.values():
-            collected.extend(violations)
-        collected.sort(key=lambda v: (v.rows, v.suspect_cell))
-        return collected
+    def _remove(self, key: Hashable, value: str, row: int) -> None:
+        """Take a row out of its RHS group."""
+        block = self.state.get(key)
+        rows = block.groups.get(value) if block is not None else None
+        at = bisect_left(rows, row) if rows is not None else 0
+        if rows is None or at == len(rows) or rows[at] != row:
+            raise DetectionError(
+                f"block state out of sync: row {row} not in group {value!r} of {key!r}"
+            )
+        del rows[at]
+        if not rows:
+            del block.groups[value]
+            if not block.groups:
+                del self.state[key]  # a one-row block held no violations
+                return
+        if value != block.majority:
+            del block.violations[row]  # a minority row left
+            block.emitted = self._emitted = None
+        elif row == block.witness or majority_value(block.groups) != value:
+            self._rederive(block)  # the witness left, or the majority flipped
 
 
 #: Either evaluator family (they share the entry-point protocol).

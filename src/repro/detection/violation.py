@@ -161,17 +161,27 @@ class ViolationReport:
 
     def merged_with(self, other: "ViolationReport") -> "ViolationReport":
         """Union of two reports (deduplicated)."""
-        merged = ViolationReport(
-            n_rows=max(self.n_rows, other.n_rows),
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-            strategy=self.strategy,
-            comparisons=self.comparisons + other.comparisons,
-        )
+        return ViolationReport.merge([self, other], strategy=self.strategy)
+
+    @classmethod
+    def merge(
+        cls, reports: Iterable["ViolationReport"], n_rows: int = 0, strategy: str = "auto"
+    ) -> "ViolationReport":
+        """Union of several reports in one pass: their violations in
+        report order, the first of each identity key kept; ``n_rows`` is
+        the largest of ``n_rows`` and the reports', times and comparisons
+        add up.  Equal to folding :meth:`merged_with` left to right,
+        without re-copying the accumulated report per step."""
+        merged = cls(n_rows=n_rows, strategy=strategy)
         seen: Set[Tuple] = set()
-        for violation in list(self.violations) + list(other.violations):
-            key = self.identity_key(violation)
-            if key in seen:
-                continue
-            seen.add(key)
-            merged.add(violation)
+        for report in reports:
+            merged.n_rows = max(merged.n_rows, report.n_rows)
+            merged.elapsed_seconds += report.elapsed_seconds
+            merged.comparisons += report.comparisons
+            for violation in report.violations:
+                key = merged.identity_key(violation)
+                if key in seen:
+                    continue
+                seen.add(key)
+                merged.violations.append(violation)
         return merged

@@ -94,13 +94,14 @@ class ShardedDetector:
             self.sharded.column_encodings(
                 [name for pfd in pfds for name in (pfd.lhs_attribute, pfd.rhs_attribute)]
             )
-        merged = ViolationReport(
-            n_rows=self.sharded.n_rows, strategy=SHARDED_STRATEGY
+        # every report first: the merge's dedup keys then do not sit
+        # between the pair-group and block artifacts the PFDs build,
+        # which would raise the process's memory high-water mark
+        return ViolationReport.merge(
+            [self.detect(pfd) for pfd in pfds],
+            n_rows=self.sharded.n_rows,
+            strategy=SHARDED_STRATEGY,
         )
-        for pfd in pfds:
-            merged = merged.merged_with(self.detect(pfd))
-        merged.strategy = SHARDED_STRATEGY
-        return merged
 
     # -- pair groups -------------------------------------------------------
 
@@ -120,17 +121,25 @@ class ShardedDetector:
 
     # -- constant rules -----------------------------------------------------------
 
+    def value_groups(
+        self, evaluator: ConstantRuleEvaluator
+    ) -> Iterator[Tuple[str, Sequence[int]]]:
+        """``(observed RHS value, rows)`` pairs of the rows in a constant
+        rule's scope: the pair groups of the LHS values its LHS cell
+        matches (the rows are the cached statistic's own; callers that
+        keep them must copy)."""
+        merged = self.pair_groups(evaluator.lhs, evaluator.rhs)
+        matching = merged.matching_values(evaluator.lhs_cell, self.memo)
+        return self._value_groups(merged, matching)
+
     def _detect_constant_rule(
         self, report: ViolationReport, evaluator: ConstantRuleEvaluator
     ) -> None:
-        merged = self.pair_groups(evaluator.lhs, evaluator.rhs)
-        matching = merged.matching_values(evaluator.lhs_cell, self.memo)
-        report.comparisons += merged.last_candidates_tested
-        report.extend(
-            evaluator.emit_value_groups(
-                self._value_groups(merged, matching), self.memo, report
-            )
-        )
+        value_groups = self.value_groups(evaluator)
+        report.comparisons += self.pair_groups(
+            evaluator.lhs, evaluator.rhs
+        ).last_candidates_tested
+        report.extend(evaluator.emit_value_groups(value_groups, self.memo, report))
 
     @staticmethod
     def _value_groups(
@@ -142,14 +151,19 @@ class ShardedDetector:
 
     # -- variable rules ------------------------------------------------------------
 
-    def _detect_variable_rule(
-        self, report: ViolationReport, evaluator: VariableRuleEvaluator
-    ) -> None:
-        blocks = self.sharded.merged_artifact(
+    def blocks(self, evaluator: VariableRuleEvaluator) -> SplitBlocks:
+        """A variable rule's ``≡_Q`` blocks, split by RHS value (cached on
+        the sharded table until a shard mutates; callers that keep or
+        change them must copy)."""
+        return self.sharded.merged_artifact(
             ("sharded_blocks", evaluator.lhs, evaluator.rhs, evaluator.constrained),
             lambda: self._reduce_blocks(evaluator),
         )
-        for groups in blocks.values():
+
+    def _detect_variable_rule(
+        self, report: ViolationReport, evaluator: VariableRuleEvaluator
+    ) -> None:
+        for groups in self.blocks(evaluator).values():
             if len(groups) < 2:
                 continue
             report.comparisons += len(groups)

@@ -1,13 +1,10 @@
 """Tests for blocking helpers."""
 
-import random
-
 from repro.constrained.constrained_pattern import ConstrainedPattern
 from repro.detection.blocking import (
     block_by_key,
     block_by_projection,
     majority_value,
-    renumber_blocks_after_delete,
     split_block_by_rhs,
 )
 
@@ -58,31 +55,3 @@ class TestBlockSplitting:
         # deterministic: with equal counts the lexicographically larger wins
         assert majority_value({"AA": [0], "ZZ": [1]}) == "ZZ"
         assert majority_value({"B": [0], "A": [1]}) == "B"
-
-
-def naive_renumber(blocks, deleted_row):
-    """The pre-bisect reference implementation: rewrite every row."""
-    for rows in blocks.values():
-        for i, row in enumerate(rows):
-            if row > deleted_row:
-                rows[i] = row - 1
-
-
-class TestRenumberAfterDelete:
-    def test_only_the_suffix_is_decremented(self):
-        blocks = {"a": [0, 1, 5], "b": [2, 3], "c": [6, 7]}
-        renumber_blocks_after_delete(blocks, 3)
-        assert blocks == {"a": [0, 1, 4], "b": [2, 3], "c": [5, 6]}
-
-    def test_matches_the_naive_loop_on_random_blocks(self):
-        rng = random.Random(17)
-        for trial in range(50):
-            rows = sorted(rng.sample(range(60), rng.randint(1, 25)))
-            blocks = {}
-            for row in rows:
-                blocks.setdefault(rng.randrange(6), []).append(row)
-            deleted = rng.randrange(60)
-            expected = {key: list(value) for key, value in blocks.items()}
-            naive_renumber(expected, deleted)
-            renumber_blocks_after_delete(blocks, deleted)
-            assert blocks == expected, f"trial={trial} deleted={deleted}"

@@ -4,13 +4,17 @@ The correctness anchor is randomized equivalence: any sequence of
 mutations (edits, appends, deletes) applied through or alongside an
 :class:`IncrementalDetector` must yield a report whose canonical
 violations are identical to a from-scratch ``detect_all`` on the final
-table.
+table.  A property test adds small tables with big blocks and few RHS
+values, on a plain table and on a shard overlay, and checks the
+report's order too.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.constrained import constrained_prefix
 from repro.datagen import (
     generate_fullname_gender,
     generate_phone_state,
@@ -19,8 +23,12 @@ from repro.datagen import (
 from repro.dataset.table import CellEdit, RowAppend, RowDelete, Table
 from repro.detection import ErrorDetector, IncrementalDetector
 from repro.detection.detector import DetectionStrategy
+from repro.detection.violation import ViolationReport
 from repro.discovery import PfdDiscoverer
+from repro.patterns import parse_pattern
 from repro.pfd.pfd import PFD
+from repro.pfd.tableau import WILDCARD
+from repro.sharding import ShardedTable, ShardOverlay
 
 
 GENERATORS = {
@@ -203,6 +211,24 @@ class TestMutationAPI:
         assert table.deltas_since(0) is None
         assert_equivalent(incremental, pfds, "log exhausted")
 
+    def test_rebuild_fallback_on_a_shard_overlay(self, rulesets):
+        from repro.dataset.table import MAX_DELTA_LOG
+
+        pristine, pfds = rulesets["zip_city_state"]
+        overlay = ShardOverlay(ShardedTable.from_table(pristine, 32))
+        incremental = IncrementalDetector(overlay, pfds)
+        overlay.append_row(overlay.row(0))
+        for step in range(MAX_DELTA_LOG + 10):
+            overlay.set_cell(step % overlay.n_rows, "city", f"v{step % 7}")
+        assert overlay.deltas_since(0) is None
+        # re-seeded from a fresh seal of the edited overlay
+        full = ErrorDetector(overlay.materialize()).detect_all(pfds)
+        got = incremental.report()
+        assert got.canonical_violations() == full.canonical_violations()
+        incremental.set_cell(1, "city", overlay.cell(0, "city"))
+        full = ErrorDetector(overlay.materialize()).detect_all(pfds)
+        assert incremental.report().canonical_violations() == full.canonical_violations()
+
     def test_strategy_argument_is_gone(self, zip_setup):
         # the maintained report is the answer of every batch strategy;
         # there is nothing to choose
@@ -310,3 +336,129 @@ class TestDeltaLog:
         incremental.set_cell(2, "city", "New York")
         assert incremental.report().is_empty()
         assert_equivalent(incremental, [pfd], "repaired")
+
+
+# -- property: any mutation sequence, big blocks, few RHS values ---------------
+
+ZIPS = ("90001", "90002", "90013", "10001", "10002")
+VALUES = {
+    "zip": ZIPS + ("99999", "", "9001"),
+    "city": ("A", "B", "C", "", "Zz"),
+    "state": ("X", "Y", "Q"),
+}
+COLUMNS = ("zip", "city", "state")
+
+
+def property_pfds():
+    """Variable rules with few, big blocks and 2–3 RHS values (majority
+    ties and flips, witnesses leaving their group), constant rules, and
+    two PFDs sharing a name (their violations coincide)."""
+    prefix = constrained_prefix(3, parse_pattern("\\D{2}"), head=parse_pattern("\\D{3}"))
+    mixed = PFD.constant("zip", "state", [{"zip": "100\\D{2}", "state": "Y"}], name="mixed")
+    mixed.add_rule({"zip": prefix, "state": WILDCARD})
+    return [
+        PFD.variable("zip", "city", prefix, name="prefix"),
+        PFD.variable("city", "state", "\\LU", name="letter"),
+        mixed,
+        PFD.constant("zip", "city", [{"zip": "900\\D{2}", "city": "A"}], name="dup"),
+        PFD.constant("zip", "city", [{"zip": "9\\D{4}", "city": "A"}], name="dup"),
+    ]
+
+
+def expected_report_order(table, pfds):
+    """The maintained report's order from batch runs: evaluator order
+    (PFDs, then tableau rules), each rule's violations by ``(rows,
+    suspect cell)``, the first of each identity key kept."""
+    detector = ErrorDetector(table)
+    ordered = []
+    for pfd in pfds:
+        by_rule = {}
+        for violation in detector.detect(pfd):
+            by_rule.setdefault(violation.rule_index, []).append(violation)
+        for rule_index in range(len(pfd.tableau)):
+            ordered.extend(
+                sorted(by_rule.get(rule_index, []), key=lambda v: (v.rows, v.suspect_cell))
+            )
+    seen, out = set(), []
+    for violation in ordered:
+        key = ViolationReport().identity_key(violation)
+        if key not in seen:
+            seen.add(key)
+            out.append(violation)
+    return out
+
+
+def _row_strategy():
+    return st.tuples(*(st.sampled_from(VALUES[column]) for column in COLUMNS))
+
+
+def _mutation_strategy():
+    return st.one_of(
+        st.tuples(
+            st.just("set"),
+            st.integers(0, 63),
+            st.sampled_from(COLUMNS),
+            st.integers(0, len(VALUES["zip"]) - 1),
+        ),
+        st.tuples(st.just("append"), _row_strategy()),
+        st.tuples(st.just("delete"), st.integers(0, 63)),
+    )
+
+
+def _apply(target, mutation) -> None:
+    """One mutation through ``target`` (the detector or the table);
+    row indexes wrap around the current size."""
+    table = target.table if isinstance(target, IncrementalDetector) else target
+    kind = mutation[0]
+    if kind == "append":
+        target.append_row(list(mutation[1]))
+    elif table.n_rows == 0:
+        return
+    elif kind == "set":
+        _, row, column, pick = mutation
+        values = VALUES[column]
+        target.set_cell(row % table.n_rows, column, values[pick % len(values)])
+    else:
+        target.delete_row(mutation[1] % table.n_rows)
+
+
+def _check(incremental, pfds, context):
+    snapshot = incremental.table
+    if not isinstance(snapshot, Table):
+        snapshot = snapshot.materialize()
+    got = incremental.report()
+    full = ErrorDetector(snapshot).detect_all(pfds)
+    assert got.canonical_violations() == full.canonical_violations(), context
+    assert got.violations == expected_report_order(snapshot, pfds), context
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(_row_strategy(), min_size=0, max_size=14),
+    steps=st.lists(
+        st.one_of(
+            _mutation_strategy(),
+            st.tuples(st.just("refresh"), st.lists(_mutation_strategy(), max_size=4)),
+        ),
+        max_size=10,
+    ),
+    overlay=st.booleans(),
+)
+def test_property_any_mutation_sequence_matches_batch_detection(rows, steps, overlay):
+    """After every step — a mutation through the detector, or a batch of
+    direct table mutations caught up by ``refresh()`` — the maintained
+    report equals batch detection canonically, in the stated order."""
+    table = Table.from_rows(list(COLUMNS), [list(row) for row in rows])
+    if overlay:
+        table = ShardOverlay(ShardedTable.from_table(table, 3))
+    pfds = property_pfds()
+    incremental = IncrementalDetector(table, pfds)
+    _check(incremental, pfds, "seed")
+    for number, step in enumerate(steps):
+        if step[0] == "refresh":
+            for mutation in step[1]:
+                _apply(table, mutation)
+            incremental.refresh()
+        else:
+            _apply(incremental, step)
+        _check(incremental, pfds, f"step {number}: {step}")

@@ -13,7 +13,9 @@ import pytest
 
 from repro.constrained import constrained_prefix
 from repro.dataset.table import Table
+from repro.dataset.rowids import row_ids
 from repro.detection import ErrorDetector, IncrementalDetector
+from repro.detection.blocking import block_by_projection, split_block_by_rhs
 from repro.detection.detector import DetectionStrategy
 from repro.detection.rules import (
     ConstantRuleEvaluator,
@@ -107,15 +109,28 @@ class TestConstantRuleEvaluator:
 
     def test_incremental_hooks_mirror_emit_full(self, evaluator):
         memo = MatchMemo()
-        evaluator.seed_full([0, 1], ["NY", "LA"], memo)
-        assert sorted(v.rows[0] for v in evaluator.emit()) == [0]
-        evaluator.reevaluate_row(memo, 0, "90011", "LA")  # repaired
-        assert list(evaluator.emit()) == []
+        # rows 0 and 1 are in scope: one RHS verdict per value group
+        evaluator.seed_value_groups([("NY", [0]), ("LA", [1])], memo)
+        assert [v.rows[0] for v in evaluator.emit()] == [0]
+        evaluator.update_row(memo, 0, "90010", "NY", "90011", "LA")  # repaired
+        assert evaluator.emit() == []
         evaluator.append_row(memo, 2, "90012", "SF")
         evaluator.append_row(memo, 3, "10001", "SF")  # LHS does not match
         assert [v.rows[0] for v in evaluator.emit()] == [2]
-        evaluator.delete_row(0)
+        evaluator.delete_row(memo, 0, "90011", "LA")
         assert [v.rows[0] for v in evaluator.emit()] == [1]
+        assert evaluator.emit()[0].suspect_cell == (1, "city")
+
+    def test_emit_is_cached_until_a_row_changes(self, evaluator):
+        memo = MatchMemo()
+        evaluator.seed_value_groups([("NY", [0, 3]), ("LA", [1])], memo)
+        first = evaluator.emit()
+        assert evaluator.emit() is first
+        # an edit that leaves the row's verdict as it was keeps the cache
+        evaluator.update_row(memo, 0, "90010", "NY", "90019", "NY")
+        assert evaluator.emit() is first
+        evaluator.update_row(memo, 3, "90013", "NY", "90013", "LA")
+        assert [v.rows[0] for v in evaluator.emit()] == [0]
 
 
 class TestVariableRuleEvaluator:
@@ -147,6 +162,91 @@ class TestVariableRuleEvaluator:
         assert [v.suspect_cell for v in violations] == [(2, "city")]
         assert violations[0].expected_value == ""
         assert "expected ''" in violations[0].describe()
+
+
+class TestVariableRuleHooks:
+    """The count-based block state against batch emission over the same
+    values, after every hook call."""
+
+    @pytest.fixture
+    def evaluator(self):
+        pfd = zip_city_pfd()
+        return make_rule_evaluator(pfd, 0, pfd.tableau[0])
+
+    @staticmethod
+    def seed(evaluator, memo, zips, cities):
+        blocks = block_by_projection(range(len(zips)), zips, evaluator.constrained, memo)
+        evaluator.seed_blocks(
+            {key: split_block_by_rhs(rows, cities) for key, rows in blocks.items()}
+        )
+
+    @staticmethod
+    def assert_matches_batch(evaluator, memo, zips, cities):
+        blocks = block_by_projection(range(len(zips)), zips, evaluator.constrained, memo)
+        batch = sorted(
+            evaluator.emit_full(blocks, cities),
+            key=lambda v: (v.rows, v.suspect_cell),
+        )
+        assert evaluator.emit() == batch
+
+    def test_seed_copies_the_blocks(self, evaluator):
+        memo = MatchMemo()
+        blocks = {("900",): {"LA": row_ids([2, 0]), "NY": row_ids([1])}}
+        evaluator.seed_blocks(blocks)
+        assert [v.rows for v in evaluator.emit()] == [(0, 1)]
+        evaluator.update_row(memo, 1, "90001", "NY", "90001", "LA")
+        assert evaluator.emit() == []
+        assert blocks == {("900",): {"LA": row_ids([2, 0]), "NY": row_ids([1])}}
+
+    def test_witness_and_majority_follow_every_move(self, evaluator):
+        memo = MatchMemo()
+        zips = ["10001", "90001", "90002", "90003", "90004"]
+        cities = ["NY", "LA", "LA", "SF", "SF"]
+        self.seed(evaluator, memo, zips, cities)
+        # LA/SF tie in the 900 block: SF wins, witness row 3
+        assert [v.rows for v in evaluator.emit()] == [(3, 1), (3, 2)]
+
+        def edit(row, zip_code=None, city=None):
+            old_zip, old_city = zips[row], cities[row]
+            zips[row] = zip_code or old_zip
+            cities[row] = city or old_city
+            evaluator.update_row(memo, row, old_zip, old_city, zips[row], cities[row])
+            self.assert_matches_batch(evaluator, memo, zips, cities)
+
+        edit(0, zip_code="90000", city="SF")  # a smaller row joins: new witness
+        assert evaluator.emit()[0].rows == (0, 1)
+        edit(0, city="LA")  # the witness leaves: majority flips to LA
+        assert {v.expected_value for v in evaluator.emit()} == {"LA"}
+        edit(1, city="SF")  # LA/SF tie again: the tie-break picks SF
+        assert {v.expected_value for v in evaluator.emit()} == {"SF"}
+        edit(3, zip_code="10002")  # the witness moves to another block
+        edit(4, city="NY")  # three values, one row each
+        edit(2, city="SF")  # a minority row moves between minority groups
+        edit(1, zip_code="10003", city="NY")  # rows leave for the 100 block
+        edit(4, zip_code="banana")  # projection None: the row leaves all blocks
+        edit(4, zip_code="90009")
+
+    def test_append_and_delete_renumber_the_state(self, evaluator):
+        memo = MatchMemo()
+        zips = ["90001", "90002", "90003", "10001", "10002"]
+        cities = ["LA", "NY", "LA", "NY", "SF"]
+        self.seed(evaluator, memo, zips, cities)
+        self.assert_matches_batch(evaluator, memo, zips, cities)
+        for zip_code, city in (("10003", "SF"), ("90004", "NY"), ("90005", "NY")):
+            evaluator.append_row(memo, len(zips), zip_code, city)
+            zips.append(zip_code)
+            cities.append(city)
+            self.assert_matches_batch(evaluator, memo, zips, cities)
+        for row in (0, 3, 0, 2):
+            evaluator.delete_row(memo, row, zips[row], cities[row])
+            del zips[row], cities[row]
+            self.assert_matches_batch(evaluator, memo, zips, cities)
+
+    def test_out_of_sync_state_is_reported(self, evaluator):
+        memo = MatchMemo()
+        self.seed(evaluator, memo, ["90001", "90002"], ["LA", "NY"])
+        with pytest.raises(DetectionError, match="out of sync"):
+            evaluator.update_row(memo, 0, "90001", "SF", "90001", "LA")
 
 
 class TestElectExpectedValue:

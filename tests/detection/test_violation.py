@@ -81,3 +81,19 @@ class TestViolationReport:
         merged = left.merged_with(right)
         assert len(merged) == 2
         assert merged.comparisons == 12
+
+    def test_merge_equals_folding_merged_with(self):
+        reports = []
+        for rows, comparisons in (((1, 2), 3), ((2, 3), 4), ((3, 4, 1), 5)):
+            report = ViolationReport(n_rows=4 + len(reports), comparisons=comparisons)
+            report.elapsed_seconds = 0.5
+            report.extend(make_violation(row) for row in rows)
+            reports.append(report)
+        folded = ViolationReport(n_rows=2, strategy="x")
+        for report in reports:
+            folded = folded.merged_with(report)
+        merged = ViolationReport.merge(reports, n_rows=2, strategy="x")
+        assert merged.violations == folded.violations
+        assert [v.rows for v in merged] == [(1,), (2,), (3,), (4,)]
+        assert (merged.n_rows, merged.comparisons, merged.strategy) == (6, 12, "x")
+        assert merged.elapsed_seconds == folded.elapsed_seconds == 1.5

@@ -17,13 +17,16 @@ import tracemalloc
 import pytest
 
 from repro.anmat.session import AnmatSession
+from repro.constrained import constrained_prefix
 from repro.datagen import build_dataset
 from repro.dataset import Table
 from repro.dataset.csvio import read_csv, read_csv_sharded, write_csv
+from repro.patterns import parse_pattern
 from repro.perf import clear_caches
 from repro.pfd import PFD, WILDCARD
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.detection import DetectionStrategy, ErrorDetector
+from repro.detection.violation import ViolationReport
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.sharding import (
     ShardedDetector,
@@ -254,3 +257,38 @@ class TestOutOfCoreBoundedMemory:
         assert canonical == mono_canonical
         clear_caches()
         gc.collect()
+
+
+def test_detect_all_folds_reports_like_merged_with():
+    """One dedup pass over the per-PFD reports equals folding them with
+    ``merged_with``: same order, same first-kept duplicates — two PFDs
+    named alike flag the same cells under the same identity key."""
+    table = Table.from_rows(
+        ["zip", "city"],
+        [
+            ["90001", "LA"], ["90002", "NY"], ["91234", "NY"], ["90003", "SF"],
+            ["10001", "NY"], ["10002", "NY"], ["10003", "LA"], ["90004", "LA"],
+        ],
+    )
+    prefix = constrained_prefix(3, parse_pattern("\\D{2}"), head=parse_pattern("\\D{3}"))
+    pfds = [
+        PFD.constant("zip", "city", [{"zip": "900\\D{2}", "city": "LA"}], name="dup"),
+        PFD.variable("zip", "city", prefix, name="blocks"),
+        PFD.constant("zip", "city", [{"zip": "9\\D{4}", "city": "LA"}], name="dup"),
+        PFD.variable("zip", "city", prefix, name="blocks"),
+    ]
+    detector = ShardedDetector(ShardedTable.from_table(table, 3))
+    folded = ViolationReport(n_rows=table.n_rows, strategy="sharded")
+    for pfd in pfds:
+        folded = folded.merged_with(detector.detect(pfd))
+    merged = detector.detect_all(pfds)
+    assert merged.violations == folded.violations
+    assert (merged.n_rows, merged.comparisons, merged.strategy) == (
+        folded.n_rows, folded.comparisons, "sharded",
+    )
+    # the second "dup" adds only the row the first did not flag
+    dup = [v.suspect_cell for v in merged if v.pfd_name == "dup"]
+    assert dup == [(1, "city"), (3, "city"), (2, "city")]
+    assert merged.canonical_violations() == (
+        ErrorDetector(table).detect_all(pfds).canonical_violations()
+    )

@@ -6,7 +6,9 @@ once — discovery reuses the profiling step's profile and encodes all
 candidate columns in one pass — detection right after discovery decodes
 none (it groups rule pairs from the encodings discovery kept), a cold
 detection decodes every shard once, and the reused profile never
-outlives the data version it was built from.
+outlives the data version it was built from.  The edit loop's detector
+is seeded from the artifacts detection left, so attaching it reads
+neither a shard nor an overlay column, and never changes them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.detection import ErrorDetector
 from repro.discovery.discoverer import PfdDiscoverer
 from repro.sharding import ShardedDetector, ShardedTable, SpillToDiskShardStore
 from repro.sharding import sharded_table as sharded_table_module
+from repro.sharding.overlay import OverlayShardStore, ShardOverlay
 from repro.sharding import store as store_module
 
 SHARD_ROWS = 40
@@ -163,3 +166,73 @@ def test_table_load_profile_is_reused_until_the_table_changes(
     assert len(sharded_profiles) == 2
     session.close()
 
+
+
+@pytest.fixture
+def overlay_reads(monkeypatch):
+    """Calls of the overlay's two read paths: patched-shard reads of a
+    sealed view and column builds of the overlay itself."""
+    calls = {"store_get": 0, "build_column": 0}
+    real_get = OverlayShardStore.get
+    real_build = ShardOverlay._build_column
+
+    def get(self, index):
+        calls["store_get"] += 1
+        return real_get(self, index)
+
+    def build_column(self, index):
+        calls["build_column"] += 1
+        return real_build(self, index)
+
+    monkeypatch.setattr(OverlayShardStore, "get", get)
+    monkeypatch.setattr(ShardOverlay, "_build_column", build_column)
+    return calls
+
+
+def _repairs(session, n):
+    return [
+        (s.row, s.attribute, s.suggested_value) for s in session.repair_suggestions()[:n]
+    ]
+
+
+def test_edit_loop_attach_reads_nothing(spill_session, overlay_reads):
+    session = spill_session
+    session.run_profiling()
+    session.run_discovery()
+    session.confirm_all()
+    session.run_detection()
+    # the first edit seeds the detector from the detection run's
+    # encodings, pair groups and blocks: no shard or column is read
+    repairs = _repairs(session, 6)
+    assert len(repairs) == 6
+    session.edit_cell(*repairs[0])
+    assert overlay_reads == {"store_get": 0, "build_column": 0}
+    for repair in repairs[1:3]:
+        session.edit_cell(*repair)
+    session.recheck()
+    assert session.violations is not None
+    # a re-check's detection leaves the same artifacts on the new seal
+    overlay_reads.update(store_get=0, build_column=0)
+    session.edit_cell(*repairs[3])
+    assert overlay_reads == {"store_get": 0, "build_column": 0}
+    expected = ErrorDetector(session.table.materialize()).detect_all(
+        session.confirmed_pfds()
+    )
+    assert session.violations.canonical_violations() == expected.canonical_violations()
+
+
+def test_edit_loop_leaves_the_detection_artifacts_alone(spill_session):
+    session = spill_session
+    session.run_profiling()
+    session.run_discovery()
+    session.confirm_all()
+    report = session.run_detection()
+    rules = session.confirmed_pfds()
+    base = session.table.base
+    # repairs move rows between RHS groups of the cached blocks; one
+    # more edit introduces a value no column holds yet
+    for row, attribute, value in _repairs(session, 12):
+        session.edit_cell(row, attribute, value)
+    session.edit_cell(0, "city", "Nowhere")
+    again = ShardedDetector(base).detect_all(rules)
+    assert again.violations == report.violations
