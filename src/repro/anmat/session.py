@@ -228,10 +228,11 @@ class AnmatSession:
     def run_profiling(self) -> TableProfile:
         """Profile every column (the Figure 3 view).
 
-        The shards are profiled shard-major through the streaming column
-        builders — one resident shard at a time, identical output to
-        profiling the materialized table — and the profile is cached on
-        the sealed view, where discovery finds it again."""
+        Every column is encoded in one shard-major pass — one resident
+        shard at a time — and profiled from its encoding, with output
+        identical to profiling the materialized table.  The profile and
+        the encodings are cached on the sealed view, where discovery
+        finds them again without reading a shard."""
         self._require_table()
         self.profile = self.table.as_sharded().profile()
         self.state = SessionState.PROFILED
@@ -289,8 +290,10 @@ class AnmatSession:
         (:meth:`edit_cell`); this is its counterpart for the *rules*.
         The planner resolves how (``plan.rule_maintenance``): with a
         seeded baseline the
-        :class:`~repro.discovery.maintenance.RuleMaintainer` re-mines
-        only the candidates whose columns the edit batch changed; a
+        :class:`~repro.discovery.maintenance.RuleMaintainer` patches the
+        column encodings with the edited cells, reading no shard, and
+        re-mines only the candidates whose columns the edit batch
+        changed; a
         structural change (appended/deleted rows) falls back to full
         re-discovery (recorded on the plan's decisions).  Either way the
         resulting rule set is identical to discovering from scratch.

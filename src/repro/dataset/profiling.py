@@ -4,16 +4,25 @@ Profiling serves two purposes in ANMAT: it shows the user the dominant
 syntactic patterns in every column, and it feeds the candidate-dependency
 pruning step of the discovery algorithm ("we drop all columns with pure
 numerical values", low-cardinality checks, …).
+
+Every profile is built from a column's
+:class:`~repro.kernels.encoder.ColumnEncoding` (:func:`profile_encoding`):
+a profile is a pure function of the first-seen distinct values and
+their counts, which is what an encoding holds.  A plain column is
+encoded first (:func:`profile_column`); a sharded table is profiled from
+the table-wide encodings its discovery mines (:func:`profile_sharded`),
+and a re-check profiles a changed column from its patched encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.dataset.inference import infer_column_type_from_counts
 from repro.dataset.schema import DataType
 from repro.dataset.table import Table
+from repro.kernels.encoder import ColumnEncoding, encode_column
 from repro.patterns.generalize import PatternHistogram, generalize_string
 from repro.patterns.tokenizer import cached_tokenize
 from repro.perf import TABLE_ARTIFACTS
@@ -144,121 +153,102 @@ def _looks_like_code(profile: ColumnProfile) -> bool:
     return profile.dominant_signature_ratio >= 0.7 and profile.max_length <= 40
 
 
-class ColumnProfileBuilder:
-    """Streaming accumulator behind :func:`profile_column`.
+def profile_encoding(
+    name: str, encoding: ColumnEncoding, max_patterns: int = 25
+) -> ColumnProfile:
+    """Profile one column from its :class:`~repro.kernels.encoder.ColumnEncoding`.
 
-    Feed value batches through :meth:`add` — e.g. one shard's column at
-    a time — then call :meth:`finish`.  Everything the profile reports
-    is a function of the first-seen-ordered distinct-value counts plus
-    the empty-value count, so the result is identical to profiling the
-    concatenated values in one pass, while peak memory is the distinct
-    value set instead of the whole column.
+    Everything a profile reports is a function of the first-seen-ordered
+    distinct values and their counts, which is exactly what an encoding
+    holds (``distinct`` plus ``counts()``), so no row is visited: all
+    per-value work (tokenization, generalization) runs once per
+    distinct value, weighted by its count.
     """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.n_values = 0
-        self.n_empty = 0
-        #: distinct non-empty values → multiplicity, first-seen order
-        self.value_counts: Dict[str, int] = {}
-
-    def add(self, values: Iterable[str]) -> "ColumnProfileBuilder":
-        counts = self.value_counts
-        n = 0
-        for value in values:
-            n += 1
-            if value == "":
-                self.n_empty += 1
-            else:
-                counts[value] = counts.get(value, 0) + 1
-        self.n_values += n
-        return self
-
-    def finish(self, max_patterns: int = 25) -> ColumnProfile:
-        value_counts = self.value_counts
-        n_non_empty = self.n_values - self.n_empty
-        if n_non_empty:
-            min_length = min(len(v) for v in value_counts)
-            max_length = max(len(v) for v in value_counts)
-            avg_length = (
-                sum(len(v) * count for v, count in value_counts.items()) / n_non_empty
-            )
-        else:
-            min_length = max_length = 0
-            avg_length = 0.0
-
-        # All per-value work (tokenization, generalization) runs once per
-        # *distinct* value — duplicates contribute only their count,
-        # keeping profiling linear in distinct values rather than rows.
-        tokens_by_value = {value: cached_tokenize(value) for value in value_counts}
-        avg_tokens = (
-            sum(len(tokens_by_value[v]) * count for v, count in value_counts.items())
-            / n_non_empty
-            if n_non_empty
-            else 0.0
+    value_counts: Dict[str, int] = dict(
+        zip(encoding.distinct, encoding.counts().tolist())
+    )
+    n_values = encoding.n_rows
+    n_empty = value_counts.pop("", 0)
+    n_non_empty = n_values - n_empty
+    if n_non_empty:
+        min_length = min(len(v) for v in value_counts)
+        max_length = max(len(v) for v in value_counts)
+        avg_length = (
+            sum(len(v) * count for v, count in value_counts.items()) / n_non_empty
         )
+    else:
+        min_length = max_length = 0
+        avg_length = 0.0
 
-        histogram = PatternHistogram.from_counts(value_counts, level=1)
-        signature_histogram = PatternHistogram.from_counts(value_counts, level=2)
-        signature_entries = signature_histogram.entries()
-        dominant_signature_ratio = (
-            signature_entries[0].count / max(1, signature_histogram.total)
-            if signature_entries
-            else 0.0
+    tokens_by_value = {value: cached_tokenize(value) for value in value_counts}
+    avg_tokens = (
+        sum(len(tokens_by_value[v]) * count for v, count in value_counts.items())
+        / n_non_empty
+        if n_non_empty
+        else 0.0
+    )
+
+    histogram = PatternHistogram.from_counts(value_counts, level=1)
+    signature_histogram = PatternHistogram.from_counts(value_counts, level=2)
+    signature_entries = signature_histogram.entries()
+    dominant_signature_ratio = (
+        signature_entries[0].count / max(1, signature_histogram.total)
+        if signature_entries
+        else 0.0
+    )
+    value_patterns = [
+        PatternStat(
+            pattern_text=entry.text,
+            position=0,
+            frequency=entry.count,
+            ratio=entry.count / max(1, histogram.total),
+            examples=list(entry.examples),
         )
-        value_patterns = [
-            PatternStat(
-                pattern_text=entry.text,
-                position=0,
-                frequency=entry.count,
-                ratio=entry.count / max(1, histogram.total),
-                examples=list(entry.examples),
-            )
-            for entry in histogram.entries()[:max_patterns]
-        ]
+        for entry in histogram.entries()[:max_patterns]
+    ]
 
-        token_stats: Dict[tuple, int] = {}
-        token_examples: Dict[tuple, List[str]] = {}
-        for value, occurrences in value_counts.items():
-            for token in tokens_by_value[value]:
-                key = (generalize_string(token.normalized or token.text, level=1).to_text(), token.position)
-                token_stats[key] = token_stats.get(key, 0) + occurrences
-                examples = token_examples.setdefault(key, [])
-                if len(examples) < 3 and token.text not in examples:
-                    examples.append(token.text)
-        token_patterns = [
-            PatternStat(
-                pattern_text=text,
-                position=position,
-                frequency=count,
-                ratio=count / max(1, n_non_empty),
-                examples=token_examples[(text, position)],
-            )
-            for (text, position), count in sorted(
-                token_stats.items(), key=lambda kv: (-kv[1], kv[0])
-            )[:max_patterns]
-        ]
-
-        return ColumnProfile(
-            name=self.name,
-            dtype=infer_column_type_from_counts(value_counts),
-            n_values=self.n_values,
-            n_distinct=len(value_counts) + (1 if self.n_empty else 0),
-            n_empty=self.n_empty,
-            min_length=min_length,
-            max_length=max_length,
-            avg_length=avg_length,
-            avg_tokens=avg_tokens,
-            value_patterns=value_patterns,
-            token_patterns=token_patterns,
-            dominant_signature_ratio=dominant_signature_ratio,
+    token_stats: Dict[tuple, int] = {}
+    token_examples: Dict[tuple, List[str]] = {}
+    for value, occurrences in value_counts.items():
+        for token in tokens_by_value[value]:
+            key = (generalize_string(token.normalized or token.text, level=1).to_text(), token.position)
+            token_stats[key] = token_stats.get(key, 0) + occurrences
+            examples = token_examples.setdefault(key, [])
+            if len(examples) < 3 and token.text not in examples:
+                examples.append(token.text)
+    token_patterns = [
+        PatternStat(
+            pattern_text=text,
+            position=position,
+            frequency=count,
+            ratio=count / max(1, n_non_empty),
+            examples=token_examples[(text, position)],
         )
+        for (text, position), count in sorted(
+            token_stats.items(), key=lambda kv: (-kv[1], kv[0])
+        )[:max_patterns]
+    ]
+
+    return ColumnProfile(
+        name=name,
+        dtype=infer_column_type_from_counts(value_counts),
+        n_values=n_values,
+        n_distinct=len(value_counts) + (1 if n_empty else 0),
+        n_empty=n_empty,
+        min_length=min_length,
+        max_length=max_length,
+        avg_length=avg_length,
+        avg_tokens=avg_tokens,
+        value_patterns=value_patterns,
+        token_patterns=token_patterns,
+        dominant_signature_ratio=dominant_signature_ratio,
+    )
 
 
 def profile_column(name: str, values: Sequence[str], max_patterns: int = 25) -> ColumnProfile:
-    """Profile a single column of string values (one-shot form of
-    :class:`ColumnProfileBuilder`)."""
-    return ColumnProfileBuilder(name).add(values).finish(max_patterns=max_patterns)
+    """Profile a single column of string values (encoded once, then
+    profiled from the encoding)."""
+    return profile_encoding(name, encode_column(values), max_patterns=max_patterns)
 
 
 def profile_table(table: Table, max_patterns: int = 25) -> TableProfile:
@@ -278,24 +268,23 @@ def cached_profile_table(table: Table) -> TableProfile:
 
 
 def profile_sharded(sharded, max_patterns: int = 25) -> TableProfile:
-    """Profile a sharded table shard-major, without concatenating columns.
+    """Profile a sharded table from its table-wide column encodings.
 
     ``sharded`` is anything with ``column_names()``, ``n_rows`` and
-    ``iter_shards()`` (a :class:`~repro.sharding.ShardedTable`; duck-typed
-    to keep this layer free of a sharding import).  Each shard is loaded
-    once and profiled into per-column builders, so on a spill/object
-    store peak memory is one shard plus the distinct value sets — the
-    output is identical to :func:`profile_table` over the materialized
-    table.
+    ``column_encodings(names)`` (a :class:`~repro.sharding.ShardedTable`;
+    duck-typed to keep this layer free of a sharding import).  The
+    encodings are built in one shard-major pass — one resident shard at
+    a time on a spill/object store — and stay cached on the table, so
+    the discovery that follows mines them without reading a shard
+    again.  The output is identical to :func:`profile_table` over the
+    materialized table.
     """
-    builders = [ColumnProfileBuilder(name) for name in sharded.column_names()]
-    for _offset, shard in sharded.iter_shards():
-        for builder in builders:
-            builder.add(shard.column_ref(builder.name))
+    names = sharded.column_names()
+    encodings = sharded.column_encodings(names)
     return TableProfile(
         n_rows=sharded.n_rows,
         columns={
-            builder.name: builder.finish(max_patterns=max_patterns)
-            for builder in builders
+            name: profile_encoding(name, encodings[name], max_patterns=max_patterns)
+            for name in names
         },
     )

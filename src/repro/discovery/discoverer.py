@@ -277,6 +277,7 @@ class PfdDiscoverer:
             coverage_kernel,
             mine_constant_kernel,
             mine_variable_kernel,
+            pair_counts,
         )
 
         custom_decision = type(self.constant_miner.decision) is not MajorityDecision
@@ -287,15 +288,17 @@ class PfdDiscoverer:
             return None
         started = time.perf_counter()
         report = DependencyReport(candidate=candidate)
+        with self.timers.stage("pair_counts"):
+            pairs = pair_counts(lhs, rhs)
         if self.config.discover_constant:
             report.constant_candidates = mine_constant_kernel(
-                lhs, rhs, triples_by_code, self.config, self.constant_miner,
+                lhs, rhs, pairs, triples_by_code, self.config, self.constant_miner,
                 timers=self.timers,
             )
             report.coverage = coverage_kernel(report.constant_candidates, lhs)
         if self.config.discover_variable:
             report.variable_candidates = mine_variable_kernel(
-                lhs, rhs, candidate.lhs_mode, self.config, self.variable_miner,
+                lhs, rhs, pairs, candidate.lhs_mode, self.config, self.variable_miner,
                 timers=self.timers,
             )
         return self._decide(report, started)

@@ -1,59 +1,62 @@
-"""Incremental rule maintenance: edit batches as delta shards.
+"""Incremental rule maintenance: edit batches as patched encodings.
 
-PR 2 made *violations* incremental; this module does the same for the
-mined *rule set*.  A re-check after an interactive edit batch used to
-re-run full discovery — re-profiling every column, re-tokenizing every
-LHS, re-mining every candidate — even though a batch of cell repairs
-touches a handful of shards and a couple of columns.
+A re-check after an interactive edit batch used to re-run full
+discovery — re-profiling every column, re-tokenizing every LHS,
+re-mining every candidate — even though a batch of cell repairs touches
+a handful of cells in a couple of columns.
 
 :class:`RuleMaintainer` keeps the baseline of the last sharded discovery
-run (the sealed view, its shard versions, the per-candidate reports, the
-per-column profiles) and, given the freshly sealed view of the edited
-overlay, maintains the rule set instead of recomputing it:
+run (the sealed view, whose table-wide column encodings every column
+keeps, the per-candidate reports and the per-column profiles) and,
+given the freshly sealed view of the edited overlay, maintains the rule
+set instead of recomputing it, without reading a shard:
 
-1. **Dirty shards** are the version diff between the two seals
-   (:meth:`~repro.sharding.sharded_table.ShardedTable.dirty_shards`) —
-   overlay seals are snapshots, so untouched shards keep identical
-   versions across seals.
-2. **Changed columns** are found by comparing each dirty shard's old and
-   new contents column-wise (prefiltered to the columns the overlay
-   actually edited), which also recognizes edits that restored the
-   original value.
-3. **Profiles** are rebuilt for changed columns only; clean columns
-   reuse their baseline :class:`~repro.dataset.profiling.ColumnProfile`
-   (so candidate generation sees byte-identical inputs).
+1. **Cell diff.**  The new seal lists every cell it overrides
+   (:meth:`~repro.sharding.overlay.OverlayShardStore.edited_cells`, in
+   seal-global rows).  Each is compared with the baseline encoding's
+   value at that row; a column is *changed* only if some cell really
+   differs, so a batch that restored the original values dirties
+   nothing.
+2. **Patched encodings.**  Each changed column's baseline encoding is
+   patched with its differing cells
+   (:meth:`~repro.kernels.encoder.ColumnEncoding.with_cells`), which
+   equals a fresh encoding of the new column.  The new view is primed
+   with it, with the baseline encodings of clean columns, and with the
+   pair groups of rule pairs over clean columns; pairs touching a
+   changed column are regrouped from the encodings by the detection run
+   that follows a re-check.
+3. **Profiles from counts.**  A changed column's profile is built from
+   its patched encoding's distinct values and counts
+   (:func:`~repro.dataset.profiling.profile_encoding`); clean columns
+   reuse their baseline profile, so candidate generation sees what a
+   full re-profile would.
 4. **Candidates** are recomputed from the updated profile — the same
    deterministic :func:`~repro.discovery.candidates.candidate_dependencies`
-   full discovery runs.
-5. **Mining** runs only for candidates touching a changed column (or
-   new to the candidate set), through the mining loop full discovery
-   runs (:meth:`~repro.discovery.discoverer.PfdDiscoverer.mine_candidates`).
+   full discovery runs — and **mining** runs only for candidates
+   touching a changed column (or new to the candidate set), through the
+   mining loop full discovery runs
+   (:meth:`~repro.discovery.discoverer.PfdDiscoverer.mine_candidates`).
    A candidate's report is a pure function of its two column value
    sequences, so clean candidates reuse their baseline report and the
    assembled rule set is *identical* to a full re-discovery (the
    differential gate in ``tests/discovery/test_maintenance.py`` asserts
    this).
 
-The table-wide column encodings carry the maintained state forward:
-the new view starts with the old view's encodings of every clean column
-(so re-mining encodes only the changed columns) and with the pair
-groups of rule pairs over clean columns; pairs touching a changed column
-are regrouped on demand from the new encodings by the detection run
-that follows a re-check.
-
 Structural changes (appends, deletes, repartitions) shift global row
 ids and change *every* column's value sequence, which would dirty every
 candidate — exactly a full re-discovery.  :meth:`RuleMaintainer.maintain`
-returns ``None`` for those; the caller falls back to the full pipeline
-and re-seeds (the planner records the fallback as a plan decision).
+returns ``None`` for those, and for a baseline whose encodings are gone
+or whose edited cells the new seal does not all override; the caller
+falls back to the full pipeline and re-seeds (the planner records the
+fallback as a plan decision).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.dataset.profiling import ColumnProfileBuilder, TableProfile
+from repro.dataset.profiling import TableProfile, profile_encoding
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.decision import DecisionFunction
@@ -62,6 +65,8 @@ from repro.discovery.discoverer import (
     DiscoveryResult,
     PfdDiscoverer,
 )
+from repro.kernels.encoder import ColumnEncoding
+from repro.kernels.runtime import np
 from repro.sharding.discovery import drop_mining_artifacts
 from repro.sharding.overlay import OverlayShardStore
 from repro.sharding.sharded_table import ShardedTable
@@ -96,9 +101,6 @@ class RuleMaintainer:
         self.config = self.discoverer.config
         self.timers = self.discoverer.timers
         self._view: Optional[ShardedTable] = None
-        self._versions: Tuple[int, ...] = ()
-        self._row_counts: List[int] = []
-        self._n_rows = 0
         self._reports: Dict[ReportKey, DependencyReport] = {}
         self._profiles: Dict[str, object] = {}
 
@@ -110,12 +112,10 @@ class RuleMaintainer:
     def seed(self, view: ShardedTable, result: DiscoveryResult) -> None:
         """Adopt a sharded discovery run over ``view`` as the baseline.
 
-        Cheap — stores references and the shard-version snapshot.
+        Cheap — stores references; the baseline encodings are the ones
+        discovery left cached on ``view``.
         """
         self._view = view
-        self._versions = view.versions()
-        self._row_counts = list(view.shard_row_counts())
-        self._n_rows = view.n_rows
         self._reports = {
             _report_key(report.candidate): report for report in result.reports
         }
@@ -124,8 +124,6 @@ class RuleMaintainer:
     def reset(self) -> None:
         """Drop the baseline (e.g. when the dataset is replaced)."""
         self._view = None
-        self._versions = ()
-        self._row_counts = []
         self._reports = {}
         self._profiles = {}
 
@@ -139,33 +137,44 @@ class RuleMaintainer:
         Returns the maintained :class:`DiscoveryResult` — identical to a
         full re-discovery over ``view`` — and advances the baseline to
         it.  Returns ``None`` when the baseline does not align
-        (unseeded, a different base dataset, a repartition, or a
-        structural change such as appends/deletes, where every candidate
-        would re-mine anyway): the caller runs full discovery instead
-        and re-seeds.
+        (unseeded, a different base dataset, a structural change such as
+        appends/deletes where every candidate would re-mine anyway, or
+        baseline encodings that are no longer cached): the caller runs
+        full discovery instead and re-seeds.
         """
         started = time.perf_counter()
         old_view = self._view
         if old_view is None:
             return None
-        if view.column_names() != old_view.column_names():
+        cells = self._cells_since_baseline(view)
+        if cells is None:
             return None
-        if view.version_space != old_view.version_space:
-            # different base shards (repartition, reload): the version
-            # spaces are not comparable, no diff is possible
-            return None
-        new_counts = view.shard_row_counts()
-        if new_counts != self._row_counts:
-            # appends/deletes shift global row ids and change every
-            # column's value sequence — a full re-mine in disguise
+        names = view.column_names()
+        baseline = {
+            name: old_view.peek_merged_artifact(("column_encoding", name))
+            for name in names
+        }
+        if any(encoding is None for encoding in baseline.values()):
             return None
 
-        dirty = view.dirty_shards(self._versions)
-        changed_columns = self._diff_columns(view, dirty)
+        with self.timers.stage("patch"):
+            patched = _patched_encodings(baseline, cells)
+        changed_columns = set(patched)
         self._carry_clean_artifacts(view, changed_columns)
+        for name, encoding in patched.items():
+            view.prime_merged_artifact(("column_encoding", name), encoding)
 
         with self.timers.stage("profile"):
-            profile = self._maintained_profile(view, changed_columns)
+            profile = TableProfile(
+                n_rows=view.n_rows,
+                columns={
+                    name: profile_encoding(name, patched[name])
+                    if name in patched
+                    else self._profiles[name]
+                    for name in names
+                },
+            )
+            view.prime_merged_artifact(("profile",), profile)
         with self.timers.stage("candidates"):
             candidates = candidate_dependencies(view, self.config, profile)
 
@@ -191,12 +200,10 @@ class RuleMaintainer:
         with self.timers.stage("assemble"):
             pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
         # same memory hygiene as the sharded discoverer
-        drop_mining_artifacts(view, pfds)
+        drop_mining_artifacts(view)
 
         # advance the baseline to the maintained state
         self._view = view
-        self._versions = view.versions()
-        self._row_counts = new_counts
         self._reports = {
             _report_key(report.candidate): report for report in reports
         }
@@ -212,33 +219,18 @@ class RuleMaintainer:
 
     # -- change detection -------------------------------------------------------
 
-    def _diff_columns(self, view: ShardedTable, dirty: Sequence[int]) -> Set[str]:
-        """The columns whose contents changed in some dirty shard.
-
-        The overlay's edited-column sets prefilter the comparison (only
-        columns with at least one edit can differ between seals); the
-        element-wise check then drops edits that restored the original
-        value, so a reverted batch dirties nothing.
-        """
-        names = view.column_names()
-        new_store = view.store
-        old_view = self._view
-        changed: Set[str] = set()
-        for index in dirty:
-            if isinstance(new_store, OverlayShardStore):
-                compare = [
-                    names[j] for j in sorted(new_store.edited_columns(index))
-                ]
-            else:
-                compare = names
-            old_shard = old_view.store.get(index)
-            new_shard = view.store.get(index)
-            for name in compare:
-                if name not in changed and (
-                    old_shard.column_ref(name) != new_shard.column_ref(name)
-                ):
-                    changed.add(name)
-        return changed
+    def _cells_since_baseline(
+        self, view: ShardedTable
+    ) -> Optional[Iterable[Tuple[int, str, str]]]:
+        """The cells that turn the baseline view's columns into
+        ``view``'s, or ``None`` when no cell list does (appends,
+        deletes, another base, edits the new seal no longer holds)."""
+        old_store, store = self._view.store, view.store
+        if store is old_store:
+            return ()
+        if isinstance(store, OverlayShardStore) and store.extends(old_store):
+            return store.edited_cells()
+        return None
 
     # -- maintained statistics --------------------------------------------------
 
@@ -250,11 +242,9 @@ class RuleMaintainer:
 
         A clean column's values are the same on both seals, so its
         encoding — and any pair groups built only from clean encodings —
-        equal what the new view would build.  Primed before mining, they
-        leave the re-mine to encode only the changed columns, and the
-        re-detection to regroup only the pairs touching one.  The old
-        view releases both kinds: what moved now belongs to the new
-        view, and the rest describes a state no later op reads.
+        equal what the new view would build.  The old view releases both
+        kinds: what moved now belongs to the new view, and the rest
+        describes a state no later op reads.
         """
         old_view = self._view
         if view is old_view:
@@ -268,21 +258,28 @@ class RuleMaintainer:
                     view.prime_merged_artifact(key, artifact)
         old_view.drop_merged_artifacts(*carried)
 
-    # -- maintained profile -----------------------------------------------------
 
-    def _maintained_profile(
-        self, view: ShardedTable, changed_columns: Set[str]
-    ) -> TableProfile:
-        """Baseline profiles for clean columns, a streaming rebuild for
-        changed ones — assembled in schema order so candidate generation
-        sees exactly what a full re-profile would."""
-        columns = {}
-        for name in view.column_names():
-            if name in changed_columns or name not in self._profiles:
-                builder = ColumnProfileBuilder(name)
-                for _offset, shard in view.iter_shards():
-                    builder.add(shard.column_ref(name))
-                columns[name] = builder.finish()
-            else:
-                columns[name] = self._profiles[name]
-        return TableProfile(n_rows=view.n_rows, columns=columns)
+def _patched_encodings(
+    baseline: Dict[str, ColumnEncoding], cells: Iterable[Tuple[int, str, str]]
+) -> Dict[str, ColumnEncoding]:
+    """The new encoding of every column some cell really changes: the
+    baseline encoding with the differing cells written in."""
+    by_column: Dict[str, Tuple[List[int], List[str]]] = {}
+    for row, name, value in cells:
+        rows, values = by_column.setdefault(name, ([], []))
+        rows.append(row)
+        values.append(value)
+    patched = {}
+    for name, (rows, values) in by_column.items():
+        encoding = baseline[name]
+        distinct = encoding.distinct
+        current = encoding.codes[np.asarray(rows, dtype=np.int64)].tolist()
+        differing = [
+            i for i, (code, value) in enumerate(zip(current, values))
+            if distinct[code] != value
+        ]
+        if differing:
+            patched[name] = encoding.with_cells(
+                [rows[i] for i in differing], [values[i] for i in differing]
+            )
+    return patched

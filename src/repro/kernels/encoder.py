@@ -12,6 +12,11 @@ scalar dict orders exactly.  Everything derived from the codes is lazy:
 * ``signatures`` — a uint8 char-class bitmask per distinct value, the
   sound prefilter of the batch matcher (a value whose signature sets a
   bit outside a pattern's allowed mask cannot match it).
+
+An encoding is also a column's profile input (its distinct values and
+counts) and the edit loop's maintained state: :meth:`ColumnEncoding.with_cells`
+patches a few cells into an equal-to-fresh encoding without re-reading
+the column.
 """
 
 from __future__ import annotations
@@ -89,6 +94,37 @@ class ColumnEncoding:
                 order, np.cumsum(counts[:-1])
             ) if len(self.distinct) else []
         return rows
+
+    def with_cells(self, rows: Sequence[int], values: Sequence[str]) -> "ColumnEncoding":
+        """A new encoding of this column with ``values[i]`` written at
+        row ``rows[i]`` (a later write to the same row wins).
+
+        New values are appended as distinct values, then one
+        ``np.unique(codes, return_index=True)`` renumbers the codes to
+        first-appearance order — so a value that lost its last row
+        disappears, and a write that moves a value's first appearance
+        reorders it — and the result equals :func:`encode_column` over
+        the edited values.  This encoding is left unchanged.
+        """
+        cells = dict(zip(map(int, rows), values))
+        distinct = list(self.distinct)
+        index = dict(zip(distinct, range(len(distinct))))
+        written = []
+        for value in cells.values():
+            code = index.get(value)
+            if code is None:
+                code = index[value] = len(distinct)
+                distinct.append(value)
+            written.append(code)
+        codes = self.codes.copy()
+        codes[np.fromiter(cells, dtype=np.int64, count=len(cells))] = written
+        present, first = np.unique(codes, return_index=True)
+        present = present[np.argsort(first)]
+        renumber = np.empty(len(distinct), dtype=np.int32)
+        renumber[present] = np.arange(len(present), dtype=np.int32)
+        return ColumnEncoding(
+            [distinct[code] for code in present.tolist()], renumber[codes]
+        )
 
     def release_derived(self) -> None:
         """Forget the lazy per-code arrays (each rebuilds on its next

@@ -18,9 +18,10 @@ arrays:
   *distinct* covered values (the scalar helpers are duplicate- and
   order-insensitive, which the equivalence tests pin down), with
   verdicts shared through the same ``MATCH_MEMO`` tables;
-* variable mining reduces the column pair to distinct
-  ``(lhs_code, rhs_code)`` counts once (one ``np.unique``) and evaluates
-  every prefix length / token position against those counts.
+* both kernels read one reduction of the column pair to distinct
+  ``(lhs_code, rhs_code)`` counts (:func:`pair_counts`, one
+  ``np.unique`` per candidate); variable mining evaluates every prefix
+  length / token position against those counts.
 
 The kernels reproduce the default pluggable pieces only: the
 discoverer runs the scalar loop body instead for a candidate whose
@@ -65,6 +66,16 @@ def _runs(sorted_keys):
     return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
 
 
+def pair_counts(lhs: ColumnEncoding, rhs: ColumnEncoding):
+    """The distinct ``(LHS code, RHS code)`` pairs of a column pair with
+    their row counts: ``(keys, counts)``, each key ``lhs_code << 32 |
+    rhs_code``, sorted by LHS code then RHS code.  The one pass over
+    rows of a candidate; both kernels read it."""
+    return np.unique(
+        (lhs.codes.astype(np.int64) << 32) | rhs.codes, return_counts=True
+    )
+
+
 # -- constant mining ---------------------------------------------------------------
 
 
@@ -83,6 +94,7 @@ class _EntryBounds:
         self,
         lhs: ColumnEncoding,
         rhs: ColumnEncoding,
+        pairs,
         entry_codes: Dict[Tuple[str, int], List[int]],
     ):
         self.lhs = lhs
@@ -101,10 +113,8 @@ class _EntryBounds:
         self.support = np.add.reduceat(counts[self.codes], self.starts[:-1])
 
         # distinct (lhs, rhs) pairs with their row counts, sorted by LHS
-        # code then RHS code: the only pass over rows
-        self.pair_keys, self.pair_counts = np.unique(
-            (lhs.codes.astype(np.int64) << 32) | rhs.codes, return_counts=True
-        )
+        # code then RHS code (see pair_counts)
+        self.pair_keys, self.pair_counts = pairs
         code_start = np.searchsorted(
             self.pair_keys >> 32, np.arange(lhs.n_distinct + 1)
         )
@@ -194,13 +204,15 @@ class _EntryBounds:
 def mine_constant_kernel(
     lhs: ColumnEncoding,
     rhs: ColumnEncoding,
+    pairs,
     triples_by_code: List[Triples],
     config: DiscoveryConfig,
     miner: ConstantPfdMiner,
     timers: Optional[StageTimers] = None,
 ) -> List[PatternTupleCandidate]:
     """``miner.mine(...)`` over encoded columns, for a miner whose
-    decision function is exactly :class:`MajorityDecision`.
+    decision function is exactly :class:`MajorityDecision`; ``pairs`` is
+    :func:`pair_counts` of the two columns.
 
     A lazy greedy (Minoux's accelerated greedy) over the selection of
     :meth:`ConstantPfdMiner.select`.  Every entry is bounded from its
@@ -239,7 +251,7 @@ def mine_constant_kernel(
     with _stage(timers, "mine_constant"):
         if not entry_codes:
             return []
-        bounds = _EntryBounds(lhs, rhs, entry_codes)
+        bounds = _EntryBounds(lhs, rhs, pairs, entry_codes)
         support = bounds.support
         top_code = bounds.top_code
         agreement = bounds.top_count / support
@@ -333,22 +345,24 @@ def coverage_kernel(
 def mine_variable_kernel(
     lhs: ColumnEncoding,
     rhs: ColumnEncoding,
+    pairs,
     mode: str,
     config: DiscoveryConfig,
     miner: VariablePfdMiner,
     timers: Optional[StageTimers] = None,
 ) -> List[VariableCandidate]:
     """``miner.mine(...)`` over encoded columns, for a miner that is
-    exactly :class:`VariablePfdMiner`."""
+    exactly :class:`VariablePfdMiner`; ``pairs`` is :func:`pair_counts`
+    of the two columns."""
     with _stage(timers, "mine_variable"):
-        pair_mask = (lhs.lengths()[lhs.codes] > 0) & (rhs.lengths()[rhs.codes] > 0)
-        n_pairs = int(pair_mask.sum())
-        if n_pairs < 2 * config.min_support:
+        keys, key_counts = pairs
+        # rows with an empty LHS or RHS value take no part: drop their
+        # distinct pairs
+        usable = (lhs.lengths()[keys >> 32] > 0) & (rhs.lengths()[keys & _RHS_MASK] > 0)
+        keys = keys[usable]
+        key_counts = key_counts[usable]
+        if int(key_counts.sum()) < 2 * config.min_support:
             return []
-        combined = (lhs.codes[pair_mask].astype(np.int64) << 32) | rhs.codes[
-            pair_mask
-        ].astype(np.int64)
-        keys, key_counts = np.unique(combined, return_counts=True)
         pair_lhs = (keys >> 32).tolist()
         pair_rhs = (keys & _RHS_MASK).tolist()
         pair_counts = key_counts.tolist()

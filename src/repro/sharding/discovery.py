@@ -1,13 +1,15 @@
 """Sharded PFD discovery: merged column encodings, one rule set.
 
 Discovery over a :class:`~repro.sharding.sharded_table.ShardedTable`
-encodes every column the candidates touch in one shard-major pass
-(:meth:`~repro.sharding.sharded_table.ShardedTable.column_encodings`)
-and runs the monolithic discoverer's mining loop over those merged
-encodings.  Factorizing shard by shard assigns codes in first-appearance
-order across the whole column, and global tuple ids are shard offset +
-local row, so the merged encoding is exactly the monolithic one and the
-discovered rule set is *identical* to a single-shard run: same
+runs the monolithic discoverer's mining loop over the table-wide column
+encodings (:meth:`~repro.sharding.sharded_table.ShardedTable.column_encodings`).
+Profiling builds every column's encoding in one shard-major pass and
+profiles from it, so discovery after profiling reads no shard, and a
+cold discovery reads each shard once.  Factorizing shard by shard
+assigns codes in first-appearance order across the whole column, and
+global tuple ids are shard offset + local row, so the merged encoding
+is exactly the monolithic one and the discovered rule set is
+*identical* to a single-shard run: same
 candidates, same support counts, same accepted tableaux, same PFD names
 and order.  The differential suite in ``tests/sharding`` asserts this
 across generators and shard sizes.
@@ -26,18 +28,14 @@ from repro.pfd.pfd import PFD
 from repro.sharding.sharded_table import ShardedTable
 
 
-def drop_mining_artifacts(sharded: ShardedTable, pfds: Sequence[PFD]) -> None:
-    """Release the O(n) mining inputs detection does not read: every
-    token-triple set, the encodings of columns no PFD uses, and the
-    per-code arrays the miners derived from the rest.  The rule
-    columns' codes stay: detection groups each rule pair from them."""
-    rule_columns = [
-        ("column_encoding", name)
-        for pfd in pfds
-        for name in (pfd.lhs_attribute, pfd.rhs_attribute)
-    ]
-    sharded.drop_merged_artifacts("column_encoding", "kernel_triples", keep=rule_columns)
-    for key in rule_columns:
+def drop_mining_artifacts(sharded: ShardedTable) -> None:
+    """Release the O(n) mining inputs nothing after discovery reads:
+    every token-triple set, and the per-code arrays the miners derived
+    from the column encodings.  Every column's codes stay: they are the
+    maintained state that detection groups rule pairs from, the edit
+    loop seeds from, and a re-check patches and profiles from."""
+    sharded.drop_merged_artifacts("kernel_triples")
+    for key in sharded.merged_artifact_keys("column_encoding"):
         encoding = sharded.peek_merged_artifact(key)
         if encoding is not None:
             encoding.release_derived()
@@ -84,9 +82,9 @@ class ShardedDiscoverer:
             )
         with timers.stage("assemble"):
             pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
-        # a bounded-memory session carries past discovery only what
-        # detection reads (the rest rebuilds on demand)
-        drop_mining_artifacts(sharded, pfds)
+        # a bounded-memory session carries past discovery only the
+        # column codes (the rest rebuilds on demand)
+        drop_mining_artifacts(sharded)
         return DiscoveryResult(
             pfds=pfds,
             reports=reports,

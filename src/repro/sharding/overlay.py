@@ -23,10 +23,14 @@ Every session op reads the dataset through :meth:`ShardOverlay.as_sharded`,
 which seals the current overlay state back into a :class:`ShardedTable`
 through :class:`OverlayShardStore` — once per overlay version, so the
 merged artifacts of one seal (profile, column encodings) serve every op
-until the next edit.  Shards untouched by the edit session pass through
-*by identity* (so their per-shard cached statistics are reused), and
-only touched shards are patched copy-on-read.  :meth:`ShardOverlay.close`
-releases the base's shard store.
+until the next edit.  A re-check never reads the seal's shards: the
+rule maintainer writes the seal's :meth:`OverlayShardStore.edited_cells`
+into the previous seal's table-wide column encodings
+(:meth:`~repro.kernels.encoder.ColumnEncoding.with_cells`).  Only a
+cold read — an op on a seal with no encodings yet, such as the full
+re-discovery after appends or deletes — loads shards: untouched ones
+pass through *by identity* and touched ones are patched copy-on-read.
+:meth:`ShardOverlay.close` releases the base's shard store.
 """
 
 from __future__ import annotations
@@ -352,23 +356,6 @@ class ShardOverlay:
 
     # -- sealing back into a sharded view --------------------------------------
 
-    def _shard_delete_count(self, shard_index: int) -> int:
-        offset = self._base.offset_of(shard_index)
-        end = offset + self._base.shard_row_counts()[shard_index]
-        start = bisect_left(self._deleted, offset)
-        stop = bisect_left(self._deleted, end, lo=start)
-        return stop - start
-
-    def dirty_shards(self) -> List[int]:
-        """Base shard indexes touched by edits or deletions (tail rows
-        are not a base shard; check :attr:`is_touched` /
-        ``_tail_rows`` for appends)."""
-        return [
-            index
-            for index in range(self._base.n_shards)
-            if self._edits[index] or self._shard_delete_count(index) > 0
-        ]
-
     def as_sharded(self) -> ShardedTable:
         """Seal the current overlay state into a :class:`ShardedTable`.
 
@@ -377,10 +364,10 @@ class ShardOverlay:
         copy-on-read; appended rows become one extra tail shard.  The
         seal is a true **snapshot**: the store captures the overlay's
         edits, tombstones and tail at construction, so mutating the
-        overlay afterwards never changes an already-sealed view — two
-        seals taken before and after an edit batch disagree exactly on
-        the shards the batch touched, which is what dirty-shard diffing
-        (:meth:`ShardedTable.dirty_shards`) relies on.
+        overlay afterwards never changes an already-sealed view — a
+        later seal lists every cell an earlier one overrides among its
+        own :meth:`OverlayShardStore.edited_cells`, which is what the
+        rule maintainer patches the earlier seal's encodings with.
 
         The seal is cached per overlay version: until the next mutation
         every call returns the same view, merged-artifact caches intact.
@@ -410,10 +397,11 @@ class OverlayShardStore(ShardStore):
     All overlay state — per-shard edits, tombstones, tail columns — is
     copied at construction.  The overlay may keep mutating afterwards;
     this store keeps serving the state it was sealed from, and its
-    :meth:`versions` are stable.  Shards untouched *between* two seals
-    of the same overlay report identical versions across both stores, so
-    a sealed view from before an edit batch and one from after diff to
-    exactly the batch's dirty shards.
+    :meth:`versions` are stable.  A re-check does not read its shards:
+    :meth:`edited_cells` lists the cells it overrides, and
+    :meth:`extends` tells whether they turn an earlier seal's columns
+    into this one's.  Patched shards are built only for a cold read
+    (e.g. the full re-discovery after appends or deletes).
     """
 
     def __init__(self, overlay: ShardOverlay):
@@ -473,27 +461,49 @@ class OverlayShardStore(ShardStore):
     def _is_passthrough(self, index: int) -> bool:
         return not self._edits[index] and not self._deleted_locals[index]
 
-    def dirty_shards(self) -> List[int]:
-        """Shard indexes whose contents differ from the base (the tail
-        shard index included when rows were appended)."""
-        dirty = [
-            index
-            for index in range(self._base.n_shards)
-            if not self._is_passthrough(index)
-        ]
+    def edited_cells(self) -> Iterator[Tuple[int, str, str]]:
+        """``(row, column name, value)`` for every cell this seal
+        overrides: each base-shard edit on a live row and every tail
+        cell.  ``row`` is the seal-global row id — the base shard's seal
+        offset plus the edit's local row minus the tombstones before it
+        — so the cells address the seal's table-wide column encodings
+        directly, without reading a shard."""
+        names = self._schema.names()
+        offset = 0
+        for index, edits in enumerate(self._edits):
+            deleted = self._deleted_locals[index]
+            gone = sorted(deleted)
+            for (local, j), value in edits.items():
+                if local not in deleted:
+                    yield offset + local - bisect_left(gone, local), names[j], value
+            offset += self._row_counts[index]
         if self._has_tail:
-            dirty.append(len(self._row_counts) - 1)
-        return dirty
+            for name, column in zip(names, self._tail_columns):
+                for tail_row, value in enumerate(column):
+                    yield offset + tail_row, name, value
 
-    def edited_columns(self, index: int) -> frozenset:
-        """Column indexes with at least one cell edit in a base shard at
-        seal time — a superset of the columns whose contents actually
-        differ (an edit may have restored the original value).  For the
-        tail shard no per-column bookkeeping exists, so every column is
-        reported (still a superset)."""
-        if index >= len(self._edits):
-            return frozenset(range(len(self._schema)))
-        return frozenset(j for (_local, j) in self._edits[index])
+    def extends(self, store: ShardStore) -> bool:
+        """Whether writing :meth:`edited_cells` into ``store``'s columns
+        yields this seal's columns.
+
+        True when ``store`` holds the same rows at the same ids — the
+        same shard row counts, and so no appends or deletes in between —
+        and every cell it overrides is overridden here too: ``store`` is
+        this seal's base store, or an earlier seal of the same base with
+        the same tombstones and a subset of this seal's edits.  Tail
+        cells are all in :meth:`edited_cells`, so the tails need only
+        agree in length.
+        """
+        if store.shard_row_counts() != self._row_counts:
+            return False
+        if store is self._base.store:
+            return True  # equal counts: no tombstones and no tail here
+        return (
+            isinstance(store, OverlayShardStore)
+            and store._base is self._base
+            and store._deleted_locals == self._deleted_locals
+            and all(old.keys() <= new.keys() for old, new in zip(store._edits, self._edits))
+        )
 
     def get(self, index: int) -> Table:
         if self._has_tail and index == len(self._row_counts) - 1:

@@ -32,7 +32,6 @@ caches are invalidated, but no partial update is attempted.
 from __future__ import annotations
 
 import bisect
-import itertools
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.dataset.profiling import TableProfile, profile_sharded
@@ -40,10 +39,6 @@ from repro.dataset.table import Table
 from repro.errors import TableError
 from repro.kernels.encoder import ColumnEncoding, encode_shards
 from repro.sharding.store import InMemoryShardStore, ShardStore
-
-#: hands every newly built table its own version space (see
-#: :attr:`ShardedTable.version_space`)
-_VERSION_SPACES = itertools.count()
 
 
 class ShardedTable:
@@ -66,7 +61,6 @@ class ShardedTable:
         self._n_rows = total
         #: merged-artifact cache: key → (shard versions at build time, artifact)
         self._merged_cache: Dict[Hashable, Tuple[Tuple[int, ...], object]] = {}
-        self._version_space = next(_VERSION_SPACES)
 
     # -- constructors --------------------------------------------------------
 
@@ -207,9 +201,10 @@ class ShardedTable:
         )
 
     def profile(self) -> TableProfile:
-        """The logical table's profile, streamed shard-major once and
-        cached until a shard version changes (session profiling and
-        discovery share it)."""
+        """The logical table's profile, built from every column's
+        encoding (one shard-major pass) and cached until a shard version
+        changes (session profiling and discovery share it, and discovery
+        mines the same encodings)."""
         return self.merged_artifact(("profile",), lambda: profile_sharded(self))
 
     def column_encodings(self, names: Sequence[str]) -> Dict[str, ColumnEncoding]:
@@ -247,39 +242,6 @@ class ShardedTable:
         merged artifact."""
         return self._store.versions()
 
-    @property
-    def version_space(self) -> int:
-        """A process-unique token for the space :meth:`versions` live in.
-
-        Shard versions restart at 0 in every newly cut table, so the
-        versions of two tables compare only when their tokens match: an
-        overlay seal shares its base's space, any other table has its
-        own.  The rule maintainer diffs two views only when their tokens
-        match."""
-        base = getattr(self._store, "base", None)
-        return self._version_space if base is None else base.version_space
-
-    def dirty_shards(self, baseline_versions: Sequence[int]) -> List[int]:
-        """Shard indexes whose version differs from a baseline snapshot.
-
-        The baseline is a :meth:`versions` tuple taken from an earlier
-        view of the same logical dataset (e.g. the sealed overlay view a
-        discovery run mined).  Overlay seals snapshot their state, so
-        shards untouched between two seals keep identical versions and
-        the diff is exactly the edit batch's dirty shards.  When this
-        view has *more* shards than the baseline (an appended tail
-        shard), the extra indexes are dirty by definition.
-        """
-        baseline = tuple(baseline_versions)
-        current = self.versions()
-        dirty = [
-            index
-            for index in range(min(len(baseline), len(current)))
-            if current[index] != baseline[index]
-        ]
-        dirty.extend(range(len(baseline), len(current)))
-        return dirty
-
     def merged_artifact(self, key: Hashable, build) -> object:
         """A cached cross-shard artifact, rebuilt when any shard mutated.
 
@@ -316,11 +278,12 @@ class ShardedTable:
         """Install a merged artifact computed elsewhere, keyed to the
         current shard versions.
 
-        The rule maintainer uses this to carry the encodings of clean
-        columns and the pair groups over them onto a freshly sealed view,
-        so the re-check re-encodes only changed columns.  The caller
-        guarantees the artifact equals what :meth:`merged_artifact`'s
-        build would produce.
+        The rule maintainer uses this to hand a freshly sealed view every
+        column encoding — the previous view's for clean columns, patched
+        from the seal's edited cells for changed ones — the pair groups
+        over clean columns, and the profile, so a re-check reads no
+        shard.  The caller guarantees the artifact equals what
+        :meth:`merged_artifact`'s build would produce.
         """
         self._merged_cache[key] = (self.versions(), artifact)
 

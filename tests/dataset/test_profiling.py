@@ -3,13 +3,14 @@
 import pytest
 
 from repro.dataset.profiling import (
-    ColumnProfileBuilder,
     profile_column,
+    profile_encoding,
     profile_sharded,
     profile_table,
 )
 from repro.dataset.schema import DataType
 from repro.dataset.table import Table
+from repro.kernels.encoder import encode_chunks
 
 
 class TestProfileColumn:
@@ -108,9 +109,9 @@ class TestProfileTable:
 
 
 class TestStreamingProfile:
-    """The shard-major streaming profiler must equal the monolithic one
-    field for field — it is the same computation fed counts instead of
-    value lists."""
+    """The shard-major profiler must equal the monolithic one field for
+    field — both profile an encoding's distinct values and counts, one
+    built shard by shard, the other from the flat column."""
 
     def awkward_table(self):
         return Table.from_rows(
@@ -138,12 +139,10 @@ class TestStreamingProfile:
         sharded = ShardedTable.from_table(mixed_table, 3)
         assert profile_sharded(sharded) == profile_table(mixed_table)
 
-    def test_builder_incremental_equals_one_shot(self):
+    def test_chunked_encoding_profiles_like_one_shot(self):
         values = ["90001", "90002", "", "abc", "90001"]
-        builder = ColumnProfileBuilder("zip")
-        for value in values:
-            builder.add([value])
-        assert builder.finish() == profile_column("zip", values)
+        encoding = encode_chunks([value] for value in values)
+        assert profile_encoding("zip", encoding) == profile_column("zip", values)
 
     def test_zero_row_sharded_table(self):
         from repro.sharding import ShardedTable

@@ -209,9 +209,61 @@ class TestMaintenanceFallbacks:
         finally:
             session.close()
 
+    @pytest.mark.parametrize("store", ["memory", "spill"])
+    def test_edits_after_a_structural_fallback_maintain(self, name, n_rows, specs, store):
+        """After appends and deletes fall back to full re-discovery, the
+        re-seeded baseline is a seal with tombstones and a tail: cell
+        edits in a shard with tombstones and in the tail then maintain
+        incrementally, with each cell mapped to its seal row."""
+        session = make_session(name, n_rows, specs, 3, store)
+
+        def assert_matches_full_run():
+            edited = session.table.materialize()
+            full = PfdDiscoverer(session.config).discover_with_report(
+                edited, relation=name
+            )
+            assert rules_of(session.discovery) == rules_of(full)
+            assert decisions_of(session.discovery) == decisions_of(full)
+            assert session.state is SessionState.DETECTED
+            expected = ErrorDetector(edited).detect_all(session.confirmed_pfds())
+            assert (
+                session.violations.canonical_violations()
+                == expected.canonical_violations()
+            )
+
+        try:
+            session.run_discovery()
+            session.confirm_all()
+            session.run_detection()
+            overlay = session.table
+            overlay.delete_row(5)  # a tombstone in base shard 0
+            overlay.delete_row(40)  # base row 41, in shard 2
+            overlay.append_row(overlay.row(0))
+            overlay.append_row(overlay.row(1))
+            session.recheck()
+            assert session.last_plan.rule_maintenance == "full"
+            assert_matches_full_run()
+
+            tail = overlay.n_rows - 1
+            rng = random.Random(17)
+            # rows 3 and 6 sit before and after shard 0's tombstone, 41
+            # after shard 2's; the last two rows are the tail
+            for row, column in [
+                (3, "city"), (6, "state"), (41, "city"), (41, "state"),
+                (tail, "state"), (tail - 1, "city"), (tail, "zip"),
+            ]:
+                donor = rng.randrange(overlay.n_rows)
+                session.edit_cell(row, column, overlay.cell(donor, column))
+            session.edit_cell(6, "city", "Nowhere")
+            session.recheck()
+            assert session.last_plan.rule_maintenance == "incremental"
+            assert_matches_full_run()
+        finally:
+            session.close()
+
     def test_table_load_rechecks_incrementally(self, name, n_rows, specs):
         """A Table load is cut into shards at load like any upload, so
-        its re-check diffs shard versions and maintains the rules."""
+        its re-check patches the encodings and maintains the rules."""
         table = dirty_table(name, n_rows, specs, 3)
         session = AnmatSession(
             dataset_name=name,

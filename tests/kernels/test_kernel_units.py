@@ -31,7 +31,7 @@ from repro.kernels.encoder import (
 )
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_matching_values, batch_verdicts, pattern_class_mask
-from repro.kernels.mine import mine_constant_kernel
+from repro.kernels.mine import mine_constant_kernel, pair_counts
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
 from repro.patterns import parse_pattern
 from repro.patterns.alphabet import CharClass
@@ -224,9 +224,11 @@ def mined_both_ways(lhs, rhs, mode="token", timers=None, **overrides):
     """(kernel tableau, eager scalar reference tableau) of ``lhs → rhs``."""
     config = DiscoveryConfig(**overrides)
     encoding = encode_column(lhs)
+    rhs_encoding = encode_column(rhs)
     kernel = mine_constant_kernel(
         encoding,
-        encode_column(rhs),
+        rhs_encoding,
+        pair_counts(encoding, rhs_encoding),
         batch_tokenize(encoding, mode, config.ngram_size),
         config,
         ConstantPfdMiner(config),

@@ -11,7 +11,8 @@ scalar groups of the flat columns — for any sharding (empty shards
 included), on every store, and after an edit batch re-seals a shard.
 These tests pin that over random shardings, and pin the artifact
 lifecycle: each (LHS, mode) pair is tokenized once, and discovery drops
-the O(n) mining inputs detection does not read when it finishes.
+the token triples and the derived per-code arrays when it finishes,
+keeping every column's codes.
 """
 
 from __future__ import annotations
@@ -134,8 +135,18 @@ def test_edited_shard_reencodes_like_full_reextraction(mode, seed, store):
         edited[row] = f"q{rng.randrange(4)}"
         overlay.set_cell(row, NAME, edited[row])
     view = overlay.as_sharded()
-    assert view.dirty_shards(base.versions()) == [1]
+    changed = [
+        index
+        for index, (new, old) in enumerate(zip(view.versions(), base.versions()))
+        if new != old
+    ]
+    assert changed == [1]
     assert_matches_flat(view.column_encodings([NAME])[NAME], edited, [mode])
+    # patching the base encoding with the seal's cells gives the same
+    cells = list(view.store.edited_cells())
+    assert cells == [(row, NAME, edited[row]) for row in range(5, 8)]
+    patched = before.with_cells([row for row, _, _ in cells], [v for _, _, v in cells])
+    assert_matches_flat(patched, edited, [mode])
     assert_pair_groups_match_flat(view, edited, values[::-1])
     # the base keeps its own cached encoding of the unedited column
     assert base.column_encodings([NAME])[NAME] is before
@@ -165,9 +176,14 @@ def test_discovery_drops_its_mining_artifacts(store):
         name for p in result.pfds for name in (p.lhs_attribute, p.rhs_attribute)
     }
     assert rule_columns and "serial" not in rule_columns
-    # the rule columns' encodings stay for detection; the rest are gone
+    # every column's codes stay (detection, the edit loop and re-checks
+    # read them), with their derived per-code arrays released
     kept = {key[1] for key in sharded.merged_artifact_keys("column_encoding")}
-    assert kept == rule_columns
+    assert kept == set(table.column_names())
+    for name in kept:
+        encoding = sharded.peek_merged_artifact(("column_encoding", name))
+        assert encoding._counts is None and encoding._rows_by_code is None
+        assert encoding._lengths is None and encoding._signatures is None
     # the profile outlives discovery: detection and re-checks reuse it
     assert sharded.peek_merged_artifact(("profile",)) is result.profile
     expected = PfdDiscoverer(CONFIG).discover(table)

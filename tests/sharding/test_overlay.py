@@ -8,6 +8,7 @@ store is never written.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataset import Table
 from repro.dataset.table import CellEdit, MAX_DELTA_LOG, RowAppend, RowDelete
@@ -234,8 +235,8 @@ class TestAsSharded:
         overlay.set_cell(0, "code", "B")
         assert sealed.store.versions() == before
         assert sealed.store.get(0).cell(0, "code") == "A"
-        # ...the *next* seal disagrees exactly on the touched shard,
-        # which is what dirty-shard diffing relies on
+        # ...the *next* seal disagrees exactly on the touched shard, so
+        # merged artifacts of the untouched shards stay valid
         after = overlay.as_sharded().store.versions()
         assert after[0] != before[0]
         assert after[1:] == before[1:]
@@ -286,3 +287,149 @@ class TestAsSharded:
         sealed = overlay.as_sharded()
         with pytest.raises(TableError, match="read-only; edit the overlay"):
             sealed.store.append(Table.from_rows(["code", "label"], [["1", "a"]]))
+
+
+def patch_encodings(encodings, cells):
+    """``encodings`` with the cells written in, column by column."""
+    by_column = {}
+    for row, name, value in cells:
+        by_column.setdefault(name, []).append((row, value))
+    return {
+        name: encoding.with_cells(
+            [row for row, _ in by_column.get(name, [])],
+            [value for _, value in by_column.get(name, [])],
+        )
+        for name, encoding in encodings.items()
+    }
+
+
+def fresh_encodings(sealed):
+    """The seal's column encodings, built from its shards."""
+    from repro.kernels.encoder import encode_column
+
+    return {
+        name: encode_column(sealed.column_concat(name))
+        for name in sealed.column_names()
+    }
+
+
+def assert_encodings_equal(left, right):
+    assert left.keys() == right.keys()
+    for name in left:
+        assert left[name].distinct == right[name].distinct, name
+        assert left[name].codes.tolist() == right[name].codes.tolist(), name
+
+
+class TestEditedCells:
+    def test_cells_address_seal_rows_around_tombstones(self):
+        table, sharded = make_base(n_rows=10, shard_rows=4)
+        overlay = ShardOverlay(sharded)
+        for target in (table, overlay):
+            target.delete_row(1)  # base shard 0 keeps rows 0, 2, 3
+            target.set_cell(2, "label", "e2")  # base row 3
+            target.set_cell(5, "code", "e5")  # base row 6, shard 1
+            target.append_row(["900", "tail"])
+            target.set_cell(9, "label", "t9")  # the tail row
+        sealed = overlay.as_sharded()
+        cells = sorted(sealed.store.edited_cells())
+        assert cells == [
+            (2, "label", "e2"),
+            (5, "code", "e5"),
+            (9, "code", "900"),
+            (9, "label", "t9"),
+        ]
+        for row, name, value in cells:
+            assert table.cell(row, name) == value
+
+    def test_edits_on_deleted_rows_are_not_cells(self):
+        _table, sharded = make_base(n_rows=6, shard_rows=3)
+        overlay = ShardOverlay(sharded)
+        overlay.set_cell(4, "label", "gone")
+        overlay.delete_row(4)
+        overlay.set_cell(4, "label", "kept")  # base row 5 now
+        assert list(overlay.as_sharded().store.edited_cells()) == [(4, "label", "kept")]
+
+    def test_extends_the_base_and_earlier_seals_of_an_edit_batch(self):
+        _table, sharded = make_base()
+        overlay = ShardOverlay(sharded)
+        overlay.set_cell(0, "code", "A")
+        first = overlay.as_sharded().store
+        assert first.extends(sharded.store)
+        overlay.set_cell(7, "label", "B")
+        second = overlay.as_sharded().store
+        assert second.extends(first) and second.extends(sharded.store)
+        # the earlier seal lacks the later edit
+        assert not first.extends(second)
+
+    def test_structural_changes_do_not_extend(self):
+        _table, sharded = make_base()
+        overlay = ShardOverlay(sharded)
+        overlay.set_cell(0, "code", "A")
+        before = overlay.as_sharded().store
+        overlay.delete_row(4)
+        deleted = overlay.as_sharded().store
+        assert not deleted.extends(before)
+        assert not deleted.extends(sharded.store)
+        overlay.append_row(["900", "tail"])
+        appended = overlay.as_sharded().store
+        assert not appended.extends(deleted)
+        # same tombstones, same tail length: cell edits extend again
+        overlay.set_cell(8, "label", "C")
+        assert overlay.as_sharded().store.extends(appended)
+
+    def test_another_overlay_of_the_same_base_is_not_extended(self):
+        _table, sharded = make_base()
+        one, other = ShardOverlay(sharded), ShardOverlay(sharded)
+        one.delete_row(1)
+        other.delete_row(2)  # same shard, same count, other row
+        assert not one.as_sharded().store.extends(other.as_sharded().store)
+        other_base = make_base()[1]
+        edited = ShardOverlay(other_base)
+        edited.set_cell(0, "code", "A")
+        assert not edited.as_sharded().store.extends(sharded.store)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["set", "set", "set", "delete", "append"]),
+            st.integers(0, 1000),
+            st.sampled_from(["code", "label"]),
+            st.sampled_from(["100", "v1", "x", "", "v7"]),
+        ),
+        max_size=12,
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(0, 1000),
+            st.sampled_from(["code", "label"]),
+            st.sampled_from(["100", "v1", "y", "", "v9"]),
+        ),
+        max_size=8,
+    ),
+)
+def test_property_cells_patch_an_earlier_seal_into_the_next(structural, edits):
+    """Any mutations, a seal, then cell edits only: the later seal
+    extends the earlier one, and writing its edited cells into the
+    earlier seal's encodings gives the later seal's encodings."""
+    table, sharded = make_base(n_rows=10, shard_rows=3)
+    overlay = ShardOverlay(sharded)
+    for op, row, name, value in structural:
+        for target in (table, overlay):
+            if op == "append":
+                target.append_row([value, value])
+            elif target.n_rows and op == "delete":
+                target.delete_row(row % target.n_rows)
+            elif target.n_rows:
+                target.set_cell(row % target.n_rows, name, value)
+    first = overlay.as_sharded()
+    for row, name, value in edits:
+        if overlay.n_rows:
+            overlay.set_cell(row % overlay.n_rows, name, value)
+    second = overlay.as_sharded()
+    if second is first:
+        return
+    assert second.store.extends(first.store)
+    patched = patch_encodings(fresh_encodings(first), second.store.edited_cells())
+    assert_encodings_equal(patched, fresh_encodings(second))

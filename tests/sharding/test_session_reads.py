@@ -1,14 +1,17 @@
 """Shard reads per session op on a disk-backed store, and profile reuse.
 
 A session op over a spill store pays for every shard it decodes, so the
-contract is: profiling and discovery each decode every shard exactly
-once — discovery reuses the profiling step's profile and encodes all
-candidate columns in one pass — detection right after discovery decodes
-none (it groups rule pairs from the encodings discovery kept), a cold
-detection decodes every shard once, and the reused profile never
-outlives the data version it was built from.  The edit loop's detector
-is seeded from the artifacts detection left, so attaching it reads
-neither a shard nor an overlay column, and never changes them.
+contract is: profiling decodes every shard exactly once — it encodes
+every column in one pass and profiles from the encodings — discovery
+right after profiling decodes none (it reuses the profile and mines the
+same encodings), a cold discovery decodes every shard once, detection
+right after discovery decodes none (it groups rule pairs from the
+encodings discovery kept), a cold detection decodes every shard once,
+and the reused profile never outlives the data version it was built
+from.  The edit loop's detector is seeded from the artifacts detection
+left, so attaching it reads neither a shard nor an overlay column, and
+never changes them; a re-check patches the encodings from the seal's
+edited cells and reads no shard either.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ def test_each_session_op_decodes_every_shard_once(spill_session, decoded, sharde
     decoded.clear()
     spill_session.run_discovery()
     assert spill_session.discovery.pfds, "the fixture should yield rules to detect with"
-    # one shard-major encoding pass, and no second profile
-    assert decoded == every_shard
+    # profiling encoded every column: no shard is read, no second profile
+    assert decoded == []
     assert len(sharded_profiles) == 1
     assert spill_session.discovery.profile is spill_session.profile
 
@@ -117,8 +120,8 @@ def test_cold_detection_decodes_every_shard_once(tmp_path, small_zip_city_state,
 def test_discovery_without_profiling_profiles_once(spill_session, decoded, sharded_profiles):
     spill_session.run_discovery()
     assert len(sharded_profiles) == 1
-    # the profile pass plus the encoding pass
-    assert len(decoded) == 2 * 10
+    # one encoding pass serves the profile and the mining
+    assert decoded == [f"spill file shard_{index:06d}.shard" for index in range(10)]
 
 
 def test_recheck_after_edits_reprofiles_the_edited_data(spill_session):
@@ -189,6 +192,20 @@ def overlay_reads(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def patched_shards(monkeypatch):
+    """The shard indexes sealed views patched copy-on-read, in order."""
+    indexes = []
+    real = OverlayShardStore._patch_shard
+
+    def patch_shard(self, index):
+        indexes.append(index)
+        return real(self, index)
+
+    monkeypatch.setattr(OverlayShardStore, "_patch_shard", patch_shard)
+    return indexes
+
+
 def _repairs(session, n):
     return [
         (s.row, s.attribute, s.suggested_value) for s in session.repair_suggestions()[:n]
@@ -236,3 +253,37 @@ def test_edit_loop_leaves_the_detection_artifacts_alone(spill_session):
     session.edit_cell(0, "city", "Nowhere")
     again = ShardedDetector(base).detect_all(rules)
     assert again.violations == report.violations
+
+
+def test_recheck_reads_no_shard(spill_session, decoded, overlay_reads, patched_shards):
+    session = spill_session
+    session.run_profiling()
+    session.run_discovery()
+    session.confirm_all()
+    session.run_detection()
+    overlay = session.table
+    # a batch over several shards and every column, one value new to
+    # its column, and one write that restores the original value
+    for row, donor in [(3, 390), (85, 12), (170, 250), (255, 41), (399, 0)]:
+        for name in ("zip", "city", "state"):
+            session.edit_cell(row, name, overlay.cell(donor, name))
+    session.edit_cell(120, "city", "Nowhere")
+    original = overlay.cell(200, "state")
+    session.edit_cell(200, "state", "ZZ")
+    session.edit_cell(200, "state", original)
+    decoded.clear()
+    overlay_reads.update(store_get=0, build_column=0)
+
+    result = session.recheck()
+    assert session.last_plan.rule_maintenance == "incremental"
+    assert decoded == []
+    assert overlay_reads == {"store_get": 0, "build_column": 0}
+    assert patched_shards == []
+
+    edited = overlay.materialize()
+    expected = PfdDiscoverer(session.config).discover_with_report(edited, relation="reads")
+    assert _rules(result.pfds) == _rules(expected.pfds)
+    assert result.profile == expected.profile
+    assert session.violations.canonical_violations() == (
+        ErrorDetector(edited).detect_all(session.confirmed_pfds()).canonical_violations()
+    )
