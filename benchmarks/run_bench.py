@@ -1,10 +1,11 @@
 """Hot-path benchmark runner — writes the persisted perf baseline.
 
-Runs the discovery-scalability, detection-strategies, and index-ablation
+Runs the discovery-scalability, detection, edit-loop and sharded
 workloads and writes ``BENCH_hotpath.json`` at the repository root: a
 machine-readable map of bench name → wall-clock seconds, with the
-pre-optimization numbers kept under ``"baseline"`` so every subsequent
-run reports its speedup against the committed starting point.
+pre-optimization numbers (or, for paired benches, the same-tree
+reference workload) kept under ``"baseline"`` so every subsequent run
+reports its speedup against that reference.
 
 Usage::
 
@@ -35,13 +36,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.constrained import constrained_prefix  # noqa: E402
-from repro.datagen import generate_phone_state, generate_zip_city_state  # noqa: E402
-from repro.detection import DetectionStrategy, ErrorDetector, IncrementalDetector  # noqa: E402
+from repro.datagen import generate_zip_city_state  # noqa: E402
+from repro.detection import ErrorDetector, IncrementalDetector  # noqa: E402
 from repro.discovery import DiscoveryConfig, MajorityDecision, PfdDiscoverer  # noqa: E402
 from repro.patterns import parse_pattern  # noqa: E402
 from repro.perf.timers import StageTimers  # noqa: E402
 from repro.pfd import PFD  # noqa: E402
-from repro.sharding import ShardedDetector, ShardedDiscoverer, ShardedTable  # noqa: E402
+from repro.engine import DEFAULT_SHARD_ROWS  # noqa: E402
+from repro.sharding import (  # noqa: E402
+    ShardedDetector,
+    ShardedDiscoverer,
+    ShardedTable,
+    ShardOverlay,
+)
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_hotpath.json"
 
@@ -56,7 +63,7 @@ def _clear_shared_caches() -> None:
 
 
 def _lambda5() -> PFD:
-    """The zip-prefix → city variable PFD used by the strategy benches."""
+    """The zip-prefix → city variable PFD used by the detection bench."""
     return PFD.variable(
         "zip",
         "city",
@@ -76,41 +83,24 @@ def _bench_discovery(n_rows: int) -> Tuple[Callable[[], object], int]:
     return run, (2 if n_rows >= 4000 else 3)
 
 
-def _bench_detection(strategy: str, n_rows: int = 2000) -> Tuple[Callable[[], object], int]:
+def _bench_detection(n_rows: int = 2000) -> Tuple[Callable[[], object], int]:
     table = generate_zip_city_state(n_rows=n_rows, seed=23).table
     pfd = _lambda5()
 
     def run() -> object:
-        return ErrorDetector(table).detect(pfd, strategy=strategy)
+        return ErrorDetector(table).detect(pfd)
 
-    rounds = 3 if strategy == DetectionStrategy.BRUTEFORCE else 15
-    return run, rounds
-
-
-def _bench_index_ablation() -> Tuple[Callable[[], object], int]:
-    table = generate_phone_state(n_rows=2000, seed=11, error_rate=0.02).table
-    pfds = [p for p in PfdDiscoverer().discover(table) if p.is_constant]
-    assert pfds, "index-ablation setup found no constant PFDs"
-
-    def run() -> object:
-        detector = ErrorDetector(table)
-        report = None
-        for pfd in pfds:
-            partial = detector.detect(pfd, strategy=DetectionStrategy.INDEX)
-            report = partial if report is None else report.merged_with(partial)
-        return report
-
-    return run, 5
+    return run, 15
 
 
 def _bench_edit_loop(n_rows: int = 8000, k: int = 40):
     """The interactive edit loop: k single-cell fixes, violations re-derived
     after each one.
 
-    Returns *two* workloads: the incremental path (the measured bench)
-    and the full-re-detection path, which is recorded as this bench's
-    baseline — so the persisted speedup is incremental vs full, the
-    paper-relevant comparison.
+    Returns *two* workloads: the incremental path over a shard overlay
+    (the measured bench) and the full-re-detection path over a table,
+    which is recorded as this bench's baseline — so the persisted
+    speedup is incremental vs full, the paper-relevant comparison.
     """
     dataset = generate_zip_city_state(n_rows=n_rows, seed=23)
     base_table = dataset.table
@@ -129,8 +119,8 @@ def _bench_edit_loop(n_rows: int = 8000, k: int = 40):
     timers = StageTimers()  # shared across rounds so the harness can print it
 
     def incremental_run() -> object:
-        table = base_table.copy()
-        detector = IncrementalDetector(table, pfds, timers=timers)
+        overlay = ShardOverlay(ShardedTable.from_table(base_table, DEFAULT_SHARD_ROWS))
+        detector = IncrementalDetector(overlay, pfds, timers=timers)
         report = None
         for row, column, value in edits:
             detector.set_cell(row, column, value)
@@ -434,10 +424,7 @@ def _remote_object_faults(
 BENCHES: Dict[str, Callable[[], Tuple]] = {
     "discovery_scalability_2000": lambda: _bench_discovery(2000),
     "discovery_scalability_8000": lambda: _bench_discovery(8000),
-    "detection_index_2000": lambda: _bench_detection(DetectionStrategy.INDEX),
-    "detection_scan_2000": lambda: _bench_detection(DetectionStrategy.SCAN),
-    "detection_bruteforce_2000": lambda: _bench_detection(DetectionStrategy.BRUTEFORCE),
-    "index_ablation_phone_2000": lambda: _bench_index_ablation(),
+    "detection_scan_2000": lambda: _bench_detection(),
     "incremental_edit_loop_8000": lambda: _bench_edit_loop(),
     "rule_maintenance_edit_loop_64000": lambda: _bench_rule_maintenance_edit_loop(),
     "sharded_discovery_64000": lambda: _bench_sharded_discovery(),
@@ -680,8 +667,9 @@ def main(argv: List[str] | None = None) -> int:
             "platform": platform.platform(),
             "mode": "cold" if args.cold else "warm",
             "note": (
-                "seconds are best-of-N wall clock; 'baseline' is the pre-PR "
-                "tree, 'current' the tree at measurement time -- except for "
+                "seconds are best-of-N wall clock; 'baseline' is the "
+                "pre-optimization tree (recorded once), 'current' the tree at "
+                "measurement time -- except for "
                 "paired benches (incremental_edit_loop_*, sharded_detection_*, "
                 "sharded_discovery_*, rule_maintenance_edit_loop_*), whose "
                 "baseline is their same-tree reference workload (full "

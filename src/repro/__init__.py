@@ -14,7 +14,7 @@ implements the full system described in the paper:
 * :mod:`repro.pfd` — the PFD model: embedded FD + pattern tableau.
 * :mod:`repro.discovery` — the Discover-PFDs algorithm (Figure 2).
 * :mod:`repro.detection` — error detection with constant and variable
-  PFDs, pattern indexes, and blocking.
+  PFDs: matching per distinct value, and blocking.
 * :mod:`repro.sharding` — sharded, out-of-core discovery and detection
   over table-wide column encodings, canonically equal to a monolithic
   run.

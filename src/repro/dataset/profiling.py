@@ -25,7 +25,6 @@ from repro.dataset.table import Table
 from repro.kernels.encoder import ColumnEncoding, encode_column
 from repro.patterns.generalize import PatternHistogram, generalize_string
 from repro.patterns.tokenizer import cached_tokenize
-from repro.perf import TABLE_ARTIFACTS
 
 
 @dataclass
@@ -258,13 +257,6 @@ def profile_table(table: Table, max_patterns: int = 25) -> TableProfile:
         for name in table.column_names()
     }
     return TableProfile(n_rows=table.n_rows, columns=columns)
-
-
-def cached_profile_table(table: Table) -> TableProfile:
-    """:func:`profile_table` shared through ``TABLE_ARTIFACTS`` until the
-    table is edited (keyed by ``Table.version``), so session profiling
-    and discovery profile one data version once."""
-    return TABLE_ARTIFACTS.get(table, ("profile",), lambda: profile_table(table))
 
 
 def profile_sharded(sharded, max_patterns: int = 25) -> TableProfile:

@@ -7,7 +7,6 @@ pruning and is tracked in the schema, not in the storage layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -27,55 +26,6 @@ from repro.errors import TableError
 
 CellValue = str
 Row = Tuple[CellValue, ...]
-
-
-# -- mutation deltas ----------------------------------------------------------
-#
-# Every in-place mutation bumps ``Table.version`` *and* appends a structured
-# delta record, so consumers that maintain derived state (the incremental
-# detection engine, the per-table artifact cache) can patch themselves
-# forward instead of rebuilding from scratch.  ``delta.version`` is the
-# table version *after* the mutation was applied.
-
-
-@dataclass(frozen=True)
-class CellEdit:
-    """One cell overwritten in place (:meth:`Table.set_cell`)."""
-
-    version: int
-    row: int
-    column: str
-    old: str
-    new: str
-
-
-@dataclass(frozen=True)
-class RowAppend:
-    """One row appended in place (:meth:`Table.append_row`)."""
-
-    version: int
-    row: int
-    values: Row
-
-
-@dataclass(frozen=True)
-class RowDelete:
-    """One row removed in place (:meth:`Table.delete_row`).
-
-    ``values`` holds the removed row so consumers can unindex it; rows
-    after ``row`` shift down by one.
-    """
-
-    version: int
-    row: int
-    values: Row
-
-
-TableDelta = Union[CellEdit, RowAppend, RowDelete]
-
-#: How many deltas a table retains.  Consumers asking for history older
-#: than the retained window get ``None`` and must rebuild.
-MAX_DELTA_LOG = 4096
 
 
 def _stringify(value: object) -> str:
@@ -127,14 +77,9 @@ class Table:
         self._schema = schema
         self._columns = columns
         self._n_rows = columns[0].__len__() if columns else 0
-        # Mutation counter: bumped by every in-place mutation so per-table
-        # derived artifacts (see repro.perf.table_cache) can detect
-        # staleness.  The delta log records *what* changed between two
-        # versions; ``_log_floor`` is the oldest version the log can
-        # replay from (invariant: len(_delta_log) == _version - _log_floor).
+        # Mutation counter, bumped by every in-place mutation (a shard
+        # store compares it to catch a shard mutated behind its back).
         self._version = 0
-        self._delta_log: List[TableDelta] = []
-        self._log_floor = 0
 
     # -- constructors --------------------------------------------------------
 
@@ -224,30 +169,6 @@ class Table:
         """Mutation counter — incremented by every in-place mutation
         (:meth:`set_cell`, :meth:`append_row`, :meth:`delete_row`)."""
         return self._version
-
-    def deltas_since(self, version: int) -> Optional[Tuple[TableDelta, ...]]:
-        """The deltas applied after ``version``, oldest first.
-
-        Returns an empty tuple when the table is already at ``version``
-        and ``None`` when the requested history is unavailable (a future
-        version, or older than the retained :data:`MAX_DELTA_LOG` window)
-        — callers must then rebuild their derived state from scratch.
-        """
-        if version > self._version or version < self._log_floor:
-            return None
-        n = self._version - version
-        if n == 0:
-            return ()
-        return tuple(self._delta_log[-n:])
-
-    def _record_delta(self, delta: TableDelta) -> None:
-        self._version += 1
-        self._delta_log.append(delta)
-        if len(self._delta_log) > MAX_DELTA_LOG:
-            # Amortized trim: drop the oldest half in one slice.
-            drop = len(self._delta_log) - MAX_DELTA_LOG // 2
-            del self._delta_log[:drop]
-            self._log_floor += drop
 
     def __len__(self) -> int:
         return self._n_rows
@@ -382,19 +303,9 @@ class Table:
         old = self._columns[index][row]
         new = _stringify(value)
         if new == old:
-            # No-op write: don't bump the version (it would invalidate
-            # every version-keyed cached artifact) or grow the delta log.
-            return
+            return  # no-op write: the version stays
         self._columns[index][row] = new
-        self._record_delta(
-            CellEdit(
-                version=self._version + 1,
-                row=row,
-                column=self._schema[index].name,
-                old=old,
-                new=new,
-            )
-        )
+        self._version += 1
 
     def append_row(
         self, values: Union[Sequence[object], Mapping[str, object]]
@@ -429,23 +340,20 @@ class Table:
             column.append(value)
         row = self._n_rows
         self._n_rows += 1
-        self._record_delta(
-            RowAppend(version=self._version + 1, row=row, values=tuple(row_values))
-        )
+        self._version += 1
         return row
 
     def delete_row(self, row: int) -> Row:
         """Destructively remove one row; returns its values.
 
-        Rows after ``row`` shift down by one (consumers holding row
-        indexes must renumber — see :class:`RowDelete`).
+        Rows after ``row`` shift down by one.
         """
         self._check_row(row)
         removed = tuple(column[row] for column in self._columns)
         for column in self._columns:
             del column[row]
         self._n_rows -= 1
-        self._record_delta(RowDelete(version=self._version + 1, row=row, values=removed))
+        self._version += 1
         return removed
 
     # -- analytics helpers ----------------------------------------------------

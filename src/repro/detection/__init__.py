@@ -1,15 +1,12 @@
 """Error detection with PFDs (Section 3 of the paper).
 
-Constant PFDs are checked with a single pass assisted by a per-column
-pattern index; variable PFDs are checked by *blocking* the tuples on the
-constrained projection of the LHS pattern, avoiding the quadratic
-pairwise comparison.  A deliberately naive brute-force strategy is also
-provided so the benchmarks can reproduce the paper's argument for
-indexes and blocking.
+Constant PFDs check only the tuples whose LHS value matches the rule
+(each distinct value is tested once); variable PFDs are checked by
+*blocking* the tuples on the constrained projection of the LHS pattern,
+avoiding the quadratic pairwise comparison.
 """
 
 from repro.detection.violation import Violation, ViolationKind, ViolationReport
-from repro.detection.index import PatternColumnIndex
 from repro.detection.blocking import block_by_key, block_by_projection
 from repro.detection.rules import (
     ConstantRuleEvaluator,
@@ -17,7 +14,7 @@ from repro.detection.rules import (
     build_rule_evaluators,
     make_rule_evaluator,
 )
-from repro.detection.detector import DetectionStrategy, ErrorDetector
+from repro.detection.detector import ErrorDetector
 from repro.detection.incremental import IncrementalDetector
 from repro.detection.repair import RepairSuggestion, suggest_repairs
 
@@ -25,14 +22,12 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "ViolationReport",
-    "PatternColumnIndex",
     "block_by_key",
     "block_by_projection",
     "ConstantRuleEvaluator",
     "VariableRuleEvaluator",
     "build_rule_evaluators",
     "make_rule_evaluator",
-    "DetectionStrategy",
     "ErrorDetector",
     "IncrementalDetector",
     "RepairSuggestion",

@@ -11,45 +11,49 @@ or can be split by value, which is linear per block.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
 from repro.perf.memo import MatchMemo
 
 
 def block_by_key(
-    rows: Sequence[int],
-    values: Sequence[str],
+    groups: Mapping[str, Sequence[int]],
     key: Callable[[str], Optional[Hashable]],
 ) -> Dict[Hashable, List[int]]:
-    """Group rows by an arbitrary key of their value.
+    """Pour the rows of each distinct value (``value → rows``, as
+    :meth:`~repro.dataset.table.Table.group_rows` returns them) into
+    the block of the value's key; the key runs once per distinct value.
 
-    Rows whose key is None (the value does not participate) are dropped.
+    Values whose key is None (the value does not participate) are
+    dropped.  Each block's rows are ascending, and with the groups in
+    first-appearance order the blocks come in the order of their first
+    row — what keying the rows one by one would yield.
     """
     blocks: Dict[Hashable, List[int]] = {}
-    for row in rows:
-        block_key = key(values[row])
-        if block_key is None:
-            continue
-        blocks.setdefault(block_key, []).append(row)
+    for value, rows in groups.items():
+        block_key = key(value)
+        if block_key is not None:
+            blocks.setdefault(block_key, []).extend(rows)
+    for rows in blocks.values():
+        rows.sort()
     return blocks
 
 
 def block_by_projection(
-    rows: Sequence[int],
-    values: Sequence[str],
+    groups: Mapping[str, Sequence[int]],
     pattern: ConstrainedPattern,
     memo: Optional[MatchMemo] = None,
 ) -> Dict[Tuple[str, ...], List[int]]:
-    """Group rows by the constrained projection ``s(Q)`` of their value.
+    """Group rows by the constrained projection ``s(Q)`` of their value
+    (see :func:`block_by_key`).
 
-    With a ``memo`` the projection regex runs once per distinct value
-    instead of once per row (and the verdicts are shared with every
-    other rule over the same pattern).
+    With a ``memo`` the projection verdicts are shared with every other
+    rule over the same pattern.
     """
     if memo is not None:
-        return block_by_key(rows, values, memo.projector(pattern))
-    return block_by_key(rows, values, pattern.blocking_key)
+        return block_by_key(groups, memo.projector(pattern))
+    return block_by_key(groups, pattern.blocking_key)
 
 
 def split_block_by_rhs(

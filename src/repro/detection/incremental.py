@@ -7,14 +7,12 @@ violations whose rule touches the edited value.  The
 :class:`IncrementalDetector` keeps per-rule violation state on distinct
 values and maintains it under the structured deltas recorded by
 ``set_cell`` / ``append_row`` / ``delete_row`` of a
-:class:`~repro.dataset.table.Table` or a
 :class:`~repro.sharding.overlay.ShardOverlay`.
 
 **Attach.**  The state is seeded from the sharded view detection runs
 on — the overlay's cached seal (:meth:`ShardOverlay.as_sharded`), whose
 column encodings, pair groups and ``≡_Q`` blocks the detection run left
-behind, or a one-shard :class:`~repro.sharding.sharded_table.ShardedTable`
-cut from a plain table.  The rule columns' integer codes and distinct
+behind.  The rule columns' integer codes and distinct
 values are copied from the view's encodings; each constant rule takes
 one RHS verdict per ``(LHS value, RHS value)`` pair group; each variable
 rule copies the blocks into per-block RHS groups, majority, witness and
@@ -27,8 +25,8 @@ row for each constant rule over the column, and moves the row between
 two RHS groups for each variable rule — re-deriving the block's
 violations only when its majority or witness changes (see
 :mod:`repro.detection.rules`).  An append posts one row; a delete
-unposts it and renumbers the row ids behind it.  When the table's delta
-log no longer covers the gap, the state is re-seeded.
+unposts it and renumbers the row ids behind it.  When the overlay's
+delta log no longer covers the gap, the state is re-seeded.
 
 **Report.**  Each evaluator caches its violations in row order and
 re-sorts only after a delta touched it; :meth:`IncrementalDetector.report`
@@ -37,10 +35,9 @@ evaluators that share ``(pfd_name, rule_index)``.
 
 Correctness contract: after any sequence of mutations,
 ``detector.report().canonical_violations()`` equals the canonical
-violations of a from-scratch ``ErrorDetector(table).detect_all(pfds)``
-on the final table — for *every* strategy, bruteforce included, since
-emission is unified — randomized and property-based equivalence tests
-enforce this.
+violations of a from-scratch
+``ErrorDetector(overlay.materialize()).detect_all(pfds)`` on the final
+state — randomized and property-based equivalence tests enforce this.
 """
 
 from __future__ import annotations
@@ -49,8 +46,6 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dataset.rowids import RowIds, row_ids_from_numpy
-from repro.dataset.table import CellEdit, RowAppend, RowDelete, Table
-from repro.detection.detector import DetectionStrategy
 from repro.detection.rules import (
     RuleEvaluator,
     VariableRuleEvaluator,
@@ -61,6 +56,7 @@ from repro.kernels.encoder import ColumnEncoding
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
+from repro.sharding.overlay import CellEdit, RowAppend, RowDelete
 
 
 class _CodedColumn:
@@ -91,18 +87,17 @@ class _CodedColumn:
 
 class IncrementalDetector:
     """Maintains a :class:`ViolationReport` for a fixed rule set under
-    mutations of a :class:`Table` or a
-    :class:`~repro.sharding.overlay.ShardOverlay`.
+    mutations of a :class:`~repro.sharding.overlay.ShardOverlay`.
 
     Either mutate through the detector (:meth:`set_cell`,
-    :meth:`append_row`, :meth:`delete_row`) or mutate the table directly
-    and call :meth:`refresh` — both replay the table's delta log; the
-    detector re-seeds only when the log no longer covers the gap.
+    :meth:`append_row`, :meth:`delete_row`) or mutate the overlay
+    directly and call :meth:`refresh` — both replay the overlay's delta
+    log; the detector re-seeds only when the log no longer covers the
+    gap.
     """
 
-    #: the label its reports carry — the same answer as every batch
-    #: strategy (see the module's correctness contract)
-    strategy = DetectionStrategy.AUTO
+    #: the label its reports carry — the same as :class:`ErrorDetector`'s
+    strategy = "auto"
 
     def __init__(
         self,
@@ -145,13 +140,8 @@ class IncrementalDetector:
     def _rebuild_timed(self) -> None:
         # imported here: the sharded engine imports this package
         from repro.sharding.detection import ShardedDetector
-        from repro.sharding.sharded_table import ShardedTable
 
-        table = self.table
-        if isinstance(table, Table):
-            view = ShardedTable.from_table(table, max(table.n_rows, 1))
-        else:
-            view = table.as_sharded()
+        view = self.table.as_sharded()
         detector = ShardedDetector(view, memo=self.memo)
         names = [n for pfd in self.pfds for n in (pfd.lhs_attribute, pfd.rhs_attribute)]
         encodings = view.column_encodings(names)
@@ -170,7 +160,7 @@ class IncrementalDetector:
                     self._readers[name].append(evaluator)
         identities = Counter((ev.pfd_name, ev.rule_index) for ev in self._rules)
         self._shared = {rule for rule, count in identities.items() if count > 1}
-        self._synced_version = table.version
+        self._synced_version = self.table.version
 
     # -- mutation API ------------------------------------------------------------
 

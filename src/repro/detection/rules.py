@@ -1,9 +1,9 @@
-"""Single rule-evaluation engine shared by every execution strategy.
+"""Single rule-evaluation engine shared by every detection route.
 
 The paper's detection semantics (Section 3) come in two families —
 constant tableau rules checked row by row, and variable rules checked
 per ``≡_Q`` block with majority-witness selection — and every execution
-strategy (scan, index, bruteforce, sharded, incremental maintenance)
+route (the table detector, sharded detection, incremental maintenance)
 must emit *identical* violations for the same table.  This module is the
 one place those semantics live:
 
@@ -217,7 +217,7 @@ class ConstantRuleEvaluator:
         report: Optional[ViolationReport] = None,
     ) -> Iterator[Violation]:
         """Violations among ``rows`` (the rows whose LHS satisfies the
-        rule — candidate enumeration stays with the caller/strategy).
+        rule — candidate enumeration stays with the caller).
 
         With a ``report`` the per-row RHS checks are counted into its
         ``comparisons`` statistic.
@@ -428,12 +428,10 @@ class VariableRuleEvaluator:
     ) -> Iterator[Violation]:
         """Violations of every block (a ``key → rows`` mapping or a bare
         iterable of row lists — deriving the blocks stays with the
-        caller/strategy).
+        caller).
 
         With a ``report`` every multi-row block counts its size into the
-        ``comparisons`` statistic, matching the cost model of the
-        blocking strategies; the bruteforce path passes no report since
-        its pair loop already counted.
+        ``comparisons`` statistic.
         """
         block_lists = blocks.values() if isinstance(blocks, Mapping) else blocks
         for rows in block_lists:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.dataset.profiling import TableProfile, cached_profile_table
+from repro.dataset.profiling import TableProfile, profile_table
 from repro.dataset.table import Table
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
@@ -27,7 +27,6 @@ from repro.discovery.inverted_index import ColumnTokenization
 from repro.discovery.variable_miner import VariableCandidate, VariablePfdMiner
 from repro.kernels.encoder import ColumnEncoding, encode_column
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
-from repro.perf import TABLE_ARTIFACTS
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
@@ -120,7 +119,7 @@ class PfdDiscoverer:
         """Run the full pipeline and return PFDs plus statistics."""
         started = time.perf_counter()
         with self.timers.stage("profile"):
-            profile = cached_profile_table(table)
+            profile = profile_table(table)
         if candidates is None:
             with self.timers.stage("candidates"):
                 candidates = candidate_dependencies(table, self.config, profile)
@@ -128,8 +127,11 @@ class PfdDiscoverer:
         with self.timers.stage("mine"):
             reports = self.mine_candidates(
                 candidates,
-                lambda names: _table_encodings(table, names),
-                lambda key, build: TABLE_ARTIFACTS.get(table, key, build),
+                lambda names: {
+                    name: encode_column(table.column_ref(name))
+                    for name in dict.fromkeys(names)
+                },
+                lambda _key, build: build(),
             )
         with self.timers.stage("assemble"):
             pfds = self.assemble_pfds(candidates, reports, relation)
@@ -184,13 +186,13 @@ class PfdDiscoverer:
         """Mine candidates in order over encoded columns.
 
         The one mining loop of the monolithic, sharded and maintenance
-        paths; the caller's artifact cache supplies the inputs.
+        paths; the caller supplies the inputs.
         ``encode(names)`` returns the named columns' encodings, and
         ``cached(key, build)`` holds each (LHS, mode) pair's
-        distinct-level token triples (``TABLE_ARTIFACTS`` for a table,
-        ``merged_artifact`` for a sharded table), so every LHS is
-        tokenized once per distinct value however many candidates share
-        it.
+        distinct-level token triples across calls (``merged_artifact``
+        for a sharded table; a table rebuilds them per call).  Within a
+        call every LHS is tokenized once per distinct value however
+        many candidates share it.
 
         The kernel loop body runs every candidate whose miners it
         reproduces.  Customized decision functions or miners run the
@@ -371,15 +373,3 @@ def _decoded(encoding: ColumnEncoding) -> List[str]:
     """An encoded column's values in row order."""
     return list(map(encoding.distinct.__getitem__, encoding.codes.tolist()))
 
-
-def _table_encodings(table: Table, names: Sequence[str]) -> Dict[str, ColumnEncoding]:
-    """The encodings of a table's named columns, cached in
-    ``TABLE_ARTIFACTS`` until the table changes."""
-    return {
-        name: TABLE_ARTIFACTS.get(
-            table,
-            ("column_encoding", name),
-            lambda name=name: encode_column(table.column_ref(name)),
-        )
-        for name in dict.fromkeys(names)
-    }

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PatternSyntaxError
 from repro.patterns.alphabet import CharClass
-from repro.patterns.nfa import Nfa
+from repro.patterns.nfa import Nfa, build_nfa
 from repro.patterns.syntax import ClassAtom, Element, Literal, ONE, Quantifier
 
 _ANY_STAR_TEXT = "\\A*"
@@ -196,12 +196,10 @@ class Pattern:
 
     @property
     def nfa(self) -> Nfa:
-        """The compiled epsilon-NFA (shared across equal patterns)."""
+        """The compiled epsilon-NFA (built once per instance)."""
         nfa = self._nfa
         if nfa is None:
-            from repro.perf.pattern_cache import shared_nfa_for
-
-            nfa = self._nfa = shared_nfa_for(self)
+            nfa = self._nfa = build_nfa(self.elements)
         return nfa
 
     def matches(self, text: str) -> bool:

@@ -3,14 +3,12 @@
 Shared, process-wide acceleration state used by the patterns, discovery,
 and detection layers:
 
-* :mod:`repro.perf.pattern_cache` — compiled-regex / NFA LRU caches keyed
-  by the immutable pattern value;
-* :mod:`repro.perf.interning` — token-interning pool for the inverted
-  index build;
+* :mod:`repro.perf.pattern_cache` — compiled-regex LRU caches keyed by
+  the immutable pattern value;
+* :mod:`repro.perf.interning` — the string-interning pool the stores and
+  the tokenization scope to one build;
 * :mod:`repro.perf.memo` — :class:`MatchMemo`, per-distinct-value match
   and projection verdicts shared by all rules touching a column;
-* :mod:`repro.perf.table_cache` — per-table derived artifacts (pattern
-  column indexes) with mutation-version invalidation;
 * :mod:`repro.perf.timers` — lightweight stage timers.
 
 Everything here is a pure cache: results are byte-identical with the
@@ -23,24 +21,18 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterator, List
 
-from repro.perf.interning import InternPool, TOKEN_POOL
+from repro.perf.interning import InternPool
 from repro.perf.lru import LruCache
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.pattern_cache import (
     CONSTRAINED_REGEX_CACHE,
-    NFA_CACHE,
     REGEX_CACHE,
     clear_pattern_caches,
     constrained_regex_for,
     pattern_cache_stats,
-    shared_nfa_for,
     shared_regex_for,
 )
-from repro.perf.table_cache import TableArtifactCache
 from repro.perf.timers import StageTimers
-
-#: Shared cache of per-table artifacts (pattern column indexes, …).
-TABLE_ARTIFACTS = TableArtifactCache()
 
 #: Extra ``clear()`` callbacks registered by modules that keep their own
 #: memos (e.g. the functools caches in generalize/tokenizer).
@@ -66,8 +58,6 @@ def clear_caches() -> None:
     """Reset every process-wide cache (used by benchmarks and tests)."""
     clear_pattern_caches()
     MATCH_MEMO.clear()
-    TABLE_ARTIFACTS.clear()
-    TOKEN_POOL.clear()
     _clear_value_memos()
     for clear in _EXTRA_CLEARERS:
         clear()
@@ -77,8 +67,9 @@ def cache_stats() -> dict:
     """Hit/miss statistics of the shared caches."""
     stats = pattern_cache_stats()
     stats["match_memo"] = MATCH_MEMO.stats()
-    stats["table_artifacts"] = TABLE_ARTIFACTS.stats()
-    stats["token_pool"] = {"size": len(TOKEN_POOL)}
+    # a constant: bench/session_child.py still reads this key, until
+    # ROADMAP item 6's benchmark change drops it
+    stats["table_artifacts"] = {"hits": 0, "misses": 0, "patched": 0}
     return stats
 
 
@@ -88,10 +79,10 @@ def caches_disabled() -> Iterator[None]:
 
     Used by the equivalence tests to prove cached and uncached execution
     produce identical results.  The functools-based value memos are
-    cleared on entry and exit; the semantic caches (regex/NFA, match
-    memo, table artifacts) are fully bypassed.
+    cleared on entry and exit; the semantic caches (regex, constrained
+    regex, match memo) are fully bypassed.
     """
-    switches = [REGEX_CACHE, NFA_CACHE, CONSTRAINED_REGEX_CACHE, MATCH_MEMO, TABLE_ARTIFACTS]
+    switches = [REGEX_CACHE, CONSTRAINED_REGEX_CACHE, MATCH_MEMO]
     previous = [s.enabled for s in switches]
     _clear_value_memos()
     for s in switches:
@@ -110,14 +101,10 @@ __all__ = [
     "MatchMemo",
     "MATCH_MEMO",
     "StageTimers",
-    "TableArtifactCache",
-    "TABLE_ARTIFACTS",
-    "TOKEN_POOL",
     "cache_stats",
     "caches_disabled",
     "clear_caches",
     "constrained_regex_for",
     "register_cache_clearer",
-    "shared_nfa_for",
     "shared_regex_for",
 ]

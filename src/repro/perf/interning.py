@@ -35,11 +35,3 @@ class InternPool:
 
     def clear(self) -> None:
         self._pool.clear()
-
-
-#: A process-wide pool callers can opt into when they want interning to
-#: span workloads.  The inverted-index build deliberately does NOT use
-#: it by default — it interns through a pool scoped to one column
-#: extraction, so tokens are shared across all candidates reusing that
-#: tokenization without being pinned for the process lifetime.
-TOKEN_POOL = InternPool()

@@ -2,7 +2,7 @@
 
 Patterns are immutable values hashed by their element tuple, so two
 structurally equal patterns — however they were constructed — share one
-compiled regex and one NFA.  Before this cache every ``Pattern`` instance
+compiled regex.  Before this cache every ``Pattern`` instance
 compiled privately, and discovery synthesizes thousands of structurally
 identical patterns (one per inverted-list entry per candidate
 dependency).
@@ -13,15 +13,12 @@ from __future__ import annotations
 import re
 from typing import Optional, Tuple
 
-from repro.patterns.nfa import Nfa, build_nfa
 from repro.patterns.regex import compile_to_regex, pattern_to_regex_source
 from repro.perf.lru import LruCache
 
 #: pattern → compiled ``re.Pattern`` (or None when regex compilation failed
 #: and the NFA fallback must be used).
 REGEX_CACHE = LruCache(maxsize=8192)
-#: pattern → epsilon-NFA.
-NFA_CACHE = LruCache(maxsize=4096)
 #: constrained-pattern segment tuple → compiled grouped regex.
 CONSTRAINED_REGEX_CACHE = LruCache(maxsize=4096)
 
@@ -36,11 +33,6 @@ def shared_regex_for(pattern) -> Optional["re.Pattern[str]"]:
     compiled = compile_to_regex(pattern)
     REGEX_CACHE.put(pattern, compiled)
     return compiled
-
-
-def shared_nfa_for(pattern) -> Nfa:
-    """The epsilon-NFA of a pattern, shared across equal patterns."""
-    return NFA_CACHE.get_or_compute(pattern, lambda: build_nfa(pattern.elements))
 
 
 def constrained_regex_for(segments: Tuple) -> "re.Pattern[str]":
@@ -67,13 +59,11 @@ def constrained_regex_for(segments: Tuple) -> "re.Pattern[str]":
 
 def clear_pattern_caches() -> None:
     REGEX_CACHE.clear()
-    NFA_CACHE.clear()
     CONSTRAINED_REGEX_CACHE.clear()
 
 
 def pattern_cache_stats() -> dict:
     return {
         "regex": REGEX_CACHE.stats(),
-        "nfa": NFA_CACHE.stats(),
         "constrained_regex": CONSTRAINED_REGEX_CACHE.stats(),
     }

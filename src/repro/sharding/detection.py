@@ -1,7 +1,8 @@
 """Sharded violation detection over the table-wide column encodings.
 
-The sharded detector runs the *same* rule semantics as every other
-strategy — violations are constructed by the shared evaluators in
+The sharded detector runs the *same* rule semantics as
+:class:`~repro.detection.detector.ErrorDetector` — violations are
+constructed by the shared evaluators in
 :mod:`repro.detection.rules` — but enumerates candidates from the pair
 groups of each rule's attribute pair (see :mod:`repro.sharding.stats`)
 instead of per-row scans:
@@ -21,10 +22,10 @@ instead of per-row scans:
   already split by RHS value, and emitted through the evaluator's group
   core.
 
-Emitted violations are canonically equal to a monolithic run (any
-strategy); the differential suite in ``tests/sharding`` asserts it.  The
-cost model is distinct-value-level, so the ``comparisons`` statistic is
-not comparable with the row-level strategies.
+Emitted violations are canonically equal to an ``ErrorDetector`` run;
+the differential suite in ``tests/sharding`` asserts it.  The cost model
+counts distinct values and groups, so the ``comparisons`` statistic is
+not comparable with ``ErrorDetector``'s.
 """
 
 from __future__ import annotations

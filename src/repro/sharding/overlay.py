@@ -1,23 +1,16 @@
 """A mutable delta overlay over an immutable :class:`ShardedTable`.
 
 The interactive edit loop (``set_cell`` / ``append_row`` /
-``delete_row`` → incremental re-check) used to require a materialized
-:class:`~repro.dataset.table.Table`: sharded uploads were concatenated
-into one monolithic table just so the session had something mutable.
-:class:`ShardOverlay` removes that requirement.  It presents the full
-mutable-table interface — the same accessors, the same mutation methods,
-the same ``version`` counter and structured
-:class:`~repro.dataset.table.CellEdit`/:class:`~repro.dataset.table.RowAppend`/
-:class:`~repro.dataset.table.RowDelete` delta log — while the base data
-stays wherever its shard store keeps it (memory, spill files, an object
+``delete_row`` → incremental re-check) runs on a :class:`ShardOverlay`.
+It presents the mutable-table interface — the same accessors and
+mutation methods as a :class:`~repro.dataset.table.Table` — plus a
+``version`` counter and a structured delta log (:class:`CellEdit`,
+:class:`RowAppend`, :class:`RowDelete`), while the base data stays
+wherever its shard store keeps it (memory, spill files, an object
 store).  Edits land in small per-shard dictionaries, appends in a tail
 column set, deletions in a sorted tombstone list; nothing is ever
-rewritten in the base store.
-
-Because the overlay speaks the exact ``Table`` mutation/delta protocol,
-the incremental detector and the per-table artifact cache
-(:data:`repro.perf.table_cache.TABLE_ARTIFACTS`) patch themselves
-forward over it without knowing it is not a plain table.
+rewritten in the base store.  The incremental detector replays the
+delta log to patch its state forward.
 
 Every session op reads the dataset through :meth:`ShardOverlay.as_sharded`,
 which seals the current overlay state back into a :class:`ShardedTable`
@@ -36,22 +29,62 @@ pass through *by identity* and touched ones are patched copy-on-read.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.dataset.schema import Attribute, Schema
-from repro.dataset.table import (
-    MAX_DELTA_LOG,
-    CellEdit,
-    Row,
-    RowAppend,
-    RowDelete,
-    Table,
-    TableDelta,
-    _stringify,
-)
+from repro.dataset.table import Row, Table, _stringify
 from repro.errors import TableError
 from repro.sharding.sharded_table import ShardedTable
 from repro.sharding.store import ShardStore
+
+
+# -- mutation deltas ----------------------------------------------------------
+#
+# Every overlay mutation bumps ``ShardOverlay.version`` *and* appends a
+# structured delta record, so the incremental detector can patch its
+# state forward instead of re-seeding.  ``delta.version`` is the overlay
+# version *after* the mutation was applied.
+
+
+@dataclass(frozen=True)
+class CellEdit:
+    """One cell overwritten (:meth:`ShardOverlay.set_cell`)."""
+
+    version: int
+    row: int
+    column: str
+    old: str
+    new: str
+
+
+@dataclass(frozen=True)
+class RowAppend:
+    """One row appended (:meth:`ShardOverlay.append_row`)."""
+
+    version: int
+    row: int
+    values: Row
+
+
+@dataclass(frozen=True)
+class RowDelete:
+    """One row removed (:meth:`ShardOverlay.delete_row`).
+
+    ``values`` holds the removed row; rows after ``row`` shift down by
+    one.
+    """
+
+    version: int
+    row: int
+    values: Row
+
+
+TableDelta = Union[CellEdit, RowAppend, RowDelete]
+
+#: How many deltas an overlay retains.  Consumers asking for history
+#: older than the retained window get ``None`` and must rebuild.
+MAX_DELTA_LOG = 4096
 
 
 class ShardOverlay:
@@ -118,7 +151,13 @@ class ShardOverlay:
         return self._version > 0
 
     def deltas_since(self, version: int) -> Optional[Tuple[TableDelta, ...]]:
-        """Same contract as :meth:`Table.deltas_since`."""
+        """The deltas applied after ``version``, oldest first.
+
+        Returns an empty tuple when the overlay is already at ``version``
+        and ``None`` when the requested history is unavailable (a future
+        version, or older than the retained :data:`MAX_DELTA_LOG` window)
+        — callers must then rebuild their derived state from scratch.
+        """
         if version > self._version or version < self._log_floor:
             return None
         n = self._version - version
@@ -130,6 +169,7 @@ class ShardOverlay:
         self._version += 1
         self._delta_log.append(delta)
         if len(self._delta_log) > MAX_DELTA_LOG:
+            # Amortized trim: drop the oldest half in one slice.
             drop = len(self._delta_log) - MAX_DELTA_LOG // 2
             del self._delta_log[:drop]
             self._log_floor += drop

@@ -17,11 +17,11 @@ sequences (see :mod:`repro.dataset.rowids`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import bisect
+from typing import Dict, List, Sequence, Union
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
 from repro.dataset.rowids import RowIds, row_ids
-from repro.detection.index import narrow_candidates_by_prefix
 from repro.kernels.match import batch_matching_values
 from repro.patterns.pattern import Pattern
 from repro.perf.memo import MatchMemo
@@ -51,6 +51,36 @@ def extract_pair_groups(
     return groups
 
 
+def narrow_candidates_by_prefix(
+    sorted_values: Sequence[str],
+    pattern: Union[Pattern, ConstrainedPattern],
+) -> Sequence[str]:
+    """Distinct values (from an ascending list) that could match the
+    pattern, narrowed to the slice sharing its literal prefix.
+
+    Patterns with a literal prefix (``850\\D{7}``) are answered with two
+    binary searches, so only values starting with the prefix are
+    regex-tested.
+    """
+    prefix = ""
+    if isinstance(pattern, Pattern):
+        prefix = pattern.literal_prefix()
+    elif isinstance(pattern, ConstrainedPattern):
+        prefix = pattern.segments[0].pattern.literal_prefix()
+    if not prefix:
+        return sorted_values
+    low = bisect.bisect_left(sorted_values, prefix)
+    # Every string starting with the prefix sorts below the prefix with
+    # its last bumpable character bumped; trailing U+10FFFF cannot be
+    # bumped, and a prefix of nothing else has no upper bound.
+    stem = prefix.rstrip(chr(0x10FFFF))
+    if not stem:
+        return sorted_values[low:]
+    upper_key = stem[:-1] + chr(ord(stem[-1]) + 1)
+    high = bisect.bisect_left(sorted_values, upper_key, lo=low)
+    return sorted_values[low:high]
+
+
 class MergedPairGroups:
     """The table-wide pair groups of one attribute pair, plus the sorted
     distinct-LHS-value array that answers pattern lookups."""
@@ -71,8 +101,8 @@ class MergedPairGroups:
         """Distinct LHS values satisfying a rule's LHS cell.
 
         Patterns are narrowed by literal prefix and memo-tested once per
-        distinct value (the same verdict store the monolithic index
-        uses); a plain-string cell is a dictionary hit; a wildcard cell
+        distinct value (the same verdict store
+        :class:`~repro.detection.detector.ErrorDetector` uses); a plain-string cell is a dictionary hit; a wildcard cell
         matches everything (as ``cell_matches`` defines).  Plain
         patterns run through the batch matcher (identical verdicts, same
         memo tables).

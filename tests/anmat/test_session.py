@@ -5,6 +5,7 @@ import pytest
 
 from repro.anmat.project import ProjectStore
 from repro.anmat.session import AnmatSession, SessionState
+from repro.dataset.table import Table
 from repro.detection import ErrorDetector
 from repro.discovery import PfdDiscoverer
 from repro.discovery.config import DiscoveryConfig
@@ -12,6 +13,8 @@ from repro.discovery.maintenance import RuleMaintainer
 from repro.errors import ProjectError
 from repro.metrics.evaluation import evaluate_report
 from repro.sharding import ShardedDetector, ShardOverlay
+
+from pairwise_reference import assert_matches_pairwise, violating_pairs
 
 
 class TestWorkflowOrder:
@@ -207,17 +210,19 @@ class TestEditLoop:
         assert old_table.cell(1, "city") == new_table.cell(1, "city")
         assert session.table.cell(1, "city") == new_table.cell(1, "city")
 
-    def test_edit_loop_matches_the_bruteforce_baseline(self, detected_session):
-        # the edit loop's maintained report equals the paper's brute-force
-        # pair enumeration over the edited table
+    def test_edit_loop_matches_the_literal_pairwise_check(self, detected_session):
+        # the edit loop's maintained variable violations agree with the
+        # paper's naive pair enumeration over the edited table
         session = detected_session
         before = session.run_detection()
         after = session.edit_cell(0, "city", "X")
         assert session.state.value == "editing"
-        full = ErrorDetector(session.table.materialize()).detect_all(
-            session.confirmed_pfds(), strategy="bruteforce"
-        )
-        assert after.canonical_violations() == full.canonical_violations()
+        table = session.table.materialize()
+        variable = [pfd for pfd in session.confirmed_pfds() if pfd.is_variable]
+        assert variable
+        for pfd in variable:
+            violations = [v for v in after if v.pfd_name == pfd.name]
+            assert_matches_pairwise(violations, violating_pairs(table, pfd))
         assert before is not after
 
 
@@ -449,7 +454,9 @@ class TestNeverMaterializedSession:
         session.apply_repair(suggestions[0])
         assert session.state is SessionState.EDITING
         recheck = session.run_detection()
-        fresh = ErrorDetector(session.table).detect_all(session.confirmed_pfds())
+        # (a test-side copy streamed from the overlay's rows)
+        edited = Table.from_rows(session.table.schema, session.table.iter_rows())
+        fresh = ErrorDetector(edited).detect_all(session.confirmed_pfds())
         assert recheck.canonical_violations() == fresh.canonical_violations()
         session.close()
 
@@ -668,6 +675,28 @@ def test_detection_after_overlay_edits_sees_the_edited_cells():
         expected = ErrorDetector(edited).detect_all(session.confirmed_pfds())
     assert edited.cell(0, "city") == "Mutated"
     assert report.canonical_violations() == expected.canonical_violations()
+
+
+class TestLargestCodePointPrefix:
+    def test_detection_over_a_prefix_ending_in_the_largest_code_point(self):
+        # discovery mines constant rules with literal prefixes U+10FFFF
+        # and U+10FFFE; detection narrows the distinct values by prefix
+        codes = [
+            ("\U0010ffff" if row % 2 else "\U0010fffe") + f"{row * 7 % 10000:04d}"
+            for row in range(400)
+        ]
+        labels = ["X" if code[0] == "\U0010ffff" else "Y" for code in codes]
+        labels[3] = labels[10] = "Z"
+        table = Table(["code", "label"], [codes, labels])
+        with AnmatSession(dataset_name="codes") as session:
+            session.load_table(table)
+            session.run_discovery()
+            session.confirm_all()
+            assert any("\U0010ffff" in pfd.describe() for pfd in session.confirmed_pfds())
+            report = session.run_detection()
+            expected = ErrorDetector(table).detect_all(session.confirmed_pfds())
+            assert report.canonical_violations() == expected.canonical_violations()
+            assert {(3, "label"), (10, "label")} <= report.suspect_cells()
 
 
 class TestAtomicRecheck:

@@ -141,6 +141,29 @@ class TestMutationAndAnalytics:
         groups = mixed_table.group_rows("city")
         assert groups["Boston"] == [0, 1]
 
+    def test_append_row_from_mapping(self):
+        table = Table.from_rows(["a", "b"], [["x", "1"]])
+        row = table.append_row({"b": "2"})
+        assert table.row(row) == ("", "2")
+        with pytest.raises(TableError):
+            table.append_row({"nope": "v"})
+        with pytest.raises(TableError):
+            table.append_row(["only-one-value"])
+        # a bare string is a sequence of characters — must not shred
+        # into per-character cells just because the lengths line up
+        with pytest.raises(TableError):
+            table.append_row("xy")
+
+    def test_version_counts_in_place_mutations(self):
+        table = Table.from_rows(["a", "b"], [["x", "1"], ["y", "2"]])
+        table.set_cell(0, "a", "x")  # no-op write: the version stays
+        assert table.version == 0
+        table.set_cell(0, "a", "z")
+        table.append_row(["w", "3"])
+        assert table.delete_row(1) == ("y", "2")
+        assert table.version == 3
+        assert list(table.iter_rows()) == [("z", "1"), ("w", "3")]
+
     def test_equality(self, mixed_table):
         assert mixed_table == mixed_table.copy()
         assert mixed_table != mixed_table.head(2)

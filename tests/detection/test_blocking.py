@@ -1,6 +1,7 @@
 """Tests for blocking helpers."""
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
+from repro.dataset.table import Table
 from repro.detection.blocking import (
     block_by_key,
     block_by_projection,
@@ -9,28 +10,38 @@ from repro.detection.blocking import (
 )
 
 
+def groups(values):
+    """``value → rows`` of one column, as ``Table.group_rows`` builds it."""
+    return Table(["v"], [values]).group_rows("v")
+
+
 class TestBlockByKey:
     def test_groups_by_key(self):
-        values = ["90001", "90002", "60601"]
-        blocks = block_by_key(range(3), values, key=lambda v: v[:3])
+        blocks = block_by_key(groups(["90001", "90002", "60601"]), key=lambda v: v[:3])
         assert blocks == {"900": [0, 1], "606": [2]}
 
     def test_none_keys_are_dropped(self):
         values = ["90001", "bad", "90002"]
-        blocks = block_by_key(range(3), values, key=lambda v: v[:3] if v.isdigit() else None)
+        blocks = block_by_key(groups(values), key=lambda v: v[:3] if v.isdigit() else None)
         assert blocks == {"900": [0, 2]}
 
-    def test_row_subset(self):
-        values = ["90001", "90002", "60601"]
-        blocks = block_by_key([2], values, key=lambda v: v[:3])
+    def test_value_subset(self):
+        blocks = block_by_key({"60601": [2]}, key=lambda v: v[:3])
         assert blocks == {"606": [2]}
+
+    def test_blocks_keep_row_order_across_values(self):
+        # rows of several values interleave in a block: ascending, and
+        # blocks in the order of their first row
+        values = ["60602", "90001", "60601", "90002", "60602", "90001"]
+        blocks = block_by_key(groups(values), key=lambda v: v[:3])
+        assert list(blocks.items()) == [("606", [0, 2, 4]), ("900", [1, 3, 5])]
 
 
 class TestBlockByProjection:
     def test_zip_prefix_projection(self):
         q = ConstrainedPattern.parse("⟨\\D{3}⟩\\D{2}")
         values = ["90001", "90002", "60601", "banana"]
-        blocks = block_by_projection(range(4), values, q)
+        blocks = block_by_projection(groups(values), q)
         assert blocks == {("900",): [0, 1], ("606",): [2]}
 
     def test_first_name_projection(self):
@@ -38,7 +49,7 @@ class TestBlockByProjection:
 
         q = constrained_first_token()
         values = ["John Charles", "John Bosco", "Susan Boyle"]
-        blocks = block_by_projection(range(3), values, q)
+        blocks = block_by_projection(groups(values), q)
         assert blocks == {("John ",): [0, 1], ("Susan ",): [2]}
 
 

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.constrained.constrained_pattern import constrained_first_token, constrained_prefix
-from repro.detection.detector import DetectionStrategy, ErrorDetector
+from repro.detection.detector import ErrorDetector
 from repro.detection.violation import ViolationKind
-from repro.errors import DetectionError
 from repro.patterns import parse_pattern
 from repro.pfd.pfd import PFD
 from repro.pfd.satisfaction import find_tableau_violations
+
+from pairwise_reference import assert_matches_pairwise, violating_pairs
 
 
 @pytest.fixture
@@ -58,10 +59,14 @@ class TestConstantDetection:
         report = ErrorDetector(zip_dataset.clean_table).detect(lambda3)
         assert report.is_empty()
 
-    @pytest.mark.parametrize("strategy", [DetectionStrategy.SCAN, DetectionStrategy.INDEX])
-    def test_strategies_agree_for_constant_rules(self, zip_table, lambda3, strategy):
-        report = ErrorDetector(zip_table).detect(lambda3, strategy=strategy)
-        assert report.suspect_cells() == {(3, "city")}
+    def test_only_rows_matching_the_lhs_are_checked(self, zip_table):
+        rule = PFD.constant("zip", "city", [{"zip": "9000\\D", "city": "Chicago"}])
+        report = ErrorDetector(zip_table).detect(rule)
+        assert report.suspect_cells() == {(row, "city") for row in range(4)}
+        # one LHS test per distinct value plus one RHS check per matching row
+        assert report.comparisons == 4 + 4
+        rule = PFD.constant("zip", "city", [{"zip": "90004", "city": "New York"}])
+        assert ErrorDetector(zip_table).detect(rule).is_empty()
 
 
 class TestVariableDetection:
@@ -85,29 +90,25 @@ class TestVariableDetection:
         # blocking emits one violation per minority row, not per pair
         assert len(report) == 1
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [DetectionStrategy.SCAN, DetectionStrategy.INDEX, DetectionStrategy.BRUTEFORCE],
-    )
-    def test_all_strategies_flag_the_same_suspect_rows(self, zip_table, lambda5, strategy):
-        report = ErrorDetector(zip_table).detect(lambda5, strategy=strategy)
-        assert 3 in {row for row, _attr in report.suspect_cells()}
+    def test_blocking_matches_the_literal_pairwise_check(self, zip_table, lambda5):
+        # three violating pairs, (s1..s3, s4), but one violation per
+        # minority row
+        pairs = violating_pairs(zip_table, lambda5)
+        assert pairs == {frozenset((row, 3)) for row in range(3)}
+        report = ErrorDetector(zip_table).detect(lambda5)
+        assert len(report) == 1
+        assert_matches_pairwise(report, pairs)
 
-    def test_bruteforce_emits_the_same_violations_as_blocking(self, zip_table, lambda5):
-        # bruteforce only differs in *enumeration* (all pairs); emission
-        # goes through the same shared evaluator, so the violations are
-        # identical to the blocking strategies — one per minority row,
-        # not one per pair
-        brute = ErrorDetector(zip_table).detect(lambda5, strategy=DetectionStrategy.BRUTEFORCE)
-        blocked = ErrorDetector(zip_table).detect(lambda5, strategy=DetectionStrategy.INDEX)
-        assert len(brute) == 1
-        assert brute.canonical_violations() == blocked.canonical_violations()
-
-    def test_bruteforce_comparisons_exceed_blocking(self, small_zip_city_state, lambda5):
+    def test_blocking_matches_the_pairwise_check_on_generated_data(
+        self, small_zip_city_state, lambda5
+    ):
         table = small_zip_city_state.table
-        brute = ErrorDetector(table).detect(lambda5, strategy=DetectionStrategy.BRUTEFORCE)
-        blocked = ErrorDetector(table).detect(lambda5, strategy=DetectionStrategy.INDEX)
-        assert brute.comparisons > blocked.comparisons
+        pairs = violating_pairs(table, lambda5)
+        report = ErrorDetector(table).detect(lambda5)
+        assert pairs and len(report) < len(pairs)
+        assert_matches_pairwise(report, pairs)
+        # blocking compares far fewer than the n²/2 pairs of the naive check
+        assert report.comparisons < table.n_rows * (table.n_rows - 1) // 2
 
 
 class TestAgainstReferenceSemantics:
@@ -149,10 +150,17 @@ class TestDetectAll:
         assert report.suspect_cells() == {(3, "city")}
         assert set(report.by_pfd()) == {"lambda3", "lambda5"}
 
-    def test_unknown_strategy_rejected(self, zip_table, lambda3):
-        with pytest.raises(DetectionError):
-            ErrorDetector(zip_table).detect(lambda3, strategy="nope")
+    def test_strategy_argument_is_gone(self, zip_table, lambda3):
+        with pytest.raises(TypeError, match="strategy"):
+            ErrorDetector(zip_table).detect(lambda3, strategy="scan")
+        with pytest.raises(TypeError, match="strategy"):
+            ErrorDetector(zip_table).detect_all([lambda3], strategy="scan")
+        assert ErrorDetector(zip_table).detect_all([lambda3]).strategy == "auto"
 
-    def test_column_index_is_cached(self, zip_table):
+    def test_a_detector_sees_edits_to_its_table(self, zip_table, lambda3):
+        # no cached state besides the match memo: the same detector
+        # reads the edited table
         detector = ErrorDetector(zip_table)
-        assert detector.column_index("zip") is detector.column_index("zip")
+        assert detector.detect(lambda3).suspect_cells() == {(3, "city")}
+        zip_table.set_cell(0, "city", "Chicago")
+        assert detector.detect(lambda3).suspect_cells() == {(0, "city"), (3, "city")}

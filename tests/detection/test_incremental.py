@@ -4,9 +4,10 @@ The correctness anchor is randomized equivalence: any sequence of
 mutations (edits, appends, deletes) applied through or alongside an
 :class:`IncrementalDetector` must yield a report whose canonical
 violations are identical to a from-scratch ``detect_all`` on the final
-table.  A property test adds small tables with big blocks and few RHS
-values, on a plain table and on a shard overlay, and checks the
-report's order too.
+table.  The detector maintains a :class:`ShardOverlay`; the sequences run
+on overlays cut into shards of a few rows, so edits, appends and
+tombstones land across shards.  A property test adds small tables with
+big blocks and few RHS values and checks the report's order too.
 """
 
 import random
@@ -20,15 +21,17 @@ from repro.datagen import (
     generate_phone_state,
     generate_zip_city_state,
 )
-from repro.dataset.table import CellEdit, RowAppend, RowDelete, Table
+from repro.dataset.table import Table
 from repro.detection import ErrorDetector, IncrementalDetector
-from repro.detection.detector import DetectionStrategy
 from repro.detection.violation import ViolationReport
 from repro.discovery import PfdDiscoverer
 from repro.patterns import parse_pattern
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
+
+from pairwise_reference import assert_matches_pairwise, violating_pairs
 from repro.sharding import ShardedTable, ShardOverlay
+from repro.sharding.overlay import MAX_DELTA_LOG
 
 
 GENERATORS = {
@@ -48,14 +51,19 @@ def rulesets():
     return out
 
 
+def overlay_of(table: Table, shard_rows: int = 32) -> ShardOverlay:
+    """A fresh overlay over ``table`` cut into ``shard_rows``-row shards."""
+    return ShardOverlay(ShardedTable.from_table(table, shard_rows))
+
+
 @pytest.fixture
 def make_rng():
     """Seeded RNG factory so every randomized sequence is reproducible."""
     return lambda seed: random.Random(seed)
 
 
-def random_mutation(rng, table: Table, step: int) -> None:
-    """Apply one random append/edit/delete to the table in place."""
+def random_mutation(rng, table: ShardOverlay, step: int) -> None:
+    """Apply one random append/edit/delete to the overlay in place."""
     columns = table.column_names()
     op = rng.choice(("edit", "edit", "append", "delete"))
     if op == "delete" and table.n_rows <= 2:
@@ -83,28 +91,10 @@ def random_mutation(rng, table: Table, step: int) -> None:
 
 
 def assert_equivalent(incremental: IncrementalDetector, pfds, context: str) -> None:
-    fresh = incremental.table.copy()
-    full = ErrorDetector(fresh).detect_all(pfds)
+    full = ErrorDetector(incremental.table.materialize()).detect_all(pfds)
     got = incremental.report()
     assert got.n_rows == full.n_rows, context
     assert got.canonical_violations() == full.canonical_violations(), context
-
-
-def assert_all_strategies_equivalent(
-    incremental: IncrementalDetector, pfds, context: str
-) -> None:
-    """Stronger form: the maintained report equals a from-scratch run of
-    *every* batch strategy — one emission engine, one answer."""
-    fresh = incremental.table.copy()
-    got = incremental.report().canonical_violations()
-    detector = ErrorDetector(fresh)
-    for strategy in (
-        DetectionStrategy.SCAN,
-        DetectionStrategy.INDEX,
-        DetectionStrategy.BRUTEFORCE,
-    ):
-        full = detector.detect_all(pfds, strategy=strategy)
-        assert got == full.canonical_violations(), f"{context} [{strategy}]"
 
 
 class TestRandomizedEquivalence:
@@ -117,7 +107,7 @@ class TestRandomizedEquivalence:
         self, rulesets, make_rng, dataset, seed
     ):
         pristine, pfds = rulesets[dataset]
-        table = pristine.copy()
+        table = overlay_of(pristine)
         rng = make_rng(seed)
         incremental = IncrementalDetector(table, pfds)
         for step in range(8):
@@ -129,28 +119,30 @@ class TestRandomizedEquivalence:
         self, rulesets, make_rng, dataset
     ):
         pristine, pfds = rulesets[dataset]
-        table = pristine.copy()
+        table = overlay_of(pristine)
         rng = make_rng(99)
         incremental = IncrementalDetector(table, pfds)
         for step in range(25):
             random_mutation(rng, table, step)
             assert_equivalent(incremental, pfds, f"{dataset} step={step}")
 
+    @pytest.mark.parametrize("shard_rows", [1, 3, None], ids=["1", "3", "n"])
     @pytest.mark.parametrize("dataset", sorted(GENERATORS))
     @pytest.mark.parametrize("seed", range(10))
-    def test_mutation_sequence_matches_every_batch_strategy(
-        self, rulesets, make_rng, dataset, seed
+    def test_mutation_sequence_matches_every_shard_size(
+        self, rulesets, make_rng, dataset, seed, shard_rows
     ):
-        # scan, index, AND bruteforce — all strategies share one emission
-        # engine, so the maintained report must equal each of them
+        # one-row shards, three-row shards and one shard of every row:
+        # the same sequence's edits, appends and tombstones land in one
+        # shard or spread over many
         pristine, pfds = rulesets[dataset]
-        table = pristine.copy()
+        table = overlay_of(pristine, shard_rows or pristine.n_rows)
         rng = make_rng(1000 + seed)
         incremental = IncrementalDetector(table, pfds)
         for step in range(8):
             random_mutation(rng, table, step)
-        assert_all_strategies_equivalent(
-            incremental, pfds, f"{dataset} seed={seed}"
+        assert_equivalent(
+            incremental, pfds, f"{dataset} seed={seed} shard_rows={shard_rows}"
         )
 
 
@@ -158,12 +150,12 @@ class TestMutationAPI:
     @pytest.fixture
     def zip_setup(self, rulesets):
         pristine, pfds = rulesets["zip_city_state"]
-        table = pristine.copy()
+        table = overlay_of(pristine)
         return table, pfds, IncrementalDetector(table, pfds)
 
     def test_initial_report_matches_batch_detector(self, zip_setup):
         table, pfds, incremental = zip_setup
-        full = ErrorDetector(table.copy()).detect_all(pfds)
+        full = ErrorDetector(table.materialize()).detect_all(pfds)
         assert incremental.report().canonical_violations() == full.canonical_violations()
 
     def test_set_cell_through_detector(self, zip_setup):
@@ -203,19 +195,15 @@ class TestMutationAPI:
         assert_equivalent(incremental, pfds, "direct mutations")
 
     def test_rebuild_fallback_when_delta_log_is_exhausted(self, zip_setup):
-        from repro.dataset.table import MAX_DELTA_LOG
-
         table, pfds, incremental = zip_setup
         for step in range(MAX_DELTA_LOG + 10):
             table.set_cell(step % table.n_rows, "city", f"v{step}")
         assert table.deltas_since(0) is None
         assert_equivalent(incremental, pfds, "log exhausted")
 
-    def test_rebuild_fallback_on_a_shard_overlay(self, rulesets):
-        from repro.dataset.table import MAX_DELTA_LOG
-
+    def test_rebuild_fallback_after_an_append(self, rulesets):
         pristine, pfds = rulesets["zip_city_state"]
-        overlay = ShardOverlay(ShardedTable.from_table(pristine, 32))
+        overlay = overlay_of(pristine)
         incremental = IncrementalDetector(overlay, pfds)
         overlay.append_row(overlay.row(0))
         for step in range(MAX_DELTA_LOG + 10):
@@ -230,88 +218,49 @@ class TestMutationAPI:
         assert incremental.report().canonical_violations() == full.canonical_violations()
 
     def test_strategy_argument_is_gone(self, zip_setup):
-        # the maintained report is the answer of every batch strategy;
-        # there is nothing to choose
         table, pfds, _ = zip_setup
         with pytest.raises(TypeError, match="strategy"):
-            IncrementalDetector(table, pfds, strategy=DetectionStrategy.SCAN)
+            IncrementalDetector(table, pfds, strategy="scan")
 
-    def test_maintained_report_matches_the_bruteforce_baseline(self, zip_setup):
-        # bruteforce emission goes through the same shared evaluators as
-        # blocking, so the maintained report equals it before and after edits
+    def test_maintained_report_matches_the_literal_pairwise_check(self, zip_setup):
+        # the maintained variable violations agree with the paper's naive
+        # pair enumeration, before and after an edit
         table, pfds, incremental = zip_setup
-        full = ErrorDetector(table.copy()).detect_all(
-            pfds, strategy=DetectionStrategy.BRUTEFORCE
-        )
-        report = incremental.report()
-        assert report.strategy == DetectionStrategy.AUTO
-        assert report.canonical_violations() == full.canonical_violations()
-        incremental.set_cell(0, "city", "Bruteville")
-        assert_all_strategies_equivalent(incremental, pfds, "bruteforce edit")
+        variable = [pfd for pfd in pfds if pfd.is_variable]
+        assert variable
+        for edit in (None, (0, "city", "Bruteville")):
+            if edit is not None:
+                incremental.set_cell(*edit)
+            report = incremental.report()
+            snapshot = table.materialize()
+            for pfd in variable:
+                violations = [v for v in report if v.pfd_name == pfd.name]
+                assert_matches_pairwise(violations, violating_pairs(snapshot, pfd))
+        assert_equivalent(incremental, pfds, "edit")
 
     def test_report_strategy_and_n_rows(self, zip_setup):
         table, pfds, incremental = zip_setup
         report = incremental.report()
-        assert report.strategy == DetectionStrategy.AUTO
+        assert report.strategy == "auto"
         assert report.n_rows == table.n_rows
 
 
-class TestDeltaLog:
-    def test_mutations_record_structured_deltas(self):
-        table = Table.from_rows(["a", "b"], [["x", "1"], ["y", "2"]])
-        table.set_cell(0, "a", "z")
-        table.append_row(["w", "3"])
-        table.delete_row(1)
-        deltas = table.deltas_since(0)
-        assert [type(d) for d in deltas] == [CellEdit, RowAppend, RowDelete]
-        edit, append, delete = deltas
-        assert (edit.row, edit.column, edit.old, edit.new) == (0, "a", "x", "z")
-        assert (append.row, append.values) == (2, ("w", "3"))
-        assert (delete.row, delete.values) == (1, ("y", "2"))
-        assert [d.version for d in deltas] == [1, 2, 3]
-        assert table.version == 3
-
-    def test_noop_set_cell_neither_bumps_version_nor_logs(self):
-        table = Table.from_rows(["a"], [["x"]])
-        table.set_cell(0, "a", "x")
-        assert table.version == 0
-        assert table.deltas_since(0) == ()
-
-    def test_deltas_since_partial_and_empty(self):
-        table = Table.from_rows(["a"], [["x"]])
-        table.set_cell(0, "a", "y")
-        table.set_cell(0, "a", "z")
-        assert table.deltas_since(table.version) == ()
-        assert len(table.deltas_since(1)) == 1
-        assert table.deltas_since(table.version + 1) is None
-
-    def test_append_row_from_mapping(self):
-        table = Table.from_rows(["a", "b"], [["x", "1"]])
-        row = table.append_row({"b": "2"})
-        assert table.row(row) == ("", "2")
-        from repro.errors import TableError
-
-        with pytest.raises(TableError):
-            table.append_row({"nope": "v"})
-        with pytest.raises(TableError):
-            table.append_row(["only-one-value"])
-        # a bare string is a sequence of characters — must not shred
-        # into per-character cells just because the lengths line up
-        with pytest.raises(TableError):
-            table.append_row("xy")
-
+class TestHandBuilt:
     def test_variable_rule_block_merge_and_split(self):
         # Hand-built λ5-style check: editing the zip prefix moves a row
         # between blocks; the violations follow it.
-        table = Table.from_rows(
-            ["zip", "city"],
-            [
-                ["90001", "Los Angeles"],
-                ["90002", "Los Angeles"],
-                ["90003", "Chicago"],  # violates within the 900 block
-                ["10001", "New York"],
-                ["10002", "New York"],
-            ],
+        table = overlay_of(
+            Table.from_rows(
+                ["zip", "city"],
+                [
+                    ["90001", "Los Angeles"],
+                    ["90002", "Los Angeles"],
+                    ["90003", "Chicago"],  # violates within the 900 block
+                    ["10001", "New York"],
+                    ["10002", "New York"],
+                ],
+            ),
+            2,
         )
         from repro.constrained import constrained_prefix
         from repro.patterns import parse_pattern
@@ -423,9 +372,7 @@ def _apply(target, mutation) -> None:
 
 
 def _check(incremental, pfds, context):
-    snapshot = incremental.table
-    if not isinstance(snapshot, Table):
-        snapshot = snapshot.materialize()
+    snapshot = incremental.table.materialize()
     got = incremental.report()
     full = ErrorDetector(snapshot).detect_all(pfds)
     assert got.canonical_violations() == full.canonical_violations(), context
@@ -442,15 +389,14 @@ def _check(incremental, pfds, context):
         ),
         max_size=10,
     ),
-    overlay=st.booleans(),
+    small_shards=st.booleans(),
 )
-def test_property_any_mutation_sequence_matches_batch_detection(rows, steps, overlay):
+def test_property_any_mutation_sequence_matches_batch_detection(rows, steps, small_shards):
     """After every step — a mutation through the detector, or a batch of
-    direct table mutations caught up by ``refresh()`` — the maintained
+    direct overlay mutations caught up by ``refresh()`` — the maintained
     report equals batch detection canonically, in the stated order."""
     table = Table.from_rows(list(COLUMNS), [list(row) for row in rows])
-    if overlay:
-        table = ShardOverlay(ShardedTable.from_table(table, 3))
+    table = overlay_of(table, 3 if small_shards else max(table.n_rows, 1))
     pfds = property_pfds()
     incremental = IncrementalDetector(table, pfds)
     _check(incremental, pfds, "seed")

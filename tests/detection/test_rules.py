@@ -1,12 +1,13 @@
 """Tests for the shared rule-evaluation engine.
 
-Every execution strategy — scan, index, bruteforce, and incremental
-maintenance — emits violations through the evaluators in
+Every detection route — the table detector, sharded detection and
+incremental maintenance — emits violations through the evaluators in
 :mod:`repro.detection.rules`.  The adversarial suite here drives the
-cases where the two historical implementations were most likely to
-drift: majority ties inside blocks, empty-string RHS values, and edit
-sequences that shrink a block below two rows and regrow it, asserting
-``canonical_violations()`` equality across all four paths.
+cases where the routes were most likely to drift: majority ties inside
+blocks, empty-string RHS values, and edit sequences that shrink a block
+below two rows and regrow it, asserting ``canonical_violations()``
+equality across all three routes and, for variable rules, agreement
+with the literal pairwise check.
 """
 
 import pytest
@@ -16,7 +17,6 @@ from repro.dataset.table import Table
 from repro.dataset.rowids import row_ids
 from repro.detection import ErrorDetector, IncrementalDetector
 from repro.detection.blocking import block_by_projection, split_block_by_rhs
-from repro.detection.detector import DetectionStrategy
 from repro.detection.rules import (
     ConstantRuleEvaluator,
     VariableRuleEvaluator,
@@ -32,13 +32,9 @@ from repro.patterns import parse_pattern
 from repro.perf.memo import MatchMemo
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
+from repro.sharding import ShardedDetector, ShardedTable, ShardOverlay
 
-
-BATCH_STRATEGIES = (
-    DetectionStrategy.SCAN,
-    DetectionStrategy.INDEX,
-    DetectionStrategy.BRUTEFORCE,
-)
+from pairwise_reference import assert_matches_pairwise, violating_pairs
 
 
 def zip_city_pfd() -> PFD:
@@ -51,21 +47,27 @@ def zip_city_pfd() -> PFD:
     )
 
 
+def overlay_of(table: Table) -> ShardOverlay:
+    """An overlay over ``table`` cut into two-row shards."""
+    return ShardOverlay(ShardedTable.from_table(table, 2))
+
+
 def assert_all_paths_agree(table: Table, pfds, context: str):
-    """scan == index == bruteforce == incremental, canonically; returns
-    the agreed canonical violation list for further assertions."""
-    reference = None
-    for strategy in BATCH_STRATEGIES:
-        report = ErrorDetector(table).detect_all(pfds, strategy=strategy)
-        canonical = report.canonical_violations()
-        if reference is None:
-            reference = canonical
-        else:
-            assert canonical == reference, f"{context}: {strategy} diverged"
-    incremental = IncrementalDetector(table.copy(), pfds)
+    """table detector == sharded == incremental, canonically, and every
+    variable rule agrees with the literal pairwise check; returns the
+    agreed canonical violation list for further assertions."""
+    report = ErrorDetector(table).detect_all(pfds)
+    reference = report.canonical_violations()
+    sharded = ShardedDetector(ShardedTable.from_table(table, 1)).detect_all(pfds)
+    assert sharded.canonical_violations() == reference, f"{context}: sharded diverged"
+    incremental = IncrementalDetector(overlay_of(table), pfds)
     assert incremental.report().canonical_violations() == reference, (
         f"{context}: incremental diverged"
     )
+    for pfd in pfds:
+        if pfd.is_variable:
+            violations = [v for v in report if v.pfd_name == pfd.name]
+            assert_matches_pairwise(violations, violating_pairs(table, pfd))
     return reference
 
 
@@ -175,14 +177,18 @@ class TestVariableRuleHooks:
 
     @staticmethod
     def seed(evaluator, memo, zips, cities):
-        blocks = block_by_projection(range(len(zips)), zips, evaluator.constrained, memo)
+        blocks = block_by_projection(
+            Table(["zip"], [zips]).group_rows("zip"), evaluator.constrained, memo
+        )
         evaluator.seed_blocks(
             {key: split_block_by_rhs(rows, cities) for key, rows in blocks.items()}
         )
 
     @staticmethod
     def assert_matches_batch(evaluator, memo, zips, cities):
-        blocks = block_by_projection(range(len(zips)), zips, evaluator.constrained, memo)
+        blocks = block_by_projection(
+            Table(["zip"], [zips]).group_rows("zip"), evaluator.constrained, memo
+        )
         batch = sorted(
             evaluator.emit_full(blocks, cities),
             key=lambda v: (v.rows, v.suspect_cell),
@@ -290,7 +296,7 @@ class TestShiftAfterDelete:
 
 
 class TestAdversarialEquivalence:
-    """Batch (scan/index/bruteforce) and incremental must agree on the
+    """Batch (table and sharded) and incremental must agree on the
     cases where duplicated emitters historically drift."""
 
     def test_two_way_majority_tie(self):
@@ -351,15 +357,17 @@ class TestAdversarialEquivalence:
         assert "expected ''" in canonical[0].describe()
 
     def test_block_shrinks_below_two_rows_and_regrows(self):
-        table = Table.from_rows(
-            ["zip", "city"],
-            [["10001", "NY"], ["10002", "NY"], ["10003", "SF"]],
+        table = overlay_of(
+            Table.from_rows(
+                ["zip", "city"],
+                [["10001", "NY"], ["10002", "NY"], ["10003", "SF"]],
+            )
         )
         pfds = [zip_city_pfd()]
         incremental = IncrementalDetector(table, pfds)
 
         def check(context):
-            batch = assert_all_paths_agree(table.copy(), pfds, context)
+            batch = assert_all_paths_agree(table.materialize(), pfds, context)
             assert incremental.report().canonical_violations() == batch, context
 
         check("initial")
@@ -378,15 +386,17 @@ class TestAdversarialEquivalence:
         check("regrown")
 
     def test_edit_moves_rows_out_of_a_block_and_back(self):
-        table = Table.from_rows(
-            ["zip", "city"],
-            [["90001", "LA"], ["90002", "LA"], ["90003", "NY"], ["10001", "SF"]],
+        table = overlay_of(
+            Table.from_rows(
+                ["zip", "city"],
+                [["90001", "LA"], ["90002", "LA"], ["90003", "NY"], ["10001", "SF"]],
+            )
         )
         pfds = [zip_city_pfd()]
         incremental = IncrementalDetector(table, pfds)
 
         def check(context):
-            batch = assert_all_paths_agree(table.copy(), pfds, context)
+            batch = assert_all_paths_agree(table.materialize(), pfds, context)
             assert incremental.report().canonical_violations() == batch, context
 
         check("initial")

@@ -7,8 +7,7 @@ same data, at shard sizes from one row up to the engine default, give
 the rule set and canonical violations of the monolithic library engines
 (``PfdDiscoverer`` + ``ErrorDetector``) — before and after an edit
 batch, whose re-check maintains the rules incrementally.  The
-``ErrorDetector`` strategies stay as the baselines every cut must agree
-with.
+``ErrorDetector`` stays the baseline every cut must agree with.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.anmat.session import AnmatSession
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.dataset.csvio import write_csv
-from repro.detection import DetectionStrategy, ErrorDetector
+from repro.detection import ErrorDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.engine import DEFAULT_SHARD_ROWS, SpillToDiskShardStore
 from repro.sharding import ShardedTable, ShardOverlay
@@ -143,15 +142,11 @@ class TestShardSizeInvariance:
             assert before == expected, f"diverged at {config.n_workers} workers"
 
 
-@pytest.mark.parametrize(
-    "strategy",
-    [DetectionStrategy.SCAN, DetectionStrategy.INDEX, DetectionStrategy.BRUTEFORCE],
-)
-def test_every_cut_agrees_with_every_strategy_baseline(strategy):
+def test_every_cut_agrees_with_the_detector_baseline():
     table = dirty_table("zip_city_state", 90, [], 7)
     pfds = PfdDiscoverer(DiscoveryConfig(**BASE)).discover(table)
     assert pfds
-    baseline = ErrorDetector(table).detect_all(pfds, strategy=strategy)
+    baseline = ErrorDetector(table).detect_all(pfds)
     for shard_rows in SHARD_SIZES:
         with AnmatSession(
             dataset_name="baseline", config=DiscoveryConfig(**BASE, shard_rows=shard_rows)

@@ -2,8 +2,8 @@
 
 Invariants:
 
-* all detection strategies (scan, index, brute force) flag the same
-  suspect rows for the same PFD;
+* the blocking detector's variable violations agree with the literal
+  pairwise check, and the sharded detector's equal them;
 * detection on the clean table of a generated dataset finds nothing for
   PFDs discovered from the clean table;
 * every suspect cell reported for a constant PFD really fails the rule it
@@ -18,13 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constrained.constrained_pattern import constrained_prefix
 from repro.dataset.table import Table
-from repro.detection.detector import DetectionStrategy, ErrorDetector
+from repro.detection.detector import ErrorDetector
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.discoverer import PfdDiscoverer
 from repro.patterns import parse_pattern
 from repro.pfd.pfd import PFD
 from repro.pfd.satisfaction import find_tableau_violations
 from repro.pfd.tableau import cell_matches
+from repro.sharding import ShardedDetector, ShardedTable
+
+from pairwise_reference import assert_matches_pairwise, violating_pairs
 
 #: Small synthetic zip→city worlds: a few prefixes, a few cities.
 PREFIXES = ["606", "607", "900", "941", "100"]
@@ -59,17 +62,11 @@ ZIP_PFD = PFD.variable(
 
 @settings(max_examples=40, deadline=None)
 @given(zip_city_tables())
-def test_strategies_flag_the_same_rows(table):
-    detector = ErrorDetector(table)
-    scan = detector.detect(ZIP_PFD, strategy=DetectionStrategy.SCAN)
-    index = detector.detect(ZIP_PFD, strategy=DetectionStrategy.INDEX)
-    brute = detector.detect(ZIP_PFD, strategy=DetectionStrategy.BRUTEFORCE)
-    # every strategy emits through the same shared rule evaluators —
-    # only candidate enumeration differs — so all three reports must
-    # carry identical violations
-    assert scan.suspect_cells() == index.suspect_cells()
-    assert scan.canonical_violations() == index.canonical_violations()
-    assert brute.canonical_violations() == index.canonical_violations()
+def test_blocking_agrees_with_the_literal_pairwise_check(table):
+    blocked = ErrorDetector(table).detect(ZIP_PFD)
+    assert_matches_pairwise(blocked, violating_pairs(table, ZIP_PFD))
+    sharded = ShardedDetector(ShardedTable.from_table(table, 5)).detect(ZIP_PFD)
+    assert sharded.canonical_violations() == blocked.canonical_violations()
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,22 +75,16 @@ def test_detector_agrees_with_reference_semantics(table):
     detector = ErrorDetector(table)
     reference = find_tableau_violations(table, ZIP_PFD)
     reference_rows = set(reference.violating_rows)
-    # the blocking strategy's suspects are always part of a reference violation
+    # the blocking detector's suspects are always part of a reference violation
     blocked = detector.detect(ZIP_PFD)
     blocked_rows = {row for violation in blocked for row in violation.rows}
     assert blocked_rows <= reference_rows
     assert bool(blocked_rows) == bool(reference_rows)
-    # the brute-force strategy enumerates exactly the reference pairs,
-    # then emits through the shared evaluator: its violations are the
-    # blocking strategy's, and its witness/suspect rows all come from
-    # reference pairs
-    brute = detector.detect(ZIP_PFD, strategy=DetectionStrategy.BRUTEFORCE)
-    assert brute.canonical_violations() == blocked.canonical_violations()
+    # the witness/suspect rows all come from the reference pairs
     reference_pairs = {(i, j) for i, j, _rule in reference.variable_violations}
     reference_pair_rows = {row for pair in reference_pairs for row in pair}
-    brute_rows = {row for violation in brute for row in violation.rows}
-    assert brute_rows <= reference_pair_rows
-    assert bool(brute_rows) == bool(reference_pairs)
+    assert blocked_rows <= reference_pair_rows
+    assert bool(blocked_rows) == bool(reference_pairs)
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,7 +18,7 @@ from reference_decision import ReferenceMajority
 
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
-from repro.detection import DetectionStrategy, ErrorDetector
+from repro.detection import ErrorDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.perf import clear_caches
 from repro.sharding import ShardedDetector, ShardedDiscoverer, ShardedTable
@@ -81,22 +81,13 @@ class TestKernelDifferential:
             pfds = PfdDiscoverer(CONFIG, decision_for(route)).discover(table)
             if not pfds:
                 pytest.skip("generator/seed pair discovered no rules")
-            detector = ErrorDetector(table)
-            per_strategy = {
-                strategy: detector.detect_all(
-                    pfds, strategy=strategy
-                ).canonical_violations()
-                for strategy in (DetectionStrategy.SCAN, DetectionStrategy.INDEX)
-            }
+            monolithic = ErrorDetector(table).detect_all(pfds).canonical_violations()
             sharded = (
                 ShardedDetector(ShardedTable.from_table(table, 7))
                 .detect_all(pfds)
                 .canonical_violations()
             )
-            assert per_strategy[DetectionStrategy.INDEX] == per_strategy[
-                DetectionStrategy.SCAN
-            ], f"index/scan diverged on the {route} route's rules"
-            assert sharded == per_strategy[DetectionStrategy.SCAN], (
+            assert sharded == monolithic, (
                 f"sharded detection diverged on the {route} route's rules"
             )
             violations[route] = sharded

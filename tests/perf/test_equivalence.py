@@ -1,11 +1,10 @@
 """Equivalence: cached, memoized, and sharded paths == uncached serial.
 
 The perf subsystem is pure acceleration — these tests prove that the
-shared compiled-pattern caches, the MatchMemo, the per-table artifact
-cache, the single-pass columnar inverted-index build, and the sharded
-backend's shard-major encodings all produce results identical to the
-uncached serial implementation, on the zip → city/state and employee
-datasets.
+shared compiled-pattern caches, the MatchMemo, the single-pass columnar
+inverted-index build, and the sharded backend's shard-major encodings
+all produce results identical to the uncached serial implementation,
+on the zip → city/state and employee datasets.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import pytest
 
 from repro import perf
 from repro.datagen import generate_employee_ids, generate_zip_city_state
-from repro.detection import DetectionStrategy, ErrorDetector
+from repro.detection import ErrorDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 
 
@@ -113,12 +112,18 @@ class TestDiscoveryEquivalence:
         assert sharded == serial
 
 
+def _detector(route, table, memo=None):
+    """The table detector, or the sharded one over 64-row shards."""
+    if route == "table":
+        return ErrorDetector(table, memo=memo)
+    from repro.sharding import ShardedDetector, ShardedTable
+
+    return ShardedDetector(ShardedTable.from_table(table, 64), memo=memo)
+
+
 @pytest.mark.parametrize("dataset", ["zip", "employee"])
-@pytest.mark.parametrize(
-    "strategy",
-    [DetectionStrategy.INDEX, DetectionStrategy.SCAN, DetectionStrategy.BRUTEFORCE],
-)
-def test_detection_equivalence(dataset, strategy, zip_table, employee_table):
+@pytest.mark.parametrize("route", ["table", "sharded"])
+def test_detection_equivalence(dataset, route, zip_table, employee_table):
     table = zip_table if dataset == "zip" else employee_table
     pfds = PfdDiscoverer().discover(table)
     assert pfds, "equivalence needs at least one discovered PFD"
@@ -126,13 +131,11 @@ def test_detection_equivalence(dataset, strategy, zip_table, employee_table):
     perf.clear_caches()
     with perf.caches_disabled():
         uncached = canonical_detection(
-            ErrorDetector(table, memo=perf.MatchMemo(enabled=False)).detect_all(
-                pfds, strategy=strategy
-            )
+            _detector(route, table, memo=perf.MatchMemo(enabled=False)).detect_all(pfds)
         )
 
     perf.clear_caches()
-    cold = canonical_detection(ErrorDetector(table).detect_all(pfds, strategy=strategy))
-    warm = canonical_detection(ErrorDetector(table).detect_all(pfds, strategy=strategy))
+    cold = canonical_detection(_detector(route, table).detect_all(pfds))
+    warm = canonical_detection(_detector(route, table).detect_all(pfds))
     assert cold == uncached
     assert warm == uncached

@@ -3,13 +3,11 @@
 import pytest
 
 from repro import perf
-from repro.dataset.table import Table
 from repro.patterns import parse_pattern
 from repro.patterns.pattern import Pattern
 from repro.perf.interning import InternPool
 from repro.perf.lru import LruCache
 from repro.perf.memo import MatchMemo
-from repro.perf.table_cache import TableArtifactCache
 from repro.perf.timers import StageTimers
 
 
@@ -125,55 +123,6 @@ class TestMatchMemo:
         assert memo.stats()["patterns"] == 2
 
 
-class TestTableArtifactCache:
-    def test_caches_per_table_and_key(self):
-        cache = TableArtifactCache()
-        table = Table(["a"], [["1", "2"]])
-        builds = []
-        build = lambda: builds.append(1) or "artifact"
-        assert cache.get(table, "k", build) == "artifact"
-        assert cache.get(table, "k", build) == "artifact"
-        assert len(builds) == 1
-        assert cache.stats()["hits"] == 1
-
-    def test_set_cell_invalidates(self):
-        cache = TableArtifactCache()
-        table = Table(["a"], [["1", "2"]])
-        builds = []
-        build = lambda: builds.append(1) or len(builds)
-        assert cache.get(table, "k", build) == 1
-        table.set_cell(0, "a", "changed")
-        assert cache.get(table, "k", build) == 2
-        assert len(builds) == 2
-
-    def test_distinct_tables_do_not_share(self):
-        cache = TableArtifactCache()
-        first = Table(["a"], [["1"]])
-        second = Table(["a"], [["1"]])  # equal contents, distinct identity
-        assert cache.get(first, "k", lambda: "one") == "one"
-        assert cache.get(second, "k", lambda: "two") == "two"
-
-    def test_entry_reaped_when_table_collected(self):
-        cache = TableArtifactCache()
-        table = Table(["a"], [["1"]])
-        cache.get(table, "k", lambda: "artifact")
-        assert cache.stats()["tables"] == 1
-        del table
-        import gc
-
-        gc.collect()
-        assert cache.stats()["tables"] == 0
-
-    def test_disabled_cache_rebuilds(self):
-        cache = TableArtifactCache()
-        cache.enabled = False
-        table = Table(["a"], [["1"]])
-        builds = []
-        cache.get(table, "k", lambda: builds.append(1))
-        cache.get(table, "k", lambda: builds.append(1))
-        assert len(builds) == 2
-
-
 class TestStageTimers:
     def test_accumulates_named_stages(self):
         timers = StageTimers()
@@ -213,11 +162,18 @@ class TestSharedPatternCaches:
         second = Pattern(first.elements)
         assert first.compiled_regex() is second.compiled_regex()
 
-    def test_equal_patterns_share_nfa(self):
-        perf.clear_caches()
+    def test_nfa_is_built_once_per_pattern(self):
         first = parse_pattern("\\LU\\LL*")
         second = Pattern(first.elements)
-        assert first.nfa is second.nfa
+        assert first.nfa is first.nfa
+        for text in ("Abc", "abc", "A", ""):
+            assert first.nfa.matches_string(text) == second.nfa.matches_string(text)
+
+    def test_cache_stats_name_the_remaining_caches(self):
+        stats = perf.cache_stats()
+        assert {"regex", "constrained_regex", "match_memo"} <= set(stats)
+        assert "nfa" not in stats and "token_pool" not in stats
+        assert stats["table_artifacts"] == {"hits": 0, "misses": 0, "patched": 0}
 
     def test_clear_caches_resets_stats(self):
         parse_pattern("abc").compiled_regex()
@@ -236,12 +192,7 @@ class TestSharedPatternCaches:
 
 class TestDetectorCacheInvalidation:
     def test_reused_detector_sees_set_cell_mutation(self):
-        """A detector instance must not serve pre-mutation artifacts.
-
-        Regression test: an instance-level index cache would be blind to
-        ``set_cell`` (and would poison the shared version-keyed cache by
-        recomputing derived rows from the stale index).
-        """
+        """A detector instance must not serve pre-mutation results."""
         from repro.datagen import generate_zip_city_state
         from repro.detection import ErrorDetector
         from repro.discovery import PfdDiscoverer
@@ -250,15 +201,15 @@ class TestDetectorCacheInvalidation:
         table = generate_zip_city_state(n_rows=300, seed=23).table
         pfds = PfdDiscoverer().discover(table)
         detector = ErrorDetector(table)  # same instance across the mutation
-        before = detector.detect_all(pfds, strategy="index")
+        before = detector.detect_all(pfds)
         clean_row = next(
             r for r in range(table.n_rows) if (r, "state") not in before.suspect_cells()
         )
         table.set_cell(clean_row, "state", "XX")
-        after = detector.detect_all(pfds, strategy="index")
+        after = detector.detect_all(pfds)
         assert (clean_row, "state") in after.suspect_cells()
-        # ...and fresh detectors agree (the shared cache was not poisoned)
-        fresh = ErrorDetector(table).detect_all(pfds, strategy="index")
+        # ...and fresh detectors agree
+        fresh = ErrorDetector(table).detect_all(pfds)
         assert fresh.suspect_cells() == after.suspect_cells()
         assert list(fresh) == list(after)
 

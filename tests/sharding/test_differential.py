@@ -3,8 +3,9 @@
 Randomized dirty tables (the seeded datagen generators, plus extra
 injected corruption) run through monolithic and sharded discovery and
 detection at shard sizes {1, 7, n_rows // 2, n_rows}; the sharded path
-must produce the *identical* rule set and canonically equal violations
-against every monolithic strategy.  Each case is fully determined by the
+must produce the *identical* rule set and violations canonically equal
+to the monolithic ``ErrorDetector``'s, whose variable violations agree
+with the literal pairwise check.  Each case is fully determined by the
 (generator, seed) pair in the test id, so a failure replays with
 ``pytest -k <test id>``.
 """
@@ -25,7 +26,7 @@ from repro.patterns import parse_pattern
 from repro.perf import clear_caches
 from repro.pfd import PFD, WILDCARD
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
-from repro.detection import DetectionStrategy, ErrorDetector
+from repro.detection import ErrorDetector
 from repro.detection.violation import ViolationReport
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.sharding import (
@@ -36,8 +37,10 @@ from repro.sharding import (
     make_shard_store,
 )
 
+from pairwise_reference import assert_matches_pairwise, violating_pairs
+
 #: (generator name, rows, extra corruption specs) — small enough that the
-#: bruteforce strategy stays cheap, varied enough to cover prefix- and
+#: literal pairwise check stays cheap, varied enough to cover prefix- and
 #: token-mode discovery, constant and variable rules, and empty cells.
 GENERATORS = [
     ("zip_city_state", 90, [CorruptionSpec("city", 0.05, kind="swap")]),
@@ -82,30 +85,25 @@ class TestDifferential:
                 (r.lhs, r.rhs, r.accepted, r.coverage) for r in result.reports
             ] == mono_accepted, f"mining reports diverged at shard_rows={shard_rows}"
 
-    def test_detection_canonically_equal_across_strategies(
+    def test_detection_canonically_equal_to_the_table_detector(
         self, name, n_rows, specs, seed
     ):
         table = dirty_table(name, n_rows, specs, seed)
         pfds = PfdDiscoverer(CONFIG).discover(table)
         if not pfds:
             pytest.skip("generator/seed pair discovered no rules")
-        detector = ErrorDetector(table)
-        by_strategy = {
-            strategy: detector.detect_all(pfds, strategy=strategy).canonical_violations()
-            for strategy in (
-                DetectionStrategy.SCAN,
-                DetectionStrategy.INDEX,
-                DetectionStrategy.BRUTEFORCE,
-            )
-        }
+        report = ErrorDetector(table).detect_all(pfds)
+        for pfd in pfds:
+            if pfd.is_variable:
+                violations = [v for v in report if v.pfd_name == pfd.name]
+                assert_matches_pairwise(violations, violating_pairs(table, pfd))
+        expected = report.canonical_violations()
         for shard_rows in shard_sizes(table.n_rows):
             sharded = ShardedTable.from_table(table, shard_rows)
             canonical = ShardedDetector(sharded).detect_all(pfds).canonical_violations()
-            for strategy, expected in by_strategy.items():
-                assert canonical == expected, (
-                    f"sharded violations diverged from {strategy} "
-                    f"at shard_rows={shard_rows}"
-                )
+            assert canonical == expected, (
+                f"sharded violations diverged at shard_rows={shard_rows}"
+            )
 
     def test_handwritten_rules_equal(self, name, n_rows, specs, seed):
         """Hand-written rule shapes discovery never emits — notably a
@@ -118,9 +116,7 @@ class TestDifferential:
         )[0]
         pfd = PFD.constant(lhs, rhs, name="wild")
         pfd.add_rule({lhs: WILDCARD, rhs: majority})
-        expected = (
-            ErrorDetector(table).detect(pfd, strategy=DetectionStrategy.SCAN)
-        ).canonical_violations()
+        expected = ErrorDetector(table).detect(pfd).canonical_violations()
         assert expected, "probe rule should flag the non-majority rows"
         sharded = ShardedTable.from_table(table, 7)
         assert (
@@ -131,7 +127,7 @@ class TestDifferential:
         """Detection right after sharded discovery groups from the
         encodings discovery kept (with their per-code arrays released)
         and must agree with a cold detection that encodes the shards
-        itself, and with the monolithic scan."""
+        itself, and with the monolithic detector."""
         table = dirty_table(name, n_rows, specs, seed)
         shard_rows = max(1, table.n_rows // 3)
         warm = ShardedTable.from_table(table, shard_rows)
@@ -146,9 +142,7 @@ class TestDifferential:
         assert ShardedDetector(cold).detect_all(pfds).canonical_violations() == (
             from_encodings
         )
-        monolithic = ErrorDetector(table).detect_all(
-            pfds, strategy=DetectionStrategy.SCAN
-        )
+        monolithic = ErrorDetector(table).detect_all(pfds)
         assert monolithic.canonical_violations() == from_encodings
 
 
