@@ -46,7 +46,7 @@ from repro.constrained import ConstrainedPattern
 from repro.pfd import PFD, EmbeddedFD, PatternTableau, TableauRow, WILDCARD
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.detection import ErrorDetector, Violation
-from repro.sharding import ShardedDetector, ShardedDiscoverer, ShardedTable
+from repro.sharding import ShardedDiscoverer, ShardedTable
 from repro.anmat import AnmatSession
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "PfdDiscoverer",
     "ErrorDetector",
     "Violation",
-    "ShardedDetector",
     "ShardedDiscoverer",
     "ShardedTable",
     "AnmatSession",

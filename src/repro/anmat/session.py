@@ -7,12 +7,14 @@ confirms the dependencies that are valid → the confirmed rules are run
 over the data and violations are reported.  :class:`AnmatSession`
 exposes each of those steps as a method and enforces their order.
 
-After detection the session supports an interactive **edit loop**:
-:meth:`edit_cell` / :meth:`apply_repair` mutate the table and update the
-violation report *in place* through an
-:class:`~repro.detection.incremental.IncrementalDetector` instead of
-re-scanning the whole table — the session moves to ``EDITING`` and a
-:meth:`run_detection` (full re-check) returns it to ``DETECTED``.
+Detection builds the session's one detector, an
+:class:`~repro.detection.incremental.IncrementalDetector`, whose report
+is the detection report.  The session then supports an interactive
+**edit loop**: :meth:`edit_cell` / :meth:`apply_repair` mutate the
+table and that detector updates the violation report *in place*
+instead of re-scanning the whole table — the session moves to
+``EDITING`` and a :meth:`run_detection` (a fresh detector) returns it
+to ``DETECTED``.
 
 Every dataset runs on one engine.  :meth:`AnmatSession.load_table` cuts
 a :class:`Table` into shards once — ``config.shard_rows`` rows each (the
@@ -20,12 +22,12 @@ engine default when unset), on the store ``config.store`` names — just
 as :meth:`AnmatSession.upload_csv` does with a CSV upload, and the cut is
 never redone.  From then on the dataset is a
 :class:`~repro.sharding.overlay.ShardOverlay` over its shards: profiling,
-:class:`~repro.sharding.discovery.ShardedDiscoverer`,
-:class:`~repro.sharding.detection.ShardedDetector` and the
-:class:`~repro.discovery.maintenance.RuleMaintainer` of :meth:`recheck`
-all read the overlay's sealed view, and the edit loop writes to the
-overlay.  Results do not depend on the shard size.  Each run records an
-:class:`~repro.engine.plan.ExecutionPlan` for ``--explain-plan``.
+:class:`~repro.sharding.discovery.ShardedDiscoverer`, the detector's
+seed and the :class:`~repro.discovery.maintenance.RuleMaintainer` of
+:meth:`recheck` all read the overlay's sealed view, and the edit loop
+writes to the overlay.  Results do not depend on the shard size.  Each
+run records an :class:`~repro.engine.plan.ExecutionPlan` for
+``--explain-plan``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.discovery.maintenance import RuleMaintainer
 from repro.engine import DEFAULT_SHARD_ROWS, ExecutionPlan, plan_run
 from repro.errors import ProjectError
 from repro.pfd.pfd import PFD
-from repro.sharding.detection import ShardedDetector
 from repro.sharding.discovery import ShardedDiscoverer
 from repro.sharding.overlay import ShardOverlay
 from repro.sharding.sharded_table import ShardedTable
@@ -95,8 +96,8 @@ class AnmatSession:
     #: the plan of the most recent discovery/detection run (``--explain-plan``
     #: and tests introspect it)
     last_plan: Optional[ExecutionPlan] = field(default=None, repr=False)
-    #: the rules of the last run_detection, driving the edit loop
-    _detection_rules: List[PFD] = field(default_factory=list, repr=False)
+    #: the detector of the last detection (its ``pfds`` are the rules
+    #: detected); its report is ``violations``
     _incremental: Optional[IncrementalDetector] = field(default=None, repr=False)
     #: maintains the rule set across :meth:`recheck` calls — seeded by
     #: every discovery run, dropped with the dataset
@@ -137,7 +138,6 @@ class AnmatSession:
             self.table.close()
         self.table = ShardOverlay(table)
         self.violations = None
-        self._detection_rules = []
         self._incremental = None
         self._maintainer = None
         self.state = SessionState.LOADED
@@ -263,7 +263,6 @@ class AnmatSession:
         # and any report/edit loop over the previous rule set is dropped.
         self.confirmed_names = []
         self.violations = None
-        self._detection_rules = []
         self._incremental = None
         self.state = SessionState.DISCOVERED
         if self.project is not None:
@@ -301,15 +300,17 @@ class AnmatSession:
         Confirmations survive by rule content: dependencies whose
         tableau is unchanged stay confirmed (whatever their new number),
         and when a detection run existed the surviving confirmations are
-        re-detected (session back to ``DETECTED``).  If no confirmation
-        survives, violations are cleared and the session returns to
-        ``DISCOVERED`` awaiting fresh confirmations.
+        re-detected by a fresh detector over the re-checked view, which
+        the next edit batch maintains (session back to ``DETECTED``).
+        If no confirmation survives, violations are cleared and the
+        session returns to ``DISCOVERED`` awaiting fresh confirmations.
 
-        Atomic: the new rules and violations are computed first and
-        committed together.  If any step raises, the session keeps its
-        pre-recheck rules, confirmations, violations, state and edit
-        loop; only the rule maintainer is dropped (it may have advanced
-        its baseline), so the next re-check re-discovers in full.
+        Atomic: the new rules, detector and violations are computed
+        first and committed together.  If any step raises, the session
+        keeps its pre-recheck rules, confirmations, violations, state
+        and detector; only the rule maintainer is dropped (it may have
+        advanced its baseline), so the next re-check re-discovers in
+        full.
         """
         self._require_table()
         if self.discovery is None:
@@ -318,7 +319,7 @@ class AnmatSession:
             )
         plan = self.plan_recheck()
         confirmed_keys = [_rule_key(pfd) for pfd in self.confirmed_pfds()]
-        had_detection = bool(self._detection_rules)
+        had_detection = self._incremental is not None
         maintainer = self._maintainer
         try:
             view = self.table.as_sharded()
@@ -344,7 +345,8 @@ class AnmatSession:
                 if had_detection
                 else []
             )
-            violations = ShardedDetector(view).detect_all(rules) if rules else None
+            detector = IncrementalDetector(self.table, rules) if rules else None
+            violations = detector.report() if detector is not None else None
         except BaseException:
             self._maintainer = None
             raise
@@ -352,8 +354,7 @@ class AnmatSession:
         self.discovery = result
         self.confirmed_names = confirmed
         self.violations = violations
-        self._detection_rules = rules
-        self._incremental = None
+        self._incremental = detector
         self.state = SessionState.DETECTED if rules else SessionState.DISCOVERED
         self.last_plan = plan
         if self.project is not None:
@@ -426,10 +427,12 @@ class AnmatSession:
         """Run the confirmed PFDs (or ``pfds``) over the data (the
         Figure 5 view).
 
-        The sharded detector groups each rule pair from the column
-        encodings discovery kept; its violations are canonically equal
-        to an :class:`~repro.detection.detector.ErrorDetector` run over
-        the materialized table.
+        Seeds a fresh :class:`IncrementalDetector` — the one the edit
+        loop maintains — from the pair groups of the column encodings
+        discovery kept; its report (evaluator order, rows ascending) is
+        canonically equal to an
+        :class:`~repro.detection.detector.ErrorDetector` run over the
+        materialized table.
         """
         self._require_table()
         rules = list(pfds) if pfds is not None else self.confirmed_pfds()
@@ -438,10 +441,9 @@ class AnmatSession:
                 "no confirmed PFDs to run; call run_discovery() and confirm() first"
             )
         plan = self.plan_detection()
-        self.violations = ShardedDetector(self.table.as_sharded()).detect_all(rules)
+        self._incremental = IncrementalDetector(self.table, rules)
+        self.violations = self._incremental.report()
         self.last_plan = plan
-        self._detection_rules = rules
-        self._incremental = None  # a fresh full run supersedes any edit loop
         self.state = SessionState.DETECTED
         self._save_results()
         return self.violations
@@ -457,26 +459,21 @@ class AnmatSession:
     def edit_cell(self, row: int, attribute: str, value: object) -> ViolationReport:
         """Fix one cell and update the violation report *in place*.
 
-        The first edit after a detection run attaches an
-        :class:`IncrementalDetector` over the confirmed rules, seeded
-        from the column encodings, pair groups and blocks that run left
-        on the sealed view, without reading a shard; each edit then re-checks
-        one row per constant rule and moves one row between RHS groups
-        per variable rule instead of re-scanning.  The
-        session moves to ``EDITING``; :meth:`run_detection` performs a
-        full re-check and returns it to ``DETECTED``.
+        The detector of the last :meth:`run_detection` or :meth:`recheck`
+        re-checks one row per constant rule and moves one row between
+        RHS groups per variable rule instead of re-scanning.  The
+        session moves to ``EDITING``; :meth:`run_detection` seeds a
+        fresh detector and returns it to ``DETECTED``.
 
         Project results are *not* rewritten per edit (that disk write
         would dwarf the incremental update); they are persisted by the
         closing :meth:`run_detection` re-check.
         """
         self._require_table()
-        if self.violations is None or not self._detection_rules:
+        if self._incremental is None:
             raise ProjectError(
                 "no detection run to maintain; call run_detection() before editing"
             )
-        if self._incremental is None:
-            self._incremental = IncrementalDetector(self.table, self._detection_rules)
         self._incremental.set_cell(row, attribute, value)
         self.violations = self._incremental.report()
         self.state = SessionState.EDITING

@@ -17,9 +17,12 @@ use blocking instead of the quadratic pair check.
 Violation *semantics* — what constitutes a violation, witness selection,
 majority tie-breaking, :class:`Violation` construction — live in
 :mod:`repro.detection.rules`; this module only enumerates candidates.
-The session engine detects on shards
-(:mod:`repro.sharding.detection`); this detector is the library
-reference it is compared against.
+A session detects through the
+:class:`~repro.detection.incremental.IncrementalDetector` it keeps for
+the edit loop, seeded on shards; this detector is the library reference
+it is compared against (through
+:meth:`~repro.detection.violation.ViolationReport.canonical_violations`:
+the two report in different orders).
 """
 
 from __future__ import annotations

@@ -1,23 +1,26 @@
-"""Incremental violation maintenance under table updates.
+"""The session's detector: detection, then maintenance under table updates.
 
-The ANMAT workflow is interactive: the user confirms rules, fixes cells,
-and re-checks.  Re-running detection after every single-cell repair
-re-scans the whole table even though the edit can only affect
-violations whose rule touches the edited value.  The
-:class:`IncrementalDetector` keeps per-rule violation state on distinct
-values and maintains it under the structured deltas recorded by
-``set_cell`` / ``append_row`` / ``delete_row`` of a
+The ANMAT workflow is interactive: the user confirms rules, detects
+violations, fixes cells, and re-checks.  Re-running detection after
+every single-cell repair re-scans the whole table even though the edit
+can only affect violations whose rule touches the edited value.  The
+:class:`IncrementalDetector` builds per-rule violation state on
+distinct values once — that build *is* the session's detection — and
+maintains it under the structured deltas recorded by ``set_cell`` /
+``append_row`` / ``delete_row`` of a
 :class:`~repro.sharding.overlay.ShardOverlay`.
 
-**Attach.**  The state is seeded from the sharded view detection runs
-on — the overlay's cached seal (:meth:`ShardOverlay.as_sharded`), whose
-column encodings, pair groups and ``≡_Q`` blocks the detection run left
-behind.  The rule columns' integer codes and distinct
-values are copied from the view's encodings; each constant rule takes
-one RHS verdict per ``(LHS value, RHS value)`` pair group; each variable
-rule copies the blocks into per-block RHS groups, majority, witness and
-minority violations.  The view's cached artifacts are never aliased or
-mutated: an untouched overlay's view *is* its base table.
+**Seed.**  The state is built from the overlay's sharded view (its
+cached seal, :meth:`ShardOverlay.as_sharded`) through
+:mod:`repro.sharding.detection`: the rule columns' encodings (the ones
+discovery left behind, so detection right after discovery reads no
+shard), each constant rule's one RHS verdict per ``(LHS value, RHS
+value)`` pair group, and each variable rule's ``≡_Q`` blocks, which it
+takes over as per-block RHS groups, majority, witness and minority
+violations.  The rule columns' codes and distinct values are the view
+encodings' own until the first delta writes one, which copies them: a
+detection-only session copies nothing.  The view's cached artifacts are
+never mutated: an untouched overlay's view *is* its base table.
 
 **Edit.**  A cell edit patches one code (a value the column has not
 held yet appends to the detector's own distinct list), re-checks the
@@ -43,9 +46,9 @@ state — randomized and property-based equivalence tests enforce this.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.dataset.rowids import RowIds, row_ids_from_numpy
+from repro.dataset.rowids import row_ids_from_numpy
 from repro.detection.rules import (
     RuleEvaluator,
     VariableRuleEvaluator,
@@ -56,28 +59,50 @@ from repro.kernels.encoder import ColumnEncoding
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
+from repro.sharding.detection import split_blocks, value_groups
 from repro.sharding.overlay import CellEdit, RowAppend, RowDelete
 
 
 class _CodedColumn:
-    """One rule column as the detector's own codes over its own distinct
-    values, copied from a column encoding and patched per delta."""
+    """One rule column as codes over distinct values: a column
+    encoding's own arrays until the first write copies them into the
+    detector's, which each delta then patches."""
 
     __slots__ = ("distinct", "codes", "_index")
 
     def __init__(self, encoding: ColumnEncoding) -> None:
-        self.distinct: List[str] = list(encoding.distinct)
-        self.codes: RowIds = row_ids_from_numpy(encoding.codes)
+        self.distinct: Sequence[str] = encoding.distinct
+        self.codes: Sequence[int] = encoding.codes
         #: value → code, built on the first write
         self._index: Optional[Dict[str, int]] = None
 
     def value(self, row: int) -> str:
         return self.distinct[self.codes[row]]
 
-    def code_of(self, value: str) -> int:
+    def set(self, row: int, value: str) -> None:
+        code = self._code_of(value)
+        self.codes[row] = code
+
+    def append(self, value: str) -> None:
+        code = self._code_of(value)
+        self.codes.append(code)
+
+    def delete(self, row: int) -> None:
+        self._own()
+        del self.codes[row]
+
+    def _own(self) -> Dict[str, int]:
+        """The value → code index, copying the encoding's arrays into the
+        detector's own on the first call."""
         index = self._index
         if index is None:
+            self.distinct = list(self.distinct)
+            self.codes = row_ids_from_numpy(self.codes)
             index = self._index = {v: code for code, v in enumerate(self.distinct)}
+        return index
+
+    def _code_of(self, value: str) -> int:
+        index = self._own()
         code = index.get(value)
         if code is None:
             code = index[value] = len(self.distinct)
@@ -86,10 +111,12 @@ class _CodedColumn:
 
 
 class IncrementalDetector:
-    """Maintains a :class:`ViolationReport` for a fixed rule set under
-    mutations of a :class:`~repro.sharding.overlay.ShardOverlay`.
+    """Detects a fixed rule set's violations over a
+    :class:`~repro.sharding.overlay.ShardOverlay` and maintains the
+    :class:`ViolationReport` under mutations of it.
 
-    Either mutate through the detector (:meth:`set_cell`,
+    Construction seeds the state from the overlay's sharded view — in a
+    session, that seed is detection.  Either mutate through the detector (:meth:`set_cell`,
     :meth:`append_row`, :meth:`delete_row`) or mutate the overlay
     directly and call :meth:`refresh` — both replay the overlay's delta
     log; the detector re-seeds only when the log no longer covers the
@@ -138,11 +165,7 @@ class IncrementalDetector:
             self._rebuild_timed()
 
     def _rebuild_timed(self) -> None:
-        # imported here: the sharded engine imports this package
-        from repro.sharding.detection import ShardedDetector
-
         view = self.table.as_sharded()
-        detector = ShardedDetector(view, memo=self.memo)
         names = [n for pfd in self.pfds for n in (pfd.lhs_attribute, pfd.rhs_attribute)]
         encodings = view.column_encodings(names)
         self._columns = {name: _CodedColumn(encodings[name]) for name in encodings}
@@ -152,9 +175,11 @@ class IncrementalDetector:
             for rule_index, rule in enumerate(pfd.tableau):
                 evaluator = make_rule_evaluator(pfd, rule_index, rule)
                 if isinstance(evaluator, VariableRuleEvaluator):
-                    evaluator.seed_blocks(detector.blocks(evaluator))
+                    evaluator.seed_blocks(split_blocks(view, evaluator, self.memo))
                 else:
-                    evaluator.seed_value_groups(detector.value_groups(evaluator), self.memo)
+                    evaluator.seed_value_groups(
+                        value_groups(view, evaluator, self.memo), self.memo
+                    )
                 self._rules.append(evaluator)
                 for name in dict.fromkeys((evaluator.lhs, evaluator.rhs)):
                     self._readers[name].append(evaluator)
@@ -210,7 +235,7 @@ class IncrementalDetector:
             return
         row = delta.row
         old = column.value(row)
-        column.codes[row] = column.code_of(delta.new)
+        column.set(row, delta.new)
         columns = self._columns
         for evaluator in self._readers[delta.column]:
             lhs = columns[evaluator.lhs].value(row)
@@ -227,7 +252,7 @@ class IncrementalDetector:
     def _apply_append(self, delta: RowAppend) -> None:
         schema = self.table.schema
         for name, column in self._columns.items():
-            column.codes.append(column.code_of(delta.values[schema.index_of(name)]))
+            column.append(delta.values[schema.index_of(name)])
         for evaluator in self._rules:
             evaluator.append_row(
                 self.memo,
@@ -246,7 +271,7 @@ class IncrementalDetector:
                 self._columns[evaluator.rhs].value(row),
             )
         for column in self._columns.values():
-            del column.codes[row]
+            column.delete(row)
 
     # -- output ---------------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 The paper's detection semantics (Section 3) come in two families —
 constant tableau rules checked row by row, and variable rules checked
-per ``≡_Q`` block with majority-witness selection — and every execution
-route (the table detector, sharded detection, incremental maintenance)
-must emit *identical* violations for the same table.  This module is the
-one place those semantics live:
+per ``≡_Q`` block with majority-witness selection — and both detectors
+(the table detector and the session's incremental detector) must emit
+*identical* violations for the same table.  This module is the one
+place those semantics live:
 
 * :class:`ConstantRuleEvaluator` — LHS match / RHS satisfaction checks
   and per-row :class:`~repro.detection.violation.Violation` construction
@@ -14,11 +14,13 @@ one place those semantics live:
   majority tie-breaking, witness selection, and violation construction
   for one variable tableau rule.
 
-Each evaluator has two entry points.  ``emit_full`` /
-``emit_value_groups`` / ``violations_for_groups`` serve batch detection:
-given the rows (or blocks) in scope they yield the rule's violations
-without retaining state.  The state hooks serve incremental
-maintenance, and work on distinct values rather than on rows:
+Each evaluator serves two callers.  ``emit_full`` serves the library
+reference (:class:`~repro.detection.detector.ErrorDetector`): given
+the rows (or blocks) in scope it yields the rule's violations without
+retaining state.  The state hooks serve the session's detector
+(:class:`~repro.detection.incremental.IncrementalDetector`), whose seed
+*is* detection and whose updates are the edit loop; they work on
+distinct values rather than on rows:
 
 * a constant rule is seeded with one RHS verdict per ``(LHS value, RHS
   value)`` group (:meth:`ConstantRuleEvaluator.seed_value_groups`) and
@@ -34,9 +36,9 @@ maintenance, and work on distinct values rather than on rows:
 ``update_row`` / ``append_row`` / ``delete_row`` take the row's LHS and
 RHS *values* (the caller decodes them from its own column codes), and
 ``emit()`` returns the maintained violations in ascending row order,
-cached until the state changes.  Batch and incremental runs build their
-violations through the same core (``make_violation`` /
-``suspects``), so they cannot drift apart.
+cached until the state changes.  Both callers build their violations
+through the same core (``make_violation`` / ``suspects``), so they
+cannot drift apart.
 
 Pattern verdicts and constrained projections are always read through a
 :class:`~repro.perf.memo.MatchMemo` (one regex run per distinct value),
@@ -138,12 +140,10 @@ def elect_expected_value(violations: Sequence[Violation]) -> Tuple[str, Violatio
     return winner, backer, votes[winner] / len(violations)
 
 
-def _sorted_row_ids(rows: Iterable[int]) -> RowIds:
-    """A fresh ascending row-id array holding ``rows`` (never an alias)."""
-    out = row_ids(rows)
-    if len(out) > 1:
-        np.frombuffer(out, dtype=np.int32).sort()
-    return out
+def _sort_in_place(rows: RowIds) -> None:
+    """Sort a row-id array ascending in place."""
+    if len(rows) > 1:
+        np.frombuffer(rows, dtype=np.int32).sort()
 
 
 def _shift_down_from(rows: RowIds, start: int) -> None:
@@ -156,9 +156,8 @@ def _shift_down_from(rows: RowIds, start: int) -> None:
 class ConstantRuleEvaluator:
     """One constant tableau rule's violation semantics.
 
-    Stateless when driven through :meth:`emit_full` /
-    :meth:`emit_value_groups`; stateful (a ``row → Violation`` map) when
-    driven through the incremental hooks.
+    Stateless when driven through :meth:`emit_full`; stateful (a ``row
+    → Violation`` map) when driven through the incremental hooks.
     """
 
     kind = ViolationKind.CONSTANT
@@ -230,45 +229,27 @@ class ConstantRuleEvaluator:
                 continue
             yield self.make_violation(row, observed)
 
-    def emit_value_groups(
-        self,
-        value_groups: Iterable[Tuple[str, Sequence[int]]],
-        memo: MatchMemo,
-        report: Optional[ViolationReport] = None,
-    ) -> Iterator[Violation]:
-        """Violations among in-scope rows pre-grouped by their RHS value.
-
-        ``value_groups`` yields ``(observed RHS value, rows holding it)``
-        pairs covering the rows whose LHS satisfies the rule.  The RHS
-        check runs once per *group* instead of once per row — the shape
-        the sharded engine feeds from its merged distinct-value
-        statistics — and the emitted violations are exactly
-        :meth:`emit_full`'s for the union of the groups' rows.
-
-        With a ``report`` each group counts one check into the
-        ``comparisons`` statistic (the sharded engine's cost model is
-        distinct-value-level, not row-level).
-        """
-        for observed, rows in value_groups:
-            if report is not None:
-                report.comparisons += 1
-            if self.rhs_satisfied(memo, observed):
-                continue
-            for row in rows:
-                yield self.make_violation(row, observed)
-
     # -- incremental state hooks -----------------------------------------------
 
     def seed_value_groups(
         self, value_groups: Iterable[Tuple[str, Sequence[int]]], memo: MatchMemo
     ) -> None:
         """(Re)build the maintained state from the in-scope rows grouped
-        by RHS value (:meth:`emit_value_groups`' input: one RHS verdict
-        per group)."""
-        self.violations = {
-            violation.rows[0]: violation
-            for violation in self.emit_value_groups(value_groups, memo)
-        }
+        by RHS value.
+
+        ``value_groups`` yields ``(observed RHS value, rows holding it)``
+        pairs covering the rows whose LHS satisfies the rule.  The RHS
+        check runs once per *group* instead of once per row, and the
+        violations are exactly :meth:`emit_full`'s for the union of the
+        groups' rows.
+        """
+        violations: Dict[int, Violation] = {}
+        for observed, rows in value_groups:
+            if self.rhs_satisfied(memo, observed):
+                continue
+            for row in rows:
+                violations[row] = self.make_violation(row, observed)
+        self.violations = violations
         self._emitted = None
 
     def update_row(
@@ -337,10 +318,10 @@ class _BlockState:
 class VariableRuleEvaluator:
     """One variable tableau rule's violation semantics.
 
-    Stateless when driven through :meth:`emit_full` /
-    :meth:`violations_for_groups` over derived blocks; stateful (per
-    block, RHS groups, majority, witness and the minority rows'
-    violations) when driven through the incremental hooks.
+    Stateless when driven through :meth:`emit_full` over derived
+    blocks; stateful (per block, RHS groups, majority, witness and the
+    minority rows' violations) when driven through the incremental
+    hooks.
     """
 
     kind = ViolationKind.VARIABLE
@@ -367,30 +348,16 @@ class VariableRuleEvaluator:
     def block_violations_for(
         self, rows: Sequence[int], rhs_values: Sequence[str]
     ) -> List[Violation]:
-        """One block's violations: split by RHS, pick the majority value
-        (ties broken lexicographically), suspect every minority row with
-        the majority's first row as witness."""
+        """One block's violations (its rows ascending): split by RHS,
+        pick the majority value (ties broken lexicographically), suspect
+        every minority row with the majority's first row as witness."""
         if len(rows) < 2:
             return []
-        return self.violations_for_groups(split_block_by_rhs(rows, rhs_values))
-
-    def violations_for_groups(
-        self, groups: Mapping[str, Sequence[int]]
-    ) -> List[Violation]:
-        """One block's violations from its pre-split ``RHS value → rows``
-        groups.
-
-        The semantic core shared by :meth:`block_violations_for` (which
-        splits an in-order row list) and the sharded engine (which pours
-        the row lists of several LHS values into one block, so a group's
-        rows are not globally sorted — hence the witness is ``min()`` of
-        the majority group, which equals "first row" whenever the lists
-        are ascending).
-        """
+        groups = split_block_by_rhs(rows, rhs_values)
         if len(groups) < 2:
             return []
         majority = majority_value(groups)
-        return list(self.suspects(groups, majority, min(groups[majority])))
+        return list(self.suspects(groups, majority, groups[majority][0]))
 
     def suspects(
         self, groups: Mapping[str, Sequence[int]], majority: str, witness: int
@@ -443,18 +410,19 @@ class VariableRuleEvaluator:
 
     # -- incremental state hooks -----------------------------------------------
 
-    def seed_blocks(
-        self, blocks: Mapping[Hashable, Mapping[str, Sequence[int]]]
-    ) -> None:
+    def seed_blocks(self, blocks: Mapping[Hashable, Dict[str, RowIds]]) -> None:
         """(Re)build the maintained state from ``block key → RHS value →
-        rows`` (the sharded detector's blocks).  The row lists are
-        copied, never aliased."""
+        rows`` (:func:`~repro.sharding.detection.split_blocks`).
+
+        The evaluator takes the groups and their row-id arrays over and
+        sorts the arrays in place: the caller hands over blocks it no
+        longer reads.
+        """
         self.state = {}
         for key, groups in blocks.items():
-            block = _BlockState(
-                {value: _sorted_row_ids(rows) for value, rows in groups.items()}
-            )
-            self.state[key] = block
+            for rows in groups.values():
+                _sort_in_place(rows)
+            block = self.state[key] = _BlockState(groups)
             self._rederive(block)
         self._emitted = None
 

@@ -3,14 +3,14 @@
 The sharding subsystem partitions a dataset into row shards
 (:class:`ShardedTable`), factorizes the columns it needs in one
 shard-major pass into table-wide encodings, and runs discovery
-(:class:`ShardedDiscoverer`) and detection (:class:`ShardedDetector`)
-over those encodings and the pair groups built from them
-(:mod:`repro.sharding.stats`) — producing rule sets and violations
+(:class:`ShardedDiscoverer`) over those encodings; detection seeds the
+session's :class:`~repro.detection.incremental.IncrementalDetector`
+from the pair groups built from them (:mod:`repro.sharding.detection`,
+:mod:`repro.sharding.stats`) — producing rule sets and violations
 canonically equal to a monolithic run while reading each shard at most
 once per session op.
 """
 
-from repro.sharding.detection import SHARDED_STRATEGY, ShardedDetector
 from repro.sharding.discovery import ShardedDiscoverer
 from repro.sharding.object_store import (
     LocalObjectClient,
@@ -37,9 +37,7 @@ from repro.sharding.store import (
 )
 
 __all__ = [
-    "SHARDED_STRATEGY",
     "STORE_KINDS",
-    "ShardedDetector",
     "ShardedDiscoverer",
     "ShardedTable",
     "ShardStore",

@@ -6,7 +6,7 @@ Constant rules need the rows per (matching LHS value, observed RHS
 value), and variable rules derive their ``≡_Q`` blocks by projecting
 each distinct LHS value once.
 
-Sharded detection builds it with one
+The session's detector seeds from it, built with one
 :func:`~repro.kernels.groupby.pair_groups_kernel` call over the two
 columns' table-wide encodings (the ones discovery factorized), so no
 per-shard partials exist and nothing is merged.
@@ -85,13 +85,11 @@ class MergedPairGroups:
     """The table-wide pair groups of one attribute pair, plus the sorted
     distinct-LHS-value array that answers pattern lookups."""
 
-    __slots__ = ("groups", "sorted_values", "last_candidates_tested")
+    __slots__ = ("groups", "sorted_values")
 
     def __init__(self, groups: PairGroups):
         self.groups = groups
         self.sorted_values: List[str] = sorted(groups)
-        #: distinct values regex-tested by the last lookup (cost statistic)
-        self.last_candidates_tested = 0
 
     @property
     def n_distinct(self) -> int:
@@ -109,15 +107,11 @@ class MergedPairGroups:
         """
         if isinstance(lhs_cell, Pattern):
             candidates = narrow_candidates_by_prefix(self.sorted_values, lhs_cell)
-            self.last_candidates_tested = len(candidates)
             return batch_matching_values(lhs_cell, candidates, memo=memo)
         if isinstance(lhs_cell, ConstrainedPattern):
             candidates = narrow_candidates_by_prefix(self.sorted_values, lhs_cell)
-            self.last_candidates_tested = len(candidates)
             matches = memo.matcher(lhs_cell)
             return [value for value in candidates if matches(value)]
         if isinstance(lhs_cell, Wildcard):
-            self.last_candidates_tested = 0
             return list(self.sorted_values)
-        self.last_candidates_tested = 1
         return [lhs_cell] if lhs_cell in self.groups else []

@@ -6,13 +6,13 @@ import pytest
 from repro.anmat.project import ProjectStore
 from repro.anmat.session import AnmatSession, SessionState
 from repro.dataset.table import Table
-from repro.detection import ErrorDetector
+from repro.detection import ErrorDetector, IncrementalDetector
 from repro.discovery import PfdDiscoverer
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.maintenance import RuleMaintainer
 from repro.errors import ProjectError
 from repro.metrics.evaluation import evaluate_report
-from repro.sharding import ShardedDetector, ShardOverlay
+from repro.sharding import ShardOverlay
 
 from pairwise_reference import assert_matches_pairwise, violating_pairs
 
@@ -210,6 +210,45 @@ class TestEditLoop:
         assert old_table.cell(1, "city") == new_table.cell(1, "city")
         assert session.table.cell(1, "city") == new_table.cell(1, "city")
 
+    def test_detection_seeds_the_edit_loop_once_per_run(
+        self, small_zip_city_state, monkeypatch
+    ):
+        # detection and each re-check seed the one detector; the edits
+        # after them reuse it instead of seeding again
+        seeds = []
+        rebuild = IncrementalDetector._rebuild
+
+        def counting(detector):
+            seeds.append(detector)
+            rebuild(detector)
+
+        monkeypatch.setattr(IncrementalDetector, "_rebuild", counting)
+        session = AnmatSession(
+            dataset_name="zips", config=DiscoveryConfig(shard_rows=64)
+        )
+        session.load_table(small_zip_city_state.table.copy())
+        session.set_parameters(min_coverage=0.6, allowed_violation_ratio=0.05)
+        session.run_discovery()
+        session.confirm_all()
+        session.run_detection()
+        assert len(seeds) == 1
+        session.apply_repair(session.repair_suggestions()[0])
+        session.edit_cell(0, "city", "Oddville")
+        assert len(seeds) == 1
+        session.recheck()
+        assert session.state is SessionState.DETECTED
+        assert len(seeds) == 2
+        session.edit_cell(1, "city", "Elsewhere")
+        assert len(seeds) == 2
+        expected = ErrorDetector(session.table.materialize()).detect_all(
+            session.confirmed_pfds()
+        )
+        assert (
+            session.violations.canonical_violations()
+            == expected.canonical_violations()
+        )
+        session.close()
+
     def test_edit_loop_matches_the_literal_pairwise_check(self, detected_session):
         # the edit loop's maintained variable violations agree with the
         # paper's naive pair enumeration over the edited table
@@ -279,7 +318,7 @@ class TestShardedSession:
         ]
         session.confirm_all()
         report = session.run_detection()
-        assert report.strategy == "sharded"
+        assert report.strategy == "auto"
         assert report.canonical_violations() == mono.violations.canonical_violations()
 
     def test_sharded_upload_is_accepted(self, small_zip_city_state):
@@ -294,7 +333,7 @@ class TestShardedSession:
         session.run_discovery()
         session.confirm_all()
         report = session.run_detection()
-        assert report.strategy == "sharded"
+        assert report.strategy == "auto"
         assert report.canonical_violations() == mono.violations.canonical_violations()
 
     def test_detection_takes_no_strategy(self, small_zip_city_state):
@@ -309,7 +348,7 @@ class TestShardedSession:
             session.run_detection(strategy="scan")
         with pytest.raises(TypeError, match="strategy"):
             session.plan_detection(strategy="scan")
-        assert session.run_detection().strategy == "sharded"
+        assert session.run_detection().strategy == "auto"
         assert session.last_plan.kind == "detection"
 
     def test_plans_are_exposed_and_recorded(self, small_zip_city_state):
@@ -367,7 +406,7 @@ class TestShardedSession:
         assert session.last_plan.shard_rows == 40
         session.confirm_all()
         report = session.run_detection()
-        assert report.strategy == "sharded"
+        assert report.strategy == "auto"
         assert report.canonical_violations() == mono.violations.canonical_violations()
 
     def test_upload_csv_defaults_shard_size_from_config(self, tmp_path, small_zip_city_state):
@@ -720,7 +759,7 @@ class TestAtomicRecheck:
     @pytest.mark.parametrize(
         "target",
         [
-            (ShardedDetector, "detect_all"),
+            (IncrementalDetector, "_rebuild"),
             (RuleMaintainer, "maintain"),
         ],
         ids=["detection", "maintenance"],
@@ -735,6 +774,7 @@ class TestAtomicRecheck:
             session.violations,
             session.state,
             session.last_plan,
+            session._incremental,
         )
 
         def boom(self, *args, **kwargs):
@@ -751,6 +791,7 @@ class TestAtomicRecheck:
         assert session.violations is before[2]
         assert session.state is before[3] is SessionState.EDITING
         assert session.last_plan is before[4]
+        assert session._incremental is before[5]
         # the maintainer may have advanced past the kept rules: dropped
         assert session.plan_recheck().rule_maintenance == "full"
 

@@ -1,13 +1,15 @@
 """Tests for the shared rule-evaluation engine.
 
-Every detection route — the table detector, sharded detection and
-incremental maintenance — emits violations through the evaluators in
-:mod:`repro.detection.rules`.  The adversarial suite here drives the
-cases where the routes were most likely to drift: majority ties inside
-blocks, empty-string RHS values, and edit sequences that shrink a block
-below two rows and regrow it, asserting ``canonical_violations()``
-equality across all three routes and, for variable rules, agreement
-with the literal pairwise check.
+Both detectors — the table detector and the session's incremental
+detector (seeded on shards, then maintained under edits) — emit
+violations through the evaluators in :mod:`repro.detection.rules`.  The
+adversarial suite here drives the cases where they were most likely to
+drift: majority ties inside blocks, empty-string RHS values, and edit
+sequences that shrink a block below two rows and regrow it, asserting
+``canonical_violations()`` equality across the table detector, the
+incremental detector seeded on one-row shards and the one maintained
+over two-row shards, and, for variable rules, agreement with the
+literal pairwise check.
 """
 
 import pytest
@@ -32,7 +34,7 @@ from repro.patterns import parse_pattern
 from repro.perf.memo import MatchMemo
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
-from repro.sharding import ShardedDetector, ShardedTable, ShardOverlay
+from repro.sharding import ShardedTable, ShardOverlay
 
 from pairwise_reference import assert_matches_pairwise, violating_pairs
 
@@ -53,12 +55,15 @@ def overlay_of(table: Table) -> ShardOverlay:
 
 
 def assert_all_paths_agree(table: Table, pfds, context: str):
-    """table detector == sharded == incremental, canonically, and every
-    variable rule agrees with the literal pairwise check; returns the
-    agreed canonical violation list for further assertions."""
+    """table detector == incremental seeded on one-row shards ==
+    incremental over two-row shards, canonically, and every variable
+    rule agrees with the literal pairwise check; returns the agreed
+    canonical violation list for further assertions."""
     report = ErrorDetector(table).detect_all(pfds)
     reference = report.canonical_violations()
-    sharded = ShardedDetector(ShardedTable.from_table(table, 1)).detect_all(pfds)
+    sharded = IncrementalDetector(
+        ShardOverlay(ShardedTable.from_table(table, 1)), pfds
+    ).report()
     assert sharded.canonical_violations() == reference, f"{context}: sharded diverged"
     incremental = IncrementalDetector(overlay_of(table), pfds)
     assert incremental.report().canonical_violations() == reference, (
@@ -181,7 +186,13 @@ class TestVariableRuleHooks:
             Table(["zip"], [zips]).group_rows("zip"), evaluator.constrained, memo
         )
         evaluator.seed_blocks(
-            {key: split_block_by_rhs(rows, cities) for key, rows in blocks.items()}
+            {
+                key: {
+                    value: row_ids(group)
+                    for value, group in split_block_by_rhs(rows, cities).items()
+                }
+                for key, rows in blocks.items()
+            }
         )
 
     @staticmethod
@@ -195,14 +206,16 @@ class TestVariableRuleHooks:
         )
         assert evaluator.emit() == batch
 
-    def test_seed_copies_the_blocks(self, evaluator):
+    def test_seed_takes_the_blocks_over_sorted_in_place(self, evaluator):
         memo = MatchMemo()
-        blocks = {("900",): {"LA": row_ids([2, 0]), "NY": row_ids([1])}}
-        evaluator.seed_blocks(blocks)
+        la = row_ids([2, 0])
+        evaluator.seed_blocks({("900",): {"LA": la, "NY": row_ids([1])}})
+        assert la == row_ids([0, 2])  # sorted in place, not copied
         assert [v.rows for v in evaluator.emit()] == [(0, 1)]
         evaluator.update_row(memo, 1, "90001", "NY", "90001", "LA")
         assert evaluator.emit() == []
-        assert blocks == {("900",): {"LA": row_ids([2, 0]), "NY": row_ids([1])}}
+        assert evaluator.state[("900",)].groups["LA"] is la
+        assert la == row_ids([0, 1, 2])
 
     def test_witness_and_majority_follow_every_move(self, evaluator):
         memo = MatchMemo()

@@ -154,4 +154,4 @@ def test_every_cut_agrees_with_the_detector_baseline():
             report = session.load_table(table).run_detection(pfds)
         assert report.canonical_violations() == baseline.canonical_violations()
         assert report.n_rows == baseline.n_rows
-        assert report.strategy == "sharded"
+        assert report.strategy == "auto"

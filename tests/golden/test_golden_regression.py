@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.datagen.paper_examples import name_table_d1, zip_table_d2
-from repro.detection import ErrorDetector
+from repro.detection import ErrorDetector, IncrementalDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
-from repro.sharding import ShardedDetector, ShardedDiscoverer, ShardedTable
+from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay
 
 GOLDEN_DIR = Path(__file__).parent
 
@@ -84,5 +84,5 @@ def test_paper_example_sharded_run_matches_snapshot(name):
     sharded = ShardedTable.from_table(table, 1)
     result = ShardedDiscoverer(CONFIG).discover_with_report(sharded)
     assert [p.describe() for p in result.pfds] == [p.describe() for p in mono.pfds]
-    report = ShardedDetector(sharded).detect_all(result.pfds)
+    report = IncrementalDetector(ShardOverlay(sharded), result.pfds).report()
     assert report.canonical_violations() == mono_report.canonical_violations()

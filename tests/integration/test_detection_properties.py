@@ -19,13 +19,14 @@ from hypothesis import given, settings, strategies as st
 from repro.constrained.constrained_pattern import constrained_prefix
 from repro.dataset.table import Table
 from repro.detection.detector import ErrorDetector
+from repro.detection.incremental import IncrementalDetector
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.discoverer import PfdDiscoverer
 from repro.patterns import parse_pattern
 from repro.pfd.pfd import PFD
 from repro.pfd.satisfaction import find_tableau_violations
 from repro.pfd.tableau import cell_matches
-from repro.sharding import ShardedDetector, ShardedTable
+from repro.sharding import ShardedTable, ShardOverlay
 
 from pairwise_reference import assert_matches_pairwise, violating_pairs
 
@@ -65,7 +66,9 @@ ZIP_PFD = PFD.variable(
 def test_blocking_agrees_with_the_literal_pairwise_check(table):
     blocked = ErrorDetector(table).detect(ZIP_PFD)
     assert_matches_pairwise(blocked, violating_pairs(table, ZIP_PFD))
-    sharded = ShardedDetector(ShardedTable.from_table(table, 5)).detect(ZIP_PFD)
+    sharded = IncrementalDetector(
+        ShardOverlay(ShardedTable.from_table(table, 5)), [ZIP_PFD]
+    ).report()
     assert sharded.canonical_violations() == blocked.canonical_violations()
 
 

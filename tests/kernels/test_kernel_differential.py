@@ -18,10 +18,10 @@ from reference_decision import ReferenceMajority
 
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
-from repro.detection import ErrorDetector
+from repro.detection import ErrorDetector, IncrementalDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.perf import clear_caches
-from repro.sharding import ShardedDetector, ShardedDiscoverer, ShardedTable
+from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay
 
 GENERATORS = [
     ("zip_city_state", 90, [CorruptionSpec("city", 0.05, kind="swap")]),
@@ -83,8 +83,8 @@ class TestKernelDifferential:
                 pytest.skip("generator/seed pair discovered no rules")
             monolithic = ErrorDetector(table).detect_all(pfds).canonical_violations()
             sharded = (
-                ShardedDetector(ShardedTable.from_table(table, 7))
-                .detect_all(pfds)
+                IncrementalDetector(ShardOverlay(ShardedTable.from_table(table, 7)), pfds)
+                .report()
                 .canonical_violations()
             )
             assert sharded == monolithic, (

@@ -67,15 +67,18 @@ def canonical_discovery(result) -> dict:
     }
 
 
-def canonical_detection(report) -> dict:
-    """Everything meaningful in a ViolationReport, including statistics."""
-    return {
+def canonical_detection(report, comparisons: bool = True) -> dict:
+    """Everything meaningful in a ViolationReport, including statistics
+    (the ``comparisons`` count only where the detector keeps one)."""
+    canonical = {
         "n_rows": report.n_rows,
         "strategy": report.strategy,
-        "comparisons": report.comparisons,
         "violations": list(report),
         "suspects": sorted(report.suspect_cells()),
     }
+    if comparisons:
+        canonical["comparisons"] = report.comparisons
+    return canonical
 
 
 def discover_uncached(table) -> dict:
@@ -112,13 +115,17 @@ class TestDiscoveryEquivalence:
         assert sharded == serial
 
 
-def _detector(route, table, memo=None):
-    """The table detector, or the sharded one over 64-row shards."""
+def _detect(route, table, pfds, memo=None) -> dict:
+    """The table detector's report, or the session detector's over
+    64-row shards (which counts no comparisons), canonicalized."""
     if route == "table":
-        return ErrorDetector(table, memo=memo)
-    from repro.sharding import ShardedDetector, ShardedTable
+        return canonical_detection(ErrorDetector(table, memo=memo).detect_all(pfds))
+    from repro.detection import IncrementalDetector
+    from repro.sharding import ShardedTable, ShardOverlay
 
-    return ShardedDetector(ShardedTable.from_table(table, 64), memo=memo)
+    overlay = ShardOverlay(ShardedTable.from_table(table, 64))
+    report = IncrementalDetector(overlay, pfds, memo=memo).report()
+    return canonical_detection(report, comparisons=False)
 
 
 @pytest.mark.parametrize("dataset", ["zip", "employee"])
@@ -130,12 +137,10 @@ def test_detection_equivalence(dataset, route, zip_table, employee_table):
 
     perf.clear_caches()
     with perf.caches_disabled():
-        uncached = canonical_detection(
-            _detector(route, table, memo=perf.MatchMemo(enabled=False)).detect_all(pfds)
-        )
+        uncached = _detect(route, table, pfds, memo=perf.MatchMemo(enabled=False))
 
     perf.clear_caches()
-    cold = canonical_detection(_detector(route, table).detect_all(pfds))
-    warm = canonical_detection(_detector(route, table).detect_all(pfds))
+    cold = _detect(route, table, pfds)
+    warm = _detect(route, table, pfds)
     assert cold == uncached
     assert warm == uncached

@@ -3,7 +3,8 @@
 Randomized dirty tables (the seeded datagen generators, plus extra
 injected corruption) run through monolithic and sharded discovery and
 detection at shard sizes {1, 7, n_rows // 2, n_rows}; the sharded path
-must produce the *identical* rule set and violations canonically equal
+(detection is the session's ``IncrementalDetector`` seeded over a
+``ShardOverlay`` of the cut) must produce the *identical* rule set and violations canonically equal
 to the monolithic ``ErrorDetector``'s, whose variable violations agree
 with the literal pairwise check.  Each case is fully determined by the
 (generator, seed) pair in the test id, so a failure replays with
@@ -26,13 +27,13 @@ from repro.patterns import parse_pattern
 from repro.perf import clear_caches
 from repro.pfd import PFD, WILDCARD
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
-from repro.detection import ErrorDetector
+from repro.detection import ErrorDetector, IncrementalDetector
 from repro.detection.violation import ViolationReport
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.sharding import (
-    ShardedDetector,
     ShardedDiscoverer,
     ShardedTable,
+    ShardOverlay,
     SpillToDiskShardStore,
     make_shard_store,
 )
@@ -52,6 +53,12 @@ GENERATORS = [
 SEEDS = [3, 11, 58]
 
 CONFIG = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
+
+
+def detect(sharded: ShardedTable, pfds) -> ViolationReport:
+    """The session's detection over a cut: the report of an
+    ``IncrementalDetector`` seeded over an overlay of it."""
+    return IncrementalDetector(ShardOverlay(sharded), pfds).report()
 
 
 def shard_sizes(n_rows: int):
@@ -100,7 +107,7 @@ class TestDifferential:
         expected = report.canonical_violations()
         for shard_rows in shard_sizes(table.n_rows):
             sharded = ShardedTable.from_table(table, shard_rows)
-            canonical = ShardedDetector(sharded).detect_all(pfds).canonical_violations()
+            canonical = detect(sharded, pfds).canonical_violations()
             assert canonical == expected, (
                 f"sharded violations diverged at shard_rows={shard_rows}"
             )
@@ -119,9 +126,7 @@ class TestDifferential:
         expected = ErrorDetector(table).detect(pfd).canonical_violations()
         assert expected, "probe rule should flag the non-majority rows"
         sharded = ShardedTable.from_table(table, 7)
-        assert (
-            ShardedDetector(sharded).detect(pfd).canonical_violations() == expected
-        )
+        assert detect(sharded, [pfd]).canonical_violations() == expected
 
     def test_detection_equal_from_discovery_encodings(self, name, n_rows, specs, seed):
         """Detection right after sharded discovery groups from the
@@ -136,12 +141,10 @@ class TestDifferential:
         for pfd in pfds:
             for column in (pfd.lhs_attribute, pfd.rhs_attribute):
                 assert warm.peek_merged_artifact(("column_encoding", column)) is not None
-        from_encodings = ShardedDetector(warm).detect_all(pfds).canonical_violations()
+        from_encodings = detect(warm, pfds).canonical_violations()
         cold = ShardedTable.from_table(table, shard_rows)
         assert cold.merged_artifact_keys("column_encoding") == []
-        assert ShardedDetector(cold).detect_all(pfds).canonical_violations() == (
-            from_encodings
-        )
+        assert detect(cold, pfds).canonical_violations() == from_encodings
         monolithic = ErrorDetector(table).detect_all(pfds)
         assert monolithic.canonical_violations() == from_encodings
 
@@ -253,10 +256,11 @@ class TestOutOfCoreBoundedMemory:
         gc.collect()
 
 
-def test_detect_all_folds_reports_like_merged_with():
-    """One dedup pass over the per-PFD reports equals folding them with
-    ``merged_with``: same order, same first-kept duplicates — two PFDs
-    named alike flag the same cells under the same identity key."""
+def test_detector_report_folds_like_merged_with():
+    """The detector's one report over several PFDs equals folding its
+    per-PFD reports with ``merged_with``: same order, same first-kept
+    duplicates — two PFDs named alike flag the same cells under the same
+    identity key."""
     table = Table.from_rows(
         ["zip", "city"],
         [
@@ -271,14 +275,14 @@ def test_detect_all_folds_reports_like_merged_with():
         PFD.constant("zip", "city", [{"zip": "9\\D{4}", "city": "LA"}], name="dup"),
         PFD.variable("zip", "city", prefix, name="blocks"),
     ]
-    detector = ShardedDetector(ShardedTable.from_table(table, 3))
-    folded = ViolationReport(n_rows=table.n_rows, strategy="sharded")
+    sharded = ShardedTable.from_table(table, 3)
+    folded = ViolationReport(n_rows=table.n_rows, strategy="auto")
     for pfd in pfds:
-        folded = folded.merged_with(detector.detect(pfd))
-    merged = detector.detect_all(pfds)
+        folded = folded.merged_with(detect(sharded, [pfd]))
+    merged = detect(sharded, pfds)
     assert merged.violations == folded.violations
     assert (merged.n_rows, merged.comparisons, merged.strategy) == (
-        folded.n_rows, folded.comparisons, "sharded",
+        folded.n_rows, folded.comparisons, "auto",
     )
     # the second "dup" adds only the row the first did not flag
     dup = [v.suspect_cell for v in merged if v.pfd_name == "dup"]

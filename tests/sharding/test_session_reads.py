@@ -8,10 +8,11 @@ same encodings), a cold discovery decodes every shard once, detection
 right after discovery decodes none (it groups rule pairs from the
 encodings discovery kept), a cold detection decodes every shard once,
 and the reused profile never outlives the data version it was built
-from.  The edit loop's detector is seeded from the artifacts detection
-left, so attaching it reads neither a shard nor an overlay column, and
-never changes them; a re-check patches the encodings from the seal's
-edited cells and reads no shard either.
+from.  Detection seeds the edit loop's detector, so an edit reads
+neither a shard nor an overlay column, and never changes the view's
+encodings (the detector copies a column's codes on its first write); a
+re-check patches the encodings from the seal's edited cells and reads
+no shard either.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from __future__ import annotations
 import pytest
 
 from repro.anmat.session import AnmatSession
+from repro.kernels.runtime import np
 from repro.dataset.csvio import write_csv
 from repro.dataset.profiling import profile_table
 from repro.discovery.config import DiscoveryConfig
-from repro.detection import ErrorDetector
+from repro.detection import ErrorDetector, IncrementalDetector
 from repro.discovery.discoverer import PfdDiscoverer
-from repro.sharding import ShardedDetector, ShardedTable, SpillToDiskShardStore
+from repro.sharding import ShardedTable, SpillToDiskShardStore
 from repro.sharding import sharded_table as sharded_table_module
 from repro.sharding.overlay import OverlayShardStore, ShardOverlay
 from repro.sharding import store as store_module
@@ -107,7 +109,7 @@ def test_cold_detection_decodes_every_shard_once(tmp_path, small_zip_city_state,
     sharded = ShardedTable.from_table(table, SHARD_ROWS, store=store)
     try:
         decoded.clear()
-        report = ShardedDetector(sharded).detect_all(pfds)
+        report = IncrementalDetector(ShardOverlay(sharded), pfds).report()
         assert decoded == [
             f"spill file shard_{index:06d}.shard" for index in range(sharded.n_shards)
         ]
@@ -218,8 +220,8 @@ def test_edit_loop_attach_reads_nothing(spill_session, overlay_reads):
     session.run_discovery()
     session.confirm_all()
     session.run_detection()
-    # the first edit seeds the detector from the detection run's
-    # encodings, pair groups and blocks: no shard or column is read
+    # the edits maintain the detector detection seeded: no shard or
+    # column is read
     repairs = _repairs(session, 6)
     assert len(repairs) == 6
     session.edit_cell(*repairs[0])
@@ -228,7 +230,7 @@ def test_edit_loop_attach_reads_nothing(spill_session, overlay_reads):
         session.edit_cell(*repair)
     session.recheck()
     assert session.violations is not None
-    # a re-check's detection leaves the same artifacts on the new seal
+    # nor after a re-check, which seeds a fresh detector on the new seal
     overlay_reads.update(store_get=0, build_column=0)
     session.edit_cell(*repairs[3])
     assert overlay_reads == {"store_get": 0, "build_column": 0}
@@ -246,12 +248,24 @@ def test_edit_loop_leaves_the_detection_artifacts_alone(spill_session):
     report = session.run_detection()
     rules = session.confirmed_pfds()
     base = session.table.base
-    # repairs move rows between RHS groups of the cached blocks; one
+    names = sorted({n for pfd in rules for n in (pfd.lhs_attribute, pfd.rhs_attribute)})
+    encodings = base.column_encodings(names)
+    before = {
+        name: (list(encoding.distinct), encoding.codes.copy())
+        for name, encoding in encodings.items()
+    }
+    # repairs move rows between RHS groups of the seeded blocks; one
     # more edit introduces a value no column holds yet
     for row, attribute, value in _repairs(session, 12):
         session.edit_cell(row, attribute, value)
     session.edit_cell(0, "city", "Nowhere")
-    again = ShardedDetector(base).detect_all(rules)
+    # the view's rule-column encodings are the ones detection read,
+    # unchanged: the detector copied them on its first write
+    for name, encoding in base.column_encodings(names).items():
+        assert encoding is encodings[name]
+        assert list(encoding.distinct) == before[name][0]
+        assert np.array_equal(encoding.codes, before[name][1])
+    again = IncrementalDetector(ShardOverlay(base), rules).report()
     assert again.violations == report.violations
 
 

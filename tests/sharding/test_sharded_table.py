@@ -7,7 +7,8 @@ import pytest
 from repro.dataset import Table
 from repro.dataset.rowids import row_ids
 from repro.errors import TableError
-from repro.sharding import ShardedDetector, ShardedTable, extract_pair_groups
+from repro.sharding import ShardedTable, extract_pair_groups
+from repro.sharding.detection import pair_groups
 
 
 def make_table(n_rows: int) -> Table:
@@ -94,6 +95,6 @@ class TestPairGroups:
                 Table(["code", "label"], [["a", "c"], ["x", "y"]]),
             ]
         )
-        merged = ShardedDetector(sharded).pair_groups("code", "label")
+        merged = pair_groups(sharded, "code", "label")
         assert list(merged.groups["a"]["x"]) == [0, 1, 2]
         assert merged.sorted_values == ["a", "c"]

@@ -63,11 +63,12 @@ class TestMergedPairGroupLookups:
     def test_pattern_lookup_tests_only_the_prefix_slice(self, merged):
         memo = MatchMemo()
         assert merged.matching_values(parse_pattern("900\\D{2}"), memo) == ["90001", "90002"]
-        assert merged.last_candidates_tested == 2
+        # only the "900" slice reached the matcher
+        assert memo.hits + memo.misses == 2
         assert set(merged.matching_values(parse_pattern("\\D{5}"), memo)) == {
             "90001", "90002", "60601", "10001"
         }
-        assert merged.last_candidates_tested == merged.n_distinct == 5
+        assert memo.hits + memo.misses == 2 + merged.n_distinct
 
     def test_constrained_and_constant_lookups(self, merged):
         memo = MatchMemo()
