@@ -683,7 +683,7 @@ def main(argv: List[str] | None = None) -> int:
                 line += (
                     f"; prefetch depth {readings['prefetch_depth']} served "
                     f"{readings['prefetch_hits']} shards early, "
-                    f"{readings['demand_fetches']} on demand over "
+                    f"{readings['demand_fetches']} on the calling thread over "
                     f"{readings['rounds']} rounds"
                 )
             print(line)

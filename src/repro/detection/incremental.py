@@ -6,9 +6,10 @@ every single-cell repair re-scans the whole table even though the edit
 can only affect violations whose rule touches the edited value.  The
 :class:`IncrementalDetector` builds per-rule violation state on
 distinct values once — that build *is* the session's detection — and
-maintains it under the structured deltas recorded by ``set_cell`` /
-``append_row`` / ``delete_row`` of a
-:class:`~repro.sharding.overlay.ShardOverlay`.
+maintains it under its own ``set_cell`` / ``append_row`` /
+``delete_row``, which write a
+:class:`~repro.sharding.overlay.ShardOverlay` and then update the state
+from their arguments: an edit reads no shard.
 
 **Seed.**  The state is built from the overlay's sharded view (its
 cached seal, :meth:`ShardOverlay.as_sharded`) through
@@ -18,7 +19,7 @@ shard), each constant rule's one RHS verdict per ``(LHS value, RHS
 value)`` pair group, and each variable rule's ``≡_Q`` blocks, which it
 takes over as per-block RHS groups, majority, witness and minority
 violations.  The rule columns' codes and distinct values are the view
-encodings' own until the first delta writes one, which copies them: a
+encodings' own until the first edit writes one, which copies them: a
 detection-only session copies nothing.  The view's cached artifacts are
 never mutated: an untouched overlay's view *is* its base table.
 
@@ -28,11 +29,14 @@ row for each constant rule over the column, and moves the row between
 two RHS groups for each variable rule — re-deriving the block's
 violations only when its majority or witness changes (see
 :mod:`repro.detection.rules`).  An append posts one row; a delete
-unposts it and renumbers the row ids behind it.  When the overlay's
-delta log no longer covers the gap, the state is re-seeded.
+unposts it and renumbers the row ids behind it.  A write of the value
+the cell's rule column already holds changes nothing.  The overlay keeps
+no history, so a mutation made on the overlay directly is caught up by
+re-seeding: :meth:`IncrementalDetector.refresh` compares the overlay's
+``version`` with the one the state reflects.
 
 **Report.**  Each evaluator caches its violations in row order and
-re-sorts only after a delta touched it; :meth:`IncrementalDetector.report`
+re-sorts only after a mutation touched it; :meth:`IncrementalDetector.report`
 concatenates them in evaluator order, deduplicating only across
 evaluators that share ``(pfd_name, rule_index)``.
 
@@ -49,6 +53,7 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dataset.rowids import row_ids_from_numpy
+from repro.dataset.table import _stringify
 from repro.detection.rules import (
     RuleEvaluator,
     VariableRuleEvaluator,
@@ -60,13 +65,12 @@ from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
 from repro.sharding.detection import split_blocks, value_groups
-from repro.sharding.overlay import CellEdit, RowAppend, RowDelete
 
 
 class _CodedColumn:
     """One rule column as codes over distinct values: a column
     encoding's own arrays until the first write copies them into the
-    detector's, which each delta then patches."""
+    detector's, which each mutation then patches."""
 
     __slots__ = ("distinct", "codes", "_index")
 
@@ -116,11 +120,10 @@ class IncrementalDetector:
     :class:`ViolationReport` under mutations of it.
 
     Construction seeds the state from the overlay's sharded view — in a
-    session, that seed is detection.  Either mutate through the detector (:meth:`set_cell`,
-    :meth:`append_row`, :meth:`delete_row`) or mutate the overlay
-    directly and call :meth:`refresh` — both replay the overlay's delta
-    log; the detector re-seeds only when the log no longer covers the
-    gap.
+    session, that seed is detection.  Mutate through the detector
+    (:meth:`set_cell`, :meth:`append_row`, :meth:`delete_row`) to update
+    the state in place; a mutation made on the overlay directly costs a
+    re-seed at the next :meth:`refresh` or :meth:`report`.
     """
 
     #: the label its reports carry — the same as :class:`ErrorDetector`'s
@@ -138,7 +141,7 @@ class IncrementalDetector:
         self.memo = MATCH_MEMO if memo is None else memo
         #: wall-clock accumulated per maintenance stage across the edit
         #: loop's lifetime (``seed`` — full state builds, ``update`` —
-        #: delta replays); the bench harness prints the breakdown like
+        #: in-place mutations); the bench harness prints the breakdown like
         #: the mining stage timers, and can pass a shared instance to
         #: accumulate across detector rebuilds
         self.timers = StageTimers() if timers is None else timers
@@ -148,12 +151,10 @@ class IncrementalDetector:
         #: the ``(pfd_name, rule_index)`` identities held by more than one
         #: evaluator (only their violations can coincide)
         self._shared: set = set()
-        # The rule columns' codes, advanced in lockstep with each
-        # replayed delta.  Handlers read these, never the live table:
-        # when refresh() catches up on a *batch* of deltas, the live
-        # table is already at the final state, but a delta's row index
-        # refers to the numbering at mutation time.
+        #: the rule columns' codes, patched by each mutation; an edit
+        #: takes the replaced value from here, never from the table
         self._columns: Dict[str, _CodedColumn] = {}
+        #: the table version the state reflects
         self._synced_version = -1
         self._rebuild()
 
@@ -188,90 +189,85 @@ class IncrementalDetector:
         self._synced_version = self.table.version
 
     # -- mutation API ------------------------------------------------------------
+    #
+    # Each mutation writes the table first, so its row and attribute
+    # checks raise before any state changes, then updates the state from
+    # its own arguments and the detector's codes: the table keeps no
+    # history and the replaced values are never read back from it.  A
+    # detector already behind the table skips the update and leaves the
+    # catching up to the next refresh().
 
     def set_cell(self, row: int, attribute: str, value: object) -> None:
         """Overwrite one cell and update the maintained report."""
+        in_sync = self.table.version == self._synced_version
         self.table.set_cell(row, attribute, value)
-        self.refresh()
+        if not in_sync:
+            return
+        self._synced_version = self.table.version
+        column = self._columns.get(attribute)
+        if column is None:
+            return
+        old, new = column.value(row), _stringify(value)
+        if new == old:
+            return
+        with self.timers.stage("update"):
+            column.set(row, new)
+            columns = self._columns
+            for evaluator in self._readers[attribute]:
+                lhs = columns[evaluator.lhs].value(row)
+                rhs = columns[evaluator.rhs].value(row)
+                evaluator.update_row(
+                    self.memo,
+                    row,
+                    old if evaluator.lhs == attribute else lhs,
+                    old if evaluator.rhs == attribute else rhs,
+                    lhs,
+                    rhs,
+                )
 
     def append_row(self, values) -> int:
         """Append one row and update the maintained report."""
+        in_sync = self.table.version == self._synced_version
         row = self.table.append_row(values)
-        self.refresh()
+        if not in_sync:
+            return row
+        self._synced_version = self.table.version
+        with self.timers.stage("update"):
+            for name, column in self._columns.items():
+                column.append(self.table.cell(row, name))  # the tail: no shard
+            for evaluator in self._rules:
+                evaluator.append_row(
+                    self.memo,
+                    row,
+                    self._columns[evaluator.lhs].value(row),
+                    self._columns[evaluator.rhs].value(row),
+                )
         return row
 
     def delete_row(self, row: int) -> Tuple[str, ...]:
         """Delete one row and update the maintained report."""
+        in_sync = self.table.version == self._synced_version
         removed = self.table.delete_row(row)
-        self.refresh()
+        if not in_sync:
+            return removed
+        self._synced_version = self.table.version
+        with self.timers.stage("update"):
+            for evaluator in self._rules:
+                evaluator.delete_row(
+                    self.memo,
+                    row,
+                    self._columns[evaluator.lhs].value(row),
+                    self._columns[evaluator.rhs].value(row),
+                )
+            for column in self._columns.values():
+                column.delete(row)
         return removed
 
     def refresh(self) -> None:
-        """Catch up with mutations applied directly to the table."""
-        if self.table.version == self._synced_version:
-            return
-        deltas = self.table.deltas_since(self._synced_version)
-        if deltas is None:
+        """Catch up with mutations applied directly to the table: they
+        leave no record, so the state is re-seeded."""
+        if self.table.version != self._synced_version:
             self._rebuild()
-            return
-        with self.timers.stage("update"):
-            for delta in deltas:
-                if isinstance(delta, CellEdit):
-                    self._apply_edit(delta)
-                elif isinstance(delta, RowAppend):
-                    self._apply_append(delta)
-                elif isinstance(delta, RowDelete):
-                    self._apply_delete(delta)
-                else:  # unknown delta kind — be safe, re-seed
-                    self._rebuild()
-                    return
-        self._synced_version = self.table.version
-
-    # -- delta handlers ------------------------------------------------------------
-
-    def _apply_edit(self, delta: CellEdit) -> None:
-        column = self._columns.get(delta.column)
-        if column is None:
-            return
-        row = delta.row
-        old = column.value(row)
-        column.set(row, delta.new)
-        columns = self._columns
-        for evaluator in self._readers[delta.column]:
-            lhs = columns[evaluator.lhs].value(row)
-            rhs = columns[evaluator.rhs].value(row)
-            evaluator.update_row(
-                self.memo,
-                row,
-                old if evaluator.lhs == delta.column else lhs,
-                old if evaluator.rhs == delta.column else rhs,
-                lhs,
-                rhs,
-            )
-
-    def _apply_append(self, delta: RowAppend) -> None:
-        schema = self.table.schema
-        for name, column in self._columns.items():
-            column.append(delta.values[schema.index_of(name)])
-        for evaluator in self._rules:
-            evaluator.append_row(
-                self.memo,
-                delta.row,
-                self._columns[evaluator.lhs].value(delta.row),
-                self._columns[evaluator.rhs].value(delta.row),
-            )
-
-    def _apply_delete(self, delta: RowDelete) -> None:
-        row = delta.row
-        for evaluator in self._rules:
-            evaluator.delete_row(
-                self.memo,
-                row,
-                self._columns[evaluator.lhs].value(row),
-                self._columns[evaluator.rhs].value(row),
-            )
-        for column in self._columns.values():
-            column.delete(row)
 
     # -- output ---------------------------------------------------------------------
 

@@ -4,13 +4,13 @@ The interactive edit loop (``set_cell`` / ``append_row`` /
 ``delete_row`` → incremental re-check) runs on a :class:`ShardOverlay`.
 It presents the mutable-table interface — the same accessors and
 mutation methods as a :class:`~repro.dataset.table.Table` — plus a
-``version`` counter and a structured delta log (:class:`CellEdit`,
-:class:`RowAppend`, :class:`RowDelete`), while the base data stays
-wherever its shard store keeps it (memory, spill files, an object
-store).  Edits land in small per-shard dictionaries, appends in a tail
-column set, deletions in a sorted tombstone list; nothing is ever
-rewritten in the base store.  The incremental detector replays the
-delta log to patch its state forward.
+``version`` counter, while the base data stays wherever its shard store
+keeps it (memory, spill files, an object store).  Edits land in small
+per-shard dictionaries, appends in a tail column set, deletions in a
+sorted tombstone list; nothing is ever rewritten in the base store, and
+a cell edit never reads it.  The overlay keeps no history: the
+incremental detector updates its own state from each mutation it makes,
+and re-seeds when the ``version`` moved without it.
 
 Every session op reads the dataset through :meth:`ShardOverlay.as_sharded`,
 which seals the current overlay state back into a :class:`ShardedTable`
@@ -29,7 +29,6 @@ pass through *by identity* and touched ones are patched copy-on-read.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.dataset.schema import Attribute, Schema
@@ -37,54 +36,6 @@ from repro.dataset.table import Row, Table, _stringify
 from repro.errors import TableError
 from repro.sharding.sharded_table import ShardedTable
 from repro.sharding.store import ShardStore
-
-
-# -- mutation deltas ----------------------------------------------------------
-#
-# Every overlay mutation bumps ``ShardOverlay.version`` *and* appends a
-# structured delta record, so the incremental detector can patch its
-# state forward instead of re-seeding.  ``delta.version`` is the overlay
-# version *after* the mutation was applied.
-
-
-@dataclass(frozen=True)
-class CellEdit:
-    """One cell overwritten (:meth:`ShardOverlay.set_cell`)."""
-
-    version: int
-    row: int
-    column: str
-    old: str
-    new: str
-
-
-@dataclass(frozen=True)
-class RowAppend:
-    """One row appended (:meth:`ShardOverlay.append_row`)."""
-
-    version: int
-    row: int
-    values: Row
-
-
-@dataclass(frozen=True)
-class RowDelete:
-    """One row removed (:meth:`ShardOverlay.delete_row`).
-
-    ``values`` holds the removed row; rows after ``row`` shift down by
-    one.
-    """
-
-    version: int
-    row: int
-    values: Row
-
-
-TableDelta = Union[CellEdit, RowAppend, RowDelete]
-
-#: How many deltas an overlay retains.  Consumers asking for history
-#: older than the retained window get ``None`` and must rebuild.
-MAX_DELTA_LOG = 4096
 
 
 class ShardOverlay:
@@ -102,20 +53,12 @@ class ShardOverlay:
         self._edits: List[Dict[Tuple[int, int], str]] = [
             {} for _ in range(base.n_shards)
         ]
-        #: per-base-shard count of applied edits (staleness key material)
-        self._edit_counts: List[int] = [0] * base.n_shards
         #: deleted *base* global rows, sorted (tombstones)
         self._deleted: List[int] = []
         #: appended rows, columnar
         self._tail_columns: List[List[str]] = [[] for _ in self._schema.names()]
         self._tail_rows = 0
-        #: count of tail mutations (appends, tail edits, tail deletes) —
-        #: staleness key material for the sealed tail shard, so base-only
-        #: edit batches do not dirty the tail across seals
-        self._tail_mutations = 0
         self._version = 0
-        self._delta_log: List[TableDelta] = []
-        self._log_floor = 0
         #: column-index → (version at build, merged column values)
         self._column_cache: Dict[int, Tuple[int, List[str]]] = {}
         #: (version at seal, sealed view) of the last :meth:`as_sharded`
@@ -142,7 +85,9 @@ class ShardOverlay:
 
     @property
     def version(self) -> int:
-        """Mutation counter — same contract as :attr:`Table.version`."""
+        """Mutation counter, bumped by every :meth:`set_cell`,
+        :meth:`append_row` and :meth:`delete_row`; the seal and the
+        column caches key on it."""
         return self._version
 
     @property
@@ -150,37 +95,13 @@ class ShardOverlay:
         """Whether any mutation has been applied since construction."""
         return self._version > 0
 
-    def deltas_since(self, version: int) -> Optional[Tuple[TableDelta, ...]]:
-        """The deltas applied after ``version``, oldest first.
-
-        Returns an empty tuple when the overlay is already at ``version``
-        and ``None`` when the requested history is unavailable (a future
-        version, or older than the retained :data:`MAX_DELTA_LOG` window)
-        — callers must then rebuild their derived state from scratch.
-        """
-        if version > self._version or version < self._log_floor:
-            return None
-        n = self._version - version
-        if n == 0:
-            return ()
-        return tuple(self._delta_log[-n:])
-
-    def _record_delta(self, delta: TableDelta) -> None:
-        self._version += 1
-        self._delta_log.append(delta)
-        if len(self._delta_log) > MAX_DELTA_LOG:
-            # Amortized trim: drop the oldest half in one slice.
-            drop = len(self._delta_log) - MAX_DELTA_LOG // 2
-            del self._delta_log[:drop]
-            self._log_floor += drop
-
     def __len__(self) -> int:
         return self.n_rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardOverlay({self.column_names()}, n_rows={self.n_rows}, "
-            f"edits={sum(self._edit_counts)}, deletes={len(self._deleted)}, "
+            f"edits={sum(map(len, self._edits))}, deletes={len(self._deleted)}, "
             f"appends={self._tail_rows})"
         )
 
@@ -311,32 +232,21 @@ class ShardOverlay:
 
     def set_cell(self, row: int, name: Union[str, Attribute], value: object) -> None:
         """Destructively overwrite one cell — lands in the overlay, never
-        in the base store."""
+        in the base store.
+
+        The replaced cell is never read, so every write bumps
+        :attr:`version`, a write of the value the cell already holds
+        too (unlike :meth:`Table.set_cell`)."""
         self._check_row(row)
         index = self._schema.index_of(name)
-        old = self._cell_by_index(row, index)
         new = _stringify(value)
-        if new == old:
-            # No-op write: same contract as Table.set_cell — don't bump
-            # the version or grow the delta log.
-            return
         tail_row = row - self._n_base_live
         if tail_row >= 0:
             self._tail_columns[index][tail_row] = new
-            self._tail_mutations += 1
         else:
             shard_index, local_row = self._base.locate(self._base_row(row))
             self._edits[shard_index][(local_row, index)] = new
-            self._edit_counts[shard_index] += 1
-        self._record_delta(
-            CellEdit(
-                version=self._version + 1,
-                row=row,
-                column=self._schema[index].name,
-                old=old,
-                new=new,
-            )
-        )
+        self._version += 1
 
     def append_row(
         self, values: Union[Sequence[object], Mapping[str, object]]
@@ -365,12 +275,8 @@ class ShardOverlay:
         for column, value in zip(self._tail_columns, row_values):
             column.append(value)
         self._tail_rows += 1
-        self._tail_mutations += 1
-        row = self.n_rows - 1
-        self._record_delta(
-            RowAppend(version=self._version + 1, row=row, values=tuple(row_values))
-        )
-        return row
+        self._version += 1
+        return self.n_rows - 1
 
     def delete_row(self, row: int) -> Row:
         """Destructively remove one logical row; returns its values.
@@ -386,12 +292,9 @@ class ShardOverlay:
             for column in self._tail_columns:
                 del column[tail_row]
             self._tail_rows -= 1
-            self._tail_mutations += 1
         else:
             insort(self._deleted, self._base_row(row))
-        self._record_delta(
-            RowDelete(version=self._version + 1, row=row, values=removed)
-        )
+        self._version += 1
         return removed
 
     # -- sealing back into a sharded view --------------------------------------
@@ -399,10 +302,9 @@ class ShardOverlay:
     def as_sharded(self) -> ShardedTable:
         """Seal the current overlay state into a :class:`ShardedTable`.
 
-        Untouched base shards pass through by identity (their per-shard
-        cached statistics stay valid); touched shards are patched
-        copy-on-read; appended rows become one extra tail shard.  The
-        seal is a true **snapshot**: the store captures the overlay's
+        Untouched base shards pass through by identity; touched shards
+        are patched copy-on-read; appended rows become one extra tail
+        shard.  The seal is a true **snapshot**: the store captures the overlay's
         edits, tombstones and tail at construction, so mutating the
         overlay afterwards never changes an already-sealed view — a
         later seal lists every cell an earlier one overrides among its
@@ -436,8 +338,8 @@ class OverlayShardStore(ShardStore):
 
     All overlay state — per-shard edits, tombstones, tail columns — is
     copied at construction.  The overlay may keep mutating afterwards;
-    this store keeps serving the state it was sealed from, and its
-    :meth:`versions` are stable.  A re-check does not read its shards:
+    this store keeps serving the state it was sealed from, so its
+    :meth:`versions` are one constant.  A re-check does not read its shards:
     :meth:`edited_cells` lists the cells it overrides, and
     :meth:`extends` tells whether they turn an earlier seal's columns
     into this one's.  Patched shards are built only for a cold read
@@ -454,7 +356,6 @@ class OverlayShardStore(ShardStore):
         self._edits: List[Dict[Tuple[int, int], str]] = [
             dict(edits) for edits in overlay._edits
         ]
-        self._edit_counts: List[int] = list(overlay._edit_counts)
         #: snapshot of the tombstones, as per-shard *local* row sets
         self._deleted_locals: List[frozenset] = []
         for index, count in enumerate(base.shard_row_counts()):
@@ -475,12 +376,10 @@ class OverlayShardStore(ShardStore):
             if self._has_tail
             else None
         )
-        self._tail_mutations = overlay._tail_mutations
         if self._has_tail:
             self._row_counts.append(self._tail_rows)
         #: patched shards already built, by shard index
         self._patched: Dict[int, Table] = {}
-        self._versions = self._compute_versions()
 
     @property
     def n_shards(self) -> int:
@@ -580,30 +479,10 @@ class OverlayShardStore(ShardStore):
             )
         return Table(self._schema, columns)
 
-    def _compute_versions(self) -> Tuple[int, ...]:
-        base_versions = self._base.versions()
-        versions: List[int] = []
-        for index in range(len(base_versions)):
-            if self._is_passthrough(index):
-                versions.append(base_versions[index])
-            else:
-                versions.append(
-                    hash(
-                        (
-                            base_versions[index],
-                            self._edit_counts[index],
-                            len(self._deleted_locals[index]),
-                        )
-                    )
-                )
-        if self._has_tail:
-            # keyed on the tail's own mutation count: two seals whose
-            # edit batches touched only base shards agree on the tail
-            versions.append(hash(("tail", self._tail_rows, self._tail_mutations)))
-        return tuple(versions)
-
     def versions(self) -> Tuple[int, ...]:
-        return self._versions
+        # a seal is a snapshot, so its contents never change: one
+        # constant key keeps its own merged artifacts valid for its life
+        return ()
 
     def close(self) -> None:
         # The base store's lifetime belongs to the overlay

@@ -70,8 +70,9 @@ class PrefetchingFetcher:
         self._closed = False
         #: shards whose bytes were already in hand when asked for
         self.prefetch_hits = 0
-        #: shards the caller had to wait on (fetch not finished, or
-        #: not scheduled at all)
+        #: shards an open fetcher fetched on the calling thread, having
+        #: no prefetch scheduled for them (a shard waited on while its
+        #: prefetch is still in flight is neither a hit nor a demand fetch)
         self.demand_fetches = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -146,6 +147,4 @@ class PrefetchingFetcher:
         if hit:
             self.prefetch_hits += 1
             self.timers.add("prefetch_hit", 0.0)
-        else:
-            self.demand_fetches += 1
         return data

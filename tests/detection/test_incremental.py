@@ -1,13 +1,15 @@
 """Tests for incremental violation maintenance under table updates.
 
 The correctness anchor is randomized equivalence: any sequence of
-mutations (edits, appends, deletes) applied through or alongside an
+mutations (edits, appends, deletes) applied through an
 :class:`IncrementalDetector` must yield a report whose canonical
 violations are identical to a from-scratch ``detect_all`` on the final
 table.  The detector maintains a :class:`ShardOverlay`; the sequences run
 on overlays cut into shards of a few rows, so edits, appends and
 tombstones land across shards.  A property test adds small tables with
-big blocks and few RHS values and checks the report's order too.
+big blocks and few RHS values, mixes in batches of mutations made on the
+overlay directly (which the detector catches up on by re-seeding), and
+checks the report's order too.
 """
 
 import random
@@ -30,8 +32,8 @@ from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
 
 from pairwise_reference import assert_matches_pairwise, violating_pairs
+from repro.errors import TableError
 from repro.sharding import ShardedTable, ShardOverlay
-from repro.sharding.overlay import MAX_DELTA_LOG
 
 
 GENERATORS = {
@@ -62,8 +64,9 @@ def make_rng():
     return lambda seed: random.Random(seed)
 
 
-def random_mutation(rng, table: ShardOverlay, step: int) -> None:
-    """Apply one random append/edit/delete to the overlay in place."""
+def random_mutation(rng, incremental: IncrementalDetector, step: int) -> None:
+    """Apply one random append/edit/delete through the detector."""
+    table = incremental.table
     columns = table.column_names()
     op = rng.choice(("edit", "edit", "append", "delete"))
     if op == "delete" and table.n_rows <= 2:
@@ -81,13 +84,13 @@ def random_mutation(rng, table: ShardOverlay, step: int) -> None:
             value = f"novel-{step}"
         else:
             value = ""
-        table.set_cell(rng.randrange(table.n_rows), column, value)
+        incremental.set_cell(rng.randrange(table.n_rows), column, value)
     elif op == "append":
-        table.append_row(
+        incremental.append_row(
             [rng.choice(table.column_ref(column)) for column in columns]
         )
     else:
-        table.delete_row(rng.randrange(table.n_rows))
+        incremental.delete_row(rng.randrange(table.n_rows))
 
 
 def assert_equivalent(incremental: IncrementalDetector, pfds, context: str) -> None:
@@ -111,7 +114,7 @@ class TestRandomizedEquivalence:
         rng = make_rng(seed)
         incremental = IncrementalDetector(table, pfds)
         for step in range(8):
-            random_mutation(rng, table, step)
+            random_mutation(rng, incremental, step)
         assert_equivalent(incremental, pfds, f"{dataset} seed={seed}")
 
     @pytest.mark.parametrize("dataset", sorted(GENERATORS))
@@ -123,7 +126,7 @@ class TestRandomizedEquivalence:
         rng = make_rng(99)
         incremental = IncrementalDetector(table, pfds)
         for step in range(25):
-            random_mutation(rng, table, step)
+            random_mutation(rng, incremental, step)
             assert_equivalent(incremental, pfds, f"{dataset} step={step}")
 
     @pytest.mark.parametrize("shard_rows", [1, 3, None], ids=["1", "3", "n"])
@@ -140,7 +143,7 @@ class TestRandomizedEquivalence:
         rng = make_rng(1000 + seed)
         incremental = IncrementalDetector(table, pfds)
         for step in range(8):
-            random_mutation(rng, table, step)
+            random_mutation(rng, incremental, step)
         assert_equivalent(
             incremental, pfds, f"{dataset} seed={seed} shard_rows={shard_rows}"
         )
@@ -152,6 +155,19 @@ class TestMutationAPI:
         pristine, pfds = rulesets["zip_city_state"]
         table = overlay_of(pristine)
         return table, pfds, IncrementalDetector(table, pfds)
+
+    @pytest.fixture
+    def rebuilds(self, monkeypatch):
+        """The detectors re-seeded after the fixture was set up."""
+        calls = []
+        real = IncrementalDetector._rebuild
+
+        def counting(self):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(IncrementalDetector, "_rebuild", counting)
+        return calls
 
     def test_initial_report_matches_batch_detector(self, zip_setup):
         table, pfds, incremental = zip_setup
@@ -194,28 +210,49 @@ class TestMutationAPI:
         incremental.refresh()
         assert_equivalent(incremental, pfds, "direct mutations")
 
-    def test_rebuild_fallback_when_delta_log_is_exhausted(self, zip_setup):
+    def test_direct_mutations_reseed_once_at_the_next_report(self, zip_setup, rebuilds):
         table, pfds, incremental = zip_setup
-        for step in range(MAX_DELTA_LOG + 10):
-            table.set_cell(step % table.n_rows, "city", f"v{step}")
-        assert table.deltas_since(0) is None
-        assert_equivalent(incremental, pfds, "log exhausted")
+        assert rebuilds == []
+        table.set_cell(3, "city", "Elsewhere")
+        table.append_row(table.row(0))
+        table.delete_row(2)
+        # a detector behind the overlay leaves its state for the re-seed
+        incremental.set_cell(5, "city", "Elsewhere")
+        assert rebuilds == []
+        report = incremental.report()
+        assert len(rebuilds) == 1
+        full = ErrorDetector(table.materialize()).detect_all(pfds)
+        assert report.canonical_violations() == full.canonical_violations()
+        # back in sync: the next edit updates the state in place
+        incremental.set_cell(1, "city", table.cell(0, "city"))
+        assert_equivalent(incremental, pfds, "after the re-seed")
+        assert len(rebuilds) == 1
 
-    def test_rebuild_fallback_after_an_append(self, rulesets):
-        pristine, pfds = rulesets["zip_city_state"]
-        overlay = overlay_of(pristine)
-        incremental = IncrementalDetector(overlay, pfds)
-        overlay.append_row(overlay.row(0))
-        for step in range(MAX_DELTA_LOG + 10):
-            overlay.set_cell(step % overlay.n_rows, "city", f"v{step % 7}")
-        assert overlay.deltas_since(0) is None
-        # re-seeded from a fresh seal of the edited overlay
-        full = ErrorDetector(overlay.materialize()).detect_all(pfds)
-        got = incremental.report()
-        assert got.canonical_violations() == full.canonical_violations()
-        incremental.set_cell(1, "city", overlay.cell(0, "city"))
-        full = ErrorDetector(overlay.materialize()).detect_all(pfds)
-        assert incremental.report().canonical_violations() == full.canonical_violations()
+    def test_mutations_through_the_detector_never_reseed(self, zip_setup, rebuilds):
+        table, pfds, incremental = zip_setup
+        assert rebuilds == []
+        version = table.version
+        incremental.set_cell(3, "city", "Elsewhere")
+        incremental.set_cell(3, "city", "Elsewhere")  # the value it holds
+        assert table.version == version + 2
+        row = incremental.append_row(table.row(0))
+        incremental.set_cell(row, "state", "ZZ")
+        incremental.delete_row(2)
+        incremental.set_cell(7, "zip", "00000")
+        assert_equivalent(incremental, pfds, "through the detector")
+        assert rebuilds == []
+
+    def test_out_of_range_set_cell_raises_and_changes_nothing(self, zip_setup, rebuilds):
+        table, pfds, incremental = zip_setup
+        before = incremental.report().violations
+        version = table.version
+        for row in (-1, table.n_rows):
+            with pytest.raises(TableError, match="out of range"):
+                incremental.set_cell(row, "city", "Nowhereville")
+        assert table.version == version
+        assert incremental.report().violations == before
+        assert rebuilds == []
+        assert_equivalent(incremental, pfds, "rejected edits")
 
     def test_strategy_argument_is_gone(self, zip_setup):
         table, pfds, _ = zip_setup

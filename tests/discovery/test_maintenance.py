@@ -81,7 +81,8 @@ def apply_random_batch(overlay, rng):
         column = rng.choice(names)
         donor = rng.randrange(overlay.n_rows)
         overlay.set_cell(row, column, overlay.cell(donor, column))
-    # the no-op write: edit-count bumps, contents do not change
+    # the same-value write: the overlay records it as an edit, the
+    # contents do not change
     row = rng.randrange(overlay.n_rows)
     column = rng.choice(names)
     overlay.set_cell(row, column, overlay.cell(row, column))

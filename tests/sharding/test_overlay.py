@@ -3,8 +3,9 @@
 The load-bearing property is *protocol parity*: a :class:`ShardOverlay`
 over a sharded base must behave exactly like the monolithic
 :class:`Table` it replaces — same reads, same mutation semantics, same
-version counter, same error messages — while the base store is never
-written.  Its delta log is checked against literal expected deltas.
+error messages — while the base store is never written.  The one
+difference: the overlay never reads the cell a write replaces, so it
+counts a write of the value the cell already holds as a mutation too.
 """
 
 import pytest
@@ -13,13 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dataset import Table
 from repro.errors import TableError
 from repro.sharding import InMemoryShardStore, ShardedTable, ShardOverlay
-from repro.sharding.overlay import (
-    MAX_DELTA_LOG,
-    CellEdit,
-    OverlayShardStore,
-    RowAppend,
-    RowDelete,
-)
+from repro.sharding.overlay import OverlayShardStore
 
 
 def make_base(n_rows=10, shard_rows=3):
@@ -106,11 +101,16 @@ class TestMutationParity:
             target.delete_row(5)
         assert_same_state(table, overlay)
 
-    def test_noop_set_cell_skips_version_bump(self, pair):
+    def test_same_value_set_cell_is_recorded(self, pair):
+        # the overlay does not read the cell it replaces, so a write of
+        # the value already there is a mutation (a Table skips it)
         table, overlay = pair
-        overlay.set_cell(3, "label", overlay.cell(3, "label"))
-        assert overlay.version == 0
-        assert overlay.deltas_since(0) == ()
+        for target in (table, overlay):
+            target.set_cell(3, "label", table.cell(3, "label"))
+        assert table.version == 0
+        assert overlay.version == 1
+        assert overlay.is_touched
+        assert_same_state(table, overlay)
 
     def test_mutation_error_parity(self, pair):
         table, overlay = pair
@@ -137,46 +137,6 @@ class TestMutationParity:
         overlay.append_row(["300", "new"])
         assert overlay.base.versions() == base_versions
         assert list(overlay.base.store.get(0).iter_rows()) == before
-
-
-class TestDeltaLog:
-    def test_mutations_record_structured_deltas(self, pair):
-        table, overlay = pair
-        for target in (table, overlay):
-            target.set_cell(1, "code", "777")
-            target.append_row(["888", "w"])
-            target.delete_row(0)
-        assert overlay.version == table.version == 3
-        deltas = overlay.deltas_since(0)
-        assert deltas == (
-            CellEdit(version=1, row=1, column="code", old="101", new="777"),
-            RowAppend(version=2, row=10, values=("888", "w")),
-            RowDelete(version=3, row=0, values=("100", "v0")),
-        )
-        assert overlay.deltas_since(2) == deltas[2:]
-        assert overlay.deltas_since(3) == ()
-        assert overlay.deltas_since(4) is None  # future version
-
-    def test_tail_mutations_record_deltas(self):
-        _table, sharded = make_base(n_rows=2, shard_rows=2)
-        overlay = ShardOverlay(sharded)
-        overlay.append_row({"label": "t"})
-        overlay.set_cell(2, "code", "5")
-        overlay.delete_row(2)
-        assert overlay.deltas_since(0) == (
-            RowAppend(version=1, row=2, values=("", "t")),
-            CellEdit(version=2, row=2, column="code", old="", new="5"),
-            RowDelete(version=3, row=2, values=("5", "t")),
-        )
-
-    def test_log_trims_past_its_window(self):
-        _table, sharded = make_base(n_rows=2, shard_rows=2)
-        overlay = ShardOverlay(sharded)
-        for i in range(MAX_DELTA_LOG + 10):
-            overlay.append_row([str(i), "v"])
-        assert overlay.deltas_since(0) is None  # trimmed past the floor
-        recent = overlay.deltas_since(overlay.version - 5)
-        assert len(recent) == 5
 
 
 class TestColumnCache:
@@ -240,25 +200,29 @@ class TestAsSharded:
         assert sealed.store.shard_row_counts() == [2, 0, 2]
         assert sealed.column_concat("code") == ["100", "101", "104", "105"]
 
-    def test_versions_stable_and_edit_sensitive(self, pair):
-        _table, overlay = pair
-        overlay.set_cell(0, "code", "A")
+    def test_seal_patches_only_its_edited_shards(self, pair, patched_shards):
+        table, overlay = pair
+        for target in (table, overlay):
+            target.set_cell(0, "code", "A")
         sealed = overlay.as_sharded()
-        before = sealed.store.versions()
-        assert before == sealed.store.versions()  # stable while idle
-        # untouched shards keep their base staleness keys, so merged
-        # artifacts built over them are reused
-        assert before[1:] == overlay.base.versions()[1:]
-        assert before[0] != overlay.base.versions()[0]
+        # a cold read patches the edited shard; the others pass through
+        encoding = sealed.column_encodings(["code"])["code"]
+        assert patched_shards == [0]
+        assert sealed.column_concat("code") == table.column("code")
+        # a seal never changes, so its merged artifacts stay valid
+        assert sealed.store.versions() == sealed.store.versions()
+        assert sealed.column_encodings(["code"])["code"] is encoding
         # a seal is a snapshot: a further edit never reaches it...
-        overlay.set_cell(0, "code", "B")
-        assert sealed.store.versions() == before
+        for target in (table, overlay):
+            target.set_cell(0, "code", "B")
+            target.set_cell(7, "label", "C")  # base shard 2
         assert sealed.store.get(0).cell(0, "code") == "A"
-        # ...the *next* seal disagrees exactly on the touched shard, so
-        # merged artifacts of the untouched shards stay valid
-        after = overlay.as_sharded().store.versions()
-        assert after[0] != before[0]
-        assert after[1:] == before[1:]
+        assert sealed.column_concat("code")[0] == "A"
+        # ...the next seal patches exactly the shards edited so far
+        patched_shards.clear()
+        after = overlay.as_sharded()
+        assert [after.row(i) for i in range(after.n_rows)] == list(table.iter_rows())
+        assert patched_shards == [0, 2]
 
     def test_seal_is_cached_per_version(self, pair):
         table, overlay = pair
@@ -271,10 +235,12 @@ class TestAsSharded:
         assert view.profile() is overlay.as_sharded().profile()
         overlay.set_cell(2, "label", "again")
         assert overlay.as_sharded() is not view
-        # a no-op write bumps nothing, so the seal is kept
+        # the overlay does not read the cell it replaces, so a write of
+        # the value already there is a new version with a new seal
         again = overlay.as_sharded()
         overlay.set_cell(2, "label", "again")
-        assert overlay.as_sharded() is again
+        assert overlay.as_sharded() is not again
+        assert overlay.as_sharded().cell(2, "label") == "again"
 
     def test_sealed_profile_matches_the_materialized_profile(self, pair):
         from repro.dataset.profiling import profile_table

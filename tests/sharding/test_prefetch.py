@@ -99,6 +99,31 @@ def test_out_of_order_access_is_a_demand_fetch():
     assert 5 in calls and 1 in calls
 
 
+def test_waiting_on_an_in_flight_prefetch_is_neither_a_hit_nor_a_demand_fetch():
+    # shard 1's prefetch is held at a gate until the caller has found it
+    # unfinished and begins waiting on it
+    gate = threading.Event()
+
+    class OpenGateOnSecondWait(StageTimers):
+        def stage(self, name):
+            if name == "fetch_wait" and self.count("fetch_wait") == 1:
+                gate.set()
+            return super().stage(name)
+
+    def gated(index):
+        if index == 1:
+            assert gate.wait(timeout=10.0), "the caller never waited on shard 1"
+        return BLOBS[index]
+
+    timers = OpenGateOnSecondWait()
+    with PrefetchingFetcher(gated, depth=1, timers=timers) as fetcher:
+        assert fetcher.get(0, len(BLOBS)) == BLOBS[0]  # never scheduled
+        assert fetcher.get(1, len(BLOBS)) == BLOBS[1]  # scheduled, in flight
+    assert fetcher.demand_fetches == 1
+    assert fetcher.prefetch_hits == 0
+    assert timers.count("fetch_wait") == 2
+
+
 def test_fetch_error_raises_from_the_owning_get():
     with PrefetchingFetcher(make_fetch(BLOBS, fail_on={2}), depth=3) as fetcher:
         assert fetcher.get(0, len(BLOBS)) == BLOBS[0]  # schedules 1..3

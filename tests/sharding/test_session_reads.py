@@ -26,7 +26,7 @@ from repro.dataset.profiling import profile_table
 from repro.discovery.config import DiscoveryConfig
 from repro.detection import ErrorDetector, IncrementalDetector
 from repro.discovery.discoverer import PfdDiscoverer
-from repro.sharding import ShardedTable, SpillToDiskShardStore
+from repro.sharding import LocalObjectClient, ShardedTable, SpillToDiskShardStore
 from repro.sharding import sharded_table as sharded_table_module
 from repro.sharding.overlay import OverlayShardStore, ShardOverlay
 from repro.sharding import store as store_module
@@ -194,20 +194,6 @@ def overlay_reads(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def patched_shards(monkeypatch):
-    """The shard indexes sealed views patched copy-on-read, in order."""
-    indexes = []
-    real = OverlayShardStore._patch_shard
-
-    def patch_shard(self, index):
-        indexes.append(index)
-        return real(self, index)
-
-    monkeypatch.setattr(OverlayShardStore, "_patch_shard", patch_shard)
-    return indexes
-
-
 def _repairs(session, n):
     return [
         (s.row, s.attribute, s.suggested_value) for s in session.repair_suggestions()[:n]
@@ -238,6 +224,52 @@ def test_edit_loop_attach_reads_nothing(spill_session, overlay_reads):
         session.confirmed_pfds()
     )
     assert session.violations.canonical_violations() == expected.canonical_violations()
+
+
+@pytest.mark.parametrize("kind", ["spill", "object"])
+def test_edits_read_no_shard(tmp_path, small_zip_city_state, decoded, monkeypatch, kind):
+    # edits in shards no op has left resident: the overlay records each
+    # write without reading the cell it replaces, and the detector takes
+    # the old value from its own codes
+    path = tmp_path / "zips.csv"
+    write_csv(small_zip_city_state.table, path)
+    session = AnmatSession(
+        dataset_name="edits",
+        config=DiscoveryConfig(store=kind, spill_dir=str(tmp_path / kind)),
+    )
+    session.upload_csv(path, shard_rows=SHARD_ROWS)
+    gets = []
+    real_get = LocalObjectClient.get
+
+    def counting_get(self, key):
+        gets.append(key)
+        return real_get(self, key)
+
+    monkeypatch.setattr(LocalObjectClient, "get", counting_get)
+    try:
+        session.run_profiling()
+        session.run_discovery()
+        session.confirm_all()
+        session.run_detection()
+        base = session.table.base
+        resident = set(base.store._loaded)
+        shards = [i for i in range(base.n_shards) if i not in resident][::3][:3]
+        assert len(shards) == 3
+        decoded.clear()
+        gets.clear()
+        for index in shards:
+            offset = base.offset_of(index)
+            session.edit_cell(offset + 1, "city", "Nowhere")
+            session.edit_cell(offset + 2, "state", "ZZ")
+            session.edit_cell(offset + 3, "zip", "00000")
+        assert decoded == []
+        assert gets == []
+        expected = ErrorDetector(session.table.materialize()).detect_all(
+            session.confirmed_pfds()
+        )
+        assert session.violations.canonical_violations() == expected.canonical_violations()
+    finally:
+        session.close()
 
 
 def test_edit_loop_leaves_the_detection_artifacts_alone(spill_session):
