@@ -387,10 +387,10 @@ def _remote_object_faults(
     clean_sharded = ShardedTable.from_table(table, shard_rows)
 
     def cold_detection(sharded: ShardedTable) -> Tuple[object, float]:
-        sharded.drop_merged_artifacts()
+        cold = ShardedTable(sharded.store)  # a fresh view derives nothing yet
         _clear_shared_caches()
         started = time.perf_counter()
-        report = _detect_sharded(sharded, pfds)
+        report = _detect_sharded(cold, pfds)
         return report, time.perf_counter() - started
 
     with ObjectHTTPServer() as server:

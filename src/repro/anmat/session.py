@@ -231,7 +231,7 @@ class AnmatSession:
         Every column is encoded in one shard-major pass — one resident
         shard at a time — and profiled from its encoding, with output
         identical to profiling the materialized table.  The profile and
-        the encodings are cached on the sealed view, where discovery
+        the encodings are kept on the sealed view, where discovery
         finds them again without reading a shard."""
         self._require_table()
         self.profile = self.table.as_sharded().profile()

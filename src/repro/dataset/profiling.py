@@ -266,7 +266,7 @@ def profile_sharded(sharded, max_patterns: int = 25) -> TableProfile:
     ``column_encodings(names)`` (a :class:`~repro.sharding.ShardedTable`;
     duck-typed to keep this layer free of a sharding import).  The
     encodings are built in one shard-major pass — one resident shard at
-    a time on a spill/object store — and stay cached on the table, so
+    a time on a spill/object store — and stay on the table, so
     the discovery that follows mines them without reading a shard
     again.  The output is identical to :func:`profile_table` over the
     materialized table.

@@ -77,9 +77,6 @@ class Table:
         self._schema = schema
         self._columns = columns
         self._n_rows = columns[0].__len__() if columns else 0
-        # Mutation counter, bumped by every in-place mutation (a shard
-        # store compares it to catch a shard mutated behind its back).
-        self._version = 0
 
     # -- constructors --------------------------------------------------------
 
@@ -163,12 +160,6 @@ class Table:
     @property
     def n_columns(self) -> int:
         return len(self._schema)
-
-    @property
-    def version(self) -> int:
-        """Mutation counter — incremented by every in-place mutation
-        (:meth:`set_cell`, :meth:`append_row`, :meth:`delete_row`)."""
-        return self._version
 
     def __len__(self) -> int:
         return self._n_rows
@@ -299,13 +290,7 @@ class Table:
     def set_cell(self, row: int, name: Union[str, Attribute], value: object) -> None:
         """Destructively overwrite one cell (used by corruption and repair)."""
         self._check_row(row)
-        index = self._schema.index_of(name)
-        old = self._columns[index][row]
-        new = _stringify(value)
-        if new == old:
-            return  # no-op write: the version stays
-        self._columns[index][row] = new
-        self._version += 1
+        self._columns[self._schema.index_of(name)][row] = _stringify(value)
 
     def append_row(
         self, values: Union[Sequence[object], Mapping[str, object]]
@@ -340,21 +325,17 @@ class Table:
             column.append(value)
         row = self._n_rows
         self._n_rows += 1
-        self._version += 1
         return row
 
-    def delete_row(self, row: int) -> Row:
-        """Destructively remove one row; returns its values.
+    def delete_row(self, row: int) -> None:
+        """Destructively remove one row.
 
         Rows after ``row`` shift down by one.
         """
         self._check_row(row)
-        removed = tuple(column[row] for column in self._columns)
         for column in self._columns:
             del column[row]
         self._n_rows -= 1
-        self._version += 1
-        return removed
 
     # -- analytics helpers ----------------------------------------------------
 

@@ -12,7 +12,7 @@ maintains it under its own ``set_cell`` / ``append_row`` /
 from their arguments: an edit reads no shard.
 
 **Seed.**  The state is built from the overlay's sharded view (its
-cached seal, :meth:`ShardOverlay.as_sharded`) through
+seal, one per overlay version, :meth:`ShardOverlay.as_sharded`) through
 :mod:`repro.sharding.detection`: the rule columns' encodings (the ones
 discovery left behind, so detection right after discovery reads no
 shard), each constant rule's one RHS verdict per ``(LHS value, RHS
@@ -20,8 +20,9 @@ value)`` pair group, and each variable rule's ``≡_Q`` blocks, which it
 takes over as per-block RHS groups, majority, witness and minority
 violations.  The rule columns' codes and distinct values are the view
 encodings' own until the first edit writes one, which copies them: a
-detection-only session copies nothing.  The view's cached artifacts are
-never mutated: an untouched overlay's view *is* its base table.
+detection-only session copies nothing.  The view's encodings and pair
+groups are never mutated: an untouched overlay's view *is* its base
+table.
 
 **Edit.**  A cell edit patches one code (a value the column has not
 held yet appends to the detector's own distinct list), re-checks the
@@ -50,7 +51,7 @@ state — randomized and property-based equivalence tests enforce this.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.dataset.rowids import row_ids_from_numpy
 from repro.dataset.table import _stringify
@@ -244,12 +245,12 @@ class IncrementalDetector:
                 )
         return row
 
-    def delete_row(self, row: int) -> Tuple[str, ...]:
+    def delete_row(self, row: int) -> None:
         """Delete one row and update the maintained report."""
         in_sync = self.table.version == self._synced_version
-        removed = self.table.delete_row(row)
+        self.table.delete_row(row)
         if not in_sync:
-            return removed
+            return
         self._synced_version = self.table.version
         with self.timers.stage("update"):
             for evaluator in self._rules:
@@ -261,7 +262,6 @@ class IncrementalDetector:
                 )
             for column in self._columns.values():
                 column.delete(row)
-        return removed
 
     def refresh(self) -> None:
         """Catch up with mutations applied directly to the table: they

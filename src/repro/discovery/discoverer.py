@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataset.profiling import TableProfile, profile_table
 from repro.dataset.table import Table
@@ -131,7 +131,6 @@ class PfdDiscoverer:
                     name: encode_column(table.column_ref(name))
                     for name in dict.fromkeys(names)
                 },
-                lambda _key, build: build(),
             )
         with self.timers.stage("assemble"):
             pfds = self.assemble_pfds(candidates, reports, relation)
@@ -181,18 +180,13 @@ class PfdDiscoverer:
         self,
         candidates: Sequence[CandidateDependency],
         encode: Callable[[Sequence[str]], Dict[str, ColumnEncoding]],
-        cached: Callable[[Hashable, Callable[[], object]], object],
     ) -> List[DependencyReport]:
         """Mine candidates in order over encoded columns.
 
         The one mining loop of the monolithic, sharded and maintenance
-        paths; the caller supplies the inputs.
-        ``encode(names)`` returns the named columns' encodings, and
-        ``cached(key, build)`` holds each (LHS, mode) pair's
-        distinct-level token triples across calls (``merged_artifact``
-        for a sharded table; a table rebuilds them per call).  Within a
-        call every LHS is tokenized once per distinct value however
-        many candidates share it.
+        paths; ``encode(names)`` returns the named columns' encodings.
+        Within a call every (LHS, mode) pair is tokenized once per
+        distinct value however many candidates share it.
 
         The kernel loop body runs every candidate whose miners it
         reproduces.  Customized decision functions or miners run the
@@ -215,9 +209,8 @@ class PfdDiscoverer:
                 candidate_triples = triples.get((candidate.lhs, mode))
                 if candidate_triples is None:
                     with self.timers.stage("tokenize"):
-                        candidate_triples = triples[(candidate.lhs, mode)] = cached(
-                            ("kernel_triples", candidate.lhs, mode, ngram_size),
-                            lambda: batch_tokenize(lhs, mode, ngram_size),
+                        candidate_triples = triples[(candidate.lhs, mode)] = batch_tokenize(
+                            lhs, mode, ngram_size
                         )
             report = self._mine_encoded(candidate, lhs, rhs, candidate_triples)
             if report is None:

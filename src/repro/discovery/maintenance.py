@@ -20,11 +20,13 @@ set instead of recomputing it, without reading a shard:
 2. **Patched encodings.**  Each changed column's baseline encoding is
    patched with its differing cells
    (:meth:`~repro.kernels.encoder.ColumnEncoding.with_cells`), which
-   equals a fresh encoding of the new column.  The new view is primed
-   with it, with the baseline encodings of clean columns, and with the
-   pair groups of rule pairs over clean columns; pairs touching a
-   changed column are regrouped from the encodings by the detection run
-   that follows a re-check.
+   equals a fresh encoding of the new column.  It goes into the new
+   view's ``encodings`` field, and the baseline view's encodings of
+   clean columns and pair groups of rule pairs over clean columns move
+   into the new view's ``encodings`` and ``pair_groups`` fields (a
+   sealed view is a snapshot, so nothing moved can go stale); pairs
+   touching a changed column are regrouped from the encodings by the
+   detection run that follows a re-check.
 3. **Profiles from counts.**  A changed column's profile is built from
    its patched encoding's distinct values and counts
    (:func:`~repro.dataset.profiling.profile_encoding`); clean columns
@@ -113,7 +115,7 @@ class RuleMaintainer:
         """Adopt a sharded discovery run over ``view`` as the baseline.
 
         Cheap — stores references; the baseline encodings are the ones
-        discovery left cached on ``view``.
+        discovery left in ``view.encodings``.
         """
         self._view = view
         self._reports = {
@@ -139,7 +141,7 @@ class RuleMaintainer:
         it.  Returns ``None`` when the baseline does not align
         (unseeded, a different base dataset, a structural change such as
         appends/deletes where every candidate would re-mine anyway, or
-        baseline encodings that are no longer cached): the caller runs
+        a baseline view whose encodings are gone): the caller runs
         full discovery instead and re-seeds.
         """
         started = time.perf_counter()
@@ -150,19 +152,15 @@ class RuleMaintainer:
         if cells is None:
             return None
         names = view.column_names()
-        baseline = {
-            name: old_view.peek_merged_artifact(("column_encoding", name))
-            for name in names
-        }
-        if any(encoding is None for encoding in baseline.values()):
+        baseline = old_view.encodings
+        if any(name not in baseline for name in names):
             return None
 
         with self.timers.stage("patch"):
             patched = _patched_encodings(baseline, cells)
         changed_columns = set(patched)
         self._carry_clean_artifacts(view, changed_columns)
-        for name, encoding in patched.items():
-            view.prime_merged_artifact(("column_encoding", name), encoding)
+        view.encodings.update(patched)
 
         with self.timers.stage("profile"):
             profile = TableProfile(
@@ -174,7 +172,7 @@ class RuleMaintainer:
                     for name in names
                 },
             )
-            view.prime_merged_artifact(("profile",), profile)
+            view.table_profile = profile
         with self.timers.stage("candidates"):
             candidates = candidate_dependencies(view, self.config, profile)
 
@@ -190,7 +188,6 @@ class RuleMaintainer:
                 self.discoverer.mine_candidates(
                     [c for c, baseline in zip(candidates, baselines) if baseline is None],
                     view.column_encodings,
-                    view.merged_artifact,
                 )
             )
             reports: List[DependencyReport] = [
@@ -249,14 +246,18 @@ class RuleMaintainer:
         old_view = self._view
         if view is old_view:
             return  # nothing changed; the artifacts are already in place
-        carried = ("column_encoding", "merged_pair_groups")
-        for prefix in carried:
-            for key in old_view.merged_artifact_keys(prefix):
-                # key[1:] names the artifact's columns
-                artifact = old_view.peek_merged_artifact(key)
-                if artifact is not None and changed_columns.isdisjoint(key[1:]):
-                    view.prime_merged_artifact(key, artifact)
-        old_view.drop_merged_artifacts(*carried)
+        view.encodings.update(
+            (name, encoding)
+            for name, encoding in old_view.encodings.items()
+            if name not in changed_columns
+        )
+        view.pair_groups.update(
+            (pair, groups)
+            for pair, groups in old_view.pair_groups.items()
+            if changed_columns.isdisjoint(pair)
+        )
+        old_view.encodings.clear()
+        old_view.pair_groups.clear()
 
 
 def _patched_encodings(

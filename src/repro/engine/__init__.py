@@ -1,9 +1,8 @@
 """The execution engine's planner and the shard-store seam.
 
 A session cuts every dataset into shards once, at load, and runs the
-sharded engines over that cut.  :func:`plan_run` (or the
-:func:`plan_discovery` / :func:`plan_detection` wrappers) resolves what
-is left to decide — shard size and count, store, object client, rule
+sharded engines over that cut.  :func:`plan_run` resolves what is left
+to decide — shard size and count, store, object client, rule
 maintenance — into an :class:`ExecutionPlan` that records every decision
 for ``--explain-plan``.
 
@@ -16,8 +15,6 @@ sit in an object store without the engines noticing.  See
 from repro.engine.plan import (
     DEFAULT_SHARD_ROWS,
     ExecutionPlan,
-    plan_detection,
-    plan_discovery,
     plan_run,
 )
 from repro.sharding.object_store import LocalObjectClient, ObjectShardStore
@@ -49,7 +46,5 @@ __all__ = [
     "ShardStore",
     "SpillToDiskShardStore",
     "make_shard_store",
-    "plan_detection",
-    "plan_discovery",
     "plan_run",
 ]

@@ -161,31 +161,3 @@ def plan_run(
         decisions=decisions,
     )
 
-
-def plan_discovery(
-    n_rows: int,
-    config: Optional[DiscoveryConfig] = None,
-    *,
-    shard_rows: int = 0,
-    recheck: bool = False,
-    maintainable: bool = False,
-) -> ExecutionPlan:
-    """Plan one discovery run (see :func:`plan_run`)."""
-    return plan_run(
-        "discovery",
-        n_rows,
-        config,
-        shard_rows=shard_rows,
-        recheck=recheck,
-        maintainable=maintainable,
-    )
-
-
-def plan_detection(
-    n_rows: int,
-    config: Optional[DiscoveryConfig] = None,
-    *,
-    shard_rows: int = 0,
-) -> ExecutionPlan:
-    """Plan one detection run (see :func:`plan_run`)."""
-    return plan_run("detection", n_rows, config, shard_rows=shard_rows)

@@ -10,9 +10,8 @@ from the pair groups of each rule's attribute pair (see
 * each pair's groups are one
   :func:`~repro.kernels.groupby.pair_groups_kernel` call over the two
   columns' table-wide encodings — the ones discovery left behind, or
-  one shard-major pass when detection runs cold — cached on the sharded
-  table until a shard mutates (the rule maintainer carries the clean
-  ones across a re-check);
+  one shard-major pass when detection runs cold — built once per view
+  (the rule maintainer carries the clean ones across a re-check);
 * **constant rules** match the rule's LHS cell once per distinct value
   (literal-prefix narrowed, memo-backed) and take the ``(LHS value, RHS
   value)`` groups of the matching values (:func:`value_groups`);
@@ -44,14 +43,15 @@ SplitBlocks = Dict[Hashable, Dict[str, RowIds]]
 
 def pair_groups(sharded: ShardedTable, lhs: str, rhs: str) -> MergedPairGroups:
     """The pair groups of one attribute pair, grouped from the two
-    columns' encodings (cached on the sharded table until a shard
-    mutates)."""
-
-    def build() -> MergedPairGroups:
+    columns' encodings once per view (kept in
+    :attr:`ShardedTable.pair_groups`)."""
+    merged = sharded.pair_groups.get((lhs, rhs))
+    if merged is None:
         encodings = sharded.column_encodings([lhs, rhs])
-        return MergedPairGroups(pair_groups_kernel(encodings[lhs], encodings[rhs]))
-
-    return sharded.merged_artifact(("merged_pair_groups", lhs, rhs), build)
+        merged = sharded.pair_groups[(lhs, rhs)] = MergedPairGroups(
+            pair_groups_kernel(encodings[lhs], encodings[rhs])
+        )
+    return merged
 
 
 def value_groups(
@@ -59,7 +59,7 @@ def value_groups(
 ) -> Iterator[Tuple[str, Sequence[int]]]:
     """``(observed RHS value, rows)`` pairs of the rows in a constant
     rule's scope: the pair groups of the LHS values its LHS cell
-    matches (the rows are the cached statistic's own; callers that
+    matches (the rows are the kept statistic's own; callers that
     keep them must copy)."""
     merged = pair_groups(sharded, evaluator.lhs, evaluator.rhs)
     for lhs_value in merged.matching_values(evaluator.lhs_cell, memo):
@@ -74,7 +74,7 @@ def split_blocks(
     One projection per distinct LHS value (memo-backed, so every rule
     and every run shares the verdict); values sharing a projection key
     pour their per-RHS-value row lists into one block.  The row lists
-    are fresh (never the cached statistic's), so the caller may keep and
+    are fresh (never the kept statistic's), so the caller may keep and
     change them; those of one (key, RHS value) group may interleave
     across source LHS values and are not sorted.
     """

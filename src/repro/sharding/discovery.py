@@ -4,8 +4,9 @@ Discovery over a :class:`~repro.sharding.sharded_table.ShardedTable`
 runs the monolithic discoverer's mining loop over the table-wide column
 encodings (:meth:`~repro.sharding.sharded_table.ShardedTable.column_encodings`).
 Profiling builds every column's encoding in one shard-major pass and
-profiles from it, so discovery after profiling reads no shard, and a
-cold discovery reads each shard once.  Factorizing shard by shard
+profiles from it; the view keeps both (its ``table_profile`` and
+``encodings`` fields), so discovery after profiling reads no shard, and
+a cold discovery reads each shard once.  Factorizing shard by shard
 assigns codes in first-appearance order across the whole column, and
 global tuple ids are shard offset + local row, so the merged encoding
 is exactly the monolithic one and the discovered rule set is
@@ -29,16 +30,13 @@ from repro.sharding.sharded_table import ShardedTable
 
 
 def drop_mining_artifacts(sharded: ShardedTable) -> None:
-    """Release the O(n) mining inputs nothing after discovery reads:
-    every token-triple set, and the per-code arrays the miners derived
-    from the column encodings.  Every column's codes stay: they are the
-    maintained state that detection groups rule pairs from, the edit
-    loop seeds from, and a re-check patches and profiles from."""
-    sharded.drop_merged_artifacts("kernel_triples")
-    for key in sharded.merged_artifact_keys("column_encoding"):
-        encoding = sharded.peek_merged_artifact(key)
-        if encoding is not None:
-            encoding.release_derived()
+    """Release the O(n) mining inputs nothing after discovery reads: the
+    per-code arrays the miners derived from the column encodings.
+    Every column's codes stay: they are the maintained state that
+    detection groups rule pairs from, the edit loop seeds from, and a
+    re-check patches and profiles from."""
+    for encoding in sharded.encodings.values():
+        encoding.release_derived()
 
 
 class ShardedDiscoverer:
@@ -69,17 +67,15 @@ class ShardedDiscoverer:
         started = time.perf_counter()
         timers = self.discoverer.timers
         with timers.stage("profile"):
-            # the session's profiling step already built it for these
-            # shard versions; only a cold run profiles here
+            # the session's profiling step already built it for this
+            # view; only a cold run profiles here
             profile = sharded.profile()
         if candidates is None:
             with timers.stage("candidates"):
                 candidates = candidate_dependencies(sharded, self.config, profile)
         candidates = list(candidates)
         with timers.stage("mine"):
-            reports = self.discoverer.mine_candidates(
-                candidates, sharded.column_encodings, sharded.merged_artifact
-            )
+            reports = self.discoverer.mine_candidates(candidates, sharded.column_encodings)
         with timers.stage("assemble"):
             pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
         # a bounded-memory session carries past discovery only the

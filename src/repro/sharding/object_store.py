@@ -229,8 +229,8 @@ class ObjectShardStore(ShardStore):
         self._delete_objects_on_close = delete_objects_on_close
         self.prefix = prefix.rstrip("/")
         self._cache_shards = cache_shards
-        #: per-shard (key, row count, version-at-append, sha256 hexdigest)
-        self._meta: List[Tuple[str, int, int, str]] = []
+        #: per-shard (key, row count, sha256 hexdigest)
+        self._meta: List[Tuple[str, int, str]] = []
         self._loaded: "OrderedDict[int, Table]" = OrderedDict()
         self._interned = InternPool()
         #: read/write attempts beyond the first, for observability/tests
@@ -278,17 +278,17 @@ class ObjectShardStore(ShardStore):
             except ObjectStoreError:
                 pass
             raise
-        self._meta.append((key, shard.n_rows, shard.version, digest))
+        self._meta.append((key, shard.n_rows, digest))
 
     def shard_row_counts(self) -> List[int]:
-        return [n_rows for _key, n_rows, _version, _digest in self._meta]
+        return [n_rows for _key, n_rows, _digest in self._meta]
 
     def _fetch_verified(self, index: int) -> bytes:
         """Blocking fetch of one shard object: GET + SHA-256 verify
         under the shared retry policy.  Thread-safe (the prefetcher
         calls it from its fetch threads); retry backoff sleeps happen
         on the calling thread."""
-        key, _n_rows, _version, digest = self._meta[index]
+        key, _n_rows, digest = self._meta[index]
 
         def _download() -> bytes:
             data = self.client.get(key)
@@ -317,7 +317,7 @@ class ObjectShardStore(ShardStore):
         if cached is not None:
             self._loaded.move_to_end(index)
             return cached
-        key, n_rows, _version, _digest = self._meta[index]
+        key, n_rows, _digest = self._meta[index]
         if self._prefetcher is not None:
             data = self._prefetcher.get(index, self.n_shards)
         else:
@@ -330,10 +330,6 @@ class ObjectShardStore(ShardStore):
         while len(self._loaded) > self._cache_shards:
             self._loaded.popitem(last=False)
         return shard
-
-    def versions(self) -> Tuple[int, ...]:
-        # objects are frozen at append time, like spill files
-        return tuple(version for _key, _n_rows, version, _digest in self._meta)
 
     def close(self) -> None:
         """Release everything the store holds: the shard LRU, the intern
@@ -349,7 +345,7 @@ class ObjectShardStore(ShardStore):
         self._interned.clear()
         try:
             if self._delete_objects_on_close:
-                for key, _n_rows, _version, _digest in self._meta:
+                for key, _n_rows, _digest in self._meta:
                     try:
                         # deletes are idempotent, so transient faults are
                         # retried like any other operation — a flaky

@@ -14,9 +14,9 @@ and re-seeds when the ``version`` moved without it.
 
 Every session op reads the dataset through :meth:`ShardOverlay.as_sharded`,
 which seals the current overlay state back into a :class:`ShardedTable`
-through :class:`OverlayShardStore` — once per overlay version, so the
-merged artifacts of one seal (profile, column encodings) serve every op
-until the next edit.  A re-check never reads the seal's shards: the
+through :class:`OverlayShardStore` — once per overlay version, so what
+one seal derives (profile, column encodings, pair groups) serves every
+op until the next edit.  A re-check never reads the seal's shards: the
 rule maintainer writes the seal's :meth:`OverlayShardStore.edited_cells`
 into the previous seal's table-wide column encodings
 (:meth:`~repro.kernels.encoder.ColumnEncoding.with_cells`).  Only a
@@ -59,8 +59,6 @@ class ShardOverlay:
         self._tail_columns: List[List[str]] = [[] for _ in self._schema.names()]
         self._tail_rows = 0
         self._version = 0
-        #: column-index → (version at build, merged column values)
-        self._column_cache: Dict[int, Tuple[int, List[str]]] = {}
         #: (version at seal, sealed view) of the last :meth:`as_sharded`
         self._seal: Optional[Tuple[int, ShardedTable]] = None
 
@@ -87,7 +85,7 @@ class ShardOverlay:
     def version(self) -> int:
         """Mutation counter, bumped by every :meth:`set_cell`,
         :meth:`append_row` and :meth:`delete_row`; the seal and the
-        column caches key on it."""
+        incremental detector key on it."""
         return self._version
 
     @property
@@ -186,21 +184,13 @@ class ShardOverlay:
             yield tuple(column[tail_row] for column in self._tail_columns)
 
     def column(self, name: Union[str, Attribute]) -> List[str]:
-        return list(self.column_ref(name))
+        return self.column_ref(name)
 
     def column_ref(self, name: Union[str, Attribute]) -> Sequence[str]:
-        """One logical column as a list of string refs, cached per
-        overlay version (pointers into the resident shards/edits — the
-        strings themselves are not copied)."""
+        """One logical column as a fresh list of string refs, built from
+        the shards on each call (pointers into the shards and edits —
+        the strings themselves are not copied)."""
         index = self._schema.index_of(name)
-        cached = self._column_cache.get(index)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        values = self._build_column(index)
-        self._column_cache[index] = (self._version, values)
-        return values
-
-    def _build_column(self, index: int) -> List[str]:
         name = self._schema[index].name
         values: List[str] = []
         for shard_index, (offset, shard) in enumerate(self._base.iter_shards()):
@@ -225,7 +215,7 @@ class ShardOverlay:
         runs)."""
         return Table(
             self._schema,
-            [list(self.column_ref(name)) for name in self._schema.names()],
+            [self.column_ref(name) for name in self._schema.names()],
         )
 
     # -- in-place mutation (the Table protocol) --------------------------------
@@ -278,15 +268,14 @@ class ShardOverlay:
         self._version += 1
         return self.n_rows - 1
 
-    def delete_row(self, row: int) -> Row:
-        """Destructively remove one logical row; returns its values.
+    def delete_row(self, row: int) -> None:
+        """Destructively remove one logical row.
 
-        Base rows become tombstones (the store is untouched); tail rows
-        are removed outright.  Rows after ``row`` shift down by one, as
-        with :meth:`Table.delete_row`.
+        Base rows become tombstones (the store is untouched, and no
+        shard is read); tail rows are removed outright.  Rows after
+        ``row`` shift down by one, as with :meth:`Table.delete_row`.
         """
         self._check_row(row)
-        removed = self.row(row)
         tail_row = row - self._n_base_live
         if tail_row >= 0:
             for column in self._tail_columns:
@@ -295,7 +284,6 @@ class ShardOverlay:
         else:
             insort(self._deleted, self._base_row(row))
         self._version += 1
-        return removed
 
     # -- sealing back into a sharded view --------------------------------------
 
@@ -311,8 +299,8 @@ class ShardOverlay:
         own :meth:`OverlayShardStore.edited_cells`, which is what the
         rule maintainer patches the earlier seal's encodings with.
 
-        The seal is cached per overlay version: until the next mutation
-        every call returns the same view, merged-artifact caches intact.
+        The seal is kept per overlay version: until the next mutation
+        every call returns the same view, with everything it derived.
         """
         if not self.is_touched:
             return self._base
@@ -324,7 +312,6 @@ class ShardOverlay:
         """Release the base's shard store (spill files, object roots).
         Idempotent; the overlay is unusable afterwards."""
         self._seal = None
-        self._column_cache.clear()
         self._base.store.close()
 
 
@@ -338,8 +325,8 @@ class OverlayShardStore(ShardStore):
 
     All overlay state — per-shard edits, tombstones, tail columns — is
     copied at construction.  The overlay may keep mutating afterwards;
-    this store keeps serving the state it was sealed from, so its
-    :meth:`versions` are one constant.  A re-check does not read its shards:
+    this store keeps serving the state it was sealed from.  A re-check
+    does not read its shards:
     :meth:`edited_cells` lists the cells it overrides, and
     :meth:`extends` tells whether they turn an earlier seal's columns
     into this one's.  Patched shards are built only for a cold read
@@ -387,8 +374,8 @@ class OverlayShardStore(ShardStore):
 
     @property
     def base(self) -> ShardedTable:
-        """The immutable base dataset this seal patches.  Two sealed
-        views are version-comparable exactly when they share a base."""
+        """The immutable base dataset this seal patches (see
+        :meth:`extends`)."""
         return self._base
 
     def append(self, shard: Table) -> None:
@@ -478,11 +465,6 @@ class OverlayShardStore(ShardStore):
                 ]
             )
         return Table(self._schema, columns)
-
-    def versions(self) -> Tuple[int, ...]:
-        # a seal is a snapshot, so its contents never change: one
-        # constant key keeps its own merged artifacts valid for its life
-        return ()
 
     def close(self) -> None:
         # The base store's lifetime belongs to the overlay

@@ -2,22 +2,25 @@
 
 A :class:`ShardStore` owns the per-shard :class:`~repro.dataset.table.Table`
 objects of one sharded dataset.  The sharded engines never hold shard
-lists themselves anymore — they address shards through the store, so the
-*where* of shard bytes (process memory, local disk, and in the future a
-remote object store) is swappable without touching discovery/detection.
+lists themselves — they address shards through the store, so the
+*where* of shard bytes (process memory, local disk, an object store) is
+swappable without touching discovery/detection.
 
-Two implementations ship today:
+Two implementations live here (the object store is
+:mod:`repro.sharding.object_store`):
 
-* :class:`InMemoryShardStore` — the original behaviour: live ``Table``
-  objects in a list.  Mutation detection works through the shards' own
-  version counters.
+* :class:`InMemoryShardStore` — live ``Table`` objects in a list; it
+  adopts the tables it is given.
 * :class:`SpillToDiskShardStore` — shards are written to files in a
   spill directory as they are appended (dictionary-encoded by
   :mod:`repro.sharding.codec`) and decoded on access, with a small LRU
   of recently loaded shards; resident memory is bounded by the LRU size
-  no matter how many shards the dataset has.  Shards are immutable by
-  contract (see :class:`ShardedTable`), which is what makes the spill
-  round-trip safe.
+  no matter how many shards the dataset has.
+
+Shards are immutable by contract (see :class:`ShardedTable`): a store
+owns every shard appended to it, and nothing writes one afterwards,
+which is what makes the spill round-trip safe and lets a sharded view
+keep what it derives for its whole life.
 
 Every store validates on :meth:`~ShardStore.append` that all shards
 share one schema, so a half-built store can never be sealed into an
@@ -86,11 +89,6 @@ class ShardStore(ABC):
     def get(self, index: int) -> Table:
         """The shard at ``index`` (may load from backing storage)."""
 
-    @abstractmethod
-    def versions(self) -> Tuple[int, ...]:
-        """Per-shard mutation counters — the staleness key for merged
-        artifacts built over this store."""
-
     def close(self) -> None:
         """Release backing resources (a no-op for in-memory stores)."""
 
@@ -121,11 +119,6 @@ class InMemoryShardStore(ShardStore):
     def get(self, index: int) -> Table:
         return self._shards[index]
 
-    def versions(self) -> Tuple[int, ...]:
-        # live counters: a shard mutated behind our back changes the
-        # tuple, invalidating every merged artifact built over it
-        return tuple(shard.version for shard in self._shards)
-
 
 class SpillToDiskShardStore(ShardStore):
     """Shards spilled to encoded files; resident memory bounded by a small LRU.
@@ -153,8 +146,8 @@ class SpillToDiskShardStore(ShardStore):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._cache_shards = cache_shards
-        #: per-shard (path, row count, version-at-append)
-        self._meta: List[Tuple[Path, int, int]] = []
+        #: per-shard (path, row count)
+        self._meta: List[Tuple[Path, int]] = []
         self._loaded: "OrderedDict[int, Table]" = OrderedDict()
         #: decoded distinct values are interned per store, so the resident
         #: string footprint across shard loads is the *distinct* value
@@ -169,17 +162,17 @@ class SpillToDiskShardStore(ShardStore):
         self._check_schema(shard)
         path = self.directory / f"shard_{len(self._meta):06d}{SHARD_SUFFIX}"
         path.write_bytes(encode_shard(shard))
-        self._meta.append((path, shard.n_rows, shard.version))
+        self._meta.append((path, shard.n_rows))
 
     def shard_row_counts(self) -> List[int]:
-        return [n_rows for _path, n_rows, _version in self._meta]
+        return [n_rows for _path, n_rows in self._meta]
 
     def get(self, index: int) -> Table:
         cached = self._loaded.get(index)
         if cached is not None:
             self._loaded.move_to_end(index)
             return cached
-        path, n_rows, _version = self._meta[index]
+        path, n_rows = self._meta[index]
         shard = decode_shard(
             path.read_bytes(),
             self.schema,
@@ -191,11 +184,6 @@ class SpillToDiskShardStore(ShardStore):
         while len(self._loaded) > self._cache_shards:
             self._loaded.popitem(last=False)
         return shard
-
-    def versions(self) -> Tuple[int, ...]:
-        # spilled shards are frozen at append time; the recorded counters
-        # are the stable staleness key
-        return tuple(version for _path, _n_rows, version in self._meta)
 
     def close(self) -> None:
         self._loaded.clear()

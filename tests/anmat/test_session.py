@@ -452,12 +452,11 @@ class TestNeverMaterializedSession:
 
     @pytest.fixture
     def forbid_materializing(self, monkeypatch):
-        from repro.sharding import ShardedTable, ShardOverlay
+        from repro.sharding import ShardOverlay
 
         def boom(self, *args, **kwargs):  # pragma: no cover - only on regression
             raise AssertionError("a monolithic table was built on the session path")
 
-        monkeypatch.setattr(ShardedTable, "to_table", boom)
         monkeypatch.setattr(ShardOverlay, "materialize", boom)
 
     def test_full_workflow_with_spill_store(
@@ -696,8 +695,8 @@ class TestRecheckShardSize:
 
 def test_detection_after_overlay_edits_sees_the_edited_cells():
     # edits land in the overlay over the shards cut at load; the sealed
-    # view a later detection reads carries new shard versions, so nothing
-    # cached for the unedited shards may answer for them
+    # view a later detection reads is a new snapshot, so nothing the
+    # unedited view derived may answer for it
     from repro.datagen import build_dataset
 
     table = build_dataset("zip_city_state", n_rows=90, seed=11).table

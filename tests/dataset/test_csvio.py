@@ -13,6 +13,7 @@ from repro.dataset.csvio import (
 from repro.dataset.schema import DataType
 from repro.dataset.table import Table
 from repro.errors import CsvFormatError
+from sharded_values import rows_of
 
 SAMPLE = "zip,city\n90001,Los Angeles\n90002,Los Angeles\n60601,Chicago\n"
 
@@ -101,8 +102,10 @@ class TestIterCsvChunks:
 
     def test_chunks_concatenate_to_the_monolithic_read(self, tmp_path):
         path = self.write(tmp_path, SAMPLE)
-        merged = read_csv_sharded(path, shard_rows=2).to_table()
-        assert merged == read_csv(path, infer_types=False)
+        sharded = read_csv_sharded(path, shard_rows=2)
+        monolithic = read_csv(path, infer_types=False)
+        assert sharded.schema == monolithic.schema
+        assert rows_of(sharded) == list(monolithic.iter_rows())
 
     def test_header_only_yields_one_empty_chunk(self, tmp_path):
         path = self.write(tmp_path, "a,b\n")
@@ -164,4 +167,4 @@ class TestIterCsvChunks:
     def test_read_csv_sharded_shard_layout(self, tmp_path):
         path = self.write(tmp_path, "a,b\n" + "".join(f"{i},{i}\n" for i in range(7)))
         sharded = read_csv_sharded(path, shard_rows=3)
-        assert [s.n_rows for s in sharded.shards] == [3, 3, 1]
+        assert sharded.shard_row_counts() == [3, 3, 1]

@@ -185,8 +185,8 @@ class TestMutationAPI:
         n = table.n_rows
         row = incremental.append_row(table.row(0))
         assert row == n
-        removed = incremental.delete_row(1)
-        assert len(removed) == table.n_columns
+        incremental.delete_row(1)
+        assert table.n_rows == n
         assert_equivalent(incremental, pfds, "append+delete")
 
     def test_repairing_a_suspect_cell_shrinks_the_report(self, zip_setup):

@@ -21,6 +21,7 @@ import random
 
 import pytest
 from reference_decision import ReferenceMajority, route_everything_scalar
+from sharded_values import column_of
 
 from repro.anmat.session import AnmatSession, SessionState
 from repro.datagen import build_dataset
@@ -385,11 +386,11 @@ def test_recheck_carries_clean_encodings_and_pair_groups(store):
         clean = {name for pair in pairs for name in pair} - {edited}
         assert clean and any(edited in pair for pair in pairs)
         old_encodings = {
-            name: old_view.peek_merged_artifact(("column_encoding", name))
+            name: old_view.encodings.get(name)
             for name in clean
         }
         old_groups = {
-            pair: old_view.peek_merged_artifact(("merged_pair_groups",) + pair)
+            pair: old_view.pair_groups.get(pair)
             for pair in pairs
         }
         rng = random.Random(5)
@@ -403,15 +404,15 @@ def test_recheck_carries_clean_encodings_and_pair_groups(store):
         assert view is not old_view
         for name, encoding in old_encodings.items():
             assert encoding is not None
-            assert view.peek_merged_artifact(("column_encoding", name)) is encoding
+            assert view.encodings.get(name) is encoding
         rechecked = {(p.lhs_attribute, p.rhs_attribute) for p in session.confirmed_pfds()}
         for lhs, rhs in rechecked:
-            merged = view.peek_merged_artifact(("merged_pair_groups", lhs, rhs))
+            merged = view.pair_groups.get((lhs, rhs))
             assert merged is not None, (lhs, rhs)
             if edited not in (lhs, rhs):
                 assert merged is old_groups[(lhs, rhs)]
         assert_pair_groups_match_a_fresh_build(view, rechecked)
-        assert old_view.merged_artifact_keys("merged_pair_groups") == []
+        assert old_view.pair_groups == {}
     finally:
         session.close()
 
@@ -423,10 +424,10 @@ def assert_pair_groups_match_a_fresh_build(view, pairs):
     from repro.sharding import extract_pair_groups
 
     for lhs, rhs in pairs:
-        merged = view.peek_merged_artifact(("merged_pair_groups", lhs, rhs))
+        merged = view.pair_groups.get((lhs, rhs))
         assert merged is not None, (lhs, rhs)
         fresh = extract_pair_groups(
-            view.column_concat(lhs), view.column_concat(rhs), 0
+            column_of(view, lhs), column_of(view, rhs), 0
         )
         assert merged.groups == fresh
         assert list(merged.groups) == list(fresh)
@@ -503,9 +504,9 @@ def test_recheck_after_an_edit_removes_a_distinct_value(store):
             if value == gone:
                 session.edit_cell(row, "city", kept)
         view = recheck_and_compare(session, {"city"})
-        assert gone not in view.column_concat("city")
+        assert gone not in column_of(view, "city")
         for lhs, rhs in rule_pairs(session):
-            groups = view.peek_merged_artifact(("merged_pair_groups", lhs, rhs)).groups
+            groups = view.pair_groups[(lhs, rhs)].groups
             if lhs == "city":
                 assert gone not in groups
             if rhs == "city":
@@ -533,7 +534,7 @@ def test_recheck_after_an_edit_replaces_every_rhs_of_a_group(store):
         for row in members:
             session.edit_cell(row, "state", state)
         view = recheck_and_compare(session, {"state"})
-        groups = view.peek_merged_artifact(("merged_pair_groups", "city", "state")).groups
+        groups = view.pair_groups[("city", "state")].groups
         assert list(groups[target]) == [state]
         assert list(groups[target][state]) == members
     finally:

@@ -6,12 +6,7 @@ on the plan; the inert ``n_workers`` changes nothing.
 import pytest
 
 from repro.discovery import DiscoveryConfig
-from repro.engine import (
-    DEFAULT_SHARD_ROWS,
-    plan_detection,
-    plan_discovery,
-    plan_run,
-)
+from repro.engine import DEFAULT_SHARD_ROWS, plan_run
 from repro.errors import DiscoveryError
 
 
@@ -70,14 +65,12 @@ class TestShardSize:
             "rule_maintenance",
             "decisions",
         ]
-        assert "backend" not in plan_detection(100, config()).describe()
+        assert "backend" not in plan_run("detection", 100, config()).describe()
 
     def test_strategy_argument_is_gone(self):
         with pytest.raises(TypeError, match="strategy"):
             plan_run("detection", 10, config(), strategy="scan")
-        with pytest.raises(TypeError, match="strategy"):
-            plan_detection(10, config(), strategy="scan")
-        assert not hasattr(plan_detection(10, config()), "strategy")
+        assert not hasattr(plan_run("detection", 10, config()), "strategy")
 
 
 class TestInertWorkers:
@@ -86,10 +79,12 @@ class TestInertWorkers:
 
     @pytest.mark.parametrize("shard_rows,cut", [(0, 0), (10, 0), (0, 25), (10, 25)])
     def test_plans_equal_with_and_without_workers(self, shard_rows, cut):
-        for plan_for in (plan_discovery, plan_detection):
-            without = plan_for(3 * DEFAULT_SHARD_ROWS, config(shard_rows, 0), shard_rows=cut)
-            with_workers = plan_for(
-                3 * DEFAULT_SHARD_ROWS, config(shard_rows, 2), shard_rows=cut
+        for kind in ("discovery", "detection"):
+            without = plan_run(
+                kind, 3 * DEFAULT_SHARD_ROWS, config(shard_rows, 0), shard_rows=cut
+            )
+            with_workers = plan_run(
+                kind, 3 * DEFAULT_SHARD_ROWS, config(shard_rows, 2), shard_rows=cut
             )
             assert with_workers.shard_rows == without.shard_rows
             assert with_workers.n_shards == without.n_shards
@@ -119,7 +114,7 @@ class TestValidationAndShape:
         assert plan.n_shards == 1
 
     def test_describe_mentions_shards_store_and_decisions(self):
-        plan = plan_detection(100, config(shard_rows=30))
+        plan = plan_run("detection", 100, config(shard_rows=30))
         text = plan.describe()
         assert text.startswith(
             "execution plan (detection): shards=4x30 store=memory rows=100"
@@ -133,35 +128,35 @@ class TestRuleMaintenanceResolution:
     Nothing is requested, so nothing warns."""
 
     def test_non_recheck_plans_record_none(self):
-        assert plan_discovery(100, config()).rule_maintenance == "none"
+        assert plan_run("discovery", 100, config()).rule_maintenance == "none"
         assert (
-            plan_discovery(100, config(shard_rows=10)).rule_maintenance == "none"
+            plan_run("discovery", 100, config(shard_rows=10)).rule_maintenance == "none"
         )
-        assert plan_detection(100, config()).rule_maintenance == "none"
+        assert plan_run("detection", 100, config()).rule_maintenance == "none"
 
     def test_seeded_sharded_recheck_is_incremental(self):
-        plan = plan_discovery(
-            100, config(shard_rows=10), recheck=True, maintainable=True
+        plan = plan_run(
+            "discovery", 100, config(shard_rows=10), recheck=True, maintainable=True
         )
         assert plan.rule_maintenance == "incremental"
         assert any("maintains the rule set" in d for d in plan.decisions)
         assert "rule_maintenance=incremental" in plan.describe()
 
     def test_unseeded_recheck_falls_back_quietly(self):
-        plan = plan_discovery(
-            100, config(shard_rows=10), recheck=True, maintainable=False
+        plan = plan_run(
+            "discovery", 100, config(shard_rows=10), recheck=True, maintainable=False
         )
         assert plan.rule_maintenance == "full"
         assert any("no maintainable rule baseline" in d for d in plan.decisions)
 
     def test_default_config_recheck_is_incremental(self):
         # no shard_rows set: a Table load is still cut, so it maintains
-        plan = plan_discovery(100, config(), recheck=True, maintainable=True)
+        plan = plan_run("discovery", 100, config(), recheck=True, maintainable=True)
         assert plan.rule_maintenance == "incremental"
         assert not any("backend" in d for d in plan.decisions)
 
     def test_describe_omits_none(self):
-        assert "rule_maintenance" not in plan_discovery(100, config()).describe()
+        assert "rule_maintenance" not in plan_run("discovery", 100, config()).describe()
 
 
 class TestRemovedKnobs:

@@ -138,6 +138,6 @@ class TestRejections:
         data = encode_shard(_shard([["10", "x", ""]]))[:-1]
         store.client.put("shards/shard_000000.shard", data)
         # re-sign the bytes so the checksum passes and the decoder is reached
-        store._meta[0] = store._meta[0][:3] + (hashlib.sha256(data).hexdigest(),)
+        store._meta[0] = store._meta[0][:-1] + (hashlib.sha256(data).hexdigest(),)
         with pytest.raises(TableError, match="object shards/shard_000000.shard is truncated"):
             store.get(0)

@@ -140,10 +140,10 @@ class TestDifferential:
         assert pfds, "every generator/seed pair discovers rules"
         for pfd in pfds:
             for column in (pfd.lhs_attribute, pfd.rhs_attribute):
-                assert warm.peek_merged_artifact(("column_encoding", column)) is not None
+                assert column in warm.encodings
         from_encodings = detect(warm, pfds).canonical_violations()
         cold = ShardedTable.from_table(table, shard_rows)
-        assert cold.merged_artifact_keys("column_encoding") == []
+        assert cold.encodings == {}
         assert detect(cold, pfds).canonical_violations() == from_encodings
         monolithic = ErrorDetector(table).detect_all(pfds)
         assert monolithic.canonical_violations() == from_encodings
@@ -207,12 +207,11 @@ class TestOutOfCoreBoundedMemory:
     ):
         """The spill-store session must never materialize the table and
         must peak below 40% of the materialized footprint."""
-        # the acceptance criterion verbatim: no `to_table()` anywhere on
-        # the session path
+        # no materialization anywhere on the session path
         def _forbidden(self):
-            raise AssertionError("to_table() called on the out-of-core session path")
+            raise AssertionError("materialize() called on the out-of-core session path")
 
-        monkeypatch.setattr(ShardedTable, "to_table", _forbidden)
+        monkeypatch.setattr(ShardOverlay, "materialize", _forbidden)
 
         clear_caches()
         gc.collect()

@@ -1,18 +1,18 @@
 """Merged column encodings of a sharded table stand in for a flat column.
 
 Sharded discovery mines over :meth:`ShardedTable.column_encodings`: one
-shard-major factorization per column, with its distinct-level token
-triples cached beside it as a merged artifact, and sharded detection
-groups each rule pair from the same encodings.  The mined rule set is
+shard-major factorization per column, tokenized at the distinct level
+once per mining call, and sharded detection groups each rule pair from
+the same encodings.  The mined rule set is
 identical to a monolithic run only if the encoding, and the tokenization
 rebuilt from it, equal what one flat column gives — and the detected
 violations only if the pair groups built from two encodings equal the
 scalar groups of the flat columns — for any sharding (empty shards
 included), on every store, and after an edit batch re-seals a shard.
 These tests pin that over random shardings, and pin the artifact
-lifecycle: each (LHS, mode) pair is tokenized once, and discovery drops
-the token triples and the derived per-code arrays when it finishes,
-keeping every column's codes.
+lifecycle: each (LHS, mode) pair is tokenized once per mining call, and
+discovery drops the derived per-code arrays when it finishes, keeping
+every column's codes.
 """
 
 from __future__ import annotations
@@ -167,45 +167,37 @@ def test_discovery_drops_its_mining_artifacts(store):
     )
     sharded = ShardedTable.from_table(table, 13, store=store())
     result = ShardedDiscoverer(CONFIG).discover_with_report(sharded)
-    assert sharded.merged_artifact_keys("kernel_triples") == []
     rule_columns = {
         name for p in result.pfds for name in (p.lhs_attribute, p.rhs_attribute)
     }
     assert rule_columns and "serial" not in rule_columns
     # every column's codes stay (detection, the edit loop and re-checks
     # read them), with their derived per-code arrays released
-    kept = {key[1] for key in sharded.merged_artifact_keys("column_encoding")}
-    assert kept == set(table.column_names())
-    for name in kept:
-        encoding = sharded.peek_merged_artifact(("column_encoding", name))
+    assert set(sharded.encodings) == set(table.column_names())
+    for encoding in sharded.encodings.values():
         assert encoding._counts is None and encoding._rows_by_code is None
         assert encoding._lengths is None and encoding._signatures is None
     # the profile outlives discovery: detection and re-checks reuse it
-    assert sharded.peek_merged_artifact(("profile",)) is result.profile
+    assert sharded.profile() is result.profile
     expected = PfdDiscoverer(CONFIG).discover(table)
     assert [p.describe() for p in result.pfds] == [p.describe() for p in expected]
 
 
-def test_each_lhs_mode_is_tokenized_once():
+def test_each_lhs_mode_is_tokenized_once(monkeypatch):
+    import repro.discovery.discoverer as discoverer_module
+
     table = build_dataset("zip_city_state", n_rows=60, seed=4).table
     sharded = ShardedTable.from_table(table, 13)
     candidates = candidate_dependencies(sharded, CONFIG, sharded.profile())
+    names = {id(encoding): name for name, encoding in sharded.encodings.items()}
     built = []
 
-    def cached(key, build):
-        def counted():
-            built.append(key)
-            return build()
+    def counted(encoding, mode, ngram_size):
+        built.append((names[id(encoding)], mode))
+        return batch_tokenize(encoding, mode, ngram_size)
 
-        return sharded.merged_artifact(key, counted)
-
-    discoverer = PfdDiscoverer(CONFIG)
-    discoverer.mine_candidates(candidates, sharded.column_encodings, cached)
-    expected = {
-        ("kernel_triples", c.lhs, c.lhs_mode, CONFIG.ngram_size) for c in candidates
-    }
+    monkeypatch.setattr(discoverer_module, "batch_tokenize", counted)
+    PfdDiscoverer(CONFIG).mine_candidates(candidates, sharded.column_encodings)
+    expected = {(c.lhs, c.lhs_mode) for c in candidates}
+    assert len(expected) < len(candidates)  # some LHS serves several candidates
     assert len(built) == len(set(built)) and set(built) == expected
-    # a second run over unchanged shards reuses every cached triple set
-    built.clear()
-    discoverer.mine_candidates(candidates, sharded.column_encodings, cached)
-    assert built == []

@@ -15,6 +15,7 @@ from repro.dataset import Table
 from repro.errors import TableError
 from repro.sharding import InMemoryShardStore, ShardedTable, ShardOverlay
 from repro.sharding.overlay import OverlayShardStore
+from sharded_values import column_of, rows_of
 
 
 def make_base(n_rows=10, shard_rows=3):
@@ -79,13 +80,14 @@ class TestMutationParity:
             target.delete_row(target.n_rows - 1)  # the appended tail row
             target.append_row({"code": "201"})  # mapping: label defaults ""
         assert_same_state(table, overlay)
-        assert overlay.version == table.version
+        assert overlay.version == 7
 
     def test_delete_shifts_rows_down(self, pair):
         table, overlay = pair
         for target in (table, overlay):
-            removed = target.delete_row(4)
-            assert removed == ("104", "v4")
+            assert target.row(4) == ("104", "v4")
+            assert target.delete_row(4) is None
+            assert target.row(4) == ("105", "v5")
         assert_same_state(table, overlay)
         # consecutive tombstones exercise the fixpoint row mapping
         for target in (table, overlay):
@@ -107,7 +109,6 @@ class TestMutationParity:
         table, overlay = pair
         for target in (table, overlay):
             target.set_cell(3, "label", table.cell(3, "label"))
-        assert table.version == 0
         assert overlay.version == 1
         assert overlay.is_touched
         assert_same_state(table, overlay)
@@ -128,27 +129,36 @@ class TestMutationParity:
                 case(overlay)
             assert str(overlay_err.value) == str(table_err.value)
 
+    def test_mutations_read_no_base_shard(self, monkeypatch):
+        # the overlay records writes and tombstones without reading the
+        # cells they replace or remove
+        _table, sharded = make_base()
+        overlay = ShardOverlay(sharded)
+        reads = []
+        real_get = InMemoryShardStore.get
+        monkeypatch.setattr(
+            InMemoryShardStore, "get", lambda self, i: reads.append(i) or real_get(self, i)
+        )
+        overlay.set_cell(4, "label", "x")
+        overlay.delete_row(7)
+        overlay.delete_row(0)
+        overlay.append_row(["300", "new"])
+        overlay.delete_row(overlay.n_rows - 1)
+        assert reads == []
+        assert overlay.n_rows == 8
+
     def test_base_store_never_written(self, pair):
         table, overlay = pair
-        base_versions = overlay.base.versions()
-        before = list(overlay.base.store.get(0).iter_rows())
+        store = overlay.base.store
+        before = [list(store.get(i).iter_rows()) for i in range(store.n_shards)]
         overlay.set_cell(0, "code", "changed")
+        overlay.set_cell(4, "label", "changed")
         overlay.delete_row(1)
         overlay.append_row(["300", "new"])
-        assert overlay.base.versions() == base_versions
-        assert list(overlay.base.store.get(0).iter_rows()) == before
+        assert [list(store.get(i).iter_rows()) for i in range(store.n_shards)] == before
 
 
-class TestColumnCache:
-    def test_column_ref_cached_per_version(self, pair):
-        _table, overlay = pair
-        first = overlay.column_ref("code")
-        assert overlay.column_ref("code") is first
-        overlay.set_cell(0, "code", "000")
-        rebuilt = overlay.column_ref("code")
-        assert rebuilt is not first
-        assert rebuilt[0] == "000"
-
+class TestMaterialize:
     def test_materialize_builds_equal_table(self, pair):
         table, overlay = pair
         overlay.set_cell(2, "label", "M")
@@ -183,9 +193,9 @@ class TestAsSharded:
             target.append_row(["401", "tail-b"])
         sealed = overlay.as_sharded()
         assert sealed.n_rows == table.n_rows
-        assert [sealed.row(i) for i in range(sealed.n_rows)] == list(table.iter_rows())
+        assert rows_of(sealed) == list(table.iter_rows())
         for name in table.column_names():
-            assert sealed.column_concat(name) == table.column(name)
+            assert column_of(sealed, name) == table.column(name)
         # tail rows land in one extra shard
         assert sealed.n_shards == overlay.base.n_shards + 1
         assert sealed.store.shard_row_counts()[-1] == 2
@@ -198,7 +208,7 @@ class TestAsSharded:
         sealed = overlay.as_sharded()
         assert sealed.n_shards == 3  # alignment with the base kept
         assert sealed.store.shard_row_counts() == [2, 0, 2]
-        assert sealed.column_concat("code") == ["100", "101", "104", "105"]
+        assert column_of(sealed, "code") == ["100", "101", "104", "105"]
 
     def test_seal_patches_only_its_edited_shards(self, pair, patched_shards):
         table, overlay = pair
@@ -208,29 +218,28 @@ class TestAsSharded:
         # a cold read patches the edited shard; the others pass through
         encoding = sealed.column_encodings(["code"])["code"]
         assert patched_shards == [0]
-        assert sealed.column_concat("code") == table.column("code")
-        # a seal never changes, so its merged artifacts stay valid
-        assert sealed.store.versions() == sealed.store.versions()
+        assert column_of(sealed, "code") == table.column("code")
+        # a seal never changes, so what it derived stays valid
         assert sealed.column_encodings(["code"])["code"] is encoding
         # a seal is a snapshot: a further edit never reaches it...
         for target in (table, overlay):
             target.set_cell(0, "code", "B")
             target.set_cell(7, "label", "C")  # base shard 2
         assert sealed.store.get(0).cell(0, "code") == "A"
-        assert sealed.column_concat("code")[0] == "A"
+        assert column_of(sealed, "code")[0] == "A"
         # ...the next seal patches exactly the shards edited so far
         patched_shards.clear()
         after = overlay.as_sharded()
-        assert [after.row(i) for i in range(after.n_rows)] == list(table.iter_rows())
+        assert rows_of(after) == list(table.iter_rows())
         assert patched_shards == [0, 2]
 
     def test_seal_is_cached_per_version(self, pair):
         table, overlay = pair
         overlay.set_cell(1, "label", "patched")
         view = overlay.as_sharded()
-        assert view.cell(1, "label") == "patched"
-        # every op until the next edit reads the same seal (merged
-        # artifacts such as the profile survive between ops)
+        assert view.store.get(0).cell(1, "label") == "patched"
+        # every op until the next edit reads the same seal (what it
+        # derived, such as the profile, survives between ops)
         assert overlay.as_sharded() is view
         assert view.profile() is overlay.as_sharded().profile()
         overlay.set_cell(2, "label", "again")
@@ -240,7 +249,7 @@ class TestAsSharded:
         again = overlay.as_sharded()
         overlay.set_cell(2, "label", "again")
         assert overlay.as_sharded() is not again
-        assert overlay.as_sharded().cell(2, "label") == "again"
+        assert overlay.as_sharded().store.get(0).cell(2, "label") == "again"
 
     def test_sealed_profile_matches_the_materialized_profile(self, pair):
         from repro.dataset.profiling import profile_table
@@ -293,7 +302,7 @@ def fresh_encodings(sealed):
     from repro.kernels.encoder import encode_column
 
     return {
-        name: encode_column(sealed.column_concat(name))
+        name: encode_column(column_of(sealed, name))
         for name in sealed.column_names()
     }
 

@@ -12,7 +12,8 @@ from.  Detection seeds the edit loop's detector, so an edit reads
 neither a shard nor an overlay column, and never changes the view's
 encodings (the detector copies a column's codes on its first write); a
 re-check patches the encodings from the seal's edited cells and reads
-no shard either.
+no shard either.  Each view groups each rule pair once, and a re-check's
+view regroups only the pairs over an edited column.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.discovery.config import DiscoveryConfig
 from repro.detection import ErrorDetector, IncrementalDetector
 from repro.discovery.discoverer import PfdDiscoverer
 from repro.sharding import LocalObjectClient, ShardedTable, SpillToDiskShardStore
+from repro.sharding import detection as detection_module
 from repro.sharding import sharded_table as sharded_table_module
 from repro.sharding.overlay import OverlayShardStore, ShardOverlay
 from repro.sharding import store as store_module
@@ -179,18 +181,18 @@ def overlay_reads(monkeypatch):
     sealed view and column builds of the overlay itself."""
     calls = {"store_get": 0, "build_column": 0}
     real_get = OverlayShardStore.get
-    real_build = ShardOverlay._build_column
+    real_build = ShardOverlay.column_ref
 
     def get(self, index):
         calls["store_get"] += 1
         return real_get(self, index)
 
-    def build_column(self, index):
+    def build_column(self, name):
         calls["build_column"] += 1
-        return real_build(self, index)
+        return real_build(self, name)
 
     monkeypatch.setattr(OverlayShardStore, "get", get)
-    monkeypatch.setattr(ShardOverlay, "_build_column", build_column)
+    monkeypatch.setattr(ShardOverlay, "column_ref", build_column)
     return calls
 
 
@@ -228,9 +230,10 @@ def test_edit_loop_attach_reads_nothing(spill_session, overlay_reads):
 
 @pytest.mark.parametrize("kind", ["spill", "object"])
 def test_edits_read_no_shard(tmp_path, small_zip_city_state, decoded, monkeypatch, kind):
-    # edits in shards no op has left resident: the overlay records each
-    # write without reading the cell it replaces, and the detector takes
-    # the old value from its own codes
+    # edits and deletes in shards no op has left resident: the overlay
+    # records each write without reading the cell it replaces and each
+    # delete as a tombstone, and the detector takes the old values from
+    # its own codes
     path = tmp_path / "zips.csv"
     write_csv(small_zip_city_state.table, path)
     session = AnmatSession(
@@ -253,8 +256,9 @@ def test_edits_read_no_shard(tmp_path, small_zip_city_state, decoded, monkeypatc
         session.run_detection()
         base = session.table.base
         resident = set(base.store._loaded)
-        shards = [i for i in range(base.n_shards) if i not in resident][::3][:3]
-        assert len(shards) == 3
+        cold = [i for i in range(base.n_shards) if i not in resident]
+        shards, deleted_in = cold[::3][:3], cold[1::3][:2]
+        assert len(shards) == 3 and len(deleted_in) == 2
         decoded.clear()
         gets.clear()
         for index in shards:
@@ -264,10 +268,17 @@ def test_edits_read_no_shard(tmp_path, small_zip_city_state, decoded, monkeypatc
             session.edit_cell(offset + 3, "zip", "00000")
         assert decoded == []
         assert gets == []
+        # the last shard first, so the earlier offsets still hold
+        detector = session._incremental
+        for index in sorted(deleted_in, reverse=True):
+            detector.delete_row(base.offset_of(index) + 5)
+            detector.delete_row(base.offset_of(index) + 1)
+        assert decoded == []
+        assert gets == []
         expected = ErrorDetector(session.table.materialize()).detect_all(
             session.confirmed_pfds()
         )
-        assert session.violations.canonical_violations() == expected.canonical_violations()
+        assert detector.report().canonical_violations() == expected.canonical_violations()
     finally:
         session.close()
 
@@ -333,3 +344,51 @@ def test_recheck_reads_no_shard(spill_session, decoded, overlay_reads, patched_s
     assert session.violations.canonical_violations() == (
         ErrorDetector(edited).detect_all(session.confirmed_pfds()).canonical_violations()
     )
+
+
+@pytest.mark.parametrize("kind", ["memory", "spill", "object"])
+def test_each_rule_pair_is_grouped_once_per_view(
+    tmp_path, small_zip_city_state, monkeypatch, kind
+):
+    # detection reads a pair's groups once per tableau row; the view
+    # keeps them, so each distinct (LHS, RHS) pair is grouped once, and
+    # a re-check's view regroups only the pairs over the edited column
+    path = tmp_path / "zips.csv"
+    write_csv(small_zip_city_state.table, path)
+    session = AnmatSession(
+        dataset_name="pairs",
+        config=DiscoveryConfig(store=kind, spill_dir=str(tmp_path / kind)),
+    )
+    session.upload_csv(path, shard_rows=SHARD_ROWS)
+    grouped = []
+    real_kernel = detection_module.pair_groups_kernel
+
+    def counting(lhs, rhs):
+        names = {id(e): name for name, e in session.table.as_sharded().encodings.items()}
+        grouped.append((names[id(lhs)], names[id(rhs)]))
+        return real_kernel(lhs, rhs)
+
+    monkeypatch.setattr(detection_module, "pair_groups_kernel", counting)
+    try:
+        session.run_discovery()
+        session.confirm_all()
+        rules = session.confirmed_pfds()
+        pairs = {(pfd.lhs_attribute, pfd.rhs_attribute) for pfd in rules}
+        assert sum(len(pfd.tableau) for pfd in rules) > len(pairs)
+        session.run_detection()
+        assert len(grouped) == len(pairs)
+        assert set(grouped) == pairs
+
+        grouped.clear()
+        overlay = session.table
+        for row, donor in [(3, 390), (170, 250), (399, 0)]:
+            session.edit_cell(row, "city", overlay.cell(donor, "city"))
+        session.recheck()
+        assert session.last_plan.rule_maintenance == "incremental"
+        rechecked = {(pfd.lhs_attribute, pfd.rhs_attribute) for pfd in session.confirmed_pfds()}
+        touched = {pair for pair in rechecked if "city" in pair}
+        assert touched and touched != rechecked
+        assert len(grouped) == len(touched)
+        assert set(grouped) == touched
+    finally:
+        session.close()

@@ -9,6 +9,7 @@ from repro.dataset.rowids import row_ids
 from repro.errors import TableError
 from repro.sharding import ShardedTable, extract_pair_groups
 from repro.sharding.detection import pair_groups
+from sharded_values import column_of, rows_of
 
 
 def make_table(n_rows: int) -> Table:
@@ -23,13 +24,15 @@ class TestShardedTable:
         table = make_table(10)
         sharded = ShardedTable.from_table(table, 4)
         assert sharded.n_shards == 3
-        assert [s.n_rows for s in sharded.shards] == [4, 4, 2]
+        assert sharded.shard_row_counts() == [4, 4, 2]
         assert sharded.n_rows == 10
         assert [sharded.offset_of(i) for i in range(3)] == [0, 4, 8]
 
-    def test_round_trip_to_table(self):
+    def test_shards_concatenate_to_the_table(self):
         table = make_table(11)
-        assert ShardedTable.from_table(table, 3).to_table() == table
+        sharded = ShardedTable.from_table(table, 3)
+        assert rows_of(sharded) == list(table.iter_rows())
+        assert column_of(sharded, "code") == table.column("code")
 
     def test_single_and_oversized_shard(self):
         table = make_table(6)
@@ -41,7 +44,7 @@ class TestShardedTable:
         sharded = ShardedTable.from_table(Table.empty(["a", "b"]), 5)
         assert sharded.n_shards == 1
         assert sharded.n_rows == 0
-        assert sharded.to_table().n_rows == 0
+        assert sharded.store.get(0).n_rows == 0
 
     def test_invalid_shard_rows_rejected(self):
         with pytest.raises(TableError):
@@ -55,29 +58,30 @@ class TestShardedTable:
         with pytest.raises(TableError):
             ShardedTable([])
 
-    def test_locate_and_global_row_are_inverse(self):
+    def test_locate_inverts_the_offsets(self):
         sharded = ShardedTable.from_table(make_table(10), 3)
         for global_row in range(10):
             shard_index, local_row = sharded.locate(global_row)
-            assert sharded.global_row(shard_index, local_row) == global_row
+            assert sharded.offset_of(shard_index) + local_row == global_row
         with pytest.raises(TableError):
             sharded.locate(10)
 
-    def test_column_concat_matches_monolithic_column(self):
-        table = make_table(9)
-        sharded = ShardedTable.from_table(table, 2)
-        assert sharded.column_concat("code") == table.column("code")
+    def test_a_shard_list_is_adopted(self):
+        shards = [make_table(3), make_table(2)]
+        sharded = ShardedTable(shards)
+        assert [sharded.store.get(i) for i in range(2)] == shards
+        assert all(sharded.store.get(i) is shard for i, shard in enumerate(shards))
+        assert sharded.n_rows == 5
 
-    def test_merged_artifact_invalidated_by_shard_mutation(self):
-        sharded = ShardedTable.from_table(make_table(8), 4)
-        builds = []
-        build = lambda: builds.append(1) or sharded.shards  # noqa: E731
-        sharded.merged_artifact("k", build)
-        sharded.merged_artifact("k", build)
-        assert len(builds) == 1  # cached
-        sharded.store.get(0).set_cell(0, "code", "999")
-        sharded.merged_artifact("k", build)
-        assert len(builds) == 2  # version change rebuilt
+    def test_from_table_cuts_copies(self):
+        # a view is a snapshot: later writes to the source table never
+        # reach the shards or what the view derived from them
+        table = make_table(8)
+        sharded = ShardedTable.from_table(table, 4)
+        encoding = sharded.column_encodings(["code"])["code"]
+        table.set_cell(0, "code", "999")
+        assert sharded.store.get(0).cell(0, "code") == "000"
+        assert sharded.column_encodings(["code"])["code"] is encoding
 
 
 class TestPairGroups:
