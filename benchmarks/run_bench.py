@@ -35,11 +35,14 @@ from typing import Callable, Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# the literal Figure 2 loop the mining kernels are pinned to
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from repro.constrained import constrained_prefix  # noqa: E402
 from repro.datagen import generate_zip_city_state  # noqa: E402
 from repro.detection import ErrorDetector, IncrementalDetector  # noqa: E402
-from repro.discovery import DiscoveryConfig, MajorityDecision, PfdDiscoverer  # noqa: E402
+import figure2_reference  # noqa: E402
+from repro.discovery import DiscoveryConfig, PfdDiscoverer  # noqa: E402
 from repro.patterns import parse_pattern  # noqa: E402
 from repro.perf.timers import StageTimers  # noqa: E402
 from repro.pfd import PFD  # noqa: E402
@@ -142,33 +145,27 @@ def _bench_edit_loop(n_rows: int = 8000, k: int = 40):
     return incremental_run, 5, full_run
 
 
-class _ReferenceMajority(MajorityDecision):
-    """``MajorityDecision`` under another type: the kernel fallback rule
-    sends every candidate through the scalar loop body."""
-
-
 def _bench_sharded_discovery(n_rows: int = 64000, shard_rows: int = 8000):
     """Sharded discovery at out-of-core scale: vectorized kernels vs the
-    same-tree scalar reference.
+    literal Figure 2 loop.
 
-    A paired bench: the recorded baseline runs the identical sharded
-    pipeline with a decision function the kernels do not reproduce, so
-    every candidate takes the scalar loop body and the persisted speedup
-    isolates the columnar mining kernels (the two routes produce
-    identical rule sets — the differential suite proves it).  Both sides
-    run warm; each discovery drops its merged mining inputs when it
-    finishes, so neither primes the other.
+    A paired bench: the recorded baseline runs
+    ``tests/figure2_reference.py`` — Discover-PFDs over the table's row
+    lists, one row at a time — on the same data, so the persisted
+    speedup is what the columnar mining kernels buy (the two produce
+    identical rule sets — the kernel gates prove it).  The kernel side
+    runs warm; each discovery drops its merged mining inputs when it
+    finishes, so a round does not prime the next.
     """
     table = generate_zip_city_state(n_rows=n_rows, seed=23).table
     sharded = ShardedTable.from_table(table, shard_rows)
     kernel = ShardedDiscoverer(DiscoveryConfig())
-    scalar = ShardedDiscoverer(DiscoveryConfig(), decision=_ReferenceMajority())
 
     def run() -> object:
         return kernel.discover(sharded)
 
     def baseline_run() -> object:
-        return scalar.discover(sharded)
+        return figure2_reference.discover(table).pfds
 
     run.stage_timers = kernel.discoverer.timers
     return run, 2, baseline_run
@@ -701,7 +698,7 @@ def main(argv: List[str] | None = None) -> int:
                 "sharded_discovery_*, rule_maintenance_edit_loop_*), whose "
                 "baseline is their same-tree reference workload (full "
                 "re-detection / monolithic single-worker detection / "
-                "scalar-reference-route sharded discovery / full "
+                "the literal Figure 2 loop of tests/figure2_reference.py / full "
                 "re-discovery per edit batch); 'memory' "
                 "records tracemalloc peaks of the out-of-core session vs the "
                 "materialized-table footprint (a bytes ratio, not a speedup); "

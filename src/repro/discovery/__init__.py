@@ -4,27 +4,26 @@ The pipeline mirrors the published algorithm:
 
 1. :func:`candidate_dependencies` profiles the table and prunes
    attributes that cannot host PFDs (line 1).
-2. For every candidate ``A → B``, tokens or n-grams of ``t[A]`` are
-   inserted into a hash-based :class:`InvertedList` together with the
-   tuple id, the token position and the corresponding RHS value
-   (lines 5–8).
-3. A :class:`DecisionFunction` (the ``f`` of the pseudo-code) inspects
-   every inverted-list entry and decides whether it yields a pattern
-   tuple (lines 10–12).
+2. For every candidate ``A → B``, the tokens or n-grams of ``t[A]`` key
+   an inverted list of the tuples carrying them (lines 5–8).
+3. The decision function ``f`` turns each entry whose tuples agree on
+   one RHS constant, up to the allowed-violation ratio ρ, into a
+   :class:`PatternTupleCandidate`; a greedy selection keeps the ones
+   that add coverage (lines 10–12).
 4. Tableaux whose coverage reaches the minimum-coverage threshold γ are
    emitted as PFDs (lines 13–14).
 
-Variable PFDs (λ4/λ5-style) are mined by :class:`VariablePfdMiner`,
-which searches constrained prefixes for code-like attributes and
-constrained tokens for multi-token attributes.
+Variable PFDs (λ4/λ5-style, :class:`VariableCandidate`) come from
+constrained prefixes for code-like attributes and constrained tokens for
+multi-token attributes.  :meth:`PfdDiscoverer.mine_candidates` runs steps
+2–4 through the kernels of :mod:`repro.kernels.mine`, over column
+encodings, for the monolithic, sharded and maintenance paths alike.
 """
 
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
-from repro.discovery.inverted_index import InvertedList, Posting
-from repro.discovery.decision import DecisionFunction, MajorityDecision, PatternTupleCandidate
-from repro.discovery.constant_miner import ConstantPfdMiner
-from repro.discovery.variable_miner import VariablePfdMiner
+from repro.discovery.decision import PatternTupleCandidate
+from repro.discovery.variable_miner import VariableCandidate
 from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
 
 # imported last: maintenance reaches into repro.sharding (stats, overlay,
@@ -36,13 +35,8 @@ __all__ = [
     "DiscoveryConfig",
     "CandidateDependency",
     "candidate_dependencies",
-    "InvertedList",
-    "Posting",
-    "DecisionFunction",
-    "MajorityDecision",
     "PatternTupleCandidate",
-    "ConstantPfdMiner",
-    "VariablePfdMiner",
+    "VariableCandidate",
     "DiscoveryResult",
     "PfdDiscoverer",
     "RuleMaintainer",

@@ -1,9 +1,12 @@
-"""The pattern-tuple decision function ``f`` (Figure 2, lines 10–12).
+"""The pattern tuples of the decision function ``f`` (Figure 2, lines 10–12).
 
-Given one inverted-list entry, the decision function answers "does this
-entry form a meaningful pattern tuple?" and, if so, produces the pattern
-tuple: an LHS pattern built around the entry's token plus the RHS
-constant the covered tuples (mostly) agree on.
+An inverted-list entry — the rows carrying one (token, position) key of
+the LHS — forms a pattern tuple when its rows have enough support, agree
+on one RHS constant up to the allowed-violation ratio ρ, and an LHS
+pattern built around the token still matches them.  The mining kernel
+(:func:`repro.kernels.mine.mine_constant_kernel`) decides the entries;
+this module holds what it emits, :class:`PatternTupleCandidate`, and
+the pattern it builds for a token entry, :func:`contains_token_pattern`.
 """
 
 from __future__ import annotations
@@ -11,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.dataset.rowids import RowIds, row_ids
-from repro.discovery.config import DiscoveryConfig
-from repro.discovery.inverted_index import InvertedEntry
-from repro.patterns.generalize import generalize_strings, generalize_with_literal_prefix
+from repro.dataset.rowids import RowIds
 from repro.patterns.pattern import Pattern
 from repro.patterns.tokenizer import cached_tokenize
-from repro.perf.memo import MATCH_MEMO
 
 
 @dataclass
@@ -42,126 +41,42 @@ class PatternTupleCandidate:
         return f"{self.pattern_text}::{self.source_position}, {self.support}"
 
 
-class DecisionFunction:
-    """Interface of the pluggable decision function ``f``."""
+def contains_token_pattern(
+    token: str, position: int, covered_values: Sequence[str]
+) -> Optional[Pattern]:
+    """A ``\\A*<sep>token\\A*`` pattern for word tokens.
 
-    def decide(
-        self,
-        entry: InvertedEntry,
-        lhs_values: Sequence[str],
-        config: DiscoveryConfig,
-    ) -> Optional[PatternTupleCandidate]:
-        """Return a pattern tuple for the entry, or None to reject it."""
-        raise NotImplementedError
-
-
-class MajorityDecision(DecisionFunction):
-    """The default decision function.
-
-    An entry forms a pattern tuple when (1) it has enough supporting
-    tuples, (2) the supporting tuples agree on a single RHS value up to
-    the allowed-violation ratio, and (3) an LHS pattern can be built that
-    actually matches the supporting values (a sanity re-check, since the
-    pattern is synthesized from the token and its context).
+    The separator context (the punctuation/space run immediately
+    before the token, e.g. ``", "`` in ``"Holloway, Donald E."``) is
+    included literally when all covered values share it, matching the
+    tableau shapes shown in Table 3 of the paper.  ``None`` when a value
+    does not carry the token at ``position``.  The result depends on the
+    set of covered values only, not on their order or repetitions.
     """
-
-    def decide(
-        self,
-        entry: InvertedEntry,
-        lhs_values: Sequence[str],
-        config: DiscoveryConfig,
-    ) -> Optional[PatternTupleCandidate]:
-        support = entry.support
-        if support < config.min_support:
+    separators = set()
+    has_suffix = False
+    for value in covered_values:
+        found = None
+        for tok in cached_tokenize(value):
+            if tok.position == position and (tok.normalized == token or tok.text == token):
+                found = tok
+                break
+        if found is None:
             return None
-        top_value, top_count = entry.top_rhs()
-        if top_value == "":
-            return None
-        agreement = top_count / support
-        if agreement < config.min_agreement:
-            return None
-        covered = entry.tuple_ids()
-        covered_values = [lhs_values[i] for i in covered]
-        pattern = self._build_pattern(entry, covered_values)
-        if pattern is None:
-            return None
-        matches = MATCH_MEMO.matcher(pattern)
-        matching = [i for i in covered if matches(lhs_values[i])]
-        if len(matching) < config.min_support:
-            return None
-        rhs_of = entry.rhs_map().get
-        agreeing = [i for i in matching if rhs_of(i, "") == top_value]
-        if not matching or len(agreeing) / len(matching) < config.min_agreement:
-            return None
-        violating = [i for i in matching if rhs_of(i, "") != top_value]
-        return PatternTupleCandidate(
-            lhs_pattern=pattern,
-            rhs_constant=top_value,
-            support=len(matching),
-            agreement=len(agreeing) / len(matching),
-            covered_tuple_ids=row_ids(matching),
-            violating_tuple_ids=row_ids(violating),
-            source_token=entry.token,
-            source_position=entry.position,
-        )
-
-    # -- pattern synthesis ------------------------------------------------------
-
-    def _build_pattern(
-        self, entry: InvertedEntry, covered_values: Sequence[str]
-    ) -> Optional[Pattern]:
-        """Build the LHS pattern for an entry.
-
-        Prefix entries (position 0 n-grams / prefixes of code-like
-        values) become ``literal-prefix + generalized-suffix`` patterns
-        such as ``850\\D{7}``; token entries become
-        ``\\A*<separator>token\\A*`` patterns such as
-        ``\\A*,\\ Donald\\A*``.
-        """
-        if not covered_values:
-            return None
-        token = entry.token
-        if entry.position == 0 and all(v.startswith(token) for v in covered_values):
-            return generalize_with_literal_prefix(covered_values, len(token))
-        return self._contains_token_pattern(token, entry.position, covered_values)
-
-    @staticmethod
-    def _contains_token_pattern(
-        token: str, position: int, covered_values: Sequence[str]
-    ) -> Optional[Pattern]:
-        """A ``\\A*<sep>token\\A*`` pattern for word tokens.
-
-        The separator context (the punctuation/space run immediately
-        before the token, e.g. ``", "`` in ``"Holloway, Donald E."``) is
-        included literally when all covered values share it, matching the
-        tableau shapes shown in Table 3 of the paper.
-        """
-        separators = set()
-        has_suffix = False
-        for value in covered_values:
-            found = None
-            for tok in cached_tokenize(value):
-                if tok.position == position and (tok.normalized == token or tok.text == token):
-                    found = tok
-                    break
-            if found is None:
-                return None
-            start = found.start
-            sep_start = start
-            while sep_start > 0 and not value[sep_start - 1].isalnum():
-                sep_start -= 1
-            separators.add(value[sep_start:start])
-            if found.start + len(found.text) < len(value) or found.text != token:
-                has_suffix = True
-        separator = separators.pop() if len(separators) == 1 else ""
-        elements = Pattern([])
-        if position > 0:
-            elements = elements.concat(Pattern.any_string())
-        if separator and position > 0:
-            elements = elements.concat(Pattern.literal(separator))
-        elements = elements.concat(Pattern.literal(token))
-        if has_suffix or position == 0:
-            elements = elements.concat(Pattern.any_string())
-        return elements
-
-
+        start = found.start
+        sep_start = start
+        while sep_start > 0 and not value[sep_start - 1].isalnum():
+            sep_start -= 1
+        separators.add(value[sep_start:start])
+        if found.start + len(found.text) < len(value) or found.text != token:
+            has_suffix = True
+    separator = separators.pop() if len(separators) == 1 else ""
+    elements = Pattern([])
+    if position > 0:
+        elements = elements.concat(Pattern.any_string())
+    if separator and position > 0:
+        elements = elements.concat(Pattern.literal(separator))
+    elements = elements.concat(Pattern.literal(token))
+    if has_suffix or position == 0:
+        elements = elements.concat(Pattern.any_string())
+    return elements

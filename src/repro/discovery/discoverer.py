@@ -1,10 +1,10 @@
 """The Discover-PFDs driver (Figure 2 of the paper).
 
-:class:`PfdDiscoverer` glues together candidate generation, the constant
-miner, and the variable miner, applies the minimum-coverage threshold γ,
-and packages everything into :class:`~repro.pfd.pfd.PFD` objects plus a
-:class:`DiscoveryResult` carrying the per-dependency statistics the
-ANMAT GUI displays.
+:class:`PfdDiscoverer` glues together candidate generation and the
+mining kernels (:mod:`repro.kernels.mine`), applies the minimum-coverage
+threshold γ, and packages everything into :class:`~repro.pfd.pfd.PFD`
+objects plus a :class:`DiscoveryResult` carrying the per-dependency
+statistics the ANMAT GUI displays.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ from repro.dataset.profiling import TableProfile, profile_table
 from repro.dataset.table import Table
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.constant_miner import ConstantPfdMiner
-from repro.discovery.decision import (
-    DecisionFunction,
-    MajorityDecision,
-    PatternTupleCandidate,
-)
-from repro.discovery.inverted_index import ColumnTokenization
-from repro.discovery.variable_miner import VariableCandidate, VariablePfdMiner
+from repro.discovery.decision import PatternTupleCandidate
+from repro.discovery.variable_miner import VariableCandidate
 from repro.kernels.encoder import ColumnEncoding, encode_column
-from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
+from repro.kernels.tokenize import batch_tokenize
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
@@ -95,14 +89,8 @@ class DiscoveryResult:
 class PfdDiscoverer:
     """Discovers PFDs directly from (dirty) data."""
 
-    def __init__(
-        self,
-        config: Optional[DiscoveryConfig] = None,
-        decision: Optional[DecisionFunction] = None,
-    ):
+    def __init__(self, config: Optional[DiscoveryConfig] = None):
         self.config = config or DiscoveryConfig()
-        self.constant_miner = ConstantPfdMiner(self.config, decision)
-        self.variable_miner = VariablePfdMiner(self.config)
         #: wall-clock accumulated per pipeline stage across runs
         self.timers = StageTimers()
 
@@ -187,87 +175,11 @@ class PfdDiscoverer:
         paths; ``encode(names)`` returns the named columns' encodings.
         Within a call every (LHS, mode) pair is tokenized once per
         distinct value however many candidates share it.
-
-        The kernel loop body runs every candidate whose miners it
-        reproduces.  Customized decision functions or miners run the
-        scalar body instead, fed from the same encodings, so results
-        never depend on which body ran.
         """
-        with self.timers.stage("tokenize"):
-            encodings = encode(
-                [name for candidate in candidates for name in (candidate.lhs, candidate.rhs)]
-            )
-        ngram_size = self.config.ngram_size
-        triples: Dict[Tuple[str, str], list] = {}
-        reports: List[DependencyReport] = []
-        for candidate in candidates:
-            lhs = encodings[candidate.lhs]
-            rhs = encodings[candidate.rhs]
-            mode = candidate.lhs_mode
-            candidate_triples = None
-            if self.config.discover_constant:
-                candidate_triples = triples.get((candidate.lhs, mode))
-                if candidate_triples is None:
-                    with self.timers.stage("tokenize"):
-                        candidate_triples = triples[(candidate.lhs, mode)] = batch_tokenize(
-                            lhs, mode, ngram_size
-                        )
-            report = self._mine_encoded(candidate, lhs, rhs, candidate_triples)
-            if report is None:
-                tokenization = None
-                if self.config.discover_constant:
-                    tokenization = tokenization_from_encoding(
-                        lhs, mode, ngram_size, candidate_triples
-                    )
-                report = self._mine_values(
-                    candidate, _decoded(lhs), _decoded(rhs), tokenization
-                )
-            reports.append(report)
-        return reports
-
-    def _mine_values(
-        self,
-        candidate: CandidateDependency,
-        lhs_values: Sequence[str],
-        rhs_values: Sequence[str],
-        tokenization: Optional[ColumnTokenization],
-    ) -> DependencyReport:
-        """The scalar Figure 2 loop body for one ``A → B`` over
-        materialized columns: the route of customized decision functions
-        and miners."""
-        started = time.perf_counter()
-        report = DependencyReport(candidate=candidate)
-        if self.config.discover_constant:
-            report.constant_candidates = self.constant_miner.mine(
-                lhs_values,
-                rhs_values,
-                candidate.lhs_mode,
-                tokenization=tokenization,
-                timers=self.timers,
-            )
-            report.coverage = self.constant_miner.coverage(
-                report.constant_candidates, lhs_values
-            )
-        if self.config.discover_variable:
-            with self.timers.stage("mine_variable"):
-                report.variable_candidates = self.variable_miner.mine(
-                    lhs_values, rhs_values, candidate.lhs_mode
-                )
-        return self._decide(report, started)
-
-    def _mine_encoded(
-        self,
-        candidate: CandidateDependency,
-        lhs: ColumnEncoding,
-        rhs: ColumnEncoding,
-        triples_by_code,
-    ) -> Optional[DependencyReport]:
-        """The kernel Figure 2 loop body, or ``None`` when the miners
-        were customized beyond what the kernels reproduce (the caller
-        then runs :meth:`_mine_values`)."""
-        # local import: repro.kernels.mine imports the miner modules, which
-        # this package's __init__ loads before the discoverer — importing it
-        # at module top would be circular when kernels are imported first
+        # local import: repro.kernels.mine imports this package's
+        # decision and variable_miner modules, and this package's
+        # __init__ loads the discoverer — importing it at module top
+        # would be circular when the kernels are imported first
         from repro.kernels.mine import (
             coverage_kernel,
             mine_constant_kernel,
@@ -275,28 +187,39 @@ class PfdDiscoverer:
             pair_counts,
         )
 
-        custom_decision = type(self.constant_miner.decision) is not MajorityDecision
-        custom_variable = type(self.variable_miner) is not VariablePfdMiner
-        if (self.config.discover_constant and custom_decision) or (
-            self.config.discover_variable and custom_variable
-        ):
-            return None
-        started = time.perf_counter()
-        report = DependencyReport(candidate=candidate)
-        with self.timers.stage("pair_counts"):
-            pairs = pair_counts(lhs, rhs)
-        if self.config.discover_constant:
-            report.constant_candidates = mine_constant_kernel(
-                lhs, rhs, pairs, triples_by_code, self.config, self.constant_miner,
-                timers=self.timers,
+        config = self.config
+        timers = self.timers
+        with timers.stage("tokenize"):
+            encodings = encode(
+                [name for candidate in candidates for name in (candidate.lhs, candidate.rhs)]
             )
-            report.coverage = coverage_kernel(report.constant_candidates, lhs)
-        if self.config.discover_variable:
-            report.variable_candidates = mine_variable_kernel(
-                lhs, rhs, pairs, candidate.lhs_mode, self.config, self.variable_miner,
-                timers=self.timers,
-            )
-        return self._decide(report, started)
+        triples: Dict[Tuple[str, str], list] = {}
+        reports: List[DependencyReport] = []
+        for candidate in candidates:
+            lhs = encodings[candidate.lhs]
+            rhs = encodings[candidate.rhs]
+            mode = candidate.lhs_mode
+            started = time.perf_counter()
+            report = DependencyReport(candidate=candidate)
+            with timers.stage("pair_counts"):
+                pairs = pair_counts(lhs, rhs)
+            if config.discover_constant:
+                lhs_triples = triples.get((candidate.lhs, mode))
+                if lhs_triples is None:
+                    with timers.stage("tokenize"):
+                        lhs_triples = triples[(candidate.lhs, mode)] = batch_tokenize(
+                            lhs, mode, config.ngram_size
+                        )
+                report.constant_candidates = mine_constant_kernel(
+                    lhs, rhs, pairs, lhs_triples, config, timers=timers
+                )
+                report.coverage = coverage_kernel(report.constant_candidates, lhs)
+            if config.discover_variable:
+                report.variable_candidates = mine_variable_kernel(
+                    lhs, rhs, pairs, mode, config, timers=timers
+                )
+            reports.append(self._decide(report, started))
+        return reports
 
     def _decide(self, report: DependencyReport, started: float) -> DependencyReport:
         """Apply γ: below-threshold constant tableaux are dropped (Figure 2
@@ -360,9 +283,3 @@ def _embedded(candidate: CandidateDependency):
     from repro.pfd.fd import EmbeddedFD
 
     return EmbeddedFD.between(candidate.lhs, candidate.rhs)
-
-
-def _decoded(encoding: ColumnEncoding) -> List[str]:
-    """An encoded column's values in row order."""
-    return list(map(encoding.distinct.__getitem__, encoding.codes.tolist()))
-

@@ -61,7 +61,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.dataset.profiling import TableProfile, profile_encoding
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.decision import DecisionFunction
 from repro.discovery.discoverer import (
     DependencyReport,
     DiscoveryResult,
@@ -92,14 +91,10 @@ class RuleMaintainer:
     re-check's freshly sealed view to :meth:`maintain`.
     """
 
-    def __init__(
-        self,
-        config: Optional[DiscoveryConfig] = None,
-        decision: Optional[DecisionFunction] = None,
-    ):
+    def __init__(self, config: Optional[DiscoveryConfig] = None):
         #: supplies the mining loop and the assemble stage — the same
         #: pipeline full discovery runs
-        self.discoverer = PfdDiscoverer(config, decision)
+        self.discoverer = PfdDiscoverer(config)
         self.config = self.discoverer.config
         self.timers = self.discoverer.timers
         self._view: Optional[ShardedTable] = None

@@ -1,4 +1,4 @@
-"""Mining variable PFDs (λ4 / λ5 of the paper).
+"""Variable PFDs (λ4 / λ5 of the paper).
 
 A variable PFD asserts that tuples agreeing on a *constrained part* of
 the LHS value agree on the RHS value.  Two families are searched, chosen
@@ -9,27 +9,26 @@ by the LHS column's shape:
 * **constrained tokens** for multi-token text columns — "one's first
   name determines one's gender" (λ4).
 
-For each candidate constraint the miner blocks the rows by the
-constrained projection and measures how well the blocks agree on the RHS
-value; the most general candidate (shortest prefix / earliest usable
-token) whose agreement and coverage clear the thresholds is returned.
+For each candidate constraint the rows are blocked by the constrained
+projection and the blocks' agreement on the RHS value is measured; the
+most general candidate (shortest prefix / earliest usable token) whose
+agreement and coverage clear the thresholds is kept.  The search runs
+in :func:`repro.kernels.mine.mine_variable_kernel`; this module holds
+what it emits, :class:`VariableCandidate`, and the pattern it builds for
+a constrained token, :func:`token_constraint_pattern`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.constrained.constrained_pattern import (
     ConstrainedPattern,
-    constrained_prefix,
     constrained_word_sequence,
 )
-from repro.discovery.config import DiscoveryConfig
 from repro.patterns.generalize import generalize_strings
 from repro.patterns.pattern import Pattern
-from repro.patterns.tokenizer import cached_tokenize
-from repro.perf.memo import MATCH_MEMO
 
 
 @dataclass
@@ -48,173 +47,22 @@ class VariableCandidate:
         return self.constrained_pattern.to_text()
 
 
-def _block_agreement(blocks: Dict[object, List[str]]) -> Tuple[float, int, int]:
-    """(weighted agreement, #blocks, #blocks with ≥2 rows).
+def token_constraint_pattern(
+    word_lists: Sequence[Sequence[str]], position: int
+) -> ConstrainedPattern:
+    """The constrained word-sequence pattern for a token position.
 
-    Agreement is the fraction of rows whose RHS value equals the majority
-    value of their block — exactly the quantity bounded by the
-    allowed-violation ratio.
+    ``word_lists`` holds the whitespace-split words of the usable
+    values.  Word patterns for positions 0..position are generalized
+    from the observed words (``\\A+`` where their shapes differ);
+    positions after the constrained one collapse into the trailing
+    ``\\A*``.  The result depends on the set of word lists only, not on
+    their order or repetitions.
     """
-    total = 0
-    agreeing = 0
-    multi = 0
-    for rhs_values in blocks.values():
-        total += len(rhs_values)
-        counts: Dict[str, int] = {}
-        for value in rhs_values:
-            counts[value] = counts.get(value, 0) + 1
-        agreeing += max(counts.values())
-        if len(rhs_values) >= 2:
-            multi += 1
-    if total == 0:
-        return 0.0, 0, 0
-    return agreeing / total, len(blocks), multi
-
-
-class VariablePfdMiner:
-    """Searches constrained-prefix and constrained-token variable PFDs."""
-
-    def __init__(self, config: Optional[DiscoveryConfig] = None):
-        self.config = config or DiscoveryConfig()
-
-    # -- public API --------------------------------------------------------------
-
-    def mine(
-        self,
-        lhs_values: Sequence[str],
-        rhs_values: Sequence[str],
-        mode: str,
-    ) -> List[VariableCandidate]:
-        """Return variable-PFD candidates for one dependency ``A → B``."""
-        pairs = [
-            (lhs, rhs)
-            for lhs, rhs in zip(lhs_values, rhs_values)
-            if lhs != "" and rhs != ""
-        ]
-        if len(pairs) < 2 * self.config.min_support:
-            return []
-        if mode in ("prefix", "ngram"):
-            candidate = self._mine_prefix(pairs, len(lhs_values))
-        else:
-            candidate = self._mine_token(pairs, len(lhs_values))
-        return [candidate] if candidate is not None else []
-
-    # -- constrained prefixes (λ5 family) -------------------------------------------
-
-    def _mine_prefix(
-        self, pairs: Sequence[Tuple[str, str]], n_rows: int
-    ) -> Optional[VariableCandidate]:
-        lengths = sorted({len(lhs) for lhs, _ in pairs})
-        if not lengths:
-            return None
-        typical_length = lengths[len(lengths) // 2]
-        best: Optional[VariableCandidate] = None
-        for k in self.config.effective_prefix_lengths(typical_length):
-            if k >= typical_length:
-                break
-            usable = [(lhs, rhs) for lhs, rhs in pairs if len(lhs) > k]
-            if len(usable) < 2 * self.config.min_support:
-                continue
-            blocks: Dict[object, List[str]] = {}
-            for lhs, rhs in usable:
-                blocks.setdefault(lhs[:k], []).append(rhs)
-            agreement, n_blocks, n_multi = _block_agreement(blocks)
-            coverage = len(usable) / max(1, n_rows)
-            if n_multi < 1 or n_blocks < 2:
-                continue
-            if agreement < self.config.min_agreement:
-                continue
-            if coverage < self.config.min_coverage:
-                continue
-            remainder = generalize_strings([lhs[k:] for lhs, _ in usable])
-            if remainder is None:
-                remainder = Pattern.any_string()
-            head = generalize_strings([lhs[:k] for lhs, _ in usable])
-            pattern = constrained_prefix(k, remainder, head=head)
-            best = VariableCandidate(
-                constrained_pattern=pattern,
-                coverage=coverage,
-                agreement=agreement,
-                n_blocks=n_blocks,
-                n_multi_blocks=n_multi,
-                description=f"first {k} characters determine the RHS",
-            )
-            break  # smallest usable prefix = most general constraint
-        return best
-
-    # -- constrained tokens (λ4 family) ---------------------------------------------
-
-    def _mine_token(
-        self, pairs: Sequence[Tuple[str, str]], n_rows: int
-    ) -> Optional[VariableCandidate]:
-        tokenized = [(cached_tokenize(lhs), rhs) for lhs, rhs in pairs]
-        max_position = self.config.max_constrained_token_position
-        for position in range(max_position + 1):
-            usable = [
-                (tokens, rhs)
-                for tokens, rhs in tokenized
-                if len(tokens) > position
-            ]
-            if len(usable) < 2 * self.config.min_support:
-                continue
-            blocks: Dict[object, List[str]] = {}
-            for tokens, rhs in usable:
-                key = tokens[position].normalized or tokens[position].text
-                blocks.setdefault((position, key), []).append(rhs)
-            agreement, n_blocks, n_multi = _block_agreement(blocks)
-            coverage = len(usable) / max(1, n_rows)
-            if n_multi < 1 or n_blocks < 2:
-                continue
-            if agreement < self.config.min_agreement:
-                continue
-            if coverage < self.config.min_coverage:
-                continue
-            pattern = self._token_constraint_pattern(
-                [tokens for tokens, _ in usable], position
-            )
-            if pattern is None:
-                continue
-            matched = sum(
-                1 for tokens, _ in usable if MATCH_MEMO.matches(pattern, _join(tokens))
-            )
-            if matched / len(usable) < self.config.min_coverage:
-                continue
-            return VariableCandidate(
-                constrained_pattern=pattern,
-                coverage=coverage,
-                agreement=agreement,
-                n_blocks=n_blocks,
-                n_multi_blocks=n_multi,
-                description=f"the token at position {position} determines the RHS",
-            )
-        return None
-
-    def _token_constraint_pattern(
-        self, token_lists: Sequence[Sequence], position: int
-    ) -> Optional[ConstrainedPattern]:
-        """Build the constrained word-sequence pattern for a token position.
-
-        Word patterns for positions 0..position are generalized from the
-        observed tokens; positions after the constrained one collapse
-        into the trailing ``\\A*``.
-        """
-        word_patterns: List[Pattern] = []
-        for word_index in range(position + 1):
-            words = [str(tokens[word_index].text) for tokens in token_lists]
-            generalized = generalize_strings(words)
-            if generalized is None:
-                generalized = Pattern(
-                    [
-                        element
-                        for element in Pattern.parse("\\A+").elements
-                    ]
-                )
-            word_patterns.append(generalized)
-        try:
-            return constrained_word_sequence(word_patterns, position)
-        except Exception:  # pragma: no cover - defensive
-            return None
-
-
-def _join(tokens: Sequence) -> str:
-    return " ".join(token.text for token in tokens)
+    word_patterns: List[Pattern] = []
+    for word_index in range(position + 1):
+        generalized = generalize_strings([words[word_index] for words in word_lists])
+        if generalized is None:
+            generalized = Pattern.parse("\\A+")
+        word_patterns.append(generalized)
+    return constrained_word_sequence(word_patterns, position)

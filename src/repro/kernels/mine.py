@@ -1,9 +1,8 @@
-"""The Figure 2 loop body over encoded columns.
+"""The Figure 2 loop body over encoded columns: the one mining route.
 
-These kernels reproduce the scalar miners' *output* exactly — the same
-selected candidates in the same order, same tie-breaks, same floats —
-while doing the per-row work as numpy array operations over interned id
-arrays:
+Every discovery — monolithic, sharded and the rule maintainer's — mines
+each candidate ``A → B`` here, doing the per-row work as numpy array
+operations over interned id arrays:
 
 * the inverted list never materializes postings: each entry is the list
   of distinct-value *codes* carrying its (token, position) key;
@@ -11,22 +10,19 @@ arrays:
   distinct ``(lhs_code, rhs_code)`` pair counts (support, top RHS value,
   agreement before the pattern re-check), then walks the entries as a
   lazy greedy: only entries whose bound can still pass the selection's
-  marginal-coverage test are generalized and re-checked, so the
-  decision function runs on a small fraction of the entries the scalar
-  :meth:`ConstantPfdMiner.mine` decides;
+  marginal-coverage test (:func:`accepts`, in :func:`selection_key`
+  order) are generalized and re-checked;
 * the pattern synthesis and match re-check run over the entry's
-  *distinct* covered values (the scalar helpers are duplicate- and
-  order-insensitive, which the equivalence tests pin down), with
-  verdicts shared through the same ``MATCH_MEMO`` tables;
+  *distinct* covered values (the pattern builders depend on the set of
+  values only), with verdicts shared through ``MATCH_MEMO``;
 * both kernels read one reduction of the column pair to distinct
   ``(lhs_code, rhs_code)`` counts (:func:`pair_counts`, one
   ``np.unique`` per candidate); variable mining evaluates every prefix
   length / token position against those counts.
 
-The kernels reproduce the default pluggable pieces only: the
-discoverer runs the scalar loop body instead for a candidate whose
-decision function or variable miner was customized, so extensions keep
-working unchanged.
+The result is pinned, byte for byte, to the literal Figure 2 loop over
+row lists in ``tests/figure2_reference.py``: the same selected
+candidates in the same order, the same tie-breaks and the same floats.
 """
 
 from __future__ import annotations
@@ -38,16 +34,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.constrained.constrained_pattern import constrained_prefix
 from repro.dataset.rowids import row_ids_from_numpy
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.constant_miner import ConstantPfdMiner
-from repro.discovery.decision import MajorityDecision, PatternTupleCandidate
-from repro.discovery.variable_miner import VariableCandidate, VariablePfdMiner
+from repro.discovery.decision import PatternTupleCandidate, contains_token_pattern
+from repro.discovery.variable_miner import VariableCandidate, token_constraint_pattern
 from repro.kernels.encoder import ColumnEncoding
 from repro.kernels.match import _VECTOR_THRESHOLD, batch_verdicts
 from repro.kernels.runtime import np
 from repro.kernels.tokenize import Triples
 from repro.patterns.generalize import generalize_strings, generalize_with_literal_prefix
 from repro.patterns.pattern import Pattern
-from repro.patterns.tokenizer import cached_tokenize
+from repro.patterns.tokenizer import _PUNCTUATION_STRIP
 from repro.perf.memo import MATCH_MEMO
 from repro.perf.timers import StageTimers, stage_or_null as _stage
 
@@ -79,15 +74,43 @@ def pair_counts(lhs: ColumnEncoding, rhs: ColumnEncoding):
 # -- constant mining ---------------------------------------------------------------
 
 
+def selection_key(support: int, agreement: float, pattern_text: str) -> Tuple:
+    """The greedy selection's order: most covering first, then most
+    agreeing, then the shorter (more general) pattern text.  Sorts are
+    stable, so equal keys keep the decision order.  With an empty text
+    it is the least key any pattern with that support and agreement can
+    have."""
+    return (-support, -agreement, len(pattern_text), pattern_text)
+
+
+def accepts(n_new: int, already_covered: bool, min_support: int) -> bool:
+    """The marginal-coverage test of the greedy selection.
+
+    ``n_new`` counts the candidate's tuples not yet covered by a kept
+    candidate with the same RHS constant; ``already_covered`` says
+    whether any such candidate was kept.  The greedy keeps the tableau
+    small and free of redundant, more-specific patterns (``900\\D{2}``
+    suppresses ``9000\\D`` when the latter covers no additional tuple).
+    The answer only gets stricter as ``n_new`` shrinks and once
+    ``already_covered`` holds, which is what lets the kernel reject an
+    entry from an upper bound on its tuples.
+    """
+    if not n_new:
+        return False
+    # below the support floor, a more general kept pattern already
+    # explains the rest
+    return n_new >= min_support or not already_covered
+
+
 class _EntryBounds:
     """The inverted-list entries of one candidate: every entry's
     statistics before the pattern re-check, from one pass over the
     distinct (LHS, RHS) pair counts, and :meth:`verify`, the re-check.
 
-    ``support``, ``top_code`` and ``top_count`` are what the scalar
-    decision function reads off an entry's postings (the top RHS value
-    is the max by (count, RHS string)); verification can only drop
-    codes, so ``support`` bounds the verified candidate's tuples.
+    ``support``, ``top_code`` and ``top_count`` are the entry's row
+    count, its most frequent RHS value (the max by (count, RHS string))
+    and that value's row count; verification can only drop codes, so
+    ``support`` bounds the verified candidate's tuples.
     """
 
     def __init__(
@@ -162,7 +185,12 @@ class _EntryBounds:
     def verify(self, entry: int, config: DiscoveryConfig):
         """The decision function's pattern synthesis and re-check for
         one entry: ``(pattern, matching codes, matching rows, agreeing
-        rows)``, or ``None`` when :class:`MajorityDecision` rejects it."""
+        rows)``, or ``None`` when the entry forms no pattern tuple.
+
+        Entries at position 0 whose values all start with the token
+        become ``literal-prefix + generalized-suffix`` patterns such as
+        ``850\\D{7}``; the rest become :func:`contains_token_pattern`
+        patterns such as ``\\A*,\\ Donald\\A*``."""
         token, position = self.keys[entry]
         lhs = self.lhs
         code_list = self.code_lists[entry]
@@ -170,9 +198,7 @@ class _EntryBounds:
         if position == 0 and all(v.startswith(token) for v in covered_values):
             pattern = generalize_with_literal_prefix(covered_values, len(token))
         else:
-            pattern = MajorityDecision._contains_token_pattern(
-                token, position, covered_values
-            )
+            pattern = contains_token_pattern(token, position, covered_values)
         if pattern is None:
             return None
         codes = self.entry_codes(entry)
@@ -207,35 +233,35 @@ def mine_constant_kernel(
     pairs,
     triples_by_code: List[Triples],
     config: DiscoveryConfig,
-    miner: ConstantPfdMiner,
     timers: Optional[StageTimers] = None,
 ) -> List[PatternTupleCandidate]:
-    """``miner.mine(...)`` over encoded columns, for a miner whose
-    decision function is exactly :class:`MajorityDecision`; ``pairs`` is
-    :func:`pair_counts` of the two columns.
+    """The selected constant pattern tuples of ``A → B`` (the tableau
+    before γ); ``pairs`` is :func:`pair_counts` of the two columns.
 
-    A lazy greedy (Minoux's accelerated greedy) over the selection of
-    :meth:`ConstantPfdMiner.select`.  Every entry is bounded from its
-    unverified statistics, and the walk merges the entries, sorted by
-    bound, with a heap of verified candidates, so candidates leave the
-    heap in the eager selection's order:
+    The selection is the eager greedy of Figure 2: decide every entry,
+    sort the pattern tuples by :func:`selection_key`, keep each one
+    :func:`accepts` on its rows not yet covered under its RHS constant.
+    This walk is its lazy form (Minoux's accelerated greedy).  Every
+    entry is bounded from its unverified statistics, and the walk merges
+    the entries, sorted by bound, with a heap of verified candidates, so
+    candidates leave the heap in the eager selection's order:
 
-    * an entry's bound key, ``miner.selection_key(support, agreement,
-      "")``, is no larger than the key of the candidate it verifies to
+    * an entry's bound key, ``selection_key(support, agreement, "")``,
+      is no larger than the key of the candidate it verifies to
       (verification only drops rows, and an unchanged row set keeps the
       agreement), so every entry is verified before any candidate that
       could follow it — in particular all entries tied on (support,
       agreement) are verified before the tie is broken by pattern text
       and first appearance;
     * covered sets only grow, so an entry whose unverified rows already
-      fail :meth:`ConstantPfdMiner.accepts` is dropped without being
+      fail :func:`accepts` is dropped without being
       generalized;
     * the rest are generalized and re-checked (the ``generalize``
       stage) and queued under their exact key; a candidate leaving the
       heap meets the eager selection's own test.
     """
     # Entry map: (token, position) → codes carrying it.  Iterating codes
-    # in first-appearance order reproduces the scalar inverted list's
+    # in first-appearance order reproduces the row-level inverted list's
     # key insertion order (the first row containing a key is always the
     # first appearance of one of its codes).
     with _stage(timers, "index_build"):
@@ -263,7 +289,7 @@ def mine_constant_kernel(
         # stable: entries tied on the bound keep first-appearance order
         walk = passing[np.lexsort((-agreement[passing], -support[passing]))]
         bound_keys = [
-            miner.selection_key(s, a, "")
+            selection_key(s, a, "")
             for s, a in zip(support[walk].tolist(), agreement[walk].tolist())
         ]
         walk = walk.tolist()
@@ -273,11 +299,13 @@ def mine_constant_kernel(
         #: candidate's rows are always whole codes)
         covered: dict = {}
 
-        def accepts(codes, top: int) -> bool:
+        def adds_coverage(codes, top: int) -> bool:
             mask = covered.get(top)
             if mask is None:
-                return miner.accepts(int(counts[codes].sum()), False)
-            return miner.accepts(int(counts[codes[~mask[codes]]].sum()), True)
+                return accepts(int(counts[codes].sum()), False, config.min_support)
+            return accepts(
+                int(counts[codes[~mask[codes]]].sum()), True, config.min_support
+            )
 
         heap: list = []
         kept: List[PatternTupleCandidate] = []
@@ -288,13 +316,13 @@ def mine_constant_kernel(
             ):
                 entry = walk[next_bound]
                 next_bound += 1
-                if not accepts(bounds.entry_codes(entry), int(top_code[entry])):
+                if not adds_coverage(bounds.entry_codes(entry), int(top_code[entry])):
                     continue
                 with _stage(timers, "generalize"):
                     verified = bounds.verify(entry, config)
                 if verified is not None:
                     pattern, _matched, n_matching, n_agreeing = verified
-                    key = miner.selection_key(
+                    key = selection_key(
                         n_matching, n_agreeing / n_matching, pattern.to_text()
                     )
                     heapq.heappush(heap, (key, entry, verified))
@@ -303,7 +331,7 @@ def mine_constant_kernel(
                 break
             _key, entry, (pattern, matched, n_matching, n_agreeing) = heapq.heappop(heap)
             top = int(top_code[entry])
-            if not accepts(matched, top):
+            if not adds_coverage(matched, top):
                 continue
             if top not in covered:
                 covered[top] = np.zeros(lhs.n_distinct, dtype=bool)
@@ -329,7 +357,8 @@ def mine_constant_kernel(
 def coverage_kernel(
     candidates: Sequence[PatternTupleCandidate], lhs: ColumnEncoding
 ) -> float:
-    """``miner.coverage(...)`` over an encoded column (same int ratio)."""
+    """Fraction of the non-empty LHS rows the candidates cover: the
+    tableau coverage compared against γ (Figure 2, line 13)."""
     non_empty = int(lhs.counts()[lhs.lengths() > 0].sum())
     if non_empty == 0:
         return 0.0
@@ -348,12 +377,11 @@ def mine_variable_kernel(
     pairs,
     mode: str,
     config: DiscoveryConfig,
-    miner: VariablePfdMiner,
     timers: Optional[StageTimers] = None,
 ) -> List[VariableCandidate]:
-    """``miner.mine(...)`` over encoded columns, for a miner that is
-    exactly :class:`VariablePfdMiner`; ``pairs`` is :func:`pair_counts`
-    of the two columns."""
+    """The variable-PFD candidate of ``A → B``, if any: a constrained
+    prefix for the ``prefix``/``ngram`` modes, a constrained token for
+    ``token``; ``pairs`` is :func:`pair_counts` of the two columns."""
     with _stage(timers, "mine_variable"):
         keys, key_counts = pairs
         # rows with an empty LHS or RHS value take no part: drop their
@@ -371,9 +399,7 @@ def mine_variable_kernel(
                 lhs, pair_lhs, pair_rhs, pair_counts, config
             )
         else:
-            candidate = _mine_token_kernel(
-                lhs, pair_lhs, pair_rhs, pair_counts, config, miner
-            )
+            candidate = _mine_token_kernel(lhs, pair_lhs, pair_rhs, pair_counts, config)
         return [candidate] if candidate is not None else []
 
 
@@ -381,7 +407,9 @@ def _block_stats(
     block_keys: Sequence, pair_rhs: Sequence[int], pair_counts: Sequence[int]
 ) -> Tuple[float, int, int, int]:
     """(agreement, #blocks, #multi-row blocks, total rows) of blocked
-    distinct pairs — the kernel form of ``_block_agreement``."""
+    distinct pairs.  Agreement is the fraction of rows whose RHS value
+    is the majority value of their block — the quantity the
+    allowed-violation ratio bounds."""
     blocks: Dict[object, Dict[int, int]] = {}
     for block_key, rhs_code, count in zip(block_keys, pair_rhs, pair_counts):
         by_rhs = blocks.get(block_key)
@@ -460,27 +488,23 @@ def _mine_token_kernel(
     pair_rhs: List[int],
     pair_counts: List[int],
     config: DiscoveryConfig,
-    miner: VariablePfdMiner,
 ) -> Optional[VariableCandidate]:
     distinct = lhs.distinct
-    tokens_of = {code: cached_tokenize(distinct[code]) for code in set(pair_lhs)}
+    words_of = {code: distinct[code].split() for code in set(pair_lhs)}
     n_rows = lhs.n_rows
     for position in range(config.max_constrained_token_position + 1):
         usable = [
             i
             for i, code in enumerate(pair_lhs)
-            if len(tokens_of[code]) > position
+            if len(words_of[code]) > position
         ]
         usable_rows = sum(pair_counts[i] for i in usable)
         if usable_rows < 2 * config.min_support:
             continue
         agreement, n_blocks, n_multi, _total = _block_stats(
             [
-                (
-                    position,
-                    tokens_of[pair_lhs[i]][position].normalized
-                    or tokens_of[pair_lhs[i]][position].text,
-                )
+                words_of[pair_lhs[i]][position].strip(_PUNCTUATION_STRIP)
+                or words_of[pair_lhs[i]][position]
                 for i in usable
             ],
             [pair_rhs[i] for i in usable],
@@ -494,19 +518,14 @@ def _mine_token_kernel(
         if coverage < config.min_coverage:
             continue
         usable_codes = list(dict.fromkeys(pair_lhs[i] for i in usable))
-        # the scalar pattern builder is duplicate-/order-insensitive, so
-        # the deduplicated per-distinct token lists yield the same pattern
-        pattern = miner._token_constraint_pattern(
-            [tokens_of[code] for code in usable_codes], position
+        pattern = token_constraint_pattern(
+            [words_of[code] for code in usable_codes], position
         )
-        if pattern is None:
-            continue
         matched = 0
         matches = MATCH_MEMO.matcher(pattern)
         verdict_of: Dict[int, bool] = {}
         for code in usable_codes:
-            joined = " ".join(token.text for token in tokens_of[code])
-            verdict_of[code] = matches(joined)
+            verdict_of[code] = matches(" ".join(words_of[code]))
         for i in usable:
             if verdict_of[pair_lhs[i]]:
                 matched += pair_counts[i]

@@ -1,12 +1,12 @@
-"""Batch tokenization over the distinct-value array.
+"""Batch tokenization over the distinct-value array (Figure 2, lines 6–7).
 
-Produces exactly the (key, position, text) triples of
-:meth:`repro.discovery.inverted_index.ColumnTokenization.extract`, once
-per *distinct* value; rows inherit their triples by code lookup.  The
-token mode uses one compiled ``\\S+`` scan per value instead of the
-scalar per-character loop — Python's ``str.isspace()`` and the regex
-``\\s`` class agree on every code point, so the split is identical.
-N-gram and prefix modes are plain slicing, already the cheapest form.
+Produces the (key, position, text) triples of every token of an LHS
+value, once per *distinct* value; rows inherit their triples by code
+lookup.  Tokens are whitespace-separated words keyed by their text with
+the surrounding punctuation stripped; n-grams and prefixes are slices,
+keyed by their text.  The token mode uses one compiled ``\\S+`` scan
+per value — Python's ``str.isspace()`` and the regex ``\\s`` class
+agree on every code point, so the split is ``str.split()``'s.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ _WORDS = re.compile(r"\S+")
 def value_triples(
     value: str, mode: str, ngram_size: int, pool: InternPool
 ) -> Triples:
-    """One distinct value's (key, position, text) triples.
-
-    Byte-identical to the triples ``ColumnTokenization.extract`` caches
-    per distinct value (keys interned, empty keys impossible for
-    non-empty token text).
-    """
+    """One distinct value's (key, position, text) triples (keys and
+    texts interned; empty keys are impossible for non-empty token
+    text)."""
     if value == "":
         return ()
     intern = pool.intern
@@ -74,26 +71,3 @@ def batch_tokenize(
         value_triples(value, mode, ngram_size, pool)
         for value in encoding.distinct
     ]
-
-
-def tokenization_from_encoding(
-    encoding: ColumnEncoding,
-    mode: str,
-    ngram_size: int,
-    triples_by_code: Optional[List[Triples]] = None,
-):
-    """The row-level ``ColumnTokenization`` view of an encoded column
-    (rows inherit their code's triples by lookup).
-
-    Used when a candidate needs the scalar loop body (customized miners
-    the kernels do not reproduce) — the distinct-level work is reused,
-    only the per-row list is materialized.
-    """
-    # local import: repro.discovery pulls in the discoverer, which
-    # imports this module — a top-level import would be circular
-    from repro.discovery.inverted_index import ColumnTokenization
-
-    if triples_by_code is None:
-        triples_by_code = batch_tokenize(encoding, mode, ngram_size)
-    row_tokens = [triples_by_code[code] for code in encoding.codes.tolist()]
-    return ColumnTokenization(mode, ngram_size, row_tokens)

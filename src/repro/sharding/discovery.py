@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence
 
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.decision import DecisionFunction
 from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
 from repro.pfd.pfd import PFD
 from repro.sharding.sharded_table import ShardedTable
@@ -42,15 +41,10 @@ def drop_mining_artifacts(sharded: ShardedTable) -> None:
 class ShardedDiscoverer:
     """Discovers PFDs from a sharded table."""
 
-    def __init__(
-        self,
-        config: Optional[DiscoveryConfig] = None,
-        decision: Optional[DecisionFunction] = None,
-    ):
-        #: the monolithic driver supplies the mining loop, the miners,
-        #: the decision function, and the assemble stage — one pipeline,
-        #: two feeders
-        self.discoverer = PfdDiscoverer(config, decision)
+    def __init__(self, config: Optional[DiscoveryConfig] = None):
+        #: the monolithic driver supplies the mining loop and the
+        #: assemble stage — one pipeline, two feeders
+        self.discoverer = PfdDiscoverer(config)
         self.config = self.discoverer.config
 
     def discover(self, sharded: ShardedTable, relation: Optional[str] = None) -> List[PFD]:

@@ -330,7 +330,11 @@ class OverlayShardStore(ShardStore):
     :meth:`edited_cells` lists the cells it overrides, and
     :meth:`extends` tells whether they turn an earlier seal's columns
     into this one's.  Patched shards are built only for a cold read
-    (e.g. the full re-discovery after appends or deletes).
+    (e.g. the full re-discovery after appends or deletes), on every
+    :meth:`get` from the base store's shard: the seal keeps none, so
+    the shards it holds resident are the base store's cache.  Closing a
+    seal releases nothing: the base store's lifetime belongs to the
+    overlay (:meth:`ShardOverlay.close`).
     """
 
     def __init__(self, overlay: ShardOverlay):
@@ -365,8 +369,6 @@ class OverlayShardStore(ShardStore):
         )
         if self._has_tail:
             self._row_counts.append(self._tail_rows)
-        #: patched shards already built, by shard index
-        self._patched: Dict[int, Table] = {}
 
     @property
     def n_shards(self) -> int:
@@ -433,21 +435,10 @@ class OverlayShardStore(ShardStore):
 
     def get(self, index: int) -> Table:
         if self._has_tail and index == len(self._row_counts) - 1:
-            tail = self._patched.get(index)
-            if tail is None:
-                tail = Table(
-                    self._schema,
-                    [list(column) for column in self._tail_columns],
-                )
-                self._patched[index] = tail
-            return tail
+            return Table(self._schema, [list(column) for column in self._tail_columns])
         if self._is_passthrough(index):
             return self._base.store.get(index)
-        patched = self._patched.get(index)
-        if patched is None:
-            patched = self._patch_shard(index)
-            self._patched[index] = patched
-        return patched
+        return self._patch_shard(index)
 
     def _patch_shard(self, index: int) -> Table:
         base_shard = self._base.store.get(index)
@@ -465,8 +456,3 @@ class OverlayShardStore(ShardStore):
                 ]
             )
         return Table(self._schema, columns)
-
-    def close(self) -> None:
-        # The base store's lifetime belongs to the overlay
-        # (ShardOverlay.close); a sealed view never closes it.
-        self._patched.clear()

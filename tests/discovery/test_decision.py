@@ -1,16 +1,22 @@
-"""Tests for the pattern-tuple decision function ``f``."""
+"""Tests for the pattern-tuple decision function ``f``.
 
+The decision runs on one entry of the literal inverted list
+(``tests/figure2_reference.py``); the pattern it synthesizes comes from
+the builders ``src/`` shares with the kernels, pinned directly below.
+"""
+
+import figure2_reference
 import pytest
 
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.decision import MajorityDecision
-from repro.discovery.inverted_index import InvertedList
+from repro.discovery.decision import contains_token_pattern
+from repro.discovery.variable_miner import token_constraint_pattern
 
 
 def decide_for(lhs, rhs, mode, key, position, config=None):
-    index = InvertedList.build(lhs, rhs, mode=mode)
-    entry = index.entry(key, position)
-    return MajorityDecision().decide(entry, lhs, config or DiscoveryConfig())
+    config = config or DiscoveryConfig()
+    rows = figure2_reference.inverted_list(lhs, mode, config.ngram_size)[(key, position)]
+    return figure2_reference.decide(key, position, rows, lhs, rhs, config)
 
 
 class TestPrefixEntries:
@@ -86,3 +92,50 @@ class TestTokenEntries:
         lhs = ["Smith, Alex", "Brown, Alex"]
         rhs = ["M", "F"]
         assert decide_for(lhs, rhs, "token", "Alex", 1) is None
+
+    def test_pattern_recheck_drops_rows(self):
+        # ("x", 0) carries three '"x" z' rows whose value does not start
+        # with the token: the pattern x\A* keeps the three "x y" rows only
+        lhs = ["x y"] * 3 + ['"x" z'] * 3
+        candidate = decide_for(lhs, ["r"] * 6, "token", "x", 0)
+        assert candidate.pattern_text == "x\\A*"
+        assert list(candidate.covered_tuple_ids) == [0, 1, 2]
+
+
+class TestContainsTokenPattern:
+    def test_shared_separator_is_literal(self):
+        pattern = contains_token_pattern("Donald", 1, ["Holloway, Donald E.", "Kimbell, Donald"])
+        assert pattern.to_text() == "\\A*,\\ Donald\\A*"
+
+    def test_mixed_separators_are_dropped(self):
+        pattern = contains_token_pattern("Donald", 1, ["Holloway, Donald", "Kimbell Donald"])
+        assert pattern.to_text() == "\\A*Donald"
+
+    def test_token_ending_every_value_has_no_suffix(self):
+        pattern = contains_token_pattern("L", 2, ["Ann B L", "Bo C L"])
+        assert pattern.to_text() == "\\A*\\ L"
+
+    def test_missing_token_yields_none(self):
+        assert contains_token_pattern("Donald", 1, ["Donald Smith"]) is None
+
+    def test_depends_on_the_set_of_values_only(self):
+        values = ["Holloway, Donald E.", "Kimbell, Donald", "Smith, Donald R."]
+        pattern = contains_token_pattern("Donald", 1, values)
+        assert contains_token_pattern("Donald", 1, values[::-1] + values) == pattern
+
+
+class TestTokenConstraintPattern:
+    def test_generalizes_words_up_to_the_constrained_one(self):
+        pattern = token_constraint_pattern([["Holloway,", "Donald"], ["Smith,", "Ann", "B."]], 1)
+        assert pattern.equivalent("Jones, Ann", "Smith, Ann B.")
+        assert not pattern.equivalent("Jones, Ann", "Jones, Bo")
+
+    def test_differing_word_shapes_fall_back_to_any(self):
+        pattern = token_constraint_pattern([["ab"], ["12"]], 0)
+        assert pattern.to_text().startswith("⟨\\A+⟩")
+
+    def test_depends_on_the_set_of_word_lists_only(self):
+        words = [["Holloway,", "Donald"], ["Smith,", "Ann"]]
+        assert token_constraint_pattern(words, 1) == token_constraint_pattern(
+            words[::-1] + words, 1
+        )

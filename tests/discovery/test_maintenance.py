@@ -3,24 +3,22 @@
 The contract of :class:`repro.discovery.maintenance.RuleMaintainer` is
 absolute: after any cell-edit batch, the maintained rule set — names,
 tableaux, and per-candidate accept/coverage decisions — must be
-*identical* to a full monolithic re-discovery over the edited table
-through the scalar reference route (:class:`ReferenceMajority`).  The
-gate runs randomized edit sequences over every PR-4 generator, on every
-shard-store backend, with the session mining through the kernels
-(``on``) and through the scalar loop body (``off``) (4 generators x
-3 stores x 2 routes x 3 seeds x 3 batches = 216 maintained re-checks).
-Each case is fully determined by its test id, so a failure replays with
-``pytest -k <test id>``.  A direct
-:class:`RuleMaintainer` sequence with the reference decision keeps the
-scalar fallback inside maintenance covered too.
+*identical* to a full re-discovery over the edited table through the
+literal Figure 2 loop (``tests/figure2_reference.py``).  The gate runs
+randomized edit sequences over every generator of the sharding
+differential suite, on every shard-store backend (4 generators x
+3 stores x 6 seeds x 3 batches = 216 maintained re-checks).  Each case is fully determined by its test
+id, so a failure replays with ``pytest -k <test id>``.  A direct
+:class:`RuleMaintainer` sequence, outside the session, is checked
+against the reference and the kernel re-discovery too.
 """
 
 from __future__ import annotations
 
 import random
 
+import figure2_reference
 import pytest
-from reference_decision import ReferenceMajority, route_everything_scalar
 from sharded_values import column_of
 
 from repro.anmat.session import AnmatSession, SessionState
@@ -39,9 +37,8 @@ GENERATORS = [
     ("employee_ids", 70, [CorruptionSpec("employee_id", 0.05, kind="typo")]),
 ]
 
-SEEDS = [3, 11, 58]
+SEEDS = [3, 11, 58, 5, 23, 91]
 STORES = ["memory", "spill", "object"]
-KERNEL_MODES = ["on", "off"]
 SHARD_ROWS = 16
 BATCHES_PER_SEED = 3
 EDITS_PER_BATCH = 6
@@ -98,21 +95,16 @@ def decisions_of(result):
 
 
 def reference_rediscovery(config, table, relation=None):
-    """Full re-discovery through the scalar reference route."""
-    return PfdDiscoverer(config, ReferenceMajority()).discover_with_report(
-        table, relation=relation
-    )
+    """Full re-discovery through the literal Figure 2 loop."""
+    return figure2_reference.discover(table, config, relation=relation)
 
 
-@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("name,n_rows,specs", GENERATORS, ids=lambda v: str(v))
 class TestMaintenanceDifferential:
     def test_maintained_rules_identical_to_full_rediscovery(
-        self, name, n_rows, specs, store, kernels, monkeypatch
+        self, name, n_rows, specs, store
     ):
-        if kernels == "off":
-            route_everything_scalar(monkeypatch)
         for seed in SEEDS:
             session = make_session(name, n_rows, specs, seed, store)
             try:
@@ -138,16 +130,14 @@ class TestMaintenanceDifferential:
 
 @pytest.mark.parametrize("name,n_rows,specs", GENERATORS, ids=lambda v: str(v))
 def test_reference_maintainer_sequence(name, n_rows, specs):
-    """A maintainer whose decision function the kernels do not
-    reproduce re-mines every stale candidate through the scalar loop
-    body, and still matches full re-discovery on both routes."""
+    """A maintainer driven directly, outside the session, matches full
+    re-discovery through the reference and through the kernels after
+    every batch."""
     config = make_config("memory")
     table = dirty_table(name, n_rows, specs, 11)
     view = ShardedTable.from_table(table, SHARD_ROWS)
-    maintainer = RuleMaintainer(config, ReferenceMajority())
-    maintainer.seed(
-        view, ShardedDiscoverer(config, ReferenceMajority()).discover_with_report(view)
-    )
+    maintainer = RuleMaintainer(config)
+    maintainer.seed(view, ShardedDiscoverer(config).discover_with_report(view))
     overlay = ShardOverlay(view)
     rng = random.Random(11)
     for _batch in range(BATCHES_PER_SEED):

@@ -1,10 +1,68 @@
-"""Tests for the constant and variable PFD miners."""
+"""Tests for constant and variable PFD mining.
 
+Each case mines one ``A → B`` through the kernels of
+:mod:`repro.kernels.mine` and through the literal Figure 2 loop
+(``tests/figure2_reference.py``), requires the two to agree, and checks
+the paper's expectations on the result.  The greedy selection's order
+and marginal-coverage test are pinned on their own at the end.
+"""
+
+import figure2_reference
 import pytest
 
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.constant_miner import ConstantPfdMiner
-from repro.discovery.variable_miner import VariablePfdMiner
+from repro.kernels.encoder import encode_column
+from repro.kernels.mine import (
+    accepts,
+    coverage_kernel,
+    mine_constant_kernel,
+    mine_variable_kernel,
+    pair_counts,
+    selection_key,
+)
+from repro.kernels.tokenize import batch_tokenize
+
+
+def _tableau(rows):
+    return [
+        (r.pattern_text, r.rhs_constant, r.support, r.agreement, list(r.covered_tuple_ids))
+        for r in rows
+    ]
+
+
+def mine_constant(lhs, rhs, mode, config=None):
+    """The selected pattern tuples, once both routes agree."""
+    config = config or DiscoveryConfig()
+    lhs_encoding, rhs_encoding = encode_column(lhs), encode_column(rhs)
+    kernel = mine_constant_kernel(
+        lhs_encoding,
+        rhs_encoding,
+        pair_counts(lhs_encoding, rhs_encoding),
+        batch_tokenize(lhs_encoding, mode, config.ngram_size),
+        config,
+    )
+    reference = figure2_reference.mine_constant(lhs, rhs, mode, config)
+    assert _tableau(kernel) == _tableau(reference)
+    return reference
+
+
+def mine_variable(lhs, rhs, mode, config=None):
+    """The variable candidates, once both routes agree."""
+    config = config or DiscoveryConfig()
+    lhs_encoding, rhs_encoding = encode_column(lhs), encode_column(rhs)
+    kernel = mine_variable_kernel(
+        lhs_encoding, rhs_encoding, pair_counts(lhs_encoding, rhs_encoding), mode, config
+    )
+    reference = figure2_reference.mine_variable(lhs, rhs, mode, config)
+    assert _summary(kernel) == _summary(reference)
+    return reference
+
+
+def _summary(candidates):
+    return [
+        (c.pattern_text, c.coverage, c.agreement, c.n_blocks, c.n_multi_blocks, c.description)
+        for c in candidates
+    ]
 
 
 class TestConstantMinerOnZips:
@@ -12,8 +70,7 @@ class TestConstantMinerOnZips:
     RHS = ["Los Angeles"] * 10 + ["Chicago"] * 10
 
     def test_finds_one_rule_per_city(self):
-        miner = ConstantPfdMiner(DiscoveryConfig())
-        rows = miner.mine(self.LHS, self.RHS, mode="prefix")
+        rows = mine_constant(self.LHS, self.RHS, mode="prefix")
         by_rhs = {row.rhs_constant: row for row in rows}
         assert set(by_rhs) == {"Los Angeles", "Chicago"}
         # the LA rule must cover every 900xx zip and reject the Chicago zips
@@ -24,27 +81,34 @@ class TestConstantMinerOnZips:
         assert all(chicago_pattern.matches(zip_code) for zip_code in self.LHS[10:])
 
     def test_redundant_specific_patterns_are_suppressed(self):
-        miner = ConstantPfdMiner(DiscoveryConfig())
-        rows = miner.mine(self.LHS, self.RHS, mode="prefix")
+        rows = mine_constant(self.LHS, self.RHS, mode="prefix")
         # prefixes like 9000, 90001 cover no additional tuples and must be dropped
         assert len(rows) == 2
 
     def test_coverage(self):
-        miner = ConstantPfdMiner(DiscoveryConfig())
-        rows = miner.mine(self.LHS, self.RHS, mode="prefix")
-        assert miner.coverage(rows, self.LHS) == 1.0
-        assert miner.coverage([], self.LHS) == 0.0
+        rows = mine_constant(self.LHS, self.RHS, mode="prefix")
+        encoding = encode_column(self.LHS)
+        assert figure2_reference.coverage(rows, self.LHS) == 1.0
+        assert coverage_kernel(rows, encoding) == 1.0
+        assert figure2_reference.coverage([], self.LHS) == 0.0
+        assert coverage_kernel([], encoding) == 0.0
+
+    def test_coverage_ignores_empty_values(self):
+        lhs = self.LHS + ["", ""]
+        rows = mine_constant(lhs, self.RHS + ["x", "y"], mode="prefix")
+        assert figure2_reference.coverage(rows, lhs) == 1.0
+        assert coverage_kernel(rows, encode_column(lhs)) == 1.0
 
     def test_max_tableau_rows_cap(self):
         config = DiscoveryConfig(max_tableau_rows=1)
-        rows = ConstantPfdMiner(config).mine(self.LHS, self.RHS, mode="prefix")
+        rows = mine_constant(self.LHS, self.RHS, mode="prefix", config=config)
         assert len(rows) == 1
 
     def test_dirty_rhs_within_tolerance(self):
         rhs = list(self.RHS)
         rhs[0] = "New York"  # one error out of ten LA rows
         config = DiscoveryConfig(allowed_violation_ratio=0.15)
-        rows = ConstantPfdMiner(config).mine(self.LHS, rhs, mode="prefix")
+        rows = mine_constant(self.LHS, rhs, mode="prefix", config=config)
         la_rows = [r for r in rows if r.rhs_constant == "Los Angeles"]
         assert la_rows and list(la_rows[0].violating_tuple_ids) == [0]
 
@@ -60,7 +124,7 @@ class TestConstantMinerOnNames:
     RHS = ["M", "M", "M", "F", "F"]
 
     def test_finds_first_name_rules(self):
-        rows = ConstantPfdMiner(DiscoveryConfig()).mine(self.LHS, self.RHS, mode="token")
+        rows = mine_constant(self.LHS, self.RHS, mode="token")
         patterns = {row.pattern_text: row.rhs_constant for row in rows}
         assert patterns.get("\\A*,\\ Donald\\A*") == "M"
         assert any("Stacey" in text for text in patterns)
@@ -74,7 +138,7 @@ class TestVariableMinerPrefix:
                 lhs.append(f"{prefix}{i:02d}")
                 rhs.append(city)
         config = DiscoveryConfig(min_coverage=0.8)
-        candidates = VariablePfdMiner(config).mine(lhs, rhs, mode="prefix")
+        candidates = mine_variable(lhs, rhs, mode="prefix", config=config)
         assert len(candidates) == 1
         candidate = candidates[0]
         # 2-digit prefixes mix LA/Whittier and Chicago/Ottawa, so the miner
@@ -86,22 +150,22 @@ class TestVariableMinerPrefix:
     def test_prefers_most_general_prefix(self):
         lhs = [f"90{i:03d}" for i in range(20)] + [f"60{i:03d}" for i in range(20)]
         rhs = ["CA"] * 20 + ["IL"] * 20
-        candidates = VariablePfdMiner(DiscoveryConfig()).mine(lhs, rhs, mode="prefix")
+        candidates = mine_variable(lhs, rhs, mode="prefix")
         assert candidates[0].constrained_pattern.to_text() == "⟨\\D⟩\\D{4}"
 
     def test_no_candidate_when_rhs_is_random_per_row(self):
         lhs = [f"{i:05d}" for i in range(40)]
         rhs = [f"city{i}" for i in range(40)]
-        assert VariablePfdMiner(DiscoveryConfig()).mine(lhs, rhs, mode="prefix") == []
+        assert mine_variable(lhs, rhs, mode="prefix") == []
 
     def test_no_candidate_for_tiny_input(self):
-        assert VariablePfdMiner(DiscoveryConfig()).mine(["90001"], ["LA"], mode="prefix") == []
+        assert mine_variable(["90001"], ["LA"], mode="prefix") == []
 
     def test_violations_within_tolerance_still_accepted(self):
         lhs = [f"900{i:02d}" for i in range(50)]
         rhs = ["LA"] * 48 + ["NY", "NY"]
         config = DiscoveryConfig(allowed_violation_ratio=0.1, min_coverage=0.5)
-        candidates = VariablePfdMiner(config).mine(lhs, rhs, mode="prefix")
+        candidates = mine_variable(lhs, rhs, mode="prefix", config=config)
         assert candidates
         assert candidates[0].agreement >= 0.9
 
@@ -117,7 +181,7 @@ class TestVariableMinerTokens:
             first, gender = names[i % len(names)]
             lhs.append(f"{surnames[i % len(surnames)]} {first}")
             rhs.append(gender)
-        candidates = VariablePfdMiner(DiscoveryConfig()).mine(lhs, rhs, mode="token")
+        candidates = mine_variable(lhs, rhs, mode="token")
         assert len(candidates) == 1
         candidate = candidates[0]
         assert "determines the RHS" in candidate.description
@@ -130,7 +194,7 @@ class TestVariableMinerTokens:
         # token 0 (the surname) does NOT determine gender here, token 1 does
         lhs = ["Holloway, Donald", "Holloway, Stacey", "Jones, Donald", "Jones, Stacey"] * 5
         rhs = ["M", "F", "M", "F"] * 5
-        candidates = VariablePfdMiner(DiscoveryConfig()).mine(lhs, rhs, mode="token")
+        candidates = mine_variable(lhs, rhs, mode="token")
         if candidates:  # if anything is found it must be the first-name position
             q = candidates[0].constrained_pattern
             assert q.equivalent("Holloway, Donald", "Jones, Donald")
@@ -138,5 +202,27 @@ class TestVariableMinerTokens:
     def test_empty_values_are_ignored(self):
         lhs = ["", "Holloway, Donald", "Smith, Donald", "Jones, Stacey", "Brown, Stacey"]
         rhs = ["M", "M", "M", "F", "F"]
-        candidates = VariablePfdMiner(DiscoveryConfig(min_coverage=0.5)).mine(lhs, rhs, mode="token")
+        candidates = mine_variable(lhs, rhs, mode="token", config=DiscoveryConfig(min_coverage=0.5))
         assert isinstance(candidates, list)
+
+
+class TestGreedySelection:
+    def test_selection_key_orders_support_then_agreement_then_text(self):
+        keys = [
+            selection_key(3, 1.0, "\\A*x"),
+            selection_key(4, 0.5, "\\A*xyz"),
+            selection_key(4, 1.0, "\\A*xy"),
+            selection_key(4, 1.0, "\\A*ab"),
+            selection_key(4, 1.0, "\\A*b"),
+        ]
+        assert sorted(keys) == [keys[4], keys[3], keys[2], keys[1], keys[0]]
+
+    def test_empty_text_bounds_every_pattern_of_its_support(self):
+        assert selection_key(4, 0.75, "") < selection_key(4, 0.75, "a")
+
+    @pytest.mark.parametrize(
+        "n_new,already_covered,expected",
+        [(0, False, False), (1, False, True), (1, True, False), (2, True, True), (5, True, True)],
+    )
+    def test_accepts(self, n_new, already_covered, expected):
+        assert accepts(n_new, already_covered, min_support=2) is expected

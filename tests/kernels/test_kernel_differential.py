@@ -1,20 +1,18 @@
-"""Differential tests: the kernel route vs. the scalar reference, end to end.
+"""Differential tests: the mining kernels vs. the literal Figure 2 loop.
 
 The sharding differential suite (``tests/sharding/test_differential.py``)
-is the oracle for monolithic-vs-sharded identity; this suite sweeps the
-*mining route* axis through the same machinery: for each randomized
-dirty table, monolithic and sharded discovery through the default
-(kernel) route and through the scalar reference route
-(:class:`ReferenceMajority`, which the kernel fallback rule sends
-through the scalar loop body) must produce the identical rule set and
-per-candidate decisions, and detection of either rule set must produce
-canonically equal violations on every detection path.
+is the oracle for monolithic-vs-sharded identity; this suite checks the
+*mining* through the same machinery: for each randomized dirty table,
+monolithic and sharded discovery must produce the rule set and
+per-candidate decisions of the literal loop over row lists
+(``tests/figure2_reference.py``), and detection of either rule set must
+produce canonically equal violations on every detection path.
 """
 
 from __future__ import annotations
 
+import figure2_reference
 import pytest
-from reference_decision import ReferenceMajority
 
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
@@ -32,8 +30,6 @@ GENERATORS = [
 
 SEEDS = [3, 58]
 
-ROUTES = ("kernel", "reference")
-
 CONFIG = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
 
 
@@ -43,9 +39,11 @@ def dirty_table(name: str, n_rows: int, specs, seed: int):
     return dirty
 
 
-def decision_for(route: str):
-    """The decision function that selects a mining route."""
-    return ReferenceMajority() if route == "reference" else None
+def discover(route: str, table):
+    """Discovery through the kernels (monolithic) or the reference."""
+    if route == "reference":
+        return figure2_reference.discover(table, CONFIG)
+    return PfdDiscoverer(CONFIG).discover_with_report(table)
 
 
 def fingerprint(result):
@@ -60,25 +58,21 @@ def fingerprint(result):
 class TestKernelDifferential:
     def test_discovery_identical_across_routes(self, name, n_rows, specs, seed):
         table = dirty_table(name, n_rows, specs, seed)
-        results = {}
-        for route in ROUTES:
-            clear_caches()
-            mono = PfdDiscoverer(CONFIG, decision_for(route)).discover_with_report(table)
-            sharded = ShardedDiscoverer(
-                CONFIG, decision_for(route)
-            ).discover_with_report(ShardedTable.from_table(table, 7))
-            assert fingerprint(mono) == fingerprint(sharded), (
-                f"mono/sharded rule sets diverged on the {route} route"
-            )
-            results[route] = fingerprint(mono)
-        assert results["kernel"] == results["reference"], "kernel rule set diverged"
+        reference = fingerprint(figure2_reference.discover(table, CONFIG))
+        clear_caches()
+        mono = PfdDiscoverer(CONFIG).discover_with_report(table)
+        sharded = ShardedDiscoverer(CONFIG).discover_with_report(
+            ShardedTable.from_table(table, 7)
+        )
+        assert fingerprint(mono) == fingerprint(sharded), "mono/sharded rule sets diverged"
+        assert fingerprint(mono) == reference, "kernel rule set diverged"
 
     def test_detection_canonically_equal_across_routes(self, name, n_rows, specs, seed):
         table = dirty_table(name, n_rows, specs, seed)
         violations = {}
-        for route in ROUTES:
+        for route in ("kernel", "reference"):
             clear_caches()
-            pfds = PfdDiscoverer(CONFIG, decision_for(route)).discover(table)
+            pfds = discover(route, table).pfds
             if not pfds:
                 pytest.skip("generator/seed pair discovered no rules")
             monolithic = ErrorDetector(table).detect_all(pfds).canonical_violations()

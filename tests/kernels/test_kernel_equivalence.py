@@ -1,30 +1,30 @@
-"""Kernel/scalar equivalence on randomized columns.
+"""Kernel equivalence on randomized columns.
 
 The kernels' contract is *byte identity*, not approximation: the same
-tokenization triples, the same match verdicts, the same pair-group maps
-(including every key order), and — end to end — the same discovered
-rule sets and per-candidate reports from the default (kernel) route and
-the scalar reference route (:class:`ReferenceMajority`).  Columns mix
-unicode, empty strings, quotes, embedded newlines, and code-like values
-so every token mode and every prefilter branch is exercised.
+tokenization triples as the literal tokens of Figure 2, the same match
+verdicts as the NFA, the same pair-group maps (including every key
+order), and — end to end — the same discovered rule sets and
+per-candidate reports as the literal Figure 2 loop
+(``tests/figure2_reference.py``).  Columns mix unicode, empty strings,
+quotes, embedded newlines, and code-like values so every token mode and
+every prefilter branch is exercised.
 """
 
 from __future__ import annotations
 
 import random
 
+import figure2_reference
 import pytest
-from reference_decision import ReferenceMajority
 
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.dataset import Table
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
-from repro.discovery.inverted_index import ColumnTokenization
 from repro.kernels.encoder import encode_column
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_verdicts
-from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
+from repro.kernels.tokenize import batch_tokenize
 from repro.patterns import parse_pattern
 from repro.perf import clear_caches
 from repro.sharding.stats import extract_pair_groups
@@ -69,9 +69,9 @@ class TestColumnEquivalence:
         encoding = encode_column(column)
         for mode in ("token", "ngram", "prefix"):
             triples = batch_tokenize(encoding, mode, 3)
-            kernel = tokenization_from_encoding(encoding, mode, 3, triples)
-            scalar = ColumnTokenization.extract(column, mode, 3)
-            assert kernel.row_tokens == scalar.row_tokens, (seed, mode)
+            kernel = [triples[code] for code in encoding.codes.tolist()]
+            literal = [tuple(figure2_reference.tokens(v, mode, 3)) for v in column]
+            assert kernel == literal, (seed, mode)
 
     def test_match_verdicts_identical(self, seed):
         rng = random.Random(seed)
@@ -135,15 +135,13 @@ class TestDiscoveryEquivalence:
         dataset = build_dataset(name, n_rows=n_rows, seed=seed)
         dirty, _cells = ErrorInjector(seed=seed + 1).corrupt(dataset.table, specs)
         config = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
-        results = {}
-        for route, decision in (("kernel", None), ("reference", ReferenceMajority())):
-            clear_caches()
-            result = PfdDiscoverer(config, decision).discover_with_report(dirty)
-            results[route] = (
-                [p.describe() for p in result.pfds],
-                _report_fingerprint(result),
-            )
-        assert results["kernel"] == results["reference"]
+        clear_caches()
+        kernel = PfdDiscoverer(config).discover_with_report(dirty)
+        reference = figure2_reference.discover(dirty, config)
+        assert [p.describe() for p in kernel.pfds] == [
+            p.describe() for p in reference.pfds
+        ]
+        assert _report_fingerprint(kernel) == _report_fingerprint(reference)
 
 
 class TestUglyTableDiscovery:
@@ -155,8 +153,7 @@ class TestUglyTableDiscovery:
             [random_column(rng, n), random_column(rng, n), random_column(rng, n)],
         )
         config = DiscoveryConfig(min_coverage=0.2, allowed_violation_ratio=0.3)
-        clear_caches()
-        reference = PfdDiscoverer(config, ReferenceMajority()).discover_with_report(table)
+        reference = figure2_reference.discover(table, config)
         clear_caches()
         kernel = PfdDiscoverer(config).discover_with_report(table)
         assert [p.describe() for p in kernel.pfds] == [

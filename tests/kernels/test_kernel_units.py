@@ -5,23 +5,22 @@ encoder code assignment, batch-matcher soundness against the NFA,
 pair-group key orders (including the inner-order counterexample that
 distinguishes first-occurrence-within-group from global code order),
 triple-exact batch tokenization, and the lazy constant-mining walk
-against the eager scalar miner on the cases real datasets rarely reach
-(re-queued entries, same-text ties, a one-row tableau).
+against the eager literal loop (``tests/figure2_reference.py``) on the
+cases real datasets rarely reach (re-queued entries, same-text ties, a
+one-row tableau).
 """
 
 from __future__ import annotations
 
 import random
 
+import figure2_reference
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_decision import ReferenceMajority
 
 from repro.datagen import build_dataset
 from repro.dataset.rowids import row_ids
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
-from repro.discovery.constant_miner import ConstantPfdMiner
-from repro.discovery.inverted_index import ColumnTokenization, InvertedList
 from repro.kernels.encoder import (
     ALL_CLASS_BITS,
     CLASS_BITS,
@@ -32,7 +31,7 @@ from repro.kernels.encoder import (
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_matching_values, batch_verdicts, pattern_class_mask
 from repro.kernels.mine import mine_constant_kernel, pair_counts
-from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
+from repro.kernels.tokenize import batch_tokenize
 from repro.patterns import parse_pattern
 from repro.patterns.alphabet import CharClass
 from repro.perf.memo import MatchMemo
@@ -190,13 +189,12 @@ class TestBatchTokenize:
 
     @pytest.mark.parametrize("mode", ["token", "ngram", "prefix"])
     @pytest.mark.parametrize("column", COLUMNS, ids=["words", "codes", "weird"])
-    def test_triples_equal_scalar_extraction(self, mode, column):
+    def test_triples_equal_literal_tokens(self, mode, column):
         encoding = encode_column(column)
         triples = batch_tokenize(encoding, mode, 3)
-        scalar = ColumnTokenization.extract(column, mode, 3)
-        rebuilt = tokenization_from_encoding(encoding, mode, 3, triples)
-        assert rebuilt.row_tokens == scalar.row_tokens
-        assert rebuilt.mode == scalar.mode
+        assert triples == [
+            tuple(figure2_reference.tokens(value, mode, 3)) for value in encoding.distinct
+        ]
 
     def test_unknown_mode_raises(self):
         encoding = encode_column(["x"])
@@ -221,7 +219,7 @@ def _tableau(candidates):
 
 
 def mined_both_ways(lhs, rhs, mode="token", timers=None, **overrides):
-    """(kernel tableau, eager scalar reference tableau) of ``lhs → rhs``."""
+    """(kernel tableau, eager literal reference tableau) of ``lhs → rhs``."""
     config = DiscoveryConfig(**overrides)
     encoding = encode_column(lhs)
     rhs_encoding = encode_column(rhs)
@@ -231,10 +229,9 @@ def mined_both_ways(lhs, rhs, mode="token", timers=None, **overrides):
         pair_counts(encoding, rhs_encoding),
         batch_tokenize(encoding, mode, config.ngram_size),
         config,
-        ConstantPfdMiner(config),
         timers=timers,
     )
-    reference = ConstantPfdMiner(config, ReferenceMajority()).mine(lhs, rhs, mode)
+    reference = figure2_reference.mine_constant(lhs, rhs, mode, config)
     return _tableau(kernel), _tableau(reference)
 
 
@@ -287,15 +284,18 @@ class TestLazyConstantMining:
         config = discoverer.config
         passing = 0
         for report in result.reports:
-            index = InvertedList.build(
-                table.column(report.lhs),
-                table.column(report.rhs),
-                report.candidate.lhs_mode,
-                config.ngram_size,
+            rhs = table.column(report.rhs)
+            index = figure2_reference.inverted_list(
+                table.column(report.lhs), report.candidate.lhs_mode, config.ngram_size
             )
-            for entry in index.entries(min_support=config.min_support):
-                value, count = entry.top_rhs()
-                if value != "" and count / entry.support >= config.min_agreement:
+            for rows in index.values():
+                if len(rows) < config.min_support:
+                    continue
+                counts = {}
+                for row in rows:
+                    counts[rhs[row]] = counts.get(rhs[row], 0) + 1
+                value = max(counts, key=lambda v: (counts[v], v))
+                if value != "" and counts[value] / len(rows) >= config.min_agreement:
                     passing += 1
         generalized = discoverer.timers.count("generalize")
         assert 0 < generalized < passing / 10

@@ -4,8 +4,8 @@ Sharded discovery mines over :meth:`ShardedTable.column_encodings`: one
 shard-major factorization per column, tokenized at the distinct level
 once per mining call, and sharded detection groups each rule pair from
 the same encodings.  The mined rule set is
-identical to a monolithic run only if the encoding, and the tokenization
-rebuilt from it, equal what one flat column gives — and the detected
+identical to a monolithic run only if the encoding, and the row tokens
+it hands out, equal what one flat column gives — and the detected
 violations only if the pair groups built from two encodings equal the
 scalar groups of the flat columns — for any sharding (empty shards
 included), on every store, and after an edit batch re-seals a shard.
@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import random
 
+import figure2_reference
 import pytest
 
 from repro.datagen import build_dataset
 from repro.dataset.table import Table
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.discovery.candidates import candidate_dependencies
-from repro.discovery.inverted_index import ColumnTokenization
 from repro.kernels.encoder import encode_column
 from repro.kernels.groupby import pair_groups_kernel
-from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
+from repro.kernels.tokenize import batch_tokenize
 from repro.sharding import (
     ShardedDiscoverer,
     ShardedTable,
@@ -99,16 +99,15 @@ def assert_pair_groups_match_flat(sharded, values, others):
 
 
 def assert_matches_flat(encoding, values, modes=MODES):
-    """The encoding, and each tokenization rebuilt from it, equal what
-    the flat column gives."""
+    """The encoding, and the row tokens its batch tokenization hands
+    out, equal what the flat column gives."""
     flat = encode_column(values)
     assert encoding.distinct == flat.distinct
     assert encoding.codes.tolist() == flat.codes.tolist()
     for mode in modes:
         triples = batch_tokenize(encoding, mode, 3)
-        rebuilt = tokenization_from_encoding(encoding, mode, 3, triples)
-        expected = ColumnTokenization.extract(values, mode, 3)
-        assert rebuilt.row_tokens == expected.row_tokens, mode
+        rows = [triples[code] for code in encoding.codes.tolist()]
+        assert rows == [tuple(figure2_reference.tokens(v, mode, 3)) for v in values], mode
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8, 13])

@@ -8,6 +8,9 @@ difference: the overlay never reads the cell a write replaces, so it
 counts a write of the value the cell already holds as a mutation too.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -274,6 +277,41 @@ class TestAsSharded:
         overlay.close()
         assert not spill_dir.exists()
         overlay.close()  # idempotent
+
+    @pytest.mark.parametrize("kind", ["spill", "object"])
+    def test_patched_shards_are_not_kept_resident(self, kind, tmp_path):
+        """A seal keeps no patched shard: after a cold encoding pass,
+        no more shards stay alive than the base store's cache holds."""
+        from repro.sharding import SpillToDiskShardStore
+        from repro.sharding.object_store import ObjectShardStore
+
+        cache_shards = 1
+        if kind == "spill":
+            store = SpillToDiskShardStore(tmp_path / "spill", cache_shards=cache_shards)
+        else:
+            store = ObjectShardStore(root=tmp_path / "objects", cache_shards=cache_shards)
+        table, _sharded = make_base(n_rows=400)
+        overlay = ShardOverlay(ShardedTable.from_table(table, 40, store=store))
+        try:
+            for shard in range(10):
+                overlay.delete_row(shard * 39)  # one delete in every shard
+            sealed = overlay.as_sharded()
+            returned = []
+            get = sealed.store.get
+
+            def recording_get(index):
+                shard = get(index)
+                returned.append(weakref.ref(shard))
+                return shard
+
+            sealed.store.get = recording_get
+            sealed.column_encodings(["code", "label"])
+            assert len(returned) == 10
+            gc.collect()
+            alive = [ref for ref in returned if ref() is not None]
+            assert len(alive) <= cache_shards
+        finally:
+            overlay.close()
 
     def test_overlay_store_is_read_only(self, pair):
         _table, overlay = pair
