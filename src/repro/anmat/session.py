@@ -13,8 +13,9 @@ is the detection report.  The session then supports an interactive
 **edit loop**: :meth:`edit_cell` / :meth:`apply_repair` mutate the
 table and that detector updates the violation report *in place*
 instead of re-scanning the whole table — the session moves to
-``EDITING`` and a :meth:`run_detection` (a fresh detector) returns it
-to ``DETECTED``.
+``EDITING``.  A :meth:`recheck` hands that detector over to the
+surviving rules and a :meth:`run_detection` (a fresh detector) returns
+it to ``DETECTED``.
 
 Every dataset runs on one engine.  :meth:`AnmatSession.load_table` cuts
 a :class:`Table` into shards once — ``config.shard_rows`` rows each (the
@@ -33,7 +34,6 @@ run records an :class:`~repro.engine.plan.ExecutionPlan` for
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
@@ -55,15 +55,6 @@ from repro.sharding.discovery import ShardedDiscoverer
 from repro.sharding.overlay import ShardOverlay
 from repro.sharding.sharded_table import ShardedTable
 from repro.sharding.store import ShardStore, make_shard_store
-
-
-def _rule_key(pfd: "PFD") -> str:
-    """A PFD's identity by *content* — attribute pair plus tableau,
-    ignoring the assigned ``psiN`` name — so confirmations can survive a
-    re-check that renumbers the rule set."""
-    data = pfd.to_dict()
-    data.pop("name", None)
-    return json.dumps(data, sort_keys=True)
 
 
 class SessionState(enum.Enum):
@@ -299,16 +290,22 @@ class AnmatSession:
 
         Confirmations survive by rule content: dependencies whose
         tableau is unchanged stay confirmed (whatever their new number),
-        and when a detection run existed the surviving confirmations are
-        re-detected by a fresh detector over the re-checked view, which
-        the next edit batch maintains (session back to ``DETECTED``).
-        If no confirmation survives, violations are cleared and the
-        session returns to ``DISCOVERED`` awaiting fresh confirmations.
+        and when a detection run existed the edit loop's detector is
+        handed over to the surviving confirmations
+        (:meth:`IncrementalDetector.retained`): it keeps the state of
+        every rule it holds under the same name, drops the rules that
+        did not survive, and seeds only the others — a rule confirmed
+        after the detection, a survivor whose name shifted — from the
+        re-checked view.  The next edit batch maintains it (session back
+        to ``DETECTED``).  If no confirmation survives, violations are
+        cleared and the session returns to ``DISCOVERED`` awaiting fresh
+        confirmations.
 
         Atomic: the new rules, detector and violations are computed
-        first and committed together.  If any step raises, the session
-        keeps its pre-recheck rules, confirmations, violations, state
-        and detector; only the rule maintainer is dropped (it may have
+        first and committed together, and the hand-over leaves the old
+        detector as it was.  If any step raises, the session keeps its
+        pre-recheck rules, confirmations, violations, state and
+        detector; only the rule maintainer is dropped (it may have
         advanced its baseline), so the next re-check re-discovers in
         full.
         """
@@ -318,7 +315,7 @@ class AnmatSession:
                 "no discovery run to re-check; call run_discovery() first"
             )
         plan = self.plan_recheck()
-        confirmed_keys = [_rule_key(pfd) for pfd in self.confirmed_pfds()]
+        confirmed_keys = [pfd.content_key() for pfd in self.confirmed_pfds()]
         had_detection = self._incremental is not None
         maintainer = self._maintainer
         try:
@@ -338,14 +335,14 @@ class AnmatSession:
                 maintainer = self._seeded_maintainer(view, result)
             # re-confirm by content: a rule that survived the re-check stays
             # confirmed under its new name
-            survivors = {_rule_key(pfd): pfd.name for pfd in result.pfds}
+            survivors = {pfd.content_key(): pfd.name for pfd in result.pfds}
             confirmed = [survivors[key] for key in confirmed_keys if key in survivors]
             rules = (
                 [pfd for pfd in result.pfds if pfd.name in confirmed]
                 if had_detection
                 else []
             )
-            detector = IncrementalDetector(self.table, rules) if rules else None
+            detector = self._incremental.retained(rules) if rules else None
             violations = detector.report() if detector is not None else None
         except BaseException:
             self._maintainer = None
@@ -462,8 +459,9 @@ class AnmatSession:
         The detector of the last :meth:`run_detection` or :meth:`recheck`
         re-checks one row per constant rule and moves one row between
         RHS groups per variable rule instead of re-scanning.  The
-        session moves to ``EDITING``; :meth:`run_detection` seeds a
-        fresh detector and returns it to ``DETECTED``.
+        session moves to ``EDITING``; :meth:`recheck` hands the
+        detector over to the re-checked rules, and :meth:`run_detection`
+        seeds a fresh one; either returns it to ``DETECTED``.
 
         Project results are *not* rewritten per edit (that disk write
         would dwarf the incremental update); they are persisted by the

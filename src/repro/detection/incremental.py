@@ -36,6 +36,20 @@ no history, so a mutation made on the overlay directly is caught up by
 re-seeding: :meth:`IncrementalDetector.refresh` compares the overlay's
 ``version`` with the one the state reflects.
 
+**Hand-over.**  A re-check keeps the confirmed rules that survive by
+content, and the detector already maintains each of them on the
+current overlay.  :meth:`IncrementalDetector.retained` returns a
+detector over the new rule list that takes over the evaluators of every
+rule it holds under the same content and name, and the rule columns'
+codes; it drops the rules that did not survive and seeds only the
+others from the sealed view, in the new list's order.  A renamed
+survivor is seeded under its new name, since its violations carry the
+name.  The old detector is not mutated, so a failed re-check keeps it;
+a detector behind its table hands over nothing and seeds every rule.
+The kept report equals a fresh seed's, in report order: evaluators emit
+deterministically (constant rules by row, variable rules by witness
+then row).
+
 **Report.**  Each evaluator caches its violations in row order and
 re-sorts only after a mutation touched it; :meth:`IncrementalDetector.report`
 concatenates them in evaluator order, deduplicating only across
@@ -50,8 +64,9 @@ state — randomized and property-based equivalence tests enforce this.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dataset.rowids import row_ids_from_numpy
 from repro.dataset.table import _stringify
@@ -66,6 +81,16 @@ from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
 from repro.sharding.detection import split_blocks, value_groups
+
+
+def _held_key(pfd: PFD) -> Tuple[Optional[str], str]:
+    """What a rule's evaluators are held under: its name (which their
+    violations carry) and its content."""
+    return pfd.name, pfd.content_key()
+
+
+#: held rule → its evaluators, each list taken over at most once
+_Held = Dict[Tuple[Optional[str], str], List[RuleEvaluator]]
 
 
 class _CodedColumn:
@@ -141,10 +166,11 @@ class IncrementalDetector:
         self.pfds = list(pfds)
         self.memo = MATCH_MEMO if memo is None else memo
         #: wall-clock accumulated per maintenance stage across the edit
-        #: loop's lifetime (``seed`` — full state builds, ``update`` —
-        #: in-place mutations); the bench harness prints the breakdown like
-        #: the mining stage timers, and can pass a shared instance to
-        #: accumulate across detector rebuilds
+        #: loop's lifetime (``seed`` — state builds and hand-overs,
+        #: ``update`` — in-place mutations); the bench harness prints the
+        #: breakdown like the mining stage timers, and can pass a shared
+        #: instance to accumulate across detector rebuilds (a hand-over
+        #: passes it on)
         self.timers = StageTimers() if timers is None else timers
         self._rules: List[RuleEvaluator] = []
         #: column → the evaluators reading it
@@ -159,35 +185,81 @@ class IncrementalDetector:
         self._synced_version = -1
         self._rebuild()
 
-    # -- initial build ---------------------------------------------------------
+    # -- seed and hand-over ------------------------------------------------------
 
     def _rebuild(self) -> None:
         """Seed the full per-rule state from the table's sharded view."""
         with self.timers.stage("seed"):
-            self._rebuild_timed()
+            self._install({}, {})
 
-    def _rebuild_timed(self) -> None:
-        view = self.table.as_sharded()
-        names = [n for pfd in self.pfds for n in (pfd.lhs_attribute, pfd.rhs_attribute)]
-        encodings = view.column_encodings(names)
-        self._columns = {name: _CodedColumn(encodings[name]) for name in encodings}
+    def retained(self, pfds: Iterable[PFD]) -> "IncrementalDetector":
+        """A detector over ``pfds`` that takes this one's state over.
+
+        A rule this detector holds under the same content and name keeps
+        its evaluators, and a rule column its codes; every other rule is
+        seeded from the table's sharded view, and the rules not in
+        ``pfds`` are dropped.  A detector behind its table hands over
+        nothing and seeds every rule, as :meth:`refresh` would.
+
+        This detector is not mutated, so a caller may still discard the
+        new one and keep this one.  The two share the taken-over state:
+        once either is mutated, the other is stale.
+        """
+        held: _Held = {}
+        columns: Dict[str, _CodedColumn] = {}
+        if self.table.version == self._synced_version:
+            columns = self._columns
+            start = 0
+            for pfd in self.pfds:
+                stop = start + len(pfd.tableau)
+                held.setdefault(_held_key(pfd), self._rules[start:stop])
+                start = stop
+        successor = copy.copy(self)
+        successor.pfds = list(pfds)
+        with self.timers.stage("seed"):
+            successor._install(held, columns)
+        return successor
+
+    def _install(self, held: _Held, columns: Dict[str, _CodedColumn]) -> None:
+        """Set the state for ``self.pfds``: a rule ``held`` under its
+        :func:`_held_key` takes those evaluators over, a column in
+        ``columns`` its codes, and the rest is seeded from the table's
+        sharded view."""
+        kept = [held.pop(_held_key(pfd), None) if held else None for pfd in self.pfds]
+        names = dict.fromkeys(
+            n for pfd in self.pfds for n in (pfd.lhs_attribute, pfd.rhs_attribute)
+        )
+        missing = [name for name in names if name not in columns]
+        view = self.table.as_sharded() if missing or None in kept else None
+        encodings = view.column_encodings(missing) if missing else {}
+        self._columns = {
+            name: columns[name] if name in columns else _CodedColumn(encodings[name])
+            for name in names
+        }
         self._rules = []
+        for pfd, evaluators in zip(self.pfds, kept):
+            self._rules.extend(self._seeded(view, pfd) if evaluators is None else evaluators)
         self._readers = {name: [] for name in self._columns}
-        for pfd in self.pfds:
-            for rule_index, rule in enumerate(pfd.tableau):
-                evaluator = make_rule_evaluator(pfd, rule_index, rule)
-                if isinstance(evaluator, VariableRuleEvaluator):
-                    evaluator.seed_blocks(split_blocks(view, evaluator, self.memo))
-                else:
-                    evaluator.seed_value_groups(
-                        value_groups(view, evaluator, self.memo), self.memo
-                    )
-                self._rules.append(evaluator)
-                for name in dict.fromkeys((evaluator.lhs, evaluator.rhs)):
-                    self._readers[name].append(evaluator)
+        for evaluator in self._rules:
+            for name in dict.fromkeys((evaluator.lhs, evaluator.rhs)):
+                self._readers[name].append(evaluator)
         identities = Counter((ev.pfd_name, ev.rule_index) for ev in self._rules)
         self._shared = {rule for rule, count in identities.items() if count > 1}
         self._synced_version = self.table.version
+
+    def _seeded(self, view, pfd: PFD) -> List[RuleEvaluator]:
+        """One rule's evaluators, in tableau order, seeded from ``view``."""
+        evaluators = []
+        for rule_index, rule in enumerate(pfd.tableau):
+            evaluator = make_rule_evaluator(pfd, rule_index, rule)
+            if isinstance(evaluator, VariableRuleEvaluator):
+                evaluator.seed_blocks(split_blocks(view, evaluator, self.memo))
+            else:
+                evaluator.seed_value_groups(
+                    value_groups(view, evaluator, self.memo), self.memo
+                )
+            evaluators.append(evaluator)
+        return evaluators
 
     # -- mutation API ------------------------------------------------------------
     #

@@ -24,9 +24,11 @@ set instead of recomputing it, without reading a shard:
    view's ``encodings`` field, and the baseline view's encodings of
    clean columns and pair groups of rule pairs over clean columns move
    into the new view's ``encodings`` and ``pair_groups`` fields (a
-   sealed view is a snapshot, so nothing moved can go stale); pairs
+   sealed view is a snapshot, so nothing moved can go stale).  Pairs
    touching a changed column are regrouped from the encodings by the
-   detection run that follows a re-check.
+   next :meth:`~repro.anmat.session.AnmatSession.run_detection`, not
+   by the re-check: it hands the edit loop's detector over, which
+   already holds the state of the rules it keeps.
 3. **Profiles from counts.**  A changed column's profile is built from
    its patched encoding's distinct values and counts
    (:func:`~repro.dataset.profiling.profile_encoding`); clean columns

@@ -17,8 +17,8 @@ Public surface:
 * :func:`pattern_contains` — the containment test ``P ⊆ P'``.
 * :func:`generalize_string` / :func:`generalize_strings` /
   :class:`PatternHistogram` — learning patterns from values.
-* :func:`tokenize` / :func:`ngrams` — the ``Tokenize`` and ``NGrams``
-  functions used by the discovery algorithm.
+* :func:`tokenize` — the ``Tokenize`` function of the discovery
+  algorithm.
 """
 
 from repro.patterns.alphabet import (
@@ -38,7 +38,7 @@ from repro.patterns.generalize import (
     generalize_strings,
     signature_of,
 )
-from repro.patterns.tokenizer import Token, ngrams, tokenize
+from repro.patterns.tokenizer import Token, tokenize
 
 __all__ = [
     "CharClass",
@@ -60,6 +60,5 @@ __all__ = [
     "generalize_strings",
     "signature_of",
     "Token",
-    "ngrams",
     "tokenize",
 ]

@@ -1,19 +1,20 @@
-"""``Tokenize`` and ``NGrams`` — the value-decomposition functions used by
-the discovery algorithm (Figure 2, lines 6–7).
+"""``Tokenize`` — the value decomposition of the discovery algorithm
+(Figure 2, lines 6–7).
 
 Tokens are whitespace-delimited words; their *position* is the token
 index starting at 0, exactly as the demo GUI displays it
-("pattern::position, frequency").  N-grams are character substrings of a
-fixed length whose position is the character offset at which they start;
-the paper uses them "to extract patterns from attributes that contain
-[a] single token which could be a code or [an] id".
+("pattern::position, frequency").  Discovery decomposes a whole encoded
+column at once with :func:`repro.kernels.tokenize.batch_tokenize`, which
+also yields the paper's ``NGrams`` (character substrings keyed by their
+starting offset) and leading n-grams; ``tests/figure2_reference.py``
+spells the three modes out literally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 _PUNCTUATION_STRIP = ".,;:!?\"'()[]{}"
 
@@ -80,47 +81,3 @@ def cached_tokenize(value: str) -> Tuple[Token, ...]:
     must not mutate it.
     """
     return tuple(tokenize(value))
-
-
-def ngrams(value: str, n: int) -> List[Token]:
-    """All character n-grams of ``value`` with their starting offsets."""
-    if n <= 0:
-        raise ValueError(f"n-gram size must be positive, got {n}")
-    out: List[Token] = []
-    if len(value) < n:
-        return out
-    for start in range(len(value) - n + 1):
-        text = value[start : start + n]
-        out.append(Token(text, start, start, text))
-    return out
-
-
-def prefix_ngrams(value: str, sizes: Optional[List[int]] = None) -> List[Token]:
-    """Leading n-grams only (offsets fixed at 0) for a set of sizes.
-
-    Code-like attributes (zip codes, phone numbers, structured IDs) carry
-    their discriminating information in prefixes — ``900`` in ``90001``,
-    the area code in a phone number, the department letter in
-    ``F-9-107``.  Restricting to prefixes keeps the inverted list small
-    without losing the dependencies the paper demonstrates.
-    """
-    if sizes is None:
-        sizes = [1, 2, 3, 4, 5]
-    out: List[Token] = []
-    for size in sizes:
-        if 0 < size <= len(value):
-            text = value[:size]
-            out.append(Token(text, 0, 0, text))
-    return out
-
-
-def iter_token_modes(value: str, mode: str, ngram_size: int = 3) -> Iterator[Token]:
-    """Yield tokens according to the configured extraction mode."""
-    if mode == "token":
-        yield from tokenize(value)
-    elif mode == "ngram":
-        yield from ngrams(value, ngram_size)
-    elif mode == "prefix":
-        yield from prefix_ngrams(value)
-    else:
-        raise ValueError(f"unknown token mode {mode!r}")

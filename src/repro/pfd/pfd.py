@@ -13,6 +13,7 @@ Terminology follows Section 3 of the paper:
 from __future__ import annotations
 
 import enum
+import json
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
@@ -231,6 +232,14 @@ class PFD:
             "rhs": self.rhs_attribute,
             "rows": rows,
         }
+
+    def content_key(self) -> str:
+        """The rule's identity by *content* — relation, attribute pair
+        and tableau, ignoring the assigned ``psiN`` name — so a rule can
+        be recognised after a re-check renumbers the rule set."""
+        data = self.to_dict()
+        data.pop("name", None)
+        return json.dumps(data, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PFD":

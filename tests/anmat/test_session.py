@@ -1,7 +1,10 @@
 """Tests for the AnmatSession workflow (upload → profile → discover →
 confirm → detect)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.anmat.project import ProjectStore
 from repro.anmat.session import AnmatSession, SessionState
@@ -14,6 +17,7 @@ from repro.errors import ProjectError
 from repro.metrics.evaluation import evaluate_report
 from repro.sharding import ShardOverlay
 
+from fresh_seed import assert_report_equals_a_fresh_seed
 from pairwise_reference import assert_matches_pairwise, violating_pairs
 
 
@@ -210,36 +214,63 @@ class TestEditLoop:
         assert old_table.cell(1, "city") == new_table.cell(1, "city")
         assert session.table.cell(1, "city") == new_table.cell(1, "city")
 
-    def test_detection_seeds_the_edit_loop_once_per_run(
-        self, small_zip_city_state, monkeypatch
-    ):
-        # detection and each re-check seed the one detector; the edits
-        # after them reuse it instead of seeding again
-        seeds = []
+    @pytest.fixture
+    def seeds(self, monkeypatch):
+        """``full``: the detectors seeded in full (detection); ``rules``:
+        the names of the rules seeded one by one, in a full seed or a
+        re-check's hand-over."""
+        seeds = {"full": [], "rules": []}
         rebuild = IncrementalDetector._rebuild
+        seeded = IncrementalDetector._seeded
 
-        def counting(detector):
-            seeds.append(detector)
+        def counting_rebuild(detector):
+            seeds["full"].append(detector)
             rebuild(detector)
 
-        monkeypatch.setattr(IncrementalDetector, "_rebuild", counting)
+        def counting_seeded(detector, view, pfd):
+            seeds["rules"].append(pfd.name)
+            return seeded(detector, view, pfd)
+
+        monkeypatch.setattr(IncrementalDetector, "_rebuild", counting_rebuild)
+        monkeypatch.setattr(IncrementalDetector, "_seeded", counting_seeded)
+        return seeds
+
+    @staticmethod
+    def zip_session(table):
         session = AnmatSession(
             dataset_name="zips", config=DiscoveryConfig(shard_rows=64)
         )
-        session.load_table(small_zip_city_state.table.copy())
+        session.load_table(table.copy())
         session.set_parameters(min_coverage=0.6, allowed_violation_ratio=0.05)
         session.run_discovery()
+        return session
+
+    def test_detection_seeds_the_edit_loop_once_per_run(
+        self, small_zip_city_state, seeds
+    ):
+        # detection seeds the one detector; the edits after it reuse it,
+        # and a re-check that keeps every rule hands it over seeding
+        # nothing
+        session = self.zip_session(small_zip_city_state.table)
         session.confirm_all()
         session.run_detection()
-        assert len(seeds) == 1
+        assert len(seeds["full"]) == 1
+        assert seeds["rules"] == session.confirmed_names
+        seeds["rules"].clear()
         session.apply_repair(session.repair_suggestions()[0])
         session.edit_cell(0, "city", "Oddville")
-        assert len(seeds) == 1
+        assert len(seeds["full"]) == 1
+        detector = session._incremental
         session.recheck()
         assert session.state is SessionState.DETECTED
-        assert len(seeds) == 2
+        assert len(seeds["full"]) == 1
+        assert seeds["rules"] == []
+        assert session._incremental is not detector
+        assert_report_equals_a_fresh_seed(session)  # seeds a detector of its own
+        seeds["full"].clear()
+        seeds["rules"].clear()
         session.edit_cell(1, "city", "Elsewhere")
-        assert len(seeds) == 2
+        assert seeds == {"full": [], "rules": []}
         expected = ErrorDetector(session.table.materialize()).detect_all(
             session.confirmed_pfds()
         )
@@ -247,6 +278,67 @@ class TestEditLoop:
             session.violations.canonical_violations()
             == expected.canonical_violations()
         )
+        session.close()
+
+    def test_recheck_seeds_only_a_rule_confirmed_after_detection(
+        self, small_zip_city_state, seeds
+    ):
+        session = self.zip_session(small_zip_city_state.table)
+        names = [pfd.name for pfd in session.discovered_pfds()]
+        late = names[-1]
+        session.confirm(names[:-1])
+        session.run_detection()
+        held = {
+            (ev.pfd_name, ev.rule_index): ev for ev in session._incremental._rules
+        }
+        seeds["rules"].clear()
+        # an edit that leaves every rule as it was
+        session.edit_cell(0, "city", session.table.cell(0, "city"))
+        session.confirm([late])
+        session.recheck()
+        assert session.confirmed_names == names
+        assert seeds["rules"] == [late]
+        assert len(seeds["full"]) == 1
+        rules = session._incremental._rules
+        assert {ev.pfd_name for ev in rules} == set(names)
+        for evaluator in rules:
+            if evaluator.pfd_name != late:
+                assert held[(evaluator.pfd_name, evaluator.rule_index)] is evaluator
+        assert any(v.pfd_name == late for v in session.violations)
+        assert_report_equals_a_fresh_seed(session)
+        session.close()
+
+    def test_recheck_reseeds_a_survivor_under_its_new_name(
+        self, small_zip_city_state, seeds
+    ):
+        # scrambling every state breaks the rules into state; the
+        # zip -> city rules survive by content, renumbered from the top
+        session = self.zip_session(small_zip_city_state.table)
+        session.confirm_all()
+        session.run_detection()
+        before = {pfd.content_key(): pfd.name for pfd in session.confirmed_pfds()}
+        seeds["rules"].clear()
+        states = sorted(set(session.table.materialize().column("state")))
+        rng = random.Random(1)
+        for row in range(session.table.n_rows):
+            session.edit_cell(row, "state", rng.choice(states))
+        session.recheck()
+        assert session.last_plan.rule_maintenance == "incremental"
+        survivors = session.confirmed_pfds()
+        renamed = {
+            pfd.name: before[pfd.content_key()]
+            for pfd in survivors
+            if before[pfd.content_key()] != pfd.name
+        }
+        assert renamed, "no survivor was renumbered"
+        # every renamed survivor is seeded under its new name; a kept name
+        # would report the old names until the next detection
+        assert set(renamed) <= set(seeds["rules"])
+        assert seeds["rules"] == [
+            pfd.name for pfd in survivors if pfd.name in renamed
+        ]
+        assert {v.pfd_name for v in session.violations} <= set(renamed)
+        assert_report_equals_a_fresh_seed(session)
         session.close()
 
     def test_edit_loop_matches_the_literal_pairwise_check(self, detected_session):
@@ -537,6 +629,7 @@ class TestNeverMaterializedSession:
         report = session.run_detection()
         session.edit_cell(0, "city", "Oddville")
         session.recheck()
+        assert_report_equals_a_fresh_seed(session)
         plans.append(session.last_plan)
         for plan in plans:
             assert (plan.shard_rows, plan.n_shards) == (50, 8)
@@ -690,6 +783,7 @@ class TestRecheckShardSize:
         assert session.last_plan.shard_rows == 50
         assert session.last_plan.n_shards == n_shards
         assert session.state is SessionState.DETECTED
+        assert_report_equals_a_fresh_seed(session)
         session.close()
 
 
@@ -742,15 +836,20 @@ class TestAtomicRecheck:
 
     @pytest.fixture
     def edited_session(self, small_zip_city_state):
+        # detection holds every rule but the last, which is confirmed
+        # after it: a re-check takes the detected rules over and seeds
+        # only the late one
         session = AnmatSession(
             dataset_name="atomic",
             config=DiscoveryConfig(min_coverage=0.5, shard_rows=64),
         )
         session.load_table(small_zip_city_state.table)
         session.run_discovery()
-        session.confirm_all()
+        names = [pfd.name for pfd in session.discovered_pfds()]
+        session.confirm(names[:-1])
         session.run_detection()
         session.apply_repair(session.repair_suggestions()[0])
+        session.confirm(names[-1:])
         assert session.plan_recheck().rule_maintenance == "incremental"
         yield session
         session.close()
@@ -758,10 +857,11 @@ class TestAtomicRecheck:
     @pytest.mark.parametrize(
         "target",
         [
-            (IncrementalDetector, "_rebuild"),
+            (IncrementalDetector, "retained"),
+            (IncrementalDetector, "_seeded"),
             (RuleMaintainer, "maintain"),
         ],
-        ids=["detection", "maintenance"],
+        ids=["detection", "late-rule-seed", "maintenance"],
     )
     def test_failed_recheck_keeps_the_pre_recheck_state(
         self, edited_session, monkeypatch, target
@@ -775,6 +875,7 @@ class TestAtomicRecheck:
             session.last_plan,
             session._incremental,
         )
+        reported = list(session._incremental.report().violations)
 
         def boom(self, *args, **kwargs):
             raise RuntimeError("failed mid-recheck")
@@ -791,13 +892,14 @@ class TestAtomicRecheck:
         assert session.state is before[3] is SessionState.EDITING
         assert session.last_plan is before[4]
         assert session._incremental is before[5]
+        assert session._incremental.report().violations == reported
         # the maintainer may have advanced past the kept rules: dropped
         assert session.plan_recheck().rule_maintenance == "full"
 
         # the edit loop over the kept rules still works
         report = session.edit_cell(1, "city", "Elsewhere")
         expected = ErrorDetector(session.table.materialize()).detect_all(
-            session.confirmed_pfds()
+            session._incremental.pfds
         )
         assert report.canonical_violations() == expected.canonical_violations()
 
@@ -815,5 +917,103 @@ class TestAtomicRecheck:
             session.violations.canonical_violations()
             == expected.canonical_violations()
         )
+        assert_report_equals_a_fresh_seed(session)
         # which re-seeded the maintainer
         assert session.plan_recheck().rule_maintenance == "incremental"
+
+
+#: the rows the hand-over property builds its tables from: zip -> city
+#: and city -> state hold, zip prefixes group the cities
+ENTITIES = [
+    ("90001", "A", "X"),
+    ("90002", "A", "X"),
+    ("90011", "B", "X"),
+    ("10001", "C", "Y"),
+    ("10002", "C", "Y"),
+    ("10013", "D", "Y"),
+    ("60601", "E", "Q"),
+]
+ENTITY_COLUMNS = ("zip", "city", "state")
+
+
+def _cell_write():
+    return st.tuples(
+        st.integers(0, 63), st.integers(0, 2), st.integers(0, len(ENTITIES) - 1)
+    )
+
+
+def _write(set_cell, table, write) -> None:
+    """One cell write through ``set_cell`` (the session's ``edit_cell``
+    or the overlay's ``set_cell``): a value of another entity, rows
+    wrapping around the table."""
+    row, column, entity = write
+    set_cell(row % table.n_rows, ENTITY_COLUMNS[column], ENTITIES[entity][column])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(st.integers(0, len(ENTITIES) - 1), min_size=8, max_size=28),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("edits"), st.lists(_cell_write(), min_size=1, max_size=4)),
+            st.tuples(st.just("direct"), st.lists(_cell_write(), min_size=1, max_size=3)),
+            st.tuples(st.just("append"), st.integers(0, len(ENTITIES) - 1)),
+            st.tuples(st.just("confirm"), st.integers(0, 15)),
+            st.just(("recheck",)),
+            st.just(("detect",)),
+        ),
+        max_size=10,
+    ),
+)
+def test_property_a_recheck_keeps_a_fresh_seeds_report(rows, steps):
+    """Edit batches through the session, writes and appends made on the
+    overlay directly (they leave the detector behind, so the next
+    hand-over seeds every rule), late confirmations and detections in
+    any order, then a re-check: after every re-check the kept report
+    equals a fresh seed's as a list, and batch detection canonically."""
+    table = Table.from_rows(list(ENTITY_COLUMNS), [list(ENTITIES[i]) for i in rows])
+    session = AnmatSession(
+        dataset_name="handover",
+        config=DiscoveryConfig(
+            min_coverage=0.3, allowed_violation_ratio=0.3, shard_rows=4
+        ),
+    )
+    session.load_table(table)
+    try:
+        session.run_discovery()
+        names = [pfd.name for pfd in session.discovered_pfds()]
+        if names:
+            session.confirm(names[: len(names) // 2 + 1])
+            session.run_detection()
+        for step in steps + [("recheck",)]:
+            kind = step[0]
+            if kind == "edits":
+                detected = session._incremental is not None
+                set_cell = session.edit_cell if detected else session.table.set_cell
+                for write in step[1]:
+                    _write(set_cell, session.table, write)
+            elif kind == "direct":
+                for write in step[1]:
+                    _write(session.table.set_cell, session.table, write)
+            elif kind == "append":
+                session.table.append_row(list(ENTITIES[step[1]]))
+            elif kind == "confirm":
+                names = [pfd.name for pfd in session.discovered_pfds()]
+                if names:
+                    session.confirm([names[step[1] % len(names)]])
+            elif kind == "detect":
+                if session.confirmed_names:
+                    session.run_detection()
+            else:
+                session.recheck()
+                assert_report_equals_a_fresh_seed(session)
+                if session.violations is not None:
+                    expected = ErrorDetector(session.table.materialize()).detect_all(
+                        session.confirmed_pfds()
+                    )
+                    assert (
+                        session.violations.canonical_violations()
+                        == expected.canonical_violations()
+                    )
+    finally:
+        session.close()

@@ -282,6 +282,103 @@ class TestMutationAPI:
         assert report.n_rows == table.n_rows
 
 
+class TestHandOver:
+    """``retained(pfds)``: the rules a detector holds under the same
+    content and name keep their evaluators, the others are seeded, and
+    the new detector's report is a fresh seed's, as a list."""
+
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        """The names of the rules seeded one by one."""
+        names = []
+        real = IncrementalDetector._seeded
+
+        def counting(self, view, pfd):
+            names.append(pfd.name)
+            return real(self, view, pfd)
+
+        monkeypatch.setattr(IncrementalDetector, "_seeded", counting)
+        return names
+
+    @pytest.fixture
+    def zip_rules(self, rulesets):
+        pristine, pfds = rulesets["zip_city_state"]
+        assert len(pfds) >= 4
+        return overlay_of(pristine), pfds
+
+    @staticmethod
+    def assert_fresh(detector):
+        fresh = IncrementalDetector(detector.table, detector.pfds).report()
+        assert detector.report().violations == fresh.violations
+
+    def test_held_rules_are_taken_over_and_the_rest_seeded(self, zip_rules, seeded):
+        table, pfds = zip_rules
+        old = IncrementalDetector(table, pfds[:3])
+        held = {(ev.pfd_name, ev.rule_index): ev for ev in old._rules}
+        seeded.clear()
+        new = old.retained([pfds[3], pfds[1], pfds[2]])
+        assert seeded == [pfds[3].name]
+        # evaluator order follows the new rule list
+        assert [ev.pfd_name for ev in new._rules] == [
+            pfd.name for pfd in (pfds[3], pfds[1], pfds[2]) for _ in pfd.tableau
+        ]
+        for evaluator in new._rules:
+            if evaluator.pfd_name != pfds[3].name:
+                assert held[(evaluator.pfd_name, evaluator.rule_index)] is evaluator
+        # the dropped rule's columns go unless a kept rule reads them
+        kept = {n for pfd in pfds[1:4] for n in (pfd.lhs_attribute, pfd.rhs_attribute)}
+        assert set(new._columns) == set(new._readers) == kept
+        self.assert_fresh(new)
+
+    def test_the_old_detector_is_left_as_it_was(self, zip_rules):
+        table, pfds = zip_rules
+        old = IncrementalDetector(table, pfds[:3])
+        rules, columns = list(old._rules), dict(old._columns)
+        before = list(old.report().violations)
+        old.retained(pfds[1:4])
+        assert old._rules == rules and old._columns == columns
+        assert old.report().violations == before
+
+    def test_a_renamed_rule_is_seeded_under_its_new_name(self, zip_rules, seeded):
+        table, pfds = zip_rules
+        old = IncrementalDetector(table, pfds[:2])
+        data = pfds[0].to_dict()
+        data["name"] = "renamed"
+        renamed = PFD.from_dict(data)
+        assert renamed.content_key() == pfds[0].content_key()
+        seeded.clear()
+        new = old.retained([renamed, pfds[1]])
+        assert seeded == ["renamed"]
+        assert {ev.pfd_name for ev in new._rules} == {"renamed", pfds[1].name}
+        assert pfds[0].name not in {v.pfd_name for v in new.report()}
+        self.assert_fresh(new)
+
+    def test_a_detector_behind_its_table_seeds_every_rule(self, zip_rules, seeded, make_rng):
+        table, pfds = zip_rules
+        old = IncrementalDetector(table, pfds[:3])
+        rng = make_rng(3)
+        for _ in range(5):
+            row = rng.randrange(table.n_rows)
+            donor = rng.randrange(table.n_rows)
+            table.set_cell(row, "city", table.cell(donor, "city"))
+        seeded.clear()
+        new = old.retained(pfds[:3])
+        assert seeded == [pfd.name for pfd in pfds[:3]]
+        self.assert_fresh(new)
+        assert_equivalent(new, pfds[:3], "behind")
+
+    def test_mutations_after_a_hand_over_match_batch_detection(self, zip_rules, make_rng):
+        table, pfds = zip_rules
+        detector = IncrementalDetector(table, pfds[:3])
+        rng = make_rng(7)
+        for round_number, rules in enumerate([pfds[1:4], pfds[:2] + pfds[3:4], pfds]):
+            for step in range(6):
+                random_mutation(rng, detector, step)
+            detector = detector.retained(rules)
+            self.assert_fresh(detector)
+            assert_equivalent(detector, rules, f"round {round_number}")
+
+
 class TestHandBuilt:
     def test_variable_rule_block_merge_and_split(self):
         # Hand-built λ5-style check: editing the zip prefix moves a row

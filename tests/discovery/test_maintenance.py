@@ -19,6 +19,7 @@ import random
 
 import figure2_reference
 import pytest
+from fresh_seed import assert_report_equals_a_fresh_seed
 from sharded_values import column_of
 
 from repro.anmat.session import AnmatSession, SessionState
@@ -69,21 +70,23 @@ def make_session(name, n_rows, specs, seed, store):
     return session
 
 
-def apply_random_batch(overlay, rng):
+def apply_random_batch(overlay, rng, write=None):
     """A realistic interactive batch: mostly value swaps between rows,
     plus one revert-style write (same value back) to exercise the
-    edited-columns superset."""
+    edited-columns superset.  ``write`` (default: the overlay's own
+    ``set_cell``) makes each write, e.g. a session's ``edit_cell``."""
+    write = overlay.set_cell if write is None else write
     names = overlay.column_names()
     for _ in range(EDITS_PER_BATCH):
         row = rng.randrange(overlay.n_rows)
         column = rng.choice(names)
         donor = rng.randrange(overlay.n_rows)
-        overlay.set_cell(row, column, overlay.cell(donor, column))
+        write(row, column, overlay.cell(donor, column))
     # the same-value write: the overlay records it as an edit, the
     # contents do not change
     row = rng.randrange(overlay.n_rows)
     column = rng.choice(names)
-    overlay.set_cell(row, column, overlay.cell(row, column))
+    write(row, column, overlay.cell(row, column))
 
 
 def rules_of(result):
@@ -110,11 +113,18 @@ class TestMaintenanceDifferential:
             try:
                 session.run_discovery()
                 assert session.last_plan.shard_rows == SHARD_ROWS
+                # the edit loop runs too: each re-check hands its
+                # detector over
+                if session.confirm_all():
+                    session.run_detection()
                 rng = random.Random(seed * 1000 + 7)
                 for _batch in range(BATCHES_PER_SEED):
-                    apply_random_batch(session.table, rng)
+                    detected = session.state is not SessionState.DISCOVERED
+                    write = session.edit_cell if detected else None
+                    apply_random_batch(session.table, rng, write)
                     result = session.recheck()
                     assert session.last_plan.rule_maintenance == "incremental"
+                    assert_report_equals_a_fresh_seed(session)
                     full = reference_rediscovery(
                         session.config, session.table.materialize(), relation=name
                     )
@@ -222,6 +232,7 @@ class TestMaintenanceFallbacks:
                 session.violations.canonical_violations()
                 == expected.canonical_violations()
             )
+            assert_report_equals_a_fresh_seed(session)
 
         try:
             session.run_discovery()
@@ -343,6 +354,7 @@ class TestMaintainedDetection:
                 .canonical_violations()
             )
             assert session.violations.canonical_violations() == expected
+            assert_report_equals_a_fresh_seed(session)
         finally:
             session.close()
 
@@ -362,9 +374,10 @@ class TestMaintainedDetection:
 def test_recheck_carries_clean_encodings_and_pair_groups(store):
     """A re-check hands the new view the old view's encodings of clean
     columns and the pair groups over them (the same objects, so nothing
-    clean is re-encoded or regrouped), regroups pairs touching the
-    edited column from the new encodings, and leaves no pair groups on
-    the old view."""
+    clean is re-encoded or regrouped) and leaves no pair groups on the
+    old view.  It hands the detector over, so it groups no pair touching
+    the edited column: the next detection groups those from the new
+    encodings."""
     session = make_session(*GENERATORS[0], 3, store)
     try:
         session.run_discovery()
@@ -396,13 +409,17 @@ def test_recheck_carries_clean_encodings_and_pair_groups(store):
             assert encoding is not None
             assert view.encodings.get(name) is encoding
         rechecked = {(p.lhs_attribute, p.rhs_attribute) for p in session.confirmed_pfds()}
+        assert any(edited in pair for pair in rechecked)
         for lhs, rhs in rechecked:
             merged = view.pair_groups.get((lhs, rhs))
-            assert merged is not None, (lhs, rhs)
-            if edited not in (lhs, rhs):
+            if edited in (lhs, rhs):
+                assert merged is None, (lhs, rhs)
+            else:
                 assert merged is old_groups[(lhs, rhs)]
-        assert_pair_groups_match_a_fresh_build(view, rechecked)
         assert old_view.pair_groups == {}
+        assert_report_equals_a_fresh_seed(session)
+        session.run_detection()
+        assert_pair_groups_match_a_fresh_build(view, rechecked)
     finally:
         session.close()
 
@@ -433,14 +450,31 @@ def rule_pairs(session):
 
 
 def recheck_and_compare(session, edited):
-    """Re-check, then hold the new view's pair groups against a fresh
-    build and the session's violations against a monolithic detection
-    over the edited table."""
+    """Re-check, which groups only the pairs of the rules it seeds (those
+    whose name shifted) and leaves the kept report equal to a fresh
+    seed's; then detect, and hold the new view's pair groups against a
+    fresh build and the session's violations against a monolithic
+    detection over the edited table."""
+    old_view = session._maintainer._view
+    held = {(pfd.name, pfd.content_key()) for pfd in session._incremental.pfds}
     session.recheck()
     assert session.last_plan.rule_maintenance == "incremental"
     pairs = rule_pairs(session)
-    assert any(edited & set(pair) for pair in pairs), "no pair was regrouped"
     view = session._maintainer._view
+    changed = {
+        name for name in edited if column_of(view, name) != column_of(old_view, name)
+    }
+    assert any(changed & set(pair) for pair in pairs), "no pair was regrouped"
+    seeded = {
+        (pfd.lhs_attribute, pfd.rhs_attribute)
+        for pfd in session.confirmed_pfds()
+        if (pfd.name, pfd.content_key()) not in held
+    }
+    for pair in pairs:
+        grouped = pair in seeded or not changed & set(pair)
+        assert (pair in view.pair_groups) is grouped, pair
+    assert_report_equals_a_fresh_seed(session)
+    session.run_detection()
     assert_pair_groups_match_a_fresh_build(view, pairs)
     expected = (
         ErrorDetector(session.table.materialize())

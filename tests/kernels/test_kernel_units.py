@@ -31,9 +31,10 @@ from repro.kernels.encoder import (
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_matching_values, batch_verdicts, pattern_class_mask
 from repro.kernels.mine import mine_constant_kernel, pair_counts
-from repro.kernels.tokenize import batch_tokenize
+from repro.kernels.tokenize import batch_tokenize, value_triples
 from repro.patterns import parse_pattern
 from repro.patterns.alphabet import CharClass
+from repro.perf.interning import InternPool
 from repro.perf.memo import MatchMemo
 from repro.perf.timers import StageTimers
 from repro.sharding.stats import extract_pair_groups
@@ -200,6 +201,54 @@ class TestBatchTokenize:
         encoding = encode_column(["x"])
         with pytest.raises(ValueError):
             batch_tokenize(encoding, "chunk", 3)
+
+
+class TestValueTriples:
+    """Literal expectations for the three token modes of one value."""
+
+    @staticmethod
+    def triples(value, mode, ngram_size=3):
+        return value_triples(value, mode, ngram_size, InternPool())
+
+    def test_basic_ngrams(self):
+        triples = self.triples("90001", "ngram")
+        assert [text for _, _, text in triples] == ["900", "000", "001"]
+        assert [position for _, position, _ in triples] == [0, 1, 2]
+
+    def test_ngram_equal_to_length(self):
+        assert self.triples("abc", "ngram") == (("abc", 0, "abc"),)
+
+    def test_ngram_longer_than_value(self):
+        assert self.triples("ab", "ngram") == ()
+
+    def test_ngram_size_one(self):
+        assert [key for key, _, _ in self.triples("abc", "ngram", 1)] == ["a", "b", "c"]
+
+    def test_ngram_mode_keeps_repeated_grams(self):
+        triples = self.triples("90001", "ngram", 2)
+        assert [text for _, _, text in triples] == ["90", "00", "00", "01"]
+
+    def test_prefix_sizes(self):
+        triples = self.triples("90001", "prefix")
+        assert [key for key, _, _ in triples] == ["9", "90", "900", "9000", "90001"]
+        assert all(position == 0 for _, position, _ in triples)
+
+    def test_prefix_of_a_short_value(self):
+        assert [key for key, _, _ in self.triples("ab", "prefix")] == ["a", "ab"]
+
+    def test_token_mode(self):
+        triples = self.triples("Smith, John", "token")
+        assert triples == (("Smith", 0, "Smith,"), ("John", 1, "John"))
+
+    @given(
+        st.text(alphabet="ab1 -.", min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_ngram_count_and_offsets(self, value, n):
+        triples = self.triples(value, "ngram", n)
+        assert len(triples) == max(0, len(value) - n + 1)
+        for key, start, text in triples:
+            assert key == text == value[start : start + n]
 
 
 def _tableau(candidates):

@@ -23,7 +23,7 @@ from repro.patterns import (
     pattern_contains,
 )
 from repro.patterns.generalize import generalize_string, generalize_strings, signature_of
-from repro.patterns.tokenizer import ngrams, tokenize
+from repro.patterns.tokenizer import tokenize
 
 #: Printable-ish text covering all four character classes.
 VALUE_ALPHABET = string.ascii_letters + string.digits + " -.,_/"
@@ -188,12 +188,3 @@ def test_token_offsets_index_into_the_value(value):
 def test_tokens_do_not_contain_whitespace(value):
     for token in tokenize(value):
         assert " " not in token.text
-
-
-@given(non_empty_values, st.integers(min_value=1, max_value=5))
-def test_ngram_count_and_offsets(value, n):
-    grams = ngrams(value, n)
-    expected = max(0, len(value) - n + 1)
-    assert len(grams) == expected
-    for gram in grams:
-        assert value[gram.start : gram.start + n] == gram.text

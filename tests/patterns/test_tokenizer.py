@@ -1,14 +1,6 @@
-"""Tests for Tokenize and NGrams (Figure 2, lines 6–7)."""
+"""Tests for Tokenize (Figure 2, lines 6–7)."""
 
-import pytest
-
-from repro.patterns.tokenizer import (
-    Token,
-    iter_token_modes,
-    ngrams,
-    prefix_ngrams,
-    tokenize,
-)
+from repro.patterns.tokenizer import tokenize
 
 
 class TestTokenize:
@@ -53,57 +45,3 @@ class TestTokenize:
     def test_is_numeric(self):
         tokens = tokenize("call 555 now")
         assert [t.is_numeric for t in tokens] == [False, True, False]
-
-
-class TestNgrams:
-    def test_basic_ngrams(self):
-        grams = ngrams("90001", 3)
-        assert [g.text for g in grams] == ["900", "000", "001"]
-        assert [g.position for g in grams] == [0, 1, 2]
-
-    def test_ngram_equal_to_length(self):
-        grams = ngrams("abc", 3)
-        assert [g.text for g in grams] == ["abc"]
-
-    def test_ngram_longer_than_value(self):
-        assert ngrams("ab", 3) == []
-
-    def test_ngram_size_one(self):
-        assert [g.text for g in ngrams("abc", 1)] == ["a", "b", "c"]
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            ngrams("abc", 0)
-
-
-class TestPrefixNgrams:
-    def test_default_sizes(self):
-        grams = prefix_ngrams("90001")
-        assert [g.text for g in grams] == ["9", "90", "900", "9000", "90001"]
-        assert all(g.position == 0 for g in grams)
-
-    def test_short_value(self):
-        grams = prefix_ngrams("ab")
-        assert [g.text for g in grams] == ["a", "ab"]
-
-    def test_custom_sizes(self):
-        grams = prefix_ngrams("8505467600", sizes=[3])
-        assert [g.text for g in grams] == ["850"]
-
-
-class TestIterTokenModes:
-    def test_token_mode(self):
-        tokens = list(iter_token_modes("John Charles", "token"))
-        assert [t.text for t in tokens] == ["John", "Charles"]
-
-    def test_ngram_mode(self):
-        tokens = list(iter_token_modes("90001", "ngram", ngram_size=2))
-        assert [t.text for t in tokens] == ["90", "00", "00", "01"]
-
-    def test_prefix_mode(self):
-        tokens = list(iter_token_modes("90001", "prefix"))
-        assert tokens[0].text == "9"
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            list(iter_token_modes("x", "bogus"))

@@ -218,7 +218,7 @@ def test_edit_loop_attach_reads_nothing(spill_session, overlay_reads):
         session.edit_cell(*repair)
     session.recheck()
     assert session.violations is not None
-    # nor after a re-check, which seeds a fresh detector on the new seal
+    # nor after a re-check, which hands the detector over
     overlay_reads.update(store_get=0, build_column=0)
     session.edit_cell(*repairs[3])
     assert overlay_reads == {"store_get": 0, "build_column": 0}
@@ -351,8 +351,10 @@ def test_each_rule_pair_is_grouped_once_per_view(
     tmp_path, small_zip_city_state, monkeypatch, kind
 ):
     # detection reads a pair's groups once per tableau row; the view
-    # keeps them, so each distinct (LHS, RHS) pair is grouped once, and
-    # a re-check's view regroups only the pairs over the edited column
+    # keeps them, so each distinct (LHS, RHS) pair is grouped once.  A
+    # re-check hands the detector over and groups no pair; the next
+    # detection over its view regroups only the pairs over the edited
+    # column
     path = tmp_path / "zips.csv"
     write_csv(small_zip_city_state.table, path)
     session = AnmatSession(
@@ -385,6 +387,8 @@ def test_each_rule_pair_is_grouped_once_per_view(
             session.edit_cell(row, "city", overlay.cell(donor, "city"))
         session.recheck()
         assert session.last_plan.rule_maintenance == "incremental"
+        assert grouped == []
+        session.run_detection()
         rechecked = {(pfd.lhs_attribute, pfd.rhs_attribute) for pfd in session.confirmed_pfds()}
         touched = {pair for pair in rechecked if "city" in pair}
         assert touched and touched != rechecked
