@@ -82,13 +82,6 @@ def generalize_string(value: str, level: int = 1) -> Pattern:
     return _generalize_string_cached(value, level)
 
 
-def clear_generalization_memos() -> None:
-    """Reset the per-value memos (see :func:`repro.perf.clear_caches`)."""
-    _class_runs.cache_clear()
-    signature_of.cache_clear()
-    _generalize_string_cached.cache_clear()
-
-
 def generalize_strings(values: Sequence[str]) -> Optional[Pattern]:
     """Least-general pattern (within the run lattice) covering all values.
 

@@ -44,14 +44,22 @@ def register_cache_clearer(clear: Callable[[], None]) -> None:
     _EXTRA_CLEARERS.append(clear)
 
 
-def _clear_value_memos() -> None:
-    """Clear the functools-based per-value memos (lazy imports avoid
-    import cycles with the patterns package)."""
-    from repro.patterns.generalize import clear_generalization_memos
+def _value_memos() -> tuple:
+    """The functools-based per-value memos (lazy imports avoid import
+    cycles with the patterns package)."""
+    from repro.patterns.generalize import (
+        _class_runs,
+        _generalize_string_cached,
+        signature_of,
+    )
     from repro.patterns.tokenizer import cached_tokenize
 
-    cached_tokenize.cache_clear()
-    clear_generalization_memos()
+    return (_class_runs, signature_of, _generalize_string_cached, cached_tokenize)
+
+
+def _clear_value_memos() -> None:
+    for memo in _value_memos():
+        memo.cache_clear()
 
 
 def clear_caches() -> None:
@@ -67,6 +75,16 @@ def cache_stats() -> dict:
     """Hit/miss statistics of the shared caches."""
     stats = pattern_cache_stats()
     stats["match_memo"] = MATCH_MEMO.stats()
+    # every entry is a live object each full collection walks
+    stats["value_memos"] = {}
+    for memo in _value_memos():
+        info = memo.cache_info()
+        stats["value_memos"][memo.__name__] = {
+            "hits": info.hits,
+            "misses": info.misses,
+            "size": info.currsize,
+            "maxsize": info.maxsize,
+        }
     # a constant: bench/session_child.py still reads this key, until
     # ROADMAP item 6's benchmark change drops it
     stats["table_artifacts"] = {"hits": 0, "misses": 0, "patched": 0}

@@ -1,6 +1,12 @@
 """Tests for CSV input/output."""
 
+import csv
+import gc
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.csvio import (
     iter_csv_chunks,
@@ -168,3 +174,103 @@ class TestIterCsvChunks:
         path = self.write(tmp_path, "a,b\n" + "".join(f"{i},{i}\n" for i in range(7)))
         sharded = read_csv_sharded(path, shard_rows=3)
         assert sharded.shard_row_counts() == [3, 3, 1]
+
+
+@pytest.fixture
+def default_gc_thresholds():
+    """Run under CPython's default collector thresholds, with every object
+    the suite made so far frozen out of the count: a full collection then
+    fires as soon as a young collection promotes anything, whatever the
+    earlier tests left alive.  Restores thresholds and freeze afterwards."""
+    previous = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.freeze()
+    gc.collect()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        gc.set_threshold(*previous)
+
+
+def test_streaming_promotes_no_row_to_a_full_collection(tmp_path, default_gc_thresholds):
+    # a chunk's parsed row lists must die young: held until the chunk was
+    # full, they were promoted and fired full collections that freed nothing
+    path = tmp_path / "big.csv"
+    with path.open("w", newline="") as handle:
+        handle.write("zip,city,state\n")
+        handle.writelines(f"{90000 + i % 997},City {i % 113},S{i % 7}\n" for i in range(120_000))
+    full_collections = []
+
+    def count(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full_collections.append(info)
+
+    gc.callbacks.append(count)
+    try:
+        n_rows = sum(chunk.n_rows for chunk in iter_csv_chunks(path, chunk_rows=16_384))
+    finally:
+        gc.callbacks.remove(count)
+    assert n_rows == 120_000
+    assert full_collections == []
+
+
+def _reference_chunks(text, chunk_rows):
+    """The chunker's contract, written as the plain loop: ``Table.from_rows``
+    over the ``csv.reader`` rows, sliced every ``chunk_rows``; the first
+    ragged row raises with the reader's line number.  Returns the chunks
+    and the error message (None when the document is rectangular)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    names = next(reader)
+    rows, error = [], None
+    for row in reader:
+        if len(row) != len(names):
+            error = f"line {reader.line_num} has {len(row)} fields, expected {len(names)}"
+            break
+        rows.append(row)
+    full = len(rows) // chunk_rows * chunk_rows if error else len(rows)
+    chunks = [
+        Table.from_rows(names, rows[start : start + chunk_rows])
+        for start in range(0, full, chunk_rows)
+    ]
+    if not chunks and error is None:
+        chunks = [Table.from_rows(names, [])]
+    return chunks, error
+
+
+_FIELDS = st.text(alphabet=st.sampled_from(list('ab,"\n\r é€😀')), max_size=4)
+
+
+@st.composite
+def _documents(draw):
+    width = draw(st.integers(1, 4))
+    # past one or two 64-row batches, or short
+    n_rows = draw(st.sampled_from([0, 60, 130]))
+    row = st.lists(_FIELDS, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=n_rows, max_size=n_rows + 10))
+    if draw(st.booleans()):
+        # a ragged row, often right at a 64-row batch boundary
+        at = draw(st.one_of(st.sampled_from([0, 62, 63, 64, 65, 127, 128]), st.integers(0, 200)))
+        k = draw(st.sampled_from([k for k in range(width + 3) if k != width]))
+        rows.insert(min(at, len(rows)), [draw(_FIELDS)] * k)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow([f"c{i}" for i in range(width)])
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_documents(), chunk_rows=st.sampled_from([1, 63, 64, 65, 129, 10_000]))
+def test_chunks_equal_the_sliced_row_reading(text, chunk_rows):
+    expected, error = _reference_chunks(text, chunk_rows)
+    stream = iter_csv_chunks(io.StringIO(text, newline=""), chunk_rows)
+    got = []
+    if error is None:
+        got.extend(stream)
+    else:
+        with pytest.raises(CsvFormatError) as raised:
+            got.extend(stream)
+        assert str(raised.value) == error
+    assert got == expected
+    assert [(c.schema, c.n_rows) for c in got] == [(c.schema, c.n_rows) for c in expected]

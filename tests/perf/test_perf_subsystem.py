@@ -175,6 +175,34 @@ class TestSharedPatternCaches:
         assert "nfa" not in stats and "token_pool" not in stats
         assert stats["table_artifacts"] == {"hits": 0, "misses": 0, "patched": 0}
 
+    def test_cache_stats_report_the_value_memos(self):
+        from repro.patterns.generalize import generalize_string, signature_of
+        from repro.patterns.tokenizer import cached_tokenize
+
+        perf.clear_caches()
+        generalize_string("ab12", 1)
+        generalize_string("ab12", 1)
+        signature_of("ab12")
+        cached_tokenize("a b")
+        memos = perf.cache_stats()["value_memos"]
+        assert set(memos) == {
+            "_class_runs",
+            "signature_of",
+            "_generalize_string_cached",
+            "cached_tokenize",
+        }
+        assert memos["_generalize_string_cached"] == {
+            "hits": 1,
+            "misses": 1,
+            "size": 1,
+            "maxsize": 65536,
+        }
+        assert memos["_class_runs"]["size"] == 1
+        assert memos["signature_of"]["misses"] == 1
+        assert memos["cached_tokenize"]["size"] == 1
+        perf.clear_caches()
+        assert all(m["size"] == 0 for m in perf.cache_stats()["value_memos"].values())
+
     def test_clear_caches_resets_stats(self):
         parse_pattern("abc").compiled_regex()
         perf.clear_caches()
