@@ -5,11 +5,11 @@ The ANMAT demo is interactive — after detection the user fixes cells and
 immediately sees the updated violation list.  This walkthrough runs that
 loop end to end on a synthetic zip/city/state dataset with injected
 errors: discovery and confirmation as usual, then
-``AnmatSession.apply_repair`` fixes one suspect cell at a time while an
-incremental detector keeps the report current *without* re-scanning the
-table (compare ``repro.perf.cache_stats()['table_artifacts']['patched']``
-before and after — the cached column indexes are patched under the
-edits, never rebuilt).
+``AnmatSession.apply_repair`` fixes one suspect cell at a time while the
+session's one incremental detector keeps the report current *without*
+re-scanning the table: each edit updates the detector in place and
+reads no shard.  The final check compares that maintained report with
+a fresh full detection over the repaired table.
 
 Run with::
 

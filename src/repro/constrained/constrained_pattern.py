@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConstraintError
 from repro.patterns.pattern import Pattern
+from repro.patterns.regex import pattern_to_regex_source
 from repro.patterns.syntax import ClassAtom, Element, Literal, ONE, Quantifier
 
 
@@ -134,11 +135,14 @@ class ConstrainedPattern:
     # -- matching & projection ----------------------------------------------------
 
     def _compile(self) -> "re.Pattern[str]":
-        # Compilation is shared process-wide: equal segment tuples (equal
-        # constrained patterns, however constructed) compile exactly once.
-        from repro.perf.pattern_cache import constrained_regex_for
-
-        return constrained_regex_for(self._segments)
+        """One grouped regex: constrained segments become capturing
+        groups (their captures are the constrained projection),
+        unconstrained ones non-capturing groups."""
+        parts = []
+        for segment in self._segments:
+            source = pattern_to_regex_source(segment.pattern)
+            parts.append(("(" if segment.constrained else "(?:") + source + ")")
+        return re.compile("".join(parts))
 
     def matches(self, value: str) -> bool:
         """``s ↦ Q``: the value matches the embedded pattern."""

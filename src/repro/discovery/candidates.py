@@ -25,6 +25,10 @@ from repro.dataset.table import Table
 from repro.discovery.config import DiscoveryConfig
 from repro.pfd.fd import EmbeddedFD
 
+#: LHS columns mined per table, the most promising first: a safety valve
+#: for very wide tables
+MAX_CANDIDATE_COLUMNS = 24
+
 
 @dataclass(frozen=True)
 class CandidateDependency:
@@ -78,10 +82,7 @@ def candidate_dependencies(
     """All candidate dependencies of a table, most promising first."""
     config = config or DiscoveryConfig()
     profile = profile or profile_table(table)
-    lhs_columns = profile.pfd_candidate_columns(
-        max_distinct_ratio=config.max_lhs_distinct_ratio
-    )
-    lhs_columns = lhs_columns[: config.max_candidate_columns]
+    lhs_columns = profile.pfd_candidate_columns()[:MAX_CANDIDATE_COLUMNS]
     candidates: List[CandidateDependency] = []
     for lhs in lhs_columns:
         lhs_profile = profile[lhs]

@@ -3,15 +3,19 @@
 ANMAT exposes two user-facing parameters (Section 4): the **minimum
 coverage** — the ratio of records participating in a PFD to the total
 number of records in the attribute — and the **ratio of allowed
-violations** tolerated because the input data is assumed dirty.  The
-remaining knobs control token extraction and tableau size and have
-defaults chosen to reproduce the paper's demo scenarios.
+violations** tolerated because the input data is assumed dirty.  Next
+to them the config keeps the minimum support, the token mode and the
+deployment fields a session reads.  The mining limits are constants of
+the modules that read them: ``NGRAM_SIZE`` (:mod:`repro.kernels.tokenize`),
+``MAX_TABLEAU_ROWS`` and ``MAX_CONSTRAINED_TOKEN_POSITION``
+(:mod:`repro.kernels.mine`) and ``MAX_CANDIDATE_COLUMNS``
+(:mod:`repro.discovery.candidates`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.errors import DiscoveryError
 
@@ -34,21 +38,6 @@ class DiscoveryConfig:
         ``"auto"`` picks token mode for multi-token attributes and prefix
         n-grams for single-token (code/id) attributes; ``"token"``,
         ``"ngram"`` and ``"prefix"`` force a specific extractor.
-    ngram_size:
-        Size of character n-grams in ``"ngram"`` mode.
-    prefix_lengths:
-        Literal-prefix lengths tried for code-like attributes (both for
-        constant pattern tuples and for constrained prefixes of variable
-        PFDs).  ``None`` means "all lengths shorter than the value".
-    max_tableau_rows:
-        Upper bound on pattern tuples kept per PFD (most covering first).
-    discover_constant / discover_variable:
-        Toggle the two PFD families independently.
-    max_lhs_distinct_ratio:
-        Candidate pruning — LHS columns where nearly every value is
-        distinct *and* unstructured are skipped.
-    max_candidate_columns:
-        Safety valve for very wide tables.
     n_workers:
         Inert: accepted, validated (``>= 0``) and otherwise ignored.
         Every run executes in-process — discovery and detection share
@@ -97,14 +86,6 @@ class DiscoveryConfig:
     allowed_violation_ratio: float = 0.05
     min_support: int = 2
     token_mode: str = "auto"
-    ngram_size: int = 3
-    prefix_lengths: Optional[Tuple[int, ...]] = None
-    max_tableau_rows: int = 64
-    discover_constant: bool = True
-    discover_variable: bool = True
-    max_lhs_distinct_ratio: float = 0.98
-    max_candidate_columns: int = 24
-    max_constrained_token_position: int = 3
     n_workers: int = 0
     shard_rows: int = 0
     store: str = "memory"
@@ -127,10 +108,6 @@ class DiscoveryConfig:
             raise DiscoveryError(f"min_support must be >= 1, got {self.min_support}")
         if self.token_mode not in ("auto", "token", "ngram", "prefix"):
             raise DiscoveryError(f"unknown token_mode {self.token_mode!r}")
-        if self.ngram_size < 1:
-            raise DiscoveryError(f"ngram_size must be >= 1, got {self.ngram_size}")
-        if self.max_tableau_rows < 1:
-            raise DiscoveryError(f"max_tableau_rows must be >= 1, got {self.max_tableau_rows}")
         if self.store not in ("memory", "spill", "object"):
             raise DiscoveryError(
                 f"store must be 'memory', 'spill' or 'object', got {self.store!r}"
@@ -146,12 +123,6 @@ class DiscoveryConfig:
     def min_agreement(self) -> float:
         """Fraction of a group that must agree on the RHS value."""
         return 1.0 - self.allowed_violation_ratio
-
-    def effective_prefix_lengths(self, value_length: int) -> Sequence[int]:
-        """Prefix lengths to try for values of the given typical length."""
-        if self.prefix_lengths is not None:
-            return [k for k in self.prefix_lengths if 0 < k <= value_length]
-        return list(range(1, max(1, value_length)))
 
     def with_overrides(self, **kwargs) -> "DiscoveryConfig":
         """A copy of this config with the given fields replaced."""

@@ -149,17 +149,16 @@ class PfdDiscoverer:
         for candidate, report in zip(candidates, reports):
             if not report.accepted:
                 continue
-            if self.config.discover_constant and report.constant_candidates:
+            if report.constant_candidates:
                 counter += 1
                 pfds.append(
                     self._build_constant_pfd(candidate, report, counter, relation)
                 )
-            if self.config.discover_variable:
-                for variable in report.variable_candidates:
-                    counter += 1
-                    pfds.append(
-                        self._build_variable_pfd(candidate, variable, counter, relation)
-                    )
+            for variable in report.variable_candidates:
+                counter += 1
+                pfds.append(
+                    self._build_variable_pfd(candidate, variable, counter, relation)
+                )
         return pfds
 
     # -- the Figure 2 loop ------------------------------------------------------
@@ -203,21 +202,19 @@ class PfdDiscoverer:
             report = DependencyReport(candidate=candidate)
             with timers.stage("pair_counts"):
                 pairs = pair_counts(lhs, rhs)
-            if config.discover_constant:
-                lhs_triples = triples.get((candidate.lhs, mode))
-                if lhs_triples is None:
-                    with timers.stage("tokenize"):
-                        lhs_triples = triples[(candidate.lhs, mode)] = batch_tokenize(
-                            lhs, mode, config.ngram_size
-                        )
-                report.constant_candidates = mine_constant_kernel(
-                    lhs, rhs, pairs, lhs_triples, config, timers=timers
-                )
-                report.coverage = coverage_kernel(report.constant_candidates, lhs)
-            if config.discover_variable:
-                report.variable_candidates = mine_variable_kernel(
-                    lhs, rhs, pairs, mode, config, timers=timers
-                )
+            lhs_triples = triples.get((candidate.lhs, mode))
+            if lhs_triples is None:
+                with timers.stage("tokenize"):
+                    lhs_triples = triples[(candidate.lhs, mode)] = batch_tokenize(
+                        lhs, mode
+                    )
+            report.constant_candidates = mine_constant_kernel(
+                lhs, rhs, pairs, lhs_triples, config, timers=timers
+            )
+            report.coverage = coverage_kernel(report.constant_candidates, lhs)
+            report.variable_candidates = mine_variable_kernel(
+                lhs, rhs, pairs, mode, config, timers=timers
+            )
             reports.append(self._decide(report, started))
         return reports
 

@@ -29,7 +29,6 @@ from repro.kernels.runtime import np
 from repro.patterns.alphabet import CharClass, classify_char
 from repro.patterns.pattern import Pattern
 from repro.patterns.syntax import ClassAtom, Literal
-from repro.perf import register_cache_clearer
 from repro.perf.memo import MatchMemo
 
 _MISS = object()
@@ -60,9 +59,6 @@ def pattern_class_mask(pattern: Pattern) -> int:
         else:  # unknown atom kind: no filtering claim possible
             return ALL_CLASS_BITS
     return mask
-
-
-register_cache_clearer(pattern_class_mask.cache_clear)
 
 
 def batch_verdicts(

@@ -48,6 +48,11 @@ from repro.perf.timers import StageTimers, stage_or_null as _stage
 
 _RHS_MASK = 0xFFFFFFFF
 
+#: pattern tuples kept per constant tableau (most covering first)
+MAX_TABLEAU_ROWS = 64
+#: the last token position a λ4-style variable candidate constrains
+MAX_CONSTRAINED_TOKEN_POSITION = 3
+
 
 def _merged_rows(rows_by_code: list, codes: Sequence[int]):
     """Ascending row ids of several codes (each block already ascends)."""
@@ -310,7 +315,7 @@ def mine_constant_kernel(
         heap: list = []
         kept: List[PatternTupleCandidate] = []
         next_bound = 0
-        while len(kept) < config.max_tableau_rows:
+        while len(kept) < MAX_TABLEAU_ROWS:
             if next_bound < len(walk) and (
                 not heap or bound_keys[next_bound] <= heap[0][0]
             ):
@@ -444,9 +449,7 @@ def _mine_prefix_kernel(
         return None
     typical_length = lengths[len(lengths) // 2]
     n_rows = lhs.n_rows
-    for k in config.effective_prefix_lengths(typical_length):
-        if k >= typical_length:
-            break
+    for k in range(1, typical_length):
         usable = [
             i for i, code in enumerate(pair_lhs) if length_of[code] > k
         ]
@@ -492,7 +495,7 @@ def _mine_token_kernel(
     distinct = lhs.distinct
     words_of = {code: distinct[code].split() for code in set(pair_lhs)}
     n_rows = lhs.n_rows
-    for position in range(config.max_constrained_token_position + 1):
+    for position in range(MAX_CONSTRAINED_TOKEN_POSITION + 1):
         usable = [
             i
             for i, code in enumerate(pair_lhs)

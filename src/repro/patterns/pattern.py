@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.errors import PatternSyntaxError
 from repro.patterns.alphabet import CharClass
 from repro.patterns.nfa import Nfa, build_nfa
+from repro.patterns.regex import compile_to_regex
 from repro.patterns.syntax import ClassAtom, Element, Literal, ONE, Quantifier
 
 _ANY_STAR_TEXT = "\\A*"
@@ -25,13 +26,9 @@ _UNSET = object()
 class Pattern:
     """An immutable pattern over the generalization-tree alphabet.
 
-    Compiled artifacts (regex, NFA) live in the process-wide caches of
-    :mod:`repro.perf.pattern_cache`, keyed by the pattern value itself —
-    structurally equal patterns share one compilation no matter how many
-    instances exist.  Each instance additionally keeps a *pointer* to the
-    shared artifact after the first use, so hot matching loops pay no
-    cache-lookup cost; the hash and rendered text are memoized the same
-    way.
+    Each instance compiles its regex and builds its NFA on first use
+    and keeps them in its own slots, so hot matching loops pay no
+    lookup cost; the hash and rendered text are memoized the same way.
     """
 
     __slots__ = ("_elements", "_source", "_hash", "_text", "_regex", "_nfa")
@@ -219,13 +216,10 @@ class Pattern:
         return self.nfa.matches_string(text)
 
     def compiled_regex(self) -> Optional["re.Pattern[str]"]:
-        """The pattern compiled to a Python regex (shared across equal
-        patterns), or None if unsupported."""
+        """The pattern compiled to a Python regex, or None if unsupported."""
         regex = self._regex
         if regex is _UNSET:
-            from repro.perf.pattern_cache import shared_regex_for
-
-            regex = self._regex = shared_regex_for(self)
+            regex = self._regex = compile_to_regex(self)
         return regex
 
     def filter_matching(self, values: Sequence[str]) -> List[int]:

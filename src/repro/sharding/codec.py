@@ -36,7 +36,7 @@ import struct
 import sys
 from array import array
 from itertools import accumulate
-from typing import Callable, List
+from typing import Dict, List
 
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
@@ -81,14 +81,14 @@ def decode_shard(
     schema: Schema,
     n_rows: int,
     source: str,
-    intern: Callable[[str], str],
+    interned: Dict[str, str],
 ) -> Table:
     """Rebuild a shard written by :func:`encode_shard`.
 
     ``n_rows`` is the row count the store recorded at append time and
     ``source`` names the file or object in error messages.  Only the
-    distinct values pass through ``intern``; every row of a column
-    references one of them.
+    distinct values are interned through ``interned`` (the store's
+    pool); every row of a column references one of them.
     """
     magic = bytes(data[: len(MAGIC)])
     if magic != MAGIC:
@@ -117,7 +117,11 @@ def decode_shard(
             raise TableError(
                 f"{source} value lengths do not add up to its text block (corrupted?)"
             )
-        distinct = list(map(intern, map(text.__getitem__, map(slice, [0] + ends, ends))))
+        intern = interned.setdefault
+        distinct = [
+            intern(value, value)
+            for value in map(text.__getitem__, map(slice, [0] + ends, ends))
+        ]
         # read unsigned, so a negative int32 code lands far out of range
         codes = np.frombuffer(reader.take(4 * n_rows), dtype="<u4")
         if n_rows and codes.max() >= n_distinct:

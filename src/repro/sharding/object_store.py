@@ -38,11 +38,10 @@ import shutil
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dataset.table import Table
 from repro.errors import TableError
-from repro.perf.interning import InternPool
 from repro.perf.timers import StageTimers
 from repro.sharding.codec import SHARD_SUFFIX, decode_shard, encode_shard
 from repro.sharding.prefetch import PrefetchingFetcher
@@ -232,7 +231,7 @@ class ObjectShardStore(ShardStore):
         #: per-shard (key, row count, sha256 hexdigest)
         self._meta: List[Tuple[str, int, str]] = []
         self._loaded: "OrderedDict[int, Table]" = OrderedDict()
-        self._interned = InternPool()
+        self._interned: Dict[str, str] = {}
         #: read/write attempts beyond the first, for observability/tests
         self.retried_reads = 0
         self.retried_puts = 0
@@ -323,9 +322,7 @@ class ObjectShardStore(ShardStore):
         else:
             with self.timers.stage("fetch_wait"):
                 data = self._fetch_verified(index)
-        shard = decode_shard(
-            data, self.schema, n_rows, f"object {key}", intern=self._interned.intern
-        )
+        shard = decode_shard(data, self.schema, n_rows, f"object {key}", self._interned)
         self._loaded[index] = shard
         while len(self._loaded) > self._cache_shards:
             self._loaded.popitem(last=False)

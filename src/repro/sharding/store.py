@@ -33,12 +33,11 @@ import tempfile
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.errors import TableError
-from repro.perf.interning import InternPool
 from repro.sharding.codec import SHARD_SUFFIX, decode_shard, encode_shard
 
 
@@ -152,7 +151,7 @@ class SpillToDiskShardStore(ShardStore):
         #: decoded distinct values are interned per store, so the resident
         #: string footprint across shard loads is the *distinct* value
         #: set, not one fresh copy per load
-        self._interned = InternPool()
+        self._interned: Dict[str, str] = {}
 
     @property
     def n_shards(self) -> int:
@@ -178,7 +177,7 @@ class SpillToDiskShardStore(ShardStore):
             self.schema,
             n_rows,
             f"spill file {path.name}",
-            intern=self._interned.intern,
+            self._interned,
         )
         self._loaded[index] = shard
         while len(self._loaded) > self._cache_shards:

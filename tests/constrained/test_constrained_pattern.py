@@ -49,6 +49,18 @@ class TestConstruction:
         original = ConstrainedPattern.parse("⟨\\D{3}⟩\\D{2}")
         assert ConstrainedPattern.parse(original.to_text()) == original
 
+    def test_projection_holds_only_the_constrained_segments(self):
+        q = ConstrainedPattern.parse("⟨\\D{3}⟩\\D{2}⟨\\LU\\LU⟩")
+        assert q.project("90001CA") == ("900", "CA")
+        assert q.project("9000CA") is None
+
+    def test_unconstrained_literals_are_escaped_and_not_captured(self):
+        # "(", "." and ")" are pattern literals, not regex syntax
+        q = ConstrainedPattern.parse("⟨\\D{3}⟩(.\\D{2})")
+        assert q.project("900(.12)") == ("900",)
+        assert not q.matches("900(x12)")
+        assert not q.matches("900a.12)")
+
     def test_equality_and_hash(self):
         left = ConstrainedPattern.parse("⟨\\D{3}⟩\\D{2}")
         right = ConstrainedPattern.parse("⟨\\D{3}⟩\\D{2}")

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from repro.dataset.profiling import profile_table
 from repro.dataset.table import Table
-from repro.discovery.candidates import candidate_dependencies
+from repro.discovery.candidates import MAX_CANDIDATE_COLUMNS, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
 
 
@@ -74,10 +75,16 @@ class TestCandidateGeneration:
         candidates = candidate_dependencies(table)
         assert all("empty" not in (c.lhs, c.rhs) for c in candidates)
 
-    def test_max_candidate_columns_limit(self, small_zip_city_state):
-        config = DiscoveryConfig(max_candidate_columns=1)
-        candidates = candidate_dependencies(small_zip_city_state.table, config)
-        assert len({c.lhs for c in candidates}) <= 1
+    def test_lhs_columns_stop_at_max_candidate_columns(self):
+        n_columns = MAX_CANDIDATE_COLUMNS + 6
+        names = [f"c{j:02d}" for j in range(n_columns)]
+        rows = [[f"K{(i + j) % 5}-{i % 3}" for j in range(n_columns)] for i in range(60)]
+        table = Table.from_rows(names, rows)
+        eligible = profile_table(table).pfd_candidate_columns()
+        assert len(eligible) == n_columns
+        candidates = candidate_dependencies(table)
+        assert {c.lhs for c in candidates} == set(eligible[:MAX_CANDIDATE_COLUMNS])
+        assert MAX_CANDIDATE_COLUMNS == 24
 
     def test_str_rendering(self, small_zip_city_state):
         candidates = candidate_dependencies(small_zip_city_state.table)

@@ -1,5 +1,7 @@
 """Tests for DiscoveryConfig validation and helpers."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.discovery.config import DiscoveryConfig
@@ -30,27 +32,35 @@ class TestValidation:
         with pytest.raises(DiscoveryError):
             DiscoveryConfig(token_mode="bogus")
 
-    def test_invalid_ngram_size(self):
-        with pytest.raises(DiscoveryError):
-            DiscoveryConfig(ngram_size=0)
+    def test_invalid_shard_rows(self):
+        with pytest.raises(DiscoveryError, match="shard_rows must be >= 0"):
+            DiscoveryConfig(shard_rows=-1)
 
-    def test_invalid_tableau_rows(self):
-        with pytest.raises(DiscoveryError):
-            DiscoveryConfig(max_tableau_rows=0)
+    def test_invalid_store(self):
+        with pytest.raises(DiscoveryError, match="store must be 'memory', 'spill' or 'object'"):
+            DiscoveryConfig(store="s3")
+
+    def test_fields_are_the_paper_parameters_and_the_deployment(self):
+        assert [field.name for field in fields(DiscoveryConfig)] == [
+            "min_coverage",
+            "allowed_violation_ratio",
+            "min_support",
+            "token_mode",
+            "n_workers",
+            "shard_rows",
+            "store",
+            "spill_dir",
+            "object_url",
+        ]
+        # the mining limits are module constants, not fields
+        with pytest.raises(TypeError):
+            DiscoveryConfig(max_tableau_rows=1)
 
 
 class TestHelpers:
     def test_min_agreement(self):
         config = DiscoveryConfig(allowed_violation_ratio=0.1)
         assert config.min_agreement == pytest.approx(0.9)
-
-    def test_effective_prefix_lengths_default(self):
-        config = DiscoveryConfig()
-        assert list(config.effective_prefix_lengths(5)) == [1, 2, 3, 4]
-
-    def test_effective_prefix_lengths_explicit(self):
-        config = DiscoveryConfig(prefix_lengths=(2, 3, 10))
-        assert list(config.effective_prefix_lengths(5)) == [2, 3]
 
     def test_with_overrides(self):
         config = DiscoveryConfig()
@@ -59,6 +69,14 @@ class TestHelpers:
         assert updated.min_support == 5
         # the original is unchanged
         assert config.min_coverage != 0.9
+
+    @pytest.mark.parametrize(
+        "knob", ["ngram_size", "max_tableau_rows", "discover_variable", "prefix_lengths"]
+    )
+    def test_with_overrides_rejects_a_mining_limit(self, knob):
+        # the limits are module constants; an override must not be dropped silently
+        with pytest.raises(TypeError, match=knob):
+            DiscoveryConfig().with_overrides(**{knob: 1})
 
     def test_with_overrides_validates(self):
         with pytest.raises(DiscoveryError):

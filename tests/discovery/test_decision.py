@@ -15,7 +15,7 @@ from repro.discovery.variable_miner import token_constraint_pattern
 
 def decide_for(lhs, rhs, mode, key, position, config=None):
     config = config or DiscoveryConfig()
-    rows = figure2_reference.inverted_list(lhs, mode, config.ngram_size)[(key, position)]
+    rows = figure2_reference.inverted_list(lhs, mode)[(key, position)]
     return figure2_reference.decide(key, position, rows, lhs, rhs, config)
 
 

@@ -104,17 +104,18 @@ class TestConfigurationEffects:
         relaxed_result = relaxed.discover_with_report(small_fullname_gender.table)
         assert len(relaxed_result.constant_pfds()) >= len(strict_result.constant_pfds())
 
-    def test_disabling_variable_discovery(self, small_zip_city_state):
-        config = DiscoveryConfig(discover_variable=False)
-        result = PfdDiscoverer(config).discover_with_report(small_zip_city_state.table)
-        assert result.variable_pfds() == []
-        assert result.constant_pfds()
-
-    def test_disabling_constant_discovery(self, small_zip_city_state):
-        config = DiscoveryConfig(discover_constant=False)
-        result = PfdDiscoverer(config).discover_with_report(small_zip_city_state.table)
-        assert result.constant_pfds() == []
-        assert result.variable_pfds()
+    def test_accepted_dependencies_yield_both_families(self, small_zip_city_state):
+        # no toggle: an accepted dependency contributes its constant
+        # tableau and every variable candidate, a rejected one nothing
+        result = PfdDiscoverer().discover_with_report(small_zip_city_state.table)
+        assert any(r.constant_candidates and r.variable_candidates for r in result.reports)
+        for report in result.reports:
+            expected = (
+                bool(report.constant_candidates) + len(report.variable_candidates)
+                if report.accepted
+                else 0
+            )
+            assert len(result.pfds_for(report.lhs, report.rhs)) == expected
 
     def test_discover_returns_plain_list(self, small_zip_city_state):
         pfds = PfdDiscoverer().discover(small_zip_city_state.table)

@@ -13,6 +13,7 @@ import pytest
 from repro.discovery.config import DiscoveryConfig
 from repro.kernels.encoder import encode_column
 from repro.kernels.mine import (
+    MAX_CONSTRAINED_TOKEN_POSITION,
     accepts,
     coverage_kernel,
     mine_constant_kernel,
@@ -38,7 +39,7 @@ def mine_constant(lhs, rhs, mode, config=None):
         lhs_encoding,
         rhs_encoding,
         pair_counts(lhs_encoding, rhs_encoding),
-        batch_tokenize(lhs_encoding, mode, config.ngram_size),
+        batch_tokenize(lhs_encoding, mode),
         config,
     )
     reference = figure2_reference.mine_constant(lhs, rhs, mode, config)
@@ -99,11 +100,6 @@ class TestConstantMinerOnZips:
         assert figure2_reference.coverage(rows, lhs) == 1.0
         assert coverage_kernel(rows, encode_column(lhs)) == 1.0
 
-    def test_max_tableau_rows_cap(self):
-        config = DiscoveryConfig(max_tableau_rows=1)
-        rows = mine_constant(self.LHS, self.RHS, mode="prefix", config=config)
-        assert len(rows) == 1
-
     def test_dirty_rhs_within_tolerance(self):
         rhs = list(self.RHS)
         rhs[0] = "New York"  # one error out of ten LA rows
@@ -153,6 +149,17 @@ class TestVariableMinerPrefix:
         candidates = mine_variable(lhs, rhs, mode="prefix")
         assert candidates[0].constrained_pattern.to_text() == "⟨\\D⟩\\D{4}"
 
+    def test_longest_prefix_tried_is_one_shorter_than_the_value(self):
+        # 4-character codes: only the 3-character prefix separates the RHS
+        lhs, rhs = [], []
+        for prefix, label in (("AB1", "w"), ("AB2", "x"), ("AC1", "y"), ("AC2", "z")):
+            for digit in range(10):
+                lhs.append(f"{prefix}{digit}")
+                rhs.append(label)
+        candidates = mine_variable(lhs, rhs, mode="prefix")
+        assert [c.constrained_pattern.project("AB17") for c in candidates] == [("AB1",)]
+        assert candidates[0].n_blocks == 4
+
     def test_no_candidate_when_rhs_is_random_per_row(self):
         lhs = [f"{i:05d}" for i in range(40)]
         rhs = [f"city{i}" for i in range(40)]
@@ -198,6 +205,18 @@ class TestVariableMinerTokens:
         if candidates:  # if anything is found it must be the first-name position
             q = candidates[0].constrained_pattern
             assert q.equivalent("Holloway, Donald", "Jones, Donald")
+
+    def test_token_past_max_constrained_token_position_is_not_mined(self):
+        # only the last token determines the RHS; every earlier position
+        # holds one word, so it forms a single block
+        city = {"x": "X", "y": "Y", "z": "Z"}
+        rhs = [city[key] for key in city] * 10
+        at_3 = [f"a b c {key}" for key in city] * 10
+        at_4 = [f"a b c d {key}" for key in city] * 10
+        assert MAX_CONSTRAINED_TOKEN_POSITION == 3
+        found = mine_variable(at_3, rhs, mode="token")
+        assert [c.description for c in found] == ["the token at position 3 determines the RHS"]
+        assert mine_variable(at_4, rhs, mode="token") == []
 
     def test_empty_values_are_ignored(self):
         lhs = ["", "Holloway, Donald", "Smith, Donald", "Jones, Stacey", "Brown, Stacey"]

@@ -68,7 +68,6 @@ def configs(token_mode):
         allowed_violation_ratio=st.sampled_from([0.0, 0.05, 0.2, 0.34, 0.5]),
         min_support=st.integers(min_value=1, max_value=4),
         token_mode=st.just(token_mode),
-        ngram_size=st.integers(min_value=1, max_value=3),
     )
 
 

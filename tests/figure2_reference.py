@@ -17,9 +17,11 @@ Everything the loop decides is written out here, one row at a time:
   coverage compared against γ as a ratio of row sets (line 13);
 * the variable prefix and token families blocked with plain dicts.
 
-It uses no ``InternPool``, ``MATCH_MEMO``, regex LRU, batch tokenizer or
-matcher, and no numpy.  Shared with ``src/``: candidate generation
-(``candidate_dependencies``), the PFD assembly (``assemble_pfds``) and
+It uses no interning, ``MATCH_MEMO``, batch tokenizer or matcher, and no
+numpy.  Shared with ``src/``: the mining limits (``NGRAM_SIZE``,
+``MAX_TABLEAU_ROWS``, ``MAX_CONSTRAINED_TOKEN_POSITION``), candidate
+generation (``candidate_dependencies``, which caps the LHS columns at
+``MAX_CANDIDATE_COLUMNS``), the PFD assembly (``assemble_pfds``) and
 the pattern synthesis — the ``generalize_*`` functions,
 ``contains_token_pattern``, ``token_constraint_pattern`` and
 ``constrained_prefix``, which ``tests/patterns`` and
@@ -41,6 +43,8 @@ from repro.discovery import DiscoveryConfig, PfdDiscoverer, candidate_dependenci
 from repro.discovery.decision import PatternTupleCandidate, contains_token_pattern
 from repro.discovery.discoverer import DependencyReport, DiscoveryResult
 from repro.discovery.variable_miner import VariableCandidate, token_constraint_pattern
+from repro.kernels.mine import MAX_CONSTRAINED_TOKEN_POSITION, MAX_TABLEAU_ROWS
+from repro.kernels.tokenize import NGRAM_SIZE
 from repro.patterns.generalize import generalize_strings, generalize_with_literal_prefix
 from repro.patterns.pattern import Pattern
 
@@ -51,7 +55,7 @@ PUNCTUATION = ".,;:!?\"'()[]{}"
 # -- lines 6-8: tokens and the inverted list ------------------------------------------
 
 
-def tokens(value: str, mode: str, ngram_size: int) -> List[Tuple[str, int, str]]:
+def tokens(value: str, mode: str) -> List[Tuple[str, int, str]]:
     """``(key, position, text)`` of every token of one LHS value."""
     if value == "":
         return []
@@ -61,21 +65,19 @@ def tokens(value: str, mode: str, ngram_size: int) -> List[Tuple[str, int, str]]
             for position, word in enumerate(value.split())
         ]
     if mode == "ngram":
-        starts = range(len(value) - ngram_size + 1)
-        return [(value[s : s + ngram_size], s, value[s : s + ngram_size]) for s in starts]
+        starts = range(len(value) - NGRAM_SIZE + 1)
+        return [(value[s : s + NGRAM_SIZE], s, value[s : s + NGRAM_SIZE]) for s in starts]
     if mode == "prefix":
         sizes = [size for size in (1, 2, 3, 4, 5) if size <= len(value)]
         return [(value[:size], 0, value[:size]) for size in sizes]
     raise ValueError(f"unknown token mode {mode!r}")
 
 
-def inverted_list(
-    lhs_values: Sequence[str], mode: str, ngram_size: int
-) -> Dict[Tuple[str, int], List[int]]:
+def inverted_list(lhs_values: Sequence[str], mode: str) -> Dict[Tuple[str, int], List[int]]:
     """``(key, position) → rows`` carrying that token, rows ascending."""
     index: Dict[Tuple[str, int], List[int]] = {}
     for row, value in enumerate(lhs_values):
-        for key, position, _text in tokens(value, mode, ngram_size):
+        for key, position, _text in tokens(value, mode):
             index.setdefault((key, position), []).append(row)
     return index
 
@@ -140,7 +142,7 @@ def select(
     kept: List[PatternTupleCandidate] = []
     covered: Dict[str, set] = {}
     for candidate in ordered:
-        if len(kept) >= config.max_tableau_rows:
+        if len(kept) >= MAX_TABLEAU_ROWS:
             break
         already = covered.get(candidate.rhs_constant, set())
         new = set(candidate.covered_tuple_ids) - already
@@ -167,7 +169,7 @@ def mine_constant(
 ) -> List[PatternTupleCandidate]:
     """The selected pattern tuples of ``A → B``, before γ."""
     candidates = []
-    for (token, position), rows in inverted_list(lhs_values, mode, config.ngram_size).items():
+    for (token, position), rows in inverted_list(lhs_values, mode).items():
         candidate = decide(token, position, rows, lhs_values, rhs_values, config)
         if candidate is not None:
             candidates.append(candidate)
@@ -208,9 +210,7 @@ def mine_prefix(
     """λ5: the shortest prefix length whose blocks determine the RHS."""
     lengths = sorted({len(lhs) for lhs, _ in pairs})
     typical_length = lengths[len(lengths) // 2]
-    for k in config.effective_prefix_lengths(typical_length):
-        if k >= typical_length:
-            break
+    for k in range(1, typical_length):
         usable = [(lhs, rhs) for lhs, rhs in pairs if len(lhs) > k]
         if len(usable) < 2 * config.min_support:
             continue
@@ -241,7 +241,7 @@ def mine_token(
 ) -> Optional[VariableCandidate]:
     """λ4: the first token position whose blocks determine the RHS."""
     split = [(lhs.split(), rhs) for lhs, rhs in pairs]
-    for position in range(config.max_constrained_token_position + 1):
+    for position in range(MAX_CONSTRAINED_TOKEN_POSITION + 1):
         usable = [(words, rhs) for words, rhs in split if len(words) > position]
         if len(usable) < 2 * config.min_support:
             continue
@@ -288,15 +288,9 @@ def mine_report(candidate, lhs_values, rhs_values, config: DiscoveryConfig) -> D
     """One iteration of the loop: mine ``A → B`` and apply γ."""
     started = time.perf_counter()
     report = DependencyReport(candidate=candidate)
-    if config.discover_constant:
-        report.constant_candidates = mine_constant(
-            lhs_values, rhs_values, candidate.lhs_mode, config
-        )
-        report.coverage = coverage(report.constant_candidates, lhs_values)
-    if config.discover_variable:
-        report.variable_candidates = mine_variable(
-            lhs_values, rhs_values, candidate.lhs_mode, config
-        )
+    report.constant_candidates = mine_constant(lhs_values, rhs_values, candidate.lhs_mode, config)
+    report.coverage = coverage(report.constant_candidates, lhs_values)
+    report.variable_candidates = mine_variable(lhs_values, rhs_values, candidate.lhs_mode, config)
     constant_ok = bool(report.constant_candidates) and report.coverage >= config.min_coverage
     if not constant_ok:
         report.constant_candidates = []

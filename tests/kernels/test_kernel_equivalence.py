@@ -68,9 +68,9 @@ class TestColumnEquivalence:
         column = random_column(rng, 120)
         encoding = encode_column(column)
         for mode in ("token", "ngram", "prefix"):
-            triples = batch_tokenize(encoding, mode, 3)
+            triples = batch_tokenize(encoding, mode)
             kernel = [triples[code] for code in encoding.codes.tolist()]
-            literal = [tuple(figure2_reference.tokens(v, mode, 3)) for v in column]
+            literal = [tuple(figure2_reference.tokens(v, mode)) for v in column]
             assert kernel == literal, (seed, mode)
 
     def test_match_verdicts_identical(self, seed):

@@ -7,7 +7,7 @@ distinguishes first-occurrence-within-group from global code order),
 triple-exact batch tokenization, and the lazy constant-mining walk
 against the eager literal loop (``tests/figure2_reference.py``) on the
 cases real datasets rarely reach (re-queued entries, same-text ties, a
-one-row tableau).
+tableau cut at ``MAX_TABLEAU_ROWS``).
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from repro.kernels.encoder import (
 )
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_matching_values, batch_verdicts, pattern_class_mask
-from repro.kernels.mine import mine_constant_kernel, pair_counts
-from repro.kernels.tokenize import batch_tokenize, value_triples
+from repro.kernels.mine import MAX_TABLEAU_ROWS, mine_constant_kernel, pair_counts
+from repro.kernels.tokenize import NGRAM_SIZE, batch_tokenize, value_triples
 from repro.patterns import parse_pattern
 from repro.patterns.alphabet import CharClass
-from repro.perf.interning import InternPool
 from repro.perf.memo import MatchMemo
 from repro.perf.timers import StageTimers
 from repro.sharding.stats import extract_pair_groups
@@ -192,23 +191,30 @@ class TestBatchTokenize:
     @pytest.mark.parametrize("column", COLUMNS, ids=["words", "codes", "weird"])
     def test_triples_equal_literal_tokens(self, mode, column):
         encoding = encode_column(column)
-        triples = batch_tokenize(encoding, mode, 3)
+        triples = batch_tokenize(encoding, mode)
         assert triples == [
-            tuple(figure2_reference.tokens(value, mode, 3)) for value in encoding.distinct
+            tuple(figure2_reference.tokens(value, mode)) for value in encoding.distinct
         ]
+
+    def test_equal_tokens_of_different_values_are_one_object(self):
+        # fresh strings, so only the column's intern dict can share them
+        column = ["".join(["New ", "York"]), "".join(["York ", "City"])]
+        new_york, york_city = batch_tokenize(encode_column(column), "token")
+        assert new_york[1][0] == york_city[0][0] == "York"
+        assert new_york[1][0] is york_city[0][0]
 
     def test_unknown_mode_raises(self):
         encoding = encode_column(["x"])
         with pytest.raises(ValueError):
-            batch_tokenize(encoding, "chunk", 3)
+            batch_tokenize(encoding, "chunk")
 
 
 class TestValueTriples:
     """Literal expectations for the three token modes of one value."""
 
     @staticmethod
-    def triples(value, mode, ngram_size=3):
-        return value_triples(value, mode, ngram_size, InternPool())
+    def triples(value, mode):
+        return value_triples(value, mode, {})
 
     def test_basic_ngrams(self):
         triples = self.triples("90001", "ngram")
@@ -221,17 +227,20 @@ class TestValueTriples:
     def test_ngram_longer_than_value(self):
         assert self.triples("ab", "ngram") == ()
 
-    def test_ngram_size_one(self):
-        assert [key for key, _, _ in self.triples("abc", "ngram", 1)] == ["a", "b", "c"]
-
     def test_ngram_mode_keeps_repeated_grams(self):
-        triples = self.triples("90001", "ngram", 2)
-        assert [text for _, _, text in triples] == ["90", "00", "00", "01"]
+        triples = self.triples("900001", "ngram")
+        assert [text for _, _, text in triples] == ["900", "000", "000", "001"]
+        # equal grams are interned to one object
+        assert triples[1][0] is triples[2][0]
 
     def test_prefix_sizes(self):
         triples = self.triples("90001", "prefix")
         assert [key for key, _, _ in triples] == ["9", "90", "900", "9000", "90001"]
         assert all(position == 0 for _, position, _ in triples)
+
+    def test_prefix_sizes_stop_at_five(self):
+        triples = self.triples("9000123456", "prefix")
+        assert [key for key, _, _ in triples] == ["9", "90", "900", "9000", "90001"]
 
     def test_prefix_of_a_short_value(self):
         assert [key for key, _, _ in self.triples("ab", "prefix")] == ["a", "ab"]
@@ -240,15 +249,12 @@ class TestValueTriples:
         triples = self.triples("Smith, John", "token")
         assert triples == (("Smith", 0, "Smith,"), ("John", 1, "John"))
 
-    @given(
-        st.text(alphabet="ab1 -.", min_size=1, max_size=12),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_ngram_count_and_offsets(self, value, n):
-        triples = self.triples(value, "ngram", n)
-        assert len(triples) == max(0, len(value) - n + 1)
+    @given(st.text(alphabet="ab1 -.", min_size=1, max_size=12))
+    def test_ngram_count_and_offsets(self, value):
+        triples = self.triples(value, "ngram")
+        assert len(triples) == max(0, len(value) - NGRAM_SIZE + 1)
         for key, start, text in triples:
-            assert key == text == value[start : start + n]
+            assert key == text == value[start : start + NGRAM_SIZE]
 
 
 def _tableau(candidates):
@@ -276,7 +282,7 @@ def mined_both_ways(lhs, rhs, mode="token", timers=None, **overrides):
         encoding,
         rhs_encoding,
         pair_counts(encoding, rhs_encoding),
-        batch_tokenize(encoding, mode, config.ngram_size),
+        batch_tokenize(encoding, mode),
         config,
         timers=timers,
     )
@@ -306,12 +312,14 @@ class TestLazyConstantMining:
             ("\\A*\\ x", "r1", 1),
         ]
 
-    def test_one_row_tableau(self):
-        lhs = ["p b x"] * 2 + ["p x"] * 2 + ["q"] * 3
-        rhs = ["r2"] * 2 + ["r1"] * 2 + ["r3"] * 3
-        kernel, reference = mined_both_ways(lhs, rhs, max_tableau_rows=1)
+    def test_tableau_stops_at_max_tableau_rows(self):
+        # 80 three-row groups, each with its own first token and RHS
+        # value: 80 pattern tuples pass, the tableau keeps the first 64
+        lhs = [f"g{group} {i}" for group in range(80) for i in range(3)]
+        rhs = [f"r{group}" for group in range(80) for _ in range(3)]
+        kernel, reference = mined_both_ways(lhs, rhs)
         assert kernel == reference
-        assert len(kernel) == 1
+        assert len(kernel) == MAX_TABLEAU_ROWS == 64
 
     def test_covered_entries_are_not_generalized(self):
         timers = StageTimers()
@@ -335,7 +343,7 @@ class TestLazyConstantMining:
         for report in result.reports:
             rhs = table.column(report.rhs)
             index = figure2_reference.inverted_list(
-                table.column(report.lhs), report.candidate.lhs_mode, config.ngram_size
+                table.column(report.lhs), report.candidate.lhs_mode
             )
             for rows in index.values():
                 if len(rows) < config.min_support:
@@ -372,20 +380,15 @@ class TestLazyMiningProperty:
         pair=tie_heavy_pairs(),
         mode=st.sampled_from(["token", "ngram", "prefix"]),
         min_support=st.sampled_from([1, 2, 3]),
-        max_tableau_rows=st.sampled_from([1, 2, 64]),
         allowed_violation_ratio=st.sampled_from([0.0, 0.34, 0.5]),
     )
-    def test_kernel_equals_reference(
-        self, pair, mode, min_support, max_tableau_rows, allowed_violation_ratio
-    ):
+    def test_kernel_equals_reference(self, pair, mode, min_support, allowed_violation_ratio):
         lhs, rhs = pair
         kernel, reference = mined_both_ways(
             lhs,
             rhs,
             mode=mode,
-            ngram_size=2,
             min_support=min_support,
-            max_tableau_rows=max_tableau_rows,
             allowed_violation_ratio=allowed_violation_ratio,
         )
         assert kernel == reference

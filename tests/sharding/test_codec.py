@@ -25,7 +25,14 @@ awkward_values = st.one_of(
         ["", ",", '"', '""quoted""', "a,b", "\r\n", "line\nbreak", "cr\rlf", "naïve·ü", "日本語", "🙂"]
     ),
     st.text(max_size=12),
-    st.text(min_size=300, max_size=2000),
+    # long values from a short random stem: 300-2000 characters without
+    # drawing one choice per character, which would overrun Hypothesis's
+    # entropy budget on a 3-shard, 25-row draw
+    st.builds(
+        lambda stem, repeat: (stem * repeat)[:2000],
+        st.text(min_size=1, max_size=8),
+        st.integers(min_value=300, max_value=2000),
+    ),
 )
 awkward_rows = st.lists(st.lists(awkward_values, min_size=3, max_size=3), max_size=25)
 
@@ -35,7 +42,7 @@ def _shard(rows):
 
 
 def _decode(data, n_rows=2):
-    return decode_shard(data, _shard([]).schema, n_rows, SOURCE, str)
+    return decode_shard(data, _shard([]).schema, n_rows, SOURCE, {})
 
 
 @pytest.fixture
@@ -74,15 +81,39 @@ class TestRoundTrip:
         rows = [["10", "x", "same"]] * 50
         seen = []
 
-        def intern(value):
-            seen.append(value)
-            return value
+        class Pool(dict):
+            def setdefault(self, key, default=None):
+                seen.append(key)
+                return super().setdefault(key, default)
 
-        shard = decode_shard(encode_shard(_shard(rows)), _shard([]).schema, 50, SOURCE, intern)
+        pool = Pool()
+        shard = decode_shard(encode_shard(_shard(rows)), _shard([]).schema, 50, SOURCE, pool)
         # one intern call per distinct value per column, none per cell
         assert sorted(seen) == ["10", "same", "x"]
         column = shard.column_ref("note")
         assert all(value is column[0] for value in column)
+        assert column[0] is pool["same"]
+
+    @pytest.mark.parametrize("kind", ["spill", "object"])
+    def test_store_shares_values_across_shards_and_reloads(self, kind, tmp_path):
+        if kind == "spill":
+            store = SpillToDiskShardStore(tmp_path / "spill", cache_shards=1)
+        else:
+            store = ObjectShardStore(root=tmp_path / "objects", cache_shards=1)
+        try:
+            # fresh string objects per row, so only the store can share them
+            store.append(_shard([["".join(["9", "0001"]), "x", "".join(["sa", "me"])]]))
+            store.append(_shard([["".join(["900", "01"]), "y", "".join(["s", "ame"])]]))
+            first = store.get(0).column_ref("note")[0]
+            second = store.get(1).column_ref("note")[0]  # evicts shard 0
+            reloaded = store.get(0).column_ref("code")[0]
+            assert first == second == "same"
+            # one pool per store: equal values of different shards and of
+            # a re-decoded shard are one object
+            assert first is second
+            assert reloaded is store.get(1).column_ref("code")[0]
+        finally:
+            store.close()
 
 
 class TestRejections:
@@ -115,20 +146,20 @@ class TestRejections:
         data = bytearray(encode_shard(Table.from_rows(["code"], [["a"], ["b"]])))
         struct.pack_into("<i", data, len(data) - 4, code)
         with pytest.raises(TableError, match=rf"{SOURCE} has a value code outside \[0, 2\)"):
-            decode_shard(bytes(data), Table.empty(["code"]).schema, 2, SOURCE, str)
+            decode_shard(bytes(data), Table.empty(["code"]).schema, 2, SOURCE, {})
 
     def test_invalid_utf8(self):
         data = bytearray(encode_shard(Table.from_rows(["code"], [["a"]])))
         # layout: magic, header, (n_distinct, n_text), one length, "a", one code
         data[len(MAGIC) + 8 + 8 + 4] = 0xFF
         with pytest.raises(TableError, match=f"{SOURCE} holds invalid UTF-8"):
-            decode_shard(bytes(data), Table.empty(["code"]).schema, 1, SOURCE, str)
+            decode_shard(bytes(data), Table.empty(["code"]).schema, 1, SOURCE, {})
 
     def test_value_lengths_disagree_with_text(self):
         data = bytearray(encode_shard(Table.from_rows(["code"], [["ab"]])))
         struct.pack_into("<I", data, len(MAGIC) + 8 + 8, 1)  # claims len("ab") == 1
         with pytest.raises(TableError, match=f"{SOURCE} value lengths do not add up"):
-            decode_shard(bytes(data), Table.empty(["code"]).schema, 1, SOURCE, str)
+            decode_shard(bytes(data), Table.empty(["code"]).schema, 1, SOURCE, {})
 
     def test_object_store_names_the_object(self, tmp_path):
         import hashlib

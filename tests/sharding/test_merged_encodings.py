@@ -105,9 +105,9 @@ def assert_matches_flat(encoding, values, modes=MODES):
     assert encoding.distinct == flat.distinct
     assert encoding.codes.tolist() == flat.codes.tolist()
     for mode in modes:
-        triples = batch_tokenize(encoding, mode, 3)
+        triples = batch_tokenize(encoding, mode)
         rows = [triples[code] for code in encoding.codes.tolist()]
-        assert rows == [tuple(figure2_reference.tokens(v, mode, 3)) for v in values], mode
+        assert rows == [tuple(figure2_reference.tokens(v, mode)) for v in values], mode
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8, 13])
@@ -191,9 +191,9 @@ def test_each_lhs_mode_is_tokenized_once(monkeypatch):
     names = {id(encoding): name for name, encoding in sharded.encodings.items()}
     built = []
 
-    def counted(encoding, mode, ngram_size):
+    def counted(encoding, mode):
         built.append((names[id(encoding)], mode))
-        return batch_tokenize(encoding, mode, ngram_size)
+        return batch_tokenize(encoding, mode)
 
     monkeypatch.setattr(discoverer_module, "batch_tokenize", counted)
     PfdDiscoverer(CONFIG).mine_candidates(candidates, sharded.column_encodings)

@@ -1,12 +1,12 @@
-"""Line-coverage gate for the discovery, detection, sharding, engine and
-kernel layers, and for the session that routes every upload.
+"""Line-coverage gate for the discovery, detection, sharding, engine,
+kernel and perf layers, and for the session that routes every upload.
 
-Runs the discovery + detection + sharding + engine + kernels + anmat
-test selection (including the rule-maintenance differential gate in
+Runs the discovery + detection + sharding + engine + kernels + anmat +
+perf test selection (including the rule-maintenance differential gate in
 ``tests/discovery/test_maintenance.py``) under a coverage tracer and
 fails when the measured line coverage of ``src/repro/discovery/``,
 ``src/repro/detection/``, ``src/repro/sharding/``,
-``src/repro/engine/``, ``src/repro/kernels/`` or
+``src/repro/engine/``, ``src/repro/kernels/``, ``src/repro/perf/`` or
 ``src/repro/anmat/session.py`` drops below the committed floor.  Built on the
 standard library's ``trace`` module so it needs no dependency (this
 environment ships without the third-party ``coverage`` package; the
@@ -35,13 +35,15 @@ SRC_ROOT = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC_ROOT))
 
 #: measured directory → minimum line coverage (fraction); all measure
-#: ~90% today, floored at 85% so refactors have headroom
+#: ~90% or more, floored at 85% so refactors have headroom; the small
+#: perf package (96.5% when it was added) is floored at 90%
 FLOORS: Dict[str, float] = {
     "src/repro/discovery": 0.85,
     "src/repro/detection": 0.85,
     "src/repro/sharding": 0.85,
     "src/repro/engine": 0.85,
     "src/repro/kernels": 0.85,
+    "src/repro/perf": 0.90,
 }
 
 #: individual files gated on their own floor — the out-of-core session's
@@ -74,6 +76,7 @@ TEST_ARGS = [
     "tests/engine",
     "tests/kernels",
     "tests/anmat",
+    "tests/perf",
 ]
 
 
