@@ -60,7 +60,7 @@ def main() -> None:
         report = session.run_detection()
         print(f"\nsharded run: {len(session.discovered_pfds())} PFDs, "
               f"{len(report)} violations over {len(report.suspect_rows())} "
-              f"suspect rows (strategy={report.strategy})")
+              f"suspect rows")
 
         # -- the contract: identical to the monolithic library engines ----
         # (the session's ``table`` is a ShardOverlay; materialize an eager
@@ -69,7 +69,7 @@ def main() -> None:
         mono_pfds = PfdDiscoverer(session.config).discover(table, relation="zips")
         mono_report = ErrorDetector(table).detect_all(mono_pfds)
         print(f"monolithic reference: {len(mono_pfds)} PFDs, "
-              f"{len(mono_report)} violations (strategy={mono_report.strategy})")
+              f"{len(mono_report)} violations")
 
         same_rules = [p.describe() for p in session.discovered_pfds()] == [
             p.describe() for p in mono_pfds

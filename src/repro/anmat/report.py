@@ -79,7 +79,7 @@ def render_violations(report: ViolationReport, table=None, max_rows: int = 25) -
     """The Figure 5 view: violating records with the violated rule."""
     header = (
         f"{len(report.violations)} violations over {report.n_rows} rows "
-        f"({len(report.suspect_cells())} suspect cells, strategy={report.strategy})"
+        f"({len(report.suspect_cells())} suspect cells)"
     )
     rows: List[List[str]] = []
     for violation in report.violations[:max_rows]:

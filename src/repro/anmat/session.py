@@ -427,9 +427,8 @@ class AnmatSession:
         Seeds a fresh :class:`IncrementalDetector` — the one the edit
         loop maintains — from the pair groups of the column encodings
         discovery kept; its report (evaluator order, rows ascending) is
-        canonically equal to an
-        :class:`~repro.detection.detector.ErrorDetector` run over the
-        materialized table.
+        detection's one route, the one
+        :class:`~repro.detection.detector.ErrorDetector` takes too.
         """
         self._require_table()
         rules = list(pfds) if pfds is not None else self.confirmed_pfds()
@@ -547,6 +546,5 @@ class AnmatSession:
                 "n_rows": self.table.n_rows,
                 "n_violations": len(self.violations),
                 "suspect_rows": self.violations.suspect_rows(),
-                "strategy": self.violations.strategy,
             },
         )

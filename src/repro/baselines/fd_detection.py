@@ -23,7 +23,7 @@ def detect_fd_violations(table: Table, fds: Iterable[FunctionalDependency]) -> V
     (the same majority convention the PFD engine uses, so the comparison
     is apples-to-apples).
     """
-    report = ViolationReport(n_rows=table.n_rows, strategy="fd")
+    report = ViolationReport(n_rows=table.n_rows)
     for fd in fds:
         lhs_columns = [table.column_ref(a) for a in fd.lhs]
         groups: Dict[tuple, List[int]] = {}
@@ -67,7 +67,7 @@ def detect_fd_violations(table: Table, fds: Iterable[FunctionalDependency]) -> V
 
 def detect_cfd_violations(table: Table, cfds: Iterable[CFD]) -> ViolationReport:
     """Cells violating constant CFD rules."""
-    report = ViolationReport(n_rows=table.n_rows, strategy="cfd")
+    report = ViolationReport(n_rows=table.n_rows)
     for cfd in cfds:
         lhs_values = table.column_ref(cfd.lhs_attribute)
         rhs_values = table.column_ref(cfd.rhs_attribute)

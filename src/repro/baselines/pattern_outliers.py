@@ -40,7 +40,7 @@ class PatternOutlierDetector:
         self.config = config or PatternOutlierConfig()
 
     def detect(self, table: Table, columns: Optional[Sequence[str]] = None) -> ViolationReport:
-        report = ViolationReport(n_rows=table.n_rows, strategy="pattern-outlier")
+        report = ViolationReport(n_rows=table.n_rows)
         for name in columns if columns is not None else table.column_names():
             self._detect_column(table, name, report)
         return report

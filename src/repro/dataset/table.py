@@ -356,13 +356,6 @@ class Table:
             counts[value] = counts.get(value, 0) + 1
         return counts
 
-    def group_rows(self, name: Union[str, Attribute]) -> Dict[str, List[int]]:
-        """Return value → list of row indexes holding that value."""
-        groups: Dict[str, List[int]] = {}
-        for i, value in enumerate(self.column_ref(name)):
-            groups.setdefault(value, []).append(i)
-        return groups
-
     # -- dunder niceties -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

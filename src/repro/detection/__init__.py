@@ -7,7 +7,6 @@ avoiding the quadratic pairwise comparison.
 """
 
 from repro.detection.violation import Violation, ViolationKind, ViolationReport
-from repro.detection.blocking import block_by_key, block_by_projection
 from repro.detection.rules import (
     ConstantRuleEvaluator,
     VariableRuleEvaluator,
@@ -22,8 +21,6 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "ViolationReport",
-    "block_by_key",
-    "block_by_projection",
     "ConstantRuleEvaluator",
     "VariableRuleEvaluator",
     "build_rule_evaluators",

@@ -55,11 +55,20 @@ re-sorts only after a mutation touched it; :meth:`IncrementalDetector.report`
 concatenates them in evaluator order, deduplicating only across
 evaluators that share ``(pfd_name, rule_index)``.
 
+**Comparisons.**  Each seed counts its work in :attr:`comparisons`,
+which reports carry: per rule, one LHS test or projection per distinct
+LHS value, then one RHS check per in-scope ``(LHS value, RHS value)``
+group (constant rules) or one per row of each block of two or more rows
+(variable rules).  Updates are not counted, and a hand-over counts only
+the rules it seeds.
+
 Correctness contract: after any sequence of mutations,
 ``detector.report().canonical_violations()`` equals the canonical
-violations of a from-scratch
-``ErrorDetector(overlay.materialize()).detect_all(pfds)`` on the final
-state — randomized and property-based equivalence tests enforce this.
+violations of the literal per-row Section 3 loop in
+``tests/detection_reference.py`` over ``overlay.materialize()`` —
+randomized and property-based equivalence tests enforce this.  A fresh
+seed over a whole table is detection itself:
+:class:`~repro.detection.detector.ErrorDetector` is one.
 """
 
 from __future__ import annotations
@@ -80,7 +89,7 @@ from repro.kernels.encoder import ColumnEncoding
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
-from repro.sharding.detection import split_blocks, value_groups
+from repro.sharding.detection import pair_groups, split_blocks, value_groups
 
 
 def _held_key(pfd: PFD) -> Tuple[Optional[str], str]:
@@ -152,9 +161,6 @@ class IncrementalDetector:
     re-seed at the next :meth:`refresh` or :meth:`report`.
     """
 
-    #: the label its reports carry — the same as :class:`ErrorDetector`'s
-    strategy = "auto"
-
     def __init__(
         self,
         table,
@@ -183,6 +189,8 @@ class IncrementalDetector:
         self._columns: Dict[str, _CodedColumn] = {}
         #: the table version the state reflects
         self._synced_version = -1
+        #: the comparisons the last seed made (see the module docstring)
+        self.comparisons = 0
         self._rebuild()
 
     # -- seed and hand-over ------------------------------------------------------
@@ -237,6 +245,7 @@ class IncrementalDetector:
             for name in names
         }
         self._rules = []
+        self.comparisons = 0
         for pfd, evaluators in zip(self.pfds, kept):
             self._rules.extend(self._seeded(view, pfd) if evaluators is None else evaluators)
         self._readers = {name: [] for name in self._columns}
@@ -248,14 +257,19 @@ class IncrementalDetector:
         self._synced_version = self.table.version
 
     def _seeded(self, view, pfd: PFD) -> List[RuleEvaluator]:
-        """One rule's evaluators, in tableau order, seeded from ``view``."""
+        """One rule's evaluators, in tableau order, seeded from ``view``;
+        their comparisons add to :attr:`comparisons`."""
         evaluators = []
         for rule_index, rule in enumerate(pfd.tableau):
             evaluator = make_rule_evaluator(pfd, rule_index, rule)
+            # one LHS test or projection per distinct LHS value
+            self.comparisons += len(pair_groups(view, evaluator.lhs, evaluator.rhs).groups)
             if isinstance(evaluator, VariableRuleEvaluator):
-                evaluator.seed_blocks(split_blocks(view, evaluator, self.memo))
+                self.comparisons += evaluator.seed_blocks(
+                    split_blocks(view, evaluator, self.memo)
+                )
             else:
-                evaluator.seed_value_groups(
+                self.comparisons += evaluator.seed_value_groups(
                     value_groups(view, evaluator, self.memo), self.memo
                 )
             evaluators.append(evaluator)
@@ -353,7 +367,7 @@ class IncrementalDetector:
         via :meth:`ViolationReport.canonical_violations`.
         """
         self.refresh()
-        report = ViolationReport(n_rows=self.table.n_rows, strategy=self.strategy)
+        report = ViolationReport(n_rows=self.table.n_rows, comparisons=self.comparisons)
         seen = set()
         for evaluator in self._rules:
             violations = evaluator.emit()

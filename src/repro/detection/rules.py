@@ -1,26 +1,22 @@
-"""Single rule-evaluation engine shared by every detection route.
+"""The rule-evaluation engine of detection.
 
 The paper's detection semantics (Section 3) come in two families —
 constant tableau rules checked row by row, and variable rules checked
-per ``≡_Q`` block with majority-witness selection — and both detectors
-(the table detector and the session's incremental detector) must emit
-*identical* violations for the same table.  This module is the one
-place those semantics live:
+per ``≡_Q`` block with majority-witness selection.  This module is the
+one place in the engine those semantics live:
 
 * :class:`ConstantRuleEvaluator` — LHS match / RHS satisfaction checks
   and per-row :class:`~repro.detection.violation.Violation` construction
   for one constant tableau rule;
-* :class:`VariableRuleEvaluator` — RHS splitting of a ``≡_Q`` block,
+* :class:`VariableRuleEvaluator` — RHS groups of a ``≡_Q`` block,
   majority tie-breaking, witness selection, and violation construction
   for one variable tableau rule.
 
-Each evaluator serves two callers.  ``emit_full`` serves the library
-reference (:class:`~repro.detection.detector.ErrorDetector`): given
-the rows (or blocks) in scope it yields the rule's violations without
-retaining state.  The state hooks serve the session's detector
-(:class:`~repro.detection.incremental.IncrementalDetector`), whose seed
-*is* detection and whose updates are the edit loop; they work on
-distinct values rather than on rows:
+The evaluators serve one caller, the
+:class:`~repro.detection.incremental.IncrementalDetector`, whose seed
+*is* detection (:class:`~repro.detection.detector.ErrorDetector` and
+the session both take its report) and whose updates are the edit loop.
+They keep state on distinct values rather than on rows:
 
 * a constant rule is seeded with one RHS verdict per ``(LHS value, RHS
   value)`` group (:meth:`ConstantRuleEvaluator.seed_value_groups`) and
@@ -36,15 +32,15 @@ distinct values rather than on rows:
 ``update_row`` / ``append_row`` / ``delete_row`` take the row's LHS and
 RHS *values* (the caller decodes them from its own column codes), and
 ``emit()`` returns the maintained violations in ascending row order,
-cached until the state changes.  Both callers build their violations
-through the same core (``make_violation`` / ``suspects``), so they
-cannot drift apart.
+cached until the state changes.  Seeds and updates build their
+violations through the same core (``make_violation`` / ``suspects``).
 
 Pattern verdicts and constrained projections are always read through a
 :class:`~repro.perf.memo.MatchMemo` (one regex run per distinct value),
-and the callers hand in rows/blocks resolved via their own cached
-artifacts — the evaluators only own *semantics*, never candidate
-enumeration.
+and the caller hands in value groups and blocks resolved from its own
+pair groups — the evaluators only own *semantics*, never candidate
+enumeration.  The literal per-row loop of Section 3 they are held to
+lives in ``tests/detection_reference.py``.
 """
 
 from __future__ import annotations
@@ -67,8 +63,7 @@ from typing import (
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
 from repro.dataset.rowids import RowIds, row_ids
-from repro.detection.blocking import majority_value, split_block_by_rhs
-from repro.detection.violation import Violation, ViolationKind, ViolationReport
+from repro.detection.violation import Violation, ViolationKind
 from repro.errors import DetectionError
 from repro.kernels.runtime import np
 from repro.patterns.pattern import Pattern
@@ -154,11 +149,8 @@ def _shift_down_from(rows: RowIds, start: int) -> None:
 
 
 class ConstantRuleEvaluator:
-    """One constant tableau rule's violation semantics.
-
-    Stateless when driven through :meth:`emit_full`; stateful (a ``row
-    → Violation`` map) when driven through the incremental hooks.
-    """
+    """One constant tableau rule's violation semantics and its
+    maintained ``row → Violation`` map."""
 
     kind = ViolationKind.CONSTANT
 
@@ -206,51 +198,30 @@ class ConstantRuleEvaluator:
             expected_value=self.expected,
         )
 
-    # -- batch entry points ----------------------------------------------------
-
-    def emit_full(
-        self,
-        rows: Iterable[int],
-        rhs_values: Sequence[str],
-        memo: MatchMemo,
-        report: Optional[ViolationReport] = None,
-    ) -> Iterator[Violation]:
-        """Violations among ``rows`` (the rows whose LHS satisfies the
-        rule — candidate enumeration stays with the caller).
-
-        With a ``report`` the per-row RHS checks are counted into its
-        ``comparisons`` statistic.
-        """
-        for row in rows:
-            if report is not None:
-                report.comparisons += 1
-            observed = rhs_values[row]
-            if self.rhs_satisfied(memo, observed):
-                continue
-            yield self.make_violation(row, observed)
-
     # -- incremental state hooks -----------------------------------------------
 
     def seed_value_groups(
         self, value_groups: Iterable[Tuple[str, Sequence[int]]], memo: MatchMemo
-    ) -> None:
+    ) -> int:
         """(Re)build the maintained state from the in-scope rows grouped
-        by RHS value.
+        by RHS value; returns the number of RHS checks (one per group).
 
         ``value_groups`` yields ``(observed RHS value, rows holding it)``
         pairs covering the rows whose LHS satisfies the rule.  The RHS
-        check runs once per *group* instead of once per row, and the
-        violations are exactly :meth:`emit_full`'s for the union of the
-        groups' rows.
+        check runs once per *group* instead of once per row: each row of
+        a group whose value fails the RHS cell is a violation.
         """
         violations: Dict[int, Violation] = {}
+        checks = 0
         for observed, rows in value_groups:
+            checks += 1
             if self.rhs_satisfied(memo, observed):
                 continue
             for row in rows:
                 violations[row] = self.make_violation(row, observed)
         self.violations = violations
         self._emitted = None
+        return checks
 
     def update_row(
         self,
@@ -296,6 +267,12 @@ class ConstantRuleEvaluator:
         return self._emitted
 
 
+def majority_value(groups: Mapping[str, Sequence[int]]) -> str:
+    """The RHS value held by the most rows of a block; count ties go to
+    the lexicographically larger value, so results are deterministic."""
+    return max(groups, key=lambda value: (len(groups[value]), value))
+
+
 class _BlockState:
     """One ``≡_Q`` block's maintained state."""
 
@@ -316,13 +293,9 @@ class _BlockState:
 
 
 class VariableRuleEvaluator:
-    """One variable tableau rule's violation semantics.
-
-    Stateless when driven through :meth:`emit_full` over derived
-    blocks; stateful (per block, RHS groups, majority, witness and the
-    minority rows' violations) when driven through the incremental
-    hooks.
-    """
+    """One variable tableau rule's violation semantics and its
+    maintained state: per block, the RHS groups, majority, witness and
+    the minority rows' violations."""
 
     kind = ViolationKind.VARIABLE
 
@@ -344,20 +317,6 @@ class VariableRuleEvaluator:
         self._emitted: Optional[List[Violation]] = None
 
     # -- semantic core ---------------------------------------------------------
-
-    def block_violations_for(
-        self, rows: Sequence[int], rhs_values: Sequence[str]
-    ) -> List[Violation]:
-        """One block's violations (its rows ascending): split by RHS,
-        pick the majority value (ties broken lexicographically), suspect
-        every minority row with the majority's first row as witness."""
-        if len(rows) < 2:
-            return []
-        groups = split_block_by_rhs(rows, rhs_values)
-        if len(groups) < 2:
-            return []
-        majority = majority_value(groups)
-        return list(self.suspects(groups, majority, groups[majority][0]))
 
     def suspects(
         self, groups: Mapping[str, Sequence[int]], majority: str, witness: int
@@ -385,46 +344,31 @@ class VariableRuleEvaluator:
             expected_value=majority,
         )
 
-    # -- batch entry point -----------------------------------------------------
-
-    def emit_full(
-        self,
-        blocks: Union[Mapping[Hashable, Sequence[int]], Iterable[Sequence[int]]],
-        rhs_values: Sequence[str],
-        report: Optional[ViolationReport] = None,
-    ) -> Iterator[Violation]:
-        """Violations of every block (a ``key → rows`` mapping or a bare
-        iterable of row lists — deriving the blocks stays with the
-        caller).
-
-        With a ``report`` every multi-row block counts its size into the
-        ``comparisons`` statistic.
-        """
-        block_lists = blocks.values() if isinstance(blocks, Mapping) else blocks
-        for rows in block_lists:
-            if len(rows) < 2:
-                continue
-            if report is not None:
-                report.comparisons += len(rows)
-            yield from self.block_violations_for(rows, rhs_values)
-
     # -- incremental state hooks -----------------------------------------------
 
-    def seed_blocks(self, blocks: Mapping[Hashable, Dict[str, RowIds]]) -> None:
+    def seed_blocks(self, blocks: Mapping[Hashable, Dict[str, RowIds]]) -> int:
         """(Re)build the maintained state from ``block key → RHS value →
-        rows`` (:func:`~repro.sharding.detection.split_blocks`).
+        rows`` (:func:`~repro.sharding.detection.split_blocks`); returns
+        the number of rows in blocks of two or more rows (the rows
+        compared).
 
         The evaluator takes the groups and their row-id arrays over and
         sorts the arrays in place: the caller hands over blocks it no
         longer reads.
         """
         self.state = {}
+        compared = 0
         for key, groups in blocks.items():
+            size = 0
             for rows in groups.values():
                 _sort_in_place(rows)
+                size += len(rows)
+            if size > 1:
+                compared += size
             block = self.state[key] = _BlockState(groups)
             self._rederive(block)
         self._emitted = None
+        return compared
 
     def update_row(
         self,

@@ -87,7 +87,6 @@ class ViolationReport:
     violations: List[Violation] = field(default_factory=list)
     n_rows: int = 0
     elapsed_seconds: float = 0.0
-    strategy: str = "auto"
     comparisons: int = 0
 
     def add(self, violation: Violation) -> None:
@@ -161,18 +160,18 @@ class ViolationReport:
 
     def merged_with(self, other: "ViolationReport") -> "ViolationReport":
         """Union of two reports (deduplicated)."""
-        return ViolationReport.merge([self, other], strategy=self.strategy)
+        return ViolationReport.merge([self, other])
 
     @classmethod
     def merge(
-        cls, reports: Iterable["ViolationReport"], n_rows: int = 0, strategy: str = "auto"
+        cls, reports: Iterable["ViolationReport"], n_rows: int = 0
     ) -> "ViolationReport":
         """Union of several reports in one pass: their violations in
         report order, the first of each identity key kept; ``n_rows`` is
         the largest of ``n_rows`` and the reports', times and comparisons
         add up.  Equal to folding :meth:`merged_with` left to right,
         without re-copying the accumulated report per step."""
-        merged = cls(n_rows=n_rows, strategy=strategy)
+        merged = cls(n_rows=n_rows)
         seen: Set[Tuple] = set()
         for report in reports:
             merged.n_rows = max(merged.n_rows, report.n_rows)

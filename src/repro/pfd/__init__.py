@@ -11,11 +11,6 @@ between tuples that are equivalent on the constrained LHS patterns
 from repro.pfd.fd import EmbeddedFD, FunctionalDependency
 from repro.pfd.tableau import PatternTableau, TableauCell, TableauRow, WILDCARD, Wildcard
 from repro.pfd.pfd import PFD, PfdKind
-from repro.pfd.satisfaction import (
-    SatisfactionReport,
-    check_satisfaction,
-    find_tableau_violations,
-)
 
 __all__ = [
     "EmbeddedFD",
@@ -27,7 +22,4 @@ __all__ = [
     "Wildcard",
     "PFD",
     "PfdKind",
-    "SatisfactionReport",
-    "check_satisfaction",
-    "find_tableau_violations",
 ]

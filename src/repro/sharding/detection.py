@@ -19,10 +19,12 @@ from the pair groups of each rule's attribute pair (see
   values sharing a projection key are reduced into one ``≡_Q`` block,
   already split by RHS value (:func:`split_blocks`).
 
-The violations are built by the shared evaluators in
-:mod:`repro.detection.rules`, so they are canonically equal to an
-:class:`~repro.detection.detector.ErrorDetector` run; the differential
-and shard-invariance suites assert it.
+This is detection's one route: an
+:class:`~repro.detection.detector.ErrorDetector` seeds the same way over
+its table as one shard.  The violations are built by the evaluators in
+:mod:`repro.detection.rules`; the differential and shard-invariance
+suites hold them, canonically, to the literal per-row Section 3 loop of
+``tests/detection_reference.py``, at every shard size.
 """
 
 from __future__ import annotations

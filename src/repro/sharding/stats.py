@@ -6,7 +6,9 @@ Constant rules need the rows per (matching LHS value, observed RHS
 value), and variable rules derive their ``≡_Q`` blocks by projecting
 each distinct LHS value once.
 
-The session's detector seeds from it, built with one
+The session's detector seeds from it (and so does
+:class:`~repro.detection.detector.ErrorDetector`, over its table as
+one shard), built with one
 :func:`~repro.kernels.groupby.pair_groups_kernel` call over the two
 columns' table-wide encodings (the ones discovery factorized), so no
 per-shard partials exist and nothing is merged.
@@ -99,8 +101,8 @@ class MergedPairGroups:
         """Distinct LHS values satisfying a rule's LHS cell.
 
         Patterns are narrowed by literal prefix and memo-tested once per
-        distinct value (the same verdict store
-        :class:`~repro.detection.detector.ErrorDetector` uses); a plain-string cell is a dictionary hit; a wildcard cell
+        distinct value (the verdict store the edit loop's updates
+        read too); a plain-string cell is a dictionary hit; a wildcard cell
         matches everything (as ``cell_matches`` defines).  Plain
         patterns run through the batch matcher (identical verdicts, same
         memo tables).

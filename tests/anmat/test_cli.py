@@ -122,7 +122,8 @@ class TestShardRows:
         )
         assert code == EXIT_VIOLATIONS_FOUND
         out = capsys.readouterr().out
-        assert "strategy=auto" in out
+        assert "suspect cells)" in out
+        assert "strategy" not in out
 
     def test_sharded_detect_reports_same_violations_as_monolithic(
         self, tmp_path, capsys
@@ -135,7 +136,7 @@ class TestShardRows:
         code = main(["detect", "--csv", str(path), "--shard-rows", "32"])
         assert code == EXIT_VIOLATIONS_FOUND
         sharded = capsys.readouterr().out
-        # same violation count, suspects and strategy label
+        # same violation count and suspects
         assert monolithic.splitlines()[0] == sharded.splitlines()[0]
 
     def test_sharded_detect_exit_zero_on_clean_data(self, tmp_path, capsys):
@@ -419,7 +420,7 @@ class TestExecutionFlags:
             assert code == EXIT_VIOLATIONS_FOUND
             outputs[label] = capsys.readouterr().out
         # one engine: the report does not depend on the shard size
-        assert "strategy=auto" in outputs["default"].splitlines()[0]
+        assert outputs["default"].splitlines()[0].endswith("suspect cells)")
         assert outputs["two-row shards"] == outputs["default"]
 
     def test_explain_plan_prints_before_running(self, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.anmat.project import ProjectStore
 from repro.anmat.session import AnmatSession, SessionState
 from repro.dataset.table import Table
-from repro.detection import ErrorDetector, IncrementalDetector
+from repro.detection import IncrementalDetector
 from repro.discovery import PfdDiscoverer
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.maintenance import RuleMaintainer
@@ -18,7 +18,8 @@ from repro.metrics.evaluation import evaluate_report
 from repro.sharding import ShardOverlay
 
 from fresh_seed import assert_report_equals_a_fresh_seed
-from pairwise_reference import assert_matches_pairwise, violating_pairs
+import detection_reference
+from detection_reference import assert_matches_pairwise, violating_pairs
 
 
 class TestWorkflowOrder:
@@ -151,12 +152,10 @@ class TestEditLoop:
         )
 
     def test_edit_loop_matches_full_redetection(self, detected_session):
-        from repro.detection import ErrorDetector
-
         session = detected_session
         for suggestion in session.repair_suggestions()[:5]:
             session.apply_repair(suggestion)
-        full = ErrorDetector(session.table.materialize()).detect_all(
+        full = detection_reference.detect(session.table.materialize(), 
             session.confirmed_pfds()
         )
         assert (
@@ -271,7 +270,7 @@ class TestEditLoop:
         seeds["rules"].clear()
         session.edit_cell(1, "city", "Elsewhere")
         assert seeds == {"full": [], "rules": []}
-        expected = ErrorDetector(session.table.materialize()).detect_all(
+        expected = detection_reference.detect(session.table.materialize(), 
             session.confirmed_pfds()
         )
         assert (
@@ -374,16 +373,16 @@ class TestProjectIntegration:
 
 
 class Reference:
-    """The monolithic library engines' answer for one dataset: the
-    :class:`PfdDiscoverer` rules, their :class:`ErrorDetector`
-    violations and the profile."""
+    """The monolithic answer for one dataset: the
+    :class:`PfdDiscoverer` rules, their violations by the literal
+    detection loop and the profile."""
 
     def __init__(self, table, config, relation="d"):
         self.discovery = PfdDiscoverer(config).discover_with_report(
             table, relation=relation
         )
         self.profile = self.discovery.profile
-        self.violations = ErrorDetector(table).detect_all(self.discovery.pfds)
+        self.violations = detection_reference.detect(table, self.discovery.pfds)
 
     def discovered_pfds(self):
         return list(self.discovery.pfds)
@@ -410,7 +409,7 @@ class TestShardedSession:
         ]
         session.confirm_all()
         report = session.run_detection()
-        assert report.strategy == "auto"
+        assert report.comparisons > 0  # counted by the session's seed
         assert report.canonical_violations() == mono.violations.canonical_violations()
 
     def test_sharded_upload_is_accepted(self, small_zip_city_state):
@@ -425,7 +424,7 @@ class TestShardedSession:
         session.run_discovery()
         session.confirm_all()
         report = session.run_detection()
-        assert report.strategy == "auto"
+        assert report.comparisons > 0  # counted by the session's seed
         assert report.canonical_violations() == mono.violations.canonical_violations()
 
     def test_detection_takes_no_strategy(self, small_zip_city_state):
@@ -440,7 +439,7 @@ class TestShardedSession:
             session.run_detection(strategy="scan")
         with pytest.raises(TypeError, match="strategy"):
             session.plan_detection(strategy="scan")
-        assert session.run_detection().strategy == "auto"
+        assert not hasattr(session.run_detection(), "strategy")
         assert session.last_plan.kind == "detection"
 
     def test_plans_are_exposed_and_recorded(self, small_zip_city_state):
@@ -498,7 +497,7 @@ class TestShardedSession:
         assert session.last_plan.shard_rows == 40
         session.confirm_all()
         report = session.run_detection()
-        assert report.strategy == "auto"
+        assert report.comparisons > 0  # counted by the session's seed
         assert report.canonical_violations() == mono.violations.canonical_violations()
 
     def test_upload_csv_defaults_shard_size_from_config(self, tmp_path, small_zip_city_state):
@@ -528,7 +527,7 @@ class TestShardedSession:
         assert session.state is SessionState.EDITING
         # the next sharded re-check sees the edited table, not stale shards
         report = session.run_detection()
-        fresh = ErrorDetector(session.table.materialize()).detect_all(
+        fresh = detection_reference.detect(session.table.materialize(), 
             session.confirmed_pfds()
         )
         assert report.canonical_violations() == fresh.canonical_violations()
@@ -586,7 +585,7 @@ class TestNeverMaterializedSession:
         recheck = session.run_detection()
         # (a test-side copy streamed from the overlay's rows)
         edited = Table.from_rows(session.table.schema, session.table.iter_rows())
-        fresh = ErrorDetector(edited).detect_all(session.confirmed_pfds())
+        fresh = detection_reference.detect(edited, session.confirmed_pfds())
         assert recheck.canonical_violations() == fresh.canonical_violations()
         session.close()
 
@@ -804,7 +803,7 @@ def test_detection_after_overlay_edits_sees_the_edited_cells():
         session.table.set_cell(50, "state", "ZZ")
         report = session.run_detection()
         edited = session.table.materialize()
-        expected = ErrorDetector(edited).detect_all(session.confirmed_pfds())
+        expected = detection_reference.detect(edited, session.confirmed_pfds())
     assert edited.cell(0, "city") == "Mutated"
     assert report.canonical_violations() == expected.canonical_violations()
 
@@ -826,7 +825,7 @@ class TestLargestCodePointPrefix:
             session.confirm_all()
             assert any("\U0010ffff" in pfd.describe() for pfd in session.confirmed_pfds())
             report = session.run_detection()
-            expected = ErrorDetector(table).detect_all(session.confirmed_pfds())
+            expected = detection_reference.detect(table, session.confirmed_pfds())
             assert report.canonical_violations() == expected.canonical_violations()
             assert {(3, "label"), (10, "label")} <= report.suspect_cells()
 
@@ -898,7 +897,7 @@ class TestAtomicRecheck:
 
         # the edit loop over the kept rules still works
         report = session.edit_cell(1, "city", "Elsewhere")
-        expected = ErrorDetector(session.table.materialize()).detect_all(
+        expected = detection_reference.detect(session.table.materialize(), 
             session._incremental.pfds
         )
         assert report.canonical_violations() == expected.canonical_violations()
@@ -912,7 +911,7 @@ class TestAtomicRecheck:
         )
         assert [p.describe() for p in result.pfds] == [p.describe() for p in fresh.pfds]
         assert session.state is SessionState.DETECTED
-        expected = ErrorDetector(edited).detect_all(session.confirmed_pfds())
+        expected = detection_reference.detect(edited, session.confirmed_pfds())
         assert (
             session.violations.canonical_violations()
             == expected.canonical_violations()
@@ -1008,7 +1007,7 @@ def test_property_a_recheck_keeps_a_fresh_seeds_report(rows, steps):
                 session.recheck()
                 assert_report_equals_a_fresh_seed(session)
                 if session.violations is not None:
-                    expected = ErrorDetector(session.table.materialize()).detect_all(
+                    expected = detection_reference.detect(session.table.materialize(), 
                         session.confirmed_pfds()
                     )
                     assert (

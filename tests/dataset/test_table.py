@@ -137,10 +137,6 @@ class TestMutationAndAnalytics:
         counts = mixed_table.value_counts("city")
         assert counts == {"Boston": 2, "Chicago": 2, "Seattle": 1}
 
-    def test_group_rows(self, mixed_table):
-        groups = mixed_table.group_rows("city")
-        assert groups["Boston"] == [0, 1]
-
     def test_append_row_from_mapping(self):
         table = Table.from_rows(["a", "b"], [["x", "1"]])
         row = table.append_row({"b": "2"})

@@ -4,12 +4,13 @@ import pytest
 
 from repro.constrained.constrained_pattern import constrained_first_token, constrained_prefix
 from repro.detection.detector import ErrorDetector
+from repro.dataset.table import Table
 from repro.detection.violation import ViolationKind
 from repro.patterns import parse_pattern
 from repro.pfd.pfd import PFD
-from repro.pfd.satisfaction import find_tableau_violations
 
-from pairwise_reference import assert_matches_pairwise, violating_pairs
+import detection_reference
+from detection_reference import assert_matches_pairwise, violating_pairs
 
 
 @pytest.fixture
@@ -63,8 +64,14 @@ class TestConstantDetection:
         rule = PFD.constant("zip", "city", [{"zip": "9000\\D", "city": "Chicago"}])
         report = ErrorDetector(zip_table).detect(rule)
         assert report.suspect_cells() == {(row, "city") for row in range(4)}
-        # one LHS test per distinct value plus one RHS check per matching row
+        # one LHS test per distinct value plus one RHS check per
+        # (LHS value, RHS value) group in scope
         assert report.comparisons == 4 + 4
+        rule = PFD.constant("zip", "city", [{"zip": "\\D{5}", "city": "Chicago"}])
+        two_zips = Table.from_rows(
+            ["zip", "city"], [["90001", "LA"], ["90001", "LA"], ["90002", "SF"]]
+        )
+        assert ErrorDetector(two_zips).detect(rule).comparisons == 2 + 2
         rule = PFD.constant("zip", "city", [{"zip": "90004", "city": "New York"}])
         assert ErrorDetector(zip_table).detect(rule).is_empty()
 
@@ -112,36 +119,32 @@ class TestVariableDetection:
 
 
 class TestAgainstReferenceSemantics:
-    """The optimized detector must flag the same rows as the reference
-    satisfaction checker on the generated datasets."""
+    """The detector must report the violations of the literal per-row
+    Section 3 loop on the generated datasets."""
 
     def test_constant_rules_match_reference(self, small_phone_state):
         from repro.discovery.discoverer import PfdDiscoverer
 
-        pfds = PfdDiscoverer().discover(small_phone_state.table)
-        detector = ErrorDetector(small_phone_state.table)
-        checked = 0
+        table = small_phone_state.table
+        pfds = [pfd for pfd in PfdDiscoverer().discover(table) if pfd.is_constant]
+        assert pfds
+        detector = ErrorDetector(table)
         for pfd in pfds:
-            if not pfd.is_constant:
-                continue
-            checked += 1
-            reference = find_tableau_violations(small_phone_state.table, pfd)
+            reference = detection_reference.detect(table, [pfd])
             report = detector.detect(pfd)
-            reference_rows = {row for row, _rule in reference.constant_violations}
-            detected_rows = {row for row, _attr in report.suspect_cells()}
-            assert detected_rows == reference_rows, pfd.describe()
-        assert checked >= 1
+            assert report.canonical_violations() == reference.canonical_violations(), (
+                pfd.describe()
+            )
 
-    def test_variable_rules_flag_reference_rows(self, small_fullname_gender, lambda4):
+    def test_variable_rules_match_reference(self, small_fullname_gender):
         lambda4_renamed = PFD.variable(
             "full_name", "gender", constrained_first_token(), name="lambda4"
         )
-        reference = find_tableau_violations(small_fullname_gender.table, lambda4_renamed)
-        report = ErrorDetector(small_fullname_gender.table).detect(lambda4_renamed)
-        reference_rows = set(reference.violating_rows)
-        detected_rows = {row for row, _attr in report.suspect_cells()}
-        # every suspect the engine reports is part of a reference violation
-        assert detected_rows <= reference_rows
+        table = small_fullname_gender.table
+        reference = detection_reference.detect(table, [lambda4_renamed])
+        report = ErrorDetector(table).detect(lambda4_renamed)
+        assert report.canonical_violations() == reference.canonical_violations()
+        assert_matches_pairwise(report, violating_pairs(table, lambda4_renamed))
 
 
 class TestDetectAll:
@@ -155,11 +158,11 @@ class TestDetectAll:
             ErrorDetector(zip_table).detect(lambda3, strategy="scan")
         with pytest.raises(TypeError, match="strategy"):
             ErrorDetector(zip_table).detect_all([lambda3], strategy="scan")
-        assert ErrorDetector(zip_table).detect_all([lambda3]).strategy == "auto"
+        assert not hasattr(ErrorDetector(zip_table).detect_all([lambda3]), "strategy")
 
     def test_a_detector_sees_edits_to_its_table(self, zip_table, lambda3):
-        # no cached state besides the match memo: the same detector
-        # reads the edited table
+        # each call seeds afresh over the table it adopted: the same
+        # detector reads the edited table
         detector = ErrorDetector(zip_table)
         assert detector.detect(lambda3).suspect_cells() == {(3, "city")}
         zip_table.set_cell(0, "city", "Chicago")

@@ -3,8 +3,8 @@
 The correctness anchor is randomized equivalence: any sequence of
 mutations (edits, appends, deletes) applied through an
 :class:`IncrementalDetector` must yield a report whose canonical
-violations are identical to a from-scratch ``detect_all`` on the final
-table.  The detector maintains a :class:`ShardOverlay`; the sequences run
+violations are identical to a from-scratch run of the literal Section 3
+loop (``detection_reference.detect``) on the final table.  The detector maintains a :class:`ShardOverlay`; the sequences run
 on overlays cut into shards of a few rows, so edits, appends and
 tombstones land across shards.  A property test adds small tables with
 big blocks and few RHS values, mixes in batches of mutations made on the
@@ -24,14 +24,15 @@ from repro.datagen import (
     generate_zip_city_state,
 )
 from repro.dataset.table import Table
-from repro.detection import ErrorDetector, IncrementalDetector
+from repro.detection import IncrementalDetector
 from repro.detection.violation import ViolationReport
 from repro.discovery import PfdDiscoverer
 from repro.patterns import parse_pattern
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
 
-from pairwise_reference import assert_matches_pairwise, violating_pairs
+import detection_reference
+from detection_reference import assert_matches_pairwise, violating_pairs
 from repro.errors import TableError
 from repro.sharding import ShardedTable, ShardOverlay
 
@@ -94,7 +95,7 @@ def random_mutation(rng, incremental: IncrementalDetector, step: int) -> None:
 
 
 def assert_equivalent(incremental: IncrementalDetector, pfds, context: str) -> None:
-    full = ErrorDetector(incremental.table.materialize()).detect_all(pfds)
+    full = detection_reference.detect(incremental.table.materialize(), pfds)
     got = incremental.report()
     assert got.n_rows == full.n_rows, context
     assert got.canonical_violations() == full.canonical_violations(), context
@@ -171,7 +172,7 @@ class TestMutationAPI:
 
     def test_initial_report_matches_batch_detector(self, zip_setup):
         table, pfds, incremental = zip_setup
-        full = ErrorDetector(table.materialize()).detect_all(pfds)
+        full = detection_reference.detect(table.materialize(), pfds)
         assert incremental.report().canonical_violations() == full.canonical_violations()
 
     def test_set_cell_through_detector(self, zip_setup):
@@ -221,7 +222,7 @@ class TestMutationAPI:
         assert rebuilds == []
         report = incremental.report()
         assert len(rebuilds) == 1
-        full = ErrorDetector(table.materialize()).detect_all(pfds)
+        full = detection_reference.detect(table.materialize(), pfds)
         assert report.canonical_violations() == full.canonical_violations()
         # back in sync: the next edit updates the state in place
         incremental.set_cell(1, "city", table.cell(0, "city"))
@@ -275,11 +276,17 @@ class TestMutationAPI:
                 assert_matches_pairwise(violations, violating_pairs(snapshot, pfd))
         assert_equivalent(incremental, pfds, "edit")
 
-    def test_report_strategy_and_n_rows(self, zip_setup):
+    def test_report_n_rows_and_seed_comparisons(self, zip_setup):
         table, pfds, incremental = zip_setup
         report = incremental.report()
-        assert report.strategy == "auto"
         assert report.n_rows == table.n_rows
+        # counted once, at seed time, the same at any cut
+        seeded = report.comparisons
+        one_row_shards = ShardOverlay(ShardedTable.from_table(table.materialize(), 1))
+        assert IncrementalDetector(one_row_shards, pfds).report().comparisons == seeded
+        assert seeded > 0
+        incremental.set_cell(0, "city", "Nowhereville")
+        assert incremental.report().comparisons == seeded
 
 
 class TestHandOver:
@@ -452,11 +459,10 @@ def expected_report_order(table, pfds):
     """The maintained report's order from batch runs: evaluator order
     (PFDs, then tableau rules), each rule's violations by ``(rows,
     suspect cell)``, the first of each identity key kept."""
-    detector = ErrorDetector(table)
     ordered = []
     for pfd in pfds:
         by_rule = {}
-        for violation in detector.detect(pfd):
+        for violation in detection_reference.detect(table, [pfd]):
             by_rule.setdefault(violation.rule_index, []).append(violation)
         for rule_index in range(len(pfd.tableau)):
             ordered.extend(
@@ -508,7 +514,7 @@ def _apply(target, mutation) -> None:
 def _check(incremental, pfds, context):
     snapshot = incremental.table.materialize()
     got = incremental.report()
-    full = ErrorDetector(snapshot).detect_all(pfds)
+    full = detection_reference.detect(snapshot, pfds)
     assert got.canonical_violations() == full.canonical_violations(), context
     assert got.violations == expected_report_order(snapshot, pfds), context
 

@@ -1,15 +1,16 @@
-"""Tests for the shared rule-evaluation engine.
+"""Tests for the rule-evaluation engine.
 
-Both detectors — the table detector and the session's incremental
-detector (seeded on shards, then maintained under edits) — emit
+Every detection — the table detector and the session's incremental
+detector (seeded on shards, then maintained under edits) — emits
 violations through the evaluators in :mod:`repro.detection.rules`.  The
-adversarial suite here drives the cases where they were most likely to
-drift: majority ties inside blocks, empty-string RHS values, and edit
-sequences that shrink a block below two rows and regrow it, asserting
-``canonical_violations()`` equality across the table detector, the
-incremental detector seeded on one-row shards and the one maintained
-over two-row shards, and, for variable rules, agreement with the
-literal pairwise check.
+adversarial suite here drives the cases where their semantics are most
+likely to be wrong: majority ties inside blocks, empty-string RHS
+values, and edit sequences that shrink a block below two rows and
+regrow it, asserting ``canonical_violations()`` equality between the
+literal per-row Section 3 loop (``detection_reference``), the table
+detector, the incremental detector seeded on one-row shards and the one
+maintained over two-row shards, and, for variable rules, agreement with
+the literal pairwise check.
 """
 
 import pytest
@@ -18,17 +19,16 @@ from repro.constrained import constrained_prefix
 from repro.dataset.table import Table
 from repro.dataset.rowids import row_ids
 from repro.detection import ErrorDetector, IncrementalDetector
-from repro.detection.blocking import block_by_projection, split_block_by_rhs
 from repro.detection.rules import (
     ConstantRuleEvaluator,
     VariableRuleEvaluator,
     as_constrained,
     build_rule_evaluators,
     elect_expected_value,
+    majority_value,
     make_rule_evaluator,
     shift_violation_after_delete,
 )
-from repro.detection.violation import ViolationReport
 from repro.errors import DetectionError
 from repro.patterns import parse_pattern
 from repro.perf.memo import MatchMemo
@@ -36,7 +36,8 @@ from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
 from repro.sharding import ShardedTable, ShardOverlay
 
-from pairwise_reference import assert_matches_pairwise, violating_pairs
+import detection_reference
+from detection_reference import assert_matches_pairwise, violating_pairs
 
 
 def zip_city_pfd() -> PFD:
@@ -55,12 +56,14 @@ def overlay_of(table: Table) -> ShardOverlay:
 
 
 def assert_all_paths_agree(table: Table, pfds, context: str):
-    """table detector == incremental seeded on one-row shards ==
-    incremental over two-row shards, canonically, and every variable
-    rule agrees with the literal pairwise check; returns the agreed
-    canonical violation list for further assertions."""
-    report = ErrorDetector(table).detect_all(pfds)
+    """literal detection loop == table detector == incremental seeded on
+    one-row shards == incremental over two-row shards, canonically, and
+    every variable rule agrees with the literal pairwise check; returns
+    the agreed canonical violation list for further assertions."""
+    report = detection_reference.detect(table, pfds)
     reference = report.canonical_violations()
+    table_detector = ErrorDetector(table).detect_all(pfds)
+    assert table_detector.canonical_violations() == reference, f"{context}: table diverged"
     sharded = IncrementalDetector(
         ShardOverlay(ShardedTable.from_table(table, 1)), pfds
     ).report()
@@ -103,18 +106,16 @@ class TestConstantRuleEvaluator:
         )
         return make_rule_evaluator(pfd, 0, pfd.tableau[0])
 
-    def test_emit_full_counts_comparisons_and_flags_mismatches(self, evaluator):
+    def test_seed_counts_rhs_checks_and_flags_mismatches(self, evaluator):
         memo = MatchMemo()
-        report = ViolationReport()
-        violations = list(
-            evaluator.emit_full([0, 2], ["LA", "??", "NY"], memo, report)
-        )
-        assert report.comparisons == 2
+        # one RHS check per value group, not per row
+        assert evaluator.seed_value_groups([("LA", [0, 1]), ("NY", [2])], memo) == 2
+        violations = evaluator.emit()
         assert [v.suspect_cell for v in violations] == [(2, "city")]
         assert violations[0].expected_value == "LA"
         assert violations[0].observed_value == "NY"
 
-    def test_incremental_hooks_mirror_emit_full(self, evaluator):
+    def test_incremental_hooks_recheck_one_row(self, evaluator):
         memo = MatchMemo()
         # rows 0 and 1 are in scope: one RHS verdict per value group
         evaluator.seed_value_groups([("NY", [0]), ("LA", [1])], memo)
@@ -146,9 +147,19 @@ class TestVariableRuleEvaluator:
         pfd = zip_city_pfd()
         return make_rule_evaluator(pfd, 0, pfd.tableau[0])
 
+    @staticmethod
+    def block_violations(evaluator, rhs_values):
+        """The violations of one block holding rows ``0..n-1``."""
+        groups = {}
+        for row, value in enumerate(rhs_values):
+            groups.setdefault(value, []).append(row)
+        evaluator.seed_blocks(
+            {("900",): {value: row_ids(rows) for value, rows in groups.items()}}
+        )
+        return evaluator.emit()
+
     def test_majority_witness_and_suspects(self, evaluator):
-        rhs = ["LA", "LA", "NY"]
-        violations = evaluator.block_violations_for([0, 1, 2], rhs)
+        violations = self.block_violations(evaluator, ["LA", "LA", "NY"])
         assert [v.suspect_cell for v in violations] == [(2, "city")]
         assert violations[0].rows == (0, 2)  # witness = first majority row
         assert violations[0].expected_value == "LA"
@@ -156,16 +167,25 @@ class TestVariableRuleEvaluator:
     def test_tie_breaks_lexicographically(self, evaluator):
         # equal counts: the lexicographically larger RHS value wins, so
         # the rows holding the smaller one are the suspects
-        violations = evaluator.block_violations_for([0, 1], ["AA", "ZZ"])
+        violations = self.block_violations(evaluator, ["AA", "ZZ"])
         assert [v.suspect_cell for v in violations] == [(0, "city")]
         assert violations[0].expected_value == "ZZ"
+        assert majority_value({"B": [0], "A": [1]}) == "B"
+        assert majority_value({"A": [0], "B": [1, 2]}) == "B"
 
     def test_small_and_unanimous_blocks_emit_nothing(self, evaluator):
-        assert evaluator.block_violations_for([0], ["LA"]) == []
-        assert evaluator.block_violations_for([0, 1], ["LA", "LA"]) == []
+        assert self.block_violations(evaluator, ["LA"]) == []
+        assert self.block_violations(evaluator, ["LA", "LA"]) == []
+
+    def test_seed_counts_the_rows_of_multi_row_blocks(self, evaluator):
+        blocks = {
+            ("900",): {"LA": row_ids([0, 2]), "NY": row_ids([1])},
+            ("100",): {"NY": row_ids([3])},
+        }
+        assert evaluator.seed_blocks(blocks) == 3
 
     def test_empty_string_rhs_is_a_first_class_value(self, evaluator):
-        violations = evaluator.block_violations_for([0, 1, 2], ["", "", "LA"])
+        violations = self.block_violations(evaluator, ["", "", "LA"])
         assert [v.suspect_cell for v in violations] == [(2, "city")]
         assert violations[0].expected_value == ""
         assert "expected ''" in violations[0].describe()
@@ -182,26 +202,19 @@ class TestVariableRuleHooks:
 
     @staticmethod
     def seed(evaluator, memo, zips, cities):
-        blocks = block_by_projection(
-            Table(["zip"], [zips]).group_rows("zip"), evaluator.constrained, memo
-        )
-        evaluator.seed_blocks(
-            {
-                key: {
-                    value: row_ids(group)
-                    for value, group in split_block_by_rhs(rows, cities).items()
-                }
-                for key, rows in blocks.items()
-            }
-        )
+        blocks = {}
+        for row, (zip_code, city) in enumerate(zip(zips, cities)):
+            key = memo.project(evaluator.constrained, zip_code)
+            if key is not None:
+                blocks.setdefault(key, {}).setdefault(city, row_ids()).append(row)
+        evaluator.seed_blocks(blocks)
 
     @staticmethod
     def assert_matches_batch(evaluator, memo, zips, cities):
-        blocks = block_by_projection(
-            Table(["zip"], [zips]).group_rows("zip"), evaluator.constrained, memo
-        )
         batch = sorted(
-            evaluator.emit_full(blocks, cities),
+            detection_reference.variable_rule_violations(
+                Table(["zip", "city"], [zips, cities]), zip_city_pfd(), 0
+            ),
             key=lambda v: (v.rows, v.suspect_cell),
         )
         assert evaluator.emit() == batch

@@ -89,11 +89,11 @@ class TestViolationReport:
             report.elapsed_seconds = 0.5
             report.extend(make_violation(row) for row in rows)
             reports.append(report)
-        folded = ViolationReport(n_rows=2, strategy="x")
+        folded = ViolationReport(n_rows=2)
         for report in reports:
             folded = folded.merged_with(report)
-        merged = ViolationReport.merge(reports, n_rows=2, strategy="x")
+        merged = ViolationReport.merge(reports, n_rows=2)
         assert merged.violations == folded.violations
         assert [v.rows for v in merged] == [(1,), (2,), (3,), (4,)]
-        assert (merged.n_rows, merged.comparisons, merged.strategy) == (6, 12, "x")
+        assert (merged.n_rows, merged.comparisons) == (6, 12)
         assert merged.elapsed_seconds == folded.elapsed_seconds == 1.5

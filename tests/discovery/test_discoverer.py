@@ -1,10 +1,10 @@
 """Tests for the end-to-end Discover-PFDs driver."""
 
+import detection_reference
 import pytest
 
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.discoverer import PfdDiscoverer
-from repro.pfd.satisfaction import find_tableau_violations
 
 
 class TestOnZipCityState:
@@ -36,10 +36,10 @@ class TestOnZipCityState:
     def test_constant_rules_hold_on_clean_data(self, result, small_zip_city_state):
         clean = small_zip_city_state.clean_table
         for pfd in result.constant_pfds():
-            report = find_tableau_violations(clean, pfd)
+            report = detection_reference.detect(clean, [pfd])
             # constant rules were mined from dirty data, so allow a tiny
             # residue, but they must essentially hold on the clean table
-            assert report.violation_ratio <= 0.02, pfd.describe()
+            assert report.violation_ratio() <= 0.02, pfd.describe()
 
     def test_relation_and_names_assigned(self, result):
         assert all(p.relation == "D5" for p in result.pfds)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 
+import detection_reference
 import figure2_reference
 import pytest
 from fresh_seed import assert_report_equals_a_fresh_seed
@@ -26,7 +27,6 @@ from repro.anmat.session import AnmatSession, SessionState
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
-from repro.detection import ErrorDetector
 from repro.discovery.maintenance import RuleMaintainer
 from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay, make_shard_store
 
@@ -227,7 +227,7 @@ class TestMaintenanceFallbacks:
             assert rules_of(session.discovery) == rules_of(full)
             assert decisions_of(session.discovery) == decisions_of(full)
             assert session.state is SessionState.DETECTED
-            expected = ErrorDetector(edited).detect_all(session.confirmed_pfds())
+            expected = detection_reference.detect(edited, session.confirmed_pfds())
             assert (
                 session.violations.canonical_violations()
                 == expected.canonical_violations()
@@ -326,8 +326,6 @@ class TestMaintainedDetection:
     violations equal a from-scratch detection over the edited table."""
 
     def test_recheck_after_edit_loop_redetects_identically(self):
-        from repro.detection import ErrorDetector
-
         session = make_session(*GENERATORS[0], 3, "memory")
         try:
             session.run_discovery()
@@ -349,8 +347,7 @@ class TestMaintainedDetection:
             confirmed = session.confirmed_pfds()
             assert confirmed, "every unchanged rule should stay confirmed"
             expected = (
-                ErrorDetector(session.table.materialize())
-                .detect_all(confirmed)
+                detection_reference.detect(session.table.materialize(), confirmed)
                 .canonical_violations()
             )
             assert session.violations.canonical_violations() == expected
@@ -477,8 +474,7 @@ def recheck_and_compare(session, edited):
     session.run_detection()
     assert_pair_groups_match_a_fresh_build(view, pairs)
     expected = (
-        ErrorDetector(session.table.materialize())
-        .detect_all(session.confirmed_pfds())
+        detection_reference.detect(session.table.materialize(), session.confirmed_pfds())
         .canonical_violations()
     )
     assert session.violations.canonical_violations() == expected

@@ -4,16 +4,17 @@ Every session dataset is cut into shards once, at load.  The cut must
 not change what the session computes: over the generator matrix of the
 sharding differential suite, a ``Table`` load and a CSV upload of the
 same data, at shard sizes from one row up to the engine default, give
-the rule set and canonical violations of the monolithic library engines
-(``PfdDiscoverer`` + ``ErrorDetector``) — before and after an edit
-batch, whose re-check maintains the rules incrementally.  The
-``ErrorDetector`` stays the baseline every cut must agree with.
+the rule set of the monolithic ``PfdDiscoverer`` and the canonical
+violations of the literal Section 3 loop (``detection_reference``) —
+before and after an edit batch, whose re-check maintains the rules
+incrementally.
 """
 
 from __future__ import annotations
 
 import random
 
+import detection_reference
 import pytest
 
 from repro.anmat.session import AnmatSession
@@ -49,9 +50,10 @@ def dirty_table(name, n_rows, specs, seed):
 
 
 def reference(table, config, relation):
-    """Rules and canonical violations of the monolithic library engines."""
+    """Rules of the monolithic discoverer and canonical violations of
+    the literal detection loop."""
     discovery = PfdDiscoverer(config).discover_with_report(table, relation=relation)
-    report = ErrorDetector(table).detect_all(discovery.pfds)
+    report = detection_reference.detect(table, discovery.pfds)
     return rules_of(discovery.pfds), report.canonical_violations()
 
 
@@ -89,7 +91,7 @@ def run_session(session, batch):
         violations = None
         if session.confirmed_names:
             violations = session.violations.canonical_violations()
-            expected = ErrorDetector(edited).detect_all(session.confirmed_pfds())
+            expected = detection_reference.detect(edited, session.confirmed_pfds())
             assert violations == expected.canonical_violations()
         else:
             assert session.violations is None
@@ -146,7 +148,7 @@ def test_every_cut_agrees_with_the_detector_baseline():
     table = dirty_table("zip_city_state", 90, [], 7)
     pfds = PfdDiscoverer(DiscoveryConfig(**BASE)).discover(table)
     assert pfds
-    baseline = ErrorDetector(table).detect_all(pfds)
+    baseline = detection_reference.detect(table, pfds)
     for shard_rows in SHARD_SIZES:
         with AnmatSession(
             dataset_name="baseline", config=DiscoveryConfig(**BASE, shard_rows=shard_rows)
@@ -154,4 +156,6 @@ def test_every_cut_agrees_with_the_detector_baseline():
             report = session.load_table(table).run_detection(pfds)
         assert report.canonical_violations() == baseline.canonical_violations()
         assert report.n_rows == baseline.n_rows
-        assert report.strategy == "auto"
+        # the comparisons count distinct values, groups and block rows,
+        # none of which depend on the cut
+        assert report.comparisons == ErrorDetector(table).detect_all(pfds).comparisons

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import detection_reference
 import pytest
 
 from repro.datagen.paper_examples import name_table_d1, zip_table_d2
@@ -36,7 +37,7 @@ DATASETS = {
 
 def render_snapshot(builder) -> str:
     """The canonical text form of one dataset's discovery + detection
-    output (stable across emission order and strategy)."""
+    output (stable across emission order)."""
     dataset = builder()
     table = dataset.table
     result = PfdDiscoverer(CONFIG).discover_with_report(table)
@@ -76,11 +77,11 @@ def test_paper_example_matches_golden_snapshot(name, request):
 @pytest.mark.parametrize("name", sorted(DATASETS))
 def test_paper_example_sharded_run_matches_snapshot(name):
     """The sharded engines reproduce the snapshotted semantics too —
-    down to one-row shards."""
+    down to one-row shards — and so does the literal detection loop."""
     dataset = DATASETS[name]()
     table = dataset.table
     mono = PfdDiscoverer(CONFIG).discover_with_report(table)
-    mono_report = ErrorDetector(table).detect_all(mono.pfds)
+    mono_report = detection_reference.detect(table, mono.pfds)
     sharded = ShardedTable.from_table(table, 1)
     result = ShardedDiscoverer(CONFIG).discover_with_report(sharded)
     assert [p.describe() for p in result.pfds] == [p.describe() for p in mono.pfds]

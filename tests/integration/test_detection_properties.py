@@ -4,6 +4,7 @@ Invariants:
 
 * the blocking detector's variable violations agree with the literal
   pairwise check, and the sharded detector's equal them;
+* the detector's violations equal the literal per-row Section 3 loop's;
 * detection on the clean table of a generated dataset finds nothing for
   PFDs discovered from the clean table;
 * every suspect cell reported for a constant PFD really fails the rule it
@@ -24,11 +25,11 @@ from repro.discovery.config import DiscoveryConfig
 from repro.discovery.discoverer import PfdDiscoverer
 from repro.patterns import parse_pattern
 from repro.pfd.pfd import PFD
-from repro.pfd.satisfaction import find_tableau_violations
 from repro.pfd.tableau import cell_matches
 from repro.sharding import ShardedTable, ShardOverlay
 
-from pairwise_reference import assert_matches_pairwise, violating_pairs
+import detection_reference
+from detection_reference import assert_matches_pairwise, violating_pairs
 
 #: Small synthetic zip→city worlds: a few prefixes, a few cities.
 PREFIXES = ["606", "607", "900", "941", "100"]
@@ -75,19 +76,14 @@ def test_blocking_agrees_with_the_literal_pairwise_check(table):
 @settings(max_examples=40, deadline=None)
 @given(zip_city_tables())
 def test_detector_agrees_with_reference_semantics(table):
-    detector = ErrorDetector(table)
-    reference = find_tableau_violations(table, ZIP_PFD)
-    reference_rows = set(reference.violating_rows)
-    # the blocking detector's suspects are always part of a reference violation
-    blocked = detector.detect(ZIP_PFD)
+    blocked = ErrorDetector(table).detect(ZIP_PFD)
+    reference = detection_reference.detect(table, [ZIP_PFD])
+    assert blocked.canonical_violations() == reference.canonical_violations()
+    # the witness/suspect rows all come from the violating pairs
+    pairs = violating_pairs(table, ZIP_PFD)
     blocked_rows = {row for violation in blocked for row in violation.rows}
-    assert blocked_rows <= reference_rows
-    assert bool(blocked_rows) == bool(reference_rows)
-    # the witness/suspect rows all come from the reference pairs
-    reference_pairs = {(i, j) for i, j, _rule in reference.variable_violations}
-    reference_pair_rows = {row for pair in reference_pairs for row in pair}
-    assert blocked_rows <= reference_pair_rows
-    assert bool(blocked_rows) == bool(reference_pairs)
+    assert blocked_rows <= {row for pair in pairs for row in pair}
+    assert bool(blocked_rows) == bool(pairs)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,12 +11,13 @@ produce canonically equal violations on every detection path.
 
 from __future__ import annotations
 
+import detection_reference
 import figure2_reference
 import pytest
 
 from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
-from repro.detection import ErrorDetector, IncrementalDetector
+from repro.detection import IncrementalDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.perf import clear_caches
 from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay
@@ -75,7 +76,7 @@ class TestKernelDifferential:
             pfds = discover(route, table).pfds
             if not pfds:
                 pytest.skip("generator/seed pair discovered no rules")
-            monolithic = ErrorDetector(table).detect_all(pfds).canonical_violations()
+            monolithic = detection_reference.detect(table, pfds).canonical_violations()
             sharded = (
                 IncrementalDetector(ShardOverlay(ShardedTable.from_table(table, 7)), pfds)
                 .report()

@@ -67,18 +67,14 @@ def canonical_discovery(result) -> dict:
     }
 
 
-def canonical_detection(report, comparisons: bool = True) -> dict:
-    """Everything meaningful in a ViolationReport, including statistics
-    (the ``comparisons`` count only where the detector keeps one)."""
-    canonical = {
+def canonical_detection(report) -> dict:
+    """Everything meaningful in a ViolationReport, including statistics."""
+    return {
         "n_rows": report.n_rows,
-        "strategy": report.strategy,
+        "comparisons": report.comparisons,
         "violations": list(report),
         "suspects": sorted(report.suspect_cells()),
     }
-    if comparisons:
-        canonical["comparisons"] = report.comparisons
-    return canonical
 
 
 def discover_uncached(table) -> dict:
@@ -117,7 +113,7 @@ class TestDiscoveryEquivalence:
 
 def _detect(route, table, pfds, memo=None) -> dict:
     """The table detector's report, or the session detector's over
-    64-row shards (which counts no comparisons), canonicalized."""
+    64-row shards, canonicalized."""
     if route == "table":
         return canonical_detection(ErrorDetector(table, memo=memo).detect_all(pfds))
     from repro.detection import IncrementalDetector
@@ -125,7 +121,7 @@ def _detect(route, table, pfds, memo=None) -> dict:
 
     overlay = ShardOverlay(ShardedTable.from_table(table, 64))
     report = IncrementalDetector(overlay, pfds, memo=memo).report()
-    return canonical_detection(report, comparisons=False)
+    return canonical_detection(report)
 
 
 @pytest.mark.parametrize("dataset", ["zip", "employee"])

@@ -4,9 +4,10 @@ Randomized dirty tables (the seeded datagen generators, plus extra
 injected corruption) run through monolithic and sharded discovery and
 detection at shard sizes {1, 7, n_rows // 2, n_rows}; the sharded path
 (detection is the session's ``IncrementalDetector`` seeded over a
-``ShardOverlay`` of the cut) must produce the *identical* rule set and violations canonically equal
-to the monolithic ``ErrorDetector``'s, whose variable violations agree
-with the literal pairwise check.  Each case is fully determined by the
+``ShardOverlay`` of the cut) must produce the *identical* rule set and
+violations canonically equal to the literal Section 3 loop's
+(``detection_reference``), whose variable violations agree with the
+literal pairwise check.  Each case is fully determined by the
 (generator, seed) pair in the test id, so a failure replays with
 ``pytest -k <test id>``.
 """
@@ -27,7 +28,7 @@ from repro.patterns import parse_pattern
 from repro.perf import clear_caches
 from repro.pfd import PFD, WILDCARD
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
-from repro.detection import ErrorDetector, IncrementalDetector
+from repro.detection import IncrementalDetector
 from repro.detection.violation import ViolationReport
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.sharding import (
@@ -38,7 +39,8 @@ from repro.sharding import (
     make_shard_store,
 )
 
-from pairwise_reference import assert_matches_pairwise, violating_pairs
+import detection_reference
+from detection_reference import assert_matches_pairwise, violating_pairs
 
 #: (generator name, rows, extra corruption specs) — small enough that the
 #: literal pairwise check stays cheap, varied enough to cover prefix- and
@@ -92,14 +94,14 @@ class TestDifferential:
                 (r.lhs, r.rhs, r.accepted, r.coverage) for r in result.reports
             ] == mono_accepted, f"mining reports diverged at shard_rows={shard_rows}"
 
-    def test_detection_canonically_equal_to_the_table_detector(
+    def test_detection_canonically_equal_to_the_reference(
         self, name, n_rows, specs, seed
     ):
         table = dirty_table(name, n_rows, specs, seed)
         pfds = PfdDiscoverer(CONFIG).discover(table)
         if not pfds:
             pytest.skip("generator/seed pair discovered no rules")
-        report = ErrorDetector(table).detect_all(pfds)
+        report = detection_reference.detect(table, pfds)
         for pfd in pfds:
             if pfd.is_variable:
                 violations = [v for v in report if v.pfd_name == pfd.name]
@@ -123,7 +125,7 @@ class TestDifferential:
         )[0]
         pfd = PFD.constant(lhs, rhs, name="wild")
         pfd.add_rule({lhs: WILDCARD, rhs: majority})
-        expected = ErrorDetector(table).detect(pfd).canonical_violations()
+        expected = detection_reference.detect(table, [pfd]).canonical_violations()
         assert expected, "probe rule should flag the non-majority rows"
         sharded = ShardedTable.from_table(table, 7)
         assert detect(sharded, [pfd]).canonical_violations() == expected
@@ -132,7 +134,7 @@ class TestDifferential:
         """Detection right after sharded discovery groups from the
         encodings discovery kept (with their per-code arrays released)
         and must agree with a cold detection that encodes the shards
-        itself, and with the monolithic detector."""
+        itself, and with the literal detection loop."""
         table = dirty_table(name, n_rows, specs, seed)
         shard_rows = max(1, table.n_rows // 3)
         warm = ShardedTable.from_table(table, shard_rows)
@@ -145,7 +147,7 @@ class TestDifferential:
         cold = ShardedTable.from_table(table, shard_rows)
         assert cold.encodings == {}
         assert detect(cold, pfds).canonical_violations() == from_encodings
-        monolithic = ErrorDetector(table).detect_all(pfds)
+        monolithic = detection_reference.detect(table, pfds)
         assert monolithic.canonical_violations() == from_encodings
 
 
@@ -275,17 +277,15 @@ def test_detector_report_folds_like_merged_with():
         PFD.variable("zip", "city", prefix, name="blocks"),
     ]
     sharded = ShardedTable.from_table(table, 3)
-    folded = ViolationReport(n_rows=table.n_rows, strategy="auto")
+    folded = ViolationReport(n_rows=table.n_rows)
     for pfd in pfds:
         folded = folded.merged_with(detect(sharded, [pfd]))
     merged = detect(sharded, pfds)
     assert merged.violations == folded.violations
-    assert (merged.n_rows, merged.comparisons, merged.strategy) == (
-        folded.n_rows, folded.comparisons, "auto",
-    )
+    assert (merged.n_rows, merged.comparisons) == (folded.n_rows, folded.comparisons)
     # the second "dup" adds only the row the first did not flag
     dup = [v.suspect_cell for v in merged if v.pfd_name == "dup"]
     assert dup == [(1, "city"), (3, "city"), (2, "city")]
     assert merged.canonical_violations() == (
-        ErrorDetector(table).detect_all(pfds).canonical_violations()
+        detection_reference.detect(table, pfds).canonical_violations()
     )

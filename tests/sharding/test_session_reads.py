@@ -18,6 +18,7 @@ view regroups only the pairs over an edited column.
 
 from __future__ import annotations
 
+import detection_reference
 import pytest
 
 from repro.anmat.session import AnmatSession
@@ -25,7 +26,7 @@ from repro.kernels.runtime import np
 from repro.dataset.csvio import write_csv
 from repro.dataset.profiling import profile_table
 from repro.discovery.config import DiscoveryConfig
-from repro.detection import ErrorDetector, IncrementalDetector
+from repro.detection import IncrementalDetector
 from repro.discovery.discoverer import PfdDiscoverer
 from repro.sharding import LocalObjectClient, ShardedTable, SpillToDiskShardStore
 from repro.sharding import detection as detection_module
@@ -115,7 +116,7 @@ def test_cold_detection_decodes_every_shard_once(tmp_path, small_zip_city_state,
         assert decoded == [
             f"spill file shard_{index:06d}.shard" for index in range(sharded.n_shards)
         ]
-        expected = ErrorDetector(table).detect_all(pfds)
+        expected = detection_reference.detect(table, pfds)
         assert report.canonical_violations() == expected.canonical_violations()
     finally:
         store.close()
@@ -222,7 +223,7 @@ def test_edit_loop_attach_reads_nothing(spill_session, overlay_reads):
     overlay_reads.update(store_get=0, build_column=0)
     session.edit_cell(*repairs[3])
     assert overlay_reads == {"store_get": 0, "build_column": 0}
-    expected = ErrorDetector(session.table.materialize()).detect_all(
+    expected = detection_reference.detect(session.table.materialize(), 
         session.confirmed_pfds()
     )
     assert session.violations.canonical_violations() == expected.canonical_violations()
@@ -275,7 +276,7 @@ def test_edits_read_no_shard(tmp_path, small_zip_city_state, decoded, monkeypatc
             detector.delete_row(base.offset_of(index) + 1)
         assert decoded == []
         assert gets == []
-        expected = ErrorDetector(session.table.materialize()).detect_all(
+        expected = detection_reference.detect(session.table.materialize(), 
             session.confirmed_pfds()
         )
         assert detector.report().canonical_violations() == expected.canonical_violations()
@@ -342,7 +343,7 @@ def test_recheck_reads_no_shard(spill_session, decoded, overlay_reads, patched_s
     assert _rules(result.pfds) == _rules(expected.pfds)
     assert result.profile == expected.profile
     assert session.violations.canonical_violations() == (
-        ErrorDetector(edited).detect_all(session.confirmed_pfds()).canonical_violations()
+        detection_reference.detect(edited, session.confirmed_pfds()).canonical_violations()
     )
 
 

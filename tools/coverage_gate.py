@@ -3,7 +3,10 @@ kernel and perf layers, and for the session that routes every upload.
 
 Runs the discovery + detection + sharding + engine + kernels + anmat +
 perf test selection (including the rule-maintenance differential gate in
-``tests/discovery/test_maintenance.py``) under a coverage tracer and
+``tests/discovery/test_maintenance.py`` and the detection gates against
+the literal Section 3 loop: ``tests/detection/test_reference.py`` and
+the properties in ``tests/integration/test_detection_properties.py``)
+under a coverage tracer and
 fails when the measured line coverage of ``src/repro/discovery/``,
 ``src/repro/detection/``, ``src/repro/sharding/``,
 ``src/repro/engine/``, ``src/repro/kernels/``, ``src/repro/perf/`` or
@@ -77,6 +80,7 @@ TEST_ARGS = [
     "tests/kernels",
     "tests/anmat",
     "tests/perf",
+    "tests/integration/test_detection_properties.py",
 ]
 
 
