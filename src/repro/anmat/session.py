@@ -281,9 +281,10 @@ class AnmatSession:
         The planner resolves how (``plan.rule_maintenance``): with a
         seeded baseline the
         :class:`~repro.discovery.maintenance.RuleMaintainer` patches the
-        column encodings with the edited cells, reading no shard, and
-        re-mines only the candidates whose columns the edit batch
-        changed; a
+        column encodings and each candidate's mining state with the
+        edited cells, reading no shard (the plan's decisions record how
+        many candidates it patched and how many entries it
+        re-verified); a
         structural change (appended/deleted rows) falls back to full
         re-discovery (recorded on the plan's decisions).  Either way the
         resulting rule set is identical to discovering from scratch.
@@ -330,6 +331,8 @@ class AnmatSession:
                         "rule baseline no longer aligns); falling back to full "
                         "re-discovery"
                     )
+                else:
+                    plan.decisions.append(maintainer.last_work)
             if result is None:
                 result = self._discover(view)
                 maintainer = self._seeded_maintainer(view, result)

@@ -362,8 +362,8 @@ class IncrementalDetector:
 
         Refreshes first, so it is always safe to call after direct table
         mutations.  Violations come in evaluator order, each evaluator's
-        rows ascending, deduplicated with the identity key of
-        :meth:`ViolationReport.merged_with`; compare against a batch run
+        rows ascending, deduplicated by
+        :meth:`ViolationReport.identity_key`; compare against a batch run
         via :meth:`ViolationReport.canonical_violations`.
         """
         self.refresh()

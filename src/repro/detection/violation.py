@@ -140,7 +140,8 @@ class ViolationReport:
         return len(self.suspect_rows()) / self.n_rows
 
     def identity_key(self, violation: Violation) -> Tuple:
-        """The dedup identity of a violation (see :meth:`merged_with`)."""
+        """The dedup identity of a violation: a report keeps one
+        violation per key."""
         return (
             violation.pfd_name,
             violation.rule_index,
@@ -157,30 +158,3 @@ class ViolationReport:
         canonical form, so equivalence is plain ``==`` on the lists.
         """
         return sorted(self.violations, key=self.identity_key)
-
-    def merged_with(self, other: "ViolationReport") -> "ViolationReport":
-        """Union of two reports (deduplicated)."""
-        return ViolationReport.merge([self, other])
-
-    @classmethod
-    def merge(
-        cls, reports: Iterable["ViolationReport"], n_rows: int = 0
-    ) -> "ViolationReport":
-        """Union of several reports in one pass: their violations in
-        report order, the first of each identity key kept; ``n_rows`` is
-        the largest of ``n_rows`` and the reports', times and comparisons
-        add up.  Equal to folding :meth:`merged_with` left to right,
-        without re-copying the accumulated report per step."""
-        merged = cls(n_rows=n_rows)
-        seen: Set[Tuple] = set()
-        for report in reports:
-            merged.n_rows = max(merged.n_rows, report.n_rows)
-            merged.elapsed_seconds += report.elapsed_seconds
-            merged.comparisons += report.comparisons
-            for violation in report.violations:
-                key = merged.identity_key(violation)
-                if key in seen:
-                    continue
-                seen.add(key)
-                merged.violations.append(violation)
-        return merged

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.dataset.profiling import TableProfile, profile_table
 from repro.dataset.table import Table
@@ -20,7 +20,6 @@ from repro.discovery.config import DiscoveryConfig
 from repro.discovery.decision import PatternTupleCandidate
 from repro.discovery.variable_miner import VariableCandidate
 from repro.kernels.encoder import ColumnEncoding, encode_column
-from repro.kernels.tokenize import batch_tokenize
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
@@ -55,6 +54,10 @@ class DiscoveryResult:
     profile: TableProfile
     config: DiscoveryConfig
     elapsed_seconds: float
+    #: the :class:`~repro.kernels.mine.MiningState` the run mined from,
+    #: until a :class:`~repro.discovery.maintenance.RuleMaintainer`
+    #: seeded with the run takes it over (and patches it in place)
+    mining_state: Optional[object] = field(default=None, repr=False, compare=False)
 
     def constant_pfds(self) -> List[PFD]:
         return [p for p in self.pfds if p.is_constant]
@@ -112,6 +115,7 @@ class PfdDiscoverer:
             with self.timers.stage("candidates"):
                 candidates = candidate_dependencies(table, self.config, profile)
         candidates = list(candidates)
+        state = new_mining_state()
         with self.timers.stage("mine"):
             reports = self.mine_candidates(
                 candidates,
@@ -119,6 +123,7 @@ class PfdDiscoverer:
                     name: encode_column(table.column_ref(name))
                     for name in dict.fromkeys(names)
                 },
+                state,
             )
         with self.timers.stage("assemble"):
             pfds = self.assemble_pfds(candidates, reports, relation)
@@ -129,6 +134,7 @@ class PfdDiscoverer:
             profile=profile,
             config=self.config,
             elapsed_seconds=elapsed,
+            mining_state=state,
         )
 
     def assemble_pfds(
@@ -167,55 +173,37 @@ class PfdDiscoverer:
         self,
         candidates: Sequence[CandidateDependency],
         encode: Callable[[Sequence[str]], Dict[str, ColumnEncoding]],
+        state=None,
     ) -> List[DependencyReport]:
         """Mine candidates in order over encoded columns.
 
         The one mining loop of the monolithic, sharded and maintenance
         paths; ``encode(names)`` returns the named columns' encodings.
-        Within a call every (LHS, mode) pair is tokenized once per
-        distinct value however many candidates share it.
+        ``state`` is the :class:`~repro.kernels.mine.MiningState` mined
+        from — a fresh one by default, or one the rule maintainer
+        patched to the encodings ``encode`` returns — and afterwards
+        holds exactly these candidates' state.  Each (LHS, mode) pair is
+        tokenized once per distinct value however many candidates
+        share it.
         """
-        # local import: repro.kernels.mine imports this package's
-        # decision and variable_miner modules, and this package's
-        # __init__ loads the discoverer — importing it at module top
-        # would be circular when the kernels are imported first
-        from repro.kernels.mine import (
-            coverage_kernel,
-            mine_constant_kernel,
-            mine_variable_kernel,
-            pair_counts,
-        )
-
+        state = new_mining_state() if state is None else state
         config = self.config
         timers = self.timers
         with timers.stage("tokenize"):
             encodings = encode(
                 [name for candidate in candidates for name in (candidate.lhs, candidate.rhs)]
             )
-        triples: Dict[Tuple[str, str], list] = {}
         reports: List[DependencyReport] = []
         for candidate in candidates:
-            lhs = encodings[candidate.lhs]
-            rhs = encodings[candidate.rhs]
-            mode = candidate.lhs_mode
             started = time.perf_counter()
             report = DependencyReport(candidate=candidate)
-            with timers.stage("pair_counts"):
-                pairs = pair_counts(lhs, rhs)
-            lhs_triples = triples.get((candidate.lhs, mode))
-            if lhs_triples is None:
-                with timers.stage("tokenize"):
-                    lhs_triples = triples[(candidate.lhs, mode)] = batch_tokenize(
-                        lhs, mode
-                    )
-            report.constant_candidates = mine_constant_kernel(
-                lhs, rhs, pairs, lhs_triples, config, timers=timers
+            constant, report.coverage, variable = state.mine(
+                candidate, encodings[candidate.lhs], encodings[candidate.rhs], config, timers
             )
-            report.coverage = coverage_kernel(report.constant_candidates, lhs)
-            report.variable_candidates = mine_variable_kernel(
-                lhs, rhs, pairs, mode, config, timers=timers
-            )
+            report.constant_candidates = list(constant)
+            report.variable_candidates = list(variable)
             reports.append(self._decide(report, started))
+        state.keep_only([(c.lhs, c.rhs, c.lhs_mode) for c in candidates])
         return reports
 
     def _decide(self, report: DependencyReport, started: float) -> DependencyReport:
@@ -274,6 +262,17 @@ class PfdDiscoverer:
             }
         )
         return pfd
+
+
+def new_mining_state():
+    """An empty :class:`~repro.kernels.mine.MiningState`."""
+    # local import: repro.kernels.mine imports this package's decision
+    # and variable_miner modules, and this package's __init__ loads the
+    # discoverer — importing it at module top would be circular when
+    # the kernels are imported first
+    from repro.kernels.mine import MiningState
+
+    return MiningState()
 
 
 def _embedded(candidate: CandidateDependency):

@@ -1,15 +1,16 @@
-"""Incremental rule maintenance: edit batches as patched encodings.
+"""Incremental rule maintenance: edit batches as count deltas.
 
-A re-check after an interactive edit batch used to re-run full
-discovery — re-profiling every column, re-tokenizing every LHS,
-re-mining every candidate — even though a batch of cell repairs touches
-a handful of cells in a couple of columns.
+A batch of cell repairs moves a handful of rows from one ``(LHS value,
+RHS value)`` pair to another, and γ, ρ and support are counting
+conditions over those pairs — so a re-check patches counts instead of
+re-mining.
 
 :class:`RuleMaintainer` keeps the baseline of the last sharded discovery
-run (the sealed view, whose table-wide column encodings every column
-keeps, the per-candidate reports and the per-column profiles) and,
-given the freshly sealed view of the edited overlay, maintains the rule
-set instead of recomputing it, without reading a shard:
+run — the sealed view, whose table-wide column encodings every column
+keeps, the per-column profiles and the run's
+:class:`~repro.kernels.mine.MiningState` — and, given the freshly sealed
+view of the edited overlay, patches that state instead of re-mining,
+without reading a shard:
 
 1. **Cell diff.**  The new seal lists every cell it overrides
    (:meth:`~repro.sharding.overlay.OverlayShardStore.edited_cells`, in
@@ -20,35 +21,38 @@ set instead of recomputing it, without reading a shard:
 2. **Patched encodings.**  Each changed column's baseline encoding is
    patched with its differing cells
    (:meth:`~repro.kernels.encoder.ColumnEncoding.with_cells`), which
-   equals a fresh encoding of the new column.  It goes into the new
-   view's ``encodings`` field, and the baseline view's encodings of
-   clean columns and pair groups of rule pairs over clean columns move
-   into the new view's ``encodings`` and ``pair_groups`` fields (a
-   sealed view is a snapshot, so nothing moved can go stale).  Pairs
-   touching a changed column are regrouped from the encodings by the
-   next :meth:`~repro.anmat.session.AnmatSession.run_detection`, not
-   by the re-check: it hands the edit loop's detector over, which
-   already holds the state of the rules it keeps.
+   equals a fresh encoding of the new column and returns the code
+   renumbering.  It goes into the new view's ``encodings`` field, and
+   the baseline view's encodings of clean columns and pair groups of
+   rule pairs over clean columns move into the new view's
+   ``encodings`` and ``pair_groups`` fields (a sealed view is a
+   snapshot, so nothing moved can go stale).  Pairs touching a changed
+   column are regrouped from the encodings by the next
+   :meth:`~repro.anmat.session.AnmatSession.run_detection`, not by the
+   re-check: it hands the edit loop's detector over, which already
+   holds the state of the rules it keeps.
 3. **Profiles from counts.**  A changed column's profile is built from
    its patched encoding's distinct values and counts
    (:func:`~repro.dataset.profiling.profile_encoding`); clean columns
    reuse their baseline profile, so candidate generation sees what a
    full re-profile would.
-4. **Candidates** are recomputed from the updated profile — the same
-   deterministic :func:`~repro.discovery.candidates.candidate_dependencies`
-   full discovery runs — and **mining** runs only for candidates
-   touching a changed column (or new to the candidate set), through the
-   mining loop full discovery runs
-   (:meth:`~repro.discovery.discoverer.PfdDiscoverer.mine_candidates`).
-   A candidate's report is a pure function of its two column value
-   sequences, so clean candidates reuse their baseline report and the
-   assembled rule set is *identical* to a full re-discovery (the
-   differential gate in ``tests/discovery/test_maintenance.py`` asserts
-   this).
+4. **Count deltas.**  Candidates are recomputed from the updated
+   profile (:func:`~repro.discovery.candidates.candidate_dependencies`,
+   as full discovery does).
+   :meth:`~repro.kernels.mine.MiningState.patch` moves each edited row
+   from its old ``(LHS, RHS)`` pair to its new one in the pair counts
+   of every candidate over a changed column, tokenizes only the values
+   the batch added and drops the verdicts of the entries whose value
+   set changed; then the mining loop full discovery runs
+   (:meth:`~repro.discovery.discoverer.PfdDiscoverer.mine_candidates`)
+   selects every tableau from the state.  A candidate over clean
+   columns took the empty delta, one new to the set is built fresh; the
+   rule set is *identical* to a full re-discovery (the differential
+   gate in ``tests/discovery/test_maintenance.py`` checks every report
+   field).
 
 Structural changes (appends, deletes, repartitions) shift global row
-ids and change *every* column's value sequence, which would dirty every
-candidate — exactly a full re-discovery.  :meth:`RuleMaintainer.maintain`
+ids, so no cell list describes them.  :meth:`RuleMaintainer.maintain`
 returns ``None`` for those, and for a baseline whose encodings are gone
 or whose edited cells the new seal does not all override; the caller
 falls back to the full pipeline and re-seeds (the planner records the
@@ -61,26 +65,14 @@ import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dataset.profiling import TableProfile, profile_encoding
-from repro.discovery.candidates import CandidateDependency, candidate_dependencies
+from repro.discovery.candidates import candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.discoverer import (
-    DependencyReport,
-    DiscoveryResult,
-    PfdDiscoverer,
-)
+from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
 from repro.kernels.encoder import ColumnEncoding
 from repro.kernels.runtime import np
 from repro.sharding.discovery import drop_mining_artifacts
 from repro.sharding.overlay import OverlayShardStore
 from repro.sharding.sharded_table import ShardedTable
-
-#: a report is keyed by what determines it: the attribute pair plus the
-#: LHS token mode (the mode can flip when the LHS profile changes)
-ReportKey = Tuple[str, str, str]
-
-
-def _report_key(candidate: CandidateDependency) -> ReportKey:
-    return (candidate.lhs, candidate.rhs, candidate.lhs_mode)
 
 
 class RuleMaintainer:
@@ -100,8 +92,12 @@ class RuleMaintainer:
         self.config = self.discoverer.config
         self.timers = self.discoverer.timers
         self._view: Optional[ShardedTable] = None
-        self._reports: Dict[ReportKey, DependencyReport] = {}
+        self._state = None
         self._profiles: Dict[str, object] = {}
+        #: what the last :meth:`maintain` did (a plan decision line):
+        #: candidate states patched, built fresh and left as they were,
+        #: entries re-verified
+        self.last_work = ""
 
     @property
     def seeded(self) -> bool:
@@ -112,18 +108,18 @@ class RuleMaintainer:
         """Adopt a sharded discovery run over ``view`` as the baseline.
 
         Cheap — stores references; the baseline encodings are the ones
-        discovery left in ``view.encodings``.
+        discovery left in ``view.encodings``.  The mining state moves
+        out of ``result.mining_state`` into the maintainer, so it is
+        released with the baseline.
         """
         self._view = view
-        self._reports = {
-            _report_key(report.candidate): report for report in result.reports
-        }
+        self._state, result.mining_state = result.mining_state, None
         self._profiles = dict(result.profile.columns)
 
     def reset(self) -> None:
         """Drop the baseline (e.g. when the dataset is replaced)."""
         self._view = None
-        self._reports = {}
+        self._state = None
         self._profiles = {}
 
     # -- the maintenance pass ---------------------------------------------------
@@ -135,15 +131,17 @@ class RuleMaintainer:
 
         Returns the maintained :class:`DiscoveryResult` — identical to a
         full re-discovery over ``view`` — and advances the baseline to
-        it.  Returns ``None`` when the baseline does not align
-        (unseeded, a different base dataset, a structural change such as
-        appends/deletes where every candidate would re-mine anyway, or
-        a baseline view whose encodings are gone): the caller runs
-        full discovery instead and re-seeds.
+        it, patching the mining state in place (so a call that raises
+        leaves a baseline to drop, not to reuse).  Returns ``None`` when
+        the baseline does not align (unseeded or without a mining state,
+        a different base dataset, a structural change such as
+        appends/deletes, which no cell list describes, or a baseline
+        view whose encodings are gone): the caller runs full discovery
+        instead and re-seeds.
         """
         started = time.perf_counter()
-        old_view = self._view
-        if old_view is None:
+        old_view, state = self._view, self._state
+        if old_view is None or state is None:
             return None
         cells = self._cells_since_baseline(view)
         if cells is None:
@@ -154,17 +152,16 @@ class RuleMaintainer:
             return None
 
         with self.timers.stage("patch"):
-            patched = _patched_encodings(baseline, cells)
-        changed_columns = set(patched)
-        self._carry_clean_artifacts(view, changed_columns)
-        view.encodings.update(patched)
+            patches = _patched_encodings(baseline, cells)
+        self._carry_clean_artifacts(view, set(patches))
+        view.encodings.update((name, patch.new) for name, patch in patches.items())
 
         with self.timers.stage("profile"):
             profile = TableProfile(
                 n_rows=view.n_rows,
                 columns={
-                    name: profile_encoding(name, patched[name])
-                    if name in patched
+                    name: profile_encoding(name, patches[name].new)
+                    if name in patches
                     else self._profiles[name]
                     for name in names
                 },
@@ -174,23 +171,16 @@ class RuleMaintainer:
             candidates = candidate_dependencies(view, self.config, profile)
 
         with self.timers.stage("mine"):
-            # clean candidate: same value sequences, same report
-            baselines = [
-                None
-                if candidate.lhs in changed_columns or candidate.rhs in changed_columns
-                else self._reports.get(_report_key(candidate))
-                for candidate in candidates
-            ]
-            remined = iter(
-                self.discoverer.mine_candidates(
-                    [c for c, baseline in zip(candidates, baselines) if baseline is None],
-                    view.column_encodings,
-                )
+            state.patch(patches, view.encodings)
+            reports = self.discoverer.mine_candidates(
+                candidates, view.column_encodings, state
             )
-            reports: List[DependencyReport] = [
-                next(remined) if baseline is None else baseline
-                for baseline in baselines
-            ]
+        self.last_work = (
+            f"mining state: {state.n_patched} candidates patched, {state.n_fresh} "
+            f"built fresh, {state.n_reused} unchanged; "
+            f"{sum(e.n_verified for e in state.lhs.values())} "
+            "inverted-list entries re-verified"
+        )
         with self.timers.stage("assemble"):
             pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
         # same memory hygiene as the sharded discoverer
@@ -198,9 +188,6 @@ class RuleMaintainer:
 
         # advance the baseline to the maintained state
         self._view = view
-        self._reports = {
-            _report_key(report.candidate): report for report in reports
-        }
         self._profiles = dict(profile.columns)
 
         return DiscoveryResult(
@@ -259,9 +246,13 @@ class RuleMaintainer:
 
 def _patched_encodings(
     baseline: Dict[str, ColumnEncoding], cells: Iterable[Tuple[int, str, str]]
-) -> Dict[str, ColumnEncoding]:
-    """The new encoding of every column some cell really changes: the
-    baseline encoding with the differing cells written in."""
+):
+    """The :class:`~repro.kernels.mine.ColumnPatch` of every column some
+    cell really changes: the baseline encoding with the differing cells
+    written in."""
+    # local import: see repro.discovery.discoverer.new_mining_state
+    from repro.kernels.mine import ColumnPatch
+
     by_column: Dict[str, Tuple[List[int], List[str]]] = {}
     for row, name, value in cells:
         rows, values = by_column.setdefault(name, ([], []))
@@ -277,7 +268,9 @@ def _patched_encodings(
             if distinct[code] != value
         ]
         if differing:
-            patched[name] = encoding.with_cells(
-                [rows[i] for i in differing], [values[i] for i in differing]
+            rows = [rows[i] for i in differing]
+            new, renumber = encoding.with_cells(rows, [values[i] for i in differing])
+            patched[name] = ColumnPatch(
+                encoding, new, np.unique(np.asarray(rows, dtype=np.int64)), renumber
             )
     return patched

@@ -5,8 +5,7 @@ first-appearance order — the same order every scalar dict in the
 pipeline uses for insertion, which is what lets the kernels reproduce
 scalar dict orders exactly.  Everything derived from the codes is lazy:
 
-* ``rows_by_code`` — one stable argsort + bincount split, giving each
-  distinct value its ascending row-id array;
+* ``counts`` — the number of rows per distinct value;
 * ``lengths`` — ``len()`` per distinct value, vectorized consumers index
   it by code;
 * ``signatures`` — a uint8 char-class bitmask per distinct value, the
@@ -16,13 +15,14 @@ scalar dict orders exactly.  Everything derived from the codes is lazy:
 An encoding is also a column's profile input (its distinct values and
 counts) and the edit loop's maintained state: :meth:`ColumnEncoding.with_cells`
 patches a few cells into an equal-to-fresh encoding without re-reading
-the column.
+the column, and returns the code renumbering the mining state is
+patched through.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.kernels.runtime import np
 from repro.patterns.alphabet import CharClass, classify_char
@@ -50,7 +50,7 @@ def signature_bits(value: str) -> int:
 class ColumnEncoding:
     """One column factorized into distinct values and int32 codes."""
 
-    __slots__ = ("distinct", "codes", "_rows_by_code", "_counts", "_lengths", "_signatures")
+    __slots__ = ("distinct", "codes", "_counts", "_lengths", "_signatures")
 
     def __init__(self, distinct: List[str], codes) -> None:
         #: distinct values in first-appearance order; ``distinct[codes[i]]``
@@ -58,7 +58,6 @@ class ColumnEncoding:
         self.distinct = distinct
         #: int32 numpy array, one code per row
         self.codes = codes
-        self._rows_by_code: Optional[list] = None
         self._counts = None
         self._lengths = None
         self._signatures = None
@@ -80,31 +79,20 @@ class ColumnEncoding:
             )
         return counts
 
-    def rows_by_code(self) -> list:
-        """Per code, the ascending int64 array of rows holding it.
-
-        Built with one stable argsort over the whole column; stability
-        keeps each code's rows in original (ascending) row order.
-        """
-        rows = self._rows_by_code
-        if rows is None:
-            order = np.argsort(self.codes, kind="stable")
-            counts = self.counts()
-            rows = self._rows_by_code = np.split(
-                order, np.cumsum(counts[:-1])
-            ) if len(self.distinct) else []
-        return rows
-
-    def with_cells(self, rows: Sequence[int], values: Sequence[str]) -> "ColumnEncoding":
+    def with_cells(self, rows: Sequence[int], values: Sequence[str]):
         """A new encoding of this column with ``values[i]`` written at
-        row ``rows[i]`` (a later write to the same row wins).
+        row ``rows[i]`` (a later write to the same row wins), and the
+        renumbering from this encoding's codes to its codes.
 
         New values are appended as distinct values, then one
         ``np.unique(codes, return_index=True)`` renumbers the codes to
         first-appearance order — so a value that lost its last row
         disappears, and a write that moves a value's first appearance
         reorders it — and the result equals :func:`encode_column` over
-        the edited values.  This encoding is left unchanged.
+        the edited values.  ``renumber[c]`` is the new code of code
+        ``c``, ``-1`` for a value no row holds any more; the codes from
+        ``n_distinct`` on are the values the writes added, in write
+        order.  This encoding is left unchanged.
         """
         cells = dict(zip(map(int, rows), values))
         distinct = list(self.distinct)
@@ -120,16 +108,17 @@ class ColumnEncoding:
         codes[np.fromiter(cells, dtype=np.int64, count=len(cells))] = written
         present, first = np.unique(codes, return_index=True)
         present = present[np.argsort(first)]
-        renumber = np.empty(len(distinct), dtype=np.int32)
+        renumber = np.full(len(distinct), -1, dtype=np.int32)
         renumber[present] = np.arange(len(present), dtype=np.int32)
-        return ColumnEncoding(
+        encoding = ColumnEncoding(
             [distinct[code] for code in present.tolist()], renumber[codes]
         )
+        return encoding, renumber
 
     def release_derived(self) -> None:
         """Forget the lazy per-code arrays (each rebuilds on its next
         use); the distinct values and codes stay."""
-        self._rows_by_code = self._counts = self._lengths = self._signatures = None
+        self._counts = self._lengths = self._signatures = None
 
     def lengths(self):
         """int32 array: ``len(distinct[code])`` per code."""

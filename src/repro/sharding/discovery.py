@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
+from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer, new_mining_state
 from repro.pfd.pfd import PFD
 from repro.sharding.sharded_table import ShardedTable
 
@@ -68,8 +68,11 @@ class ShardedDiscoverer:
             with timers.stage("candidates"):
                 candidates = candidate_dependencies(sharded, self.config, profile)
         candidates = list(candidates)
+        state = new_mining_state()
         with timers.stage("mine"):
-            reports = self.discoverer.mine_candidates(candidates, sharded.column_encodings)
+            reports = self.discoverer.mine_candidates(
+                candidates, sharded.column_encodings, state
+            )
         with timers.stage("assemble"):
             pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
         # a bounded-memory session carries past discovery only the
@@ -81,4 +84,5 @@ class ShardedDiscoverer:
             profile=profile,
             config=self.config,
             elapsed_seconds=time.perf_counter() - started,
+            mining_state=state,
         )

@@ -14,11 +14,13 @@ from repro.discovery import PfdDiscoverer
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.maintenance import RuleMaintainer
 from repro.errors import ProjectError
+from repro.kernels.mine import PairState
 from repro.metrics.evaluation import evaluate_report
 from repro.sharding import ShardOverlay
 
 from fresh_seed import assert_report_equals_a_fresh_seed
 import detection_reference
+import figure2_reference
 from detection_reference import assert_matches_pairwise, violating_pairs
 
 
@@ -856,11 +858,14 @@ class TestAtomicRecheck:
     @pytest.mark.parametrize(
         "target",
         [
-            (IncrementalDetector, "retained"),
-            (IncrementalDetector, "_seeded"),
-            (RuleMaintainer, "maintain"),
+            (IncrementalDetector, "retained", 1),
+            (IncrementalDetector, "_seeded", 1),
+            (RuleMaintainer, "maintain", 1),
+            # partway through the delta: the first candidate's mining
+            # state is patched, the second one's patch raises
+            (PairState, "patch", 2),
         ],
-        ids=["detection", "late-rule-seed", "maintenance"],
+        ids=["detection", "late-rule-seed", "maintenance", "mining-state-delta"],
     )
     def test_failed_recheck_keeps_the_pre_recheck_state(
         self, edited_session, monkeypatch, target
@@ -876,14 +881,21 @@ class TestAtomicRecheck:
         )
         reported = list(session._incremental.report().violations)
 
-        def boom(self, *args, **kwargs):
-            raise RuntimeError("failed mid-recheck")
+        owner, name, failing_call = target
+        original = getattr(owner, name)
+        calls = []
 
-        owner, name = target
+        def boom(self, *args, **kwargs):
+            calls.append(name)
+            if len(calls) == failing_call:
+                raise RuntimeError("failed mid-recheck")
+            return original(self, *args, **kwargs)
+
         monkeypatch.setattr(owner, name, boom)
         with pytest.raises(RuntimeError, match="mid-recheck"):
             session.recheck()
         monkeypatch.undo()
+        assert len(calls) == failing_call
 
         assert session.discovery is before[0]
         assert session.confirmed_names == before[1]
@@ -902,14 +914,15 @@ class TestAtomicRecheck:
         )
         assert report.canonical_violations() == expected.canonical_violations()
 
-        # and the next re-check equals a fresh discovery
+        # and the next re-check equals the literal Figure 2 loop
         result = session.recheck()
         assert session.last_plan.rule_maintenance == "full"
         edited = session.table.materialize()
-        fresh = PfdDiscoverer(session.config).discover_with_report(
-            edited, relation="atomic"
-        )
+        fresh = figure2_reference.discover(edited, session.config, relation="atomic")
         assert [p.describe() for p in result.pfds] == [p.describe() for p in fresh.pfds]
+        assert figure2_reference.report_fields(
+            result, edited
+        ) == figure2_reference.report_fields(fresh, edited)
         assert session.state is SessionState.DETECTED
         expected = detection_reference.detect(edited, session.confirmed_pfds())
         assert (

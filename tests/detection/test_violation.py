@@ -70,30 +70,3 @@ class TestViolationReport:
         report.add(make_violation(1))
         assert report.violation_ratio() == 0.2
         assert ViolationReport(n_rows=0).violation_ratio() == 0.0
-
-    def test_merged_with_deduplicates(self):
-        left = ViolationReport(n_rows=10, comparisons=5)
-        right = ViolationReport(n_rows=10, comparisons=7)
-        shared = make_violation(1)
-        left.add(shared)
-        right.add(make_violation(1))
-        right.add(make_violation(2))
-        merged = left.merged_with(right)
-        assert len(merged) == 2
-        assert merged.comparisons == 12
-
-    def test_merge_equals_folding_merged_with(self):
-        reports = []
-        for rows, comparisons in (((1, 2), 3), ((2, 3), 4), ((3, 4, 1), 5)):
-            report = ViolationReport(n_rows=4 + len(reports), comparisons=comparisons)
-            report.elapsed_seconds = 0.5
-            report.extend(make_violation(row) for row in rows)
-            reports.append(report)
-        folded = ViolationReport(n_rows=2)
-        for report in reports:
-            folded = folded.merged_with(report)
-        merged = ViolationReport.merge(reports, n_rows=2)
-        assert merged.violations == folded.violations
-        assert [v.rows for v in merged] == [(1,), (2,), (3,), (4,)]
-        assert (merged.n_rows, merged.comparisons) == (6, 12)
-        assert merged.elapsed_seconds == folded.elapsed_seconds == 1.5

@@ -30,7 +30,8 @@ class TestPrefixEntries:
         assert candidate.pattern_text == "900\\D{2}"
         assert candidate.support == 4
         assert candidate.agreement == 1.0
-        assert list(candidate.covered_tuple_ids) == [0, 1, 2, 3]
+        assert list(candidate.rows) == [0, 1, 2, 3]
+        assert list(candidate.covered_tuple_ids(self.LHS)) == [0, 1, 2, 3]
 
     def test_rejects_low_support(self):
         config = DiscoveryConfig(min_support=5)
@@ -48,7 +49,8 @@ class TestPrefixEntries:
         candidate = decide_for(lhs, rhs, "prefix", "900", 0, config)
         assert candidate is not None
         assert candidate.agreement == pytest.approx(0.95)
-        assert list(candidate.violating_tuple_ids) == [19]
+        assert list(candidate.violating_rows) == [19]
+        assert list(candidate.violating_tuple_ids(lhs, rhs)) == [19]
 
     def test_render_format(self):
         candidate = decide_for(self.LHS, self.RHS, "prefix", "900", 0)
@@ -99,7 +101,9 @@ class TestTokenEntries:
         lhs = ["x y"] * 3 + ['"x" z'] * 3
         candidate = decide_for(lhs, ["r"] * 6, "token", "x", 0)
         assert candidate.pattern_text == "x\\A*"
-        assert list(candidate.covered_tuple_ids) == [0, 1, 2]
+        assert list(candidate.rows) == [0, 1, 2]
+        assert candidate.lhs_values == ("x y",)
+        assert list(candidate.covered_tuple_ids(lhs)) == [0, 1, 2]
 
 
 class TestContainsTokenPattern:

@@ -1,10 +1,14 @@
 """Differential gate for incremental rule maintenance.
 
 The contract of :class:`repro.discovery.maintenance.RuleMaintainer` is
-absolute: after any cell-edit batch, the maintained rule set — names,
-tableaux, and per-candidate accept/coverage decisions — must be
-*identical* to a full re-discovery over the edited table through the
-literal Figure 2 loop (``tests/figure2_reference.py``).  The gate runs
+absolute: after any cell-edit batch, the maintained rule set — names and
+tableaux — and every field of every per-candidate report (each constant
+tuple's pattern, RHS, support, agreement, source token and position,
+values, covered and violating rows; each variable candidate's
+statistics; accept and coverage) must be *identical* to a full
+re-discovery over the edited table through the literal Figure 2 loop
+(``tests/figure2_reference.py``), so the patched mining state cannot
+drift unseen.  The gate runs
 randomized edit sequences over every generator of the sharding
 differential suite, on every shard-store backend (4 generators x
 3 stores x 6 seeds x 3 batches = 216 maintained re-checks).  Each case is fully determined by its test
@@ -97,6 +101,13 @@ def decisions_of(result):
     return [(r.lhs, r.rhs, r.accepted, r.coverage) for r in result.reports]
 
 
+def report_fields(result, table):
+    """Every report field: each constant tuple's pattern, RHS, support,
+    agreement, source token and position, values and covered and
+    violating rows, every variable candidate's statistics."""
+    return figure2_reference.report_fields(result, table)
+
+
 def reference_rediscovery(config, table, relation=None):
     """Full re-discovery through the literal Figure 2 loop."""
     return figure2_reference.discover(table, config, relation=relation)
@@ -125,14 +136,13 @@ class TestMaintenanceDifferential:
                     result = session.recheck()
                     assert session.last_plan.rule_maintenance == "incremental"
                     assert_report_equals_a_fresh_seed(session)
-                    full = reference_rediscovery(
-                        session.config, session.table.materialize(), relation=name
-                    )
+                    edited = session.table.materialize()
+                    full = reference_rediscovery(session.config, edited, relation=name)
                     assert rules_of(result) == rules_of(full), (
                         f"maintained rules diverged (seed={seed})"
                     )
-                    assert decisions_of(result) == decisions_of(full), (
-                        f"maintained mining decisions diverged (seed={seed})"
+                    assert report_fields(result, edited) == report_fields(full, edited), (
+                        f"maintained mining reports diverged (seed={seed})"
                     )
             finally:
                 session.close()
@@ -160,7 +170,7 @@ def test_reference_maintainer_sequence(name, n_rows, specs):
             PfdDiscoverer(config).discover_with_report(edited),
         ):
             assert rules_of(result) == rules_of(full)
-            assert decisions_of(result) == decisions_of(full)
+            assert report_fields(result, edited) == report_fields(full, edited)
 
 
 @pytest.mark.parametrize(
@@ -557,5 +567,54 @@ def test_recheck_after_an_edit_replaces_every_rhs_of_a_group(store):
         groups = view.pair_groups[("city", "state")].groups
         assert list(groups[target]) == [state]
         assert list(groups[target][state]) == members
+    finally:
+        session.close()
+
+
+def test_rhs_only_batch_reverifies_nothing(monkeypatch):
+    """A batch that swaps ``state`` values between rows — no value
+    appears or vanishes, no first appearance moves — patches the pair
+    counts of every candidate over ``state`` and re-tokenizes,
+    re-verifies and re-generalizes nothing: ``zip -> state`` keeps its
+    clean LHS entries' verdicts and variable pattern.  The plan records
+    the work."""
+    import repro.kernels.mine as mine
+
+    session = make_session(*GENERATORS[0], 3, "memory")
+    try:
+        session.run_discovery()
+        states = session.table.materialize().column("state")
+        first = {}
+        for row, value in enumerate(states):
+            first.setdefault(value, row)
+        later = [row for row in range(len(states)) if first[states[row]] != row]
+        one = later[0]
+        other = next(row for row in later if states[row] != states[one])
+        calls = []
+        for name in ("batch_tokenize", "generalize_with_literal_prefix",
+                     "contains_token_pattern", "generalize_strings",
+                     "token_constraint_pattern"):
+            original = getattr(mine, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mine, name, counted)
+        session.table.set_cell(one, "state", states[other])
+        session.table.set_cell(other, "state", states[one])
+        result = session.recheck()
+        assert session.last_plan.rule_maintenance == "incremental"
+        assert calls == []
+        touching = [c for c in session.discovery.reports if "state" in (c.lhs, c.rhs)]
+        assert any(c.lhs == "zip" and c.rhs == "state" for c in touching)
+        assert (
+            f"mining state: {len(touching)} candidates patched, 0 built fresh, "
+            f"{len(result.reports) - len(touching)} unchanged; "
+            "0 inverted-list entries re-verified"
+        ) in session.last_plan.decisions
+        edited = session.table.materialize()
+        full = reference_rediscovery(session.config, edited, relation=GENERATORS[0][0])
+        assert report_fields(result, edited) == report_fields(full, edited)
     finally:
         session.close()

@@ -14,6 +14,8 @@ from repro.discovery.config import DiscoveryConfig
 from repro.kernels.encoder import encode_column
 from repro.kernels.mine import (
     MAX_CONSTRAINED_TOKEN_POSITION,
+    LhsState,
+    PairState,
     accepts,
     coverage_kernel,
     mine_constant_kernel,
@@ -21,29 +23,41 @@ from repro.kernels.mine import (
     pair_counts,
     selection_key,
 )
-from repro.kernels.tokenize import batch_tokenize
+from repro.kernels.runtime import np
 
 
-def _tableau(rows):
+def _tableau(rows, lhs, rhs):
+    """Each tuple's fields, the kernel's covered and violating rows
+    derived from the columns."""
     return [
-        (r.pattern_text, r.rhs_constant, r.support, r.agreement, list(r.covered_tuple_ids))
+        (
+            r.pattern_text, r.rhs_constant, r.support, r.agreement, r.lhs_values,
+            list(r.covered_tuple_ids(lhs)), list(r.violating_tuple_ids(lhs, rhs)),
+        )
         for r in rows
     ]
 
 
 def mine_constant(lhs, rhs, mode, config=None):
-    """The selected pattern tuples, once both routes agree."""
+    """The selected pattern tuples, once both routes agree on them, on
+    their rows and on the coverage."""
     config = config or DiscoveryConfig()
     lhs_encoding, rhs_encoding = encode_column(lhs), encode_column(rhs)
-    kernel = mine_constant_kernel(
-        lhs_encoding,
+    kernel, coverage = mine_constant_kernel(
+        LhsState(lhs_encoding, mode),
         rhs_encoding,
         pair_counts(lhs_encoding, rhs_encoding),
-        batch_tokenize(lhs_encoding, mode),
         config,
     )
     reference = figure2_reference.mine_constant(lhs, rhs, mode, config)
-    assert _tableau(kernel) == _tableau(reference)
+    assert _tableau(kernel, lhs, rhs) == [
+        (
+            r.pattern_text, r.rhs_constant, r.support, r.agreement, r.lhs_values,
+            list(r.rows), list(r.violating_rows),
+        )
+        for r in reference
+    ]
+    assert coverage == figure2_reference.coverage(reference, lhs)
     return reference
 
 
@@ -52,7 +66,10 @@ def mine_variable(lhs, rhs, mode, config=None):
     config = config or DiscoveryConfig()
     lhs_encoding, rhs_encoding = encode_column(lhs), encode_column(rhs)
     kernel = mine_variable_kernel(
-        lhs_encoding, rhs_encoding, pair_counts(lhs_encoding, rhs_encoding), mode, config
+        LhsState(lhs_encoding, mode),
+        rhs_encoding,
+        PairState(lhs_encoding, rhs_encoding),
+        config,
     )
     reference = figure2_reference.mine_variable(lhs, rhs, mode, config)
     assert _summary(kernel) == _summary(reference)
@@ -90,15 +107,17 @@ class TestConstantMinerOnZips:
         rows = mine_constant(self.LHS, self.RHS, mode="prefix")
         encoding = encode_column(self.LHS)
         assert figure2_reference.coverage(rows, self.LHS) == 1.0
-        assert coverage_kernel(rows, encoding) == 1.0
         assert figure2_reference.coverage([], self.LHS) == 0.0
         assert coverage_kernel([], encoding) == 0.0
+        # the kernel sums the rows of the covered values (one mask per
+        # RHS constant): the ten 900xx zips are half the rows
+        la = np.arange(encoding.n_distinct) < 10
+        assert coverage_kernel([la, la], encoding) == 0.5
 
     def test_coverage_ignores_empty_values(self):
         lhs = self.LHS + ["", ""]
         rows = mine_constant(lhs, self.RHS + ["x", "y"], mode="prefix")
         assert figure2_reference.coverage(rows, lhs) == 1.0
-        assert coverage_kernel(rows, encode_column(lhs)) == 1.0
 
     def test_dirty_rhs_within_tolerance(self):
         rhs = list(self.RHS)
@@ -106,7 +125,7 @@ class TestConstantMinerOnZips:
         config = DiscoveryConfig(allowed_violation_ratio=0.15)
         rows = mine_constant(self.LHS, rhs, mode="prefix", config=config)
         la_rows = [r for r in rows if r.rhs_constant == "Los Angeles"]
-        assert la_rows and list(la_rows[0].violating_tuple_ids) == [0]
+        assert la_rows and list(la_rows[0].violating_rows) == [0]
 
 
 class TestConstantMinerOnNames:

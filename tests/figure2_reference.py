@@ -34,11 +34,12 @@ directory, home of the root ``conftest.py``, on ``sys.path``).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constrained.constrained_pattern import constrained_prefix
 from repro.dataset.profiling import profile_table
-from repro.dataset.rowids import row_ids
+from repro.dataset.rowids import RowIds, row_ids
 from repro.discovery import DiscoveryConfig, PfdDiscoverer, candidate_dependencies
 from repro.discovery.decision import PatternTupleCandidate, contains_token_pattern
 from repro.discovery.discoverer import DependencyReport, DiscoveryResult
@@ -85,6 +86,15 @@ def inverted_list(lhs_values: Sequence[str], mode: str) -> Dict[Tuple[str, int],
 # -- lines 10-13: the decision function, the tableau and γ ---------------------------
 
 
+@dataclass
+class ReferenceTuple(PatternTupleCandidate):
+    """A pattern tuple with the literal rows it covers and violates (the
+    kernels' tuples derive theirs on demand from ``lhs_values``)."""
+
+    rows: RowIds = field(default_factory=row_ids)
+    violating_rows: RowIds = field(default_factory=row_ids)
+
+
 def decide(
     token: str,
     position: int,
@@ -92,7 +102,7 @@ def decide(
     lhs_values: Sequence[str],
     rhs_values: Sequence[str],
     config: DiscoveryConfig,
-) -> Optional[PatternTupleCandidate]:
+) -> Optional[ReferenceTuple]:
     """``f``: the pattern tuple one entry forms, or ``None``."""
     if len(rows) < config.min_support:
         return None
@@ -115,21 +125,20 @@ def decide(
     agreeing = [row for row in matching if rhs_values[row] == top]
     if len(agreeing) / len(matching) < config.min_agreement:
         return None
-    return PatternTupleCandidate(
+    return ReferenceTuple(
         lhs_pattern=pattern,
         rhs_constant=top,
         support=len(matching),
         agreement=len(agreeing) / len(matching),
-        covered_tuple_ids=row_ids(matching),
-        violating_tuple_ids=row_ids(row for row in matching if rhs_values[row] != top),
+        lhs_values=tuple(dict.fromkeys(lhs_values[row] for row in matching)),
         source_token=token,
         source_position=position,
+        rows=row_ids(matching),
+        violating_rows=row_ids(row for row in matching if rhs_values[row] != top),
     )
 
 
-def select(
-    candidates: List[PatternTupleCandidate], config: DiscoveryConfig
-) -> List[PatternTupleCandidate]:
+def select(candidates: List[ReferenceTuple], config: DiscoveryConfig) -> List[ReferenceTuple]:
     """The greedy tableau: most covering first, then most agreeing, then
     the shorter pattern text (stable, so ties keep decision order).  A
     candidate is kept when it covers rows no kept candidate with its
@@ -139,13 +148,13 @@ def select(
         candidates,
         key=lambda c: (-c.support, -c.agreement, len(c.pattern_text), c.pattern_text),
     )
-    kept: List[PatternTupleCandidate] = []
+    kept: List[ReferenceTuple] = []
     covered: Dict[str, set] = {}
     for candidate in ordered:
         if len(kept) >= MAX_TABLEAU_ROWS:
             break
         already = covered.get(candidate.rhs_constant, set())
-        new = set(candidate.covered_tuple_ids) - already
+        new = set(candidate.rows) - already
         if not new or (already and len(new) < config.min_support):
             continue
         kept.append(candidate)
@@ -153,20 +162,20 @@ def select(
     return kept
 
 
-def coverage(candidates: Sequence[PatternTupleCandidate], lhs_values: Sequence[str]) -> float:
+def coverage(candidates: Sequence[ReferenceTuple], lhs_values: Sequence[str]) -> float:
     """Covered rows over non-empty LHS rows."""
     non_empty = {row for row, value in enumerate(lhs_values) if value != ""}
     if not non_empty:
         return 0.0
     covered = set()
     for candidate in candidates:
-        covered.update(candidate.covered_tuple_ids)
+        covered.update(candidate.rows)
     return len(covered & non_empty) / len(non_empty)
 
 
 def mine_constant(
     lhs_values: Sequence[str], rhs_values: Sequence[str], mode: str, config: DiscoveryConfig
-) -> List[PatternTupleCandidate]:
+) -> List[ReferenceTuple]:
     """The selected pattern tuples of ``A → B``, before γ."""
     candidates = []
     for (token, position), rows in inverted_list(lhs_values, mode).items():
@@ -317,3 +326,37 @@ def discover(table, config: Optional[DiscoveryConfig] = None, relation=None) -> 
         config=config,
         elapsed_seconds=time.perf_counter() - started,
     )
+
+
+# -- comparing results ------------------------------------------------------------------
+
+
+def report_fields(result: DiscoveryResult, table) -> list:
+    """Every field of every report of a discovery result, comparable with
+    ``==``.  A pattern tuple's covered and violating rows are its literal
+    ones for a :class:`ReferenceTuple` and derived on demand from the
+    table's columns otherwise."""
+    fields = []
+    for report in result.reports:
+        lhs, rhs = list(table.column(report.lhs)), list(table.column(report.rhs))
+        constant = []
+        for row in report.constant_candidates:
+            if isinstance(row, ReferenceTuple):
+                rows, violating = row.rows, row.violating_rows
+            else:
+                rows = row.covered_tuple_ids(lhs)
+                violating = row.violating_tuple_ids(lhs, rhs)
+            constant.append((
+                row.pattern_text, row.rhs_constant, row.support, row.agreement,
+                row.source_token, row.source_position, row.lhs_values,
+                list(rows), list(violating),
+            ))
+        variable = [
+            (v.pattern_text, v.coverage, v.agreement, v.n_blocks, v.n_multi_blocks, v.description)
+            for v in report.variable_candidates
+        ]
+        fields.append((
+            report.lhs, report.rhs, report.candidate.lhs_mode, report.accepted,
+            report.coverage, constant, variable,
+        ))
+    return fields

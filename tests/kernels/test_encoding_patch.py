@@ -8,7 +8,8 @@ is byte-equal to :func:`encode_column` of the edited values — distinct
 values in first-appearance order, int32 codes — and the profile equals
 :func:`profile_column` of them, whatever the writes: new values, the
 last row of a value, a write at row 0 that reorders first appearances,
-empty strings, and writes that restore the value already there.
+empty strings, and writes that restore the value already there.  The
+renumbering it returns maps each old code to its value's new code.
 """
 
 from __future__ import annotations
@@ -38,11 +39,30 @@ def patched(values, writes):
         edited[row] = value
     before = encode_column(values)
     codes = before.codes.copy()
-    result = before.with_cells([row for row, _ in writes], [value for _, value in writes])
+    result, renumber = before.with_cells(
+        [row for row, _ in writes], [value for _, value in writes]
+    )
     # the patched encoding is new; the original is untouched
     assert before.codes.tobytes() == codes.tobytes()
     assert_fresh(before, values)
+    # a later write to a row wins
+    assert_renumbers(before, result, renumber, list(dict(writes).values()))
     return edited, result
+
+
+def assert_renumbers(before, result, renumber, written):
+    """``renumber`` maps every old code to its value's new code (-1 when
+    the value vanished), then the written values new to the column, in
+    write order."""
+    old = before.distinct
+    added = list(dict.fromkeys(value for value in written if value not in set(old)))
+    assert len(renumber) == len(old) + len(added)
+    for code, value in enumerate(old + added):
+        new = int(renumber[code])
+        if value in result.distinct:
+            assert result.distinct[new] == value
+        else:
+            assert new == -1
 
 
 @st.composite
@@ -112,6 +132,7 @@ def test_profile_counts_empty_values():
 
 
 def test_empty_column_patches_to_an_empty_encoding():
-    result = encode_column([]).with_cells([], [])
+    result, renumber = encode_column([]).with_cells([], [])
+    assert len(renumber) == 0
     assert_fresh(result, [])
     assert profile_encoding("c", result) == profile_column("c", [])

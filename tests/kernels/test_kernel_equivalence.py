@@ -96,30 +96,6 @@ class TestColumnEquivalence:
             )
 
 
-def _report_fingerprint(result):
-    return [
-        (
-            r.lhs,
-            r.rhs,
-            r.accepted,
-            r.coverage,
-            [
-                (
-                    c.pattern_text,
-                    c.rhs_constant,
-                    c.support,
-                    c.agreement,
-                    c.covered_tuple_ids,
-                    c.violating_tuple_ids,
-                )
-                for c in r.constant_candidates
-            ],
-            [str(v.constrained_pattern) for v in r.variable_candidates],
-        )
-        for r in result.reports
-    ]
-
-
 @pytest.mark.parametrize(
     "name,n_rows,specs",
     [
@@ -141,7 +117,9 @@ class TestDiscoveryEquivalence:
         assert [p.describe() for p in kernel.pfds] == [
             p.describe() for p in reference.pfds
         ]
-        assert _report_fingerprint(kernel) == _report_fingerprint(reference)
+        assert figure2_reference.report_fields(
+            kernel, dirty
+        ) == figure2_reference.report_fields(reference, dirty)
 
 
 class TestUglyTableDiscovery:
@@ -159,4 +137,6 @@ class TestUglyTableDiscovery:
         assert [p.describe() for p in kernel.pfds] == [
             p.describe() for p in reference.pfds
         ]
-        assert _report_fingerprint(kernel) == _report_fingerprint(reference)
+        assert figure2_reference.report_fields(
+            kernel, table
+        ) == figure2_reference.report_fields(reference, table)

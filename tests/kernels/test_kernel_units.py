@@ -30,7 +30,7 @@ from repro.kernels.encoder import (
 )
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_matching_values, batch_verdicts, pattern_class_mask
-from repro.kernels.mine import MAX_TABLEAU_ROWS, mine_constant_kernel, pair_counts
+from repro.kernels.mine import MAX_TABLEAU_ROWS, LhsState, mine_constant_kernel, pair_counts
 from repro.kernels.tokenize import NGRAM_SIZE, batch_tokenize, value_triples
 from repro.patterns import parse_pattern
 from repro.patterns.alphabet import CharClass
@@ -48,18 +48,16 @@ class TestEncoder:
         assert encoding.codes.tolist() == [0, 1, 0, 2, 1]
         assert encoding.codes.dtype == np.int32
 
-    def test_rows_by_code_partition(self):
+    def test_counts_per_code(self):
         values = ["x", "y", "x", "z", "y", "x"]
         encoding = encode_column(values)
-        rows = encoding.rows_by_code()
-        assert [r.tolist() for r in rows] == [[0, 2, 5], [1, 4], [3]]
         assert encoding.counts().tolist() == [3, 2, 1]
 
     def test_empty_column(self):
         encoding = encode_column([])
         assert encoding.n_rows == 0
         assert encoding.n_distinct == 0
-        assert encoding.rows_by_code() == []
+        assert encoding.counts().tolist() == []
 
     def test_lengths_and_signatures(self):
         encoding = encode_column(["Ab1", "", "??"])
@@ -257,15 +255,20 @@ class TestValueTriples:
             assert key == text == value[start : start + NGRAM_SIZE]
 
 
-def _tableau(candidates):
+def _tableau(candidates, lhs, rhs):
+    """Each tuple's fields, with its rows: literal for the reference's,
+    derived from the columns for the kernel's."""
     return [
         (
             c.pattern_text,
             c.rhs_constant,
             c.support,
             c.agreement,
-            list(c.covered_tuple_ids),
-            list(c.violating_tuple_ids),
+            c.lhs_values,
+            list(c.rows if isinstance(c, figure2_reference.ReferenceTuple)
+                 else c.covered_tuple_ids(lhs)),
+            list(c.violating_rows if isinstance(c, figure2_reference.ReferenceTuple)
+                 else c.violating_tuple_ids(lhs, rhs)),
             c.source_token,
             c.source_position,
         )
@@ -278,16 +281,15 @@ def mined_both_ways(lhs, rhs, mode="token", timers=None, **overrides):
     config = DiscoveryConfig(**overrides)
     encoding = encode_column(lhs)
     rhs_encoding = encode_column(rhs)
-    kernel = mine_constant_kernel(
-        encoding,
+    kernel, _coverage = mine_constant_kernel(
+        LhsState(encoding, mode),
         rhs_encoding,
         pair_counts(encoding, rhs_encoding),
-        batch_tokenize(encoding, mode),
         config,
         timers=timers,
     )
     reference = figure2_reference.mine_constant(lhs, rhs, mode, config)
-    return _tableau(kernel), _tableau(reference)
+    return _tableau(kernel, lhs, rhs), _tableau(reference, lhs, rhs)
 
 
 class TestLazyConstantMining:
@@ -307,7 +309,7 @@ class TestLazyConstantMining:
         rhs = ["r2"] * 2 + ["r1"] * 2
         kernel, reference = mined_both_ways(lhs, rhs)
         assert kernel == reference
-        assert [(row[0], row[1], row[7]) for row in kernel] == [
+        assert [(row[0], row[1], row[8]) for row in kernel] == [
             ("\\A*\\ x", "r2", 2),
             ("\\A*\\ x", "r1", 1),
         ]

@@ -43,8 +43,7 @@ def canonical_discovery(result) -> dict:
                         candidate.rhs_constant,
                         candidate.support,
                         candidate.agreement,
-                        tuple(candidate.covered_tuple_ids),
-                        tuple(candidate.violating_tuple_ids),
+                        candidate.lhs_values,
                         candidate.source_token,
                         candidate.source_position,
                     )

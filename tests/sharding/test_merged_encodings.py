@@ -140,7 +140,7 @@ def test_edited_shard_reencodes_like_full_reextraction(mode, seed, store, patche
     # patching the base encoding with the seal's cells gives the same
     cells = list(view.store.edited_cells())
     assert cells == [(row, NAME, edited[row]) for row in range(5, 8)]
-    patched = before.with_cells([row for row, _, _ in cells], [v for _, _, v in cells])
+    patched, _renumber = before.with_cells([row for row, _, _ in cells], [v for _, _, v in cells])
     assert_matches_flat(patched, edited, [mode])
     assert_pair_groups_match_flat(view, edited, values[::-1])
     # the base keeps its own cached encoding of the unedited column
@@ -174,7 +174,7 @@ def test_discovery_drops_its_mining_artifacts(store):
     # read them), with their derived per-code arrays released
     assert set(sharded.encodings) == set(table.column_names())
     for encoding in sharded.encodings.values():
-        assert encoding._counts is None and encoding._rows_by_code is None
+        assert encoding._counts is None
         assert encoding._lengths is None and encoding._signatures is None
     # the profile outlives discovery: detection and re-checks reuse it
     assert sharded.profile() is result.profile
@@ -183,7 +183,7 @@ def test_discovery_drops_its_mining_artifacts(store):
 
 
 def test_each_lhs_mode_is_tokenized_once(monkeypatch):
-    import repro.discovery.discoverer as discoverer_module
+    import repro.kernels.mine as mine_module
 
     table = build_dataset("zip_city_state", n_rows=60, seed=4).table
     sharded = ShardedTable.from_table(table, 13)
@@ -195,7 +195,7 @@ def test_each_lhs_mode_is_tokenized_once(monkeypatch):
         built.append((names[id(encoding)], mode))
         return batch_tokenize(encoding, mode)
 
-    monkeypatch.setattr(discoverer_module, "batch_tokenize", counted)
+    monkeypatch.setattr(mine_module, "batch_tokenize", counted)
     PfdDiscoverer(CONFIG).mine_candidates(candidates, sharded.column_encodings)
     expected = {(c.lhs, c.lhs_mode) for c in candidates}
     assert len(expected) < len(candidates)  # some LHS serves several candidates

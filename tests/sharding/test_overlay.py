@@ -330,7 +330,7 @@ def patch_encodings(encodings, cells):
         name: encoding.with_cells(
             [row for row, _ in by_column.get(name, [])],
             [value for _, value in by_column.get(name, [])],
-        )
+        )[0]
         for name, encoding in encodings.items()
     }
 
