@@ -153,25 +153,7 @@ class ProjectStore:
     def open_project(self, name: str) -> Project:
         return Project.load(self.root, name)
 
-    def get_or_create(self, name: str, description: str = "") -> Project:
-        try:
-            return self.open_project(name)
-        except ProjectError:
-            return self.create_project(name, description)
-
     def list_projects(self) -> List[str]:
         return sorted(
             path.parent.name for path in self.root.glob("*/project.json")
         )
-
-    def delete_project(self, name: str) -> None:
-        """Remove a project and everything stored under it."""
-        directory = self.root / name
-        if not directory.exists():
-            raise ProjectError(f"no project named {name!r} under {self.root}")
-        for path in sorted(directory.rglob("*"), reverse=True):
-            if path.is_file():
-                path.unlink()
-            else:
-                path.rmdir()
-        directory.rmdir()

@@ -204,14 +204,20 @@ class AnmatSession:
         min_coverage: Optional[float] = None,
         allowed_violation_ratio: Optional[float] = None,
     ) -> "AnmatSession":
-        """Set the two user-facing parameters of Section 4."""
+        """Set the two user-facing parameters of Section 4.
+
+        A change drops the rule maintainer: its baseline was mined under
+        the old parameters, so the next :meth:`recheck` re-discovers in
+        full."""
         overrides = {}
         if min_coverage is not None:
             overrides["min_coverage"] = min_coverage
         if allowed_violation_ratio is not None:
             overrides["allowed_violation_ratio"] = allowed_violation_ratio
-        if overrides:
-            self.config = self.config.with_overrides(**overrides)
+        config = self.config.with_overrides(**overrides)
+        if config != self.config:
+            self.config = config
+            self._maintainer = None
         return self
 
     # -- step 2: profile ------------------------------------------------------------

@@ -39,16 +39,6 @@ def stripped_partition(table: Table, attributes: Sequence[str]) -> StrippedParti
     )
 
 
-def partition_error(partition: StrippedPartition, n_rows: int) -> float:
-    """g3-style error of the partition: rows outside the largest
-    representative of each class, normalized by table size.  (Used only
-    for diagnostics; FD validity uses :func:`refines`.)"""
-    if n_rows == 0:
-        return 0.0
-    stripped_size = sum(len(cls) for cls in partition)
-    return (stripped_size - len(partition)) / max(1, n_rows)
-
-
 def refines(lhs_partition: StrippedPartition, rhs_column: Sequence[str]) -> bool:
     """Whether every LHS equivalence class agrees on the RHS value."""
     for cls in lhs_partition:

@@ -101,10 +101,6 @@ class ConstrainedPattern:
     def segments(self) -> Tuple[Segment, ...]:
         return self._segments
 
-    @property
-    def constrained_segments(self) -> List[Segment]:
-        return [s for s in self._segments if s.constrained]
-
     def embedded_pattern(self) -> Pattern:
         """The pattern obtained by dropping the constraint annotations."""
         combined = Pattern([])
@@ -169,14 +165,6 @@ class ConstrainedPattern:
         if right_projection is None:
             return False
         return left_projection == right_projection
-
-    def blocking_key(self, value: str) -> Optional[Tuple[str, ...]]:
-        """Key used to block tuples during variable-PFD detection.
-
-        Identical to :meth:`project`; exposed under a separate name so
-        detection code reads naturally.
-        """
-        return self.project(value)
 
 
 # -- convenience factories used by discovery ---------------------------------------

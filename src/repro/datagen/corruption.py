@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.dataset.table import Table
 
@@ -55,12 +55,6 @@ class GeneratedDataset:
     @property
     def n_errors(self) -> int:
         return len(self.error_cells)
-
-    def error_rows(self) -> List[int]:
-        return sorted({row for row, _attr in self.error_cells})
-
-    def is_error(self, row: int, attribute: str) -> bool:
-        return (row, attribute) in self.error_cells
 
 
 def _typo(value: str, rng: random.Random) -> str:

@@ -255,14 +255,3 @@ def write_csv(
         for row in table.iter_rows():
             writer.writerow(row)
     return path
-
-
-def to_csv_text(table: Table, delimiter: str = ",", header: bool = True) -> str:
-    """Render a table as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, delimiter=delimiter)
-    if header:
-        writer.writerow(table.column_names())
-    for row in table.iter_rows():
-        writer.writerow(row)
-    return buffer.getvalue()

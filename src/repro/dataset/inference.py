@@ -8,7 +8,7 @@ the string values in each column.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Iterable
 
 from repro.dataset.schema import DataType, Schema
 from repro.dataset.table import Table
@@ -36,55 +36,29 @@ def _is_float(value: str) -> bool:
     return True
 
 
-def infer_column_type(values: Sequence[str], threshold: float = 1.0) -> DataType:
+def infer_column_type(values: Iterable[str]) -> DataType:
     """Infer the coarse type of a column from its non-empty values.
 
-    ``threshold`` is the fraction of non-empty values that must conform to
-    a type for the column to be assigned that type; the default of 1.0
-    means a single non-conforming value demotes the column to STRING,
-    which is the conservative choice for dependency discovery (a zip code
-    column with one alphanumeric value should still be treated as text).
+    Every non-empty value must conform to a type for the column to be
+    assigned that type: a single non-conforming value demotes the column
+    to STRING, which is the conservative choice for dependency discovery
+    (a zip code column with one alphanumeric value should still be
+    treated as text).  ``values`` may hold each value once (the keys of a
+    value → count mapping) or with repeats; blank values are ignored.
     """
-    counts: Dict[str, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    return infer_column_type_from_counts(counts, threshold=threshold)
-
-
-def infer_column_type_from_counts(
-    value_counts: Mapping[str, int], threshold: float = 1.0
-) -> DataType:
-    """Counts-based twin of :func:`infer_column_type`.
-
-    Takes value → multiplicity over the distinct values of a column (the
-    shape streaming profilers accumulate shard by shard); blank values
-    may be present or absent — they are filtered either way.  The result
-    is identical to inferring over the expanded value stream, because
-    the per-value predicates are deterministic and the conformance ratio
-    only weights them by multiplicity.
-    """
-    weighted = [(v, c) for v, c in value_counts.items() if v.strip() != ""]
-    if not weighted:
+    present = [v for v in set(values) if v.strip() != ""]
+    if not present:
         return DataType.EMPTY
-    total = sum(c for _v, c in weighted)
-
-    def conforms(predicate) -> bool:
-        hits = sum(c for v, c in weighted if predicate(v))
-        return hits / total >= threshold
-
-    if conforms(lambda v: v.strip().lower() in _BOOLEAN_TOKENS):
+    if all(v.strip().lower() in _BOOLEAN_TOKENS for v in present):
         return DataType.BOOLEAN
-    if conforms(_is_integer):
+    if all(_is_integer(v) for v in present):
         return DataType.INTEGER
-    if conforms(_is_float):
+    if all(_is_float(v) for v in present):
         return DataType.FLOAT
     return DataType.STRING
 
 
-def infer_schema(table: Table, threshold: float = 1.0) -> Schema:
+def infer_schema(table: Table) -> Schema:
     """Return a copy of the table's schema with inferred dtypes attached."""
-    dtypes = [
-        infer_column_type(table.column_ref(name), threshold=threshold)
-        for name in table.column_names()
-    ]
+    dtypes = [infer_column_type(table.column_ref(name)) for name in table.column_names()]
     return table.schema.with_dtypes(dtypes)

@@ -19,12 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.dataset.inference import infer_column_type_from_counts
+from repro.dataset.inference import infer_column_type
 from repro.dataset.schema import DataType
 from repro.dataset.table import Table
 from repro.kernels.encoder import ColumnEncoding, encode_column
 from repro.patterns.generalize import PatternHistogram, generalize_string
 from repro.patterns.tokenizer import cached_tokenize
+
+#: Whole-value and token patterns kept per column profile, most frequent first.
+_MAX_PATTERNS = 25
+#: Distinct ratio at or above which an unstructured column is no PFD candidate.
+_MAX_DISTINCT_RATIO = 0.98
 
 
 @dataclass
@@ -87,10 +92,6 @@ class ColumnProfile:
         where the paper switches from token mode to n-gram mode."""
         return self.avg_tokens <= 1.05
 
-    def dominant_value_patterns(self, min_ratio: float = 0.05) -> List[PatternStat]:
-        """Whole-value patterns covering at least ``min_ratio`` of rows."""
-        return [p for p in self.value_patterns if p.ratio >= min_ratio]
-
 
 @dataclass
 class TableProfile:
@@ -108,11 +109,7 @@ class TableProfile:
     def column_names(self) -> List[str]:
         return list(self.columns.keys())
 
-    def pfd_candidate_columns(
-        self,
-        max_distinct_ratio: float = 0.98,
-        exclude_numeric: bool = True,
-    ) -> List[str]:
+    def pfd_candidate_columns(self) -> List[str]:
         """Columns on which PFDs may be discovered (Figure 2, line 1).
 
         Numeric measure columns and columns where essentially every value
@@ -123,11 +120,11 @@ class TableProfile:
         """
         candidates = []
         for profile in self.columns.values():
-            if exclude_numeric and profile.is_numeric and not _looks_like_code(profile):
+            if profile.is_numeric and not _looks_like_code(profile):
                 continue
             if profile.n_values == profile.n_empty:
                 continue
-            if profile.distinct_ratio >= max_distinct_ratio and not _looks_like_code(profile):
+            if profile.distinct_ratio >= _MAX_DISTINCT_RATIO and not _looks_like_code(profile):
                 continue
             candidates.append(profile.name)
         return candidates
@@ -152,9 +149,7 @@ def _looks_like_code(profile: ColumnProfile) -> bool:
     return profile.dominant_signature_ratio >= 0.7 and profile.max_length <= 40
 
 
-def profile_encoding(
-    name: str, encoding: ColumnEncoding, max_patterns: int = 25
-) -> ColumnProfile:
+def profile_encoding(name: str, encoding: ColumnEncoding) -> ColumnProfile:
     """Profile one column from its :class:`~repro.kernels.encoder.ColumnEncoding`.
 
     Everything a profile reports is a function of the first-seen-ordered
@@ -203,7 +198,7 @@ def profile_encoding(
             ratio=entry.count / max(1, histogram.total),
             examples=list(entry.examples),
         )
-        for entry in histogram.entries()[:max_patterns]
+        for entry in histogram.entries()[:_MAX_PATTERNS]
     ]
 
     token_stats: Dict[tuple, int] = {}
@@ -225,12 +220,12 @@ def profile_encoding(
         )
         for (text, position), count in sorted(
             token_stats.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:max_patterns]
+        )[:_MAX_PATTERNS]
     ]
 
     return ColumnProfile(
         name=name,
-        dtype=infer_column_type_from_counts(value_counts),
+        dtype=infer_column_type(value_counts),
         n_values=n_values,
         n_distinct=len(value_counts) + (1 if n_empty else 0),
         n_empty=n_empty,
@@ -244,22 +239,22 @@ def profile_encoding(
     )
 
 
-def profile_column(name: str, values: Sequence[str], max_patterns: int = 25) -> ColumnProfile:
+def profile_column(name: str, values: Sequence[str]) -> ColumnProfile:
     """Profile a single column of string values (encoded once, then
     profiled from the encoding)."""
-    return profile_encoding(name, encode_column(values), max_patterns=max_patterns)
+    return profile_encoding(name, encode_column(values))
 
 
-def profile_table(table: Table, max_patterns: int = 25) -> TableProfile:
+def profile_table(table: Table) -> TableProfile:
     """Profile every column of a table."""
     columns = {
-        name: profile_column(name, table.column_ref(name), max_patterns=max_patterns)
+        name: profile_column(name, table.column_ref(name))
         for name in table.column_names()
     }
     return TableProfile(n_rows=table.n_rows, columns=columns)
 
 
-def profile_sharded(sharded, max_patterns: int = 25) -> TableProfile:
+def profile_sharded(sharded) -> TableProfile:
     """Profile a sharded table from its table-wide column encodings.
 
     ``sharded`` is anything with ``column_names()``, ``n_rows`` and
@@ -276,7 +271,7 @@ def profile_sharded(sharded, max_patterns: int = 25) -> TableProfile:
     return TableProfile(
         n_rows=sharded.n_rows,
         columns={
-            name: profile_encoding(name, encodings[name], max_patterns=max_patterns)
+            name: profile_encoding(name, encodings[name])
             for name in names
         },
     )

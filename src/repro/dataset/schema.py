@@ -145,14 +145,6 @@ class Schema:
                 return i
         raise SchemaError(f"unknown attribute {name!r}; have {self.names()}")
 
-    def dtype_of(self, name: AttributeLike) -> DataType:
-        """Return the data type recorded for ``name``."""
-        return self[name if isinstance(name, str) else name.name].dtype
-
-    def select(self, names: Sequence[AttributeLike]) -> "Schema":
-        """Return a new schema containing only ``names``, in the given order."""
-        return Schema([self[self._coerce(n).name] for n in names])
-
     def with_attribute(self, attr: AttributeLike) -> "Schema":
         """Return a new schema with ``attr`` appended."""
         return Schema(self.attributes + [self._coerce(attr)])

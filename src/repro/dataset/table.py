@@ -8,13 +8,10 @@ pruning and is tracked in the schema, not in the storage layer.
 from __future__ import annotations
 
 from typing import (
-    Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -110,37 +107,6 @@ class Table:
         return cls(schema, columns)
 
     @classmethod
-    def from_dicts(
-        cls,
-        rows: Iterable[Mapping[str, object]],
-        schema: Optional[Union[Schema, Sequence[str]]] = None,
-    ) -> "Table":
-        """Build a table from dict-shaped rows.
-
-        When ``schema`` is omitted the attribute order is taken from the
-        first row; later rows may omit keys (missing cells become empty
-        strings) but may not introduce new ones.
-        """
-        rows = list(rows)
-        if schema is None:
-            if not rows:
-                raise TableError("cannot infer a schema from zero dict rows")
-            schema = Schema.of(list(rows[0].keys()))
-        elif not isinstance(schema, Schema):
-            schema = Schema.of(schema)
-        names = schema.names()
-        known = set(names)
-        materialized = []
-        for row_number, row in enumerate(rows):
-            extra = set(row.keys()) - known
-            if extra:
-                raise TableError(
-                    f"row {row_number} has unknown attributes {sorted(extra)}"
-                )
-            materialized.append([row.get(name, "") for name in names])
-        return cls.from_rows(schema, materialized)
-
-    @classmethod
     def empty(cls, schema: Union[Schema, Sequence[str]]) -> "Table":
         """Return a zero-row table over ``schema``."""
         if not isinstance(schema, Schema):
@@ -192,41 +158,16 @@ class Table:
         self._check_row(row)
         return tuple(col[row] for col in self._columns)
 
-    def row_dict(self, row: int) -> Dict[str, str]:
-        """Return one row as an attribute-name → value mapping."""
-        self._check_row(row)
-        return {
-            name: col[row]
-            for name, col in zip(self._schema.names(), self._columns)
-        }
-
     def iter_rows(self) -> Iterator[Row]:
         """Iterate over rows as tuples in schema order."""
         for i in range(self._n_rows):
             yield tuple(col[i] for col in self._columns)
-
-    def iter_dicts(self) -> Iterator[Dict[str, str]]:
-        """Iterate over rows as dictionaries."""
-        names = self._schema.names()
-        for i in range(self._n_rows):
-            yield {name: col[i] for name, col in zip(names, self._columns)}
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self._n_rows:
             raise TableError(f"row index {row} out of range [0, {self._n_rows})")
 
     # -- transformations -----------------------------------------------------
-
-    def select(self, names: Sequence[Union[str, Attribute]]) -> "Table":
-        """Return a new table restricted to the given columns."""
-        sub_schema = self._schema.select(names)
-        columns = [list(self._columns[self._schema.index_of(n)]) for n in names]
-        return Table(sub_schema, columns)
-
-    def filter(self, predicate: Callable[[Dict[str, str]], bool]) -> "Table":
-        """Return a new table with the rows for which ``predicate`` is true."""
-        keep = [i for i, row in enumerate(self.iter_dicts()) if predicate(row)]
-        return self.take(keep)
 
     def take(self, row_indexes: Sequence[int]) -> "Table":
         """Return a new table containing the given rows, in the given order."""
@@ -272,14 +213,6 @@ class Table:
                 f"replacement schema has {len(schema)} attributes, expected {len(self._schema)}"
             )
         return Table(schema, [list(c) for c in self._columns])
-
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """Return a copy with columns renamed according to ``mapping``."""
-        attrs = []
-        for attr in self._schema:
-            new_name = mapping.get(attr.name, attr.name)
-            attrs.append(Attribute(new_name, attr.dtype, attr.nullable))
-        return Table(Schema(attrs), [list(c) for c in self._columns])
 
     def copy(self) -> "Table":
         """Return a deep copy of the table."""
@@ -338,23 +271,6 @@ class Table:
         self._n_rows -= 1
 
     # -- analytics helpers ----------------------------------------------------
-
-    def distinct(self, name: Union[str, Attribute]) -> List[str]:
-        """Return the distinct values of a column, in first-seen order."""
-        seen = set()
-        out = []
-        for value in self.column_ref(name):
-            if value not in seen:
-                seen.add(value)
-                out.append(value)
-        return out
-
-    def value_counts(self, name: Union[str, Attribute]) -> Dict[str, int]:
-        """Return value → frequency for a column."""
-        counts: Dict[str, int] = {}
-        for value in self.column_ref(name):
-            counts[value] = counts.get(value, 0) + 1
-        return counts
 
     # -- dunder niceties -------------------------------------------------------
 

@@ -10,7 +10,6 @@ from repro.detection.violation import Violation, ViolationKind, ViolationReport
 from repro.detection.rules import (
     ConstantRuleEvaluator,
     VariableRuleEvaluator,
-    build_rule_evaluators,
     make_rule_evaluator,
 )
 from repro.detection.detector import ErrorDetector
@@ -23,7 +22,6 @@ __all__ = [
     "ViolationReport",
     "ConstantRuleEvaluator",
     "VariableRuleEvaluator",
-    "build_rule_evaluators",
     "make_rule_evaluator",
     "ErrorDetector",
     "IncrementalDetector",

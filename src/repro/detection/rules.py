@@ -501,11 +501,3 @@ def make_rule_evaluator(pfd: PFD, rule_index: int, rule) -> RuleEvaluator:
     if isinstance(rule.cell(pfd.rhs_attribute), Wildcard):
         return VariableRuleEvaluator(pfd, rule_index, rule)
     return ConstantRuleEvaluator(pfd, rule_index, rule)
-
-
-def build_rule_evaluators(pfd: PFD) -> List[RuleEvaluator]:
-    """One evaluator per tableau rule, in tableau order."""
-    return [
-        make_rule_evaluator(pfd, rule_index, rule)
-        for rule_index, rule in enumerate(pfd.tableau)
-    ]

@@ -10,7 +10,7 @@ the paper's r3/r4 example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 
 #: A cell reference: (row index, attribute name).
@@ -110,34 +110,9 @@ class ViolationReport:
         """Distinct cells flagged as likely errors."""
         return {v.suspect_cell for v in self.violations}
 
-    def involved_cells(self) -> Set[Cell]:
-        """Every cell participating in any violation."""
-        cells: Set[Cell] = set()
-        for violation in self.violations:
-            cells.update(violation.cells)
-        return cells
-
     def suspect_rows(self) -> List[int]:
         """Rows containing at least one suspect cell, sorted."""
         return sorted({row for row, _attr in self.suspect_cells()})
-
-    def by_pfd(self) -> Dict[str, List[Violation]]:
-        grouped: Dict[str, List[Violation]] = {}
-        for violation in self.violations:
-            grouped.setdefault(violation.pfd_name, []).append(violation)
-        return grouped
-
-    def by_attribute(self) -> Dict[str, List[Violation]]:
-        grouped: Dict[str, List[Violation]] = {}
-        for violation in self.violations:
-            grouped.setdefault(violation.rhs_attribute, []).append(violation)
-        return grouped
-
-    def violation_ratio(self) -> float:
-        """Suspect rows as a fraction of the table size."""
-        if self.n_rows == 0:
-            return 0.0
-        return len(self.suspect_rows()) / self.n_rows
 
     def identity_key(self, violation: Violation) -> Tuple:
         """The dedup identity of a violation: a report keeps one

@@ -73,12 +73,6 @@ class DiscoveryResult:
             if p.lhs_attribute == lhs and p.rhs_attribute == rhs
         ]
 
-    def report_for(self, lhs: str, rhs: str) -> Optional[DependencyReport]:
-        for report in self.reports:
-            if report.lhs == lhs and report.rhs == rhs:
-                return report
-        return None
-
     def summary(self) -> Dict[str, int]:
         return {
             "candidates_examined": len(self.reports),
@@ -101,20 +95,13 @@ class PfdDiscoverer:
         """Discover PFDs and return just the PFD list."""
         return self.discover_with_report(table, relation=relation).pfds
 
-    def discover_with_report(
-        self,
-        table: Table,
-        relation: Optional[str] = None,
-        candidates: Optional[Sequence[CandidateDependency]] = None,
-    ) -> DiscoveryResult:
+    def discover_with_report(self, table: Table, relation: Optional[str] = None) -> DiscoveryResult:
         """Run the full pipeline and return PFDs plus statistics."""
         started = time.perf_counter()
         with self.timers.stage("profile"):
             profile = profile_table(table)
-        if candidates is None:
-            with self.timers.stage("candidates"):
-                candidates = candidate_dependencies(table, self.config, profile)
-        candidates = list(candidates)
+        with self.timers.stage("candidates"):
+            candidates = candidate_dependencies(table, self.config, profile)
         state = new_mining_state()
         with self.timers.stage("mine"):
             reports = self.mine_candidates(

@@ -116,12 +116,6 @@ class RuleMaintainer:
         self._state, result.mining_state = result.mining_state, None
         self._profiles = dict(result.profile.columns)
 
-    def reset(self) -> None:
-        """Drop the baseline (e.g. when the dataset is replaced)."""
-        self._view = None
-        self._state = None
-        self._profiles = {}
-
     # -- the maintenance pass ---------------------------------------------------
 
     def maintain(

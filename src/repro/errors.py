@@ -31,10 +31,6 @@ class PatternSyntaxError(ReproError):
         self.position = position
 
 
-class PatternSemanticsError(ReproError):
-    """A pattern is syntactically valid but cannot be used as requested."""
-
-
 class ConstraintError(ReproError):
     """A constrained pattern or PFD definition is invalid."""
 

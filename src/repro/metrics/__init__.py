@@ -11,13 +11,9 @@ from repro.metrics.evaluation import (
     evaluate_cells,
     evaluate_report,
 )
-from repro.metrics.stats import summarize_counts, mean, percentile
 
 __all__ = [
     "DetectionEvaluation",
     "evaluate_cells",
     "evaluate_report",
-    "summarize_counts",
-    "mean",
-    "percentile",
 ]

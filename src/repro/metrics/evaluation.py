@@ -40,17 +40,6 @@ class DetectionEvaluation:
             return 0.0
         return 2 * self.precision * self.recall / (self.precision + self.recall)
 
-    def as_row(self) -> Tuple[int, int, int, float, float, float]:
-        """(tp, fp, fn, precision, recall, f1) — handy for report tables."""
-        return (
-            self.true_positives,
-            self.false_positives,
-            self.false_negatives,
-            self.precision,
-            self.recall,
-            self.f1,
-        )
-
 
 def evaluate_cells(detected: Iterable[Cell], ground_truth: Iterable[Cell]) -> DetectionEvaluation:
     """Compare a set of flagged cells against the injected error cells."""

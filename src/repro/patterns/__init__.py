@@ -31,7 +31,7 @@ from repro.patterns.syntax import Element, Literal, ClassAtom, Quantifier, ONE
 from repro.patterns.parser import parse_pattern
 from repro.patterns.pattern import Pattern
 from repro.patterns.regex import compile_to_regex
-from repro.patterns.containment import pattern_contains, patterns_equivalent
+from repro.patterns.containment import pattern_contains
 from repro.patterns.generalize import (
     PatternHistogram,
     generalize_string,
@@ -54,7 +54,6 @@ __all__ = [
     "Pattern",
     "compile_to_regex",
     "pattern_contains",
-    "patterns_equivalent",
     "PatternHistogram",
     "generalize_string",
     "generalize_strings",

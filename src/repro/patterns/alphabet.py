@@ -17,7 +17,6 @@ whether a character belongs to a class (used by the matcher).
 from __future__ import annotations
 
 import enum
-import string
 from typing import Dict, Iterable, List, Optional
 
 
@@ -49,24 +48,6 @@ class CharClass(enum.Enum):
             return "0" <= char <= "9"
         return not (
             "A" <= char <= "Z" or "a" <= char <= "z" or "0" <= char <= "9"
-        )
-
-    def sample_chars(self) -> str:
-        """A representative set of member characters (used by tests and
-        by the containment alphabet construction)."""
-        if self is CharClass.UPPER:
-            return string.ascii_uppercase
-        if self is CharClass.LOWER:
-            return string.ascii_lowercase
-        if self is CharClass.DIGIT:
-            return string.digits
-        if self is CharClass.SYMBOL:
-            return " .,:;-_/()'\"#&@+*!?%$"
-        return (
-            string.ascii_uppercase
-            + string.ascii_lowercase
-            + string.digits
-            + " .,:;-_/()'\"#&@+*!?%$"
         )
 
 
@@ -103,8 +84,7 @@ class GeneralizationTree:
     """Explicit tree structure mirroring Figure 1.
 
     The tree is small and fixed; this class exists so that code (and
-    tests) can reason about the hierarchy — parents, children, and the
-    generalization path from a leaf character up to ``\\A``.
+    tests) can reason about the hierarchy — parents and children.
     """
 
     ROOT = CharClass.ANY
@@ -132,27 +112,6 @@ class GeneralizationTree:
         if node is CharClass.ANY:
             return None
         return CharClass.ANY
-
-    def leaf_parent(self, char: str) -> CharClass:
-        """The intermediate node directly above a leaf character."""
-        return classify_char(char)
-
-    def generalization_path(self, char: str) -> List[CharClass]:
-        """The chain of classes from a character's parent up to the root."""
-        parent = self.leaf_parent(char)
-        path = [parent]
-        while True:
-            up = self.parent(path[-1])
-            if up is None:
-                break
-            path.append(up)
-        return path
-
-    def is_ancestor(self, ancestor: CharClass, descendant: CharClass) -> bool:
-        """Whether ``ancestor`` generalizes ``descendant`` (reflexive)."""
-        if ancestor is descendant:
-            return True
-        return ancestor is CharClass.ANY
 
     def classes(self) -> Iterable[CharClass]:
         """All intermediate nodes."""

@@ -118,8 +118,3 @@ def pattern_contains(inner, outer) -> bool:
                 continue
             stack.append((nxt_inner, nxt_outer))
     return True
-
-
-def patterns_equivalent(left, right) -> bool:
-    """Whether two patterns accept exactly the same strings."""
-    return pattern_contains(left, right) and pattern_contains(right, left)

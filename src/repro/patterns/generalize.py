@@ -150,6 +150,10 @@ class PatternCount:
         return self.pattern.to_text()
 
 
+#: Example values kept per histogram row.
+_MAX_EXAMPLES = 3
+
+
 class PatternHistogram:
     """Distribution of generalized patterns over a column.
 
@@ -159,7 +163,7 @@ class PatternHistogram:
     pattern.
     """
 
-    def __init__(self, values: Iterable[str], level: int = 1, max_examples: int = 3):
+    def __init__(self, values: Iterable[str], level: int = 1):
         # Generalize once per *distinct* value: duplicate values map to the
         # same pattern, and real columns are dominated by repeats.  The
         # first-seen iteration order of the per-value counter keeps the
@@ -169,15 +173,10 @@ class PatternHistogram:
         for value in values:
             by_value[value] = by_value.get(value, 0) + 1
             total += 1
-        self._init_from_counts(by_value, total, level, max_examples)
+        self._init_from_counts(by_value, total, level)
 
     @classmethod
-    def from_counts(
-        cls,
-        value_counts: Mapping[str, int],
-        level: int = 1,
-        max_examples: int = 3,
-    ) -> "PatternHistogram":
+    def from_counts(cls, value_counts: Mapping[str, int], level: int = 1) -> "PatternHistogram":
         """Build a histogram from pre-aggregated value → multiplicity counts.
 
         With ``value_counts`` in first-seen order (a plain dict filled by
@@ -186,18 +185,10 @@ class PatternHistogram:
         order, and example lists all match.
         """
         self = cls.__new__(cls)
-        self._init_from_counts(
-            value_counts, sum(value_counts.values()), level, max_examples
-        )
+        self._init_from_counts(value_counts, sum(value_counts.values()), level)
         return self
 
-    def _init_from_counts(
-        self,
-        by_value: Mapping[str, int],
-        total: int,
-        level: int,
-        max_examples: int,
-    ) -> None:
+    def _init_from_counts(self, by_value: Mapping[str, int], total: int, level: int) -> None:
         counts: Dict[str, PatternCount] = {}
         for value, occurrences in by_value.items():
             pattern = generalize_string(value, level=level)
@@ -207,7 +198,7 @@ class PatternHistogram:
                 counts[key] = PatternCount(pattern, occurrences, [value])
             else:
                 entry.count += occurrences
-                if len(entry.examples) < max_examples and value not in entry.examples:
+                if len(entry.examples) < _MAX_EXAMPLES and value not in entry.examples:
                     entry.examples.append(value)
         self._counts = counts
         self._total = total
@@ -224,25 +215,3 @@ class PatternHistogram:
     def entries(self) -> List[PatternCount]:
         """Histogram rows, most frequent first."""
         return sorted(self._counts.values(), key=lambda e: (-e.count, e.text))
-
-    def dominant_patterns(self, min_ratio: float = 0.05) -> List[PatternCount]:
-        """Rows whose share of the column is at least ``min_ratio``."""
-        if self._total == 0:
-            return []
-        return [e for e in self.entries() if e.count / self._total >= min_ratio]
-
-    def coverage_of(self, patterns: Sequence[Pattern]) -> float:
-        """Fraction of values matching at least one of ``patterns``."""
-        if self._total == 0:
-            return 0.0
-        covered = 0
-        for entry in self._counts.values():
-            if any(p.contains(entry.pattern) or p == entry.pattern for p in patterns):
-                covered += entry.count
-        return covered / self._total
-
-    def rare_patterns(self, max_ratio: float = 0.01) -> List[PatternCount]:
-        """Rows whose share is below ``max_ratio`` (candidate anomalies)."""
-        if self._total == 0:
-            return []
-        return [e for e in self.entries() if e.count / self._total < max_ratio]

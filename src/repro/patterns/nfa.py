@@ -74,14 +74,6 @@ class Nfa:
             current = self.step(current, lambda atom: atom.matches_char(char))
         return self.accept in current
 
-    def outgoing_atoms(self, states: Iterable[int]) -> List[Atom]:
-        """All atoms on transitions leaving ``states`` (used by determinization)."""
-        atoms: List[Atom] = []
-        for state in states:
-            for atom, _dst in self._trans_map.get(state, ()):
-                atoms.append(atom)
-        return atoms
-
 
 def build_nfa(elements: Sequence[Element]) -> Nfa:
     """Compile a pattern element sequence into an epsilon-NFA."""

@@ -3,20 +3,18 @@
 A pattern is an immutable sequence of quantified atoms.  It knows how to
 render itself back to the paper's syntax, match strings (via NFA
 simulation or a compiled Python regex), and expose structural facts used
-elsewhere (literal prefix for indexing, minimum/maximum length, the set
-of character classes it mentions, …).
+elsewhere (literal prefix for indexing, minimum/maximum length, …).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.errors import PatternSyntaxError
-from repro.patterns.alphabet import CharClass
 from repro.patterns.nfa import Nfa, build_nfa
 from repro.patterns.regex import compile_to_regex
-from repro.patterns.syntax import ClassAtom, Element, Literal, ONE, Quantifier
+from repro.patterns.syntax import Element, Literal, ONE
 
 _ANY_STAR_TEXT = "\\A*"
 
@@ -65,11 +63,6 @@ class Pattern:
         """The most general pattern ``\\A*``."""
         return cls.parse(_ANY_STAR_TEXT)
 
-    @classmethod
-    def of_class(cls, char_class: CharClass, quantifier: Quantifier = ONE) -> "Pattern":
-        """A single-class pattern such as ``\\D{5}``."""
-        return cls([Element(ClassAtom(char_class), quantifier)])
-
     # -- structure -------------------------------------------------------------
 
     @property
@@ -89,19 +82,6 @@ class Pattern:
         """Whether this pattern only matches the empty string trivially."""
         return all(e.quantifier.minimum == 0 for e in self._elements)
 
-    def is_literal_only(self) -> bool:
-        """Whether every atom is a literal with a fixed single repetition."""
-        return all(
-            isinstance(e.atom, Literal) and e.quantifier.is_single
-            for e in self._elements
-        )
-
-    def literal_text(self) -> Optional[str]:
-        """The exact string matched when the pattern is literal-only."""
-        if not self.is_literal_only():
-            return None
-        return "".join(e.atom.char for e in self._elements)  # type: ignore[union-attr]
-
     def literal_prefix(self) -> str:
         """Longest leading run of fixed literal characters.
 
@@ -117,14 +97,6 @@ class Pattern:
                 break
         return "".join(prefix)
 
-    def char_classes(self) -> List[CharClass]:
-        """The distinct character classes mentioned, in order of appearance."""
-        seen: List[CharClass] = []
-        for element in self._elements:
-            if isinstance(element.atom, ClassAtom) and element.atom.char_class not in seen:
-                seen.append(element.atom.char_class)
-        return seen
-
     def min_length(self) -> int:
         """Minimum number of characters a matching string can have."""
         return sum(e.quantifier.minimum for e in self._elements)
@@ -138,18 +110,9 @@ class Pattern:
             total += element.quantifier.maximum
         return total
 
-    def is_fixed_length(self) -> bool:
-        """Whether every match has the same length."""
-        maximum = self.max_length()
-        return maximum is not None and maximum == self.min_length()
-
     def concat(self, other: "Pattern") -> "Pattern":
         """Concatenate two patterns."""
         return Pattern(self._elements + other.elements)
-
-    def slice(self, start: int, stop: Optional[int] = None) -> "Pattern":
-        """A sub-pattern over an element range."""
-        return Pattern(self._elements[start:stop])
 
     # -- rendering ---------------------------------------------------------------
 
@@ -210,33 +173,9 @@ class Pattern:
             return regex.fullmatch(text) is not None
         return self.nfa.matches_string(text)
 
-    def matches_via_nfa(self, text: str) -> bool:
-        """Match using only the NFA simulation (used to cross-check the
-        regex backend in property-based tests)."""
-        return self.nfa.matches_string(text)
-
     def compiled_regex(self) -> Optional["re.Pattern[str]"]:
         """The pattern compiled to a Python regex, or None if unsupported."""
         regex = self._regex
         if regex is _UNSET:
             regex = self._regex = compile_to_regex(self)
         return regex
-
-    def filter_matching(self, values: Sequence[str]) -> List[int]:
-        """Indexes of the values that match this pattern."""
-        return [i for i, value in enumerate(values) if self.matches(value)]
-
-    # -- containment --------------------------------------------------------------
-
-    def contains(self, other: "Pattern") -> bool:
-        """Whether ``other ⊆ self`` — every string matching ``other`` also
-        matches ``self`` (i.e. ``self`` is more general)."""
-        from repro.patterns.containment import pattern_contains
-
-        return pattern_contains(other, self)
-
-    def is_contained_in(self, other: "Pattern") -> bool:
-        """Whether ``self ⊆ other`` in the paper's notation."""
-        from repro.patterns.containment import pattern_contains
-
-        return pattern_contains(self, other)

@@ -99,10 +99,6 @@ class Quantifier:
     def is_plus(self) -> bool:
         return self.minimum == 1 and self.maximum is None
 
-    @property
-    def is_unbounded(self) -> bool:
-        return self.maximum is None
-
     def to_text(self) -> str:
         if self.is_single:
             return ""
@@ -146,8 +142,3 @@ class Element:
     def matches_char(self, char: str) -> bool:
         """Whether the underlying atom accepts a single character."""
         return self.atom.matches_char(char)
-
-
-def literal_elements(text: str) -> list:
-    """Build a list of single-character literal elements from a string."""
-    return [Element(Literal(c), ONE) for c in text]

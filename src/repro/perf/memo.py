@@ -19,15 +19,17 @@ from typing import Dict, Hashable, Optional, Tuple
 
 _MISS = object()
 
+#: Patterns whose verdicts a memo keeps; the oldest is evicted first.
+MAX_PATTERNS = 2048
+
 
 class MatchMemo:
     """Caches per-distinct-value match verdicts keyed by pattern."""
 
-    __slots__ = ("enabled", "max_patterns", "hits", "misses", "_matches", "_projections")
+    __slots__ = ("enabled", "hits", "misses", "_matches", "_projections")
 
-    def __init__(self, enabled: bool = True, max_patterns: int = 2048):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.max_patterns = max_patterns
         self.hits = 0
         self.misses = 0
         self._matches: Dict[Hashable, Dict[str, bool]] = {}
@@ -134,7 +136,7 @@ class MatchMemo:
     def _table_for(self, store: Dict[Hashable, Dict], pattern) -> Dict:
         table = store.get(pattern)
         if table is None:
-            if len(store) >= self.max_patterns:
+            if len(store) >= MAX_PATTERNS:
                 # FIFO eviction of the oldest pattern's verdicts
                 del store[next(iter(store))]
             table = store[pattern] = {}

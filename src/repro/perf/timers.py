@@ -49,10 +49,6 @@ class StageTimers:
             self._totals[name] = self._totals.get(name, 0.0) + seconds
             self._counts[name] = self._counts.get(name, 0) + other._counts[name]
 
-    def reset(self) -> None:
-        self._totals.clear()
-        self._counts.clear()
-
     def summary(self) -> str:
         """``stage: 1.234s (n=5)`` lines, slowest stage first."""
         lines = [

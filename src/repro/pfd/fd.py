@@ -8,9 +8,8 @@ reused by the baseline FD/CFD miners.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Tuple
 
-from repro.dataset.table import Table
 from repro.errors import ConstraintError
 
 
@@ -40,54 +39,6 @@ class FunctionalDependency:
     @property
     def attributes(self) -> Tuple[str, ...]:
         return self.lhs + self.rhs
-
-    def holds_on(self, table: Table) -> bool:
-        """Whether the FD holds exactly on the table (no violating pair)."""
-        return not self.violating_pairs(table, limit=1)
-
-    def violating_pairs(self, table: Table, limit: int | None = None) -> List[Tuple[int, int]]:
-        """Pairs of row indexes that agree on the LHS but differ on RHS."""
-        groups = {}
-        for i in range(table.n_rows):
-            key = tuple(table.cell(i, a) for a in self.lhs)
-            groups.setdefault(key, []).append(i)
-        violations: List[Tuple[int, int]] = []
-        for rows in groups.values():
-            if len(rows) < 2:
-                continue
-            by_rhs = {}
-            for row in rows:
-                rhs_value = tuple(table.cell(row, a) for a in self.rhs)
-                by_rhs.setdefault(rhs_value, []).append(row)
-            if len(by_rhs) < 2:
-                continue
-            rhs_groups = list(by_rhs.values())
-            for gi in range(len(rhs_groups)):
-                for gj in range(gi + 1, len(rhs_groups)):
-                    for left in rhs_groups[gi]:
-                        for right in rhs_groups[gj]:
-                            violations.append((min(left, right), max(left, right)))
-                            if limit is not None and len(violations) >= limit:
-                                return violations
-        return violations
-
-    def g3_error(self, table: Table) -> float:
-        """The g3 error: the minimum fraction of rows to delete so the FD
-        holds.  Used by the approximate-FD baseline miner."""
-        if table.n_rows == 0:
-            return 0.0
-        groups = {}
-        for i in range(table.n_rows):
-            key = tuple(table.cell(i, a) for a in self.lhs)
-            groups.setdefault(key, []).append(i)
-        keep = 0
-        for rows in groups.values():
-            by_rhs = {}
-            for row in rows:
-                rhs_value = tuple(table.cell(row, a) for a in self.rhs)
-                by_rhs[rhs_value] = by_rhs.get(rhs_value, 0) + 1
-            keep += max(by_rhs.values())
-        return 1.0 - keep / table.n_rows
 
     def __str__(self) -> str:
         return f"{', '.join(self.lhs)} -> {', '.join(self.rhs)}"

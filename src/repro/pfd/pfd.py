@@ -144,20 +144,6 @@ class PFD:
             if cell_is_constant(row.cell(self.rhs_attribute))
         ]
 
-    def variable_rules(self) -> List[TableauRow]:
-        """Tableau rows whose RHS cell is the wildcard."""
-        return [
-            row
-            for row in self.tableau
-            if isinstance(row.cell(self.rhs_attribute), Wildcard)
-        ]
-
-    def lhs_cell_of(self, row: TableauRow) -> TableauCell:
-        return row.cell(self.lhs_attribute)
-
-    def rhs_cell_of(self, row: TableauRow) -> TableauCell:
-        return row.cell(self.rhs_attribute)
-
     # -- coverage ----------------------------------------------------------------
 
     def coverage(self, lhs_values: Sequence[str]) -> float:

@@ -90,15 +90,6 @@ class TableauRow:
     def attributes(self) -> List[str]:
         return [name for name, _cell in self.cells]
 
-    def matches_tuple(self, values: Mapping[str, str], attributes: Optional[Sequence[str]] = None) -> bool:
-        """Whether a tuple's values satisfy this row on ``attributes``
-        (all attributes of the row when omitted)."""
-        names = attributes if attributes is not None else self.attributes()
-        for name in names:
-            if not cell_matches(self.cell(name), values[name]):
-                return False
-        return True
-
     def render(self) -> str:
         """``pattern → pattern`` style rendering used in Table 3."""
         return ", ".join(f"{name}={cell_to_text(cell)}" for name, cell in self.cells)
@@ -156,15 +147,6 @@ class PatternTableau:
         if not isinstance(other, PatternTableau):
             return NotImplemented
         return self._attributes == other._attributes and self._rows == other._rows
-
-    def matching_rows(self, values: Mapping[str, str], attributes: Optional[Sequence[str]] = None) -> List[int]:
-        """Indexes of tableau rows whose cells (restricted to
-        ``attributes``) are satisfied by the tuple."""
-        return [
-            i
-            for i, row in enumerate(self._rows)
-            if row.matches_tuple(values, attributes)
-        ]
 
     def render(self) -> str:
         """Multi-line rendering used by the Figure 4 report."""

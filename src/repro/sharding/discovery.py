@@ -19,9 +19,9 @@ across generators and shard sizes.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.discovery.candidates import CandidateDependency, candidate_dependencies
+from repro.discovery.candidates import candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer, new_mining_state
 from repro.pfd.pfd import PFD
@@ -52,10 +52,7 @@ class ShardedDiscoverer:
         return self.discover_with_report(sharded, relation=relation).pfds
 
     def discover_with_report(
-        self,
-        sharded: ShardedTable,
-        relation: Optional[str] = None,
-        candidates: Optional[Sequence[CandidateDependency]] = None,
+        self, sharded: ShardedTable, relation: Optional[str] = None
     ) -> DiscoveryResult:
         """Run the full pipeline over shards and return PFDs plus stats."""
         started = time.perf_counter()
@@ -64,10 +61,8 @@ class ShardedDiscoverer:
             # the session's profiling step already built it for this
             # view; only a cold run profiles here
             profile = sharded.profile()
-        if candidates is None:
-            with timers.stage("candidates"):
-                candidates = candidate_dependencies(sharded, self.config, profile)
-        candidates = list(candidates)
+        with timers.stage("candidates"):
+            candidates = candidate_dependencies(sharded, self.config, profile)
         state = new_mining_state()
         with timers.stage("mine"):
             reports = self.discoverer.mine_candidates(

@@ -159,9 +159,6 @@ class ShardOverlay:
             edits.get((local_row, j), value) for j, value in enumerate(values)
         )
 
-    def row_dict(self, row: int) -> Dict[str, str]:
-        return dict(zip(self._schema.names(), self.row(row)))
-
     def iter_rows(self) -> Iterator[Row]:
         """Stream logical rows shard-major: one base shard resident at a
         time (spill/object stores stay bounded), then the tail."""

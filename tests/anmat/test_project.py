@@ -33,22 +33,6 @@ class TestProjectStore:
         with pytest.raises(ProjectError):
             store.create_project("a/b")
 
-    def test_get_or_create(self, tmp_path):
-        store = ProjectStore(tmp_path)
-        first = store.get_or_create("census")
-        second = store.get_or_create("census")
-        assert first.name == second.name
-        assert store.list_projects() == ["census"]
-
-    def test_delete_project(self, tmp_path, mixed_table):
-        store = ProjectStore(tmp_path)
-        project = store.create_project("census")
-        project.add_dataset("people", mixed_table)
-        store.delete_project("census")
-        assert store.list_projects() == []
-        with pytest.raises(ProjectError):
-            store.delete_project("census")
-
 
 class TestProjectDatasets:
     def test_add_and_load_dataset(self, tmp_path, mixed_table):

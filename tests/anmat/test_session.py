@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.anmat.project import ProjectStore
 from repro.anmat.session import AnmatSession, SessionState
+from repro.datagen import build_dataset, dataset_names
 from repro.dataset.table import Table
 from repro.detection import IncrementalDetector
 from repro.discovery import PfdDiscoverer
@@ -368,10 +369,34 @@ class TestProjectIntegration:
         session.run_discovery()
         session.confirm_all()
         session.run_detection()
-        # the dataset, the PFDs and the detection summary are all on disk
-        assert project.load_dataset("d1").n_rows == small_phone_state.table.n_rows
-        assert project.load_pfds("d1")
-        assert project.load_results("d1")["n_violations"] == len(session.violations)
+        # the dataset, the PFDs and the detection summary are all on disk,
+        # and a reopened project reads back what the session holds
+        reopened = ProjectStore(tmp_path).open_project("phones")
+        assert reopened.load_dataset("d1").n_rows == small_phone_state.table.n_rows
+        assert [pfd.content_key() for pfd in reopened.load_pfds("d1")] == [
+            pfd.content_key() for pfd in session.discovered_pfds()
+        ]
+        assert reopened.load_results("d1")["n_violations"] == len(session.violations)
+
+    @pytest.mark.parametrize(
+        "name", [name for name in dataset_names() if not name.startswith("paper_")]
+    )
+    def test_every_generated_dataset_reloads_as_the_session_left_it(self, tmp_path, name):
+        table = build_dataset(name, n_rows=300, seed=5).table
+        session = AnmatSession(
+            dataset_name=name, project=ProjectStore(tmp_path).create_project("p")
+        )
+        session.load_table(table)
+        session.run_discovery()
+        session.confirm_all()
+        session.run_detection()
+        reopened = ProjectStore(tmp_path).open_project("p")
+        assert reopened.load_dataset(name) == table
+        assert [pfd.content_key() for pfd in reopened.load_pfds(name)] == [
+            pfd.content_key() for pfd in session.discovered_pfds()
+        ]
+        assert reopened.load_results(name)["n_violations"] == len(session.violations)
+        assert ProjectStore(tmp_path).list_projects() == ["p"]
 
 
 class Reference:
@@ -932,6 +957,32 @@ class TestAtomicRecheck:
         assert_report_equals_a_fresh_seed(session)
         # which re-seeded the maintainer
         assert session.plan_recheck().rule_maintenance == "incremental"
+
+
+def test_recheck_after_set_parameters_uses_the_new_parameters():
+    # regression: the rule maintainer kept the config it was seeded with,
+    # so a re-check after set_parameters maintained the old rule set
+    from repro.datagen import build_dataset
+
+    session = AnmatSession(dataset_name="params")
+    session.load_table(build_dataset("zip_city_state", n_rows=400, seed=5).table)
+    session.run_discovery()
+    session.set_parameters()
+    session.set_parameters(min_coverage=session.config.min_coverage)
+    assert session.plan_recheck().rule_maintenance == "incremental"
+    session.set_parameters(min_coverage=0.95, allowed_violation_ratio=0.0)
+    assert session.plan_recheck().rule_maintenance == "full"
+    session.confirm_all()
+    session.run_detection()
+    session.edit_cell(0, "city", "Oddville")
+    result = session.recheck()
+    assert session.last_plan.rule_maintenance == "full"
+    edited = session.table.materialize()
+    fresh = figure2_reference.discover(edited, session.config, relation="params")
+    assert [p.describe() for p in result.pfds] == [p.describe() for p in fresh.pfds]
+    # the full re-check seeded a maintainer under the new parameters
+    assert session.plan_recheck().rule_maintenance == "incremental"
+    session.close()
 
 
 #: the rows the hand-over property builds its tables from: zip -> city

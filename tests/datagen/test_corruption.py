@@ -106,7 +106,3 @@ class TestGeneratedDataset:
             name="demo", table=dirty, clean_table=city_table, error_cells=cells
         )
         assert dataset.n_errors == len(cells)
-        assert dataset.error_rows() == sorted({row for row, _ in cells})
-        row, attribute = next(iter(cells))
-        assert dataset.is_error(row, attribute)
-        assert not dataset.is_error(row, "zip")

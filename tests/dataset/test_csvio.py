@@ -13,7 +13,6 @@ from repro.dataset.csvio import (
     read_csv,
     read_csv_sharded,
     read_csv_text,
-    to_csv_text,
     write_csv,
 )
 from repro.dataset.schema import DataType
@@ -82,10 +81,19 @@ class TestRoundTrip:
         loaded = read_csv(path, infer_types=False)
         assert loaded == original
 
-    def test_to_csv_text_round_trip(self):
+    def test_quoted_values_round_trip(self, tmp_path):
         original = Table.from_rows(["a", "b"], [["x,y", "2"], ["", "3"]])
-        text = to_csv_text(original)
-        assert read_csv_text(text, infer_types=False) == original
+        path = write_csv(original, tmp_path / "quoted.csv")
+        assert read_csv(path, infer_types=False) == original
+
+    AWKWARD = ["x,y", 'say "hi"', "two\nlines", "  padded  ", "", "Zürich", "a;b", "\t"]
+
+    @pytest.mark.parametrize("value", AWKWARD)
+    def test_awkward_value_round_trips(self, tmp_path, value):
+        original = Table.from_rows(["a", "b"], [[value, "1"], ["plain", value]])
+        path = write_csv(original, tmp_path / "awkward.csv")
+        assert read_csv(path, infer_types=False) == original
+        assert rows_of(read_csv_sharded(path, shard_rows=1)) == list(original.iter_rows())
 
     def test_write_without_header(self, tmp_path):
         table = Table.from_rows(["a"], [["1"], ["2"]])

@@ -1,5 +1,9 @@
 """Tests for column type inference."""
 
+from collections import Counter
+
+import pytest
+
 from repro.dataset.inference import infer_column_type, infer_schema
 from repro.dataset.schema import DataType
 from repro.dataset.table import Table
@@ -24,10 +28,6 @@ class TestInferColumnType:
     def test_single_outlier_demotes_to_string(self):
         assert infer_column_type(["1", "2", "x"]) is DataType.STRING
 
-    def test_threshold_allows_some_outliers(self):
-        values = ["1"] * 95 + ["oops"] * 5
-        assert infer_column_type(values, threshold=0.9) is DataType.INTEGER
-
     def test_empty_column(self):
         assert infer_column_type(["", "  ", ""]) is DataType.EMPTY
 
@@ -38,6 +38,34 @@ class TestInferColumnType:
         # This is why candidate pruning needs the "looks like a code"
         # escape hatch: plain inference sees digits only.
         assert infer_column_type(["90001", "60601"]) is DataType.INTEGER
+
+
+CASES = [
+    (["1e5", "2"], DataType.FLOAT),
+    (["1.", ".5"], DataType.FLOAT),
+    ([" 7 ", "8"], DataType.INTEGER),
+    (["0", "1", "1", "0"], DataType.INTEGER),
+    (["t", "F", "y", "N"], DataType.BOOLEAN),
+    (["yes", "yes", "1"], DataType.STRING),
+    (["+", "1"], DataType.STRING),
+    (["-", "3"], DataType.STRING),
+    (["90001", "9000A"], DataType.STRING),
+    (["2.5", "", "2.5", " "], DataType.FLOAT),
+    ([], DataType.EMPTY),
+]
+
+
+class TestValuesAndCountsAgree:
+    """The profiler passes a value -> count mapping; a column passes its
+    values with repeats.  Both must infer the same type."""
+
+    @pytest.mark.parametrize("values,expected", CASES)
+    def test_values_with_repeats(self, values, expected):
+        assert infer_column_type(values) is expected
+
+    @pytest.mark.parametrize("values,expected", CASES)
+    def test_value_counts(self, values, expected):
+        assert infer_column_type(Counter(values)) is expected
 
 
 class TestInferSchema:

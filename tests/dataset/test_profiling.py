@@ -58,12 +58,6 @@ class TestProfileColumn:
         assert profile.distinct_ratio == 0.0
         assert profile.value_patterns == []
 
-    def test_dominant_value_patterns_threshold(self):
-        values = ["90001"] * 9 + ["x"]
-        profile = profile_column("zip", values)
-        dominant = profile.dominant_value_patterns(min_ratio=0.5)
-        assert [p.pattern_text for p in dominant] == ["\\D{5}"]
-
 
 class TestProfileTable:
     def test_profiles_every_column(self, mixed_table):

@@ -72,10 +72,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.index_of("state")
 
-    def test_select_preserves_order_given(self):
-        schema = Schema.of(["a", "b", "c"])
-        assert schema.select(["c", "a"]).names() == ["c", "a"]
-
     def test_with_attribute(self):
         schema = Schema.of(["a"]).with_attribute("b")
         assert schema.names() == ["a", "b"]
@@ -85,10 +81,6 @@ class TestSchema:
         assert schema["a"].dtype is DataType.INTEGER
         with pytest.raises(SchemaError):
             schema.with_dtypes([DataType.STRING])
-
-    def test_dtype_of(self):
-        schema = Schema.of([Attribute("a", DataType.FLOAT)])
-        assert schema.dtype_of("a") is DataType.FLOAT
 
     def test_equality(self):
         assert Schema.of(["a", "b"]) == Schema.of(["a", "b"])

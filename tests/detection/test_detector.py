@@ -151,7 +151,7 @@ class TestDetectAll:
     def test_merges_reports(self, zip_table, lambda3, lambda5):
         report = ErrorDetector(zip_table).detect_all([lambda3, lambda5])
         assert report.suspect_cells() == {(3, "city")}
-        assert set(report.by_pfd()) == {"lambda3", "lambda5"}
+        assert {v.pfd_name for v in report} == {"lambda3", "lambda5"}
 
     def test_strategy_argument_is_gone(self, zip_table, lambda3):
         with pytest.raises(TypeError, match="strategy"):

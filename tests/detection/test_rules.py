@@ -23,7 +23,6 @@ from repro.detection.rules import (
     ConstantRuleEvaluator,
     VariableRuleEvaluator,
     as_constrained,
-    build_rule_evaluators,
     elect_expected_value,
     majority_value,
     make_rule_evaluator,
@@ -85,9 +84,10 @@ class TestEvaluatorFactory:
             "zip", "city", [{"zip": "900\\D{2}", "city": "LA"}], name="c"
         )
         variable = zip_city_pfd()
-        evaluators = build_rule_evaluators(constant)
-        assert len(evaluators) == 1
-        assert isinstance(evaluators[0], ConstantRuleEvaluator)
+        assert isinstance(
+            make_rule_evaluator(constant, 0, constant.tableau[0]),
+            ConstantRuleEvaluator,
+        )
         assert isinstance(
             make_rule_evaluator(variable, 0, variable.tableau[0]),
             VariableRuleEvaluator,

@@ -24,13 +24,13 @@ class TestOnZipCityState:
     def test_variable_zip_city_uses_three_digit_prefix(self, result):
         variables = [p for p in result.pfds_for("zip", "city") if p.is_variable]
         assert variables
-        text = variables[0].lhs_cell_of(variables[0].tableau[0]).to_text()
+        text = variables[0].tableau[0].cell("zip").to_text()
         assert text == "⟨\\D{3}⟩\\D{2}"
 
     def test_variable_zip_state_uses_two_digit_prefix(self, result):
         variables = [p for p in result.pfds_for("zip", "state") if p.is_variable]
         assert variables
-        text = variables[0].lhs_cell_of(variables[0].tableau[0]).to_text()
+        text = variables[0].tableau[0].cell("zip").to_text()
         assert text == "⟨\\D{2}⟩\\D{3}"
 
     def test_constant_rules_hold_on_clean_data(self, result, small_zip_city_state):
@@ -39,7 +39,7 @@ class TestOnZipCityState:
             report = detection_reference.detect(clean, [pfd])
             # constant rules were mined from dirty data, so allow a tiny
             # residue, but they must essentially hold on the clean table
-            assert report.violation_ratio() <= 0.02, pfd.describe()
+            assert len(report.suspect_rows()) / clean.n_rows <= 0.02, pfd.describe()
 
     def test_relation_and_names_assigned(self, result):
         assert all(p.relation == "D5" for p in result.pfds)
@@ -61,7 +61,7 @@ class TestOnPhoneState:
         constants = [p for p in result.pfds_for("phone_number", "state") if p.is_constant]
         assert constants
         tableau_texts = {
-            constants[0].lhs_cell_of(row).to_text(): constants[0].rhs_cell_of(row)
+            row.cell("phone_number").to_text(): row.cell("state")
             for row in constants[0].tableau
         }
         # every tableau row must be an area-code prefix of a 10-digit number
@@ -70,11 +70,10 @@ class TestOnPhoneState:
             assert len(rhs) == 2
 
     def test_plain_fd_phone_to_state_is_useless_but_pfd_is_not(self, small_phone_state):
-        from repro.pfd.fd import FunctionalDependency
-
         # The classical FD trivially holds because phone numbers are unique...
-        fd = FunctionalDependency.of("phone_number", "state")
-        assert fd.holds_on(small_phone_state.table)
+        table = small_phone_state.table
+        pairs = set(zip(table.column("phone_number"), table.column("state")))
+        assert len({phone for phone, _state in pairs}) == len(pairs)
         # ...yet the PFD detects the injected wrong-state errors.
         result = PfdDiscoverer().discover_with_report(small_phone_state.table)
         from repro.detection.detector import ErrorDetector
@@ -92,7 +91,7 @@ class TestOnFullNames:
         assert pfds
         constants = [p for p in pfds if p.is_constant]
         assert constants
-        lhs_texts = [constants[0].lhs_cell_of(row).to_text() for row in constants[0].tableau]
+        lhs_texts = [row.cell("full_name").to_text() for row in constants[0].tableau]
         assert any(",\\ " in text for text in lhs_texts)
 
 

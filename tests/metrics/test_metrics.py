@@ -1,11 +1,10 @@
-"""Tests for evaluation metrics and numeric helpers."""
+"""Tests for evaluation metrics."""
 
 import pytest
 
 from repro.detection.violation import Violation, ViolationKind, ViolationReport
 from repro.errors import EvaluationError
-from repro.metrics.evaluation import DetectionEvaluation, evaluate_cells, evaluate_report
-from repro.metrics.stats import mean, percentile, summarize_counts
+from repro.metrics.evaluation import evaluate_cells, evaluate_report
 
 
 class TestDetectionEvaluation:
@@ -38,12 +37,6 @@ class TestDetectionEvaluation:
         assert evaluation.precision == 0.0
         assert evaluation.recall == 0.0
 
-    def test_as_row(self):
-        evaluation = DetectionEvaluation(3, 1, 2)
-        row = evaluation.as_row()
-        assert row[:3] == (3, 1, 2)
-        assert row[3] == evaluation.precision
-
     def test_bad_cell_shape_rejected(self):
         with pytest.raises(EvaluationError):
             evaluate_cells({(1, "a", "extra")}, set())
@@ -66,29 +59,3 @@ class TestDetectionEvaluation:
         evaluation = evaluate_report(report, {(4, "city")})
         assert evaluation.precision == 1.0
         assert evaluation.recall == 1.0
-
-
-class TestStats:
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-        assert mean([]) == 0.0
-
-    def test_percentile(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 4.0
-        assert percentile(values, 50) == pytest.approx(2.5)
-        assert percentile([7.0], 50) == 7.0
-
-    def test_percentile_validation(self):
-        with pytest.raises(EvaluationError):
-            percentile([], 50)
-        with pytest.raises(EvaluationError):
-            percentile([1.0], 120)
-
-    def test_summarize_counts(self):
-        summary = summarize_counts({"a": 6, "b": 4})
-        assert summary["total"] == 10
-        assert summary["distinct"] == 2
-        assert summary["max_share"] == pytest.approx(0.6)
-        assert summarize_counts({})["total"] == 0

@@ -1,8 +1,10 @@
 """Tests for pattern containment ``P ⊆ P'``."""
 
+import string
+
 import pytest
 
-from repro.patterns import parse_pattern, pattern_contains, patterns_equivalent
+from repro.patterns import parse_pattern, pattern_contains
 
 
 def contains(inner_text: str, outer_text: str) -> bool:
@@ -74,18 +76,14 @@ class TestQuantifierContainment:
 
 
 class TestEquivalence:
+    """Equivalence is containment both ways."""
+
     def test_structurally_different_but_equivalent(self):
-        assert patterns_equivalent(
-            parse_pattern("\\D\\D"), parse_pattern("\\D{2}")
-        )
-        assert patterns_equivalent(
-            parse_pattern("\\D{2,}"), parse_pattern("\\D\\D\\D*")
-        )
+        for left, right in [("\\D\\D", "\\D{2}"), ("\\D{2,}", "\\D\\D\\D*")]:
+            assert contains(left, right) and contains(right, left)
 
     def test_non_equivalent(self):
-        assert not patterns_equivalent(
-            parse_pattern("\\D{2}"), parse_pattern("\\D{3}")
-        )
+        assert not (contains("\\D{2}", "\\D{3}") and contains("\\D{3}", "\\D{2}"))
 
 
 class TestContainmentConsistentWithSampling:
@@ -113,12 +111,8 @@ class TestContainmentConsistentWithSampling:
             assert inner_pattern.matches(value)
             assert outer_pattern.matches(value), value
 
-    def test_pattern_method_wrappers(self):
-        inner = parse_pattern("900\\D{2}")
-        outer = parse_pattern("\\D{5}")
-        assert inner.is_contained_in(outer)
-        assert outer.contains(inner)
-        assert not inner.contains(outer)
+
+_SAMPLE_ALPHABET = string.ascii_letters + string.digits + " -.,_/()#&@"
 
 
 def _sample_matches(pattern, rng, count=20):
@@ -139,6 +133,7 @@ def _sample_matches(pattern, rng, count=20):
                 if isinstance(atom, Literal):
                     parts.append(atom.char)
                 else:
-                    parts.append(rng.choice(atom.char_class.sample_chars()))
+                    members = [c for c in _SAMPLE_ALPHABET if atom.char_class.contains_char(c)]
+                    parts.append(rng.choice(members))
         samples.append("".join(parts))
     return samples

@@ -48,11 +48,6 @@ class TestNfaConstruction:
         closure = nfa.epsilon_closure([nfa.start])
         assert nfa.accept in closure
 
-    def test_outgoing_atoms(self):
-        nfa = build_nfa(parse_elements("ab"))
-        atoms = nfa.outgoing_atoms([nfa.start])
-        assert len(atoms) == 1
-
 
 class TestRegexCompilation:
     def test_class_translations(self):

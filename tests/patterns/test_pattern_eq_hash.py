@@ -10,7 +10,7 @@ import pickle
 
 from repro.patterns import parse_pattern
 from repro.patterns.pattern import Pattern
-from repro.patterns.syntax import ONE, Quantifier
+from repro.patterns.syntax import ONE, Element, Quantifier
 
 
 class TestEquality:
@@ -93,9 +93,8 @@ class TestQuantifierInteraction:
         # tuples must compare equal for cache keying to work.
         explicit = Quantifier(1, 1)
         assert ONE == explicit
-        single = Pattern.of_class(parse_pattern("\\D").elements[0].atom.char_class, ONE)
-        spelled = Pattern.of_class(
-            parse_pattern("\\D").elements[0].atom.char_class, explicit
-        )
+        atom = parse_pattern("\\D").elements[0].atom
+        single = Pattern([Element(atom, ONE)])
+        spelled = Pattern([Element(atom, explicit)])
         assert single == spelled
         assert hash(single) == hash(spelled)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.patterns import Pattern, parse_pattern
-from repro.patterns.alphabet import CharClass
-from repro.patterns.syntax import Quantifier
 
 
 class TestPaperExamples:
@@ -110,13 +108,20 @@ class TestMatchingBackends:
         ("900\\D{2}", ["90001", "90011", "89001", "900", "900123"]),
         ("\\A*,\\ Donald\\A*", ["Holloway, Donald E.", "Donald", "X, Donald", ", Donald"]),
         ("\\S+", ["---", "a-", " ", ""]),
+        ("\\D{2,4}", ["1", "12", "1234", "12345", "ab"]),
+        ("\\D{3,}", ["12", "123", "123456789", "123a"]),
+        ("\\LL{3}", ["abc", "ab", "abcd", "aBc"]),
+        ("a{2}b", ["aab", "ab", "aaab", "aa"]),
+        ("\\LU{2}\\D+", ["CA9", "C9", "CA", "ca9", "CA90210"]),
+        ("\\A*", ["", "anything at all", "é"]),
+        ("\\LL+\\D*", ["abc", "abc123", "123", "", "ab1c"]),
     ]
 
     @pytest.mark.parametrize("text,values", CASES)
     def test_regex_and_nfa_agree(self, text, values):
         pattern = parse_pattern(text)
         for value in values:
-            assert pattern.matches(value) == pattern.matches_via_nfa(value), (text, value)
+            assert pattern.matches(value) == pattern.nfa.matches_string(value), (text, value)
 
 
 class TestStructuralAccessors:
@@ -125,35 +130,20 @@ class TestStructuralAccessors:
         assert parse_pattern("\\D{5}").literal_prefix() == ""
         assert parse_pattern("6060\\D").literal_prefix() == "6060"
 
-    def test_literal_text(self):
-        assert Pattern.literal("abc").literal_text() == "abc"
-        assert parse_pattern("a\\D").literal_text() is None
-
     def test_min_max_length(self):
         pattern = parse_pattern("900\\D{2}")
         assert pattern.min_length() == 5
         assert pattern.max_length() == 5
-        assert pattern.is_fixed_length()
 
     def test_unbounded_max_length(self):
         pattern = parse_pattern("\\D+")
         assert pattern.min_length() == 1
         assert pattern.max_length() is None
-        assert not pattern.is_fixed_length()
-
-    def test_char_classes(self):
-        pattern = parse_pattern("\\LU\\LL*\\ \\A*")
-        assert pattern.char_classes() == [CharClass.UPPER, CharClass.LOWER, CharClass.ANY]
 
     def test_concat(self):
-        combined = Pattern.literal("900").concat(Pattern.of_class(CharClass.DIGIT, Quantifier(2, 2)))
+        combined = Pattern.literal("900").concat(parse_pattern("\\D{2}"))
         assert combined.matches("90055")
         assert combined.to_text() == "900\\D{2}"
-
-    def test_filter_matching(self):
-        pattern = parse_pattern("900\\D{2}")
-        values = ["90001", "60601", "90099", "9000"]
-        assert pattern.filter_matching(values) == [0, 2]
 
     def test_equality_and_hash(self):
         left = parse_pattern("900\\D{2}")
@@ -161,10 +151,6 @@ class TestStructuralAccessors:
         assert left == right
         assert hash(left) == hash(right)
         assert left != parse_pattern("900\\D{3}")
-
-    def test_slice(self):
-        pattern = parse_pattern("900\\D{2}")
-        assert pattern.slice(0, 3).to_text() == "900"
 
     def test_any_string_factory(self):
         assert Pattern.any_string().matches("anything at all 123 !@#")

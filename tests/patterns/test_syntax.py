@@ -12,7 +12,6 @@ from repro.patterns.syntax import (
     PLUS,
     Quantifier,
     STAR,
-    literal_elements,
 )
 
 
@@ -68,10 +67,6 @@ class TestQuantifier:
         assert Quantifier(2, 5).to_text() == "{2,5}"
         assert Quantifier(2, None).to_text() == "{2,}"
 
-    def test_is_unbounded(self):
-        assert Quantifier(2, None).is_unbounded
-        assert not Quantifier(2, 4).is_unbounded
-
 
 class TestElement:
     def test_min_max_length(self):
@@ -87,14 +82,3 @@ class TestElement:
         element = Element(ClassAtom(CharClass.LOWER), STAR)
         assert element.matches_char("q")
         assert not element.matches_char("Q")
-
-
-class TestLiteralElements:
-    def test_builds_one_element_per_char(self):
-        elements = literal_elements("abc")
-        assert len(elements) == 3
-        assert all(e.quantifier is ONE for e in elements)
-        assert [e.atom.char for e in elements] == ["a", "b", "c"]
-
-    def test_empty_string(self):
-        assert literal_elements("") == []

@@ -5,6 +5,7 @@ import pytest
 from repro import perf
 from repro.patterns import parse_pattern
 from repro.patterns.pattern import Pattern
+from repro.perf import memo as memo_module
 from repro.perf.memo import MatchMemo
 from repro.perf.timers import StageTimers
 
@@ -56,8 +57,9 @@ class TestMatchMemo:
         assert memo.stats()["misses"] == 0
         assert memo.stats()["values"] == 0
 
-    def test_pattern_eviction_bound(self):
-        memo = MatchMemo(max_patterns=2)
+    def test_pattern_eviction_bound(self, monkeypatch):
+        monkeypatch.setattr(memo_module, "MAX_PATTERNS", 2)
+        memo = MatchMemo()
         for text in ("a", "b", "c"):
             memo.matches(parse_pattern(text), text)
         assert memo.stats()["patterns"] == 2

@@ -53,7 +53,7 @@ class TestConstruction:
         pfd = lambda5()
         assert pfd.kind is PfdKind.VARIABLE
         assert pfd.is_variable
-        assert len(pfd.variable_rules()) == 1
+        assert len(pfd.tableau) == 1
         assert pfd.constant_rules() == []
 
     def test_mixed_kind(self):
@@ -73,17 +73,17 @@ class TestConstruction:
 
     def test_lhs_strings_are_parsed_as_patterns(self):
         pfd = PFD.constant("zip", "city", [{"zip": "900\\D{2}", "city": "Los Angeles"}])
-        lhs_cell = pfd.lhs_cell_of(pfd.tableau[0])
+        lhs_cell = pfd.tableau[0].cell("zip")
         assert lhs_cell.matches("90001")
 
     def test_constrained_lhs_strings_are_parsed(self):
         pfd = PFD.constant("zip", "city")
         pfd.add_rule({"zip": "⟨\\D{3}⟩\\D{2}", "city": WILDCARD})
-        assert isinstance(pfd.lhs_cell_of(pfd.tableau[0]), ConstrainedPattern)
+        assert isinstance(pfd.tableau[0].cell("zip"), ConstrainedPattern)
 
     def test_rhs_strings_stay_constants(self):
         pfd = lambda3()
-        assert pfd.rhs_cell_of(pfd.tableau[0]) == "Los Angeles"
+        assert pfd.tableau[0].cell("city") == "Los Angeles"
 
 
 class TestCoverage:
@@ -137,4 +137,4 @@ class TestSerialization:
 
     def test_constant_cells_survive_round_trip(self):
         restored = PFD.from_dict(lambda3().to_dict())
-        assert restored.rhs_cell_of(restored.tableau[0]) == "Los Angeles"
+        assert restored.tableau[0].cell("city") == "Los Angeles"

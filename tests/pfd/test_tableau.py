@@ -63,13 +63,6 @@ class TestTableauRow:
         with pytest.raises(ConstraintError):
             row.cell("nope")
 
-    def test_matches_tuple(self):
-        row = TableauRow.of({"zip": parse_pattern("900\\D{2}"), "city": "Los Angeles"})
-        assert row.matches_tuple({"zip": "90001", "city": "Los Angeles"})
-        assert not row.matches_tuple({"zip": "90001", "city": "New York"})
-        # restricting to a subset of attributes
-        assert row.matches_tuple({"zip": "90001", "city": "New York"}, attributes=["zip"])
-
     def test_render(self):
         row = TableauRow.of({"zip": parse_pattern("900\\D{2}"), "city": WILDCARD})
         assert row.render() == "zip=900\\D{2}, city=⊥"
@@ -97,15 +90,6 @@ class TestPatternTableau:
         assert len(tableau) == 2
         assert tableau[0].cell("city") == "Los Angeles"
         assert [row.cell("city") for row in tableau] == ["Los Angeles", "Chicago"]
-
-    def test_matching_rows(self):
-        tableau = PatternTableau(["zip", "city"])
-        tableau.add_row({"zip": parse_pattern("900\\D{2}"), "city": "Los Angeles"})
-        tableau.add_row({"zip": parse_pattern("606\\D{2}"), "city": "Chicago"})
-        matches = tableau.matching_rows({"zip": "60601", "city": "Chicago"})
-        assert matches == [1]
-        lhs_only = tableau.matching_rows({"zip": "60601", "city": "WRONG"}, attributes=["zip"])
-        assert lhs_only == [1]
 
     def test_render_contains_all_rows(self):
         tableau = PatternTableau(["zip", "city"])

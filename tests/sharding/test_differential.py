@@ -15,6 +15,7 @@ literal pairwise check.  Each case is fully determined by the
 from __future__ import annotations
 
 import gc
+from collections import Counter
 import tracemalloc
 
 import pytest
@@ -120,9 +121,7 @@ class TestDifferential:
         also agree between the engines."""
         table = dirty_table(name, n_rows, specs, seed)
         lhs, rhs = table.column_names()[0], table.column_names()[-1]
-        majority = max(
-            table.value_counts(rhs).items(), key=lambda item: item[1]
-        )[0]
+        majority = Counter(table.column(rhs)).most_common(1)[0][0]
         pfd = PFD.constant(lhs, rhs, name="wild")
         pfd.add_rule({lhs: WILDCARD, rhs: majority})
         expected = detection_reference.detect(table, [pfd]).canonical_violations()

@@ -44,7 +44,6 @@ def assert_same_state(table, overlay):
         assert overlay.column(name) == table.column(name)
     for row in range(table.n_rows):
         assert overlay.row(row) == table.row(row)
-        assert overlay.row_dict(row) == table.row_dict(row)
 
 
 class TestReads:
