@@ -290,10 +290,11 @@ class AnmatSession:
         column encodings and each candidate's mining state with the
         edited cells, reading no shard (the plan's decisions record how
         many candidates it patched and how many entries it
-        re-verified); a
-        structural change (appended/deleted rows) falls back to full
-        re-discovery (recorded on the plan's decisions).  Either way the
-        resulting rule set is identical to discovering from scratch.
+        re-verified); without one — before a discovery run, after a
+        parameter change, or after a failed re-check dropped it — the
+        re-check re-discovers in full.
+        Either way the resulting rule set is identical to discovering
+        from scratch.
 
         Confirmations survive by rule content: dependencies whose
         tableau is unchanged stay confirmed (whatever their new number),
@@ -333,9 +334,8 @@ class AnmatSession:
                 if result is None:
                     plan.rule_maintenance = "full"
                     plan.decisions.append(
-                        "the edit batch changed the dataset structurally (or the "
-                        "rule baseline no longer aligns); falling back to full "
-                        "re-discovery"
+                        "the rule baseline no longer aligns with the dataset; "
+                        "falling back to full re-discovery"
                     )
                 else:
                     plan.decisions.append(maintainer.last_work)

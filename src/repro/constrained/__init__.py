@@ -15,12 +15,10 @@ from repro.constrained.constrained_pattern import (
     constrained_first_token,
     constrained_prefix,
 )
-from repro.constrained.restriction import is_restriction_of
 
 __all__ = [
     "ConstrainedPattern",
     "Segment",
     "constrained_first_token",
     "constrained_prefix",
-    "is_restriction_of",
 ]

@@ -101,13 +101,6 @@ class ConstrainedPattern:
     def segments(self) -> Tuple[Segment, ...]:
         return self._segments
 
-    def embedded_pattern(self) -> Pattern:
-        """The pattern obtained by dropping the constraint annotations."""
-        combined = Pattern([])
-        for segment in self._segments:
-            combined = combined.concat(segment.pattern)
-        return combined
-
     def to_text(self) -> str:
         return "".join(s.to_text() for s in self._segments)
 
@@ -155,16 +148,6 @@ class ConstrainedPattern:
         if match is None:
             return None
         return tuple(match.groups())
-
-    def equivalent(self, left: str, right: str) -> bool:
-        """``left ≡_Q right``: both match and their projections agree."""
-        left_projection = self.project(left)
-        if left_projection is None:
-            return False
-        right_projection = self.project(right)
-        if right_projection is None:
-            return False
-        return left_projection == right_projection
 
 
 # -- convenience factories used by discovery ---------------------------------------

@@ -11,7 +11,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Sequence,
     Tuple,
     Union,
@@ -224,51 +223,6 @@ class Table:
         """Destructively overwrite one cell (used by corruption and repair)."""
         self._check_row(row)
         self._columns[self._schema.index_of(name)][row] = _stringify(value)
-
-    def append_row(
-        self, values: Union[Sequence[object], Mapping[str, object]]
-    ) -> int:
-        """Destructively append one row; returns its row index.
-
-        Accepts a sequence in schema order or a mapping by attribute name
-        (missing attributes become empty strings, unknown ones raise).
-        """
-        if isinstance(values, str):
-            # a bare string is a Sequence of characters — reject it before
-            # it silently shreds into per-character cells
-            raise TableError(
-                f"append_row needs a sequence or mapping of cell values, got the string {values!r}"
-            )
-        if isinstance(values, Mapping):
-            extra = set(values.keys()) - set(self.column_names())
-            if extra:
-                raise TableError(
-                    f"appended row has unknown attributes {sorted(extra)}"
-                )
-            row_values = [
-                _stringify(values.get(name, "")) for name in self.column_names()
-            ]
-        else:
-            if len(values) != len(self._schema):
-                raise TableError(
-                    f"appended row has {len(values)} values, expected {len(self._schema)}"
-                )
-            row_values = [_stringify(v) for v in values]
-        for column, value in zip(self._columns, row_values):
-            column.append(value)
-        row = self._n_rows
-        self._n_rows += 1
-        return row
-
-    def delete_row(self, row: int) -> None:
-        """Destructively remove one row.
-
-        Rows after ``row`` shift down by one.
-        """
-        self._check_row(row)
-        for column in self._columns:
-            del column[row]
-        self._n_rows -= 1
 
     # -- analytics helpers ----------------------------------------------------
 

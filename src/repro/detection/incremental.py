@@ -6,10 +6,9 @@ every single-cell repair re-scans the whole table even though the edit
 can only affect violations whose rule touches the edited value.  The
 :class:`IncrementalDetector` builds per-rule violation state on
 distinct values once — that build *is* the session's detection — and
-maintains it under its own ``set_cell`` / ``append_row`` /
-``delete_row``, which write a
-:class:`~repro.sharding.overlay.ShardOverlay` and then update the state
-from their arguments: an edit reads no shard.
+maintains it under its own ``set_cell``, which writes a
+:class:`~repro.sharding.overlay.ShardOverlay` and then updates the
+state from its arguments: an edit reads no shard.
 
 **Seed.**  The state is built from the overlay's sharded view (its
 seal, one per overlay version, :meth:`ShardOverlay.as_sharded`) through
@@ -29,8 +28,7 @@ held yet appends to the detector's own distinct list), re-checks the
 row for each constant rule over the column, and moves the row between
 two RHS groups for each variable rule — re-deriving the block's
 violations only when its majority or witness changes (see
-:mod:`repro.detection.rules`).  An append posts one row; a delete
-unposts it and renumbers the row ids behind it.  A write of the value
+:mod:`repro.detection.rules`).  A write of the value
 the cell's rule column already holds changes nothing.  The overlay keeps
 no history, so a mutation made on the overlay directly is caught up by
 re-seeding: :meth:`IncrementalDetector.refresh` compares the overlay's
@@ -62,7 +60,7 @@ group (constant rules) or one per row of each block of two or more rows
 (variable rules).  Updates are not counted, and a hand-over counts only
 the rules it seeds.
 
-Correctness contract: after any sequence of mutations,
+Correctness contract: after any sequence of cell edits,
 ``detector.report().canonical_violations()`` equals the canonical
 violations of the literal per-row Section 3 loop in
 ``tests/detection_reference.py`` over ``overlay.materialize()`` —
@@ -105,7 +103,7 @@ _Held = Dict[Tuple[Optional[str], str], List[RuleEvaluator]]
 class _CodedColumn:
     """One rule column as codes over distinct values: a column
     encoding's own arrays until the first write copies them into the
-    detector's, which each mutation then patches."""
+    detector's, which each edit then patches."""
 
     __slots__ = ("distinct", "codes", "_index")
 
@@ -122,26 +120,15 @@ class _CodedColumn:
         code = self._code_of(value)
         self.codes[row] = code
 
-    def append(self, value: str) -> None:
-        code = self._code_of(value)
-        self.codes.append(code)
-
-    def delete(self, row: int) -> None:
-        self._own()
-        del self.codes[row]
-
-    def _own(self) -> Dict[str, int]:
-        """The value → code index, copying the encoding's arrays into the
-        detector's own on the first call."""
+    def _code_of(self, value: str) -> int:
+        """The value's code, added when the column has not held it yet;
+        the first call copies the encoding's arrays into the detector's
+        own."""
         index = self._index
         if index is None:
             self.distinct = list(self.distinct)
             self.codes = row_ids_from_numpy(self.codes)
             index = self._index = {v: code for code, v in enumerate(self.distinct)}
-        return index
-
-    def _code_of(self, value: str) -> int:
-        index = self._own()
         code = index.get(value)
         if code is None:
             code = index[value] = len(self.distinct)
@@ -155,10 +142,10 @@ class IncrementalDetector:
     :class:`ViolationReport` under mutations of it.
 
     Construction seeds the state from the overlay's sharded view — in a
-    session, that seed is detection.  Mutate through the detector
-    (:meth:`set_cell`, :meth:`append_row`, :meth:`delete_row`) to update
-    the state in place; a mutation made on the overlay directly costs a
-    re-seed at the next :meth:`refresh` or :meth:`report`.
+    session, that seed is detection.  Edit through the detector
+    (:meth:`set_cell`) to update the state in place; a mutation made on
+    the overlay directly costs a re-seed at the next :meth:`refresh` or
+    :meth:`report`.
     """
 
     def __init__(
@@ -276,16 +263,16 @@ class IncrementalDetector:
         return evaluators
 
     # -- mutation API ------------------------------------------------------------
-    #
-    # Each mutation writes the table first, so its row and attribute
-    # checks raise before any state changes, then updates the state from
-    # its own arguments and the detector's codes: the table keeps no
-    # history and the replaced values are never read back from it.  A
-    # detector already behind the table skips the update and leaves the
-    # catching up to the next refresh().
 
     def set_cell(self, row: int, attribute: str, value: object) -> None:
-        """Overwrite one cell and update the maintained report."""
+        """Overwrite one cell and update the maintained report.
+
+        Writes the table first, so its row and attribute checks raise
+        before any state changes, then updates the state from its own
+        arguments and the detector's codes: the table keeps no history
+        and the replaced value is never read back from it.  A detector
+        already behind the table skips the update and leaves the
+        catching up to the next :meth:`refresh`."""
         in_sync = self.table.version == self._synced_version
         self.table.set_cell(row, attribute, value)
         if not in_sync:
@@ -311,43 +298,6 @@ class IncrementalDetector:
                     lhs,
                     rhs,
                 )
-
-    def append_row(self, values) -> int:
-        """Append one row and update the maintained report."""
-        in_sync = self.table.version == self._synced_version
-        row = self.table.append_row(values)
-        if not in_sync:
-            return row
-        self._synced_version = self.table.version
-        with self.timers.stage("update"):
-            for name, column in self._columns.items():
-                column.append(self.table.cell(row, name))  # the tail: no shard
-            for evaluator in self._rules:
-                evaluator.append_row(
-                    self.memo,
-                    row,
-                    self._columns[evaluator.lhs].value(row),
-                    self._columns[evaluator.rhs].value(row),
-                )
-        return row
-
-    def delete_row(self, row: int) -> None:
-        """Delete one row and update the maintained report."""
-        in_sync = self.table.version == self._synced_version
-        self.table.delete_row(row)
-        if not in_sync:
-            return
-        self._synced_version = self.table.version
-        with self.timers.stage("update"):
-            for evaluator in self._rules:
-                evaluator.delete_row(
-                    self.memo,
-                    row,
-                    self._columns[evaluator.lhs].value(row),
-                    self._columns[evaluator.rhs].value(row),
-                )
-            for column in self._columns.values():
-                column.delete(row)
 
     def refresh(self) -> None:
         """Catch up with mutations applied directly to the table: they

@@ -29,8 +29,8 @@ They keep state on distinct values rather than on rows:
   are re-derived only when its majority or its witness changes,
   otherwise one row's violation is added or dropped.
 
-``update_row`` / ``append_row`` / ``delete_row`` take the row's LHS and
-RHS *values* (the caller decodes them from its own column codes), and
+``update_row`` takes the row's old and new LHS and RHS *values* (the
+caller decodes them from its own column codes), and
 ``emit()`` returns the maintained violations in ascending row order,
 cached until the state changes.  Seeds and updates build their
 violations through the same core (``make_violation`` / ``suspects``).
@@ -45,8 +45,7 @@ lives in ``tests/detection_reference.py``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import replace
+from bisect import bisect_left, insort
 from operator import attrgetter
 from typing import (
     Dict,
@@ -86,37 +85,6 @@ def as_constrained(lhs_cell) -> ConstrainedPattern:
     )
 
 
-def shift_violation_after_delete(violation: Violation, deleted_row: int) -> Violation:
-    """Renumber a violation's row references after a row deletion.
-
-    The violation must not reference the deleted row itself (those are
-    re-derived from their block instead of shifted).
-    """
-
-    def shift(row: int) -> int:
-        return row - 1 if row > deleted_row else row
-
-    return replace(
-        violation,
-        rows=tuple(shift(r) for r in violation.rows),
-    )
-
-
-def _shifted_after_delete(
-    violations: Mapping[int, Violation], deleted_row: int
-) -> Dict[int, Violation]:
-    """A ``suspect row → violation`` map renumbered after a deletion;
-    violations wholly before the deleted row are kept as they are."""
-    return {
-        (row - 1 if row > deleted_row else row): (
-            shift_violation_after_delete(violation, deleted_row)
-            if max(violation.rows) > deleted_row
-            else violation
-        )
-        for row, violation in violations.items()
-    }
-
-
 def elect_expected_value(violations: Sequence[Violation]) -> Tuple[str, Violation, float]:
     """The expected value backed by the most violations over one cell.
 
@@ -139,13 +107,6 @@ def _sort_in_place(rows: RowIds) -> None:
     """Sort a row-id array ascending in place."""
     if len(rows) > 1:
         np.frombuffer(rows, dtype=np.int32).sort()
-
-
-def _shift_down_from(rows: RowIds, start: int) -> None:
-    """Decrement ``rows[start:]`` by one in place."""
-    if start < len(rows):
-        view = np.frombuffer(rows, dtype=np.int32)
-        view[start:] -= 1
 
 
 class ConstantRuleEvaluator:
@@ -233,29 +194,15 @@ class ConstantRuleEvaluator:
         new_rhs: str,
     ) -> None:
         """Re-check one row after its LHS or RHS value changed."""
-        self.append_row(memo, row, new_lhs, new_rhs)
-
-    def append_row(
-        self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
-    ) -> None:
-        """Check one row holding these values (a fresh or an edited row)."""
         current = self.violations.get(row)
-        if self.lhs_matches(memo, lhs_value) and not self.rhs_satisfied(memo, rhs_value):
-            if current is not None and current.observed_value == rhs_value:
+        if self.lhs_matches(memo, new_lhs) and not self.rhs_satisfied(memo, new_rhs):
+            if current is not None and current.observed_value == new_rhs:
                 return
-            self.violations[row] = self.make_violation(row, rhs_value)
+            self.violations[row] = self.make_violation(row, new_rhs)
         elif current is None:
             return
         else:
             del self.violations[row]
-        self._emitted = None
-
-    def delete_row(
-        self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
-    ) -> None:
-        """Drop a deleted row and renumber the rows behind it."""
-        self.violations.pop(row, None)
-        self.violations = _shifted_after_delete(self.violations, row)
         self._emitted = None
 
     def emit(self) -> List[Violation]:
@@ -390,31 +337,6 @@ class VariableRuleEvaluator:
             self._remove(old_key, old_rhs, row)
         if new_key is not None:
             self._insert(new_key, new_rhs, row)
-
-    def append_row(
-        self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
-    ) -> None:
-        """Post a freshly appended row."""
-        key = memo.project(self.constrained, lhs_value)
-        if key is not None:
-            self._insert(key, rhs_value, row)
-
-    def delete_row(
-        self, memo: MatchMemo, row: int, lhs_value: str, rhs_value: str
-    ) -> None:
-        """Unpost a deleted row and renumber every row behind it."""
-        key = memo.project(self.constrained, lhs_value)
-        if key is not None:
-            self._remove(key, rhs_value, row)
-        for block in self.state.values():
-            for rows in block.groups.values():
-                _shift_down_from(rows, bisect_right(rows, row))
-            if block.witness > row:
-                block.witness -= 1
-            if block.violations:
-                block.violations = _shifted_after_delete(block.violations, row)
-                block.emitted = None
-        self._emitted = None
 
     def emit(self) -> List[Violation]:
         """The maintained violations ordered by ``(witness, row)`` — the

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.dataset.rowids import RowIds, row_ids
 from repro.patterns.pattern import Pattern
 from repro.patterns.tokenizer import cached_tokenize
 
@@ -26,9 +25,8 @@ class PatternTupleCandidate:
     It covers the tuples whose LHS value is one of ``lhs_values``: the
     values carrying ``source_token`` at ``source_position`` that
     ``lhs_pattern`` matches, in first-appearance order.  Covered tuples
-    are always whole values, so the row keeps values, not row ids;
-    :meth:`covered_tuple_ids` and :meth:`violating_tuple_ids` derive the
-    rows from the columns on demand (mining never needs them).
+    are always whole values, so the row keeps values, not row ids
+    (mining never needs them).
     """
 
     lhs_pattern: Pattern
@@ -42,22 +40,6 @@ class PatternTupleCandidate:
     @property
     def pattern_text(self) -> str:
         return self.lhs_pattern.to_text()
-
-    def covered_tuple_ids(self, lhs_column: Sequence[str]) -> RowIds:
-        """The rows of ``lhs_column`` (the LHS values the row was mined
-        from) that this tableau row covers, ascending."""
-        values = set(self.lhs_values)
-        return row_ids(row for row, value in enumerate(lhs_column) if value in values)
-
-    def violating_tuple_ids(
-        self, lhs_column: Sequence[str], rhs_column: Sequence[str]
-    ) -> RowIds:
-        """The covered rows whose RHS value is not ``rhs_constant``."""
-        return row_ids(
-            row
-            for row in self.covered_tuple_ids(lhs_column)
-            if rhs_column[row] != self.rhs_constant
-        )
 
     def render(self) -> str:
         """``pattern::position, frequency`` — the GUI display format."""

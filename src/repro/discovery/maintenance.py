@@ -51,12 +51,10 @@ without reading a shard:
    gate in ``tests/discovery/test_maintenance.py`` checks every report
    field).
 
-Structural changes (appends, deletes, repartitions) shift global row
-ids, so no cell list describes them.  :meth:`RuleMaintainer.maintain`
-returns ``None`` for those, and for a baseline whose encodings are gone
-or whose edited cells the new seal does not all override; the caller
-falls back to the full pipeline and re-seeds (the planner records the
-fallback as a plan decision).
+:meth:`RuleMaintainer.maintain` returns ``None`` for an unseeded
+baseline, a seal of another base and a baseline whose encodings are
+gone; the caller falls back to the full pipeline and re-seeds (the
+planner records the fallback as a plan decision).
 """
 
 from __future__ import annotations
@@ -128,10 +126,9 @@ class RuleMaintainer:
         it, patching the mining state in place (so a call that raises
         leaves a baseline to drop, not to reuse).  Returns ``None`` when
         the baseline does not align (unseeded or without a mining state,
-        a different base dataset, a structural change such as
-        appends/deletes, which no cell list describes, or a baseline
-        view whose encodings are gone): the caller runs full discovery
-        instead and re-seeds.
+        a seal of another base dataset, or a baseline view whose
+        encodings are gone): the caller runs full discovery instead and
+        re-seeds.
         """
         started = time.perf_counter()
         old_view, state = self._view, self._state
@@ -198,8 +195,8 @@ class RuleMaintainer:
         self, view: ShardedTable
     ) -> Optional[Iterable[Tuple[int, str, str]]]:
         """The cells that turn the baseline view's columns into
-        ``view``'s, or ``None`` when no cell list does (appends,
-        deletes, another base, edits the new seal no longer holds)."""
+        ``view``'s, or ``None`` when ``view`` is not a seal of the
+        baseline's base."""
         old_store, store = self._view.store, view.store
         if store is old_store:
             return ()

@@ -47,8 +47,8 @@ class ExecutionPlan:
     object_client: str = "none"
     #: how a re-check refreshes the rule set: ``"incremental"`` routes
     #: through the rule maintainer, ``"full"`` re-discovers from scratch
-    #: (also what an incremental re-check falls back to on a structural
-    #: change), ``"none"`` for plans that are not re-checks
+    #: (also what an incremental re-check falls back to when the
+    #: maintainer declines), ``"none"`` for plans that are not re-checks
     rule_maintenance: str = "none"
     #: human-readable routing decisions, in the order they were taken
     decisions: List[str] = field(default_factory=list)
@@ -138,8 +138,7 @@ def plan_run(
             rule_maintenance = "incremental"
             decisions.append(
                 "re-check maintains the rule set incrementally from the "
-                "seeded baseline (falls back to full re-discovery on "
-                "structural changes)"
+                "seeded baseline"
             )
         else:
             rule_maintenance = "full"

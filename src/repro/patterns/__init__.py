@@ -11,27 +11,20 @@ Public surface:
 
 * :func:`parse_pattern` / :class:`Pattern` — parse and represent patterns
   written in the paper's syntax (``\\LU\\LL*\\ \\A*``, ``900\\D{2}`` …).
-* :class:`CharClass` and :data:`GENERALIZATION_TREE` — the Figure 1 tree.
+* :class:`CharClass` and :func:`classify_char` — the Figure 1 tree.
 * matching — ``Pattern.matches`` (NFA simulation) and
   :func:`compile_to_regex` (Python ``re`` backend).
-* :func:`pattern_contains` — the containment test ``P ⊆ P'``.
 * :func:`generalize_string` / :func:`generalize_strings` /
   :class:`PatternHistogram` — learning patterns from values.
 * :func:`tokenize` — the ``Tokenize`` function of the discovery
   algorithm.
 """
 
-from repro.patterns.alphabet import (
-    CharClass,
-    GENERALIZATION_TREE,
-    GeneralizationTree,
-    classify_char,
-)
+from repro.patterns.alphabet import CharClass, classify_char
 from repro.patterns.syntax import Element, Literal, ClassAtom, Quantifier, ONE
 from repro.patterns.parser import parse_pattern
 from repro.patterns.pattern import Pattern
 from repro.patterns.regex import compile_to_regex
-from repro.patterns.containment import pattern_contains
 from repro.patterns.generalize import (
     PatternHistogram,
     generalize_string,
@@ -42,8 +35,6 @@ from repro.patterns.tokenizer import Token, tokenize
 
 __all__ = [
     "CharClass",
-    "GENERALIZATION_TREE",
-    "GeneralizationTree",
     "classify_char",
     "Element",
     "Literal",
@@ -53,7 +44,6 @@ __all__ = [
     "parse_pattern",
     "Pattern",
     "compile_to_regex",
-    "pattern_contains",
     "PatternHistogram",
     "generalize_string",
     "generalize_strings",

@@ -17,7 +17,7 @@ whether a character belongs to a class (used by the matcher).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 
 class CharClass(enum.Enum):
@@ -78,45 +78,3 @@ def classify_char(char: str) -> CharClass:
         raise ValueError(f"classify_char expects a single character, got {char!r}")
     cached = _CLASS_BY_CHAR[char] = _classify_char_slow(char)
     return cached
-
-
-class GeneralizationTree:
-    """Explicit tree structure mirroring Figure 1.
-
-    The tree is small and fixed; this class exists so that code (and
-    tests) can reason about the hierarchy — parents and children.
-    """
-
-    ROOT = CharClass.ANY
-
-    def __init__(self) -> None:
-        self._children: Dict[CharClass, List[CharClass]] = {
-            CharClass.ANY: [
-                CharClass.UPPER,
-                CharClass.LOWER,
-                CharClass.DIGIT,
-                CharClass.SYMBOL,
-            ],
-            CharClass.UPPER: [],
-            CharClass.LOWER: [],
-            CharClass.DIGIT: [],
-            CharClass.SYMBOL: [],
-        }
-
-    def children(self, node: CharClass) -> List[CharClass]:
-        """Intermediate-node children of ``node`` (leaves are characters)."""
-        return list(self._children[node])
-
-    def parent(self, node: CharClass) -> Optional[CharClass]:
-        """Parent of an intermediate node, or None for the root."""
-        if node is CharClass.ANY:
-            return None
-        return CharClass.ANY
-
-    def classes(self) -> Iterable[CharClass]:
-        """All intermediate nodes."""
-        return list(CharClass)
-
-
-#: Singleton tree instance shared across the package.
-GENERALIZATION_TREE = GeneralizationTree()

@@ -5,8 +5,9 @@ pattern compiles to a small linear NFA: each element contributes its
 required repetitions as a chain of states, followed by either optional
 states (bounded quantifiers) or a single self-looping state (unbounded
 quantifiers).  The same NFA is used for matching (simulation over the
-input characters) and for containment checking (subset construction over
-a finite symbolic alphabet, see :mod:`repro.patterns.containment`).
+input characters) and, in the tests' containment reference
+(``tests/containment_reference.py``), for subset construction over a
+finite symbolic alphabet.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class Nfa:
 
         ``accepts`` decides whether a transition atom accepts the symbol;
         for plain string matching it closes over the current character,
-        for containment it closes over a symbolic alphabet atom.
+        for the containment reference over a symbolic alphabet atom.
         """
         nxt: Set[int] = set()
         for state in states:

@@ -1020,7 +1020,7 @@ def _write(set_cell, table, write) -> None:
         st.one_of(
             st.tuples(st.just("edits"), st.lists(_cell_write(), min_size=1, max_size=4)),
             st.tuples(st.just("direct"), st.lists(_cell_write(), min_size=1, max_size=3)),
-            st.tuples(st.just("append"), st.integers(0, len(ENTITIES) - 1)),
+            st.tuples(st.just("entity"), st.integers(0, 63), st.integers(0, len(ENTITIES) - 1)),
             st.tuples(st.just("confirm"), st.integers(0, 15)),
             st.just(("recheck",)),
             st.just(("detect",)),
@@ -1029,11 +1029,12 @@ def _write(set_cell, table, write) -> None:
     ),
 )
 def test_property_a_recheck_keeps_a_fresh_seeds_report(rows, steps):
-    """Edit batches through the session, writes and appends made on the
-    overlay directly (they leave the detector behind, so the next
-    hand-over seeds every rule), late confirmations and detections in
-    any order, then a re-check: after every re-check the kept report
-    equals a fresh seed's as a list, and batch detection canonically."""
+    """Edit batches through the session, cell writes and whole entities
+    written on the overlay directly (they leave the detector behind, so
+    the next hand-over seeds every rule), late confirmations and
+    detections in any order, then a re-check: after every re-check the
+    kept report equals a fresh seed's as a list, and batch detection
+    canonically."""
     table = Table.from_rows(list(ENTITY_COLUMNS), [list(ENTITIES[i]) for i in rows])
     session = AnmatSession(
         dataset_name="handover",
@@ -1058,8 +1059,10 @@ def test_property_a_recheck_keeps_a_fresh_seeds_report(rows, steps):
             elif kind == "direct":
                 for write in step[1]:
                     _write(session.table.set_cell, session.table, write)
-            elif kind == "append":
-                session.table.append_row(list(ENTITIES[step[1]]))
+            elif kind == "entity":
+                _, row, entity = step
+                for column, value in zip(ENTITY_COLUMNS, ENTITIES[entity]):
+                    session.table.set_cell(row % session.table.n_rows, column, value)
             elif kind == "confirm":
                 names = [pfd.name for pfd in session.discovered_pfds()]
                 if names:

@@ -1,4 +1,9 @@
-"""Pattern containment: ``P ⊆ P'`` iff every string matching P matches P'.
+"""Pattern containment ``P ⊆ P'``, for tests: every string matching P
+matches P'.
+
+No route in ``src/`` decides containment; ``tests/patterns`` uses this
+as the oracle that the generalization levels of a value are ordered by
+containment and that containment agrees with matching on samples.
 
 General regular-expression containment is PSPACE-complete, which is one
 of the reasons the paper restricts the pattern language.  Within the
@@ -8,6 +13,9 @@ is finite — every literal character mentioned by either pattern plus one
 "residual" symbol per character class (standing for all remaining members
 of that class).  We determinize both NFAs over that symbolic alphabet and
 search the product automaton for a string accepted by P but not by P'.
+
+Test modules import it as ``import containment_reference`` (pytest puts
+this directory, home of the root ``conftest.py``, on ``sys.path``).
 """
 
 from __future__ import annotations

@@ -97,26 +97,12 @@ class TestMutationAndAnalytics:
         table.set_cell(0, "city", "Denver")
         assert table.cell(0, "city") == "Denver"
 
-    def test_append_row_from_mapping(self):
-        table = Table.from_rows(["a", "b"], [["x", "1"]])
-        row = table.append_row({"b": "2"})
-        assert table.row(row) == ("", "2")
-        with pytest.raises(TableError):
-            table.append_row({"nope": "v"})
-        with pytest.raises(TableError):
-            table.append_row(["only-one-value"])
-        # a bare string is a sequence of characters — must not shred
-        # into per-character cells just because the lengths line up
-        with pytest.raises(TableError):
-            table.append_row("xy")
-
     def test_in_place_mutations(self):
         table = Table.from_rows(["a", "b"], [["x", "1"], ["y", "2"]])
         table.set_cell(0, "a", "x")
         table.set_cell(0, "a", "z")
-        table.append_row(["w", "3"])
-        table.delete_row(1)
-        assert list(table.iter_rows()) == [("z", "1"), ("w", "3")]
+        table.set_cell(1, "b", 3)
+        assert list(table.iter_rows()) == [("z", "1"), ("y", "3")]
 
     def test_equality(self, mixed_table):
         assert mixed_table == mixed_table.copy()

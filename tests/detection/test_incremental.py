@@ -1,15 +1,15 @@
 """Tests for incremental violation maintenance under table updates.
 
-The correctness anchor is randomized equivalence: any sequence of
-mutations (edits, appends, deletes) applied through an
-:class:`IncrementalDetector` must yield a report whose canonical
-violations are identical to a from-scratch run of the literal Section 3
-loop (``detection_reference.detect``) on the final table.  The detector maintains a :class:`ShardOverlay`; the sequences run
-on overlays cut into shards of a few rows, so edits, appends and
-tombstones land across shards.  A property test adds small tables with
-big blocks and few RHS values, mixes in batches of mutations made on the
-overlay directly (which the detector catches up on by re-seeding), and
-checks the report's order too.
+The correctness anchor is randomized equivalence: any sequence of cell
+edits applied through an :class:`IncrementalDetector` must yield a
+report whose canonical violations are identical to a from-scratch run
+of the literal Section 3 loop (``detection_reference.detect``) on the
+final table.  The detector maintains a :class:`ShardOverlay`; the
+sequences run on overlays cut into shards of a few rows, so edits land
+across shards.  A property test adds small tables with big blocks and
+few RHS values, mixes in batches of edits made on the overlay directly
+(which the detector catches up on by re-seeding), and checks the
+report's order too.
 """
 
 import random
@@ -66,13 +66,11 @@ def make_rng():
 
 
 def random_mutation(rng, incremental: IncrementalDetector, step: int) -> None:
-    """Apply one random append/edit/delete through the detector."""
+    """Apply one random edit through the detector: one cell, or a whole
+    row rewritten cell by cell with another row's values."""
     table = incremental.table
     columns = table.column_names()
-    op = rng.choice(("edit", "edit", "append", "delete"))
-    if op == "delete" and table.n_rows <= 2:
-        op = "append"
-    if op == "edit":
+    if rng.random() < 0.75:
         column = rng.choice(columns)
         # usually merge into an existing value (exercises block merges),
         # sometimes introduce a never-seen one (block splits / new
@@ -86,12 +84,10 @@ def random_mutation(rng, incremental: IncrementalDetector, step: int) -> None:
         else:
             value = ""
         incremental.set_cell(rng.randrange(table.n_rows), column, value)
-    elif op == "append":
-        incremental.append_row(
-            [rng.choice(table.column_ref(column)) for column in columns]
-        )
     else:
-        incremental.delete_row(rng.randrange(table.n_rows))
+        row, donor = rng.randrange(table.n_rows), rng.randrange(table.n_rows)
+        for column in columns:
+            incremental.set_cell(row, column, table.cell(donor, column))
 
 
 def assert_equivalent(incremental: IncrementalDetector, pfds, context: str) -> None:
@@ -137,8 +133,7 @@ class TestRandomizedEquivalence:
         self, rulesets, make_rng, dataset, seed, shard_rows
     ):
         # one-row shards, three-row shards and one shard of every row:
-        # the same sequence's edits, appends and tombstones land in one
-        # shard or spread over many
+        # the same sequence's edits land in one shard or spread over many
         pristine, pfds = rulesets[dataset]
         table = overlay_of(pristine, shard_rows or pristine.n_rows)
         rng = make_rng(1000 + seed)
@@ -181,15 +176,6 @@ class TestMutationAPI:
         assert table.cell(0, "city") == "Nowhereville"
         assert_equivalent(incremental, pfds, "set_cell")
 
-    def test_append_and_delete_through_detector(self, zip_setup):
-        table, pfds, incremental = zip_setup
-        n = table.n_rows
-        row = incremental.append_row(table.row(0))
-        assert row == n
-        incremental.delete_row(1)
-        assert table.n_rows == n
-        assert_equivalent(incremental, pfds, "append+delete")
-
     def test_repairing_a_suspect_cell_shrinks_the_report(self, zip_setup):
         table, pfds, incremental = zip_setup
         from repro.detection.repair import suggest_repairs
@@ -206,8 +192,8 @@ class TestMutationAPI:
     def test_refresh_catches_up_on_direct_mutations(self, zip_setup):
         table, pfds, incremental = zip_setup
         table.set_cell(3, "city", "Elsewhere")
-        table.append_row(table.row(0))
-        table.delete_row(2)
+        table.set_cell(2, "zip", table.cell(0, "zip"))
+        table.set_cell(2, "state", "")
         incremental.refresh()
         assert_equivalent(incremental, pfds, "direct mutations")
 
@@ -215,8 +201,8 @@ class TestMutationAPI:
         table, pfds, incremental = zip_setup
         assert rebuilds == []
         table.set_cell(3, "city", "Elsewhere")
-        table.append_row(table.row(0))
-        table.delete_row(2)
+        table.set_cell(2, "zip", table.cell(0, "zip"))
+        table.set_cell(2, "state", "")
         # a detector behind the overlay leaves its state for the re-seed
         incremental.set_cell(5, "city", "Elsewhere")
         assert rebuilds == []
@@ -236,9 +222,8 @@ class TestMutationAPI:
         incremental.set_cell(3, "city", "Elsewhere")
         incremental.set_cell(3, "city", "Elsewhere")  # the value it holds
         assert table.version == version + 2
-        row = incremental.append_row(table.row(0))
-        incremental.set_cell(row, "state", "ZZ")
-        incremental.delete_row(2)
+        incremental.set_cell(table.n_rows - 1, "state", "ZZ")
+        incremental.set_cell(2, "zip", table.cell(0, "zip"))
         incremental.set_cell(7, "zip", "00000")
         assert_equivalent(incremental, pfds, "through the detector")
         assert rebuilds == []
@@ -489,26 +474,24 @@ def _mutation_strategy():
             st.sampled_from(COLUMNS),
             st.integers(0, len(VALUES["zip"]) - 1),
         ),
-        st.tuples(st.just("append"), _row_strategy()),
-        st.tuples(st.just("delete"), st.integers(0, 63)),
+        st.tuples(st.just("row"), st.integers(0, 63), _row_strategy()),
     )
 
 
 def _apply(target, mutation) -> None:
-    """One mutation through ``target`` (the detector or the table);
-    row indexes wrap around the current size."""
+    """One edit through ``target`` (the detector or the table): a cell,
+    or every cell of a row; row indexes wrap around the table."""
     table = target.table if isinstance(target, IncrementalDetector) else target
-    kind = mutation[0]
-    if kind == "append":
-        target.append_row(list(mutation[1]))
-    elif table.n_rows == 0:
+    if table.n_rows == 0:
         return
-    elif kind == "set":
+    if mutation[0] == "set":
         _, row, column, pick = mutation
         values = VALUES[column]
         target.set_cell(row % table.n_rows, column, values[pick % len(values)])
     else:
-        target.delete_row(mutation[1] % table.n_rows)
+        _, row, values = mutation
+        for column, value in zip(COLUMNS, values):
+            target.set_cell(row % table.n_rows, column, value)
 
 
 def _check(incremental, pfds, context):
@@ -532,8 +515,8 @@ def _check(incremental, pfds, context):
     small_shards=st.booleans(),
 )
 def test_property_any_mutation_sequence_matches_batch_detection(rows, steps, small_shards):
-    """After every step — a mutation through the detector, or a batch of
-    direct overlay mutations caught up by ``refresh()`` — the maintained
+    """After every step — an edit through the detector, or a batch of
+    direct overlay edits caught up by ``refresh()`` — the maintained
     report equals batch detection canonically, in the stated order."""
     table = Table.from_rows(list(COLUMNS), [list(row) for row in rows])
     table = overlay_of(table, 3 if small_shards else max(table.n_rows, 1))

@@ -26,7 +26,6 @@ from repro.detection.rules import (
     elect_expected_value,
     majority_value,
     make_rule_evaluator,
-    shift_violation_after_delete,
 )
 from repro.errors import DetectionError
 from repro.patterns import parse_pattern
@@ -122,12 +121,14 @@ class TestConstantRuleEvaluator:
         assert [v.rows[0] for v in evaluator.emit()] == [0]
         evaluator.update_row(memo, 0, "90010", "NY", "90011", "LA")  # repaired
         assert evaluator.emit() == []
-        evaluator.append_row(memo, 2, "90012", "SF")
-        evaluator.append_row(memo, 3, "10001", "SF")  # LHS does not match
+        evaluator.update_row(memo, 2, "10012", "SF", "90012", "SF")  # into scope
+        evaluator.update_row(memo, 3, "10001", "LA", "10001", "SF")  # LHS does not match
         assert [v.rows[0] for v in evaluator.emit()] == [2]
-        evaluator.delete_row(memo, 0, "90011", "LA")
+        evaluator.update_row(memo, 1, "90011", "LA", "90011", "NY")
+        evaluator.update_row(memo, 2, "90012", "SF", "10012", "SF")  # out of scope
         assert [v.rows[0] for v in evaluator.emit()] == [1]
         assert evaluator.emit()[0].suspect_cell == (1, "city")
+        assert evaluator.emit()[0].observed_value == "NY"
 
     def test_emit_is_cached_until_a_row_changes(self, evaluator):
         memo = MatchMemo()
@@ -258,22 +259,6 @@ class TestVariableRuleHooks:
         edit(4, zip_code="banana")  # projection None: the row leaves all blocks
         edit(4, zip_code="90009")
 
-    def test_append_and_delete_renumber_the_state(self, evaluator):
-        memo = MatchMemo()
-        zips = ["90001", "90002", "90003", "10001", "10002"]
-        cities = ["LA", "NY", "LA", "NY", "SF"]
-        self.seed(evaluator, memo, zips, cities)
-        self.assert_matches_batch(evaluator, memo, zips, cities)
-        for zip_code, city in (("10003", "SF"), ("90004", "NY"), ("90005", "NY")):
-            evaluator.append_row(memo, len(zips), zip_code, city)
-            zips.append(zip_code)
-            cities.append(city)
-            self.assert_matches_batch(evaluator, memo, zips, cities)
-        for row in (0, 3, 0, 2):
-            evaluator.delete_row(memo, row, zips[row], cities[row])
-            del zips[row], cities[row]
-            self.assert_matches_batch(evaluator, memo, zips, cities)
-
     def test_out_of_sync_state_is_reported(self, evaluator):
         memo = MatchMemo()
         self.seed(evaluator, memo, ["90001", "90002"], ["LA", "NY"])
@@ -304,21 +289,6 @@ class TestElectExpectedValue:
         assert winner == "ZZ"
         assert backer.expected_value == "ZZ"
         assert confidence == 1.0
-
-
-class TestShiftAfterDelete:
-    def test_rows_cells_and_suspect_shift_together(self):
-        report = ErrorDetector(
-            Table.from_rows(
-                ["zip", "city"],
-                [["90001", "LA"], ["90002", "LA"], ["90003", "NY"]],
-            )
-        ).detect(zip_city_pfd())
-        violation = report.violations[0]
-        shifted = shift_violation_after_delete(violation, 1)
-        assert shifted.rows == (0, 1)
-        assert shifted.suspect_cell == (1, "city")
-        assert (1, "zip") in shifted.cells
 
 
 class TestAdversarialEquivalence:
@@ -397,18 +367,16 @@ class TestAdversarialEquivalence:
             assert incremental.report().canonical_violations() == batch, context
 
         check("initial")
-        incremental.delete_row(0)  # NY/SF tie now
-        check("after first delete")
-        incremental.delete_row(0)  # single row — block below 2, no violations
+        incremental.set_cell(0, "zip", "banana")  # NY/SF tie now
+        check("after the first row left")
+        incremental.set_cell(1, "zip", "banana")  # single row — block below 2, no violations
         assert incremental.report().is_empty()
         check("block of one")
-        incremental.delete_row(0)  # block vanishes entirely
+        incremental.set_cell(2, "zip", "90003")  # the 100 block vanishes entirely
         assert incremental.report().is_empty()
         check("empty block")
-        for zip_code, city in (
-            ("10004", "NY"), ("10005", "NY"), ("10006", "SF"),
-        ):
-            incremental.append_row([zip_code, city])
+        for row, zip_code in ((0, "10004"), (1, "10005"), (2, "10006")):
+            incremental.set_cell(row, "zip", zip_code)
         check("regrown")
 
     def test_edit_moves_rows_out_of_a_block_and_back(self):

@@ -133,6 +133,13 @@ def constrained_lhs(lhs_cell) -> ConstrainedPattern:
     raise DetectionError(f"variable rule has an unsupported LHS cell {lhs_cell!r}")
 
 
+def equivalent(constrained: ConstrainedPattern, left: str, right: str) -> bool:
+    """``left ≡_Q right`` (Section 2): both values match ``Q`` and their
+    constrained projections agree."""
+    projection = constrained.project(left)
+    return projection is not None and projection == constrained.project(right)
+
+
 def violating_pairs(table, pfd, rule_index: int = 0) -> Set[FrozenSet[int]]:
     """Every row pair violating one variable tableau rule of ``pfd``: the
     pairs whose LHS values are ``≡_Q``-equivalent and whose RHS values
@@ -143,7 +150,7 @@ def violating_pairs(table, pfd, rule_index: int = 0) -> Set[FrozenSet[int]]:
     pairs = set()
     for i in range(len(lhs)):
         for j in range(i + 1, len(lhs)):
-            if rhs[i] != rhs[j] and constrained.equivalent(lhs[i], lhs[j]):
+            if rhs[i] != rhs[j] and equivalent(constrained, lhs[i], lhs[j]):
                 pairs.add(frozenset((i, j)))
     return pairs
 

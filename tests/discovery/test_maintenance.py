@@ -174,23 +174,64 @@ def test_reference_maintainer_sequence(name, n_rows, specs):
             assert report_fields(result, edited) == report_fields(full, edited)
 
 
+@pytest.mark.parametrize("name,n_rows,specs", GENERATORS, ids=lambda v: str(v))
+def test_maintain_declines_an_unseeded_baseline_and_another_base(name, n_rows, specs):
+    """``maintain`` returns ``None`` before a seed and for a view of
+    another base — even one holding the same rows — and leaves the
+    baseline as it was: its own seal still maintains."""
+    config = make_config("memory")
+    table = dirty_table(name, n_rows, specs, 11)
+    view = ShardedTable.from_table(table, SHARD_ROWS)
+    overlay = ShardOverlay(view)
+    column = table.column_names()[1]
+    overlay.set_cell(0, column, overlay.cell(1, column))
+    maintainer = RuleMaintainer(config)
+    assert maintainer.maintain(overlay.as_sharded()) is None
+    maintainer.seed(view, ShardedDiscoverer(config).discover_with_report(view))
+    other = ShardOverlay(ShardedTable.from_table(table, SHARD_ROWS))
+    other.set_cell(0, column, overlay.cell(1, column))
+    assert maintainer.maintain(other.as_sharded()) is None
+    assert maintainer.maintain(other.base) is None
+    result = maintainer.maintain(overlay.as_sharded())
+    assert result is not None
+    full = reference_rediscovery(config, overlay.materialize())
+    assert rules_of(result) == rules_of(full)
+
+
+def fail_one_recheck(session, monkeypatch):
+    """Make one re-check raise inside the rule maintainer: the session
+    keeps its rules and drops the maintainer, so the next re-check
+    re-discovers in full."""
+
+    def failing(self, view, relation=None):
+        raise RuntimeError("injected maintenance failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RuleMaintainer, "maintain", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            session.recheck()
+    assert session.plan_recheck().rule_maintenance == "full"
+
+
 @pytest.mark.parametrize(
     "name,n_rows,specs", GENERATORS[:1], ids=lambda v: str(v)
 )
 class TestMaintenanceFallbacks:
-    """Structural changes fall back to full re-discovery — with the
-    fallback recorded on the plan, not warned: the user requested
-    nothing the fallback could override."""
+    """A session re-checks in full when it has no maintainer — after a
+    failed re-check dropped it — or when the maintainer declines; either
+    way the fallback is recorded on the plan, not warned: the user
+    requested nothing the fallback could override."""
 
-    def test_append_falls_back_to_full(self, name, n_rows, specs):
+    def test_a_failed_recheck_falls_back_to_full(self, name, n_rows, specs, monkeypatch):
         session = make_session(name, n_rows, specs, 3, "memory")
         try:
             session.run_discovery()
-            session.table.append_row(session.table.row(0))
+            session.table.set_cell(4, session.table.column_names()[1], "X4")
+            fail_one_recheck(session, monkeypatch)
             result = session.recheck()
             assert session.last_plan.rule_maintenance == "full"
             assert any(
-                "falling back to full re-discovery" in d
+                "no maintainable rule baseline" in d
                 for d in session.last_plan.decisions
             )
             full = PfdDiscoverer(session.config).discover_with_report(
@@ -208,13 +249,20 @@ class TestMaintenanceFallbacks:
         finally:
             session.close()
 
-    def test_delete_falls_back_to_full(self, name, n_rows, specs):
+    def test_a_declined_maintenance_falls_back_to_full(
+        self, name, n_rows, specs, monkeypatch
+    ):
         session = make_session(name, n_rows, specs, 3, "memory")
         try:
             session.run_discovery()
-            session.table.delete_row(5)
+            session.table.set_cell(5, session.table.column_names()[1], "X5")
+            monkeypatch.setattr(RuleMaintainer, "maintain", lambda self, view, relation=None: None)
             result = session.recheck()
             assert session.last_plan.rule_maintenance == "full"
+            assert any(
+                "falling back to full re-discovery" in d
+                for d in session.last_plan.decisions
+            )
             full = PfdDiscoverer(session.config).discover_with_report(
                 session.table.materialize(), relation=name
             )
@@ -223,11 +271,13 @@ class TestMaintenanceFallbacks:
             session.close()
 
     @pytest.mark.parametrize("store", ["memory", "spill"])
-    def test_edits_after_a_structural_fallback_maintain(self, name, n_rows, specs, store):
-        """After appends and deletes fall back to full re-discovery, the
-        re-seeded baseline is a seal with tombstones and a tail: cell
-        edits in a shard with tombstones and in the tail then maintain
-        incrementally, with each cell mapped to its seal row."""
+    def test_edits_after_a_full_fallback_maintain(
+        self, name, n_rows, specs, store, monkeypatch
+    ):
+        """After a failed re-check, the full re-discovery re-seeds the
+        baseline on a seal that already holds edits: later cell edits,
+        in shards with and without earlier edits, then maintain
+        incrementally, each cell at its base row."""
         session = make_session(name, n_rows, specs, 3, store)
 
         def assert_matches_full_run():
@@ -250,24 +300,26 @@ class TestMaintenanceFallbacks:
             session.confirm_all()
             session.run_detection()
             overlay = session.table
-            overlay.delete_row(5)  # a tombstone in base shard 0
-            overlay.delete_row(40)  # base row 41, in shard 2
-            overlay.append_row(overlay.row(0))
-            overlay.append_row(overlay.row(1))
+            last = overlay.n_rows - 1
+            rng = random.Random(17)
+
+            def edit(cells):
+                for row, column in cells:
+                    donor = rng.randrange(overlay.n_rows)
+                    session.edit_cell(row, column, overlay.cell(donor, column))
+
+            edit([(5, "city"), (40, "state"), (last, "zip")])  # shards 0, 2 and the last
+            fail_one_recheck(session, monkeypatch)
             session.recheck()
             assert session.last_plan.rule_maintenance == "full"
             assert_matches_full_run()
 
-            tail = overlay.n_rows - 1
-            rng = random.Random(17)
-            # rows 3 and 6 sit before and after shard 0's tombstone, 41
-            # after shard 2's; the last two rows are the tail
-            for row, column in [
+            # rows 3 and 6 share shard 0 with an earlier edit, 41 shard 2,
+            # 20 is in a shard no edit touched yet
+            edit([
                 (3, "city"), (6, "state"), (41, "city"), (41, "state"),
-                (tail, "state"), (tail - 1, "city"), (tail, "zip"),
-            ]:
-                donor = rng.randrange(overlay.n_rows)
-                session.edit_cell(row, column, overlay.cell(donor, column))
+                (last, "state"), (20, "city"), (5, "zip"),
+            ])
             session.edit_cell(6, "city", "Nowhere")
             session.recheck()
             assert session.last_plan.rule_maintenance == "incremental"
@@ -296,10 +348,12 @@ class TestMaintenanceFallbacks:
         assert decisions_of(result) == decisions_of(full)
         session.close()
 
-    def test_default_session_maintains_then_falls_back(self, name, n_rows, specs):
+    def test_default_session_maintains_then_falls_back(
+        self, name, n_rows, specs, monkeypatch
+    ):
         """With no config set at all, a sharded upload's re-check
         maintains incrementally after a cell edit and falls back to full
-        re-discovery after a structural change."""
+        re-discovery after a failed re-check."""
         table = dirty_table(name, n_rows, specs, 3)
         with AnmatSession(dataset_name=name) as session:
             session.load_table(ShardedTable.from_table(table, SHARD_ROWS))
@@ -311,7 +365,8 @@ class TestMaintenanceFallbacks:
                 session.table.materialize(), relation=name
             )
             assert rules_of(result) == rules_of(full)
-            session.table.delete_row(2)
+            session.table.set_cell(2, table.column_names()[0], "X2")
+            fail_one_recheck(session, monkeypatch)
             result = session.recheck()
             assert session.last_plan.rule_maintenance == "full"
             full = PfdDiscoverer(session.config).discover_with_report(

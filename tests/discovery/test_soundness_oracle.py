@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 
+import figure2_reference
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -76,14 +77,14 @@ def check_constant_soundness(report, lhs, rhs, config):
     covered_rows = set()
     for row in report.constant_candidates:
         nfa = row.lhs_pattern.nfa
-        covered = list(row.covered_tuple_ids(lhs))
+        covered = list(figure2_reference.covered_tuple_ids(row, lhs))
         assert covered == sorted(set(covered))
         assert all(nfa.matches_string(lhs[i]) for i in covered), row.pattern_text
         assert row.support == len(covered) >= config.min_support
         agreeing = [i for i in covered if rhs[i] == row.rhs_constant]
         assert row.agreement == len(agreeing) / len(covered)
         assert row.agreement >= 1 - config.allowed_violation_ratio
-        assert list(row.violating_tuple_ids(lhs, rhs)) == [
+        assert list(figure2_reference.violating_tuple_ids(row, lhs, rhs)) == [
             i for i in covered if rhs[i] != row.rhs_constant
         ]
         covered_rows.update(covered)

@@ -89,10 +89,29 @@ def inverted_list(lhs_values: Sequence[str], mode: str) -> Dict[Tuple[str, int],
 @dataclass
 class ReferenceTuple(PatternTupleCandidate):
     """A pattern tuple with the literal rows it covers and violates (the
-    kernels' tuples derive theirs on demand from ``lhs_values``)."""
+    kernels' tuples keep values: :func:`covered_tuple_ids` and
+    :func:`violating_tuple_ids` derive their rows from ``lhs_values``)."""
 
     rows: RowIds = field(default_factory=row_ids)
     violating_rows: RowIds = field(default_factory=row_ids)
+
+
+def covered_tuple_ids(candidate: PatternTupleCandidate, lhs_column: Sequence[str]) -> RowIds:
+    """The rows of ``lhs_column`` (the LHS values the tuple was mined
+    from) that a pattern tuple covers, ascending."""
+    values = set(candidate.lhs_values)
+    return row_ids(row for row, value in enumerate(lhs_column) if value in values)
+
+
+def violating_tuple_ids(
+    candidate: PatternTupleCandidate, lhs_column: Sequence[str], rhs_column: Sequence[str]
+) -> RowIds:
+    """The covered rows whose RHS value is not the tuple's ``rhs_constant``."""
+    return row_ids(
+        row
+        for row in covered_tuple_ids(candidate, lhs_column)
+        if rhs_column[row] != candidate.rhs_constant
+    )
 
 
 def decide(
@@ -263,7 +282,7 @@ def mine_token(
         if not _passes(agreement, n_blocks, n_multi, coverage_, config):
             continue
         pattern = token_constraint_pattern([words for words, _ in usable], position)
-        nfa = pattern.embedded_pattern().nfa
+        nfa = embedded_pattern(pattern).nfa
         matched = sum(1 for words, _ in usable if nfa.matches_string(" ".join(words)))
         if matched / len(usable) < config.min_coverage:
             continue
@@ -276,6 +295,15 @@ def mine_token(
             description=f"the token at position {position} determines the RHS",
         )
     return None
+
+
+def embedded_pattern(constrained) -> Pattern:
+    """The pattern a constrained pattern's segments concatenate to, the
+    constraint annotations dropped (matching ``Q`` is matching it)."""
+    combined = Pattern([])
+    for segment in constrained.segments:
+        combined = combined.concat(segment.pattern)
+    return combined
 
 
 def mine_variable(
@@ -344,8 +372,8 @@ def report_fields(result: DiscoveryResult, table) -> list:
             if isinstance(row, ReferenceTuple):
                 rows, violating = row.rows, row.violating_rows
             else:
-                rows = row.covered_tuple_ids(lhs)
-                violating = row.violating_tuple_ids(lhs, rhs)
+                rows = covered_tuple_ids(row, lhs)
+                violating = violating_tuple_ids(row, lhs, rhs)
             constant.append((
                 row.pattern_text, row.rhs_constant, row.support, row.agreement,
                 row.source_token, row.source_position, row.lhs_values,

@@ -266,9 +266,9 @@ def _tableau(candidates, lhs, rhs):
             c.agreement,
             c.lhs_values,
             list(c.rows if isinstance(c, figure2_reference.ReferenceTuple)
-                 else c.covered_tuple_ids(lhs)),
+                 else figure2_reference.covered_tuple_ids(c, lhs)),
             list(c.violating_rows if isinstance(c, figure2_reference.ReferenceTuple)
-                 else c.violating_tuple_ids(lhs, rhs)),
+                 else figure2_reference.violating_tuple_ids(c, lhs, rhs)),
             c.source_token,
             c.source_position,
         )

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.patterns.alphabet import (
-    CharClass,
-    GENERALIZATION_TREE,
-    GeneralizationTree,
-    classify_char,
-)
+from repro.patterns.alphabet import CharClass, classify_char
 
 
 class TestClassifyChar:
@@ -82,31 +77,3 @@ class TestCharClassMembership:
         assert CharClass.DIGIT.token == "\\D"
         assert CharClass.SYMBOL.token == "\\S"
         assert CharClass.ANY.token == "\\A"
-
-
-class TestGeneralizationTree:
-    def test_root_is_any(self):
-        assert GeneralizationTree.ROOT is CharClass.ANY
-
-    def test_children_of_root_match_figure_1(self):
-        children = GENERALIZATION_TREE.children(CharClass.ANY)
-        assert children == [
-            CharClass.UPPER,
-            CharClass.LOWER,
-            CharClass.DIGIT,
-            CharClass.SYMBOL,
-        ]
-
-    def test_intermediate_nodes_have_no_class_children(self):
-        for node in (CharClass.UPPER, CharClass.LOWER, CharClass.DIGIT, CharClass.SYMBOL):
-            assert GENERALIZATION_TREE.children(node) == []
-
-    def test_parent_of_root_is_none(self):
-        assert GENERALIZATION_TREE.parent(CharClass.ANY) is None
-
-    def test_parent_of_leaf_classes_is_root(self):
-        for node in (CharClass.UPPER, CharClass.LOWER, CharClass.DIGIT, CharClass.SYMBOL):
-            assert GENERALIZATION_TREE.parent(node) is CharClass.ANY
-
-    def test_classes_lists_all_five(self):
-        assert set(GENERALIZATION_TREE.classes()) == set(CharClass)

@@ -1,10 +1,11 @@
-"""Tests for pattern containment ``P ⊆ P'``."""
+"""Tests for the pattern-containment reference ``P ⊆ P'``."""
 
 import string
 
 import pytest
 
-from repro.patterns import parse_pattern, pattern_contains
+from containment_reference import pattern_contains
+from repro.patterns import parse_pattern
 
 
 def contains(inner_text: str, outer_text: str) -> bool:

@@ -17,11 +17,8 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.patterns import (
-    Pattern,
-    parse_pattern,
-    pattern_contains,
-)
+from containment_reference import pattern_contains
+from repro.patterns import Pattern, parse_pattern
 from repro.patterns.generalize import generalize_string, generalize_strings, signature_of
 from repro.patterns.tokenizer import tokenize
 

@@ -2,11 +2,14 @@
 
 The load-bearing property is *protocol parity*: a :class:`ShardOverlay`
 over a sharded base must behave exactly like the monolithic
-:class:`Table` it replaces — same reads, same mutation semantics, same
-error messages — while the base store is never written.  The one
+:class:`Table` it replaces — same reads, same cell writes, same error
+messages — while the base store is never written and a row id means the
+same row in the overlay, in every seal and in the base.  The one
 difference: the overlay never reads the cell a write replaces, so it
 counts a write of the value the cell already holds as a mutation too.
 """
+
+import random
 
 import gc
 import weakref
@@ -16,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataset import Table
 from repro.errors import TableError
-from repro.sharding import InMemoryShardStore, ShardedTable, ShardOverlay
+from repro.sharding import InMemoryShardStore, ShardedTable, ShardOverlay, make_shard_store
 from repro.sharding.overlay import OverlayShardStore
 from sharded_values import column_of, rows_of
 
@@ -75,35 +78,23 @@ class TestMutationParity:
         table, overlay = pair
         for target in (table, overlay):
             target.set_cell(0, "label", "edited")
-            target.set_cell(7, "code", "999")
-            target.append_row(["200", "tail"])
-            target.delete_row(2)
-            target.set_cell(2, "label", "post-shift")  # old row 3
-            target.delete_row(target.n_rows - 1)  # the appended tail row
-            target.append_row({"code": "201"})  # mapping: label defaults ""
+            target.set_cell(7, "code", 999)  # stringified like a Table cell
+            target.set_cell(2, "label", "")
+            target.set_cell(9, "code", None)  # the last, one-row shard
+            target.set_cell(3, "label", "shard-1")
         assert_same_state(table, overlay)
-        assert overlay.version == 7
+        assert overlay.version == 5
 
-    def test_delete_shifts_rows_down(self, pair):
+    def test_the_last_write_of_a_cell_wins(self, pair):
         table, overlay = pair
         for target in (table, overlay):
-            assert target.row(4) == ("104", "v4")
-            assert target.delete_row(4) is None
-            assert target.row(4) == ("105", "v5")
+            for value in ("a", "b", "c"):
+                target.set_cell(4, "label", value)
+            for row in (3, 4, 5):  # every row of base shard 1
+                target.set_cell(row, "code", f"c{row}")
         assert_same_state(table, overlay)
-        # consecutive tombstones exercise the fixpoint row mapping
-        for target in (table, overlay):
-            target.delete_row(4)  # old row 5
-            target.delete_row(4)  # old row 6
-        assert_same_state(table, overlay)
-        assert overlay.row(4) == ("107", "v7")
-
-    def test_edit_then_delete_same_region(self, pair):
-        table, overlay = pair
-        for target in (table, overlay):
-            target.set_cell(5, "label", "X")
-            target.delete_row(5)
-        assert_same_state(table, overlay)
+        assert overlay.row(4) == ("c4", "c")
+        assert overlay.version == 6
 
     def test_same_value_set_cell_is_recorded(self, pair):
         # the overlay does not read the cell it replaces, so a write of
@@ -118,11 +109,10 @@ class TestMutationParity:
     def test_mutation_error_parity(self, pair):
         table, overlay = pair
         cases = [
-            lambda t: t.append_row("oops"),
-            lambda t: t.append_row(["only-one"]),
-            lambda t: t.append_row({"code": "1", "bogus": "2"}),
             lambda t: t.set_cell(99, "code", "x"),
-            lambda t: t.delete_row(-1),
+            lambda t: t.set_cell(-1, "code", "x"),
+            lambda t: t.set_cell(10, "label", "x"),
+            lambda t: t.cell(10, "code"),
         ]
         for case in cases:
             with pytest.raises(TableError) as table_err:
@@ -132,8 +122,8 @@ class TestMutationParity:
             assert str(overlay_err.value) == str(table_err.value)
 
     def test_mutations_read_no_base_shard(self, monkeypatch):
-        # the overlay records writes and tombstones without reading the
-        # cells they replace or remove
+        # the overlay records writes without reading the cells they
+        # replace
         _table, sharded = make_base()
         overlay = ShardOverlay(sharded)
         reads = []
@@ -142,12 +132,11 @@ class TestMutationParity:
             InMemoryShardStore, "get", lambda self, i: reads.append(i) or real_get(self, i)
         )
         overlay.set_cell(4, "label", "x")
-        overlay.delete_row(7)
-        overlay.delete_row(0)
-        overlay.append_row(["300", "new"])
-        overlay.delete_row(overlay.n_rows - 1)
+        overlay.set_cell(7, "code", "y")
+        overlay.set_cell(0, "code", "z")
+        overlay.set_cell(9, "label", "w")
         assert reads == []
-        assert overlay.n_rows == 8
+        assert overlay.n_rows == 10
 
     def test_base_store_never_written(self, pair):
         table, overlay = pair
@@ -155,8 +144,7 @@ class TestMutationParity:
         before = [list(store.get(i).iter_rows()) for i in range(store.n_shards)]
         overlay.set_cell(0, "code", "changed")
         overlay.set_cell(4, "label", "changed")
-        overlay.delete_row(1)
-        overlay.append_row(["300", "new"])
+        overlay.set_cell(9, "code", "changed")
         assert [list(store.get(i).iter_rows()) for i in range(store.n_shards)] == before
 
 
@@ -190,27 +178,16 @@ class TestAsSharded:
         table, overlay = pair
         for target in (table, overlay):
             target.set_cell(1, "code", "111")
-            target.delete_row(6)
-            target.append_row(["400", "tail-a"])
-            target.append_row(["401", "tail-b"])
+            target.set_cell(6, "label", "six")
+            target.set_cell(9, "code", "400")
         sealed = overlay.as_sharded()
         assert sealed.n_rows == table.n_rows
         assert rows_of(sealed) == list(table.iter_rows())
         for name in table.column_names():
             assert column_of(sealed, name) == table.column(name)
-        # tail rows land in one extra shard
-        assert sealed.n_shards == overlay.base.n_shards + 1
-        assert sealed.store.shard_row_counts()[-1] == 2
-
-    def test_fully_deleted_shard_stays_as_zero_row_shard(self):
-        _table, sharded = make_base(n_rows=6, shard_rows=2)
-        overlay = ShardOverlay(sharded)
-        overlay.delete_row(2)
-        overlay.delete_row(2)  # wipes base shard 1 entirely
-        sealed = overlay.as_sharded()
-        assert sealed.n_shards == 3  # alignment with the base kept
-        assert sealed.store.shard_row_counts() == [2, 0, 2]
-        assert column_of(sealed, "code") == ["100", "101", "104", "105"]
+        # the seal keeps the base's layout: the same shards, row for row
+        assert sealed.n_shards == overlay.base.n_shards
+        assert sealed.store.shard_row_counts() == [3, 3, 3, 1]
 
     def test_seal_patches_only_its_edited_shards(self, pair, patched_shards):
         table, overlay = pair
@@ -260,7 +237,7 @@ class TestAsSharded:
         assert overlay.as_sharded().profile() == profile_table(table)
         for target in (table, overlay):
             target.set_cell(0, "code", "999")
-            target.append_row(["400", "tail"])
+            target.set_cell(9, "label", "")
         assert overlay.as_sharded().profile() == profile_table(table)
 
     def test_close_releases_the_base_store(self):
@@ -293,7 +270,7 @@ class TestAsSharded:
         overlay = ShardOverlay(ShardedTable.from_table(table, 40, store=store))
         try:
             for shard in range(10):
-                overlay.delete_row(shard * 39)  # one delete in every shard
+                overlay.set_cell(shard * 40 + 7, "label", "x")  # one edit in every shard
             sealed = overlay.as_sharded()
             returned = []
             get = sealed.store.get
@@ -352,33 +329,19 @@ def assert_encodings_equal(left, right):
 
 
 class TestEditedCells:
-    def test_cells_address_seal_rows_around_tombstones(self):
+    def test_cells_address_base_rows(self):
         table, sharded = make_base(n_rows=10, shard_rows=4)
         overlay = ShardOverlay(sharded)
         for target in (table, overlay):
-            target.delete_row(1)  # base shard 0 keeps rows 0, 2, 3
-            target.set_cell(2, "label", "e2")  # base row 3
-            target.set_cell(5, "code", "e5")  # base row 6, shard 1
-            target.append_row(["900", "tail"])
-            target.set_cell(9, "label", "t9")  # the tail row
+            target.set_cell(2, "label", "e2")  # shard 0
+            target.set_cell(5, "code", "e5")  # shard 1, local row 1
+            target.set_cell(9, "label", "e9")  # the last shard
+            target.set_cell(9, "label", "t9")  # rewritten: listed once
         sealed = overlay.as_sharded()
         cells = sorted(sealed.store.edited_cells())
-        assert cells == [
-            (2, "label", "e2"),
-            (5, "code", "e5"),
-            (9, "code", "900"),
-            (9, "label", "t9"),
-        ]
+        assert cells == [(2, "label", "e2"), (5, "code", "e5"), (9, "label", "t9")]
         for row, name, value in cells:
             assert table.cell(row, name) == value
-
-    def test_edits_on_deleted_rows_are_not_cells(self):
-        _table, sharded = make_base(n_rows=6, shard_rows=3)
-        overlay = ShardOverlay(sharded)
-        overlay.set_cell(4, "label", "gone")
-        overlay.delete_row(4)
-        overlay.set_cell(4, "label", "kept")  # base row 5 now
-        assert list(overlay.as_sharded().store.edited_cells()) == [(4, "label", "kept")]
 
     def test_extends_the_base_and_earlier_seals_of_an_edit_batch(self):
         _table, sharded = make_base()
@@ -392,27 +355,11 @@ class TestEditedCells:
         # the earlier seal lacks the later edit
         assert not first.extends(second)
 
-    def test_structural_changes_do_not_extend(self):
-        _table, sharded = make_base()
-        overlay = ShardOverlay(sharded)
-        overlay.set_cell(0, "code", "A")
-        before = overlay.as_sharded().store
-        overlay.delete_row(4)
-        deleted = overlay.as_sharded().store
-        assert not deleted.extends(before)
-        assert not deleted.extends(sharded.store)
-        overlay.append_row(["900", "tail"])
-        appended = overlay.as_sharded().store
-        assert not appended.extends(deleted)
-        # same tombstones, same tail length: cell edits extend again
-        overlay.set_cell(8, "label", "C")
-        assert overlay.as_sharded().store.extends(appended)
-
     def test_another_overlay_of_the_same_base_is_not_extended(self):
         _table, sharded = make_base()
         one, other = ShardOverlay(sharded), ShardOverlay(sharded)
-        one.delete_row(1)
-        other.delete_row(2)  # same shard, same count, other row
+        one.set_cell(1, "code", "A")
+        other.set_cell(2, "code", "A")  # same shard, another cell
         assert not one.as_sharded().store.extends(other.as_sharded().store)
         other_base = make_base()[1]
         edited = ShardOverlay(other_base)
@@ -424,7 +371,6 @@ class TestEditedCells:
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["set", "set", "set", "delete", "append"]),
             st.integers(0, 1000),
             st.sampled_from(["code", "label"]),
             st.sampled_from(["100", "v1", "x", "", "v7"]),
@@ -440,27 +386,50 @@ class TestEditedCells:
         max_size=8,
     ),
 )
-def test_property_cells_patch_an_earlier_seal_into_the_next(structural, edits):
-    """Any mutations, a seal, then cell edits only: the later seal
-    extends the earlier one, and writing its edited cells into the
-    earlier seal's encodings gives the later seal's encodings."""
+def test_property_cells_patch_an_earlier_seal_into_the_next(earlier, edits):
+    """Cell edits, a seal, then more cell edits: the later seal extends
+    the earlier one, and writing its edited cells into the earlier
+    seal's encodings gives the later seal's encodings."""
     table, sharded = make_base(n_rows=10, shard_rows=3)
     overlay = ShardOverlay(sharded)
-    for op, row, name, value in structural:
+    for row, name, value in earlier:
         for target in (table, overlay):
-            if op == "append":
-                target.append_row([value, value])
-            elif target.n_rows and op == "delete":
-                target.delete_row(row % target.n_rows)
-            elif target.n_rows:
-                target.set_cell(row % target.n_rows, name, value)
+            target.set_cell(row % target.n_rows, name, value)
     first = overlay.as_sharded()
+    assert rows_of(first) == list(table.iter_rows())
     for row, name, value in edits:
-        if overlay.n_rows:
-            overlay.set_cell(row % overlay.n_rows, name, value)
+        overlay.set_cell(row % overlay.n_rows, name, value)
     second = overlay.as_sharded()
     if second is first:
         return
     assert second.store.extends(first.store)
     patched = patch_encodings(fresh_encodings(first), second.store.edited_cells())
     assert_encodings_equal(patched, fresh_encodings(second))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["memory", "spill", "object"])
+def test_a_seal_keeps_the_base_layout_on_every_store(kind, seed, tmp_path):
+    """After random cell edits, on every store: the seal's shards have
+    the base's row counts, and every edited cell addresses the overlay
+    row that holds it."""
+    table, _sharded = make_base(n_rows=23, shard_rows=5)
+    directory = None if kind == "memory" else tmp_path / kind
+    base = ShardedTable.from_table(table, 5, store=make_shard_store(kind, directory))
+    overlay = ShardOverlay(base)
+    rng = random.Random(seed)
+    try:
+        for _ in range(12):
+            row = rng.randrange(overlay.n_rows)
+            name = rng.choice(overlay.column_names())
+            overlay.set_cell(row, name, rng.choice(["100", "v1", f"new{seed}", ""]))
+            table.set_cell(row, name, overlay.cell(row, name))
+        seal = overlay.as_sharded()
+        assert seal.store.shard_row_counts() == base.shard_row_counts() == [5, 5, 5, 5, 3]
+        cells = list(seal.store.edited_cells())
+        assert cells
+        for row, name, value in cells:
+            assert overlay.cell(row, name) == value
+        assert rows_of(seal) == list(table.iter_rows())
+    finally:
+        overlay.close()

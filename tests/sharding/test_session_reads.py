@@ -28,6 +28,7 @@ from repro.dataset.profiling import profile_table
 from repro.discovery.config import DiscoveryConfig
 from repro.detection import IncrementalDetector
 from repro.discovery.discoverer import PfdDiscoverer
+from repro.discovery.maintenance import RuleMaintainer
 from repro.sharding import LocalObjectClient, ShardedTable, SpillToDiskShardStore
 from repro.sharding import detection as detection_module
 from repro.sharding import sharded_table as sharded_table_module
@@ -129,7 +130,7 @@ def test_discovery_without_profiling_profiles_once(spill_session, decoded, shard
     assert decoded == [f"spill file shard_{index:06d}.shard" for index in range(10)]
 
 
-def test_recheck_after_edits_reprofiles_the_edited_data(spill_session):
+def test_recheck_after_edits_reprofiles_the_edited_data(spill_session, monkeypatch):
     session = spill_session
     session.run_profiling()
     session.run_discovery()
@@ -139,10 +140,18 @@ def test_recheck_after_edits_reprofiles_the_edited_data(spill_session):
     # rewrite a whole column: its profile (and the rules over it) must change
     for row in range(session.table.n_rows):
         session.edit_cell(row, "state", "ZZ")
-    session.table.append_row(["99999", "Nowhere", "ZZ"])
+    # a failed re-check drops the rule maintainer: the next one re-discovers
+    # in full, profiling the seal's patched shards
+    def failing(self, view, relation=None):
+        raise RuntimeError("injected maintenance failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RuleMaintainer, "maintain", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            session.recheck()
     result = session.recheck()
     assert session.last_plan.rule_maintenance == "full"
-    assert any("falling back" in d for d in session.last_plan.decisions)
+    assert any("no maintainable rule baseline" in d for d in session.last_plan.decisions)
 
     edited = session.table.materialize()
     assert result.profile == profile_table(edited)
@@ -231,10 +240,10 @@ def test_edit_loop_attach_reads_nothing(spill_session, overlay_reads):
 
 @pytest.mark.parametrize("kind", ["spill", "object"])
 def test_edits_read_no_shard(tmp_path, small_zip_city_state, decoded, monkeypatch, kind):
-    # edits and deletes in shards no op has left resident: the overlay
-    # records each write without reading the cell it replaces and each
-    # delete as a tombstone, and the detector takes the old values from
-    # its own codes
+    # edits in shards no op has left resident, through the session and
+    # through its detector: the overlay records each write without
+    # reading the cell it replaces, and the detector takes the old
+    # values from its own codes
     path = tmp_path / "zips.csv"
     write_csv(small_zip_city_state.table, path)
     session = AnmatSession(
@@ -258,8 +267,8 @@ def test_edits_read_no_shard(tmp_path, small_zip_city_state, decoded, monkeypatc
         base = session.table.base
         resident = set(base.store._loaded)
         cold = [i for i in range(base.n_shards) if i not in resident]
-        shards, deleted_in = cold[::3][:3], cold[1::3][:2]
-        assert len(shards) == 3 and len(deleted_in) == 2
+        shards, direct = cold[::3][:3], cold[1::3][:2]
+        assert len(shards) == 3 and len(direct) == 2
         decoded.clear()
         gets.clear()
         for index in shards:
@@ -269,11 +278,10 @@ def test_edits_read_no_shard(tmp_path, small_zip_city_state, decoded, monkeypatc
             session.edit_cell(offset + 3, "zip", "00000")
         assert decoded == []
         assert gets == []
-        # the last shard first, so the earlier offsets still hold
         detector = session._incremental
-        for index in sorted(deleted_in, reverse=True):
-            detector.delete_row(base.offset_of(index) + 5)
-            detector.delete_row(base.offset_of(index) + 1)
+        for index in direct:
+            detector.set_cell(base.offset_of(index) + 5, "city", "Elsewhere")
+            detector.set_cell(base.offset_of(index) + 1, "zip", "99999")
         assert decoded == []
         assert gets == []
         expected = detection_reference.detect(session.table.materialize(), 

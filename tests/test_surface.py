@@ -3,18 +3,21 @@
 The gate parses every module of ``src/`` with :mod:`ast` and lists its
 functions, methods and classes (module and class level; nested helpers are
 local and skipped, as are dunder methods, which the language calls).  A
-definition fails when its name occurs as a word nowhere in ``src/``,
-``bench/``, ``benchmarks/``, ``examples/`` or ``tools/`` outside its own
-definition, the import statements and the ``__all__`` lists.  An aliased
-import (``stage_or_null as _stage``) counts as an occurrence of the imported
-name, and a string naming a tracer target in ``bench/trace.py`` counts too.
-A definition that stays on purpose although nothing in those trees names it
-goes on :data:`ALLOWLIST`, with the reason it stays.
+definition fails when its name is read nowhere in ``src/``, ``bench/``,
+``benchmarks/``, ``examples/`` or ``tools/`` outside its own definition.
+The names read are collected from each module's syntax tree: every
+``Name``, every ``Attribute``, every keyword argument, the imported name of
+an aliased import (``stage_or_null as _stage``), and every string constant
+that spells an identifier or a dotted path (``getattr`` targets, the tracer
+targets of ``bench/trace.py``) other than a docstring, a bare string
+statement or an ``__all__`` entry.  Comments, docstrings and plain imports
+name nothing.  A definition that stays on purpose although nothing in those
+trees names it goes on :data:`ALLOWLIST`, with the reason it stays.
 
-Blind spot: the gate matches words, not bindings.  A method that shares its
-name with a used one (one ``report`` is called, so every ``report`` passes),
-or whose name a comment or docstring elsewhere mentions, passes even when
-nothing calls it.
+Blind spot: the gate matches names, not bindings.  A method that shares its
+name with a used attribute or variable anywhere in the scanned trees (one
+``report`` is called, so every ``report`` passes) passes even when nothing
+calls it.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ import re
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "bench", "benchmarks", "examples", "tools")
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 #: Qualified name -> why it stays although nothing in the scanned trees names it.
 ALLOWLIST = {
@@ -40,29 +45,54 @@ ALLOWLIST = {
     "Project.load_dataset": "the demo's reload step reads back the table a session saved",
     "Project.load_pfds": "the demo's reload step reads back the PFDs a session saved",
     "Project.load_results": "the demo's reload step reads back the results a session saved",
+    "caches_disabled": "test hook: the cached-vs-uncached equivalence tests run the slow path with it",
+    "ObjectHTTPServer.fail_next_with": "test hook: the remote tests force HTTP failures on the dev server",
+    "PrefetchingFetcher.closed": "test hook: the prefetch tests check that closing a store closes its fetcher",
 }
 
 
-def _scan(path: Path, occurrences: dict[str, set[tuple[Path, int]]]) -> ast.Module:
-    """Add every word of ``path`` outside imports and ``__all__`` to ``occurrences``."""
-    text = path.read_text(encoding="utf-8")
-    tree = ast.parse(text, filename=str(path))
+def _skipped_strings(tree: ast.Module) -> set[int]:
+    """The ids of the string constants that name nothing: docstrings and
+    other bare string statements, and the entries of ``__all__``."""
     skipped: set[int] = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            skipped.update(range(node.lineno, node.end_lineno + 1))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skipped.add(id(node.value))
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                skipped.update(id(child) for child in ast.walk(node.value))
+    return skipped
+
+
+def _scan(path: Path, occurrences: dict[str, set[tuple[Path, int]]]) -> ast.Module:
+    """Add every name ``path`` reads to ``occurrences``, with its line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    skipped = _skipped_strings(tree)
+
+    def add(name: str, line: int) -> None:
+        occurrences.setdefault(name, set()).add((path, line))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            add(node.id, node.lineno)
+        elif isinstance(node, ast.Attribute):
+            add(node.attr, node.lineno)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            add(node.arg, node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.name.rpartition(".")[2]
                 if alias.asname and alias.asname != name:
-                    occurrences.setdefault(name, set()).add((path, node.lineno))
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+                    add(name, node.lineno)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in skipped
+            and _DOTTED.fullmatch(node.value)
         ):
-            skipped.update(range(node.lineno, node.end_lineno + 1))
-    for number, line in enumerate(text.splitlines(), 1):
-        if number not in skipped:
-            for word in _WORD.findall(line):
-                occurrences.setdefault(word, set()).add((path, number))
+            for name in node.value.split("."):
+                add(name, node.lineno)
     return tree
 
 
@@ -113,3 +143,32 @@ def test_every_src_definition_is_reached_outside_tests():
 def test_every_allowlist_entry_is_still_needed():
     stale = sorted(set(ALLOWLIST) - set(unreached_definitions()))
     assert not stale, f"ALLOWLIST entries that are gone or now named elsewhere: {stale}"
+
+
+@pytest.mark.parametrize(
+    "source,reads",
+    [
+        ("value = target", True),
+        ("obj.target()", True),
+        ("call(target=1)", True),
+        ("from module import target as other", True),
+        ("TARGETS = ['repro.module.Class.target']", True),
+        ("getattr(obj, 'target')", True),
+        ("from module import target", False),
+        ('"""Calls target."""', False),
+        ("# target", False),
+        ("raise ValueError('target is gone')", False),
+        ("__all__ = ['target']", False),
+    ],
+    ids=[
+        "name", "attribute", "keyword", "aliased-import", "dotted-string",
+        "getattr-string", "plain-import", "docstring", "comment", "message",
+        "all-entry",
+    ],
+)
+def test_the_scan_reads_names_not_words(tmp_path, source, reads):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n", encoding="utf-8")
+    occurrences: dict[str, set[tuple[Path, int]]] = {}
+    _scan(path, occurrences)
+    assert ("target" in occurrences) is reads

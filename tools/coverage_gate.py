@@ -56,7 +56,7 @@ FLOORS: Dict[str, float] = {
 #: sharded engines
 FILE_FLOORS: Dict[str, float] = {
     "src/repro/anmat/session.py": 0.90,
-    "src/repro/sharding/overlay.py": 0.85,
+    "src/repro/sharding/overlay.py": 0.95,
     "src/repro/sharding/codec.py": 0.85,
     "src/repro/sharding/object_store.py": 0.85,
     "src/repro/sharding/remote.py": 0.85,
