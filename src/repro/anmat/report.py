@@ -8,10 +8,10 @@ the reproduction's output.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.dataset.profiling import TableProfile
-from repro.detection.violation import Violation, ViolationReport
+from repro.detection.violation import ViolationReport
 from repro.discovery.discoverer import DiscoveryResult
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import Wildcard, cell_to_text

@@ -13,7 +13,7 @@ the RHS value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.dataset.table import Table
 

@@ -7,7 +7,7 @@ benchmark can evaluate all approaches with the same metric code.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.baselines.cfd_discovery import CFD
 from repro.dataset.table import Table

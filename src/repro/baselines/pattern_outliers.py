@@ -13,11 +13,13 @@ what the comparison experiment demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.dataset.table import Table
 from repro.detection.violation import Violation, ViolationKind, ViolationReport
-from repro.patterns.generalize import generalize_string
+from repro.kernels.encoder import encode_column
+from repro.kernels.runtime import np
+from repro.patterns.generalize import shape_patterns
 
 
 @dataclass
@@ -47,22 +49,21 @@ class PatternOutlierDetector:
 
     def _detect_column(self, table: Table, name: str, report: ViolationReport) -> None:
         values = table.column_ref(name)
-        non_empty_rows = [row for row, value in enumerate(values) if value != ""]
-        if len(non_empty_rows) < self.config.min_column_size:
+        encoding = encode_column(values)
+        rows = np.flatnonzero(encoding.lengths()[encoding.codes] > 0)
+        total = len(rows)
+        if total < self.config.min_column_size:
             return
-        pattern_counts: Dict[str, int] = {}
-        row_patterns: Dict[int, str] = {}
-        for row in non_empty_rows:
-            pattern = generalize_string(values[row], level=self.config.level).to_text()
-            row_patterns[row] = pattern
-            pattern_counts[pattern] = pattern_counts.get(pattern, 0) + 1
-        total = len(non_empty_rows)
-        dominant = max(pattern_counts, key=lambda p: (pattern_counts[p], p))
-        for row in non_empty_rows:
-            pattern = row_patterns[row]
-            report.comparisons += 1
-            if pattern_counts[pattern] / total >= self.config.max_pattern_ratio:
-                continue
+        shapes, patterns = shape_patterns(encoding.shapes(), level=self.config.level)
+        texts = [pattern.to_text() for pattern in patterns]
+        row_shapes = shapes[encoding.codes[rows]]
+        shape_counts = np.bincount(row_shapes, minlength=len(texts))
+        dominant = max(
+            np.unique(row_shapes).tolist(), key=lambda s: (shape_counts[s], texts[s])
+        )
+        report.comparisons += total
+        rare = shape_counts[row_shapes] / total < self.config.max_pattern_ratio
+        for row in rows[rare].tolist():
             report.add(
                 Violation(
                     pfd_name=f"pattern-outlier[{name}]",
@@ -70,7 +71,7 @@ class PatternOutlierDetector:
                     rhs_attribute=name,
                     kind=ViolationKind.CONSTANT,
                     rule_index=0,
-                    rule_text=f"{name} ~ {dominant}",
+                    rule_text=f"{name} ~ {texts[dominant]}",
                     rows=(row,),
                     observed_value=values[row],
                     expected_value=None,

@@ -9,7 +9,7 @@ swapped, which is exactly the error family λ2/λ4 detect.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector, GeneratedDataset
 from repro.dataset.table import Table

@@ -17,14 +17,16 @@ and a re-check profiles a changed column from its patched encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Dict, List, Sequence
 
 from repro.dataset.inference import infer_column_type
 from repro.dataset.schema import DataType
 from repro.dataset.table import Table
-from repro.kernels.encoder import ColumnEncoding, encode_column
-from repro.patterns.generalize import PatternHistogram, generalize_string
-from repro.patterns.tokenizer import cached_tokenize
+from repro.kernels.encoder import ColumnEncoding, ShapeTable, encode_column
+from repro.kernels.runtime import np
+from repro.kernels.tokenize import split_words
+from repro.patterns.generalize import PatternHistogram, shape_patterns
 
 #: Whole-value and token patterns kept per column profile, most frequent first.
 _MAX_PATTERNS = 25
@@ -155,41 +157,29 @@ def profile_encoding(name: str, encoding: ColumnEncoding) -> ColumnProfile:
     Everything a profile reports is a function of the first-seen-ordered
     distinct values and their counts, which is exactly what an encoding
     holds (``distinct`` plus ``counts()``), so no row is visited: all
-    per-value work (tokenization, generalization) runs once per
-    distinct value, weighted by its count.
+    per-value work runs once per distinct value, weighted by its count.
+    Value patterns come from the encoding's shape table; token patterns
+    from one :func:`~repro.kernels.tokenize.split_words` pass (the
+    token mode's split, keys stripped as ``batch_tokenize`` strips them)
+    and one shape table over the distinct token keys.
     """
-    value_counts: Dict[str, int] = dict(
-        zip(encoding.distinct, encoding.counts().tolist())
-    )
+    counts = encoding.counts()
+    lengths = encoding.lengths()
+    filled = lengths > 0
     n_values = encoding.n_rows
-    n_empty = value_counts.pop("", 0)
-    n_non_empty = n_values - n_empty
+    n_non_empty = int(counts[filled].sum())
+    n_empty = n_values - n_non_empty
     if n_non_empty:
-        min_length = min(len(v) for v in value_counts)
-        max_length = max(len(v) for v in value_counts)
-        avg_length = (
-            sum(len(v) * count for v, count in value_counts.items()) / n_non_empty
-        )
+        min_length = int(lengths[filled].min())
+        max_length = int(lengths[filled].max())
+        avg_length = int(lengths[filled] @ counts[filled]) / n_non_empty
     else:
         min_length = max_length = 0
         avg_length = 0.0
+    weights = np.where(filled, counts, 0)
+    shapes = encoding.shapes()
 
-    tokens_by_value = {value: cached_tokenize(value) for value in value_counts}
-    avg_tokens = (
-        sum(len(tokens_by_value[v]) * count for v, count in value_counts.items())
-        / n_non_empty
-        if n_non_empty
-        else 0.0
-    )
-
-    histogram = PatternHistogram.from_counts(value_counts, level=1)
-    signature_histogram = PatternHistogram.from_counts(value_counts, level=2)
-    signature_entries = signature_histogram.entries()
-    dominant_signature_ratio = (
-        signature_entries[0].count / max(1, signature_histogram.total)
-        if signature_entries
-        else 0.0
-    )
+    histogram = PatternHistogram(shapes, weights, level=1)
     value_patterns = [
         PatternStat(
             pattern_text=entry.text,
@@ -200,34 +190,23 @@ def profile_encoding(name: str, encoding: ColumnEncoding) -> ColumnProfile:
         )
         for entry in histogram.entries()[:_MAX_PATTERNS]
     ]
+    # the share of the most common level-2 (class-run) shape
+    dominant_signature_ratio = (
+        int(np.bincount(shapes.signatures, weights=weights).max()) / n_non_empty
+        if n_non_empty
+        else 0.0
+    )
 
-    token_stats: Dict[tuple, int] = {}
-    token_examples: Dict[tuple, List[str]] = {}
-    for value, occurrences in value_counts.items():
-        for token in tokens_by_value[value]:
-            key = (generalize_string(token.normalized or token.text, level=1).to_text(), token.position)
-            token_stats[key] = token_stats.get(key, 0) + occurrences
-            examples = token_examples.setdefault(key, [])
-            if len(examples) < 3 and token.text not in examples:
-                examples.append(token.text)
-    token_patterns = [
-        PatternStat(
-            pattern_text=text,
-            position=position,
-            frequency=count,
-            ratio=count / max(1, n_non_empty),
-            examples=token_examples[(text, position)],
-        )
-        for (text, position), count in sorted(
-            token_stats.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:_MAX_PATTERNS]
-    ]
+    n_tokens, keys, texts = split_words(encoding.distinct)
+    n_tokens = np.array(n_tokens, dtype=np.int64)
+    avg_tokens = int(n_tokens @ counts) / n_non_empty if n_non_empty else 0.0
+    token_patterns = _token_patterns(n_tokens, keys, texts, counts, n_non_empty)
 
     return ColumnProfile(
         name=name,
-        dtype=infer_column_type(value_counts),
+        dtype=infer_column_type(encoding.distinct),
         n_values=n_values,
-        n_distinct=len(value_counts) + (1 if n_empty else 0),
+        n_distinct=encoding.n_distinct,
         n_empty=n_empty,
         min_length=min_length,
         max_length=max_length,
@@ -237,6 +216,50 @@ def profile_encoding(name: str, encoding: ColumnEncoding) -> ColumnProfile:
         token_patterns=token_patterns,
         dominant_signature_ratio=dominant_signature_ratio,
     )
+
+
+def _token_patterns(n_tokens, keys, texts, counts, n_non_empty: int) -> List[PatternStat]:
+    """The ``pattern::position`` statistics of a column's tokens (per
+    value its number of tokens, then every token's key and text): each
+    key's level-1 pattern at its position, weighted by the count of the
+    value carrying it, most frequent first.  The examples are a
+    statistic's first distinct token texts in value order."""
+    if not keys:
+        return []
+    # distinct keys and texts, numbered in order of first appearance
+    key_ids = dict(zip(dict.fromkeys(keys), count()))
+    text_ids = dict(zip(dict.fromkeys(texts), count()))
+    key_shapes, patterns = shape_patterns(ShapeTable(list(key_ids)), level=1)
+    shape = key_shapes[np.fromiter(map(key_ids.__getitem__, keys), np.int64, len(keys))]
+    starts = np.repeat(np.cumsum(n_tokens) - n_tokens, n_tokens)
+    position = np.arange(len(keys)) - starts
+    width = int(position.max()) + 1
+    stats, stat = np.unique(shape * width + position, return_inverse=True)
+    stat = stat.reshape(-1)
+    totals = np.bincount(stat, weights=np.repeat(counts, n_tokens), minlength=len(stats))
+    top = sorted(
+        (-int(total), patterns[key // width].to_text(), key % width, index)
+        for index, (key, total) in enumerate(zip(stats.tolist(), totals.tolist()))
+    )[:_MAX_PATTERNS]
+    # each statistic's distinct texts, in order of first appearance
+    text = np.fromiter(map(text_ids.__getitem__, texts), np.int64, len(texts))
+    pairs, first = np.unique(stat * len(text_ids) + text, return_index=True)
+    pairs = pairs[np.lexsort((first, pairs // len(text_ids)))]
+    bounds = np.searchsorted(pairs // len(text_ids), np.arange(len(stats) + 1))
+    distinct_texts = list(text_ids)
+    return [
+        PatternStat(
+            pattern_text=pattern_text,
+            position=at,
+            frequency=-negated,
+            ratio=-negated / max(1, n_non_empty),
+            examples=[
+                distinct_texts[pair % len(text_ids)]
+                for pair in pairs[bounds[index] : bounds[index + 1]][:3].tolist()
+            ],
+        )
+        for negated, pattern_text, at, index in top
+    ]
 
 
 def profile_column(name: str, values: Sequence[str]) -> ColumnProfile:

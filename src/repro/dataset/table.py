@@ -16,7 +16,7 @@ from typing import (
     Union,
 )
 
-from repro.dataset.schema import Attribute, DataType, Schema
+from repro.dataset.schema import Attribute, Schema
 from repro.errors import TableError
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.kernels.tokenize import _WORDS
 from repro.patterns.pattern import Pattern
-from repro.patterns.tokenizer import cached_tokenize
+from repro.patterns.tokenizer import _PUNCTUATION_STRIP
 
 
 @dataclass
@@ -62,18 +63,20 @@ def contains_token_pattern(
     has_suffix = False
     for value in covered_values:
         found = None
-        for tok in cached_tokenize(value):
-            if tok.position == position and (tok.normalized == token or tok.text == token):
-                found = tok
+        for index, word in enumerate(_WORDS.finditer(value)):
+            if index == position:
+                text = word.group()
+                if text.strip(_PUNCTUATION_STRIP) == token or text == token:
+                    found = word
                 break
         if found is None:
             return None
-        start = found.start
+        start = found.start()
         sep_start = start
         while sep_start > 0 and not value[sep_start - 1].isalnum():
             sep_start -= 1
         separators.add(value[sep_start:start])
-        if found.start + len(found.text) < len(value) or found.text != token:
+        if found.end() < len(value) or found.group() != token:
             has_suffix = True
     separator = separators.pop() if len(separators) == 1 else ""
     elements = Pattern([])

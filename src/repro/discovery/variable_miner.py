@@ -21,13 +21,15 @@ a constrained token, :func:`token_constraint_pattern`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Sequence
 
 from repro.constrained.constrained_pattern import (
     ConstrainedPattern,
     constrained_word_sequence,
 )
-from repro.patterns.generalize import generalize_strings
+from repro.kernels.encoder import ShapeTable
+from repro.patterns.generalize import generalize
 from repro.patterns.pattern import Pattern
 
 
@@ -59,9 +61,14 @@ def token_constraint_pattern(
     ``\\A*``.  The result depends on the set of word lists only, not on
     their order or repetitions.
     """
+    # one shape table over the distinct words up to the position
+    columns = [[words[word_index] for words in word_lists] for word_index in range(position + 1)]
+    words = list(dict.fromkeys(chain.from_iterable(columns)))
+    codes = {word: code for code, word in enumerate(words)}
+    shapes = ShapeTable(words)
     word_patterns: List[Pattern] = []
-    for word_index in range(position + 1):
-        generalized = generalize_strings([words[word_index] for words in word_lists])
+    for column in columns:
+        generalized = generalize(shapes, list({codes[word] for word in column}))
         if generalized is None:
             generalized = Pattern.parse("\\A+")
         word_patterns.append(generalized)

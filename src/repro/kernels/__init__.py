@@ -4,8 +4,9 @@ The kernels run the paper's per-row computations at the *distinct-value*
 level over contiguous numpy id arrays:
 
 * :mod:`repro.kernels.encoder` — factorize a column into int32 codes in
-  first-appearance order, plus lazy per-distinct lengths, char-class
-  signatures, and rows-by-code (one stable argsort);
+  first-appearance order, plus lazy per-distinct lengths and the shape
+  table (class runs, signature ids and char-class bitmasks, in numpy)
+  every generalization reads;
 * :mod:`repro.kernels.tokenize` — batch (key, position, text) triples
   per distinct value, rows inherit by id lookup;
 * :mod:`repro.kernels.match` — one-pass batch pattern matching with a

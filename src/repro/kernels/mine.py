@@ -40,8 +40,8 @@ from repro.discovery.variable_miner import VariableCandidate, token_constraint_p
 from repro.kernels.encoder import ColumnEncoding
 from repro.kernels.match import _VECTOR_THRESHOLD, batch_verdicts
 from repro.kernels.runtime import np
-from repro.kernels.tokenize import Triples, batch_tokenize, value_triples
-from repro.patterns.generalize import generalize_strings, generalize_with_literal_prefix
+from repro.kernels.tokenize import Triples, batch_tokenize, tokenize_values
+from repro.patterns.generalize import generalize
 from repro.patterns.pattern import Pattern
 from repro.patterns.tokenizer import _PUNCTUATION_STRIP
 from repro.perf.memo import MATCH_MEMO
@@ -140,24 +140,23 @@ class LhsState:
         #: entries verified since the last :meth:`MiningState.patch`
         self.n_verified = 0
         self._block_codes: Dict[int, object] = {}
-        tokens = [self._ids(triples) for triples in batch_tokenize(encoding, mode)]
-        self.value_starts = _starts(np.fromiter(map(len, tokens), np.int64, len(tokens)))
-        self.value_entries = np.fromiter(
-            chain.from_iterable(tokens), np.int32, int(self.value_starts[-1])
-        )
+        self._leading = None
+        sizes, self.value_entries = self._entries(batch_tokenize(encoding, mode))
+        self.value_starts = _starts(sizes)
         self._index()
 
-    def _ids(self, triples: Triples) -> List[int]:
-        """The entry ids of one value's triples."""
+    def _entries(self, per_value: List[Triples]):
+        """Each value's number of triples (int64) and the entry ids of all
+        its triples (int32, flat in value then triple order); a key not
+        seen before gets the next id, in order of first appearance."""
+        keys = [(key, position) for key, position, _text in chain.from_iterable(per_value)]
         ids = self._entry_ids
-        found = []
-        for key, position, _text in triples:
-            entry = ids.get((key, position))
-            if entry is None:
-                entry = ids[(key, position)] = len(self._entry_keys)
-                self._entry_keys.append((key, position))
-            found.append(entry)
-        return found
+        for key in dict.fromkeys(keys):
+            if key not in ids:
+                ids[key] = len(self._entry_keys)
+                self._entry_keys.append(key)
+        sizes = np.fromiter(map(len, per_value), np.int64, len(per_value))
+        return sizes, np.fromiter(map(ids.__getitem__, keys), np.int32, len(keys))
 
     def _index(self) -> None:
         # Entries in order of their first token in code order reproduce
@@ -186,12 +185,10 @@ class LhsState:
         stale = set(tokens[np.repeat(renumber < 0, sizes)].tolist())
         tail = patch.renumber[patch.old.n_distinct :]
         added_codes = tail[tail >= 0].tolist()
-        interned: Dict[str, str] = {}
-        added = [
-            self._ids(value_triples(patch.new.distinct[code], self.mode, interned))
-            for code in added_codes
-        ]
-        stale.update(chain.from_iterable(added))
+        added_sizes, added = self._entries(
+            tokenize_values([patch.new.distinct[code] for code in added_codes], self.mode)
+        )
+        stale.update(added.tolist())
         for entry in stale:
             self.verified.pop(self._entry_keys[entry], None)
         # each kept value takes its tokens along to its new code
@@ -200,21 +197,47 @@ class LhsState:
         new_sizes = np.zeros(patch.new.n_distinct, dtype=np.int64)
         kept = source >= 0
         new_sizes[kept] = sizes[source[kept]]
-        new_sizes[added_codes] = [len(ids) for ids in added]
+        new_sizes[added_codes] = added_sizes
         self.value_starts = new_starts = _starts(new_sizes)
         owner = np.repeat(np.arange(patch.new.n_distinct), new_sizes)
         moved = kept[owner]
         offset = np.arange(len(owner)) - new_starts[owner]
         self.value_entries = np.empty(len(owner), dtype=np.int32)
         self.value_entries[moved] = tokens[starts[source[owner[moved]]] + offset[moved]]
-        for code, ids in zip(added_codes, added):
-            self.value_entries[new_starts[code] : new_starts[code + 1]] = ids
+        added_starts = _starts(added_sizes).tolist()
+        for code, begin, end in zip(added_codes, added_starts, added_starts[1:]):
+            self.value_entries[new_starts[code] : new_starts[code + 1]] = added[begin:end]
         self.encoding = patch.new
         self._block_codes.clear()
+        self._leading = None
         self._index()
 
     def entry_codes(self, entry: int):
         return self.codes[self.starts[entry] : self.starts[entry + 1]]
+
+    def leading(self):
+        """bool array: per code, whether its value starts with its key at
+        position 0 (the first ``NGRAM_SIZE`` characters, a prefix, or the
+        first word's key when no leading space or punctuation was cut)."""
+        leading = self._leading
+        if leading is None:
+            if self.mode == "token":
+                keys = self._entry_keys
+                entries = self.value_entries.tolist()
+                starts = self.value_starts.tolist()
+                leading = np.fromiter(
+                    (
+                        starts[code] < starts[code + 1]
+                        and value.startswith(keys[entries[starts[code]]][0])
+                        for code, value in enumerate(self.encoding.distinct)
+                    ),
+                    dtype=bool,
+                    count=self.encoding.n_distinct,
+                )
+            else:
+                leading = np.ones(self.encoding.n_distinct, dtype=bool)
+            self._leading = leading
+        return leading
 
     def verdicts(self, entry: int) -> Verdicts:
         """The decision function's pattern synthesis and re-check for one
@@ -232,8 +255,8 @@ class LhsState:
         lhs = self.encoding
         codes = self.entry_codes(entry)
         values = [lhs.distinct[code] for code in codes.tolist()]
-        if position == 0 and all(v.startswith(token) for v in values):
-            pattern = generalize_with_literal_prefix(values, len(token))
+        if position == 0 and self.leading()[codes].all():
+            pattern = _literal_prefix_pattern(lhs, codes, token)
         else:
             pattern = contains_token_pattern(token, position, values)
         unmatched: FrozenSet[str] = frozenset()
@@ -250,30 +273,50 @@ class LhsState:
         found = self.verified[self.keys[entry]] = (pattern, unmatched)
         return found
 
-    def block_key(self, level: int, value: str) -> Optional[str]:
-        """The block of ``value`` at one variable level: its first
+    def block_keys(self, level: int) -> List[Optional[str]]:
+        """Per code, its value's block at one variable level: its first
         ``level`` characters (``prefix``/``ngram``) or its word at
         position ``level`` (``token``); ``None`` when it has none."""
+        distinct = self.encoding.distinct
         if self.mode in ("prefix", "ngram"):
-            return value[:level] if len(value) > level else None
-        words = value.split()
-        if len(words) <= level:
-            return None
-        return words[level].strip(_PUNCTUATION_STRIP) or words[level]
+            return [value[:level] if len(value) > level else None for value in distinct]
+        return [
+            (words[level].strip(_PUNCTUATION_STRIP) or words[level]) if len(words) > level else None
+            for words in map(str.split, distinct)
+        ]
 
     def block_codes(self, level: int):
         """int32 array: per code, its value's block at one variable level
         (blocks numbered in first-appearance order), ``-1`` for none."""
         codes = self._block_codes.get(level)
         if codes is None:
-            ids: Dict[str, int] = {}
-            keys = (self.block_key(level, value) for value in self.encoding.distinct)
-            codes = self._block_codes[level] = np.fromiter(
-                (-1 if key is None else ids.setdefault(key, len(ids)) for key in keys),
-                dtype=np.int32,
-                count=self.encoding.n_distinct,
-            )
+            keys = self.block_keys(level)
+            ids = {key: block for block, key in enumerate(dict.fromkeys(keys))}
+            codes = np.fromiter(map(ids.__getitem__, keys), dtype=np.int32, count=len(keys))
+            none = ids.get(None)
+            if none is not None:
+                missing = codes == none
+                codes[codes > none] -= 1
+                codes[missing] = -1
+            self._block_codes[level] = codes
         return codes
+
+
+def _literal_prefix_pattern(lhs: ColumnEncoding, codes, token: str) -> Optional[Pattern]:
+    """The ``token`` literal followed by the generalized rest of the
+    values of ``codes`` (all of which start with ``token``), e.g.
+    ``850\\D{7}``; ``None`` when only some values go on past the token
+    and the rest do not generalize."""
+    prefix = Pattern.literal(token)
+    goes_on = lhs.lengths()[codes] > len(token)
+    if not goes_on.any():
+        return prefix
+    suffix = generalize(lhs.shapes(), codes, start=len(token))
+    if suffix is None:
+        if not goes_on.all():
+            return None
+        suffix = Pattern.any_string()
+    return prefix.concat(suffix)
 
 
 class PairState:
@@ -743,14 +786,14 @@ def _level_pattern(entries: LhsState, level: int, present) -> Verdicts:
     (in code order), and for a constrained token the values it does not
     match (a prefix pattern matches its values by construction)."""
     lhs = entries.encoding
-    codes = np.flatnonzero(present & (entries.block_codes(level) >= 0)).tolist()
-    values = [lhs.distinct[code] for code in codes]
+    codes = np.flatnonzero(present & (entries.block_codes(level) >= 0))
     if entries.mode in ("prefix", "ngram"):
-        remainder = generalize_strings([value[level:] for value in values])
+        remainder = generalize(lhs.shapes(), codes, start=level)
         if remainder is None:
             remainder = Pattern.any_string()
-        head = generalize_strings([value[:level] for value in values])
+        head = generalize(lhs.shapes(), codes, stop=level)
         return constrained_prefix(level, remainder, head=head), frozenset()
+    values = [lhs.distinct[code] for code in codes.tolist()]
     words = [value.split() for value in values]
     pattern = token_constraint_pattern(words, level)
     matches = MATCH_MEMO.matcher(pattern)

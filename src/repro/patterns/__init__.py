@@ -14,8 +14,8 @@ Public surface:
 * :class:`CharClass` and :func:`classify_char` — the Figure 1 tree.
 * matching — ``Pattern.matches`` (NFA simulation) and
   :func:`compile_to_regex` (Python ``re`` backend).
-* :func:`generalize_string` / :func:`generalize_strings` /
-  :class:`PatternHistogram` — learning patterns from values.
+* :func:`generalize` / :class:`PatternHistogram` — learning patterns
+  from values, over a shape table of their class runs.
 * :func:`tokenize` — the ``Tokenize`` function of the discovery
   algorithm.
 """
@@ -25,12 +25,7 @@ from repro.patterns.syntax import Element, Literal, ClassAtom, Quantifier, ONE
 from repro.patterns.parser import parse_pattern
 from repro.patterns.pattern import Pattern
 from repro.patterns.regex import compile_to_regex
-from repro.patterns.generalize import (
-    PatternHistogram,
-    generalize_string,
-    generalize_strings,
-    signature_of,
-)
+from repro.patterns.generalize import PatternHistogram, generalize
 from repro.patterns.tokenizer import Token, tokenize
 
 __all__ = [
@@ -45,9 +40,7 @@ __all__ = [
     "Pattern",
     "compile_to_regex",
     "PatternHistogram",
-    "generalize_string",
-    "generalize_strings",
-    "signature_of",
+    "generalize",
     "Token",
     "tokenize",
 ]

@@ -51,6 +51,12 @@ class CharClass(enum.Enum):
         )
 
 
+#: The leaf classes in class-id order: a shape table
+#: (:class:`repro.kernels.encoder.ShapeTable`) stores ``LEAF_CLASSES[i]``
+#: as id ``i`` and its bitmask bit as ``1 << i``.
+LEAF_CLASSES = (CharClass.UPPER, CharClass.LOWER, CharClass.DIGIT, CharClass.SYMBOL)
+
+
 def _classify_char_slow(char: str) -> CharClass:
     if "A" <= char <= "Z":
         return CharClass.UPPER

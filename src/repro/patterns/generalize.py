@@ -4,137 +4,122 @@ The discovery algorithm never enumerates the full pattern space.  It
 works upward from concrete values using the generalization tree: each
 character is replaced by its class, consecutive equal classes collapse
 into quantified runs, and runs learned from several values merge their
-repetition counts.  This module provides those operations plus the
-per-column :class:`PatternHistogram` that backs the profiling view
-(Figure 3 of the paper).
+repetition counts.  The runs come from a shape table
+(:class:`repro.kernels.encoder.ShapeTable`, one per column encoding or
+list of distinct strings), so every operation here reads numpy arrays
+and builds one :class:`Pattern` per result, never one per value:
+
+* :func:`generalize` — the one generalizer: the least-general pattern
+  covering ``value[start:stop]`` over a set of codes;
+* :func:`shape_patterns` — every code's shape at one level of the
+  lattice, with one pattern per shape;
+* :class:`PatternHistogram` — the per-column shape counts behind the
+  profiling view (Figure 3 of the paper).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional
 
-from repro.patterns.alphabet import CharClass, classify_char
+from repro.kernels.runtime import np
+from repro.patterns.alphabet import LEAF_CLASSES
 from repro.patterns.pattern import Pattern
-from repro.patterns.syntax import ClassAtom, Element, Literal, ONE, Quantifier
+from repro.patterns.syntax import ClassAtom, Element, ONE, PLUS, Quantifier
+
+#: one atom per class id of a shape table
+_ATOMS = tuple(ClassAtom(char_class) for char_class in LEAF_CLASSES)
 
 
-@lru_cache(maxsize=131072)
-def _class_runs(value: str) -> Tuple[Tuple[CharClass, int], ...]:
-    """Collapse a string into runs of (character class, length).
+def _quantifier(low: int, high: int) -> Quantifier:
+    if low == high:
+        return ONE if low == 1 else Quantifier(low, low)
+    return Quantifier(low, high)
 
-    Memoized per distinct value: run decomposition is recomputed for
-    every value of every profiled column and every generalized group.
+
+def generalize(shapes, codes, start: int = 0, stop: Optional[int] = None) -> Optional[Pattern]:
+    """Least-general pattern (within the run lattice) covering
+    ``shapes.values[c][start:stop]`` for every code ``c`` in ``codes``.
+
+    The slices' runs are the values' runs cut at ``start`` and ``stop``
+    (a cut keeps a run's class; runs cut to nothing drop out).  When all
+    slices have the same run classes, each run becomes its class
+    quantified by the least and greatest length seen, e.g. ``90001``,
+    ``606`` → ``\\D{3,5}``; all-empty slices give the empty pattern.
+    ``None`` when ``codes`` is empty or the run classes differ.  The
+    result depends on the set of codes only.
     """
-    runs: List[Tuple[CharClass, int]] = []
-    for char in value:
-        char_class = classify_char(char)
-        if runs and runs[-1][0] is char_class:
-            runs[-1] = (char_class, runs[-1][1] + 1)
-        else:
-            runs.append((char_class, 1))
-    return tuple(runs)
+    codes = np.asarray(codes, dtype=np.int64)
+    if not len(codes):
+        return None
+    whole = start <= 0 and stop is None
+    if whole and (shapes.signatures[codes] != shapes.signatures[codes[0]]).any():
+        return None
+    offsets = shapes.offsets
+    first = offsets[codes]
+    sizes = offsets[codes + 1] - first
+    ends = np.cumsum(sizes)
+    runs = np.arange(int(ends[-1])) + np.repeat(first - (ends - sizes), sizes)
+    classes = shapes.run_classes[runs]
+    lengths = shapes.run_lengths[runs].astype(np.int64)
+    if not whole:
+        # each run's [begin, end) within its value, clipped to the slice
+        total = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=total[1:])
+        begin = total[:-1] - np.repeat(total[ends - sizes], sizes)
+        end = begin + lengths
+        if stop is not None:
+            np.minimum(end, stop, out=end)
+        lengths = end - np.maximum(begin, start)
+        kept = lengths > 0
+        classes, lengths = classes[kept], lengths[kept]
+        sizes = np.bincount(np.repeat(np.arange(len(codes)), sizes)[kept], minlength=len(codes))
+        if (sizes != sizes[0]).any():
+            return None
+    width = int(sizes[0])
+    if width == 0:
+        return Pattern([])
+    classes = classes.reshape(-1, width)
+    if not whole and (classes != classes[0]).any():
+        return None
+    lengths = lengths.reshape(-1, width)
+    return Pattern(
+        Element(_ATOMS[class_id], _quantifier(low, high))
+        for class_id, low, high in zip(
+            classes[0].tolist(), lengths.min(axis=0).tolist(), lengths.max(axis=0).tolist()
+        )
+    )
 
 
-@lru_cache(maxsize=131072)
-def signature_of(value: str) -> Tuple[CharClass, ...]:
-    """The sequence of character classes of a value's runs.
+def shape_pattern(shapes, code: int, level: int) -> Pattern:
+    """One code's pattern at a level of the generalization lattice:
 
-    Two values with the same signature generalize to the same run
-    structure; the signature is the grouping key used when merging values
-    into a single pattern.  Memoized per distinct value alongside
-    :func:`_class_runs`.
+    * 0 — the literal value itself (most specific);
+    * 1 — class runs with exact repetition counts, e.g. ``90001`` →
+      ``\\D{5}`` and ``John`` → ``\\LU\\LL{3}``;
+    * 2 — class runs with ``+`` quantifiers, e.g. ``\\LU\\LL+``;
+    * 3 — the most general pattern ``\\A*``.
     """
-    return tuple(char_class for char_class, _length in _class_runs(value))
-
-
-@lru_cache(maxsize=65536)
-def _generalize_string_cached(value: str, level: int) -> Pattern:
     if level <= 0:
-        return Pattern.literal(value)
+        return Pattern.literal(shapes.values[code])
     if level >= 3:
         return Pattern.any_string()
-    elements: List[Element] = []
-    for char_class, length in _class_runs(value):
-        if level == 1:
-            quantifier = ONE if length == 1 else Quantifier(length, length)
-        else:
-            quantifier = Quantifier(1, None) if length >= 1 else ONE
-        elements.append(Element(ClassAtom(char_class), quantifier))
-    return Pattern(elements)
+    runs = slice(shapes.offsets[code], shapes.offsets[code + 1])
+    return Pattern(
+        Element(_ATOMS[class_id], _quantifier(length, length) if level == 1 else PLUS)
+        for class_id, length in zip(
+            shapes.run_classes[runs].tolist(), shapes.run_lengths[runs].tolist()
+        )
+    )
 
 
-def generalize_string(value: str, level: int = 1) -> Pattern:
-    """Generalize one value to a pattern at the requested level.
-
-    Levels correspond to walking up the generalization lattice:
-
-    * 0 — the literal value itself (most specific).
-    * 1 — class runs with exact repetition counts, e.g. ``90001`` →
-      ``\\D{5}`` and ``John`` → ``\\LU\\LL{3}``.
-    * 2 — class runs with ``+`` quantifiers, e.g. ``\\LU\\LL+``.
-    * 3 — the most general pattern ``\\A*``.
-
-    Memoized per (value, level); patterns are immutable, so the shared
-    instances are safe to reuse anywhere.
-    """
-    return _generalize_string_cached(value, level)
-
-
-def generalize_strings(values: Sequence[str]) -> Optional[Pattern]:
-    """Least-general pattern (within the run lattice) covering all values.
-
-    Returns None when the values do not share a run signature — callers
-    then either split the values by signature or fall back to ``\\A*``.
-    Empty input also returns None.
-    """
-    values = [v for v in values]
-    if not values:
-        return None
-    signatures = {signature_of(v) for v in values}
-    if len(signatures) != 1:
-        return None
-    signature = next(iter(signatures))
-    per_run_lengths: List[List[int]] = [[] for _ in signature]
-    for value in values:
-        for i, (_cls, length) in enumerate(_class_runs(value)):
-            per_run_lengths[i].append(length)
-    elements: List[Element] = []
-    for char_class, lengths in zip(signature, per_run_lengths):
-        low, high = min(lengths), max(lengths)
-        if low == high:
-            quantifier = ONE if low == 1 else Quantifier(low, low)
-        else:
-            quantifier = Quantifier(low, high)
-        elements.append(Element(ClassAtom(char_class), quantifier))
-    return Pattern(elements)
-
-
-def generalize_with_literal_prefix(values: Sequence[str], prefix_length: int) -> Optional[Pattern]:
-    """Pattern keeping the first ``prefix_length`` characters literal.
-
-    All values must share that literal prefix; the suffixes are
-    generalized with :func:`generalize_strings`.  This is how constant
-    PFD tableau patterns such as ``850\\D{7}`` and ``6060\\D`` are formed:
-    a shared literal prefix followed by a generalized remainder.
-    """
-    if not values:
-        return None
-    prefix = values[0][:prefix_length]
-    if len(prefix) < prefix_length:
-        return None
-    if any(not v.startswith(prefix) for v in values):
-        return None
-    suffixes = [v[prefix_length:] for v in values]
-    if all(s == "" for s in suffixes):
-        return Pattern.literal(prefix)
-    suffix_pattern = generalize_strings(suffixes)
-    if suffix_pattern is None:
-        if any(s == "" for s in suffixes):
-            return None
-        suffix_pattern = Pattern.any_string()
-    return Pattern.literal(prefix).concat(suffix_pattern)
+def shape_patterns(shapes, level: int = 1):
+    """Every code's shape id at one level (see
+    :meth:`~repro.kernels.encoder.ShapeTable.shape_ids`) and the
+    pattern of each shape id (:func:`shape_pattern` of its first code)."""
+    ids = shapes.shape_ids(level)
+    _ids, first = np.unique(ids, return_index=True)
+    return ids, [shape_pattern(shapes, code, level) for code in first.tolist()]
 
 
 @dataclass
@@ -159,49 +144,34 @@ class PatternHistogram:
 
     This is the data behind the "Profiling and Listing the Patterns in
     the Data" screen (Figure 3): every value is generalized to its
-    level-1 pattern and the histogram counts how many values share each
-    pattern.
+    level-``level`` pattern and the histogram counts how many values
+    share each pattern.  ``counts[c]`` is the number of values equal to
+    ``shapes.values[c]``; codes with count 0 take no part.  The shapes
+    are counted with one ``np.unique`` over the codes' shape ids, and
+    each row's examples are its shape's first codes.
     """
 
-    def __init__(self, values: Iterable[str], level: int = 1):
-        # Generalize once per *distinct* value: duplicate values map to the
-        # same pattern, and real columns are dominated by repeats.  The
-        # first-seen iteration order of the per-value counter keeps the
-        # example lists identical to a plain one-pass scan.
-        by_value: Dict[str, int] = {}
-        total = 0
-        for value in values:
-            by_value[value] = by_value.get(value, 0) + 1
-            total += 1
-        self._init_from_counts(by_value, total, level)
-
-    @classmethod
-    def from_counts(cls, value_counts: Mapping[str, int], level: int = 1) -> "PatternHistogram":
-        """Build a histogram from pre-aggregated value → multiplicity counts.
-
-        With ``value_counts`` in first-seen order (a plain dict filled by
-        a forward scan — e.g. accumulated shard by shard), the result is
-        identical to profiling the expanded value stream: counts, entry
-        order, and example lists all match.
-        """
-        self = cls.__new__(cls)
-        self._init_from_counts(value_counts, sum(value_counts.values()), level)
-        return self
-
-    def _init_from_counts(self, by_value: Mapping[str, int], total: int, level: int) -> None:
-        counts: Dict[str, PatternCount] = {}
-        for value, occurrences in by_value.items():
-            pattern = generalize_string(value, level=level)
-            key = pattern.to_text()
-            entry = counts.get(key)
-            if entry is None:
-                counts[key] = PatternCount(pattern, occurrences, [value])
-            else:
-                entry.count += occurrences
-                if len(entry.examples) < _MAX_EXAMPLES and value not in entry.examples:
-                    entry.examples.append(value)
-        self._counts = counts
-        self._total = total
+    def __init__(self, shapes, counts, level: int = 1):
+        counts = np.asarray(counts, dtype=np.int64)
+        present = np.flatnonzero(counts > 0)
+        ids = shapes.shape_ids(level)[present]
+        unique, inverse = np.unique(ids, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        totals = np.bincount(inverse, weights=counts[present], minlength=len(unique))
+        # codes grouped by shape, each group in code order
+        order = present[np.argsort(inverse, kind="stable")]
+        bounds = np.searchsorted(np.sort(inverse), np.arange(len(unique) + 1))
+        self._entries = []
+        for total, begin, end in zip(totals.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            examples = order[begin:end][:_MAX_EXAMPLES].tolist()
+            self._entries.append(
+                PatternCount(
+                    shape_pattern(shapes, examples[0], level),
+                    int(total),
+                    [shapes.values[code] for code in examples],
+                )
+            )
+        self._total = int(counts[present].sum())
         self.level = level
 
     @property
@@ -210,8 +180,8 @@ class PatternHistogram:
         return self._total
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._entries)
 
     def entries(self) -> List[PatternCount]:
         """Histogram rows, most frequent first."""
-        return sorted(self._counts.values(), key=lambda e: (-e.count, e.text))
+        return sorted(self._entries, key=lambda e: (-e.count, e.text))

@@ -3,18 +3,20 @@
 
 Tokens are whitespace-delimited words; their *position* is the token
 index starting at 0, exactly as the demo GUI displays it
-("pattern::position, frequency").  Discovery decomposes a whole encoded
-column at once with :func:`repro.kernels.tokenize.batch_tokenize`, which
-also yields the paper's ``NGrams`` (character substrings keyed by their
-starting offset) and leading n-grams; ``tests/figure2_reference.py``
-spells the three modes out literally.
+("pattern::position, frequency").  :func:`tokenize` splits one value
+into :class:`Token` objects with their offsets.  Profiling and
+discovery never tokenize value by value: they decompose a whole encoded
+column at once with :func:`repro.kernels.tokenize.batch_tokenize` (the
+same split, keyed by ``normalized or text``), which also yields the
+paper's ``NGrams`` (character substrings keyed by their starting
+offset) and leading n-grams, and keeps no per-value memo;
+``tests/figure2_reference.py`` spells the three modes out literally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
 _PUNCTUATION_STRIP = ".,;:!?\"'()[]{}"
 
@@ -69,15 +71,3 @@ def tokenize(value: str) -> List[Token]:
         tokens.append(Token(text, position, start, _normalize(text)))
         position += 1
     return tokens
-
-
-@lru_cache(maxsize=131072)
-def cached_tokenize(value: str) -> Tuple[Token, ...]:
-    """Memoized :func:`tokenize` for hot loops.
-
-    Column values repeat heavily (within a column and across the many
-    candidate dependencies sharing an LHS column), so tokenization is
-    memoized per distinct value.  Returns an immutable tuple — callers
-    must not mutate it.
-    """
-    return tuple(tokenize(value))

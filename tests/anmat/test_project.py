@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.anmat.project import Project, ProjectStore
+from repro.anmat.project import ProjectStore
 from repro.errors import ProjectError
 from repro.pfd.pfd import PFD
 

@@ -18,7 +18,6 @@ def pytest_addoption(parser):
     )
 
 from repro.datagen import (
-    build_dataset,
     generate_fullname_gender,
     generate_phone_state,
     generate_zip_city_state,

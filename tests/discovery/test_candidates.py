@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.dataset.profiling import profile_table
 from repro.dataset.table import Table
 from repro.discovery.candidates import MAX_CANDIDATE_COLUMNS, candidate_dependencies

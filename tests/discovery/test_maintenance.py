@@ -647,8 +647,7 @@ def test_rhs_only_batch_reverifies_nothing(monkeypatch):
         one = later[0]
         other = next(row for row in later if states[row] != states[one])
         calls = []
-        for name in ("batch_tokenize", "generalize_with_literal_prefix",
-                     "contains_token_pattern", "generalize_strings",
+        for name in ("batch_tokenize", "generalize", "contains_token_pattern",
                      "token_constraint_pattern"):
             original = getattr(mine, name)
 

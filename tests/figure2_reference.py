@@ -18,13 +18,18 @@ Everything the loop decides is written out here, one row at a time:
 * the variable prefix and token families blocked with plain dicts.
 
 It uses no interning, ``MATCH_MEMO``, batch tokenizer or matcher, and no
-numpy.  Shared with ``src/``: the mining limits (``NGRAM_SIZE``,
+numpy.  Its patterns come from a per-value generalizer of its own
+(:func:`class_runs` per character, :func:`generalize_strings` and
+:func:`generalize_with_literal_prefix` over value lists), the literal
+form of the shape tables ``src/`` generalizes from
+(``repro.kernels.encoder.ShapeTable``, ``repro.patterns.generalize``).
+Shared with ``src/``: the mining limits (``NGRAM_SIZE``,
 ``MAX_TABLEAU_ROWS``, ``MAX_CONSTRAINED_TOKEN_POSITION``), candidate
 generation (``candidate_dependencies``, which caps the LHS columns at
 ``MAX_CANDIDATE_COLUMNS``), the PFD assembly (``assemble_pfds``) and
-the pattern synthesis — the ``generalize_*`` functions,
-``contains_token_pattern``, ``token_constraint_pattern`` and
-``constrained_prefix``, which ``tests/patterns`` and
+the pattern assembly — ``contains_token_pattern``,
+``constrained_word_sequence`` and ``constrained_prefix``, which
+``tests/patterns``, ``tests/constrained`` and
 ``tests/discovery/test_decision.py`` check on their own.
 
 Test modules import it as ``import figure2_reference`` (pytest puts this
@@ -37,20 +42,126 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.constrained.constrained_pattern import constrained_prefix
+from repro.constrained.constrained_pattern import constrained_prefix, constrained_word_sequence
 from repro.dataset.profiling import profile_table
 from repro.dataset.rowids import RowIds, row_ids
 from repro.discovery import DiscoveryConfig, PfdDiscoverer, candidate_dependencies
 from repro.discovery.decision import PatternTupleCandidate, contains_token_pattern
 from repro.discovery.discoverer import DependencyReport, DiscoveryResult
-from repro.discovery.variable_miner import VariableCandidate, token_constraint_pattern
+from repro.discovery.variable_miner import VariableCandidate
 from repro.kernels.mine import MAX_CONSTRAINED_TOKEN_POSITION, MAX_TABLEAU_ROWS
 from repro.kernels.tokenize import NGRAM_SIZE
-from repro.patterns.generalize import generalize_strings, generalize_with_literal_prefix
+from repro.kernels.encoder import CLASS_BITS
+from repro.patterns.alphabet import CharClass, classify_char
 from repro.patterns.pattern import Pattern
+from repro.patterns.syntax import ClassAtom, Element, ONE, Quantifier
 
 #: what a token key strips from both ends of a word
 PUNCTUATION = ".,;:!?\"'()[]{}"
+
+
+# -- the per-value generalizer ------------------------------------------------------
+
+
+def class_runs(value: str) -> Tuple[Tuple[CharClass, int], ...]:
+    """A string collapsed into runs of (character class, length)."""
+    runs: List[Tuple[CharClass, int]] = []
+    for char in value:
+        char_class = classify_char(char)
+        if runs and runs[-1][0] is char_class:
+            runs[-1] = (char_class, runs[-1][1] + 1)
+        else:
+            runs.append((char_class, 1))
+    return tuple(runs)
+
+
+def signature_of(value: str) -> Tuple[CharClass, ...]:
+    """The classes of a value's runs: values with one signature
+    generalize to the same run structure."""
+    return tuple(char_class for char_class, _length in class_runs(value))
+
+
+def signature_bits(value: str) -> int:
+    """The char-class bitmask of one value (0 for the empty string)."""
+    bits = 0
+    for char in set(value):
+        bits |= CLASS_BITS[classify_char(char)]
+    return bits
+
+
+def generalize_string(value: str, level: int = 1) -> Pattern:
+    """One value at a level of the lattice: 0 the literal, 1 class runs
+    with exact counts (``\\D{5}``), 2 class runs with ``+``, 3 ``\\A*``."""
+    if level <= 0:
+        return Pattern.literal(value)
+    if level >= 3:
+        return Pattern.any_string()
+    elements = []
+    for char_class, length in class_runs(value):
+        if level == 1:
+            quantifier = ONE if length == 1 else Quantifier(length, length)
+        else:
+            quantifier = Quantifier(1, None)
+        elements.append(Element(ClassAtom(char_class), quantifier))
+    return Pattern(elements)
+
+
+def generalize_strings(values: Sequence[str]) -> Optional[Pattern]:
+    """Least-general pattern (within the run lattice) covering all
+    values; ``None`` for no values or values of different signatures."""
+    if not values:
+        return None
+    signatures = {signature_of(v) for v in values}
+    if len(signatures) != 1:
+        return None
+    signature = next(iter(signatures))
+    per_run_lengths: List[List[int]] = [[] for _ in signature]
+    for value in values:
+        for i, (_cls, length) in enumerate(class_runs(value)):
+            per_run_lengths[i].append(length)
+    elements = []
+    for char_class, lengths in zip(signature, per_run_lengths):
+        low, high = min(lengths), max(lengths)
+        if low == high:
+            quantifier = ONE if low == 1 else Quantifier(low, low)
+        else:
+            quantifier = Quantifier(low, high)
+        elements.append(Element(ClassAtom(char_class), quantifier))
+    return Pattern(elements)
+
+
+def generalize_with_literal_prefix(values: Sequence[str], prefix_length: int) -> Optional[Pattern]:
+    """The first ``prefix_length`` characters, shared by all values,
+    kept literal and the suffixes generalized (``850\\D{7}``)."""
+    if not values:
+        return None
+    prefix = values[0][:prefix_length]
+    if len(prefix) < prefix_length:
+        return None
+    if any(not v.startswith(prefix) for v in values):
+        return None
+    suffixes = [v[prefix_length:] for v in values]
+    if all(s == "" for s in suffixes):
+        return Pattern.literal(prefix)
+    suffix_pattern = generalize_strings(suffixes)
+    if suffix_pattern is None:
+        if any(s == "" for s in suffixes):
+            return None
+        suffix_pattern = Pattern.any_string()
+    return Pattern.literal(prefix).concat(suffix_pattern)
+
+
+def token_constraint_pattern(word_lists: Sequence[Sequence[str]], position: int):
+    """The constrained word sequence of a token position: the words at
+    positions 0..position generalized (``\\A+`` where their shapes
+    differ), the rest collapsed into the trailing ``\\A*``."""
+    word_patterns = []
+    for word_index in range(position + 1):
+        generalized = generalize_strings([words[word_index] for words in word_lists])
+        if generalized is None:
+            generalized = Pattern.parse("\\A+")
+        word_patterns.append(generalized)
+    return constrained_word_sequence(word_patterns, position)
 
 
 # -- lines 6-8: tokens and the inverted list ------------------------------------------

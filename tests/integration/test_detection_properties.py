@@ -13,8 +13,6 @@ Invariants:
 
 from __future__ import annotations
 
-import string
-
 from hypothesis import given, settings, strategies as st
 
 from repro.constrained.constrained_pattern import constrained_prefix

@@ -24,14 +24,12 @@ from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.kernels.encoder import (
     ALL_CLASS_BITS,
     CLASS_BITS,
-    ColumnEncoding,
     encode_column,
-    signature_bits,
 )
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_matching_values, batch_verdicts, pattern_class_mask
 from repro.kernels.mine import MAX_TABLEAU_ROWS, LhsState, mine_constant_kernel, pair_counts
-from repro.kernels.tokenize import NGRAM_SIZE, batch_tokenize, value_triples
+from repro.kernels.tokenize import NGRAM_SIZE, batch_tokenize, tokenize_values
 from repro.patterns import parse_pattern
 from repro.patterns.alphabet import CharClass
 from repro.perf.memo import MatchMemo
@@ -71,12 +69,20 @@ class TestEncoder:
         assert encoding.signatures().tolist() == [upper | lower | digit, 0, symbol]
 
     def test_signature_bits_unicode(self):
-        # the paper's alphabet is ASCII: anything else is a Symbol
-        assert signature_bits("É") == CLASS_BITS[CharClass.SYMBOL]
-        assert signature_bits("雪") == CLASS_BITS[CharClass.SYMBOL]
-        assert signature_bits("A1") == (
-            CLASS_BITS[CharClass.UPPER] | CLASS_BITS[CharClass.DIGIT]
-        )
+        # the paper's alphabet is ASCII: anything else is a Symbol, also
+        # a non-BMP character and a lone surrogate
+        values = ["É", "雪", "A1", "\U0001F600", "\udc80", "aÉ"]
+        symbol = CLASS_BITS[CharClass.SYMBOL]
+        expected = [
+            symbol,
+            symbol,
+            CLASS_BITS[CharClass.UPPER] | CLASS_BITS[CharClass.DIGIT],
+            symbol,
+            symbol,
+            CLASS_BITS[CharClass.LOWER] | symbol,
+        ]
+        assert encode_column(values).signatures().tolist() == expected
+        assert [figure2_reference.signature_bits(v) for v in values] == expected
 
 
 class TestBatchMatcher:
@@ -212,7 +218,7 @@ class TestValueTriples:
 
     @staticmethod
     def triples(value, mode):
-        return value_triples(value, mode, {})
+        return tokenize_values([value], mode)[0]
 
     def test_basic_ngrams(self):
         triples = self.triples("90001", "ngram")

@@ -92,10 +92,7 @@ def draw_batch(draw, columns):
 def tally_by_value(pairs, entries, level, rhs):
     """A level's block tally keyed by (block key, RHS value)."""
     keys, counts = block_tally(pairs, entries, level, rhs)
-    block_key = {
-        block: entries.block_key(level, value)
-        for block, value in zip(entries.block_codes(level).tolist(), entries.encoding.distinct)
-    }
+    block_key = dict(zip(entries.block_codes(level).tolist(), entries.block_keys(level)))
     return {
         (block_key[key >> 32], rhs.distinct[key & 0xFFFFFFFF]): count
         for key, count in zip(keys.tolist(), counts.tolist())

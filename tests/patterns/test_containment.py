@@ -100,7 +100,6 @@ class TestContainmentConsistentWithSampling:
 
     @pytest.mark.parametrize("inner,outer", PAIRS)
     def test_sampled_strings_respect_containment(self, inner, outer):
-        import itertools
         import random
 
         inner_pattern = parse_pattern(inner)
@@ -118,7 +117,7 @@ _SAMPLE_ALPHABET = string.ascii_letters + string.digits + " -.,_/()#&@"
 
 def _sample_matches(pattern, rng, count=20):
     """Generate random strings matching a pattern by walking its elements."""
-    from repro.patterns.syntax import ClassAtom, Literal
+    from repro.patterns.syntax import Literal
 
     samples = []
     for _ in range(count):

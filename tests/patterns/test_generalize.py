@@ -1,13 +1,32 @@
-"""Tests for string → pattern generalization and pattern histograms."""
+"""Tests for string → pattern generalization and pattern histograms.
 
-from repro.patterns.generalize import (
-    PatternHistogram,
-    generalize_string,
-    generalize_strings,
-    generalize_with_literal_prefix,
-    signature_of,
-)
-from repro.patterns.alphabet import CharClass
+Values go through a shape table (``ShapeTable``) as every caller in
+``src/`` does; the literal-prefix cases pin the per-value reference
+the mining equivalence gates compare against."""
+
+from figure2_reference import generalize_with_literal_prefix
+
+from repro.kernels.encoder import ShapeTable, encode_column
+from repro.patterns.alphabet import LEAF_CLASSES, CharClass
+from repro.patterns.generalize import PatternHistogram as _Histogram, generalize, shape_pattern
+
+
+def signature_of(value):
+    shapes = ShapeTable([value])
+    return tuple(LEAF_CLASSES[class_id] for class_id in shapes.run_classes.tolist())
+
+
+def generalize_string(value, level=1):
+    return shape_pattern(ShapeTable([value]), 0, level)
+
+
+def generalize_strings(values):
+    return generalize(ShapeTable(values), range(len(values)))
+
+
+def PatternHistogram(values):
+    encoding = encode_column(values)
+    return _Histogram(encoding.shapes(), encoding.counts())
 
 
 class TestSignature:

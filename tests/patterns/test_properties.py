@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from containment_reference import pattern_contains
 from repro.patterns import Pattern, parse_pattern
-from repro.patterns.generalize import generalize_string, generalize_strings, signature_of
+from repro.kernels.encoder import ShapeTable
+from repro.patterns.alphabet import LEAF_CLASSES
+from repro.patterns.generalize import generalize, shape_pattern
 from repro.patterns.tokenizer import tokenize
 
 #: Printable-ish text covering all four character classes.
@@ -49,7 +51,7 @@ def pattern_texts(draw) -> str:
 @st.composite
 def patterns_with_samples(draw):
     """A random pattern together with a string sampled from its language."""
-    from repro.patterns.syntax import ClassAtom, Literal
+    from repro.patterns.syntax import Literal
 
     text = draw(pattern_texts())
     pattern = parse_pattern(text)
@@ -69,6 +71,19 @@ def patterns_with_samples(draw):
 
 
 # -- generalization -----------------------------------------------------------------------------
+
+
+def generalize_string(value, level):
+    return shape_pattern(ShapeTable([value]), 0, level)
+
+
+def generalize_strings(values_list):
+    return generalize(ShapeTable(values_list), range(len(values_list)))
+
+
+def signature_of(value):
+    return tuple(LEAF_CLASSES[c] for c in ShapeTable([value]).run_classes.tolist())
+
 
 
 @given(non_empty_values)

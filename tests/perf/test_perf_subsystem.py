@@ -126,42 +126,21 @@ class TestCacheStats:
         assert set(stats) == {"match_memo", "value_memos", "regex", "table_artifacts"}
 
     def test_cache_stats_report_the_value_memos(self):
+        # one functools memo is left, per pattern: generalizing and
+        # profiling values keep no per-value memo
+        from repro.dataset.profiling import profile_column
         from repro.kernels.match import pattern_class_mask
-        from repro.patterns.generalize import generalize_string, signature_of
-        from repro.patterns.tokenizer import cached_tokenize
 
         perf.clear_caches()
-        generalize_string("ab12", 1)
-        generalize_string("ab12", 1)
-        signature_of("ab12")
-        cached_tokenize("a b")
+        profile_column("c", ["ab12", "ab12", "a b", "90001"])
         pattern_class_mask(parse_pattern("\\D{3}"))
         pattern_class_mask(parse_pattern("\\D{3}"))
         memos = perf.cache_stats()["value_memos"]
-        assert set(memos) == {
-            "_class_runs",
-            "signature_of",
-            "_generalize_string_cached",
-            "cached_tokenize",
-            "pattern_class_mask",
-        }
-        assert memos["_generalize_string_cached"] == {
-            "hits": 1,
-            "misses": 1,
-            "size": 1,
-            "maxsize": 65536,
-        }
-        assert memos["_class_runs"]["size"] == 1
-        assert memos["signature_of"]["misses"] == 1
-        assert memos["cached_tokenize"]["size"] == 1
-        assert memos["pattern_class_mask"] == {
-            "hits": 1,
-            "misses": 1,
-            "size": 1,
-            "maxsize": 4096,
+        assert memos == {
+            "pattern_class_mask": {"hits": 1, "misses": 1, "size": 1, "maxsize": 4096}
         }
         perf.clear_caches()
-        assert all(m["size"] == 0 for m in perf.cache_stats()["value_memos"].values())
+        assert perf.cache_stats()["value_memos"]["pattern_class_mask"]["size"] == 0
         pattern_class_mask(parse_pattern("\\D{3}"))
         with perf.caches_disabled():
             assert perf.cache_stats()["value_memos"]["pattern_class_mask"]["size"] == 0

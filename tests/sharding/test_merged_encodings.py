@@ -175,7 +175,7 @@ def test_discovery_drops_its_mining_artifacts(store):
     assert set(sharded.encodings) == set(table.column_names())
     for encoding in sharded.encodings.values():
         assert encoding._counts is None
-        assert encoding._lengths is None and encoding._signatures is None
+        assert encoding._lengths is None and encoding._shapes is None
     # the profile outlives discovery: detection and re-checks reuse it
     assert sharded.profile() is result.profile
     expected = PfdDiscoverer(CONFIG).discover(table)

@@ -1,8 +1,6 @@
 """Unit tests for the remote object-store layer: retry policy, HTTP
 client, fault injection, and the hardened store I/O built on them."""
 
-import time
-
 import pytest
 
 from repro.dataset import Table
