@@ -50,7 +50,6 @@ from repro.perf.timers import StageTimers  # noqa: E402
 from repro.pfd import PFD  # noqa: E402
 from repro.engine import DEFAULT_SHARD_ROWS  # noqa: E402
 from repro.sharding import (  # noqa: E402
-    ShardedDiscoverer,
     ShardedTable,
     ShardOverlay,
 )
@@ -161,7 +160,7 @@ def _bench_sharded_discovery(n_rows: int = 64000, shard_rows: int = 8000):
     """
     table = generate_zip_city_state(n_rows=n_rows, seed=23).table
     sharded = ShardedTable.from_table(table, shard_rows)
-    kernel = ShardedDiscoverer(DiscoveryConfig())
+    kernel = PfdDiscoverer(DiscoveryConfig())
 
     def run() -> object:
         return kernel.discover(sharded)
@@ -169,7 +168,7 @@ def _bench_sharded_discovery(n_rows: int = 64000, shard_rows: int = 8000):
     def baseline_run() -> object:
         return figure2_reference.discover(table).pfds
 
-    run.stage_timers = kernel.discoverer.timers
+    run.stage_timers = kernel.timers
     return run, 2, baseline_run
 
 

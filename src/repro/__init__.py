@@ -12,12 +12,13 @@ implements the full system described in the paper:
 * :mod:`repro.constrained` — constrained patterns and the ``≡_Q``
   equivalence used by variable PFDs.
 * :mod:`repro.pfd` — the PFD model: embedded FD + pattern tableau.
-* :mod:`repro.discovery` — the Discover-PFDs algorithm (Figure 2).
+* :mod:`repro.discovery` — the Discover-PFDs algorithm (Figure 2), one
+  pipeline over a :class:`Table` or a :class:`ShardedTable`.
 * :mod:`repro.detection` — error detection with constant and variable
   PFDs: matching per distinct value, and blocking.
-* :mod:`repro.sharding` — sharded, out-of-core discovery and detection
-  over table-wide column encodings, canonically equal to a monolithic
-  run.
+* :mod:`repro.sharding` — sharded, out-of-core tables whose table-wide
+  column encodings discovery and detection read; a plain :class:`Table`
+  is adopted as one shard, so results do not depend on the cut.
 * :mod:`repro.baselines` — FD/CFD discovery and detection plus a
   pattern-outlier detector, used for comparison experiments.
 * :mod:`repro.anmat` — the end-to-end ANMAT workflow (project store,
@@ -46,7 +47,7 @@ from repro.constrained import ConstrainedPattern
 from repro.pfd import PFD, EmbeddedFD, PatternTableau, TableauRow, WILDCARD
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.detection import ErrorDetector, Violation
-from repro.sharding import ShardedDiscoverer, ShardedTable
+from repro.sharding import ShardedTable
 from repro.anmat import AnmatSession
 
 __all__ = [
@@ -65,7 +66,6 @@ __all__ = [
     "PfdDiscoverer",
     "ErrorDetector",
     "Violation",
-    "ShardedDiscoverer",
     "ShardedTable",
     "AnmatSession",
 ]

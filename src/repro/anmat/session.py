@@ -23,11 +23,13 @@ engine default when unset), on the store ``config.store`` names — just
 as :meth:`AnmatSession.upload_csv` does with a CSV upload, and the cut is
 never redone.  From then on the dataset is a
 :class:`~repro.sharding.overlay.ShardOverlay` over its shards: profiling,
-:class:`~repro.sharding.discovery.ShardedDiscoverer`, the detector's
+:class:`~repro.discovery.discoverer.PfdDiscoverer`, the detector's
 seed and the :class:`~repro.discovery.maintenance.RuleMaintainer` of
 :meth:`recheck` all read the overlay's sealed view, and the edit loop
-writes to the overlay.  Results do not depend on the shard size.  Each
-run records an :class:`~repro.engine.plan.ExecutionPlan` for
+writes to the overlay.  Discovery and a maintained re-check run one
+pipeline body; a re-check re-discovers in full only when the session
+holds no seeded maintainer.  Results do not depend on the shard size.
+Each run records an :class:`~repro.engine.plan.ExecutionPlan` for
 ``--explain-plan``.
 """
 
@@ -46,12 +48,11 @@ from repro.detection.incremental import IncrementalDetector
 from repro.detection.repair import RepairSuggestion, suggest_repairs
 from repro.detection.violation import ViolationReport
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.discoverer import DiscoveryResult
+from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
 from repro.discovery.maintenance import RuleMaintainer
 from repro.engine import DEFAULT_SHARD_ROWS, ExecutionPlan, plan_run
 from repro.errors import ProjectError
 from repro.pfd.pfd import PFD
-from repro.sharding.discovery import ShardedDiscoverer
 from repro.sharding.overlay import ShardOverlay
 from repro.sharding.sharded_table import ShardedTable
 from repro.sharding.store import ShardStore, make_shard_store
@@ -290,9 +291,9 @@ class AnmatSession:
         column encodings and each candidate's mining state with the
         edited cells, reading no shard (the plan's decisions record how
         many candidates it patched and how many entries it
-        re-verified); without one — before a discovery run, after a
-        parameter change, or after a failed re-check dropped it — the
-        re-check re-discovers in full.
+        re-verified); without one — after a parameter change, or after
+        a failed re-check dropped it — the re-check re-discovers in full
+        and seeds a new maintainer.
         Either way the resulting rule set is identical to discovering
         from scratch.
 
@@ -328,18 +329,10 @@ class AnmatSession:
         maintainer = self._maintainer
         try:
             view = self.table.as_sharded()
-            result: Optional[DiscoveryResult] = None
             if plan.rule_maintenance == "incremental":
                 result = maintainer.maintain(view, relation=self.dataset_name)
-                if result is None:
-                    plan.rule_maintenance = "full"
-                    plan.decisions.append(
-                        "the rule baseline no longer aligns with the dataset; "
-                        "falling back to full re-discovery"
-                    )
-                else:
-                    plan.decisions.append(maintainer.last_work)
-            if result is None:
+                plan.decisions.append(maintainer.last_work)
+            else:
                 result = self._discover(view)
                 maintainer = self._seeded_maintainer(view, result)
             # re-confirm by content: a rule that survived the re-check stays
@@ -369,7 +362,7 @@ class AnmatSession:
         return result
 
     def _discover(self, view: ShardedTable) -> DiscoveryResult:
-        return ShardedDiscoverer(self.config).discover_with_report(
+        return PfdDiscoverer(self.config).discover_with_report(
             view, relation=self.dataset_name
         )
 

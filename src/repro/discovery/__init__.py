@@ -2,7 +2,7 @@
 
 The pipeline mirrors the published algorithm:
 
-1. :func:`candidate_dependencies` profiles the table and prunes
+1. :func:`candidate_dependencies` reads the table's profile and prunes
    attributes that cannot host PFDs (line 1).
 2. For every candidate ``A → B``, the tokens or n-grams of ``t[A]`` key
    an inverted list of the tuples carrying them (lines 5–8).
@@ -16,8 +16,9 @@ The pipeline mirrors the published algorithm:
 Variable PFDs (λ4/λ5-style, :class:`VariableCandidate`) come from
 constrained prefixes for code-like attributes and constrained tokens for
 multi-token attributes.  :meth:`PfdDiscoverer.mine_candidates` runs steps
-2–4 through the kernels of :mod:`repro.kernels.mine`, over column
-encodings, for the monolithic, sharded and maintenance paths alike.
+2–4 through the kernels of :mod:`repro.kernels.mine`, over a sharded
+view's column encodings (a plain table is one shard), for full discovery
+and rule maintenance alike.
 """
 
 from repro.discovery.config import DiscoveryConfig
@@ -25,10 +26,6 @@ from repro.discovery.candidates import CandidateDependency, candidate_dependenci
 from repro.discovery.decision import PatternTupleCandidate
 from repro.discovery.variable_miner import VariableCandidate
 from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
-
-# imported last: maintenance reaches into repro.sharding (stats, overlay,
-# sharded_table), whose submodules import repro.discovery submodules —
-# keeping this at the bottom keeps the package import acyclic
 from repro.discovery.maintenance import RuleMaintainer
 
 __all__ = [

@@ -1,7 +1,7 @@
 """Candidate dependency generation (Figure 2, line 1).
 
-``CandidateDependencies(T)`` profiles the table and returns the ordered
-attribute pairs ``A → B`` on which PFD discovery is attempted.  The
+``CandidateDependencies(T)`` reads the table's profile and returns the
+ordered attribute pairs ``A → B`` on which PFD discovery is attempted.  The
 pruning rules follow the paper's description plus the obvious
 generalizations needed to make them work on arbitrary tables:
 
@@ -18,10 +18,9 @@ generalizations needed to make them work on arbitrary tables:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.dataset.profiling import ColumnProfile, TableProfile, profile_table
-from repro.dataset.table import Table
+from repro.dataset.profiling import ColumnProfile, TableProfile
 from repro.discovery.config import DiscoveryConfig
 from repro.pfd.fd import EmbeddedFD
 
@@ -63,7 +62,7 @@ def _lhs_mode_for(profile: ColumnProfile, config: DiscoveryConfig) -> str:
     return "token"
 
 
-def _rhs_is_learnable(profile: ColumnProfile, n_rows: int) -> bool:
+def _rhs_is_learnable(profile: ColumnProfile) -> bool:
     """Whether a column can appear on the RHS of a discovered PFD."""
     if profile.n_values == profile.n_empty:
         return False
@@ -75,22 +74,19 @@ def _rhs_is_learnable(profile: ColumnProfile, n_rows: int) -> bool:
 
 
 def candidate_dependencies(
-    table: Table,
-    config: Optional[DiscoveryConfig] = None,
-    profile: Optional[TableProfile] = None,
+    profile: TableProfile, config: DiscoveryConfig
 ) -> List[CandidateDependency]:
-    """All candidate dependencies of a table, most promising first."""
-    config = config or DiscoveryConfig()
-    profile = profile or profile_table(table)
+    """All candidate dependencies of a profiled table, most promising
+    first."""
     lhs_columns = profile.pfd_candidate_columns()[:MAX_CANDIDATE_COLUMNS]
     candidates: List[CandidateDependency] = []
     for lhs in lhs_columns:
         lhs_profile = profile[lhs]
         mode = _lhs_mode_for(lhs_profile, config)
-        for rhs in table.column_names():
+        for rhs in profile.column_names():
             if rhs == lhs:
                 continue
-            if not _rhs_is_learnable(profile[rhs], table.n_rows):
+            if not _rhs_is_learnable(profile[rhs]):
                 continue
             candidates.append(
                 CandidateDependency(EmbeddedFD.between(lhs, rhs), lhs_mode=mode)

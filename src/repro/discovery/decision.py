@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.kernels.tokenize import _WORDS
+from repro.kernels.tokenize import _PUNCTUATION_STRIP, _WORDS
 from repro.patterns.pattern import Pattern
-from repro.patterns.tokenizer import _PUNCTUATION_STRIP
 
 
 @dataclass

@@ -1,28 +1,37 @@
 """The Discover-PFDs driver (Figure 2 of the paper).
 
-:class:`PfdDiscoverer` glues together candidate generation and the
-mining kernels (:mod:`repro.kernels.mine`), applies the minimum-coverage
-threshold γ, and packages everything into :class:`~repro.pfd.pfd.PFD`
-objects plus a :class:`DiscoveryResult` carrying the per-dependency
-statistics the ANMAT GUI displays.
+:class:`PfdDiscoverer` runs the one discovery pipeline: profile,
+candidate generation, the mining kernels (:mod:`repro.kernels.mine`)
+with the minimum-coverage threshold γ, and assembly into
+:class:`~repro.pfd.pfd.PFD` objects plus a :class:`DiscoveryResult`
+carrying the per-dependency statistics the ANMAT GUI displays.  It
+mines a :class:`~repro.sharding.sharded_table.ShardedTable`'s table-wide
+column encodings; a plain :class:`~repro.dataset.table.Table` is adopted,
+without a copy, as the one in-memory shard of a sharded table, so each
+column is encoded once, for profiling and mining alike.  Factorizing
+shard by shard assigns codes in first-appearance order across the whole
+column, so the rule set does not depend on the cut.  The
+:class:`~repro.discovery.maintenance.RuleMaintainer` runs the same
+pipeline body after it patches the encodings, the profile and the
+mining state of a re-check.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.dataset.profiling import TableProfile, profile_table
+from repro.dataset.profiling import TableProfile
 from repro.dataset.table import Table
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.decision import PatternTupleCandidate
 from repro.discovery.variable_miner import VariableCandidate
-from repro.kernels.encoder import ColumnEncoding, encode_column
 from repro.perf.timers import StageTimers
 from repro.pfd.pfd import PFD
 from repro.pfd.tableau import WILDCARD
+from repro.sharding.sharded_table import ShardedTable
 
 
 @dataclass
@@ -91,36 +100,50 @@ class PfdDiscoverer:
         #: wall-clock accumulated per pipeline stage across runs
         self.timers = StageTimers()
 
-    def discover(self, table: Table, relation: Optional[str] = None) -> List[PFD]:
+    def discover(
+        self, table: Union[Table, ShardedTable], relation: Optional[str] = None
+    ) -> List[PFD]:
         """Discover PFDs and return just the PFD list."""
         return self.discover_with_report(table, relation=relation).pfds
 
-    def discover_with_report(self, table: Table, relation: Optional[str] = None) -> DiscoveryResult:
-        """Run the full pipeline and return PFDs plus statistics."""
+    def discover_with_report(
+        self, table: Union[Table, ShardedTable], relation: Optional[str] = None
+    ) -> DiscoveryResult:
+        """Run the full pipeline and return PFDs plus statistics.
+
+        A sharded table keeps what the run derives — its profile and
+        every column's codes — for detection and re-checks; a session's
+        profiling step already built both, so discovery reads no shard.
+        """
         started = time.perf_counter()
+        view = table if isinstance(table, ShardedTable) else ShardedTable([table])
         with self.timers.stage("profile"):
-            profile = profile_table(table)
+            profile = view.profile()
+        return self._pipeline(view, profile, new_mining_state(), relation, started)
+
+    def _pipeline(
+        self,
+        view: ShardedTable,
+        profile: TableProfile,
+        state,
+        relation: Optional[str],
+        started: float,
+    ) -> DiscoveryResult:
+        """Candidates, mining from ``state``, assembly: the body both full
+        discovery and rule maintenance run over a profiled view."""
         with self.timers.stage("candidates"):
-            candidates = candidate_dependencies(table, self.config, profile)
-        state = new_mining_state()
+            candidates = candidate_dependencies(profile, self.config)
         with self.timers.stage("mine"):
-            reports = self.mine_candidates(
-                candidates,
-                lambda names: {
-                    name: encode_column(table.column_ref(name))
-                    for name in dict.fromkeys(names)
-                },
-                state,
-            )
+            reports = self.mine_candidates(candidates, view, state)
         with self.timers.stage("assemble"):
             pfds = self.assemble_pfds(candidates, reports, relation)
-        elapsed = time.perf_counter() - started
+        drop_mining_artifacts(view)
         return DiscoveryResult(
             pfds=pfds,
             reports=reports,
             profile=profile,
             config=self.config,
-            elapsed_seconds=elapsed,
+            elapsed_seconds=time.perf_counter() - started,
             mining_state=state,
         )
 
@@ -130,13 +153,7 @@ class PfdDiscoverer:
         reports: Sequence[DependencyReport],
         relation: Optional[str] = None,
     ) -> List[PFD]:
-        """Package accepted per-candidate reports into named PFD objects.
-
-        Shared by the monolithic pipeline above and the sharded
-        discoverer (which mines the same reports from shard-major column
-        encodings) so both produce identically named, identically
-        ordered rule sets.
-        """
+        """Package accepted per-candidate reports into named PFD objects."""
         pfds: List[PFD] = []
         counter = 0
         for candidate, report in zip(candidates, reports):
@@ -159,27 +176,22 @@ class PfdDiscoverer:
     def mine_candidates(
         self,
         candidates: Sequence[CandidateDependency],
-        encode: Callable[[Sequence[str]], Dict[str, ColumnEncoding]],
-        state=None,
+        view: ShardedTable,
+        state,
     ) -> List[DependencyReport]:
-        """Mine candidates in order over encoded columns.
+        """Mine candidates in order over ``view``'s column encodings.
 
-        The one mining loop of the monolithic, sharded and maintenance
-        paths; ``encode(names)`` returns the named columns' encodings.
         ``state`` is the :class:`~repro.kernels.mine.MiningState` mined
-        from — a fresh one by default, or one the rule maintainer
-        patched to the encodings ``encode`` returns — and afterwards
-        holds exactly these candidates' state.  Each (LHS, mode) pair is
-        tokenized once per distinct value however many candidates
-        share it.
+        from — a fresh one, or one the rule maintainer patched to the
+        view's encodings — and afterwards holds exactly these
+        candidates' state.  Each (LHS, mode) pair is tokenized once per
+        distinct value however many candidates share it.
         """
-        state = new_mining_state() if state is None else state
         config = self.config
         timers = self.timers
-        with timers.stage("tokenize"):
-            encodings = encode(
-                [name for candidate in candidates for name in (candidate.lhs, candidate.rhs)]
-            )
+        encodings = view.column_encodings(
+            [name for candidate in candidates for name in (candidate.lhs, candidate.rhs)]
+        )
         reports: List[DependencyReport] = []
         for candidate in candidates:
             started = time.perf_counter()
@@ -249,6 +261,16 @@ class PfdDiscoverer:
             }
         )
         return pfd
+
+
+def drop_mining_artifacts(view: ShardedTable) -> None:
+    """Release the O(n) mining inputs nothing after discovery reads: the
+    per-code arrays the miners derived from the column encodings.
+    Every column's codes stay: they are the maintained state that
+    detection groups rule pairs from, the edit loop seeds from, and a
+    re-check patches and profiles from."""
+    for encoding in view.encodings.values():
+        encoding.release_derived()
 
 
 def new_mining_state():

@@ -5,8 +5,8 @@ RHS value)`` pair to another, and γ, ρ and support are counting
 conditions over those pairs — so a re-check patches counts instead of
 re-mining.
 
-:class:`RuleMaintainer` keeps the baseline of the last sharded discovery
-run — the sealed view, whose table-wide column encodings every column
+:class:`RuleMaintainer` keeps the baseline of the last discovery run —
+the sealed view, whose table-wide column encodings every column
 keeps, the per-column profiles and the run's
 :class:`~repro.kernels.mine.MiningState` — and, given the freshly sealed
 view of the edited overlay, patches that state instead of re-mining,
@@ -36,25 +36,23 @@ without reading a shard:
    (:func:`~repro.dataset.profiling.profile_encoding`); clean columns
    reuse their baseline profile, so candidate generation sees what a
    full re-profile would.
-4. **Count deltas.**  Candidates are recomputed from the updated
-   profile (:func:`~repro.discovery.candidates.candidate_dependencies`,
-   as full discovery does).
-   :meth:`~repro.kernels.mine.MiningState.patch` moves each edited row
-   from its old ``(LHS, RHS)`` pair to its new one in the pair counts
-   of every candidate over a changed column, tokenizes only the values
-   the batch added and drops the verdicts of the entries whose value
-   set changed; then the mining loop full discovery runs
-   (:meth:`~repro.discovery.discoverer.PfdDiscoverer.mine_candidates`)
-   selects every tableau from the state.  A candidate over clean
-   columns took the empty delta, one new to the set is built fresh; the
-   rule set is *identical* to a full re-discovery (the differential
-   gate in ``tests/discovery/test_maintenance.py`` checks every report
-   field).
+4. **Count deltas.**  :meth:`~repro.kernels.mine.MiningState.patch`
+   moves each edited row from its old ``(LHS, RHS)`` pair to its new
+   one in the pair counts of every candidate over a changed column,
+   tokenizes only the values the batch added and drops the verdicts of
+   the entries whose value set changed.  Then the pipeline body full
+   discovery runs after profiling
+   (:meth:`~repro.discovery.discoverer.PfdDiscoverer._pipeline`)
+   recomputes the candidates from the updated profile and selects
+   every tableau from the state.  A candidate over clean columns took
+   the empty delta, one new to the set is built fresh; the rule set is
+   *identical* to a full re-discovery (the differential gate in
+   ``tests/discovery/test_maintenance.py`` checks every report field).
 
-:meth:`RuleMaintainer.maintain` returns ``None`` for an unseeded
-baseline, a seal of another base and a baseline whose encodings are
-gone; the caller falls back to the full pipeline and re-seeds (the
-planner records the fallback as a plan decision).
+:meth:`RuleMaintainer.maintain` raises
+:class:`~repro.errors.DiscoveryError` for an unseeded maintainer and for
+a view that is not a seal of the baseline's base: neither has a delta
+to patch.
 """
 
 from __future__ import annotations
@@ -63,12 +61,11 @@ import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dataset.profiling import TableProfile, profile_encoding
-from repro.discovery.candidates import candidate_dependencies
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.discoverer import DiscoveryResult, PfdDiscoverer
+from repro.errors import DiscoveryError
 from repro.kernels.encoder import ColumnEncoding
 from repro.kernels.runtime import np
-from repro.sharding.discovery import drop_mining_artifacts
 from repro.sharding.overlay import OverlayShardStore
 from repro.sharding.sharded_table import ShardedTable
 
@@ -79,13 +76,12 @@ class RuleMaintainer:
     Sits beside :class:`~repro.detection.incremental.IncrementalDetector`
     in the session: the detector keeps the *violations* current per
     edit, the maintainer keeps the *rules* current per re-check.  Seed
-    it with a sharded discovery run (:meth:`seed`), then hand each
-    re-check's freshly sealed view to :meth:`maintain`.
+    it with a discovery run over a sharded view (:meth:`seed`), then
+    hand each re-check's freshly sealed view to :meth:`maintain`.
     """
 
     def __init__(self, config: Optional[DiscoveryConfig] = None):
-        #: supplies the mining loop and the assemble stage — the same
-        #: pipeline full discovery runs
+        #: supplies the pipeline body full discovery runs
         self.discoverer = PfdDiscoverer(config)
         self.config = self.discoverer.config
         self.timers = self.discoverer.timers
@@ -103,7 +99,7 @@ class RuleMaintainer:
         return self._view is not None
 
     def seed(self, view: ShardedTable, result: DiscoveryResult) -> None:
-        """Adopt a sharded discovery run over ``view`` as the baseline.
+        """Adopt a discovery run over ``view`` as the baseline.
 
         Cheap — stores references; the baseline encodings are the ones
         discovery left in ``view.encodings``.  The mining state moves
@@ -118,34 +114,30 @@ class RuleMaintainer:
 
     def maintain(
         self, view: ShardedTable, relation: Optional[str] = None
-    ) -> Optional[DiscoveryResult]:
+    ) -> DiscoveryResult:
         """Bring the rule set up to date with a freshly sealed view.
 
         Returns the maintained :class:`DiscoveryResult` — identical to a
         full re-discovery over ``view`` — and advances the baseline to
         it, patching the mining state in place (so a call that raises
-        leaves a baseline to drop, not to reuse).  Returns ``None`` when
-        the baseline does not align (unseeded or without a mining state,
-        a seal of another base dataset, or a baseline view whose
-        encodings are gone): the caller runs full discovery instead and
-        re-seeds.
+        leaves a baseline to drop, not to reuse).  Raises
+        :class:`~repro.errors.DiscoveryError` when the maintainer is
+        unseeded or ``view`` is not a seal of the baseline's base; the
+        baseline is left as it was.
         """
         started = time.perf_counter()
-        old_view, state = self._view, self._state
-        if old_view is None or state is None:
-            return None
+        if self._view is None or self._state is None:
+            raise DiscoveryError(
+                "the rule maintainer has no baseline; seed it with a discovery run"
+            )
         cells = self._cells_since_baseline(view)
-        if cells is None:
-            return None
-        names = view.column_names()
-        baseline = old_view.encodings
-        if any(name not in baseline for name in names):
-            return None
+        state = self._state
 
         with self.timers.stage("patch"):
-            patches = _patched_encodings(baseline, cells)
-        self._carry_clean_artifacts(view, set(patches))
-        view.encodings.update((name, patch.new) for name, patch in patches.items())
+            patches = _patched_encodings(self._view.encodings, cells)
+            self._carry_clean_artifacts(view, set(patches))
+            view.encodings.update((name, patch.new) for name, patch in patches.items())
+            state.patch(patches, view.encodings)
 
         with self.timers.stage("profile"):
             profile = TableProfile(
@@ -154,55 +146,40 @@ class RuleMaintainer:
                     name: profile_encoding(name, patches[name].new)
                     if name in patches
                     else self._profiles[name]
-                    for name in names
+                    for name in view.column_names()
                 },
             )
             view.table_profile = profile
-        with self.timers.stage("candidates"):
-            candidates = candidate_dependencies(view, self.config, profile)
-
-        with self.timers.stage("mine"):
-            state.patch(patches, view.encodings)
-            reports = self.discoverer.mine_candidates(
-                candidates, view.column_encodings, state
-            )
+        result = self.discoverer._pipeline(view, profile, state, relation, started)
         self.last_work = (
             f"mining state: {state.n_patched} candidates patched, {state.n_fresh} "
             f"built fresh, {state.n_reused} unchanged; "
             f"{sum(e.n_verified for e in state.lhs.values())} "
             "inverted-list entries re-verified"
         )
-        with self.timers.stage("assemble"):
-            pfds = self.discoverer.assemble_pfds(candidates, reports, relation)
-        # same memory hygiene as the sharded discoverer
-        drop_mining_artifacts(view)
-
-        # advance the baseline to the maintained state
-        self._view = view
+        # advance the baseline to the maintained state, which keeps the
+        # mining state
+        self._view, result.mining_state = view, None
         self._profiles = dict(profile.columns)
-
-        return DiscoveryResult(
-            pfds=pfds,
-            reports=reports,
-            profile=profile,
-            config=self.config,
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        return result
 
     # -- change detection -------------------------------------------------------
 
     def _cells_since_baseline(
         self, view: ShardedTable
-    ) -> Optional[Iterable[Tuple[int, str, str]]]:
+    ) -> Iterable[Tuple[int, str, str]]:
         """The cells that turn the baseline view's columns into
-        ``view``'s, or ``None`` when ``view`` is not a seal of the
-        baseline's base."""
+        ``view``'s; raises :class:`~repro.errors.DiscoveryError` when
+        ``view`` is not a seal of the baseline's base."""
         old_store, store = self._view.store, view.store
         if store is old_store:
             return ()
         if isinstance(store, OverlayShardStore) and store.extends(old_store):
             return store.edited_cells()
-        return None
+        raise DiscoveryError(
+            "the view is not a seal of the rule baseline's base dataset; "
+            "re-discover and re-seed"
+        )
 
     # -- maintained statistics --------------------------------------------------
 

@@ -46,9 +46,9 @@ class ExecutionPlan:
     #: ``config.object_url``, ``"none"`` for the other stores
     object_client: str = "none"
     #: how a re-check refreshes the rule set: ``"incremental"`` routes
-    #: through the rule maintainer, ``"full"`` re-discovers from scratch
-    #: (also what an incremental re-check falls back to when the
-    #: maintainer declines), ``"none"`` for plans that are not re-checks
+    #: through the seeded rule maintainer, ``"full"`` re-discovers from
+    #: scratch (when the session holds no seeded maintainer), ``"none"``
+    #: for plans that are not re-checks
     rule_maintenance: str = "none"
     #: human-readable routing decisions, in the order they were taken
     decisions: List[str] = field(default_factory=list)

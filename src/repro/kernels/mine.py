@@ -40,10 +40,14 @@ from repro.discovery.variable_miner import VariableCandidate, token_constraint_p
 from repro.kernels.encoder import ColumnEncoding
 from repro.kernels.match import _VECTOR_THRESHOLD, batch_verdicts
 from repro.kernels.runtime import np
-from repro.kernels.tokenize import Triples, batch_tokenize, tokenize_values
+from repro.kernels.tokenize import (
+    _PUNCTUATION_STRIP,
+    Triples,
+    batch_tokenize,
+    tokenize_values,
+)
 from repro.patterns.generalize import generalize
 from repro.patterns.pattern import Pattern
-from repro.patterns.tokenizer import _PUNCTUATION_STRIP
 from repro.perf.memo import MATCH_MEMO
 from repro.perf.timers import StageTimers, stage_or_null as _stage
 

@@ -21,10 +21,13 @@ from itertools import accumulate, chain, repeat
 from typing import Dict, List, Sequence, Tuple
 
 from repro.kernels.encoder import ColumnEncoding
-from repro.patterns.tokenizer import _PUNCTUATION_STRIP
 
 #: one row's triples: ((key, position, raw token text), …)
 Triples = Tuple[Tuple[str, int, str], ...]
+
+#: what a word's key strips from both ends, so that ``"Donald"`` and
+#: ``"Donald,"`` group together (a word of punctuation only keys as itself)
+_PUNCTUATION_STRIP = ".,;:!?\"'()[]{}"
 
 _WORDS = re.compile(r"\S+")
 

@@ -16,8 +16,9 @@ Public surface:
   :func:`compile_to_regex` (Python ``re`` backend).
 * :func:`generalize` / :class:`PatternHistogram` — learning patterns
   from values, over a shape table of their class runs.
-* :func:`tokenize` — the ``Tokenize`` function of the discovery
-  algorithm.
+
+The ``Tokenize`` function of the discovery algorithm runs over whole
+encoded columns, in :mod:`repro.kernels.tokenize`.
 """
 
 from repro.patterns.alphabet import CharClass, classify_char
@@ -26,7 +27,6 @@ from repro.patterns.parser import parse_pattern
 from repro.patterns.pattern import Pattern
 from repro.patterns.regex import compile_to_regex
 from repro.patterns.generalize import PatternHistogram, generalize
-from repro.patterns.tokenizer import Token, tokenize
 
 __all__ = [
     "CharClass",
@@ -41,6 +41,4 @@ __all__ = [
     "compile_to_regex",
     "PatternHistogram",
     "generalize",
-    "Token",
-    "tokenize",
 ]

@@ -1,17 +1,17 @@
-"""Sharded, out-of-core discovery and detection.
+"""Sharded, out-of-core tables for discovery and detection.
 
 The sharding subsystem partitions a dataset into row shards
-(:class:`ShardedTable`), factorizes the columns it needs in one
-shard-major pass into table-wide encodings, and runs discovery
-(:class:`ShardedDiscoverer`) over those encodings; detection seeds the
-session's :class:`~repro.detection.incremental.IncrementalDetector`
-from the pair groups built from them (:mod:`repro.sharding.detection`,
-:mod:`repro.sharding.stats`) — producing rule sets and violations
-canonically equal to a monolithic run while reading each shard at most
-once per session op.
+(:class:`ShardedTable`) on a shard store and factorizes the columns it
+needs in one shard-major pass into table-wide encodings.
+:class:`~repro.discovery.discoverer.PfdDiscoverer` mines those
+encodings, and detection seeds the session's
+:class:`~repro.detection.incremental.IncrementalDetector` from the pair
+groups built from them (:mod:`repro.sharding.detection`,
+:mod:`repro.sharding.stats`) — producing rule sets and violations that
+do not depend on the cut while reading each shard at most once per
+session op.
 """
 
-from repro.sharding.discovery import ShardedDiscoverer
 from repro.sharding.object_store import (
     LocalObjectClient,
     ObjectShardStore,
@@ -38,7 +38,6 @@ from repro.sharding.store import (
 
 __all__ = [
     "STORE_KINDS",
-    "ShardedDiscoverer",
     "ShardedTable",
     "ShardStore",
     "ShardOverlay",

@@ -166,22 +166,16 @@ class ObjectShardStore(ShardStore):
         Key prefix for this dataset's shard objects.
     cache_shards:
         How many recently read shards stay decoded in memory.
-    max_read_attempts:
-        Shorthand for ``retry_policy=RetryPolicy(max_attempts=...)``;
-        ignored when an explicit ``retry_policy`` is given.
     retry_policy:
         The shared :class:`~repro.sharding.remote.RetryPolicy` both
-        reads and writes run under.
+        reads and writes run under (default: ``RetryPolicy()``).
     owns_client:
         Whether :meth:`close` closes the client too.  Defaults to
         owning exactly the client the store built itself; pass ``True``
-        when handing over a client the store should tear down.
-    delete_objects_on_close:
-        Whether :meth:`close` deletes this store's objects from the
-        client (best-effort).  Defaults to ``True`` for an owned
-        non-local client — a remote namespace has no temporary
-        directory whose removal would reclaim the bytes — and ``False``
-        otherwise.
+        when handing over a client the store should tear down.  An
+        owned non-local client's objects are deleted on :meth:`close`
+        (best-effort): a remote namespace has no temporary directory
+        whose removal would reclaim the bytes.
     prefetch_depth:
         How many shard objects ahead of a read to fetch (GET + checksum
         verification, retries included) on background threads via
@@ -200,32 +194,22 @@ class ObjectShardStore(ShardStore):
         root: Union[str, Path, None] = None,
         prefix: str = "shards",
         cache_shards: int = 1,
-        max_read_attempts: int = 3,
         retry_policy: Optional[RetryPolicy] = None,
         owns_client: Optional[bool] = None,
-        delete_objects_on_close: Optional[bool] = None,
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
         timers: Optional[StageTimers] = None,
     ):
         super().__init__()
         if cache_shards < 1:
             raise TableError(f"cache_shards must be >= 1, got {cache_shards}")
-        if max_read_attempts < 1:
-            raise TableError(f"max_read_attempts must be >= 1, got {max_read_attempts}")
         if prefetch_depth < 0:
             raise TableError(f"prefetch_depth must be >= 0, got {prefetch_depth}")
         self._owns_client = (client is None) if owns_client is None else owns_client
         self.client = client if client is not None else LocalObjectClient(root)
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_attempts=max_read_attempts)
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self._delete_objects_on_close = self._owns_client and not isinstance(
+            self.client, LocalObjectClient
         )
-        if delete_objects_on_close is None:
-            delete_objects_on_close = self._owns_client and not isinstance(
-                self.client, LocalObjectClient
-            )
-        self._delete_objects_on_close = delete_objects_on_close
         self.prefix = prefix.rstrip("/")
         self._cache_shards = cache_shards
         #: per-shard (key, row count, sha256 hexdigest)

@@ -200,7 +200,6 @@ def make_shard_store(
     kind: str,
     directory: Union[str, Path, None] = None,
     object_url: Optional[str] = None,
-    retry_policy=None,
 ) -> ShardStore:
     """Build a shard store from its CLI/session-facing name.
 
@@ -210,10 +209,10 @@ def make_shard_store(
     filesystem to the remote
     :class:`~repro.sharding.remote.HttpObjectClient` at that base URL —
     the store then owns that remote namespace, so ``close()`` deletes
-    its uploaded objects instead of leaking them on the server.
-    ``retry_policy`` overrides the object store's default
-    :class:`~repro.sharding.remote.RetryPolicy`; the object store reads
-    through its background fetch pipeline at the store's default depth.
+    its uploaded objects instead of leaking them on the server.  The
+    object store retries under its default
+    :class:`~repro.sharding.remote.RetryPolicy` and reads through its
+    background fetch pipeline at the store's default depth.
     """
     if kind == "memory":
         return InMemoryShardStore()
@@ -225,12 +224,8 @@ def make_shard_store(
         from repro.sharding.remote import HttpObjectClient
 
         if object_url:
-            return ObjectShardStore(
-                client=HttpObjectClient(object_url),
-                owns_client=True,
-                retry_policy=retry_policy,
-            )
-        return ObjectShardStore(root=directory, retry_policy=retry_policy)
+            return ObjectShardStore(client=HttpObjectClient(object_url), owns_client=True)
+        return ObjectShardStore(root=directory)
     raise TableError(
         f"unknown shard store kind {kind!r} (expected one of {', '.join(STORE_KINDS)})"
     )

@@ -8,13 +8,19 @@ from repro.discovery.candidates import MAX_CANDIDATE_COLUMNS, candidate_dependen
 from repro.discovery.config import DiscoveryConfig
 
 
+def candidates_of(table, config=None):
+    """The candidate dependencies of a table under ``config`` (default
+    configuration when omitted)."""
+    return candidate_dependencies(profile_table(table), config or DiscoveryConfig())
+
+
 def pairs(candidates):
     return {(c.lhs, c.rhs) for c in candidates}
 
 
 class TestCandidateGeneration:
     def test_zip_city_state_candidates(self, small_zip_city_state):
-        candidates = candidate_dependencies(small_zip_city_state.table)
+        candidates = candidates_of(small_zip_city_state.table)
         found = pairs(candidates)
         assert ("zip", "city") in found
         assert ("zip", "state") in found
@@ -27,18 +33,18 @@ class TestCandidateGeneration:
             ["row_id", "code", "label"],
             [[f"id-{i:04d}", f"C{i % 5}", "x" if i % 2 else "y"] for i in range(60)],
         )
-        candidates = candidate_dependencies(table)
+        candidates = candidates_of(table)
         assert all(c.rhs != "row_id" for c in candidates)
 
     def test_phone_state_direction(self, small_phone_state):
-        candidates = candidate_dependencies(small_phone_state.table)
+        candidates = candidates_of(small_phone_state.table)
         found = pairs(candidates)
         assert ("phone_number", "state") in found
         assert ("state", "phone_number") not in found
 
     def test_lhs_mode_selection(self, small_phone_state, small_fullname_gender):
-        phone_candidates = candidate_dependencies(small_phone_state.table)
-        name_candidates = candidate_dependencies(small_fullname_gender.table)
+        phone_candidates = candidates_of(small_phone_state.table)
+        name_candidates = candidates_of(small_fullname_gender.table)
         phone_modes = {c.lhs_mode for c in phone_candidates if c.lhs == "phone_number"}
         name_modes = {c.lhs_mode for c in name_candidates if c.lhs == "full_name"}
         assert phone_modes == {"prefix"}
@@ -46,7 +52,7 @@ class TestCandidateGeneration:
 
     def test_forced_token_mode(self, small_phone_state):
         config = DiscoveryConfig(token_mode="ngram")
-        candidates = candidate_dependencies(small_phone_state.table, config)
+        candidates = candidates_of(small_phone_state.table, config)
         assert {c.lhs_mode for c in candidates} == {"ngram"}
 
     def test_pure_measure_columns_are_pruned(self):
@@ -56,11 +62,11 @@ class TestCandidateGeneration:
             for i in range(100)
         ]
         table = Table.from_rows(["measure", "group", "score"], rows)
-        candidates = candidate_dependencies(table)
+        candidates = candidates_of(table)
         assert all(c.lhs not in ("measure", "score") for c in candidates)
 
     def test_candidates_sorted_by_rhs_cardinality(self, small_zip_city_state):
-        candidates = candidate_dependencies(small_zip_city_state.table)
+        candidates = candidates_of(small_zip_city_state.table)
         zip_targets = [c.rhs for c in candidates if c.lhs == "zip"]
         # state (fewer distinct values) should be tried before city
         assert zip_targets.index("state") < zip_targets.index("city")
@@ -70,7 +76,7 @@ class TestCandidateGeneration:
             ["code", "empty", "label"],
             [[f"A{i:03d}", "", "x" if i % 2 else "y"] for i in range(40)],
         )
-        candidates = candidate_dependencies(table)
+        candidates = candidates_of(table)
         assert all("empty" not in (c.lhs, c.rhs) for c in candidates)
 
     def test_lhs_columns_stop_at_max_candidate_columns(self):
@@ -80,10 +86,10 @@ class TestCandidateGeneration:
         table = Table.from_rows(names, rows)
         eligible = profile_table(table).pfd_candidate_columns()
         assert len(eligible) == n_columns
-        candidates = candidate_dependencies(table)
+        candidates = candidates_of(table)
         assert {c.lhs for c in candidates} == set(eligible[:MAX_CANDIDATE_COLUMNS])
         assert MAX_CANDIDATE_COLUMNS == 24
 
     def test_str_rendering(self, small_zip_city_state):
-        candidates = candidate_dependencies(small_zip_city_state.table)
+        candidates = candidates_of(small_zip_city_state.table)
         assert "->" in str(candidates[0])

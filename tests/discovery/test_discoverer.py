@@ -120,3 +120,34 @@ class TestConfigurationEffects:
         pfds = PfdDiscoverer().discover(small_zip_city_state.table)
         assert isinstance(pfds, list)
         assert pfds
+
+
+class TestOnAPlainTable:
+    def test_a_table_is_encoded_once_and_left_unchanged(self, small_zip_city_state, monkeypatch):
+        """A plain table is adopted as one shard: profiling and mining
+        share one encoding per column, and the caller's table is neither
+        copied into nor written to."""
+        import repro.kernels.encoder as encoder_module
+
+        table = small_zip_city_state.table
+        before = table.copy()
+        columns = [table.column_ref(name) for name in table.column_names()]
+        built = []
+        init = encoder_module.ColumnEncoding.__init__
+
+        def counted(self, distinct, codes):
+            built.append(list(distinct))
+            init(self, distinct, codes)
+
+        monkeypatch.setattr(encoder_module.ColumnEncoding, "__init__", counted)
+        result = PfdDiscoverer().discover_with_report(table)
+        assert result.pfds
+        assert len(built) == table.n_columns
+        assert sorted(map(sorted, built)) == sorted(
+            sorted(set(table.column_ref(name))) for name in table.column_names()
+        )
+        assert table == before
+        assert all(
+            table.column_ref(name) is column
+            for name, column in zip(table.column_names(), columns)
+        )

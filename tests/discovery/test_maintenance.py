@@ -33,7 +33,8 @@ from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.discovery.maintenance import RuleMaintainer
-from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay, make_shard_store
+from repro.errors import DiscoveryError
+from repro.sharding import ShardedTable, ShardOverlay, make_shard_store
 
 #: the PR-4 generator sweep (same shapes as tests/sharding/test_differential.py)
 GENERATORS = [
@@ -158,13 +159,12 @@ def test_reference_maintainer_sequence(name, n_rows, specs):
     table = dirty_table(name, n_rows, specs, 11)
     view = ShardedTable.from_table(table, SHARD_ROWS)
     maintainer = RuleMaintainer(config)
-    maintainer.seed(view, ShardedDiscoverer(config).discover_with_report(view))
+    maintainer.seed(view, PfdDiscoverer(config).discover_with_report(view))
     overlay = ShardOverlay(view)
     rng = random.Random(11)
     for _batch in range(BATCHES_PER_SEED):
         apply_random_batch(overlay, rng)
         result = maintainer.maintain(overlay.as_sharded())
-        assert result is not None, "a cell-edit batch must be maintainable"
         edited = overlay.materialize()
         for full in (
             reference_rediscovery(config, edited),
@@ -176,8 +176,8 @@ def test_reference_maintainer_sequence(name, n_rows, specs):
 
 @pytest.mark.parametrize("name,n_rows,specs", GENERATORS, ids=lambda v: str(v))
 def test_maintain_declines_an_unseeded_baseline_and_another_base(name, n_rows, specs):
-    """``maintain`` returns ``None`` before a seed and for a view of
-    another base — even one holding the same rows — and leaves the
+    """``maintain`` raises ``DiscoveryError`` before a seed and for a view
+    of another base — even one holding the same rows — and leaves the
     baseline as it was: its own seal still maintains."""
     config = make_config("memory")
     table = dirty_table(name, n_rows, specs, 11)
@@ -186,14 +186,15 @@ def test_maintain_declines_an_unseeded_baseline_and_another_base(name, n_rows, s
     column = table.column_names()[1]
     overlay.set_cell(0, column, overlay.cell(1, column))
     maintainer = RuleMaintainer(config)
-    assert maintainer.maintain(overlay.as_sharded()) is None
-    maintainer.seed(view, ShardedDiscoverer(config).discover_with_report(view))
+    with pytest.raises(DiscoveryError, match="no baseline"):
+        maintainer.maintain(overlay.as_sharded())
+    maintainer.seed(view, PfdDiscoverer(config).discover_with_report(view))
     other = ShardOverlay(ShardedTable.from_table(table, SHARD_ROWS))
     other.set_cell(0, column, overlay.cell(1, column))
-    assert maintainer.maintain(other.as_sharded()) is None
-    assert maintainer.maintain(other.base) is None
+    for foreign in (other.as_sharded(), other.base):
+        with pytest.raises(DiscoveryError, match="not a seal"):
+            maintainer.maintain(foreign)
     result = maintainer.maintain(overlay.as_sharded())
-    assert result is not None
     full = reference_rediscovery(config, overlay.materialize())
     assert rules_of(result) == rules_of(full)
 
@@ -218,9 +219,9 @@ def fail_one_recheck(session, monkeypatch):
 )
 class TestMaintenanceFallbacks:
     """A session re-checks in full when it has no maintainer — after a
-    failed re-check dropped it — or when the maintainer declines; either
-    way the fallback is recorded on the plan, not warned: the user
-    requested nothing the fallback could override."""
+    failed re-check dropped it; the fallback is recorded on the plan,
+    not warned: the user requested nothing the fallback could
+    override."""
 
     def test_a_failed_recheck_falls_back_to_full(self, name, n_rows, specs, monkeypatch):
         session = make_session(name, n_rows, specs, 3, "memory")
@@ -242,27 +243,6 @@ class TestMaintenanceFallbacks:
             session.table.set_cell(1, session.table.column_names()[0], "X1")
             result = session.recheck()
             assert session.last_plan.rule_maintenance == "incremental"
-            full = PfdDiscoverer(session.config).discover_with_report(
-                session.table.materialize(), relation=name
-            )
-            assert rules_of(result) == rules_of(full)
-        finally:
-            session.close()
-
-    def test_a_declined_maintenance_falls_back_to_full(
-        self, name, n_rows, specs, monkeypatch
-    ):
-        session = make_session(name, n_rows, specs, 3, "memory")
-        try:
-            session.run_discovery()
-            session.table.set_cell(5, session.table.column_names()[1], "X5")
-            monkeypatch.setattr(RuleMaintainer, "maintain", lambda self, view, relation=None: None)
-            result = session.recheck()
-            assert session.last_plan.rule_maintenance == "full"
-            assert any(
-                "falling back to full re-discovery" in d
-                for d in session.last_plan.decisions
-            )
             full = PfdDiscoverer(session.config).discover_with_report(
                 session.table.materialize(), relation=name
             )

@@ -9,6 +9,7 @@ from repro.sharding import (
     LocalObjectClient,
     ObjectShardStore,
     ObjectStoreError,
+    RetryPolicy,
     STORE_KINDS,
     ShardedTable,
     SpillToDiskShardStore,
@@ -202,13 +203,13 @@ class TestObjectStore:
         client = FlakyClient(tmp_path / "objects", fail_reads=0)
         store = ObjectShardStore(client=client)
         store.append(make_shard(SHARD_A))
-        client.fail_reads = 2  # fewer than max_read_attempts=3
+        client.fail_reads = 2  # fewer than the default policy's 3 attempts
         assert store.get(0).column("code") == ["10", "20"]
         assert store.retried_reads == 2
 
     def test_persistent_read_failure_surfaces(self, tmp_path):
         client = FlakyClient(tmp_path / "objects", fail_reads=99)
-        store = ObjectShardStore(client=client, max_read_attempts=3)
+        store = ObjectShardStore(client=client, retry_policy=RetryPolicy(max_attempts=3))
         store.append(make_shard(SHARD_A))
         with pytest.raises(TableError, match="unreadable after 3 attempts"):
             store.get(0)
@@ -226,7 +227,7 @@ class TestObjectStore:
 
     def test_persistent_put_failure_surfaces(self, tmp_path):
         client = FlakyClient(tmp_path / "objects", fail_puts=99)
-        store = ObjectShardStore(client=client, max_read_attempts=3)
+        store = ObjectShardStore(client=client, retry_policy=RetryPolicy(max_attempts=3))
         with pytest.raises(TableError, match="upload failed after 3 attempts"):
             store.append(make_shard(SHARD_A))
         assert store.n_shards == 0  # the failed shard was never recorded
@@ -313,8 +314,8 @@ class TestObjectStore:
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(TableError, match="cache_shards"):
             ObjectShardStore(root=tmp_path, cache_shards=0)
-        with pytest.raises(TableError, match="max_read_attempts"):
-            ObjectShardStore(root=tmp_path, max_read_attempts=0)
+        with pytest.raises(TableError, match="max_attempts"):
+            ObjectShardStore(root=tmp_path, retry_policy=RetryPolicy(max_attempts=0))
 
 
 class TestMakeShardStore:

@@ -453,7 +453,7 @@ def discover(table, config: Optional[DiscoveryConfig] = None, relation=None) -> 
     started = time.perf_counter()
     config = config or DiscoveryConfig()
     profile = profile_table(table)
-    candidates = candidate_dependencies(table, config, profile)
+    candidates = candidate_dependencies(profile, config)
     reports = [
         mine_report(c, list(table.column(c.lhs)), list(table.column(c.rhs)), config)
         for c in candidates

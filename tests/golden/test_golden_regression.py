@@ -21,7 +21,7 @@ import pytest
 from repro.datagen.paper_examples import name_table_d1, zip_table_d2
 from repro.detection import ErrorDetector, IncrementalDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
-from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay
+from repro.sharding import ShardedTable, ShardOverlay
 
 GOLDEN_DIR = Path(__file__).parent
 
@@ -83,7 +83,7 @@ def test_paper_example_sharded_run_matches_snapshot(name):
     mono = PfdDiscoverer(CONFIG).discover_with_report(table)
     mono_report = detection_reference.detect(table, mono.pfds)
     sharded = ShardedTable.from_table(table, 1)
-    result = ShardedDiscoverer(CONFIG).discover_with_report(sharded)
+    result = PfdDiscoverer(CONFIG).discover_with_report(sharded)
     assert [p.describe() for p in result.pfds] == [p.describe() for p in mono.pfds]
     report = IncrementalDetector(ShardOverlay(sharded), result.pfds).report()
     assert report.canonical_violations() == mono_report.canonical_violations()

@@ -20,7 +20,7 @@ from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.detection import IncrementalDetector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.perf import clear_caches
-from repro.sharding import ShardedDiscoverer, ShardedTable, ShardOverlay
+from repro.sharding import ShardedTable, ShardOverlay
 
 GENERATORS = [
     ("zip_city_state", 90, [CorruptionSpec("city", 0.05, kind="swap")]),
@@ -62,7 +62,7 @@ class TestKernelDifferential:
         reference = fingerprint(figure2_reference.discover(table, CONFIG))
         clear_caches()
         mono = PfdDiscoverer(CONFIG).discover_with_report(table)
-        sharded = ShardedDiscoverer(CONFIG).discover_with_report(
+        sharded = PfdDiscoverer(CONFIG).discover_with_report(
             ShardedTable.from_table(table, 7)
         )
         assert fingerprint(mono) == fingerprint(sharded), "mono/sharded rule sets diverged"

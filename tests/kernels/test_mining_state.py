@@ -25,6 +25,7 @@ from repro.discovery.maintenance import _patched_encodings
 from repro.kernels.encoder import encode_column
 from repro.kernels.mine import MiningState, _EntryBounds, _level_pattern, block_tally
 from repro.pfd.fd import EmbeddedFD
+from repro.sharding import ShardedTable
 
 COLUMNS = ["a", "b", "c"]
 #: values columns start from (the empty string included)
@@ -43,10 +44,8 @@ CONFIG = DiscoveryConfig(min_support=1, min_coverage=0.1, allowed_violation_rati
 
 def mined(columns, state):
     """Mine ``CANDIDATES`` over the columns from ``state``."""
-    encodings = {name: encode_column(values) for name, values in columns.items()}
-    return PfdDiscoverer(CONFIG).mine_candidates(
-        CANDIDATES, lambda names: encodings, state
-    )
+    view = ShardedTable([Table(COLUMNS, [columns[name] for name in COLUMNS])])
+    return PfdDiscoverer(CONFIG).mine_candidates(CANDIDATES, view, state)
 
 
 def draw_batch(draw, columns):

@@ -22,7 +22,7 @@ from repro.patterns import Pattern, parse_pattern
 from repro.kernels.encoder import ShapeTable
 from repro.patterns.alphabet import LEAF_CLASSES
 from repro.patterns.generalize import generalize, shape_pattern
-from repro.patterns.tokenizer import tokenize
+from repro.kernels.tokenize import _WORDS, tokenize_values
 
 #: Printable-ish text covering all four character classes.
 VALUE_ALPHABET = string.ascii_letters + string.digits + " -.,_/"
@@ -193,11 +193,17 @@ def test_literal_pattern_contained_in_its_generalization(value):
 
 @given(values)
 def test_token_offsets_index_into_the_value(value):
-    for token in tokenize(value):
-        assert value[token.start : token.start + len(token.text)] == token.text
+    # the word scan discovery uses to place a token splits like the batch
+    # tokenizer, and its offsets index each token's text in the value
+    (tokens,) = tokenize_values([value], "token")
+    words = list(_WORDS.finditer(value))
+    assert [text for _key, _position, text in tokens] == [w.group() for w in words]
+    for (_key, position, text), word in zip(tokens, words):
+        assert value[word.start() : word.start() + len(text)] == text
+        assert position == words.index(word)
 
 
 @given(values)
 def test_tokens_do_not_contain_whitespace(value):
-    for token in tokenize(value):
-        assert " " not in token.text
+    for _key, _position, text in tokenize_values([value], "token")[0]:
+        assert " " not in text

@@ -1,47 +1,53 @@
-"""Tests for Tokenize (Figure 2, lines 6–7)."""
+"""Tests for Tokenize (Figure 2, lines 6–7): the token mode's split."""
 
-from repro.patterns.tokenizer import tokenize
+from repro.kernels.tokenize import tokenize_values
+
+
+def tokenize(value):
+    """One value's ``(key, position, text)`` triples in the token mode."""
+    return tokenize_values([value], "token")[0]
 
 
 class TestTokenize:
     def test_simple_words(self):
         tokens = tokenize("John Charles")
-        assert [t.text for t in tokens] == ["John", "Charles"]
-        assert [t.position for t in tokens] == [0, 1]
-        assert [t.start for t in tokens] == [0, 5]
+        assert [text for _key, _position, text in tokens] == ["John", "Charles"]
+        assert [position for _key, position, _text in tokens] == [0, 1]
 
     def test_paper_full_name(self):
         tokens = tokenize("Holloway, Donald E.")
-        assert [t.text for t in tokens] == ["Holloway,", "Donald", "E."]
-        assert [t.normalized for t in tokens] == ["Holloway", "Donald", "E"]
-        assert tokens[1].position == 1
-        assert tokens[1].start == 10
+        assert [text for _key, _position, text in tokens] == ["Holloway,", "Donald", "E."]
+        assert [key for key, _position, _text in tokens] == ["Holloway", "Donald", "E"]
+        assert tokens[1][1] == 1
+
+    def test_punctuation_only_word_keys_as_itself(self):
+        assert tokenize("a , b") == (("a", 0, "a"), (",", 1, ","), ("b", 2, "b"))
 
     def test_multiple_spaces(self):
         tokens = tokenize("a   b")
-        assert [t.text for t in tokens] == ["a", "b"]
-        assert tokens[1].start == 4
+        assert [text for _key, _position, text in tokens] == ["a", "b"]
+        assert tokens[1][1] == 1
 
     def test_leading_and_trailing_whitespace(self):
         tokens = tokenize("  hello  ")
-        assert [t.text for t in tokens] == ["hello"]
-        assert tokens[0].position == 0
+        assert tokens == (("hello", 0, "hello"),)
 
     def test_empty_string(self):
-        assert tokenize("") == []
+        assert tokenize("") == ()
 
     def test_whitespace_only(self):
-        assert tokenize("   ") == []
+        assert tokenize("   ") == ()
 
     def test_single_token(self):
-        tokens = tokenize("90001")
-        assert len(tokens) == 1
-        assert tokens[0].text == "90001"
+        assert tokenize("90001") == (("90001", 0, "90001"),)
 
     def test_tabs_and_newlines_are_separators(self):
         tokens = tokenize("a\tb\nc")
-        assert [t.text for t in tokens] == ["a", "b", "c"]
+        assert [text for _key, _position, text in tokens] == ["a", "b", "c"]
 
-    def test_is_numeric(self):
-        tokens = tokenize("call 555 now")
-        assert [t.is_numeric for t in tokens] == [False, True, False]
+    def test_values_are_split_independently(self):
+        assert tokenize_values(["a b", "", "c"], "token") == [
+            (("a", 0, "a"), ("b", 1, "b")),
+            (),
+            (("c", 0, "c"),),
+        ]

@@ -98,12 +98,12 @@ class TestDiscoveryEquivalence:
 
     def test_sharded_equals_serial(self, dataset, zip_table, employee_table):
         from repro.engine import DEFAULT_SHARD_ROWS
-        from repro.sharding import ShardedDiscoverer, ShardedTable
+        from repro.sharding import ShardedTable
 
         table = self._table(dataset, zip_table, employee_table)
         serial = canonical_discovery(PfdDiscoverer().discover_with_report(table))
         sharded = canonical_discovery(
-            ShardedDiscoverer(DiscoveryConfig()).discover_with_report(
+            PfdDiscoverer(DiscoveryConfig()).discover_with_report(
                 ShardedTable.from_table(table, DEFAULT_SHARD_ROWS)
             )
         )

@@ -33,7 +33,6 @@ from repro.detection import IncrementalDetector
 from repro.detection.violation import ViolationReport
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.sharding import (
-    ShardedDiscoverer,
     ShardedTable,
     ShardOverlay,
     SpillToDiskShardStore,
@@ -87,7 +86,7 @@ class TestDifferential:
         mono_accepted = [(r.lhs, r.rhs, r.accepted, r.coverage) for r in mono.reports]
         for shard_rows in shard_sizes(table.n_rows):
             sharded = ShardedTable.from_table(table, shard_rows)
-            result = ShardedDiscoverer(CONFIG).discover_with_report(sharded)
+            result = PfdDiscoverer(CONFIG).discover_with_report(sharded)
             assert [pfd.describe() for pfd in result.pfds] == mono_rules, (
                 f"rule set diverged at shard_rows={shard_rows}"
             )
@@ -137,7 +136,7 @@ class TestDifferential:
         table = dirty_table(name, n_rows, specs, seed)
         shard_rows = max(1, table.n_rows // 3)
         warm = ShardedTable.from_table(table, shard_rows)
-        pfds = ShardedDiscoverer(CONFIG).discover(warm)
+        pfds = PfdDiscoverer(CONFIG).discover(warm)
         assert pfds, "every generator/seed pair discovers rules"
         for pfd in pfds:
             for column in (pfd.lhs_attribute, pfd.rhs_attribute):

@@ -25,12 +25,12 @@ import pytest
 from repro.datagen import build_dataset
 from repro.dataset.table import Table
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
+from repro.discovery.discoverer import new_mining_state
 from repro.discovery.candidates import candidate_dependencies
 from repro.kernels.encoder import encode_column
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.tokenize import batch_tokenize
 from repro.sharding import (
-    ShardedDiscoverer,
     ShardedTable,
     ShardOverlay,
     extract_pair_groups,
@@ -165,7 +165,7 @@ def test_discovery_drops_its_mining_artifacts(store):
         + [[f"s{row}" for row in range(table.n_rows)]],
     )
     sharded = ShardedTable.from_table(table, 13, store=store())
-    result = ShardedDiscoverer(CONFIG).discover_with_report(sharded)
+    result = PfdDiscoverer(CONFIG).discover_with_report(sharded)
     rule_columns = {
         name for p in result.pfds for name in (p.lhs_attribute, p.rhs_attribute)
     }
@@ -187,7 +187,7 @@ def test_each_lhs_mode_is_tokenized_once(monkeypatch):
 
     table = build_dataset("zip_city_state", n_rows=60, seed=4).table
     sharded = ShardedTable.from_table(table, 13)
-    candidates = candidate_dependencies(sharded, CONFIG, sharded.profile())
+    candidates = candidate_dependencies(sharded.profile(), CONFIG)
     names = {id(encoding): name for name, encoding in sharded.encodings.items()}
     built = []
 
@@ -196,7 +196,7 @@ def test_each_lhs_mode_is_tokenized_once(monkeypatch):
         return batch_tokenize(encoding, mode)
 
     monkeypatch.setattr(mine_module, "batch_tokenize", counted)
-    PfdDiscoverer(CONFIG).mine_candidates(candidates, sharded.column_encodings)
+    PfdDiscoverer(CONFIG).mine_candidates(candidates, sharded, new_mining_state())
     expected = {(c.lhs, c.lhs_mode) for c in candidates}
     assert len(expected) < len(candidates)  # some LHS serves several candidates
     assert len(built) == len(set(built)) and set(built) == expected

@@ -462,7 +462,6 @@ class TestStoreRetriesAndErrors:
             owns_client=True,
             prefix="flakyclose",
             retry_policy=FAST,
-            delete_objects_on_close=True,
         )
         store.append(make_shard(SHARD_A))
         store.append(make_shard(SHARD_A))

@@ -14,6 +14,11 @@ statement or an ``__all__`` entry.  Comments, docstrings and plain imports
 name nothing.  A definition that stays on purpose although nothing in those
 trees names it goes on :data:`ALLOWLIST`, with the reason it stays.
 
+A second gate ratchets the knobs: the number of defaulted parameters in
+``src/`` signatures (:data:`DEFAULTED_PARAMETERS`) may not grow.  A
+default is a knob a caller can turn, so a new one has to be paid for by
+removing another, or the pin raised in a reviewed change.
+
 Blind spot: the gate matches names, not bindings.  A method that shares its
 name with a used attribute or variable anywhere in the scanned trees (one
 ``report`` is called, so every ``report`` passes) passes even when nothing
@@ -49,6 +54,24 @@ ALLOWLIST = {
     "ObjectHTTPServer.fail_next_with": "test hook: the remote tests force HTTP failures on the dev server",
     "PrefetchingFetcher.closed": "test hook: the prefetch tests check that closing a store closes its fetcher",
 }
+
+
+#: Defaulted parameters in ``src/`` signatures (see :func:`defaulted_parameters`).
+DEFAULTED_PARAMETERS = 147
+
+
+def defaulted_parameters() -> int:
+    """Every function's ``defaults`` plus its non-``None`` ``kw_defaults``
+    (a keyword-only parameter without a default is a ``None`` entry)."""
+    count = 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                count += len(args.defaults)
+                count += sum(default is not None for default in args.kw_defaults)
+    return count
 
 
 def _skipped_strings(tree: ast.Module) -> set[int]:
@@ -172,3 +195,12 @@ def test_the_scan_reads_names_not_words(tmp_path, source, reads):
     occurrences: dict[str, set[tuple[Path, int]]] = {}
     _scan(path, occurrences)
     assert ("target" in occurrences) is reads
+
+
+def test_defaulted_parameters_are_pinned():
+    count = defaulted_parameters()
+    assert count == DEFAULTED_PARAMETERS, (
+        f"src/ signatures carry {count} defaulted parameters, pinned at "
+        f"{DEFAULTED_PARAMETERS}: a new knob has to remove another (or raise "
+        "the pin in a reviewed change), and a removed one lowers the pin"
+    )
